@@ -376,6 +376,9 @@ class TracingPort:
     def attach_database(self, data) -> None:  # noqa: ANN001
         self._inner.attach_database(data)
 
+    def database_grew(self, previous, data) -> None:  # noqa: ANN001
+        self._inner.database_grew(previous, data)
+
     @property
     def kernel(self):  # noqa: ANN001
         return self._inner.kernel

@@ -101,6 +101,9 @@ class QFDKernel:
 
     __slots__ = ("matrix", "block_rows")
 
+    #: The bound context's Gram expansion reads the cached ``vAv^T`` terms.
+    context_uses_norms = True
+
     def __init__(self, matrix: np.ndarray, *, block_rows: int | None = None) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.block_rows = block_rows
@@ -187,6 +190,10 @@ class L2Kernel:
     """Batched evaluator for the Euclidean distance."""
 
     __slots__ = ("block_rows",)
+
+    #: :class:`L2QueryContext` is difference-based and ignores row norms,
+    #: so callers need not compute, cache or gather them.
+    context_uses_norms = False
 
     def __init__(self, *, block_rows: int | None = None) -> None:
         self.block_rows = block_rows

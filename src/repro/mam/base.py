@@ -101,6 +101,22 @@ def state_str(state: dict[str, np.ndarray], key: str) -> str:
         raise StorageError(f"snapshot state entry {key!r} is not a scalar")
     return str(arr.reshape(()))
 
+
+def grown(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """*buffer* if it has room for *extra* rows after its first *used*,
+    else a copy of those rows in a buffer of at least twice the capacity.
+
+    Doubling makes appends amortized O(1) and keeps the allocation within
+    twice the rows held.
+    """
+    need = used + extra
+    if need <= buffer.shape[0]:
+        return buffer
+    bigger = np.empty((max(need, 2 * buffer.shape[0]), *buffer.shape[1:]), buffer.dtype)
+    bigger[:used] = buffer[:used]
+    return bigger
+
+
 #: Relative slack for pruning tests that compare kernel-evaluated query
 #: distances against build-stored bounds (covering radii, parent
 #: distances, vantage medians, GNAT ranges).  Those bounds are frequently
@@ -115,8 +131,13 @@ def state_str(state: dict[str, np.ndarray], key: str) -> str:
 PRUNE_SLACK_REL = 1e-12
 
 
-def prune_slack(*terms: float) -> float:
-    """Ulp-scale tolerance for a pruning comparison involving *terms*."""
+def prune_slack(*terms: "float | np.ndarray") -> "float | np.ndarray":
+    """Ulp-scale tolerance for a pruning comparison involving *terms*.
+
+    A term may be an array (one value per node entry): the sum runs in the
+    same order either way, so an entry's slack is the same float whether
+    it is computed alone or with its whole node.
+    """
     total = 0.0
     for t in terms:
         total += abs(t)
@@ -193,6 +214,10 @@ class DistancePort:
                 "block_rows requires a kernel-backed distance (QFD or "
                 "Euclidean); this distance has no batched kernel"
             )
+        # Row norms are cached only for a kernel whose query context
+        # reads them (the QFD's Gram expansion; L2 is difference-based).
+        self._wants_norms = getattr(self._kernel, "context_uses_norms", False)
+        self._norms_store: np.ndarray | None = None
         self._norms: np.ndarray | None = None
         self._norms_source: np.ndarray | None = None
 
@@ -271,20 +296,39 @@ class DistancePort:
         """Precompute and cache the per-row norms for *data* (build time)."""
         self._norms_for(data)
 
-    def _norms_for(self, data: np.ndarray) -> np.ndarray | None:
-        """Cached kernel row norms for *data* (recomputed if the array changed).
+    def database_grew(self, previous: np.ndarray, data: np.ndarray) -> None:
+        """*data* is *previous* plus appended rows: extend the cached norms.
 
-        Identity-keyed: dynamic inserts replace the database array, which
-        invalidates the cache wholesale — one cheap matrix product rebuilds
-        it on the next bound query.
+        Only the new rows' norms are computed.  When the cache is keyed to
+        some other array nothing happens — the next bound query over
+        *data* recomputes it whole, as for any unknown array.
         """
-        if self._kernel is None:
+        if self._norms_source is previous and self._norms_store is not None:
+            used = previous.shape[0]
+            store = grown(self._norms_store, used, data.shape[0] - used)
+            store[used : data.shape[0]] = self._kernel.row_norms(data[used:])
+            self._cache_norms(store, data)
+
+    def _cache_norms(self, store: np.ndarray, data: np.ndarray) -> None:
+        """Key the cache to *data*; its norms are the filled prefix of *store*."""
+        norms = store[: data.shape[0]]
+        norms.setflags(write=False)
+        self._norms_store = store
+        self._norms = norms
+        self._norms_source = data
+
+    def _norms_for(self, data: np.ndarray) -> np.ndarray | None:
+        """Cached kernel row norms for *data*, or ``None`` if the kernel's
+        query context does not use them.
+
+        Identity-keyed; :meth:`database_grew` re-keys the cache across a
+        dynamic insert, any other array is recomputed with one matrix
+        product.
+        """
+        if not self._wants_norms:
             return None
         if data is not self._norms_source:
-            norms = self._kernel.row_norms(data)
-            norms.setflags(write=False)
-            self._norms = norms
-            self._norms_source = data
+            self._cache_norms(self._kernel.row_norms(data), data)
         return self._norms
 
     def bind_query(self, query: np.ndarray, data: np.ndarray | None = None) -> "BoundQuery":
@@ -365,10 +409,11 @@ class BoundQuery:
     traversal is O(n).  Physical evaluation is batched; *charging* follows
     the traversal's logical access pattern through the explicit ``charge``
     arguments — ``"calls"`` for loops that used to make per-entry scalar
-    calls, ``"rows"`` for sites that were already one-to-many batches, and
-    ``None`` for speculative evaluation the caller replays and charges
-    itself.  This is what keeps the paper's distance counts bit-identical
-    under the kernel rewrite.
+    calls and ``"rows"`` for sites that were already one-to-many batches;
+    a traversal that counts its own evaluations (the M-tree family) uses
+    the uncharged :meth:`compute_many` and charges the port once.  This is
+    what keeps the paper's distance counts bit-identical under the kernel
+    rewrite.
     """
 
     __slots__ = ("_port", "_query", "_ctx", "_norms")
@@ -389,16 +434,6 @@ class BoundQuery:
     def query(self) -> np.ndarray:
         """The bound query vector."""
         return self._query
-
-    def charge_calls(self, n: int) -> None:
-        """Charge *n* logical scalar evaluations (replayed loops)."""
-        if n:
-            self._port.charge(calls=n)
-
-    def charge_rows(self, n: int) -> None:
-        """Charge *n* logical batched-row evaluations (replayed batches)."""
-        if n:
-            self._port.charge(rows=n)
 
     def compute_many(
         self, rows: np.ndarray, indices: np.ndarray | Sequence[int] | None = None
@@ -485,6 +520,7 @@ class AccessMethod(ABC):
         if data.shape[0] == 0:
             raise EmptyIndexError("cannot build an index over an empty database")
         self._data = data
+        self._row_buffer: np.ndarray | None = None  # once inserts start
         self._port = port
         # Row norms (vAv^T) for the whole store, computed once at build
         # time; bound queries reuse them for O(n)-per-candidate evaluation.
@@ -509,6 +545,11 @@ class AccessMethod(ABC):
         ):
             return database
         return as_vector_batch(database, name="database")
+
+    def __getstate__(self) -> dict:
+        # Spare insert capacity is not worth shipping to a worker process;
+        # a copy regrows its own buffer on its next insert.
+        return {**self.__dict__, "_row_buffer": None}
 
     @property
     def database(self) -> np.ndarray:
@@ -769,12 +810,21 @@ class AccessMethod(ABC):
             )
         index = self.size
         previous = self._data
-        self._data = np.vstack([previous, v.reshape(1, -1)])
+        # Rows live in a geometrically grown buffer and ``_data`` is its
+        # filled prefix, so an insert copies the database only when the
+        # capacity doubles, and row views handed to the hook pin that one
+        # buffer instead of a fresh full copy per object.  The array the
+        # index was built over is never written: it has no spare capacity.
+        store = grown(previous if self._row_buffer is None else self._row_buffer, index, 1)
+        store[index] = v
+        self._row_buffer = store
+        self._data = store[: index + 1]
         try:
             self._register_insert(index, self._data[index])
         except BaseException:
             self._data = previous
             raise
+        self._port.database_grew(previous, self._data)
         return index
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
@@ -880,13 +930,18 @@ class _KnnHeap:
         # for eviction, i.e. keeps smaller indices.
         self._heap: list[tuple[float, int]] = []
 
-    def offer(self, distance: float, index: int) -> None:
-        """Consider an object for the top-k."""
+    def offer(self, distance: float, index: int) -> float:
+        """Consider an object for the top-k; returns the resulting radius.
+
+        An object farther than the current radius can never enter, so a
+        scan holding the returned radius in a local may skip those offers.
+        """
         item = (-distance, -index)
         if len(self._heap) < self._k:
             heapq.heappush(self._heap, item)
         elif item > self._heap[0]:
             heapq.heapreplace(self._heap, item)
+        return self.radius
 
     @property
     def radius(self) -> float:

@@ -34,19 +34,13 @@ from typing import Callable
 
 import numpy as np
 
-from .._typing import ArrayLike
+from .._typing import ArrayLike, as_vector
 from ..engine.executors import resolve_executor
 from ..engine.trace import record_node_visit, record_pruned
 from ..exceptions import QueryError, StorageError
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-)
+from ..obs.events import ROOT, current_buffer
 from .base import (
+    PRUNE_SLACK_REL,
     AccessMethod,
     BoundQuery,
     DistancePort,
@@ -68,39 +62,374 @@ SPLIT_POLICIES = ("mM_RAD", "random")
 #: this many pairs a random sample is scored instead of all of them.
 _MAX_PROMOTION_PAIRS = 64
 
-
-class _Entry:
-    """One node slot: a leaf object or a routing object with a subtree."""
-
-    __slots__ = ("vector", "index", "radius", "dist_to_parent", "subtree")
-
-    def __init__(
-        self,
-        vector: np.ndarray,
-        *,
-        index: int = -1,
-        radius: float = 0.0,
-        dist_to_parent: float = 0.0,
-        subtree: "_Node | None" = None,
-    ) -> None:
-        self.vector = vector
-        self.index = index
-        self.radius = radius
-        self.dist_to_parent = dist_to_parent
-        self.subtree = subtree
+_INF = float("inf")
 
 
 class _Node:
-    """An M-tree node holding up to ``capacity`` entries."""
+    """An M-tree node as packed per-entry arrays (one slot per entry).
 
-    __slots__ = ("entries", "is_leaf")
+    The layout both trees share — :class:`MTree` keeps nodes in RAM,
+    :class:`~repro.mam.paged_mtree.PagedMTree` deserializes one per page —
+    so one pair of scan routines (:class:`MTreeSearchMixin`) serves both.
 
-    def __init__(self, is_leaf: bool) -> None:
-        self.entries: list[_Entry] = []
+    Attributes
+    ----------
+    is_leaf:
+        Leaf entries are database objects, internal entries route.
+    index:
+        ``(n,)`` intp — database index of each entry's (routing) object.
+    radius:
+        ``(n,)`` float64 covering radii (zero for leaf entries).
+    dist_to_parent:
+        ``(n,)`` float64 distances to the parent routing object.
+    children:
+        Per-entry child reference — a :class:`_Node` in RAM, a page id on
+        disk; empty for a leaf.
+    rows:
+        ``(n, dim)`` entry vectors when the node carries its own copy (a
+        deserialized page); ``None`` when they are gathered from the
+        database as ``data[index]``, which is what keeps a memory-mapped
+        store off the heap.
+    """
+
+    __slots__ = ("is_leaf", "index", "radius", "dist_to_parent", "children", "rows")
+
+    def __init__(
+        self,
+        is_leaf: bool,
+        index: np.ndarray,
+        radius: np.ndarray,
+        dist_to_parent: np.ndarray,
+        children: list,
+        rows: np.ndarray | None = None,
+    ) -> None:
         self.is_leaf = is_leaf
+        self.index = index
+        self.radius = radius
+        self.dist_to_parent = dist_to_parent
+        self.children = children
+        self.rows = rows
+
+    @classmethod
+    def empty(cls, is_leaf: bool, dim: int | None = None) -> "_Node":
+        """A node without entries; given *dim*, one carrying its own rows."""
+        rows = None if dim is None else np.empty((0, dim))
+        return cls(is_leaf, np.empty(0, np.intp), np.empty(0), np.empty(0), [], rows)
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    def append(
+        self,
+        index: int,
+        radius: float,
+        dist_to_parent: float,
+        child: object = None,
+        row: np.ndarray | None = None,
+    ) -> None:
+        """Add one entry at the end (the arrays are exact-size)."""
+        self.index = np.append(self.index, np.intp(index))
+        self.radius = np.append(self.radius, radius)
+        self.dist_to_parent = np.append(self.dist_to_parent, dist_to_parent)
+        if not self.is_leaf:
+            self.children.append(child)
+        if self.rows is not None:
+            self.rows = np.vstack([self.rows, row.reshape(1, -1)])
+
+    def remove(self, pos: int) -> None:
+        """Drop the entry at *pos*, keeping the others in order."""
+        self.index = np.delete(self.index, pos)
+        self.radius = np.delete(self.radius, pos)
+        self.dist_to_parent = np.delete(self.dist_to_parent, pos)
+        del self.children[pos]
+        if self.rows is not None:
+            self.rows = np.delete(self.rows, pos, axis=0)
+
+    def take(self, members: np.ndarray, dist_to_parent: np.ndarray) -> "_Node":
+        """A node of the entries at *members*, with new parent distances."""
+        return _Node(
+            self.is_leaf,
+            self.index[members],
+            self.radius[members],
+            dist_to_parent,
+            [self.children[pos] for pos in members] if self.children else [],
+            None if self.rows is None else self.rows[members],
+        )
 
 
-class MTree(NodeBatchedSearchMixin, AccessMethod):
+def parent_bounds(node: _Node, d_parent: float) -> np.ndarray:
+    """Per entry, a lower bound on ``d(q, o)`` for anything under the entry.
+
+    The triangle inequality gives ``|d(q, p) - d(o, p)| - r(o) <= d(q, o)``
+    with ``p`` the node's parent routing object — no distance computed.
+    Stored bounds are often exactly tight, so the bound is lowered by the
+    ulp-scale :func:`~repro.mam.base.prune_slack` of the two distances
+    (written out: it runs once per visited node).  One vectorized
+    expression in the per-entry scalar operation order, so each float is
+    what an entry-at-a-time loop computes.
+    """
+    dtp = node.dist_to_parent
+    slack = PRUNE_SLACK_REL * (abs(d_parent) + np.abs(dtp))
+    return np.abs(d_parent - dtp) - node.radius - slack
+
+
+def choose_subtree(dists: np.ndarray, radius: np.ndarray) -> int:
+    """Position of the routing entry an inserted object descends into.
+
+    The classic heuristic: a region that needs no enlargement wins (the
+    nearest such), otherwise the one needing the least; ties go to the
+    first entry.
+    """
+    enlargement = np.where(dists <= radius, 0.0, dists - radius)
+    return int(np.lexsort((dists, enlargement))[0])
+
+
+def min_max_radius_pair(
+    pairs: list[tuple[int, int]], subtree_radii: np.ndarray, pairwise: np.ndarray
+) -> tuple[int, int]:
+    """mM_RAD promotion: the first of *pairs* minimizing the larger of the
+    two covering radii its hyperplane partition would produce, reading
+    all distances from the precomputed *pairwise* matrix."""
+    first, second = np.array(pairs).T
+    to_first, to_second = pairwise[first], pairwise[second]  # one row per pair
+    closer_to_first = to_first <= to_second
+    radius1 = np.where(closer_to_first, to_first + subtree_radii, 0.0).max(axis=1)
+    radius2 = np.where(closer_to_first, 0.0, to_second + subtree_radii).max(axis=1)
+    return pairs[int(np.argmin(np.maximum(radius1, radius2)))]
+
+
+def partition(
+    node: _Node, pairwise: np.ndarray, first: int, second: int
+) -> tuple[_Node, _Node, float, float]:
+    """Generalized-hyperplane split of *node* around two promoted entries.
+
+    Returns the two nodes (entry order kept, ``dist_to_parent`` now the
+    distance to the respective promoted object) and their covering radii.
+    For internal entries the covering radius accounts for the subtree
+    radius: ``r = max(d + entry.radius)``.
+    """
+    d1, d2 = pairwise[first], pairwise[second]
+    to_first = d1 <= d2
+    to_first[first], to_first[second] = True, False
+    group1, group2 = np.flatnonzero(to_first), np.flatnonzero(~to_first)
+    node1, node2 = node.take(group1, d1[group1]), node.take(group2, d2[group2])
+    radius1 = float((node1.dist_to_parent + node1.radius).max(initial=0.0))
+    radius2 = float((node2.dist_to_parent + node2.radius).max(initial=0.0))
+    return node1, node2, radius1, radius2
+
+
+class MTreeSearchMixin(NodeBatchedSearchMixin):
+    """Range and best-first kNN search over packed :class:`_Node` arrays.
+
+    One traversal per query type, shared by the in-RAM and the paged
+    tree.  A tree supplies ``_open(ref)`` — the :class:`_Node` behind a
+    child reference, the root for ``None`` — ``_node_label(ref, node)``
+    for EXPLAIN, and ``_epsilon``, the kNN relative-error relaxation.
+
+    Array-at-a-time: a node's parent-distance lower bounds are one
+    vectorized expression (:func:`parent_bounds`), ``nonzero`` selects the
+    survivors and one batched call evaluates them.  Only the
+    order-dependent part stays a loop: leaf offers shrink the kNN radius
+    mid-node, so a leaf's entries are replayed over plain Python floats
+    with the radius held in a local.
+
+    Accounting sits outside the scan: evaluations, node visits and prunes
+    accumulate in locals and reach the port and the active
+    :class:`~repro.engine.trace.QueryTrace` once per query.  Only while an
+    EXPLAIN buffer is collecting are a node's evaluations charged before
+    the next node is entered (the buffer attributes a charge to the
+    current node) and its events replayed — behind the ``tok >= 0`` guard.
+    """
+
+    _epsilon = 0.0
+
+    def _plain_rows(self) -> np.ndarray:
+        """The database as a plain ndarray (an alias, never a copy).
+
+        Indexing an ``np.memmap`` goes through a Python-level
+        ``__getitem__`` and yields ``np.memmap`` instances carrying an
+        attribute dict each; the alias of the same mapping gathers rows
+        as ordinary arrays.  The floats are untouched.
+        """
+        data = self._data
+        return data.view(np.ndarray) if isinstance(data, np.memmap) else data
+
+    def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
+        out: list[Neighbor] = []
+        data = self._plain_rows()
+        buf = current_buffer()
+        tok = ROOT
+        visited = evals = pruned = 0
+        stack: list[tuple[object, float | None, int]] = [(None, None, ROOT)]
+        while stack:
+            ref, d_parent, parent_tok = stack.pop()
+            node = self._open(ref)
+            visited += 1
+            if buf is not None:
+                tok = buf.enter_node(parent_tok, self._node_label(ref, node))
+            n = len(node)
+            if d_parent is None:
+                alive = np.arange(n)
+            else:
+                lower = parent_bounds(node, d_parent)
+                alive = (lower <= radius).nonzero()[0]
+                if not node.is_leaf:
+                    pruned += n - alive.size
+                if tok >= 0:
+                    for value in lower.tolist():
+                        buf.lb_check(
+                            tok, value, radius, pruned=value > radius, label="parent-distance"
+                        )
+                    if not node.is_leaf:
+                        buf.prune(tok, n - alive.size, "parent-distance")
+            index = node.index[alive]
+            # One batched call for the survivors, counted as the one
+            # logical scalar call per entry a per-entry loop makes.
+            dists = bound.compute_many(
+                data[index] if node.rows is None else node.rows[alive], index
+            )
+            evals += alive.size
+            if node.is_leaf:
+                inside = dists <= radius
+                out.extend(map(Neighbor, dists[inside].tolist(), index[inside].tolist()))
+                if tok >= 0:
+                    for idx, dist in zip(index.tolist(), dists.tolist()):
+                        buf.candidate_verify(tok, idx, dist)
+                        if dist <= radius:
+                            buf.result_add(tok, idx, dist)
+            else:
+                cover = node.radius[alive]
+                near = dists - prune_slack(dists, cover)
+                reach = radius + cover
+                keep = near <= reach
+                descend = alive[keep].tolist()
+                pruned += alive.size - len(descend)
+                if tok >= 0:
+                    for value, limit in zip(near.tolist(), reach.tolist()):
+                        buf.lb_check(
+                            tok, value, limit, pruned=value > limit, label="covering-radius"
+                        )
+                        if value > limit:
+                            buf.prune(tok, 1, "covering-radius")
+                # Pushed in reverse, so subtrees are visited in entry order.
+                children = node.children
+                for pos, dist in zip(reversed(descend), reversed(dists[keep].tolist())):
+                    stack.append((children[pos], dist, tok))
+            if tok >= 0:
+                self._port.charge(calls=evals)
+                evals = 0
+        self._port.charge(calls=evals)
+        record_node_visit(visited)
+        record_pruned(pruned)
+        return out
+
+    def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
+        heap = _KnnHeap(k)
+        # With epsilon > 0 the effective pruning radius shrinks to
+        # tau / (1 + epsilon): any skipped object is farther than that, so
+        # reported distances stay within (1 + epsilon) of the true answer.
+        relax = 1.0 + self._epsilon
+        tau = cutoff = _INF  # the heap's radius, and tau / relax
+        data = self._plain_rows()
+        buf = current_buffer()
+        tok = ROOT
+        visited = evals = pruned = 0
+        # Best-first queue of (dmin, tiebreak, node ref, d(query, routing)).
+        tick = 1
+        queue: list[tuple[float, int, object, float | None, int]] = [
+            (0.0, 0, None, None, ROOT)
+        ]
+        while queue:
+            dmin, _, ref, d_parent, parent_tok = heapq.heappop(queue)
+            if dmin > cutoff:
+                break
+            node = self._open(ref)
+            visited += 1
+            if buf is not None:
+                tok = buf.enter_node(parent_tok, self._node_label(ref, node))
+            n = len(node)
+            if node.is_leaf:
+                # Offers shrink the pruning radius mid-node, so the skip
+                # test is sequential; the distances are still one batch
+                # over the whole leaf, and only consumed entries count.
+                index = node.index
+                ids = index.tolist()
+                dists = bound.compute_many(
+                    data[index] if node.rows is None else node.rows, index
+                ).tolist()
+                lower = (
+                    [-_INF] * n if d_parent is None
+                    else parent_bounds(node, d_parent).tolist()
+                )
+                entered_at = cutoff
+                shrunk: dict[int, float] = {}  # entry position -> cutoff after it
+                for pos, (low, dist) in enumerate(zip(lower, dists)):
+                    if low > cutoff:
+                        continue
+                    evals += 1
+                    if dist <= tau:
+                        tau = heap.offer(dist, ids[pos])
+                        cutoff = shrunk[pos] = tau / relax
+                if tok >= 0:
+                    at = entered_at
+                    for pos in range(n):
+                        if d_parent is not None:
+                            skip = lower[pos] > at
+                            buf.lb_check(
+                                tok, lower[pos], at, pruned=skip, label="parent-distance"
+                            )
+                            if skip:
+                                continue
+                        buf.candidate_verify(tok, ids[pos], dists[pos])
+                        at = shrunk.get(pos, at)
+            else:
+                # No offers happen while scanning an internal node, so the
+                # pruning radius is constant: the survivor set is known up
+                # front and evaluated in one batch.
+                if d_parent is None:
+                    alive = np.arange(n)
+                else:
+                    lower = parent_bounds(node, d_parent)
+                    alive = (lower <= cutoff).nonzero()[0]
+                    pruned += n - alive.size
+                    if tok >= 0:
+                        for value in lower.tolist():
+                            buf.lb_check(
+                                tok, value, cutoff, pruned=value > cutoff,
+                                label="parent-distance",
+                            )
+                        buf.prune(tok, n - alive.size, "parent-distance")
+                index = node.index[alive]
+                dists = bound.compute_many(
+                    data[index] if node.rows is None else node.rows[alive], index
+                )
+                evals += alive.size
+                cover = node.radius[alive]
+                child_dmin = np.maximum(dists - cover - prune_slack(dists, cover), 0.0)
+                keep = child_dmin <= cutoff
+                descend = alive[keep].tolist()
+                pruned += alive.size - len(descend)
+                if tok >= 0:
+                    for value in child_dmin.tolist():
+                        buf.lb_check(tok, value, cutoff, pruned=value > cutoff, label="dmin")
+                        if value > cutoff:
+                            buf.prune(tok, 1, "covering-radius")
+                children = node.children
+                for pos, key, dist in zip(
+                    descend, child_dmin[keep].tolist(), dists[keep].tolist()
+                ):
+                    heapq.heappush(queue, (key, tick, children[pos], dist, tok))
+                    tick += 1
+            if tok >= 0:
+                self._port.charge(calls=evals)
+                evals = 0
+        self._port.charge(calls=evals)
+        record_node_visit(visited)
+        record_pruned(pruned)
+        return heap.neighbors()
+
+
+class MTree(MTreeSearchMixin, AccessMethod):
     """In-memory M-tree over a black-box metric.
 
     Parameters
@@ -136,9 +465,9 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         graph under assembly and is rejected.
     """
 
-    #: Bulk loads gather rows per leaf / per seed set / per cross chunk,
-    #: and entries keep row *views* of the store, so a memory-mapped
-    #: database is never materialized on the heap.
+    #: Nodes hold database *indices*; bulk loads, inserts and queries
+    #: gather rows per node / per seed set / per cross chunk, so a
+    #: memory-mapped database is never materialized on the heap.
     supports_out_of_core = True
 
     def __init__(
@@ -174,26 +503,15 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         self._split_policy = split_policy
         self._epsilon = epsilon
         self._rng = np.random.default_rng(0) if rng is None else rng
-        # Entry vectors are per-row views of the database.  Views of an
-        # np.memmap are np.memmap instances, each carrying an attribute
-        # dict (_mmap/filename/offset/mode, ~1 KiB) — about 2 GiB of
-        # pure bookkeeping across 1M leaves.  A plain-ndarray alias of
-        # the same mapping makes them ordinary lightweight views; the
-        # floats (and therefore every distance) are untouched.
-        self._entry_rows = (
-            self._data.view(np.ndarray)
-            if isinstance(self._data, np.memmap)
-            else self._data
-        )
         if bulk_load:
             indices = np.arange(self.size, dtype=np.intp)
-            self._root, _, _, _ = self._bulk_build(
+            self._root, _, _ = self._bulk_build(
                 indices, workers=bulk_workers, executor=bulk_executor
             )
         else:
-            self._root = _Node(is_leaf=True)
-            for i, row in enumerate(self._entry_rows):
-                self._insert(row, i)
+            self._root = _Node.empty(is_leaf=True)
+            for i in range(self.size):
+                self._insert(i)
 
     # ------------------------------------------------------------------
     # bulk loading (Ciaccia & Patella style, simplified)
@@ -227,9 +545,10 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         n_seeds = int(seed_rows.shape[0])
         owner = np.empty(n, dtype=np.intp)
         chunk = self._port.block_rows or n
+        data = self._plain_rows()
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            block = self._entry_rows[indices[start:stop]]
+            block = data[indices[start:stop]]
             dist_matrix = self._port.cross(seed_rows, block, charge=False)
             owner[start:stop] = np.argmin(dist_matrix, axis=0)
         self._port.charge(rows=n_seeds * n)
@@ -255,7 +574,7 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         workers: int | None,
         executor: str,
         depth: int = 1,
-    ) -> list[tuple["_Node", np.ndarray, float, int]]:
+    ) -> list[tuple[_Node, float, int]]:
         """Build one subtree per index group, optionally in parallel.
 
         Sequential (``workers=None``) shares *rng* across groups in build
@@ -290,14 +609,15 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         workers: int | None = None,
         executor: str = "thread",
         depth: int = 0,
-    ) -> tuple[_Node, np.ndarray, float, int]:
+    ) -> tuple[_Node, float, int]:
         """Recursive bulk build.
 
-        Returns ``(node, routing_vector, covering_radius, routing_index)``
-        for the built subtree.  Seeds are sampled, objects are clustered to
-        their nearest seed, and subtrees are built per cluster — the
-        classic recipe, trading strict height balance (which search
-        correctness never needed) for tight clusters from the start.
+        Returns ``(node, covering_radius, routing_index)`` for the built
+        subtree; the routing object is a database object, referenced by
+        index.  Seeds are sampled, objects are clustered to their nearest
+        seed, and subtrees are built per cluster — the classic recipe,
+        trading strict height balance (which search correctness never
+        needed) for tight clusters from the start.
 
         *indices* is an intp array into the database; rows are gathered
         from the store per leaf / per seed set / per cross chunk, never
@@ -309,269 +629,143 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         if rng is None:
             rng = self._rng
         n = int(indices.shape[0])
+        data = self._plain_rows()
         if n <= self._capacity:
-            rows = np.asarray(self._entry_rows[indices])
-            node = _Node(is_leaf=True)
-            medoid, dists = self._medoid_distances(rows)
-            for pos, obj in enumerate(indices):
-                obj = int(obj)
-                node.entries.append(
-                    _Entry(self._entry_rows[obj], index=obj, dist_to_parent=float(dists[pos]))
-                )
-            # .copy(): a bare rows[medoid] view would pin the whole
-            # leaf gather (capacity x dim) alive for the tree's lifetime.
-            return (
-                node,
-                rows[medoid].copy(),
-                float(dists.max(initial=0.0)),
-                int(indices[medoid]),
-            )
+            medoid, dists = self._medoid_distances(data[indices])
+            # Copies: a slice of *indices* or a row of the medoid matrix
+            # would pin its whole parent array for the tree's lifetime.
+            node = _Node(True, np.array(indices, np.intp), np.zeros(n), np.array(dists), [])
+            return node, float(dists.max(initial=0.0)), int(indices[medoid])
 
         n_seeds = min(self._capacity, n)
         seed_positions = rng.choice(n, size=n_seeds, replace=False)
-        seed_rows = np.asarray(self._entry_rows[indices[seed_positions]])
-        owner = self._cluster_owners(seed_rows, indices)
+        owner = self._cluster_owners(data[indices[seed_positions]], indices)
         # Coincident seeds can dump every object into one cluster — no
         # progress, infinite recursion.  Chunk arbitrarily instead: with
         # (near-)identical objects any partition is equally tight.
-        largest = int(np.bincount(owner, minlength=n_seeds).max())
-        if largest == n:
-            chunks = [
+        if int(np.bincount(owner, minlength=n_seeds).max()) == n:
+            groups = [
                 indices[start : start + self._capacity]
                 for start in range(0, n, self._capacity)
             ]
-            node = _Node(is_leaf=False)
-            child_indices = []
-            for child, routing_vec, radius, routing_idx in self._build_children(
-                chunks, rng, workers, executor, depth
-            ):
-                child_indices.append(routing_idx)
-                node.entries.append(
-                    _Entry(routing_vec, index=routing_idx, radius=radius, subtree=child)
-                )
-            routing_rows = np.array([e.vector for e in node.entries])
-            medoid, dists = self._medoid_distances(routing_rows)
-            radius = 0.0
-            for entry, dist in zip(node.entries, dists):
-                entry.dist_to_parent = float(dist)
-                radius = max(radius, float(dist) + entry.radius)
-            return node, routing_rows[medoid].copy(), radius, child_indices[medoid]
-        # Every seed owns at least itself, but a cluster can still collapse
-        # when seeds coincide; drop empty groups.
-        groups = [
-            members
-            for group_id in range(n_seeds)
-            if (members := indices[np.flatnonzero(owner == group_id)]).size
-        ]
-        node = _Node(is_leaf=False)
-        child_indices = []
-        for child, routing_vec, radius, routing_idx in self._build_children(
-            groups, rng, workers, executor, depth
-        ):
-            child_indices.append(routing_idx)
-            node.entries.append(
-                _Entry(routing_vec, index=routing_idx, radius=radius, subtree=child)
-            )
-        if len(node.entries) == 1:
-            # Degenerate clustering (all seeds equal): fall back to the
-            # only child as this subtree.
-            only = node.entries[0]
-            return only.subtree, only.vector, only.radius, only.index  # type: ignore[return-value]
-        routing_rows = np.array([e.vector for e in node.entries])
-        medoid, dists = self._medoid_distances(routing_rows)
-        radius = 0.0
-        for entry, dist in zip(node.entries, dists):
-            entry.dist_to_parent = float(dist)
-            radius = max(radius, float(dist) + entry.radius)
-        return node, routing_rows[medoid].copy(), radius, child_indices[medoid]
+        else:
+            # Every seed owns at least itself, but a cluster can still
+            # collapse when seeds coincide; drop empty groups.
+            groups = [
+                members
+                for group_id in range(n_seeds)
+                if (members := indices[np.flatnonzero(owner == group_id)]).size
+            ]
+        built = self._build_children(groups, rng, workers, executor, depth)
+        if len(built) == 1:
+            # Degenerate clustering (all seeds equal): the only child is
+            # this subtree.
+            return built[0]
+        index = np.array([routing for _, _, routing in built], np.intp)
+        radius = np.array([cover for _, cover, _ in built])
+        medoid, dists = self._medoid_distances(data[index])
+        node = _Node(False, index, radius, np.array(dists), [child for child, _, _ in built])
+        return node, float((dists + radius).max(initial=0.0)), int(index[medoid])
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _insert(self, vector: np.ndarray, index: int) -> None:
-        path: list[tuple[_Node, _Entry]] = []  # (node, chosen routing entry)
+    def _insert(self, index: int) -> None:
+        data = self._plain_rows()
+        vector = data[index]
+        path: list[tuple[_Node, int]] = []  # (node, chosen routing position)
         node = self._root
         descent_distance = 0.0
         while not node.is_leaf:
-            entry, descent_distance = self._choose_subtree(node, vector)
-            path.append((node, entry))
-            node = entry.subtree  # type: ignore[assignment]
-        node.entries.append(
-            _Entry(vector, index=index, dist_to_parent=descent_distance)
-        )
-        if len(node.entries) > self._capacity:
+            dists = self._port.many(vector, data[node.index])
+            pos = choose_subtree(dists, node.radius)
+            descent_distance = float(dists[pos])
+            if descent_distance > node.radius[pos]:
+                node.radius[pos] = descent_distance
+            path.append((node, pos))
+            node = node.children[pos]
+        node.append(index, 0.0, descent_distance)
+        if len(node) > self._capacity:
             self._split(node, path)
 
-    def _choose_subtree(self, node: _Node, vector: np.ndarray) -> tuple[_Entry, float]:
-        """Pick the routing entry to descend into, enlarging its radius if needed."""
-        rows = np.array([e.vector for e in node.entries])
-        dists = self._port.many(vector, rows)
-        best: _Entry | None = None
-        best_key = (float("inf"), float("inf"))
-        for entry, dist in zip(node.entries, dists):
-            if dist <= entry.radius:
-                key = (0.0, float(dist))
-            else:
-                key = (float(dist - entry.radius), float(dist))
-            if key < best_key:
-                best_key, best = key, entry
-        assert best is not None
-        chosen_dist = best_key[1]
-        if chosen_dist > best.radius:
-            best.radius = chosen_dist
-        return best, chosen_dist
-
-    def _split(self, node: _Node, path: list[tuple[_Node, _Entry]]) -> None:
-        entries = node.entries
+    def _split(self, node: _Node, path: list[tuple[_Node, int]]) -> None:
+        data = self._plain_rows()
         # One pairwise distance matrix serves both promotion scoring and the
         # final partition — the standard mM_RAD implementation trick that
         # keeps split cost at O(capacity^2) distance computations.
-        pairwise = self._pairwise_matrix(entries)
-        first, second = self._promote(entries, pairwise)
-        group1, group2, radius1, radius2 = self._partition(entries, first, second, pairwise)
-
-        node1 = _Node(node.is_leaf)
-        node1.entries = group1
-        node2 = _Node(node.is_leaf)
-        node2.entries = group2
-        routing1 = _Entry(
-            entries[first].vector,
-            index=entries[first].index,
-            radius=radius1,
-            subtree=node1,
-        )
-        routing2 = _Entry(
-            entries[second].vector,
-            index=entries[second].index,
-            radius=radius2,
-            subtree=node2,
-        )
-
-        if not path:
-            new_root = _Node(is_leaf=False)
-            new_root.entries = [routing1, routing2]
-            self._root = new_root
-            return
-        parent, old_entry = path[-1]
-        parent.entries.remove(old_entry)
-        grandparent_vec = path[-2][1].vector if len(path) >= 2 else None
-        for routing in (routing1, routing2):
-            if grandparent_vec is not None:
-                routing.dist_to_parent = self._port.pair(routing.vector, grandparent_vec)
-            parent.entries.append(routing)
-        if len(parent.entries) > self._capacity:
+        pairwise = self._port.pairwise(data[node.index])
+        first, second = self._promote(node.radius, pairwise)
+        node1, node2, radius1, radius2 = partition(node, pairwise, first, second)
+        if path:
+            parent, pos = path[-1]
+            parent.remove(pos)
+        else:
+            parent = self._root = _Node.empty(is_leaf=False)
+        grandparent = None
+        if len(path) >= 2:
+            above, above_pos = path[-2]
+            grandparent = data[above.index[above_pos]]
+        for promoted, radius, child in ((first, radius1, node1), (second, radius2, node2)):
+            index = int(node.index[promoted])
+            to_parent = (
+                0.0 if grandparent is None else self._port.pair(data[index], grandparent)
+            )
+            parent.append(index, radius, to_parent, child)
+        if len(parent) > self._capacity:
             self._split(parent, path[:-1])
 
-    def _pairwise_matrix(self, entries: list[_Entry]) -> np.ndarray:
-        """Symmetric distance matrix over the entry vectors (charged once)."""
-        rows = np.array([e.vector for e in entries])
-        return self._port.pairwise(rows)
-
-    def _promote(self, entries: list[_Entry], pairwise: np.ndarray) -> tuple[int, int]:
+    def _promote(self, subtree_radii: np.ndarray, pairwise: np.ndarray) -> tuple[int, int]:
         """Choose the two entries to promote as new routing objects."""
-        n = len(entries)
+        n = pairwise.shape[0]
         if self._split_policy == "random":
             first, second = self._rng.choice(n, size=2, replace=False)
             return int(first), int(second)
-        # mM_RAD: score candidate pairs by the larger resulting covering
-        # radius, reading all distances from the precomputed matrix.
-        all_pairs = list(itertools.combinations(range(n), 2))
-        if len(all_pairs) > _MAX_PROMOTION_PAIRS:
-            picks = self._rng.choice(len(all_pairs), size=_MAX_PROMOTION_PAIRS, replace=False)
-            pairs = [all_pairs[i] for i in picks]
-        else:
-            pairs = all_pairs
-        subtree_radii = np.array([e.radius for e in entries])
-        best_pair, best_score = pairs[0], float("inf")
-        for i, j in pairs:
-            closer_to_i = pairwise[i] <= pairwise[j]
-            cover_i = pairwise[i] + subtree_radii
-            cover_j = pairwise[j] + subtree_radii
-            r1 = float(np.max(np.where(closer_to_i, cover_i, 0.0)))
-            r2 = float(np.max(np.where(closer_to_i, 0.0, cover_j)))
-            score = max(r1, r2)
-            if score < best_score:
-                best_pair, best_score = (i, j), score
-        return best_pair
-
-    def _partition(
-        self, entries: list[_Entry], first: int, second: int, pairwise: np.ndarray
-    ) -> tuple[list[_Entry], list[_Entry], float, float]:
-        """Generalized-hyperplane partition around two promoted entries.
-
-        Returns the two entry groups (with ``dist_to_parent`` updated to
-        the respective promoted object) and the two covering radii.  For
-        internal entries the covering radius accounts for the subtree
-        radius: ``r = max(d + entry.radius)``.
-        """
-        d1 = pairwise[first]
-        d2 = pairwise[second]
-        group1: list[_Entry] = []
-        group2: list[_Entry] = []
-        radius1 = radius2 = 0.0
-        for pos, entry in enumerate(entries):
-            if pos == first:
-                to_first = True
-            elif pos == second:
-                to_first = False
-            else:
-                to_first = d1[pos] <= d2[pos]
-            if to_first:
-                entry.dist_to_parent = float(d1[pos])
-                group1.append(entry)
-                radius1 = max(radius1, float(d1[pos]) + entry.radius)
-            else:
-                entry.dist_to_parent = float(d2[pos])
-                group2.append(entry)
-                radius2 = max(radius2, float(d2[pos]) + entry.radius)
-        return group1, group2, radius1, radius2
+        pairs = list(itertools.combinations(range(n), 2))
+        if len(pairs) > _MAX_PROMOTION_PAIRS:
+            picks = self._rng.choice(len(pairs), size=_MAX_PROMOTION_PAIRS, replace=False)
+            pairs = [pairs[i] for i in picks]
+        return min_max_radius_pair(pairs, subtree_radii, pairwise)
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Dynamic insert — the M-tree's native operation (Section 4.3)."""
-        self._insert(vector, index)
+        self._insert(index)
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
 
-    def structural_state(self) -> dict[str, np.ndarray]:
-        # Preorder node walk; every entry vector equals self._data[index]
-        # (both the dynamic and the bulk build promote actual database
-        # objects), so the topology arrays below are the whole tree.
+    def _preorder(self) -> list[_Node]:
+        """Every node, parents before children, children in entry order."""
         nodes: list[_Node] = []
-
-        def collect(node: _Node) -> None:
+        pending = [self._root]
+        while pending:
+            node = pending.pop()
             nodes.append(node)
-            if not node.is_leaf:
-                for entry in node.entries:
-                    collect(entry.subtree)  # type: ignore[arg-type]
+            pending.extend(reversed(node.children))
+        return nodes
 
-        collect(self._root)
+    def structural_state(self) -> dict[str, np.ndarray]:
+        # Every entry's vector is self._data[index] (both the dynamic and
+        # the bulk build promote actual database objects), so the topology
+        # arrays below are the whole tree.
+        nodes = self._preorder()
         ids = {id(node): nid for nid, node in enumerate(nodes)}
-        is_leaf: list[int] = []
-        entry_count: list[int] = []
-        entry_index: list[int] = []
-        entry_radius: list[float] = []
-        entry_dtp: list[float] = []
-        entry_child: list[int] = []
-        for node in nodes:
-            is_leaf.append(1 if node.is_leaf else 0)
-            entry_count.append(len(node.entries))
-            for entry in node.entries:
-                entry_index.append(entry.index)
-                entry_radius.append(entry.radius)
-                entry_dtp.append(entry.dist_to_parent)
-                entry_child.append(
-                    -1 if entry.subtree is None else ids[id(entry.subtree)]
-                )
+        entry_child = [
+            [ids[id(child)] for child in node.children] or [-1] * len(node)
+            for node in nodes
+        ]
         return {
-            "node_is_leaf": np.asarray(is_leaf, dtype=np.uint8),
-            "node_entry_count": np.asarray(entry_count, dtype=np.int64),
-            "entry_index": np.asarray(entry_index, dtype=np.int64),
-            "entry_radius": np.asarray(entry_radius, dtype=np.float64),
-            "entry_dist_to_parent": np.asarray(entry_dtp, dtype=np.float64),
-            "entry_child": np.asarray(entry_child, dtype=np.int64),
+            "node_is_leaf": np.asarray([node.is_leaf for node in nodes], dtype=np.uint8),
+            "node_entry_count": np.asarray([len(node) for node in nodes], dtype=np.int64),
+            "entry_index": np.concatenate([node.index for node in nodes]).astype(np.int64),
+            "entry_radius": np.concatenate([node.radius for node in nodes]),
+            "entry_dist_to_parent": np.concatenate(
+                [node.dist_to_parent for node in nodes]
+            ),
+            "entry_child": np.asarray(
+                list(itertools.chain.from_iterable(entry_child)), dtype=np.int64
+            ),
             "capacity": np.int64(self._capacity),
             "split_policy": np.str_(self._split_policy),
             "epsilon": np.float64(self._epsilon),
@@ -613,44 +807,40 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
             )
         if epsilon < 0.0:
             raise StorageError(f"epsilon must be non-negative, got {epsilon}")
+        bad = np.flatnonzero((entry_index < 0) | (entry_index >= self.size))
+        if bad.size:
+            raise StorageError(
+                f"M-tree snapshot: entry index {int(entry_index[bad[0]])} out of "
+                f"range [0, {self.size})"
+            )
 
-        nodes = [_Node(bool(flag)) for flag in is_leaf]
-        offsets = np.concatenate(([0], np.cumsum(entry_count)))
+        offsets = np.concatenate(([0], np.cumsum(entry_count))).tolist()
+        nodes = [
+            _Node(
+                bool(is_leaf[nid]),
+                entry_index[lo:hi].astype(np.intp),
+                entry_radius[lo:hi].copy(),
+                entry_dtp[lo:hi].copy(),
+                [],
+            )
+            for nid, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        ]
         child_seen = np.zeros(n_nodes, dtype=bool)
         for nid, node in enumerate(nodes):
-            for pos in range(int(offsets[nid]), int(offsets[nid + 1])):
-                idx = int(entry_index[pos])
-                child = int(entry_child[pos])
-                if not 0 <= idx < self.size:
+            links = entry_child[offsets[nid] : offsets[nid + 1]]
+            if node.is_leaf:
+                if (links != -1).any():
+                    raise StorageError("M-tree snapshot: leaf entry points at a subtree")
+                continue
+            for child in links.tolist():
+                # Preorder guarantees children come after their parent;
+                # the seen-once check rules out shared subtrees/cycles.
+                if not nid < child < n_nodes or child_seen[child]:
                     raise StorageError(
-                        f"M-tree snapshot: entry index {idx} out of range "
-                        f"[0, {self.size})"
+                        f"M-tree snapshot: invalid child link {child} from node {nid}"
                     )
-                if node.is_leaf:
-                    if child != -1:
-                        raise StorageError(
-                            "M-tree snapshot: leaf entry points at a subtree"
-                        )
-                    subtree = None
-                else:
-                    # Preorder guarantees children come after their parent;
-                    # the seen-once check rules out shared subtrees/cycles.
-                    if not nid < child < n_nodes or child_seen[child]:
-                        raise StorageError(
-                            f"M-tree snapshot: invalid child link {child} "
-                            f"from node {nid}"
-                        )
-                    child_seen[child] = True
-                    subtree = nodes[child]
-                node.entries.append(
-                    _Entry(
-                        self._data[idx],
-                        index=idx,
-                        radius=float(entry_radius[pos]),
-                        dist_to_parent=float(entry_dtp[pos]),
-                        subtree=subtree,
-                    )
-                )
+                child_seen[child] = True
+                node.children.append(nodes[child])
         if not child_seen[1:].all():
             raise StorageError("M-tree snapshot: unreachable nodes")
         self._capacity = capacity
@@ -664,201 +854,28 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         # object) — recomputable without touching the counter.  A leaf root
         # has no such pair (bulk-built leaves store medoid distances whose
         # medoid identity is not kept), so it is skipped.
-        if self._root.is_leaf or not self._root.entries:
+        root = self._root
+        if root.is_leaf or not len(root) or not len(root.children[0]):
             return
-        routing = self._root.entries[0]
-        if routing.subtree is None or not routing.subtree.entries:
-            return
-        child_entry = routing.subtree.entries[0]
-        probe = self._port.pair_uncounted(child_entry.vector, routing.vector)
-        if not np.isclose(probe, child_entry.dist_to_parent, rtol=1e-6, atol=1e-9):
+        child = root.children[0]
+        probe = self._port.pair_uncounted(
+            self._data[child.index[0]], self._data[root.index[0]]
+        )
+        if not np.isclose(probe, child.dist_to_parent[0], rtol=1e-6, atol=1e-9):
             raise StorageError(
                 "supplied distance disagrees with the stored parent distances "
                 "(wrong metric or wrong matrix?)"
             )
 
     # ------------------------------------------------------------------
-    # queries
+    # queries (range and kNN: MTreeSearchMixin)
     # ------------------------------------------------------------------
 
-    def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
-        out: list[Neighbor] = []
-        self._range_node(self._root, bound, radius, None, out, ROOT)
-        return out
+    def _open(self, ref: _Node | None) -> _Node:
+        return self._root if ref is None else ref
 
-    def _range_node(
-        self,
-        node: _Node,
-        bound: BoundQuery,
-        radius: float,
-        d_query_parent: float | None,
-        out: list[Neighbor],
-        parent_tok: int = ROOT,
-    ) -> None:
-        # Distance-to-parent pruning: triangle inequality gives
-        # |d(q, parent) - d(o, parent)| <= d(q, o); if even that lower
-        # bound exceeds the region, skip without computing d(q, o).  The
-        # bound depends on nothing computed inside this node, so the whole
-        # surviving slice is evaluated with one batched call — charged as
-        # one logical scalar call per entry, like the loop it replaces.
-        # Stored bounds (dist_to_parent, covering radii) are often exactly
-        # tight, so prune tests against them get an ulp-scale slack.
-        record_node_visit()
-        tok = emit_node_enter(parent_tok, "leaf" if node.is_leaf else "internal")
-        if d_query_parent is None:
-            alive = node.entries
-        else:
-            alive = [
-                e
-                for e in node.entries
-                if abs(d_query_parent - e.dist_to_parent)
-                - prune_slack(d_query_parent, e.dist_to_parent)
-                <= radius + e.radius
-            ]
-            if tok >= 0:
-                # Explain replay of the comprehension above — emits the
-                # exact two sides of each pruning comparison, computing
-                # nothing the filter did not.
-                for e in node.entries:
-                    lhs = abs(d_query_parent - e.dist_to_parent) - prune_slack(
-                        d_query_parent, e.dist_to_parent
-                    )
-                    rhs = radius + e.radius
-                    emit_lb_check(
-                        tok, lhs, rhs, pruned=lhs > rhs, label="parent-distance"
-                    )
-        if not node.is_leaf and len(alive) < len(node.entries):
-            record_pruned(len(node.entries) - len(alive))
-            emit_prune(tok, len(node.entries) - len(alive), "parent-distance")
-        if not alive:
-            return
-        rows = np.array([e.vector for e in alive])
-        dists = bound.many(rows, [e.index for e in alive], charge="calls")
-        for pos, entry in enumerate(alive):
-            dist = float(dists[pos])
-            if node.is_leaf:
-                emit_candidate_verify(tok, entry.index, dist)
-                if dist <= radius:
-                    out.append(Neighbor(dist, entry.index))
-                    emit_result_add(tok, entry.index, dist)
-            elif dist - prune_slack(dist, entry.radius) <= radius + entry.radius:
-                emit_lb_check(
-                    tok,
-                    dist - prune_slack(dist, entry.radius),
-                    radius + entry.radius,
-                    pruned=False,
-                    label="covering-radius",
-                )
-                self._range_node(entry.subtree, bound, radius, dist, out, tok)
-            else:
-                record_pruned()
-                emit_lb_check(
-                    tok,
-                    dist - prune_slack(dist, entry.radius),
-                    radius + entry.radius,
-                    pruned=True,
-                    label="covering-radius",
-                )
-                emit_prune(tok, 1, "covering-radius")
-
-    def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
-        heap = _KnnHeap(k)
-        # Best-first queue of (dmin, tiebreak, node, d(query, routing)).
-        # With epsilon > 0 the effective pruning radius shrinks to
-        # tau / (1 + epsilon): any skipped object is farther than that, so
-        # reported distances stay within (1 + epsilon) of the true answer.
-        relax = 1.0 + self._epsilon
-        counter = itertools.count()
-        queue: list[tuple[float, int, _Node, float | None, int]] = [
-            (0.0, next(counter), self._root, None, ROOT)
-        ]
-        while queue:
-            dmin, _, node, d_query_parent, parent_tok = heapq.heappop(queue)
-            if dmin > heap.radius / relax:
-                break
-            record_node_visit()
-            tok = emit_node_enter(parent_tok, "leaf" if node.is_leaf else "internal")
-            if node.is_leaf:
-                # Leaf offers shrink the pruning radius mid-loop, so the
-                # skip test is replayed sequentially; distances are still
-                # computed in one uncharged batch and each consumed entry
-                # is charged as the scalar call the old loop made.
-                entries = node.entries
-                rows = np.array([e.vector for e in entries])
-                dists = bound.compute_many(rows, [e.index for e in entries])
-                for pos, entry in enumerate(entries):
-                    if d_query_parent is not None:
-                        lower = (
-                            abs(d_query_parent - entry.dist_to_parent)
-                            - entry.radius
-                            - prune_slack(d_query_parent, entry.dist_to_parent)
-                        )
-                        if lower > heap.radius / relax:
-                            emit_lb_check(
-                                tok, lower, heap.radius / relax,
-                                pruned=True, label="parent-distance",
-                            )
-                            continue
-                        emit_lb_check(
-                            tok, lower, heap.radius / relax,
-                            pruned=False, label="parent-distance",
-                        )
-                    bound.charge_calls(1)
-                    emit_candidate_verify(tok, entry.index, float(dists[pos]))
-                    heap.offer(float(dists[pos]), entry.index)
-            else:
-                # No offers happen while scanning an internal node, so the
-                # pruning radius is constant: the survivor set is known up
-                # front and evaluated in one batch.
-                cutoff = heap.radius / relax
-                if d_query_parent is None:
-                    alive = node.entries
-                else:
-                    alive = [
-                        e
-                        for e in node.entries
-                        if abs(d_query_parent - e.dist_to_parent)
-                        - e.radius
-                        - prune_slack(d_query_parent, e.dist_to_parent)
-                        <= cutoff
-                    ]
-                    if tok >= 0:
-                        for e in node.entries:
-                            lhs = (
-                                abs(d_query_parent - e.dist_to_parent)
-                                - e.radius
-                                - prune_slack(d_query_parent, e.dist_to_parent)
-                            )
-                            emit_lb_check(
-                                tok, lhs, cutoff,
-                                pruned=lhs > cutoff, label="parent-distance",
-                            )
-                if len(alive) < len(node.entries):
-                    record_pruned(len(node.entries) - len(alive))
-                    emit_prune(tok, len(node.entries) - len(alive), "parent-distance")
-                if not alive:
-                    continue
-                rows = np.array([e.vector for e in alive])
-                dists = bound.many(rows, [e.index for e in alive], charge="calls")
-                for pos, entry in enumerate(alive):
-                    dist = float(dists[pos])
-                    child_dmin = max(
-                        dist - entry.radius - prune_slack(dist, entry.radius), 0.0
-                    )
-                    if child_dmin <= cutoff:
-                        emit_lb_check(
-                            tok, child_dmin, cutoff, pruned=False, label="dmin"
-                        )
-                        heapq.heappush(
-                            queue, (child_dmin, next(counter), entry.subtree, dist, tok)
-                        )
-                    else:
-                        record_pruned()
-                        emit_lb_check(
-                            tok, child_dmin, cutoff, pruned=True, label="dmin"
-                        )
-                        emit_prune(tok, 1, "covering-radius")
-        return heap.neighbors()
+    def _node_label(self, ref: _Node | None, node: _Node) -> str:
+        return "leaf" if node.is_leaf else "internal"
 
     def nearest_iter(self, query: ArrayLike):
         """Lazily yield neighbors in increasing distance order.
@@ -871,10 +888,9 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         ``k`` — and the caller does not need to fix ``k`` in advance
         (classic use: distance-ordered cursors in query pipelines).
         """
-        from .._typing import as_vector
-
         q = as_vector(query, self.dim, name="query")
         bound = self._port.bind_query(q, self._data)
+        data = self._plain_rows()
         counter = itertools.count()
         # Three item kinds, all keyed by a LOWER BOUND on any object
         # distance reachable through them, so a popped exact object beats
@@ -886,19 +902,12 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         queue: list[tuple[float, int, str, object, float | None]] = []
 
         def push_entries(node: _Node, d_query_routing: float | None) -> None:
-            for entry in node.entries:
-                if d_query_routing is None:
-                    bound = 0.0
-                else:
-                    bound = max(
-                        abs(d_query_routing - entry.dist_to_parent)
-                        - entry.radius
-                        - prune_slack(d_query_routing, entry.dist_to_parent),
-                        0.0,
-                    )
-                heapq.heappush(
-                    queue, (bound, next(counter), "entry", (entry, node.is_leaf), None)
-                )
+            if d_query_routing is None:
+                keys = [0.0] * len(node)
+            else:
+                keys = np.maximum(parent_bounds(node, d_query_routing), 0.0).tolist()
+            for pos, key in enumerate(keys):
+                heapq.heappush(queue, (key, next(counter), "entry", (node, pos), None))
 
         push_entries(self._root, None)
         while queue:
@@ -906,19 +915,16 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
             if kind == "object":
                 yield Neighbor(priority, payload)  # type: ignore[arg-type]
             elif kind == "entry":
-                entry, is_leaf_entry = payload  # type: ignore[misc]
-                dist = bound.one(entry.vector, entry.index)
-                if is_leaf_entry:
-                    heapq.heappush(
-                        queue, (float(dist), next(counter), "object", entry.index, None)
-                    )
+                node, pos = payload  # type: ignore[misc]
+                index = int(node.index[pos])
+                dist = bound.one(data[index], index)
+                if node.is_leaf:
+                    heapq.heappush(queue, (dist, next(counter), "object", index, None))
                 else:
-                    dmin = max(
-                        float(dist) - entry.radius - prune_slack(dist, entry.radius),
-                        0.0,
-                    )
+                    cover = float(node.radius[pos])
+                    dmin = max(dist - cover - prune_slack(dist, cover), 0.0)
                     heapq.heappush(
-                        queue, (dmin, next(counter), "node", entry.subtree, float(dist))
+                        queue, (dmin, next(counter), "node", node.children[pos], dist)
                     )
             else:
                 push_entries(payload, stashed)  # type: ignore[arg-type]
@@ -942,18 +948,12 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         h, node = 1, self._root
         while not node.is_leaf:
             h += 1
-            node = node.entries[0].subtree  # type: ignore[assignment]
+            node = node.children[0]
         return h
 
     def node_count(self) -> int:
         """Total number of nodes."""
-
-        def count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + sum(count(e.subtree) for e in node.entries)  # type: ignore[arg-type]
-
-        return count(self._root)
+        return len(self._preorder())
 
     def validate_invariants(self) -> None:
         """Verify covering-radius and dist-to-parent invariants (tests).
@@ -962,25 +962,28 @@ class MTree(NodeBatchedSearchMixin, AccessMethod):
         routing entry's subtree must lie within its covering radius, and
         every stored ``dist_to_parent`` must equal the recomputed distance.
         """
+        data = self._data
 
-        def walk(node: _Node, parent_vec: np.ndarray | None) -> list[np.ndarray]:
-            vectors: list[np.ndarray] = []
-            for entry in node.entries:
-                if parent_vec is not None:
-                    actual = self._port.raw(entry.vector, parent_vec)
-                    assert np.isclose(actual, entry.dist_to_parent, atol=1e-8), (
-                        f"dist_to_parent mismatch: {actual} != {entry.dist_to_parent}"
+        def walk(node: _Node, parent: int | None) -> list[int]:
+            """Object indices under *node*, checked against routing *parent*."""
+            below: list[int] = []
+            for pos, index in enumerate(node.index.tolist()):
+                if parent is not None:
+                    actual = self._port.raw(data[index], data[parent])
+                    stored = node.dist_to_parent[pos]
+                    assert np.isclose(actual, stored, atol=1e-8), (
+                        f"dist_to_parent mismatch: {actual} != {stored}"
                     )
                 if node.is_leaf:
-                    vectors.append(entry.vector)
-                else:
-                    below = walk(entry.subtree, entry.vector)  # type: ignore[arg-type]
-                    for vec in below:
-                        dist = self._port.raw(vec, entry.vector)
-                        assert dist <= entry.radius + 1e-8, (
-                            f"covering radius violated: {dist} > {entry.radius}"
-                        )
-                    vectors.extend(below)
-            return vectors
+                    below.append(index)
+                    continue
+                members = walk(node.children[pos], index)
+                for member in members:
+                    dist = self._port.raw(data[member], data[index])
+                    assert dist <= node.radius[pos] + 1e-8, (
+                        f"covering radius violated: {dist} > {node.radius[pos]}"
+                    )
+                below.extend(members)
+            return below
 
         walk(self._root, None)

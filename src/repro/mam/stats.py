@@ -51,29 +51,21 @@ class IndexDescription:
 
 
 def _describe_mtree(tree: MTree) -> IndexDescription:
-    radii: list[float] = []
-    fills: list[int] = []
-
-    def walk(node) -> None:
-        fills.append(len(node.entries))
-        for entry in node.entries:
-            if entry.subtree is not None:
-                radii.append(entry.radius)
-                walk(entry.subtree)
-
-    walk(tree._root)
+    nodes = tree._preorder()
+    fills = [len(node) for node in nodes]
+    radii = np.concatenate([node.radius for node in nodes if not node.is_leaf] or [[]])
     extra = {
         "mean_fill": float(np.mean(fills)),
         "capacity": float(tree.capacity),
         "fill_factor": float(np.mean(fills)) / tree.capacity,
     }
-    if radii:
+    if radii.size:
         extra["median_covering_radius"] = float(np.median(radii))
         extra["max_covering_radius"] = float(np.max(radii))
     return IndexDescription(
         structure="MTree",
         size=tree.size,
-        nodes=tree.node_count(),
+        nodes=len(nodes),
         height=tree.height(),
         extra=extra,
     )

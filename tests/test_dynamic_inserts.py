@@ -199,3 +199,97 @@ class TestInsertSupportGate:
         with pytest.raises(IndexStateError):
             frozen.insert(workload.database[10])
         assert frozen.size == 10
+
+
+class TestInsertStorage:
+    """Rows live in one geometrically grown buffer, and the QFD row norms
+    grow with it — an insert neither copies the database nor recomputes
+    what it already knows."""
+
+    def test_inserts_share_one_buffer_instead_of_pinning_copies(self) -> None:
+        """Regression: each insert ``vstack``-ed a fresh copy of the whole
+        database and the tree kept a view of it, so every inserted object
+        pinned one full copy (300 inserts into 2.5 MB held 750 MB)."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        data = rng.uniform(0.0, 1.0, size=(4000, 32))  # 1 MB
+        caller_copy = data.copy()
+        tree = MTree(data, euclidean, capacity=8)
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        rows = rng.uniform(0.0, 1.0, size=(50, 32))
+        for row in rows:
+            tree.insert(row)
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # One doubled buffer (2 MB) plus node arrays; the leak held 50 MB.
+        assert after - before < 3 * data.nbytes
+        assert tree.database.base is tree._row_buffer
+        assert tree._row_buffer.shape[0] <= 2 * tree.size
+        np.testing.assert_array_equal(tree.database[:4000], caller_copy)
+        np.testing.assert_array_equal(tree.database[4000:], rows)
+        # The array the index was built over is never written.
+        np.testing.assert_array_equal(data, caller_copy)
+        tree.validate_invariants()
+
+    def test_qfd_row_norms_grow_by_the_inserted_row_only(self, workload, monkeypatch) -> None:
+        from repro.kernels.kernels import QFDKernel
+
+        model = QFDModel(workload.matrix)
+        index = model.build_index("mtree", workload.database[:200], capacity=6)
+        index.knn_search(workload.queries[0], 5)
+        reference = model.build_index("sequential", workload.database[:230])
+        computed: list[int] = []
+        row_norms = QFDKernel.row_norms
+        monkeypatch.setattr(
+            QFDKernel,
+            "row_norms",
+            lambda self, rows: (computed.append(len(rows)), row_norms(self, rows))[1],
+        )
+        for row in workload.database[200:230]:
+            index.insert(row)
+            index.knn_search(workload.queries[1], 5)
+        assert computed == [1] * 30
+        port = index.access_method.distance
+        np.testing.assert_allclose(
+            port._norms, row_norms(port.kernel, index.access_method.database), rtol=1e-14
+        )
+        for q in workload.queries:
+            assert_same_neighbors(index.knn_search(q, 10), reference.knn_search(q, 10))
+
+    def test_l2_queries_never_touch_row_norms(self, workload, monkeypatch) -> None:
+        """The QMap model's L2 context is difference-based: no norms are
+        computed at build time, after an insert, or gathered per node."""
+        from repro.kernels.kernels import L2Kernel
+
+        def forbidden(self, rows):
+            raise AssertionError("L2 row norms computed for a bound query")
+
+        monkeypatch.setattr(L2Kernel, "row_norms", forbidden)
+        index = QMapModel(workload.matrix).build_index(
+            "paged-mtree", workload.database[:100], capacity=6, cache_pages=4
+        )
+        index.insert(workload.database[100])
+        assert len(index.knn_search(workload.queries[0], 5)) == 5
+        assert index.access_method.distance._norms is None
+
+    def test_restored_tree_takes_inserts_and_bulk_helpers(self, workload) -> None:
+        """Regression: ``MTree._entry_rows`` was set only in ``__init__`` —
+        missing after ``from_state`` and stale after any insert."""
+        data = workload.database
+        built = MTree(data[:150], euclidean, capacity=6, bulk_load=True)
+        tree = MTree.from_state(data[:150], euclidean, built.structural_state())
+        for row in data[150:200]:
+            tree.insert(row)
+        tree.validate_invariants()
+        members = np.arange(tree.size, dtype=np.intp)
+        owner = tree._cluster_owners(data[:3], members)
+        expected = np.argmin(
+            np.linalg.norm(data[None, :200] - data[:3, None], axis=2), axis=0
+        )
+        np.testing.assert_array_equal(owner, expected)
+        scan = SequentialFile(data[:200], euclidean)
+        for q in workload.queries:
+            assert_same_neighbors(tree.knn_search(q, 8), scan.knn_search(q, 8))
+            assert_same_neighbors(tree.range_search(q, 0.2), scan.range_search(q, 0.2))

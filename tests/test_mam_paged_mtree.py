@@ -9,6 +9,7 @@ from repro.datasets import clustered_histograms
 from repro.distances import euclidean
 from repro.exceptions import PageError
 from repro.mam import PagedMTree, SequentialFile
+from repro.mam.mtree import _Node
 
 from .helpers import assert_same_neighbors
 
@@ -80,12 +81,14 @@ class TestPaging:
         with pytest.raises(PageError):
             tree._write_node(
                 0,
-                True,
-                [-1] * 10,
-                list(range(10)),
-                [0.0] * 10,
-                [0.0] * 10,
-                np.zeros((10, data.shape[1])),
+                _Node(
+                    True,
+                    np.arange(10),
+                    np.zeros(10),
+                    np.zeros(10),
+                    [],
+                    np.zeros((10, data.shape[1])),
+                ),
             )
 
 
