@@ -919,42 +919,6 @@ def _write_traces(collector, path: str) -> None:
     print(f"traces   : {path} ({len(traces)} records)")
 
 
-def _traced_loop(index, queries, collector, *, k: int, radius: float | None) -> list:
-    """Per-query loop with tracing: one :class:`QueryTrace` per query.
-
-    The batch engine traces its own chunks; this covers the plain loop
-    (no ``--batch``) so ``--trace``/``--trace-out`` work there too, with
-    the same per-query semantics as the engine's serial path.
-    """
-    from time import perf_counter
-
-    from .engine.trace import QueryTrace, TracingPort, activate_trace
-
-    am = index.access_method
-    original_port = am._port
-    am._port = TracingPort(original_port)
-    try:
-        results = []
-        for pos, q in enumerate(queries):
-            if radius is not None:
-                trace = QueryTrace(query_index=pos, kind="range", parameter=float(radius))
-            else:
-                trace = QueryTrace(query_index=pos, kind="knn", parameter=float(k))
-            start = perf_counter()
-            with activate_trace(trace):
-                if radius is not None:
-                    result = index.range_search(q, radius)
-                else:
-                    result = index.knn_search(q, k)
-            trace.seconds = perf_counter() - start
-            trace.results = len(result)
-            collector.add(trace)
-            results.append(result)
-        return results
-    finally:
-        am._port = original_port
-
-
 def _explain_first_query(
     index, queries, *, k: int, radius: "float | None", show: bool, out: "str | None"
 ):
@@ -1157,7 +1121,7 @@ def _cmd_query(args: "argparse.Namespace") -> int:
     import time
 
     from .datasets import histogram_workload
-    from .engine import TraceCollector
+    from .engine import TraceCollector, query_trace
     from .models import QFDModel, QMapModel
 
     workload = histogram_workload(
@@ -1229,14 +1193,18 @@ def _cmd_query(args: "argparse.Namespace") -> int:
                     results = index.knn_search_batch(
                         workload.queries, args.k, **engine_kwargs
                     )
-            elif collector is not None:
-                results = _traced_loop(
-                    index, workload.queries, collector, k=args.k, radius=args.radius
-                )
-            elif args.radius is not None:
-                results = [index.range_search(q, args.radius) for q in workload.queries]
             else:
-                results = [index.knn_search(q, args.k) for q in workload.queries]
+                # The plain loop opens each query's record itself, so
+                # --trace / --trace-out see the same per-query records the
+                # batch engine collects.
+                kind, parameter = (
+                    ("range", args.radius) if args.radius is not None else ("knn", args.k)
+                )
+                search = index.range_search if kind == "range" else index.knn_search
+                results = []
+                for pos, q in enumerate(workload.queries):
+                    with query_trace(kind, parameter, query_index=pos, collector=collector):
+                        results.append(search(q, parameter))
             elapsed = time.perf_counter() - start
         finally:
             # Deactivate before the EXPLAIN re-run below so the exported

@@ -4,9 +4,10 @@ The paper's headline numbers are *throughput* numbers — distance
 evaluations per query (Tables 1-2) and wall time per query (Figures 5-9).
 This package is the substrate for measuring and scaling both:
 
-* :mod:`repro.engine.trace` — per-query :class:`QueryTrace` cost records
-  and the thread-safe :class:`TraceCollector` that aggregates them into
-  the paper's cost model;
+* :mod:`repro.engine.trace` — the per-query :class:`QueryTrace` cost
+  record every layer writes or reads, and the thread-safe
+  :class:`TraceCollector` that aggregates records into the paper's cost
+  model;
 * :mod:`repro.engine.executors` — serial / thread-pool / chunked
   process-pool execution backends behind one strategy interface;
 * :mod:`repro.engine.batch` — the :class:`QueryBatch` planner that
@@ -14,10 +15,10 @@ This package is the substrate for measuring and scaling both:
   with bit-identical results to the single-query entry points.
 
 Import layering: :mod:`repro.mam.base` (below this package) imports only
-:mod:`repro.engine.trace`, which is dependency-free; the planner and
-executors, which import :mod:`repro.mam`, are loaded lazily via PEP 562
-so the package can sit both above and beside the access methods without
-cycles.
+:mod:`repro.engine.trace`, which needs only :mod:`repro.obs.events`; the
+planner and executors, which import :mod:`repro.mam`, are loaded lazily
+via PEP 562 so the package can sit both above and beside the access
+methods without cycles.
 """
 
 from __future__ import annotations
@@ -28,22 +29,18 @@ from .trace import (
     QueryTrace,
     TraceCollector,
     TraceSummary,
-    TracingPort,
     activate_trace,
     current_trace,
-    record_candidates,
-    record_filter,
+    query_trace,
 )
 
 __all__ = [
     "QueryTrace",
     "TraceCollector",
     "TraceSummary",
-    "TracingPort",
     "activate_trace",
     "current_trace",
-    "record_candidates",
-    "record_filter",
+    "query_trace",
     "QueryBatch",
     "run_query_batch",
     "BatchExecutor",

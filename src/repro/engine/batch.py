@@ -12,10 +12,13 @@ any :class:`~repro.mam.base.AccessMethod` through a pluggable
   them out (numpy distance kernels release the GIL), and the process
   executor ships pickled chunks to worker processes for pure-Python
   distances;
-* with a :class:`~repro.engine.trace.TraceCollector` attached, every
-  query gets a :class:`~repro.engine.trace.QueryTrace` and the access
-  method's port is wrapped in a :class:`TracingPort` for the duration of
-  the batch.
+* every query runs under its own :class:`~repro.engine.trace.QueryTrace`
+  — created here, filled by the chunk that executes it (a worker process
+  ships its records back) — and when the batch ends the records' totals
+  are folded into the index's distance counter in one step, the same way
+  under every executor; an attached
+  :class:`~repro.engine.trace.TraceCollector`, the registry and the JSON
+  log read the same records.
 
 Results are, by construction, bit-identical to looping the single-query
 entry points: chunk hooks reuse the exact per-query search code (or a
@@ -56,7 +59,7 @@ from .executors import (
     SerialExecutor,
     resolve_executor,
 )
-from .trace import QueryTrace, TraceCollector, TracingPort
+from .trace import QueryTrace, TraceCollector, fold_into
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layering acyclic
     from ..mam.base import AccessMethod, Neighbor
@@ -97,75 +100,51 @@ def _run_chunk(
     kind: str,
     parameter: float,
     queries: np.ndarray,
-    tracing: bool,
+    traces: "list[QueryTrace] | None" = None,
     obs: "dict | None" = None,
-) -> tuple[list[list["Neighbor"]], list[QueryTrace] | None, "dict | None"]:
-    """Execute one contiguous chunk of the batch (process-pool entry).
+) -> tuple[list[list["Neighbor"]], list[QueryTrace], "dict | None"]:
+    """Execute one contiguous chunk of the batch under its queries' records.
 
-    Usually runs in a worker process: *am* is this process's private
-    copy, so wrapping its port for tracing cannot race with anyone.
-    Traces are returned alongside the results and merged by the parent.
+    *traces* are the whole batch's records when the chunk runs in the
+    caller's process (they are filled in place, so a raising chunk leaves
+    its finished queries accounted); a worker process gets ``None`` and
+    makes its own, which travel back with the results.  Either way the
+    records are returned and nothing here touches a distance counter —
+    the parent folds them in, once, for every executor.
 
-    *obs* is the parent's observability payload: the request's
-    :class:`TraceContext` (so worker spans carry the batch's trace_id),
-    whether the parent registry is live, and the method label.  When
-    metrics are on, the chunk runs against a **fresh worker registry**
-    under a ``query/chunk/<kind>`` span; the registry's
-    :meth:`~repro.obs.MetricsRegistry.dump_state` delta and the chunk's
-    exact :class:`CountingDistance` delta are returned in the third
-    tuple slot for the parent to merge — this is what makes timelines
-    and ``/metrics`` totals complete under ``--executor process``.
+    *obs* is the parent's observability payload for a worker process: the
+    request's :class:`TraceContext` (so worker spans carry the batch's
+    trace_id), whether the parent registry is live, and the method label.
+    When metrics are on, the chunk runs against a **fresh worker
+    registry** under a ``query/chunk/<kind>`` span, and the registry's
+    :meth:`~repro.obs.MetricsRegistry.dump_state` is returned in the third
+    tuple slot for the parent to merge — this is what makes timelines and
+    ``/metrics`` totals complete under ``--executor process``.
     """
     start, stop = bounds
-    traces = None
-    counter = getattr(am._port, "_counter", None)
-    base = counter.stats if counter is not None else None
-    original_port = am._port
-    if tracing:
-        traces = [
+    if traces is None:
+        chunk_traces = [
             QueryTrace(query_index=j, kind=kind, parameter=parameter)
             for j in range(start, stop)
         ]
-        am._port = TracingPort(am._port)
+    else:
+        chunk_traces = traces[start:stop]
     context = None if obs is None else obs.get("context")
-    registry = (
-        MetricsRegistry() if obs is not None and obs.get("metrics") else None
-    )
+    registry = MetricsRegistry() if obs is not None and obs.get("metrics") else None
 
     def execute() -> list[list["Neighbor"]]:
         chunk = queries[start:stop]
         if kind == "range":
-            return am._range_search_batch(chunk, parameter, traces=traces)
-        return am._knn_search_batch(chunk, int(parameter), traces=traces)
+            return am._range_search_batch(chunk, parameter, chunk_traces)
+        return am._knn_search_batch(chunk, int(parameter), chunk_traces)
 
-    try:
-        if registry is not None:
-            with activate_trace_context(context) if context is not None else nullcontext():
-                with use_registry(registry):
-                    with span(
-                        f"query/chunk/{kind}",
-                        method="" if obs is None else obs.get("method", ""),
-                        queries=stop - start,
-                    ):
-                        results = execute()
-        else:
-            results = execute()
-    finally:
-        # Restore even though a true worker discards *am*: with a single
-        # chunk (or one worker) the executor runs this inline on the
-        # parent's index, which must not keep the tracing wrapper.
-        am._port = original_port
-    obs_out = None
-    if obs is not None:
-        delta = (0, 0)
-        if counter is not None and base is not None:
-            stats = counter.stats
-            delta = (stats.calls - base.calls, stats.batch_rows - base.batch_rows)
-        obs_out = {
-            "delta": delta,
-            "state": registry.dump_state() if registry is not None else None,
-        }
-    return results, traces, obs_out
+    if registry is None:
+        return execute(), chunk_traces, None
+    with activate_trace_context(context) if context is not None else nullcontext():
+        with use_registry(registry):
+            with span(f"query/chunk/{kind}", method=obs.get("method", ""), queries=stop - start):
+                results = execute()
+    return results, chunk_traces, {"state": registry.dump_state()}
 
 
 class QueryBatch:
@@ -220,61 +199,63 @@ class QueryBatch:
         workers, chunk_size:
             Forwarded to the executor when it is built from a name.
         collector:
-            Attach to receive one :class:`QueryTrace` per query.  With
-            the process executor, traces are recorded in the workers and
-            merged back.  When an observability registry is active, the
-            workers' exact ``CountingDistance`` deltas, spans, and
-            registry state are merged back too, so the caller's counter
-            and the registry totals match serial execution exactly.
+            Attach to receive one :class:`QueryTrace` per query.
+
+        Every query runs under its own record whether or not anyone is
+        listening; with the process executor the workers' records travel
+        back with their results.  When the batch ends — normally or by a
+        raising query — the records' evaluation totals are folded into
+        *am*'s distance counter in one step, so the counter reads the
+        same under every executor and with every sink on or off.
 
         When an observability registry is active (see
         :mod:`repro.obs`), every executed batch is additionally funneled
-        into it: per-query traces (collected internally when no
-        *collector* was passed), a ``repro_batch_seconds`` observation
-        measured around the whole batch, and a ``query/batch/<kind>``
-        span.
+        into it: the per-query records, a ``repro_batch_seconds``
+        observation measured around the whole batch, and a
+        ``query/batch/<kind>`` span (plus, from worker processes, their
+        spans and registry state).
         """
         queries = np.asarray(self.queries, dtype=np.float64)
         if queries.size == 0:
             return []
         qs = as_vector_batch(queries, am.dim, name="queries")
-        parameter = self.parameter
+        parameter = float(self.parameter)
         if self.kind == "knn":
-            parameter = min(int(parameter), am.size)
+            parameter = float(min(int(parameter), am.size))
         exec_ = resolve_executor(executor, workers=workers, chunk_size=chunk_size)
         registry = get_registry()
         logger = get_logger()
         observing = registry.enabled or logger.enabled
         method = _method_label(am) if observing else type(am).__name__
-        # With a live registry or logger but no caller-owned collector,
-        # trace into a private one so they still see per-query records.
-        funnel = collector
-        if funnel is None and observing:
-            funnel = TraceCollector()
+        execute = (
+            self._run_process
+            if isinstance(exec_, ProcessPoolBatchExecutor)
+            else self._run_in_process
+        )
+        traces: list[QueryTrace] = []
         # Give the batch a request identity (reusing any outer one), so
         # spans, worker chunks, and log records all share one trace_id.
         with trace_scope() if observing else nullcontext():
             with span(f"query/batch/{self.kind}", method=method):
                 start = perf_counter()
-                if isinstance(exec_, ProcessPoolBatchExecutor):
-                    results, run_traces = self._run_process(am, qs, parameter, exec_, funnel)
-                else:
-                    results, run_traces = self._run_in_process(am, qs, parameter, exec_, funnel)
+                try:
+                    results = execute(am, qs, parameter, exec_, traces, method)
+                finally:
+                    fold_into(am.distance.counter, traces)
                 elapsed = perf_counter() - start
-            if funnel is not None:
-                funnel.add_batch_seconds(elapsed)
-            if registry.enabled and run_traces is not None:
-                record_traces(run_traces, registry=registry, method=method)
+            if collector is not None:
+                collector.extend(traces)
+                collector.add_batch_seconds(elapsed)
+            if registry.enabled:
+                record_traces(traces, registry=registry, method=method)
                 batch = TraceCollector()
-                batch.extend(run_traces)
+                batch.extend(traces)
                 batch.add_batch_seconds(elapsed)
                 record_batch_summary(
                     batch.summary(), registry=registry, method=method, kind=self.kind
                 )
-            if logger.enabled and run_traces is not None:
-                total = 0
-                for trace in run_traces:
-                    total += trace.distance_evaluations
+            if logger.enabled:
+                for trace in traces:
                     log_event(
                         "query",
                         method=method,
@@ -292,9 +273,9 @@ class QueryBatch:
                     "batch",
                     method=method,
                     kind=self.kind,
-                    queries=len(run_traces),
+                    queries=len(traces),
                     seconds=elapsed,
-                    distance_evaluations=total,
+                    distance_evaluations=sum(t.distance_evaluations for t in traces),
                     executor=exec_.name,
                 )
         return results
@@ -309,56 +290,39 @@ class QueryBatch:
         qs: np.ndarray,
         parameter: float,
         exec_: BatchExecutor,
-        collector: TraceCollector | None,
-    ) -> tuple[list[list["Neighbor"]], list[QueryTrace] | None]:
+        traces: list[QueryTrace],
+        method: str,
+    ) -> list[list["Neighbor"]]:
         n = qs.shape[0]
-        traces: list[QueryTrace] | None = None
-        original_port = am._port
-        if collector is not None:
-            traces = [
-                QueryTrace(query_index=j, kind=self.kind, parameter=float(self.parameter))
-                for j in range(n)
-            ]
-            am._port = TracingPort(original_port)
-        try:
-            if isinstance(exec_, SerialExecutor):
-                ranges = [(0, n)]
-            else:
-                # A few chunks per worker balances load while keeping the
-                # vectorized batch hooks' per-chunk work worthwhile.
-                workers = getattr(exec_, "workers", 1)
-                ranges = _chunk_ranges(n, workers * 4)
+        traces.extend(
+            QueryTrace(query_index=j, kind=self.kind, parameter=parameter) for j in range(n)
+        )
+        if isinstance(exec_, SerialExecutor):
+            ranges = [(0, n)]
+        else:
+            # A few chunks per worker balances load while keeping the
+            # vectorized batch hooks' per-chunk work worthwhile.
+            ranges = _chunk_ranges(n, getattr(exec_, "workers", 1) * 4)
+        registry = get_registry()
 
-            registry = get_registry()
-            method = _method_label(am) if registry.enabled else ""
+        def chunk_task(ci: int) -> list[list["Neighbor"]]:
+            out, chunk_traces, _ = _run_chunk(
+                ranges[ci], am=am, kind=self.kind, parameter=parameter,
+                queries=qs, traces=traces,
+            )
+            if registry.enabled:
+                # Feed the rolling-rate windows as each chunk lands, so
+                # a /metrics scrape mid-batch shows live throughput.
+                observe_query_progress(
+                    len(out),
+                    sum(t.distance_evaluations for t in chunk_traces),
+                    method=method,
+                    registry=registry,
+                )
+            return out
 
-            def chunk_task(ci: int) -> list[list["Neighbor"]]:
-                a, b = ranges[ci]
-                chunk_traces = traces[a:b] if traces is not None else None
-                if self.kind == "range":
-                    out = am._range_search_batch(qs[a:b], parameter, traces=chunk_traces)
-                else:
-                    out = am._knn_search_batch(qs[a:b], int(parameter), traces=chunk_traces)
-                if registry.enabled:
-                    # Feed the rolling-rate windows as each chunk lands, so
-                    # a /metrics scrape mid-batch shows live throughput.
-                    evaluations = sum(
-                        t.distance_evaluations for t in chunk_traces or ()
-                    )
-                    observe_query_progress(
-                        b - a, evaluations, method=method, registry=registry
-                    )
-                return out
-
-            parts = exec_.map_ordered(chunk_task, range(len(ranges)))
-        finally:
-            am._port = original_port
-        results: list[list["Neighbor"]] = []
-        for part in parts:
-            results.extend(part)
-        if collector is not None and traces is not None:
-            collector.extend(traces)
-        return results, traces
+        parts = exec_.map_ordered(chunk_task, range(len(ranges)))
+        return [result for part in parts for result in part]
 
     # ------------------------------------------------------------------
     # process-pool execution (chunked, pickled)
@@ -370,15 +334,10 @@ class QueryBatch:
         qs: np.ndarray,
         parameter: float,
         exec_: ProcessPoolBatchExecutor,
-        collector: TraceCollector | None,
-    ) -> tuple[list[list["Neighbor"]], list[QueryTrace] | None]:
-        n = qs.shape[0]
+        traces: list[QueryTrace],
+        method: str,
+    ) -> list[list["Neighbor"]]:
         registry = get_registry()
-        method = (
-            _method_label(am)
-            if registry.enabled or get_logger().enabled
-            else ""
-        )
         context = current_trace_context()
         obs: dict | None = None
         if registry.enabled or context is not None:
@@ -398,21 +357,10 @@ class QueryBatch:
                 "method": method,
             }
         fn = functools.partial(
-            _run_chunk,
-            am=am,
-            kind=self.kind,
-            parameter=float(parameter),
-            queries=qs,
-            tracing=collector is not None,
-            obs=obs,
+            _run_chunk, am=am, kind=self.kind, parameter=parameter, queries=qs, obs=obs
         )
-        # With one chunk (or one worker) the executor runs inline on the
-        # parent's own index and counter, so the chunk's evaluations are
-        # already in the parent counter; merging the delta again would
-        # double-charge.
-        pooled = len(exec_.chunks(n)) > 1 and exec_.workers > 1
         try:
-            parts = exec_.map_chunks(fn, n)
+            parts = exec_.map_chunks(fn, qs.shape[0])
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise QueryError(
                 "the process executor must pickle the index and its distance "
@@ -420,35 +368,19 @@ class QueryBatch:
                 "'thread' executor for unpicklable indexes"
             ) from exc
         results: list[list["Neighbor"]] = []
-        all_traces: list[QueryTrace] = []
-        counter = getattr(am._port, "_counter", None)
         for part_results, part_traces, part_obs in parts:
             results.extend(part_results)
-            if part_obs is not None:
-                if pooled and counter is not None:
-                    calls, rows = part_obs["delta"]
-                    if calls or rows:
-                        # Fold the worker's exact evaluation delta into
-                        # the parent's CountingDistance: query_costs()
-                        # and the registry's delta-synced
-                        # repro_distance_evaluations_total then equal
-                        # serial execution exactly.
-                        counter.add_counts(calls=calls, batch_rows=rows)
-                state = part_obs.get("state")
-                if state is not None and registry.enabled:
-                    registry.merge_state(state)
-            if part_traces is not None:
-                all_traces.extend(part_traces)
-                if registry.enabled:
-                    observe_query_progress(
-                        len(part_results),
-                        sum(t.distance_evaluations for t in part_traces),
-                        method=method,
-                        registry=registry,
-                    )
-        if collector is not None:
-            collector.extend(all_traces)
-        return results, all_traces if collector is not None else None
+            traces.extend(part_traces)
+            if registry.enabled:
+                if part_obs is not None:
+                    registry.merge_state(part_obs["state"])
+                observe_query_progress(
+                    len(part_results),
+                    sum(t.distance_evaluations for t in part_traces),
+                    method=method,
+                    registry=registry,
+                )
+        return results
 
 
 def run_query_batch(

@@ -104,12 +104,12 @@ class ProcessPoolBatchExecutor(BatchExecutor):
     the number of times the (potentially large) index is pickled down to
     roughly one per worker rather than one per query.
 
-    Worker processes cannot update in-process state of the parent —
-    distance-evaluation counters and traces recorded *inside* the
-    workers are returned with the results and merged by the engine, but
-    a plain :class:`CountingDistance` owned by the parent will not see
-    child evaluations.  The engine documents this in
-    :meth:`QueryBatch.run`.
+    Worker processes cannot update in-process state of the parent, so
+    everything a chunk measures travels back with its results: the
+    queries' :class:`~repro.engine.trace.QueryTrace` records (which the
+    engine folds into the parent's distance counter, exactly as it does
+    for in-process chunks) and, with a registry active, the worker's
+    spans and instrument state.
     """
 
     name = "process"

@@ -1,26 +1,34 @@
-"""Per-query tracing: where do the distance evaluations go?
+"""Per-query tracing: the one cost record every layer reads.
 
 The paper's cost model (Sections 4.2 and 5) prices every operation in
-*distance computations*; :class:`~repro.distances.base.CountingDistance`
-already totals them per model.  This module adds the per-query
-granularity the batch engine needs: each executed query gets a
-:class:`QueryTrace` recording its scalar and batched evaluations (both
-observed at the :class:`~repro.mam.base.DistancePort` boundary), its
-lower-bound filter outcome, the number of candidates refined with real
-distances, and its wall time.  A thread-safe :class:`TraceCollector`
-aggregates the records into the same quantities the paper's Tables 1-2
-report.
+*distance computations*.  Each executed query has exactly one
+:class:`QueryTrace`: the :class:`~repro.mam.base.DistancePort` charges
+its scalar and batched evaluations to it, the traversal reports node
+visits, prunes, filter outcomes and refined candidates through the
+record's small vocabulary (:meth:`~QueryTrace.visit`,
+:meth:`~QueryTrace.lb_check`, :meth:`~QueryTrace.prune`,
+:meth:`~QueryTrace.filter`, :meth:`~QueryTrace.refine`,
+:meth:`~QueryTrace.verify`, :meth:`~QueryTrace.result`), and — only when
+EXPLAIN asked for it — the same calls fill the record's ``events``
+detail.  Everything else is a *reader* of the finished record.  When
+the query ends, the layer that owns the port folds the record's
+evaluation totals into the model's
+:class:`~repro.distances.base.CountingDistance` (:func:`fold_into`, one
+lock acquisition: ``AccessMethod`` for a single query, the batch engine
+for a batch); a thread-safe :class:`TraceCollector` aggregates records
+into the quantities of the paper's Tables 1-2; and the registry, the
+JSON log and EXPLAIN take their per-query numbers from its fields.
 
-The active trace is tracked with a :mod:`contextvars` variable, so
-concurrently executing queries (one per worker thread) each record into
-their own trace without locking on the hot path.  Access methods that
-know their filter structure (the pivot table's hyper-cube test, the
-sequential scan's trivial all-candidates "filter") report it through
-:func:`record_filter`; everything else still gets exact evaluation
-counts through the port.
+The open record rides the module's single :mod:`contextvars` variable,
+so concurrently executing queries (one per worker thread) each write
+their own record with plain attribute adds — no lock, nothing shared.
+:class:`query_trace` opens a record or joins the one an outer layer
+already opened (``explain_query`` → ``BuiltIndex`` → ``AccessMethod``
+nest this way); :class:`activate_trace` is the one place a record is
+made current and timed.
 
-This module deliberately imports nothing from the rest of the library so
-that :mod:`repro.mam` modules can use the hooks without import cycles.
+This module imports only :mod:`repro.obs.events` (itself import-free),
+so :mod:`repro.mam` modules can use it without import cycles.
 """
 
 from __future__ import annotations
@@ -28,21 +36,20 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from time import perf_counter
+from typing import Any, ClassVar, Iterable
+
+from ..obs.events import ROOT, EventBuffer
 
 __all__ = [
     "QueryTrace",
     "TraceSummary",
     "TraceCollector",
-    "TracingPort",
     "current_trace",
     "activate_trace",
-    "record_filter",
-    "record_candidates",
-    "record_node_visit",
-    "record_pruned",
+    "query_trace",
+    "fold_into",
 ]
 
 _ACTIVE_TRACE: contextvars.ContextVar["QueryTrace | None"] = contextvars.ContextVar(
@@ -87,6 +94,11 @@ class QueryTrace:
     nodes_pruned:
         Subtrees discarded by a cheap lower bound without being
         descended — the per-MAM pruning effectiveness measure.
+    events:
+        The EXPLAIN detail: an :class:`~repro.obs.events.EventBuffer`
+        attached by ``explain_query``, ``None`` otherwise.  A class-level
+        default rather than a field, so a plain record carries, pickles
+        and exports only its scalar fields.
     """
 
     query_index: int = 0
@@ -101,11 +113,75 @@ class QueryTrace:
     seconds: float = 0.0
     nodes_visited: int = 0
     nodes_pruned: int = 0
+    events: ClassVar["EventBuffer | None"] = None
 
     @property
     def distance_evaluations(self) -> int:
         """Total logical distance computations (scalar + batched)."""
         return self.scalar_evaluations + self.batched_evaluations
+
+    # -- the traversal vocabulary ---------------------------------------
+    # Counting calls are plain attribute adds; the ``events`` detail, when
+    # attached, sees the same call.  Node tokens are EXPLAIN's: ROOT (-1)
+    # whenever no detail is collected, so ``tok >= 0`` guards work that
+    # exists only for EXPLAIN.
+
+    def charge(self, calls: int = 0, rows: int = 0) -> None:
+        """Logical distance evaluations (the :class:`DistancePort` hook)."""
+        self.scalar_evaluations += calls
+        self.batched_evaluations += rows
+        if self.events is not None:
+            self.events.charge(calls, rows)
+
+    def visit(self, parent: int = ROOT, label: str = "", *, count: int = 1) -> int:
+        """Enter an index node (or, with ``count=0``, a phase of a flat
+        structure that EXPLAIN groups work under); returns its token."""
+        self.nodes_visited += count
+        if self.events is None:
+            return ROOT
+        return self.events.enter_node(parent, label)
+
+    def lb_check(
+        self,
+        node: int,
+        value: float,
+        threshold: float,
+        *,
+        pruned: bool,
+        count: int = 1,
+        label: str = "",
+    ) -> None:
+        """A cheap lower-bound test with its actual values (detail only)."""
+        if self.events is not None:
+            self.events.lb_check(
+                node, value, threshold, pruned=pruned, count=count, label=label
+            )
+
+    def prune(self, node: int, count: int = 1, label: str = "") -> None:
+        """*count* subtrees discarded by a lower bound without descending."""
+        self.nodes_pruned += count
+        if self.events is not None:
+            self.events.prune(node, count, label)
+
+    def filter(self, checked: int, hits: int) -> None:
+        """A filter stage's outcome: *checked* objects tested, *hits* kept."""
+        self.filter_checked += checked
+        self.filter_hits += hits
+
+    def refine(self, count: int) -> None:
+        """*count* filter survivors refined with real distances — the
+        ``x`` of the paper's ``p + x`` pivot-table querying cost."""
+        self.candidates += count
+
+    def verify(self, node: int, index: int, distance: float, count: int = 1) -> None:
+        """An object verified with a real distance (detail only)."""
+        if self.events is not None:
+            self.events.candidate_verify(node, index, distance, count)
+
+    def result(self, node: int, index: int, distance: float) -> None:
+        """An object entering the answer set (detail only)."""
+        if self.events is not None:
+            self.events.result_add(node, index, distance)
 
 
 @dataclass(frozen=True)
@@ -262,132 +338,86 @@ class TraceCollector:
 
 
 def current_trace() -> QueryTrace | None:
-    """The trace of the query executing in this thread, if any."""
+    """The record of the query executing in this context, if any."""
     return _ACTIVE_TRACE.get()
 
 
-@contextmanager
-def activate_trace(trace: QueryTrace | None) -> Iterator[QueryTrace | None]:
-    """Make *trace* the active trace for the duration of the block.
+class activate_trace:
+    """Run the block as (part of) *trace*'s query: current, and timed.
 
-    Passing ``None`` is a no-op, so call sites need no branching.
+    A record may be activated several times — a vectorized chunk plan
+    charges each query its pivot distances first and refines later — so
+    the wall time accumulates.  (A plain class rather than a generator
+    context manager: this brackets every query.)
     """
-    if trace is None:
-        yield None
+
+    __slots__ = ("_trace", "_token", "_start")
+
+    def __init__(self, trace: QueryTrace) -> None:
+        self._trace = trace
+
+    def __enter__(self) -> QueryTrace:
+        self._token = _ACTIVE_TRACE.set(self._trace)
+        self._start = perf_counter()
+        return self._trace
+
+    def __exit__(self, *exc: object) -> None:
+        self._trace.seconds += perf_counter() - self._start
+        _ACTIVE_TRACE.reset(self._token)
+
+
+def fold_into(counter: Any, traces: Iterable[QueryTrace]) -> None:
+    """Feed finished records' evaluation totals to *counter*, one lock
+    acquisition for all of them (``None``: an uncounted distance)."""
+    if counter is None:
         return
-    token = _ACTIVE_TRACE.set(trace)
-    try:
-        yield trace
-    finally:
-        _ACTIVE_TRACE.reset(token)
+    calls = rows = 0
+    for trace in traces:
+        calls += trace.scalar_evaluations
+        rows += trace.batched_evaluations
+    if calls or rows:
+        counter.add_counts(calls=calls, batch_rows=rows)
 
 
-def record_filter(checked: int, hits: int) -> None:
-    """Report a lower-bound filter outcome to the active trace (if any).
+class query_trace:
+    """The cost record of the one query run in the block.
 
-    Access methods with an explicit filter stage call this once per
-    query: *checked* objects went through the cheap test, *hits*
-    survived and became refinement candidates.
-    """
-    trace = _ACTIVE_TRACE.get()
-    if trace is not None:
-        trace.filter_checked += checked
-        trace.filter_hits += hits
-
-
-def record_candidates(count: int) -> None:
-    """Report refined-candidate count to the active trace (if any).
-
-    Called by access methods when they verify *count* objects with real
-    distance evaluations — the ``x`` of the paper's ``p + x`` pivot-table
-    querying cost.
-    """
-    trace = _ACTIVE_TRACE.get()
-    if trace is not None:
-        trace.candidates += count
-
-
-def record_node_visit(count: int = 1) -> None:
-    """Report that *count* index nodes had their entries examined.
-
-    Tree access methods call this once per node whose entries the
-    traversal actually processes; flat structures never call it.
-    """
-    trace = _ACTIVE_TRACE.get()
-    if trace is not None:
-        trace.nodes_visited += count
-
-
-def record_pruned(count: int = 1) -> None:
-    """Report that *count* subtrees were discarded by a cheap lower bound.
-
-    Called by tree access methods when a covering-radius / hyperplane /
-    ring test excludes a child without descending into it.
-    """
-    trace = _ACTIVE_TRACE.get()
-    if trace is not None:
-        trace.nodes_pruned += count
-
-
-class TracingPort:
-    """Decorator around a :class:`~repro.mam.base.DistancePort`.
-
-    Forwards every evaluation to the wrapped port (so model-level
-    :class:`CountingDistance` counters keep counting) and charges it to
-    the thread's active :class:`QueryTrace` — scalar pairs and batched
-    rows separately, matching the split of
-    :class:`~repro.distances.base.DistanceStats`.  Filter outcomes and
-    refined-candidate counts are reported by the access methods through
-    :func:`record_filter` / :func:`record_candidates`.
-
-    Duck-typed rather than subclassing ``DistancePort`` to keep this
-    module free of :mod:`repro.mam` imports.
+    Joins the record an outer layer opened, if any — the remaining
+    arguments are then the outer layer's business.  Otherwise opens one
+    (*events* attaches the EXPLAIN detail) and hands it to *collector*
+    when the block ends.  Feeding a distance counter is not done here:
+    the layer that owns the port does it (:func:`fold_into`).
     """
 
-    def __init__(self, inner) -> None:  # noqa: ANN001 - duck-typed DistancePort
-        self._inner = inner
+    __slots__ = ("_make", "_collector", "_scope")
 
-    def pair(self, u, v) -> float:  # noqa: ANN001
+    def __init__(
+        self,
+        kind: str,
+        parameter: float,
+        *,
+        query_index: int = 0,
+        events: "EventBuffer | None" = None,
+        collector: "TraceCollector | None" = None,
+    ) -> None:
+        self._make = (query_index, kind, parameter, events)
+        self._collector = collector
+        self._scope: activate_trace | None = None
+
+    def __enter__(self) -> QueryTrace:
         trace = _ACTIVE_TRACE.get()
         if trace is not None:
-            trace.scalar_evaluations += 1
-        return self._inner.pair(u, v)
+            return trace
+        query_index, kind, parameter, events = self._make
+        trace = QueryTrace(query_index=query_index, kind=kind, parameter=float(parameter))
+        if events is not None:
+            trace.events = events
+        self._scope = activate_trace(trace)
+        return self._scope.__enter__()
 
-    def many(self, q, rows):  # noqa: ANN001
-        out = self._inner.many(q, rows)
-        trace = _ACTIVE_TRACE.get()
-        if trace is not None:
-            trace.batched_evaluations += int(out.shape[0])
-        return out
-
-    def bind_query(self, query, data=None):  # noqa: ANN001
-        """Bound queries charge the active trace themselves — just forward."""
-        return self._inner.bind_query(query, data)
-
-    def charge(self, *, calls: int = 0, rows: int = 0) -> None:
-        return self._inner.charge(calls=calls, rows=rows)
-
-    def pairwise(self, rows, *, charge: bool = True):  # noqa: ANN001
-        return self._inner.pairwise(rows, charge=charge)
-
-    def cross(self, rows_a, rows_b, *, charge: bool = True):  # noqa: ANN001
-        return self._inner.cross(rows_a, rows_b, charge=charge)
-
-    def attach_database(self, data) -> None:  # noqa: ANN001
-        self._inner.attach_database(data)
-
-    def database_grew(self, previous, data) -> None:  # noqa: ANN001
-        self._inner.database_grew(previous, data)
-
-    @property
-    def kernel(self):  # noqa: ANN001
-        return self._inner.kernel
-
-    @property
-    def raw(self):  # noqa: ANN001
-        return self._inner.raw
-
-    @property
-    def inner(self):  # noqa: ANN001
-        """The wrapped port (used to unwrap after a traced batch)."""
-        return self._inner
+    def __exit__(self, *exc: object) -> None:
+        scope = self._scope
+        if scope is not None:
+            scope.__exit__(*exc)
+            if self._collector is not None:
+                self._collector.add(scope._trace)

@@ -24,16 +24,14 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .._typing import ArrayLike, as_vector, as_vector_batch
 from ..distances.base import CountingDistance
-from ..engine.trace import activate_trace, current_trace
+from ..engine.trace import activate_trace, current_trace, fold_into, query_trace
 from ..exceptions import EmptyIndexError, IndexStateError, QueryError, StorageError
-from ..obs.events import emit_charge
 
 if TYPE_CHECKING:
     from ..engine.batch import BatchExecutor
@@ -191,17 +189,17 @@ class DistancePort:
         block_rows: int | None = None,
     ) -> None:
         self._func = func
-        bound = getattr(func, "one_to_many", None)
-        self._one_to_many = bound if callable(bound) else one_to_many
         counter = func if isinstance(func, CountingDistance) else None
         self._counter = counter
-        # Uncounted forms: the kernel layer computes distances physically
-        # in batches and charges the counter by the *logical* access
-        # pattern, so it must never go through the counting wrappers.
+        # Uncounted forms: the port charges every evaluation itself — to
+        # the query's open record, by the traversal's *logical* access
+        # pattern — so it never goes through the counting wrappers.
         self._scalar_uncounted = counter.func if counter is not None else func
-        self._vector_uncounted = (
-            counter.vectorized if counter is not None else self._one_to_many
-        )
+        if counter is not None:
+            self._vector_uncounted = counter.vectorized
+        else:
+            bound = getattr(func, "one_to_many", None)
+            self._vector_uncounted = bound if callable(bound) else one_to_many
         self._block_rows = block_rows
         if use_kernel:
             from ..kernels.kernels import resolve_kernel  # kernels sit below mam
@@ -217,39 +215,40 @@ class DistancePort:
         # Row norms are cached only for a kernel whose query context
         # reads them (the QFD's Gram expansion; L2 is difference-based).
         self._wants_norms = getattr(self._kernel, "context_uses_norms", False)
+        self._database: np.ndarray | None = None
         self._norms_store: np.ndarray | None = None
         self._norms: np.ndarray | None = None
         self._norms_source: np.ndarray | None = None
 
-    def pair(self, u: np.ndarray, v: np.ndarray) -> float:
+    def pair(
+        self, u: np.ndarray, v: np.ndarray, trace: "QueryTrace | None" = None
+    ) -> float:
         """One distance evaluation."""
-        emit_charge(calls=1)
-        return float(self._func(u, v))
+        self.charge(calls=1, trace=trace)
+        return float(self._scalar_uncounted(u, v))
 
-    def many(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def many(
+        self, q: np.ndarray, rows: np.ndarray, trace: "QueryTrace | None" = None
+    ) -> np.ndarray:
         """Distances from *q* to every row of *rows*."""
-        if rows.shape[0] == 0:
+        n = int(rows.shape[0])
+        if n == 0:
             return np.empty(0, dtype=np.float64)
+        # One batched row per candidate, as the CountingDistance counts a
+        # one-to-many call — also when it has to loop a scalar function.
+        self.charge(rows=n, trace=trace)
         if self._block_rows is not None and self._kernel is not None:
             # Out-of-core scan: stream tiles through the blocked kernel
             # (with the cached database norms when *rows* is the attached
-            # store) instead of the counted one-to-many, whose difference
-            # form would materialize full n x d float64 temporaries.
-            # Charging is identical: one batched row per candidate.
-            n = int(rows.shape[0])
-            emit_charge(rows=n)
-            if self._counter is not None:
-                self._counter.add_counts(batch_rows=n)
-            norms = self._norms if rows is self._norms_source else None
+            # store) instead of the one-to-many, whose difference form
+            # would materialize full n x d float64 temporaries.
+            norms = self._norms_for(rows) if rows is self._database else None
             return self._kernel.one_to_many(q, rows, row_norms=norms)
-        if self._one_to_many is not None:
-            # The explain event mirrors the CountingDistance exactly:
-            # vectorized evaluation counts batch rows, the loop fallback
-            # counts scalar calls.
-            emit_charge(rows=int(rows.shape[0]))
-            return np.asarray(self._one_to_many(q, rows), dtype=np.float64)
-        emit_charge(calls=int(rows.shape[0]))
-        return np.array([self._func(q, row) for row in rows], dtype=np.float64)
+        vector = self._vector_uncounted
+        if vector is not None:
+            return np.asarray(vector(q, np.asarray(rows)), dtype=np.float64)
+        scalar = self._scalar_uncounted
+        return np.array([scalar(q, row) for row in rows], dtype=np.float64)
 
     def pair_uncounted(self, u: np.ndarray, v: np.ndarray) -> float:
         """One distance evaluation outside the counting paths.
@@ -277,24 +276,39 @@ class DistancePort:
         """Tile height of the blocked kernels (``None`` = unblocked)."""
         return self._block_rows
 
-    def charge(self, *, calls: int = 0, rows: int = 0) -> None:
-        """Charge logical evaluations computed outside the counted paths.
+    @property
+    def counter(self) -> CountingDistance | None:
+        """The wrapped :class:`CountingDistance`, if the distance is one."""
+        return self._counter
 
-        Forwards to the wrapped :class:`CountingDistance` (if any) and the
-        thread's active :class:`~repro.engine.trace.QueryTrace`, keeping
-        the scalar/batched split intact.
+    def charge(
+        self, *, calls: int = 0, rows: int = 0, trace: "QueryTrace | None" = None
+    ) -> None:
+        """Charge logical evaluations — the port's one charging routine.
+
+        Plain attribute adds on *trace*, by default the context's open
+        :class:`~repro.engine.trace.QueryTrace`, whose totals reach the
+        :class:`CountingDistance` when the query ends.  Only with no
+        query open (build, insert, direct port use) does the charge go
+        straight to the counter.  Traversals pass the record they fetched
+        once, sparing a context lookup per call.
         """
-        if self._counter is not None and (calls or rows):
-            self._counter.add_counts(calls=calls, batch_rows=rows)
-        trace = current_trace()
+        if trace is None:
+            trace = current_trace()
         if trace is not None:
-            trace.scalar_evaluations += calls
-            trace.batched_evaluations += rows
-        emit_charge(calls=calls, rows=rows)
+            trace.charge(calls, rows)
+        elif self._counter is not None and (calls or rows):
+            self._counter.add_counts(calls=calls, batch_rows=rows)
 
     def attach_database(self, data: np.ndarray) -> None:
-        """Precompute and cache the per-row norms for *data* (build time)."""
-        self._norms_for(data)
+        """Name *data* as the indexed array whose per-row norms are cached.
+
+        The norms are computed by their first reader — a query bound over
+        *data* or a blocked scan of it — so a method that reads neither
+        (the plain sequential scan) never pays the ``m n^2`` product, at
+        build or at every restore.
+        """
+        self._database = data
 
     def database_grew(self, previous: np.ndarray, data: np.ndarray) -> None:
         """*data* is *previous* plus appended rows: extend the cached norms.
@@ -303,6 +317,8 @@ class DistancePort:
         some other array nothing happens — the next bound query over
         *data* recomputes it whole, as for any unknown array.
         """
+        if self._database is previous:
+            self._database = data
         if self._norms_source is previous and self._norms_store is not None:
             used = previous.shape[0]
             store = grown(self._norms_store, used, data.shape[0] - used)
@@ -331,16 +347,23 @@ class DistancePort:
             self._cache_norms(self._kernel.row_norms(data), data)
         return self._norms
 
-    def bind_query(self, query: np.ndarray, data: np.ndarray | None = None) -> "BoundQuery":
+    def bind_query(
+        self,
+        query: np.ndarray,
+        data: np.ndarray | None = None,
+        trace: "QueryTrace | None" = None,
+    ) -> "BoundQuery":
         """Bind *query* into a :class:`BoundQuery` evaluation context.
 
         With a kernel, this precomputes the per-query Gram terms (``qA``,
         ``qAq^T``) once; *data* enables the cached per-row norms so each
-        candidate distance afterwards is O(n).
+        candidate distance afterwards is O(n).  *trace* is the query's
+        open record, charged directly; a lazily consumed cursor leaves it
+        ``None`` and charges whatever is current at each evaluation.
         """
         norms = self._norms_for(data) if data is not None else None
         ctx = self._kernel.bind(query) if self._kernel is not None else None
-        return BoundQuery(self, query, ctx, norms)
+        return BoundQuery(self, query, ctx, norms, trace)
 
     def pairwise(self, rows: np.ndarray, *, charge: bool = True) -> np.ndarray:
         """Symmetric distance matrix over *rows* (zero diagonal).
@@ -416,7 +439,7 @@ class BoundQuery:
     rewrite.
     """
 
-    __slots__ = ("_port", "_query", "_ctx", "_norms")
+    __slots__ = ("_port", "_query", "_ctx", "_norms", "trace")
 
     def __init__(
         self,
@@ -424,11 +447,14 @@ class BoundQuery:
         query: np.ndarray,
         ctx,
         norms: np.ndarray | None,
+        trace: "QueryTrace | None" = None,
     ) -> None:
         self._port = port
         self._query = query
         self._ctx = ctx
         self._norms = norms
+        #: The query's open cost record (``None``: look it up per charge).
+        self.trace = trace
 
     @property
     def query(self) -> np.ndarray:
@@ -469,14 +495,14 @@ class BoundQuery:
         out = self.compute_many(rows, indices)
         n = int(out.shape[0])
         if n and charge == "rows":
-            self._port.charge(rows=n)
+            self._port.charge(rows=n, trace=self.trace)
         elif n and charge == "calls":
-            self._port.charge(calls=n)
+            self._port.charge(calls=n, trace=self.trace)
         return out
 
     def one(self, row: np.ndarray, index: int | None = None) -> float:
         """One query-to-row distance, charged as a scalar call."""
-        self._port.charge(calls=1)
+        self._port.charge(calls=1, trace=self.trace)
         if self._ctx is not None:
             norm = None
             if self._norms is not None and index is not None and index >= 0:
@@ -497,6 +523,13 @@ def neighbors_from_distances(
     out = [Neighbor(float(d), int(i)) for d, i in zip(dist, idx)]
     out.sort()
     return out
+
+
+def _answer(result: list[Neighbor], trace: "QueryTrace") -> list[Neighbor]:
+    """A query's answer put in order, its size noted on the open record."""
+    result.sort()
+    trace.results = len(result)
+    return result
 
 
 class AccessMethod(ABC):
@@ -576,18 +609,31 @@ class AccessMethod(ABC):
         q = as_vector(query, self.dim, name="query")
         if radius < 0.0:
             raise QueryError(f"radius must be non-negative, got {radius}")
-        result = self._range_search(q, float(radius))
-        result.sort()
-        return result
+        return self._search("range", self._range_search, q, float(radius))
 
     def knn_search(self, query: ArrayLike, k: int) -> list[Neighbor]:
         """The *k* nearest objects (fewer only if the database is smaller)."""
         q = as_vector(query, self.dim, name="query")
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
-        result = self._knn_search(q, min(k, self.size))
-        result.sort()
-        return result
+        return self._search("knn", self._knn_search, q, min(k, self.size))
+
+    def _search(
+        self,
+        kind: str,
+        search: Callable[..., list[Neighbor]],
+        query: np.ndarray,
+        parameter: float,
+    ) -> list[Neighbor]:
+        """One query under its cost record — the open one, if an outer
+        layer (``BuiltIndex``, ``explain_query``) opened it.  When the
+        query ends, also by raising, what it spent is fed to the port's
+        counter: one lock acquisition, however many evaluations."""
+        with query_trace(kind, parameter) as trace:
+            try:
+                return _answer(search(query, parameter), trace)
+            finally:
+                fold_into(self._port.counter, (trace,))
 
     def range_search_batch(
         self,
@@ -646,48 +692,35 @@ class AccessMethod(ABC):
         )
 
     def _range_search_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        traces: "list[QueryTrace] | None" = None,
+        self, queries: np.ndarray, radius: float, traces: "list[QueryTrace]"
     ) -> list[list[Neighbor]]:
         """Chunk hook: already-validated queries, sorted per-query results.
 
-        The default runs the single-query search per row under that
-        query's trace; subclasses with genuinely vectorizable batch
+        *traces* are the queries' cost records, made (and later folded
+        into the counter) by the batch engine; a hook makes each current
+        while it works on that query.  The default runs the single-query
+        search per row; subclasses with genuinely vectorizable batch
         plans (sequential file, pivot table) override it.
         """
-        out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._range_search(queries[pos], radius)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        return self._search_each(
+            traces, lambda pos: self._range_search(queries[pos], radius)
+        )
 
     def _knn_search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        traces: "list[QueryTrace] | None" = None,
+        self, queries: np.ndarray, k: int, traces: "list[QueryTrace]"
     ) -> list[list[Neighbor]]:
         """Chunk hook for kNN batches (*k* already clamped); see above."""
+        return self._search_each(traces, lambda pos: self._knn_search(queries[pos], k))
+
+    @staticmethod
+    def _search_each(
+        traces: "list[QueryTrace]", search: Callable[[int], "list[Neighbor]"]
+    ) -> list[list[Neighbor]]:
+        """``search(pos)`` for every query of a chunk, each under its record."""
         out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
+        for pos, trace in enumerate(traces):
             with activate_trace(trace):
-                result = self._knn_search(queries[pos], k)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
+                out.append(_answer(search(pos), trace))
         return out
 
     # ------------------------------------------------------------------
@@ -846,18 +879,17 @@ class NodeBatchedSearchMixin:
     """Search plumbing for tree MAMs whose traversals use :class:`BoundQuery`.
 
     Subclasses implement ``_range_impl(bound, radius)`` and
-    ``_knn_impl(bound, k)`` over a bound query; this mixin supplies the
-    single-query hooks and *real* chunk hooks for the batch engine: every
-    query of a chunk is bound up front, so the per-database row-norm cache
-    is synchronized once and each query pays only its own ``qA`` setup.
+    ``_knn_impl(bound, k)`` over a bound query; this mixin binds the query
+    — its kernel context, the database's cached row norms and the query's
+    open cost record (``bound.trace``), fetched here once.
     """
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        bound = self._port.bind_query(query, self._data)
+        bound = self._port.bind_query(query, self._data, current_trace())
         return self._range_impl(bound, radius)
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        bound = self._port.bind_query(query, self._data)
+        bound = self._port.bind_query(query, self._data, current_trace())
         return self._knn_impl(bound, k)
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
@@ -865,52 +897,6 @@ class NodeBatchedSearchMixin:
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
         raise NotImplementedError
-
-    def _range_search_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        traces: "list[QueryTrace] | None" = None,
-    ) -> list[list[Neighbor]]:
-        bounds = [
-            self._port.bind_query(queries[pos], self._data)
-            for pos in range(queries.shape[0])
-        ]
-        out: list[list[Neighbor]] = []
-        for pos, bound in enumerate(bounds):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._range_impl(bound, radius)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
-
-    def _knn_search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        traces: "list[QueryTrace] | None" = None,
-    ) -> list[list[Neighbor]]:
-        bounds = [
-            self._port.bind_query(queries[pos], self._data)
-            for pos in range(queries.shape[0])
-        ]
-        out: list[list[Neighbor]] = []
-        for pos, bound in enumerate(bounds):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._knn_impl(bound, k)
-            result.sort()
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
 
 
 class _KnnHeap:

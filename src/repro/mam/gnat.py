@@ -20,16 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .._typing import ArrayLike
-from ..engine.trace import record_node_visit, record_pruned
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-)
 from ..exceptions import QueryError, StorageError
+from ..obs.events import ROOT
 from .base import (
     PRUNE_SLACK_REL,
     AccessMethod,
@@ -320,21 +312,21 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             )
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
+        trace = bound.trace
         out: list[Neighbor] = []
         stack: list[tuple[_GnatNode, int]] = [(self._root, ROOT)]
         while stack:
             node, parent_tok = stack.pop()
-            record_node_visit()
             if node.bucket is not None:
-                tok = emit_node_enter(parent_tok, "bucket")
+                tok = trace.visit(parent_tok, "bucket")
                 dists = bound.many(self._data[node.bucket], node.bucket)
                 for idx, dist in zip(node.bucket, dists):
-                    emit_candidate_verify(tok, int(idx), float(dist))
+                    trace.verify(tok, int(idx), float(dist))
                     if dist <= radius:
                         out.append(Neighbor(float(dist), int(idx)))
-                        emit_result_add(tok, int(idx), float(dist))
+                        trace.result(tok, int(idx), float(dist))
                 continue
-            tok = emit_node_enter(parent_tok, "splits")
+            tok = trace.visit(parent_tok, "splits")
             # Every split point is evaluated: splits are themselves
             # potential results, so an all-dead alive vector must not
             # suppress later split reports (stopping early could silently
@@ -345,10 +337,10 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             alive = np.ones(len(node.children), dtype=bool)
             for i, split in enumerate(splits):
                 d = float(split_dists[i])
-                emit_candidate_verify(tok, int(split), d)
+                trace.verify(tok, int(split), d)
                 if d <= radius:
                     out.append(Neighbor(d, int(split)))
-                    emit_result_add(tok, int(split), d)
+                    trace.result(tok, int(split), d)
                 lows = node.ranges[i, :, 0]  # type: ignore[index]
                 highs = node.ranges[i, :, 1]  # type: ignore[index]
                 # Ranges are member min/max distances — exactly tight — so
@@ -373,20 +365,17 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
                     slack = PRUNE_SLACK_REL * (abs(d) + span)
                     lower = np.maximum(lower, np.maximum(lows - d, d - highs) - slack)
                 for j in range(len(node.children)):
-                    emit_lb_check(
+                    trace.lb_check(
                         tok, max(float(lower[j]), 0.0), radius,
                         pruned=not bool(alive[j]), label="range-intersection",
                     )
-            if len(survivors) < len(node.children):
-                record_pruned(len(node.children) - len(survivors))
-                emit_prune(
-                    tok, len(node.children) - len(survivors), "range-intersection"
-                )
+            trace.prune(tok, len(node.children) - len(survivors), "range-intersection")
             for j in survivors:
                 stack.append((node.children[j], tok))
         return out
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
+        trace = bound.trace
         heap = _KnnHeap(k)
         counter = itertools.count()
         queue: list[tuple[float, int, _GnatNode, int]] = [
@@ -396,15 +385,14 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             dmin, _, node, parent_tok = heapq.heappop(queue)
             if dmin > heap.radius:
                 break
-            record_node_visit()
             if node.bucket is not None:
-                tok = emit_node_enter(parent_tok, "bucket")
+                tok = trace.visit(parent_tok, "bucket")
                 dists = bound.many(self._data[node.bucket], node.bucket)
                 for idx, dist in zip(node.bucket, dists):
-                    emit_candidate_verify(tok, int(idx), float(dist))
+                    trace.verify(tok, int(idx), float(dist))
                     heap.offer(float(dist), int(idx))
                 continue
-            tok = emit_node_enter(parent_tok, "splits")
+            tok = trace.visit(parent_tok, "splits")
             # Unlike the range filter, this loop never stops early (the
             # pruning radius is only read after it), so every split point
             # is evaluated: one batch, charged as per-split scalar calls.
@@ -414,7 +402,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             lower = np.zeros(arity, dtype=np.float64)
             for i, split in enumerate(splits):
                 d = float(split_dists[i])
-                emit_candidate_verify(tok, int(split), d)
+                trace.verify(tok, int(split), d)
                 heap.offer(d, int(split))
                 lows = node.ranges[i, :, 0]  # type: ignore[index]
                 highs = node.ranges[i, :, 1]  # type: ignore[index]
@@ -424,17 +412,14 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             tau = heap.radius
             for j in range(arity):
                 child_dmin = max(float(lower[j]), 0.0)
-                if child_dmin <= tau:
-                    emit_lb_check(
-                        tok, child_dmin, tau, pruned=False, label="range-intersection"
-                    )
+                skip = child_dmin > tau
+                trace.lb_check(
+                    tok, child_dmin, tau, pruned=skip, label="range-intersection"
+                )
+                if skip:
+                    trace.prune(tok, 1, "range-intersection")
+                else:
                     heapq.heappush(
                         queue, (child_dmin, next(counter), node.children[j], tok)
                     )
-                else:
-                    record_pruned()
-                    emit_lb_check(
-                        tok, child_dmin, tau, pruned=True, label="range-intersection"
-                    )
-                    emit_prune(tok, 1, "range-intersection")
         return heap.neighbors()

@@ -19,27 +19,13 @@ with a growing radius until the kth neighbor is provably inside.
 from __future__ import annotations
 
 import bisect
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .._typing import ArrayLike
-from ..engine.trace import (
-    record_candidates,
-    record_filter,
-    record_node_visit,
-    record_pruned,
-)
 from ..exceptions import QueryError, StorageError
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-    events_enabled,
-)
+from ..obs.events import ROOT
 from .base import (
     AccessMethod,
     BoundQuery,
@@ -50,6 +36,9 @@ from .base import (
     state_float,
 )
 from .pivots import select_pivots
+
+if TYPE_CHECKING:
+    from ..engine.trace import QueryTrace
 
 __all__ = ["MIndex"]
 
@@ -181,9 +170,14 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         )
 
     def _candidates(
-        self, query_vector: np.ndarray, radius: float, parent_tok: int = ROOT
+        self,
+        query_vector: np.ndarray,
+        radius: float,
+        trace: "QueryTrace",
+        parent_tok: int = ROOT,
     ) -> np.ndarray:
         """Interval-scan + pivot-filter candidates for a range query."""
+        detailed = trace.events is not None
         out: list[np.ndarray] = []
         for cluster in range(self.n_pivots):
             keys = self._cluster_keys[cluster]
@@ -194,32 +188,24 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             hi = np.searchsorted(keys, center + radius, side="right")
             if lo >= hi:
                 # The whole cluster interval misses the query ring.
-                record_pruned()
-                if events_enabled():
+                if detailed:
                     # Distance from the query's pivot coordinate to the
                     # nearest cluster key — how far the interval missed.
                     gap = float(np.min(np.abs(keys - center)))
-                    emit_lb_check(
-                        parent_tok, gap, radius,
-                        pruned=True, label="cluster-interval",
+                    trace.lb_check(
+                        parent_tok, gap, radius, pruned=True, label="cluster-interval"
                     )
-                    emit_prune(parent_tok, 1, "cluster-interval")
+                trace.prune(parent_tok, 1, "cluster-interval")
                 continue
-            record_node_visit()
-            tok = emit_node_enter(
-                parent_tok, f"cluster {cluster}" if events_enabled() else ""
-            )
+            tok = trace.visit(parent_tok, f"cluster {cluster}" if detailed else "")
             members = self._cluster_members[cluster][lo:hi]
             # LAESA filter over the full pivot table.
             lb = np.max(np.abs(self._table[members] - query_vector), axis=1)
             survivors = members[lb <= radius]
-            record_filter(int(members.size), int(survivors.size))
+            trace.filter(int(members.size), int(survivors.size))
             if tok >= 0:
-                for member, val in zip(members, lb):
-                    emit_lb_check(
-                        tok, float(val), radius,
-                        pruned=val > radius, label="laesa",
-                    )
+                for val in lb:
+                    trace.lb_check(tok, float(val), radius, pruned=val > radius, label="laesa")
             out.append(survivors)
         if not out:
             return np.empty(0, dtype=np.int64)
@@ -234,25 +220,27 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         built ``self._table`` — ``port.many`` — not the kernel query
         context used for candidate refinement.
         """
-        return self._port.many(bound.query, self._pivot_rows)
+        return self._port.many(bound.query, self._pivot_rows, bound.trace)
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
+        trace = bound.trace
         query_vector = self._query_to_pivots(bound)
-        candidates = self._candidates(query_vector, radius, ROOT)
+        candidates = self._candidates(query_vector, radius, trace)
         result: list[Neighbor] = []
         if candidates.size == 0:
             return result
-        record_candidates(int(candidates.size))
-        tok = emit_node_enter(ROOT, "refine")
+        trace.refine(int(candidates.size))
+        tok = trace.visit(ROOT, "refine", count=0)
         distances = bound.many(self._data[candidates], candidates)
         for idx, dist in zip(candidates, distances):
-            emit_candidate_verify(tok, int(idx), float(dist))
+            trace.verify(tok, int(idx), float(dist))
             if dist <= radius:
                 result.append(Neighbor(float(dist), int(idx)))
-                emit_result_add(tok, int(idx), float(dist))
+                trace.result(tok, int(idx), float(dist))
         return result
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
+        trace = bound.trace
         query_vector = self._query_to_pivots(bound)
         # Initial radius guess: the key gap around the query in its nearest
         # cluster — cheap and usually within one growth step of the answer.
@@ -260,16 +248,16 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         seen: dict[int, float] = {}
         while True:
             round_tok = ROOT
-            if events_enabled():
-                round_tok = emit_node_enter(ROOT, f"round r={radius:.4g}")
-            candidates = self._candidates(query_vector, radius, round_tok)
+            if trace.events is not None:
+                round_tok = trace.visit(ROOT, f"round r={radius:.4g}", count=0)
+            candidates = self._candidates(query_vector, radius, trace, round_tok)
             fresh = [int(i) for i in candidates if int(i) not in seen]
             if fresh:
-                record_candidates(len(fresh))
-                tok = emit_node_enter(round_tok, "refine")
+                trace.refine(len(fresh))
+                tok = trace.visit(round_tok, "refine", count=0)
                 distances = bound.many(self._data[fresh], fresh)
                 for idx, dist in zip(fresh, distances):
-                    emit_candidate_verify(tok, int(idx), float(dist))
+                    trace.verify(tok, int(idx), float(dist))
                     seen[idx] = float(dist)
             ranked = sorted((d, i) for i, d in seen.items())
             if len(ranked) >= k and ranked[k - 1][0] <= radius:

@@ -36,9 +36,8 @@ import numpy as np
 
 from .._typing import ArrayLike, as_vector
 from ..engine.executors import resolve_executor
-from ..engine.trace import record_node_visit, record_pruned
 from ..exceptions import QueryError, StorageError
-from ..obs.events import ROOT, current_buffer
+from ..obs.events import ROOT
 from .base import (
     PRUNE_SLACK_REL,
     AccessMethod,
@@ -234,11 +233,12 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
     with the radius held in a local.
 
     Accounting sits outside the scan: evaluations, node visits and prunes
-    accumulate in locals and reach the port and the active
-    :class:`~repro.engine.trace.QueryTrace` once per query.  Only while an
-    EXPLAIN buffer is collecting are a node's evaluations charged before
-    the next node is entered (the buffer attributes a charge to the
-    current node) and its events replayed — behind the ``tok >= 0`` guard.
+    accumulate in locals and reach the query's
+    :class:`~repro.engine.trace.QueryTrace` (``bound.trace``) once per
+    query.  Only while the record carries the EXPLAIN ``events`` detail
+    are a node's evaluations charged before the next node is entered (the
+    detail attributes a charge to the node being scanned) and its events
+    replayed — behind the ``tok >= 0`` guard.
     """
 
     _epsilon = 0.0
@@ -257,7 +257,8 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
         out: list[Neighbor] = []
         data = self._plain_rows()
-        buf = current_buffer()
+        trace = bound.trace
+        buf = trace.events
         tok = ROOT
         visited = evals = pruned = 0
         stack: list[tuple[object, float | None, int]] = [(None, None, ROOT)]
@@ -316,11 +317,11 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
                 for pos, dist in zip(reversed(descend), reversed(dists[keep].tolist())):
                     stack.append((children[pos], dist, tok))
             if tok >= 0:
-                self._port.charge(calls=evals)
+                self._port.charge(calls=evals, trace=trace)
                 evals = 0
-        self._port.charge(calls=evals)
-        record_node_visit(visited)
-        record_pruned(pruned)
+        self._port.charge(calls=evals, trace=trace)
+        trace.nodes_visited += visited
+        trace.nodes_pruned += pruned
         return out
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
@@ -331,7 +332,8 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         relax = 1.0 + self._epsilon
         tau = cutoff = _INF  # the heap's radius, and tau / relax
         data = self._plain_rows()
-        buf = current_buffer()
+        trace = bound.trace
+        buf = trace.events
         tok = ROOT
         visited = evals = pruned = 0
         # Best-first queue of (dmin, tiebreak, node ref, d(query, routing)).
@@ -421,11 +423,11 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
                     heapq.heappush(queue, (key, tick, children[pos], dist, tok))
                     tick += 1
             if tok >= 0:
-                self._port.charge(calls=evals)
+                self._port.charge(calls=evals, trace=trace)
                 evals = 0
-        self._port.charge(calls=evals)
-        record_node_visit(visited)
-        record_pruned(pruned)
+        self._port.charge(calls=evals, trace=trace)
+        trace.nodes_visited += visited
+        trace.nodes_pruned += pruned
         return heap.neighbors()
 
 

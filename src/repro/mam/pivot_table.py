@@ -38,21 +38,14 @@ import numpy as np
 
 from .._typing import ArrayLike, as_vector
 from ..distances.metric_checks import check_ptolemy_matrix
-from ..engine.trace import activate_trace, record_candidates, record_filter
+from ..engine.trace import activate_trace, current_trace
 from ..exceptions import DimensionMismatchError, QueryError, StorageError
 from ..kernels.ptolemaic import (
     ptolemaic_bound_matrix,
     ptolemaic_bounds,
     valid_pivot_pairs,
 )
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_lb_check,
-    emit_node_enter,
-    emit_result_add,
-    events_enabled,
-)
+from ..obs.events import ROOT
 from .base import AccessMethod, DistancePort, Neighbor, _KnnHeap, state_array, state_str
 from .pivots import select_pivots
 
@@ -181,30 +174,6 @@ class PivotTable(AccessMethod):
                 "use bound='triangle' for this distance"
             )
 
-    @classmethod
-    def from_parts(
-        cls,
-        database: ArrayLike,
-        distance: DistancePort | Callable,
-        pivot_indices: Sequence[int],
-        table: np.ndarray,
-    ) -> "PivotTable":
-        """Reassemble a pivot table from persisted parts without
-        recomputing the ``m x p`` distance matrix.
-
-        A thin wrapper over the snapshot protocol (:meth:`from_state`),
-        kept for :mod:`repro.persistence` backward compatibility; the
-        caller is responsible for passing the same distance function the
-        table was built with.
-        """
-        state = {
-            "pivot_indices": np.asarray(
-                [int(i) for i in pivot_indices], dtype=np.int64
-            ),
-            "table": np.asarray(table, dtype=np.float64),
-        }
-        return cls.from_state(database, distance, state)  # type: ignore[return-value]
-
     def structural_state(self) -> dict[str, np.ndarray]:
         state = {
             "pivot_indices": np.asarray(self._pivot_indices, dtype=np.int64),
@@ -252,8 +221,8 @@ class PivotTable(AccessMethod):
         self._pairs = valid_pivot_pairs(pair) if pair is not None else None
 
     def _verify_state_probe(self) -> None:
-        # Same sampled bound re-evaluation load_pivot_table always did:
-        # entry (0, 0) of the table is d(o_0, p_0).  Uncounted, so a
+        # A sampled bound re-evaluation: entry (0, 0) of the table is
+        # d(o_0, p_0).  Uncounted, so a
         # restore still performs zero logical distance computations.
         probe = self._port.pair_uncounted(
             self._data[0], self._data[self._pivot_indices[0]]
@@ -306,9 +275,11 @@ class PivotTable(AccessMethod):
         view.setflags(write=False)
         return view
 
-    def _query_vector(self, query: np.ndarray) -> np.ndarray:
+    def _query_vector(
+        self, query: np.ndarray, trace: "QueryTrace | None" = None
+    ) -> np.ndarray:
         """Distances from the query to every pivot (``p`` evaluations)."""
-        return self._port.many(query, self._pivot_rows)
+        return self._port.many(query, self._pivot_rows, trace)
 
     def _triangle_bounds(self, query_vector: np.ndarray) -> np.ndarray:
         """Pivot-mapped L∞ (triangle) lower bound for every object."""
@@ -381,162 +352,137 @@ class PivotTable(AccessMethod):
         )
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        qv = self._query_vector(query)
+        trace = current_trace()
+        qv = self._query_vector(query, trace)
         lb = self._lower_bounds(qv)
         candidates = np.flatnonzero(lb <= radius)
-        if events_enabled():
-            tok = emit_node_enter(ROOT, "pivot-filter")
+        if trace.events is not None:
+            tok = trace.visit(ROOT, "pivot-filter", count=0)
             for label, bounds in self._bound_views(qv, lb):
                 for val in bounds:
-                    emit_lb_check(
-                        tok, float(val), radius,
-                        pruned=val > radius, label=label,
+                    trace.lb_check(
+                        tok, float(val), radius, pruned=val > radius, label=label
                     )
-        return self._refine_range(query, radius, candidates)
+        return self._refine_range(query, radius, candidates, trace)
 
     def _refine_range(
-        self, query: np.ndarray, radius: float, candidates: np.ndarray
+        self, query: np.ndarray, radius: float, candidates: np.ndarray, trace: "QueryTrace"
     ) -> list[Neighbor]:
         """Verify the non-filtered candidates with real distances."""
-        record_filter(self.size, int(candidates.size))
-        record_candidates(int(candidates.size))
+        trace.filter(self.size, int(candidates.size))
+        trace.refine(int(candidates.size))
         if candidates.size == 0:
             return []
-        tok = emit_node_enter(ROOT, "refine")
-        distances = self._port.many(query, self._data[candidates])
+        tok = trace.visit(ROOT, "refine", count=0)
+        distances = self._port.many(query, self._data[candidates], trace)
         within = distances <= radius
         if tok >= 0:
             for dist, idx in zip(distances, candidates):
-                emit_candidate_verify(tok, int(idx), float(dist))
+                trace.verify(tok, int(idx), float(dist))
                 if dist <= radius:
-                    emit_result_add(tok, int(idx), float(dist))
+                    trace.result(tok, int(idx), float(dist))
         return [
             Neighbor(float(dist), int(idx))
             for dist, idx in zip(distances[within], candidates[within])
         ]
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        qv = self._query_vector(query)
+        trace = current_trace()
+        qv = self._query_vector(query, trace)
         lb = self._lower_bounds(qv)
         aux: tuple[tuple[str, np.ndarray], ...] = ()
-        if events_enabled() and self._bound != "triangle":
+        if trace.events is not None and self._bound != "triangle":
             # Comparison bounds for the side-by-side EXPLAIN section;
             # pure table arithmetic, zero distance evaluations.
-            views = self._bound_views(qv, lb)
-            aux = tuple(views[:-1])
-        return self._refine_knn(query, k, lb, aux=aux)
+            aux = tuple(self._bound_views(qv, lb)[:-1])
+        return self._refine_knn(query, k, lb, trace, aux)
 
     def _refine_knn(
         self,
         query: np.ndarray,
         k: int,
         lb: np.ndarray,
+        trace: "QueryTrace",
         aux: "tuple[tuple[str, np.ndarray], ...]" = (),
     ) -> list[Neighbor]:
         """Best-first refinement in ascending lower-bound order.
 
-        *aux* carries comparison bound arrays (label, values) emitted
+        *aux* carries comparison bound arrays (label, values) reported
         alongside the operative bound at each step — the "would the other
         bound have pruned here?" record behind the EXPLAIN side-by-side.
         """
         order = np.argsort(lb, kind="stable")
         heap = _KnnHeap(k)
-        tok = emit_node_enter(ROOT, "refine")
+        tok = trace.visit(ROOT, "refine", count=0)
         label = _BOUND_LABELS[self._bound]
+        pair, data = self._port.pair, self._data
         refined = 0
         for idx in order:
-            for aux_label, bounds in aux:
-                emit_lb_check(
-                    tok, float(bounds[idx]), heap.radius,
-                    pruned=bounds[idx] > heap.radius, label=aux_label,
-                )
-            if lb[idx] > heap.radius:
-                emit_lb_check(
-                    tok, float(lb[idx]), heap.radius,
-                    pruned=True, label=label,
-                )
+            stop = lb[idx] > heap.radius
+            if tok >= 0:
+                for aux_label, bounds in aux:
+                    trace.lb_check(
+                        tok, float(bounds[idx]), heap.radius,
+                        pruned=bounds[idx] > heap.radius, label=aux_label,
+                    )
+                trace.lb_check(tok, float(lb[idx]), heap.radius, pruned=stop, label=label)
+            if stop:
                 break
-            emit_lb_check(
-                tok, float(lb[idx]), heap.radius, pruned=False, label=label
-            )
-            dist = self._port.pair(query, self._data[idx])
-            emit_candidate_verify(tok, int(idx), float(dist))
+            dist = pair(query, data[idx], trace)
+            if tok >= 0:
+                trace.verify(tok, int(idx), float(dist))
             heap.offer(dist, int(idx))
             refined += 1
-        record_filter(self.size, refined)
-        record_candidates(refined)
+        trace.filter(self.size, refined)
+        trace.refine(refined)
         return heap.neighbors()
 
     def _range_search_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        traces: "list[QueryTrace] | None" = None,
+        self, queries: np.ndarray, radius: float, traces: "list[QueryTrace]"
     ) -> list[list[Neighbor]]:
         """Vectorized batch plan: one ``m x s`` lower-bound matrix.
 
-        The query-pivot distances are still evaluated per query (so
-        traces charge each query exactly its ``p`` pivot distances), but
-        the table scan that serves the triangle-inequality filter runs
-        once for the whole chunk instead of once per query.
+        The query-pivot distances are still evaluated per query (so each
+        record is charged exactly its ``p`` pivot distances), but the
+        table scan that serves the triangle-inequality filter runs once
+        for the whole chunk instead of once per query.
         """
-        lb_matrix, shared = self._batch_lower_bounds(queries, traces)
-        out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                candidates = np.flatnonzero(lb_matrix[:, pos] <= radius)
-                result = self._refine_range(queries[pos], radius, candidates)
-            result.sort()
-            if trace is not None:
-                trace.seconds += shared + perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        lb_matrix = self._batch_lower_bounds(queries, traces)
+        return self._search_each(
+            traces,
+            lambda pos: self._refine_range(
+                queries[pos], radius, np.flatnonzero(lb_matrix[:, pos] <= radius), traces[pos]
+            ),
+        )
 
     def _knn_search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        traces: "list[QueryTrace] | None" = None,
+        self, queries: np.ndarray, k: int, traces: "list[QueryTrace]"
     ) -> list[list[Neighbor]]:
         """Vectorized batch plan for kNN; see :meth:`_range_search_batch`."""
-        lb_matrix, shared = self._batch_lower_bounds(queries, traces)
-        out: list[list[Neighbor]] = []
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
-            with activate_trace(trace):
-                result = self._refine_knn(queries[pos], k, lb_matrix[:, pos])
-            result.sort()
-            if trace is not None:
-                trace.seconds += shared + perf_counter() - start
-                trace.results = len(result)
-            out.append(result)
-        return out
+        lb_matrix = self._batch_lower_bounds(queries, traces)
+        return self._search_each(
+            traces,
+            lambda pos: self._refine_knn(queries[pos], k, lb_matrix[:, pos], traces[pos]),
+        )
 
     def _batch_lower_bounds(
-        self, queries: np.ndarray, traces: "list[QueryTrace] | None"
-    ) -> tuple[np.ndarray, float]:
-        """Per-query pivot distances plus the shared ``m x s`` bound matrix.
+        self, queries: np.ndarray, traces: "list[QueryTrace]"
+    ) -> np.ndarray:
+        """Per-query pivot distances, then the shared ``m x s`` bound matrix.
 
-        Returns the matrix and the per-query share of the matrix's wall
-        time (the scan is joint work, amortized evenly over the chunk in
-        the traces).
+        The matrix scan is joint work: its wall time is amortized evenly
+        over the chunk's records.
         """
         qvs = np.empty((queries.shape[0], self.n_pivots), dtype=np.float64)
-        for pos in range(queries.shape[0]):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
+        for pos, trace in enumerate(traces):
             with activate_trace(trace):
-                qvs[pos] = self._query_vector(queries[pos])
-            if trace is not None:
-                trace.seconds += perf_counter() - start
+                qvs[pos] = self._query_vector(queries[pos], trace)
         start = perf_counter()
         lb_matrix = self._lower_bound_matrix(qvs)
-        shared = (perf_counter() - start) / max(1, queries.shape[0])
-        return lb_matrix, shared
+        shared = (perf_counter() - start) / max(1, len(traces))
+        for trace in traces:
+            trace.seconds += shared
+        return lb_matrix
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Compute the new object's pivot distances and grow the table.

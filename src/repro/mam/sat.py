@@ -25,16 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .._typing import ArrayLike
-from ..engine.trace import record_node_visit, record_pruned
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-)
 from ..exceptions import StorageError
+from ..obs.events import ROOT
 from .base import (
     AccessMethod,
     BoundQuery,
@@ -219,15 +211,15 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
             )
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
+        trace = bound.trace
         out: list[Neighbor] = []
 
         def visit(node: _SatNode, d_node: float, parent_tok: int) -> None:
-            record_node_visit()
-            tok = emit_node_enter(parent_tok, f"sat:{node.index}")
-            emit_candidate_verify(tok, node.index, float(d_node))
+            tok = trace.visit(parent_tok, f"sat:{node.index}")
+            trace.verify(tok, node.index, float(d_node))
             if d_node <= radius:
                 out.append(Neighbor(float(d_node), node.index))
-                emit_result_add(tok, node.index, float(d_node))
+                trace.result(tok, node.index, float(d_node))
             if not node.children:
                 return
             child_indices = [c.index for c in node.children]
@@ -237,31 +229,21 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
             for child, d_child in zip(node.children, d_children):
                 # Covering radii are exactly tight (some member's build
                 # distance), so the prune test gets an ulp-scale slack.
-                if d_child - prune_slack(d_child, child.radius) > child.radius + radius:
-                    record_pruned()
-                    emit_lb_check(
-                        tok,
-                        d_child - prune_slack(d_child, child.radius),
-                        child.radius + radius,
-                        pruned=True, label="covering-radius",
-                    )
-                    emit_prune(tok, 1, "covering-radius")
-                    continue  # covering-radius pruning
-                emit_lb_check(
-                    tok,
-                    d_child - prune_slack(d_child, child.radius),
-                    child.radius + radius,
-                    pruned=False, label="covering-radius",
+                near = d_child - prune_slack(d_child, child.radius)
+                skip = near > child.radius + radius
+                trace.lb_check(
+                    tok, near, child.radius + radius, pruned=skip, label="covering-radius"
                 )
-                if self._hyperplane_ok and d_child > closest + 2.0 * radius:
-                    record_pruned()
-                    emit_lb_check(
+                if skip:
+                    trace.prune(tok, 1, "covering-radius")
+                elif self._hyperplane_ok and d_child > closest + 2.0 * radius:
+                    trace.lb_check(
                         tok, float(d_child), closest + 2.0 * radius,
                         pruned=True, label="hyperplane",
                     )
-                    emit_prune(tok, 1, "hyperplane")
-                    continue  # hyperplane pruning
-                visit(child, float(d_child), tok)
+                    trace.prune(tok, 1, "hyperplane")
+                else:
+                    visit(child, float(d_child), tok)
 
         visit(
             self._root,
@@ -271,6 +253,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
         return out
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
+        trace = bound.trace
         heap = _KnnHeap(k)
         counter = itertools.count()
         d_root = bound.one(self._data[self._root.index], self._root.index)
@@ -284,9 +267,8 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
             dmin, _, node, d_node, parent_tok = heapq.heappop(queue)
             if dmin > heap.radius:
                 break
-            record_node_visit()
-            tok = emit_node_enter(parent_tok, f"sat:{node.index}")
-            emit_candidate_verify(tok, node.index, float(d_node))
+            tok = trace.visit(parent_tok, f"sat:{node.index}")
+            trace.verify(tok, node.index, float(d_node))
             heap.offer(float(d_node), node.index)
             if not node.children:
                 continue
@@ -303,15 +285,14 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
                 )
                 if self._hyperplane_ok:
                     lower = max(lower, (float(d_child) - closest) / 2.0)
-                if lower <= tau:
-                    emit_lb_check(tok, lower, tau, pruned=False, label="dmin")
+                skip = lower > tau
+                trace.lb_check(tok, lower, tau, pruned=skip, label="dmin")
+                if skip:
+                    trace.prune(tok, 1, "dmin")
+                else:
                     heapq.heappush(
                         queue, (lower, next(counter), child, float(d_child), tok)
                     )
-                else:
-                    record_pruned()
-                    emit_lb_check(tok, lower, tau, pruned=True, label="dmin")
-                    emit_prune(tok, 1, "dmin")
         return heap.neighbors()
 
     def height(self) -> int:

@@ -15,20 +15,13 @@ Two variants are provided:
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .._typing import ArrayLike
-from ..engine.trace import activate_trace, record_candidates
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_node_enter,
-    emit_result_add,
-    events_enabled,
-)
+from ..engine.trace import activate_trace, current_trace
+from ..obs.events import ROOT
 from ..storage.vector_store import VectorStore
 from .base import (
     AccessMethod,
@@ -59,57 +52,47 @@ class SequentialFile(AccessMethod):
     #: kernel that streams cache-sized tiles of a memory-mapped store.
     supports_out_of_core = True
 
+    def _scan(self, query: np.ndarray, trace: "QueryTrace") -> tuple[np.ndarray, int]:
+        """All ``m`` distances, charged and reported to *trace*; the
+        scan's EXPLAIN token comes back with them."""
+        tok = trace.visit(ROOT, "scan", count=0)
+        distances = self._port.many(query, self._data, trace)
+        trace.refine(self.size)
+        trace.verify(tok, -1, float("nan"), count=self.size)
+        return distances, tok
+
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        tok = emit_node_enter(ROOT, "scan")
-        distances = self._port.many(query, self._data)
-        record_candidates(self.size)
+        trace = current_trace()
+        distances, tok = self._scan(query, trace)
         hits = np.flatnonzero(distances <= radius)
         if tok >= 0:
-            emit_candidate_verify(tok, -1, float("nan"), count=self.size)
             for idx in hits:
-                emit_result_add(tok, int(idx), float(distances[idx]))
+                trace.result(tok, int(idx), float(distances[idx]))
         return neighbors_from_distances(distances[hits], hits)
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        tok = emit_node_enter(ROOT, "scan")
-        distances = self._port.many(query, self._data)
-        record_candidates(self.size)
-        if tok >= 0:
-            emit_candidate_verify(tok, -1, float("nan"), count=self.size)
+        distances, _ = self._scan(query, current_trace())
         # argpartition gets the k smallest; explicit sort fixes tie order.
         order = np.argpartition(distances, k - 1)[:k]
         return neighbors_from_distances(distances[order], order)
 
     def _range_search_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        traces: "list[QueryTrace] | None" = None,
+        self, queries: np.ndarray, radius: float, traces: "list[QueryTrace]"
     ) -> list[list[Neighbor]]:
         """Batch scan: per-query one-to-many distances (bit-identical to
         the single-query path), with the threshold mask applied to the
         whole ``s x m`` distance matrix at once."""
-        s = queries.shape[0]
-        matrix = np.empty((s, self.size), dtype=np.float64)
-        for pos in range(s):
-            trace = traces[pos] if traces is not None else None
-            start = perf_counter()
+        matrix = np.empty((queries.shape[0], self.size), dtype=np.float64)
+        for pos, trace in enumerate(traces):
             with activate_trace(trace):
-                matrix[pos] = self._port.many(queries[pos], self._data)
-                record_candidates(self.size)
-            if trace is not None:
-                trace.seconds += perf_counter() - start
+                matrix[pos], _ = self._scan(queries[pos], trace)
         within = matrix <= radius
         out: list[list[Neighbor]] = []
-        for pos in range(s):
-            start = perf_counter()
-            hits = np.flatnonzero(within[pos])
-            result = neighbors_from_distances(matrix[pos, hits], hits)
-            out.append(result)
-            trace = traces[pos] if traces is not None else None
-            if trace is not None:
-                trace.seconds += perf_counter() - start
-                trace.results = len(result)
+        for pos, trace in enumerate(traces):
+            with activate_trace(trace):
+                hits = np.flatnonzero(within[pos])
+                out.append(neighbors_from_distances(matrix[pos, hits], hits))
+                trace.results = len(hits)
         return out
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
@@ -192,28 +175,31 @@ class DiskSequentialFile(AccessMethod):
         """The paged vector store (for cache statistics)."""
         return self._store
 
-    def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        out: list[Neighbor] = []
+    def _scan_pages(self, query: np.ndarray, trace: "QueryTrace"):
+        """Per page: its first object index, its distances (charged and
+        reported to *trace*) and its EXPLAIN token."""
         for first_index, rows in self._store.scan_pages():
-            tok = emit_node_enter(ROOT, f"page@{first_index}" if events_enabled() else "")
-            distances = self._port.many(query, rows)
-            record_candidates(rows.shape[0])
-            if tok >= 0:
-                emit_candidate_verify(tok, -1, float("nan"), count=int(rows.shape[0]))
+            tok = trace.visit(
+                ROOT, f"page@{first_index}" if trace.events is not None else "", count=0
+            )
+            distances = self._port.many(query, rows, trace)
+            trace.refine(rows.shape[0])
+            trace.verify(tok, -1, float("nan"), count=int(rows.shape[0]))
+            yield first_index, distances, tok
+
+    def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        trace = current_trace()
+        out: list[Neighbor] = []
+        for first_index, distances, tok in self._scan_pages(query, trace):
             for offset in np.flatnonzero(distances <= radius):
                 neighbor = Neighbor(float(distances[offset]), first_index + int(offset))
                 out.append(neighbor)
-                emit_result_add(tok, neighbor.index, neighbor.distance)
+                trace.result(tok, neighbor.index, neighbor.distance)
         return out
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         heap = _KnnHeap(k)
-        for first_index, rows in self._store.scan_pages():
-            tok = emit_node_enter(ROOT, f"page@{first_index}" if events_enabled() else "")
-            distances = self._port.many(query, rows)
-            record_candidates(rows.shape[0])
-            if tok >= 0:
-                emit_candidate_verify(tok, -1, float("nan"), count=int(rows.shape[0]))
+        for first_index, distances, _ in self._scan_pages(query, current_trace()):
             for offset, dist in enumerate(distances):
                 heap.offer(float(dist), first_index + offset)
         return heap.neighbors()

@@ -23,16 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .._typing import ArrayLike
-from ..engine.trace import record_node_visit, record_pruned
-from ..obs.events import (
-    ROOT,
-    emit_candidate_verify,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-)
 from ..exceptions import QueryError, StorageError
+from ..obs.events import ROOT
 from .base import (
     AccessMethod,
     BoundQuery,
@@ -245,58 +237,44 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
             )
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
+        trace = bound.trace
         out: list[Neighbor] = []
         stack: list[tuple[_VPNode, int]] = [(self._root, ROOT)]
         while stack:
             node, parent_tok = stack.pop()
-            record_node_visit()
             if node.bucket is not None:
-                tok = emit_node_enter(parent_tok, "bucket")
+                tok = trace.visit(parent_tok, "bucket")
                 dists = bound.many(self._data[node.bucket], node.bucket)
                 for idx, dist in zip(node.bucket, dists):
-                    emit_candidate_verify(tok, int(idx), float(dist))
+                    trace.verify(tok, int(idx), float(dist))
                     if dist <= radius:
                         out.append(Neighbor(float(dist), int(idx)))
-                        emit_result_add(tok, int(idx), float(dist))
+                        trace.result(tok, int(idx), float(dist))
                 continue
-            tok = emit_node_enter(parent_tok, "vantage")
+            tok = trace.visit(parent_tok, "vantage")
             d_vp = bound.one(self._data[node.vp_index], node.vp_index)
-            emit_candidate_verify(tok, node.vp_index, d_vp)
+            trace.verify(tok, node.vp_index, d_vp)
             if d_vp <= radius:
                 out.append(Neighbor(float(d_vp), node.vp_index))
-                emit_result_add(tok, node.vp_index, float(d_vp))
+                trace.result(tok, node.vp_index, float(d_vp))
             # mu is a member's build-time distance (the median), so the
             # shell tests get an ulp-scale slack against kernel arithmetic.
             slack = prune_slack(d_vp, node.mu)
-            if d_vp - radius - slack <= node.mu:
-                emit_lb_check(
-                    tok, d_vp - radius - slack, node.mu,
-                    pruned=False, label="inside-shell",
-                )
-                stack.append((node.inside, tok))  # type: ignore[arg-type]
-            else:
-                record_pruned()
-                emit_lb_check(
-                    tok, d_vp - radius - slack, node.mu,
-                    pruned=True, label="inside-shell",
-                )
-                emit_prune(tok, 1, "inside-shell")
-            if d_vp + radius + slack >= node.mu:
-                emit_lb_check(
-                    tok, d_vp + radius + slack, node.mu,
-                    pruned=False, label="outside-shell",
-                )
-                stack.append((node.outside, tok))  # type: ignore[arg-type]
-            else:
-                record_pruned()
-                emit_lb_check(
-                    tok, d_vp + radius + slack, node.mu,
-                    pruned=True, label="outside-shell",
-                )
-                emit_prune(tok, 1, "outside-shell")
+            for child, label, skip, value in (
+                (node.inside, "inside-shell", d_vp - radius - slack > node.mu,
+                 d_vp - radius - slack),
+                (node.outside, "outside-shell", d_vp + radius + slack < node.mu,
+                 d_vp + radius + slack),
+            ):
+                trace.lb_check(tok, value, node.mu, pruned=skip, label=label)
+                if skip:
+                    trace.prune(tok, 1, label)
+                else:
+                    stack.append((child, tok))  # type: ignore[arg-type]
         return out
 
     def _knn_impl(self, bound: BoundQuery, k: int) -> list[Neighbor]:
+        trace = bound.trace
         heap = _KnnHeap(k)
         counter = itertools.count()
         queue: list[tuple[float, int, _VPNode, int]] = [
@@ -306,38 +284,27 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
             dmin, _, node, parent_tok = heapq.heappop(queue)
             if dmin > heap.radius:
                 break
-            record_node_visit()
             if node.bucket is not None:
-                tok = emit_node_enter(parent_tok, "bucket")
+                tok = trace.visit(parent_tok, "bucket")
                 dists = bound.many(self._data[node.bucket], node.bucket)
                 for idx, dist in zip(node.bucket, dists):
-                    emit_candidate_verify(tok, int(idx), float(dist))
+                    trace.verify(tok, int(idx), float(dist))
                     heap.offer(float(dist), int(idx))
                 continue
-            tok = emit_node_enter(parent_tok, "vantage")
+            tok = trace.visit(parent_tok, "vantage")
             d_vp = bound.one(self._data[node.vp_index], node.vp_index)
-            emit_candidate_verify(tok, node.vp_index, d_vp)
+            trace.verify(tok, node.vp_index, d_vp)
             heap.offer(float(d_vp), node.vp_index)
             tau = heap.radius
             slack = prune_slack(d_vp, node.mu)
-            inside_dmin = max(d_vp - node.mu - slack, 0.0)
-            outside_dmin = max(node.mu - d_vp - slack, 0.0)
-            if inside_dmin <= tau:
-                emit_lb_check(tok, inside_dmin, tau, pruned=False, label="inside-shell")
-                heapq.heappush(queue, (inside_dmin, next(counter), node.inside, tok))
-            else:
-                record_pruned()
-                emit_lb_check(tok, inside_dmin, tau, pruned=True, label="inside-shell")
-                emit_prune(tok, 1, "inside-shell")
-            if outside_dmin <= tau:
-                emit_lb_check(
-                    tok, outside_dmin, tau, pruned=False, label="outside-shell"
-                )
-                heapq.heappush(queue, (outside_dmin, next(counter), node.outside, tok))
-            else:
-                record_pruned()
-                emit_lb_check(
-                    tok, outside_dmin, tau, pruned=True, label="outside-shell"
-                )
-                emit_prune(tok, 1, "outside-shell")
+            for child, label, child_dmin in (
+                (node.inside, "inside-shell", max(d_vp - node.mu - slack, 0.0)),
+                (node.outside, "outside-shell", max(node.mu - d_vp - slack, 0.0)),
+            ):
+                skip = child_dmin > tau
+                trace.lb_check(tok, child_dmin, tau, pruned=skip, label=label)
+                if skip:
+                    trace.prune(tok, 1, label)
+                else:
+                    heapq.heappush(queue, (child_dmin, next(counter), child, tok))
         return heap.neighbors()

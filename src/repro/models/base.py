@@ -18,6 +18,7 @@ analyze.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from .._typing import ArrayLike, as_vector, as_vector_batch
 from ..distances.base import CountingDistance
+from ..engine.trace import QueryTrace, query_trace
 from ..exceptions import QueryError
 from ..mam.base import AccessMethod, Neighbor
 from ..obs import (
@@ -390,41 +392,27 @@ class BuiltIndex:
         self._query_transforms += 1
         return self._query_mapper(q)
 
-    def _sync_metrics(self, queries: int = 0, kind: str = "") -> None:
+    def _sync_metrics(self, trace: "QueryTrace | None" = None) -> None:
         """Mirror query-phase counters into the active observability registry.
 
         Delta-synced, so the registry's ``repro_distance_evaluations_total``
         for this model/method equals the :class:`CountingDistance` exactly
         at every sync point.  A no-op with the null registry active.
 
-        *queries* is how many queries this sync closes out; the
-        single-query entry points pass 1 so the rolling-rate windows see
-        per-query loops too.  Batch paths pass 0 — the engine already
-        fed the windows chunk-by-chunk as the batch ran.  When *kind* is
-        given for a single-query sync, the exact counter delta also
-        lands in the ``repro_query_distance_evaluations`` histogram (the
-        batch paths feed it per-trace through the engine funnel instead).
+        *trace* is the record of the single query this sync closes out;
+        its own evaluation count feeds the rolling-rate windows.  Batch
+        paths pass nothing — the engine fed the windows record by record
+        as its chunks landed.
         """
         registry = get_registry()
         if not registry.enabled:
             return
-        delta = self._instrument.sync(registry)
-        if queries:
+        self._instrument.sync(registry)
+        method = self._method_label()
+        if trace is not None:
             observe_query_progress(
-                queries,
-                delta,
-                method=self._method_name or type(self._am).__name__,
-                registry=registry,
+                1, trace.distance_evaluations, method=method, registry=registry
             )
-            if kind:
-                registry.histogram(
-                    "repro_query_distance_evaluations",
-                    "distance evaluations per query",
-                ).observe(
-                    float(delta),
-                    method=self._method_name or type(self._am).__name__,
-                    kind=kind,
-                )
         current = self._query_transforms
         base = self._transform_baselines.get(id(registry), 0)
         if current < base:
@@ -432,12 +420,7 @@ class BuiltIndex:
         if current > base:
             registry.counter(
                 TRANSFORMS, "vector transformations into the Euclidean space"
-            ).inc(
-                current - base,
-                model=self._model_name,
-                method=self._method_name or type(self._am).__name__,
-                phase="query",
-            )
+            ).inc(current - base, model=self._model_name, method=method, phase="query")
         self._transform_baselines[id(registry)] = current
         cache = _page_cache(self._am)
         if cache is not None:
@@ -449,44 +432,39 @@ class BuiltIndex:
     def _run_single(
         self, kind: str, parameter: float, call: Callable[[], list[Neighbor]]
     ) -> list[Neighbor]:
-        """Run one query under the active observability sinks.
+        """Run one query under its cost record and the active sinks.
 
-        With both the registry and the structured logger off this is the
-        bare call plus the (no-op) metrics sync — bit-identical to the
-        uninstrumented path.  With either sink on, the query runs inside
-        a trace scope (minting a root context if the caller has none), a
-        failure is accounted through :func:`record_query_error`, and a
-        success emits one ``"query"`` log record carrying the exact
-        :class:`CountingDistance` delta and wall time.
+        The record is opened here (or joined, under ``explain_query``) and
+        filled by the access method, which also feeds the model counter
+        when the query ends; everything reported per query — the
+        ``repro_query_distance_evaluations`` observation, the ``"query"``
+        log record's evaluation split — is read off that record, never
+        off the shared counter, so it is exact under concurrent queries.
+        With either sink on, the query runs inside a trace scope (minting
+        a root context if the caller has none) and a failure is accounted
+        through :func:`record_query_error`.
         """
         registry = get_registry()
         logger = get_logger()
-        if not (registry.enabled or logger.enabled):
-            try:
-                return call()
-            finally:
-                self._sync_metrics(queries=1)
+        observing = registry.enabled or logger.enabled
         method = self._method_label()
-        base = self._counter.stats
         start = time.perf_counter()
-        with trace_scope():
+        with trace_scope() if observing else nullcontext():
             try:
-                result = call()
+                with query_trace(kind, parameter) as trace:
+                    result = call()
             except BaseException as exc:
-                self._sync_metrics(queries=1)
+                self._sync_metrics(trace)
                 record_query_error(
-                    exc,
-                    registry=registry,
-                    model=self._model_name,
-                    method=method,
-                    kind=kind,
+                    exc, registry=registry, model=self._model_name, method=method, kind=kind
                 )
                 raise
-            self._sync_metrics(queries=1, kind=kind)
+            self._sync_metrics(trace)
+            if registry.enabled:
+                registry.histogram(
+                    "repro_query_distance_evaluations", "distance evaluations per query"
+                ).observe(float(trace.distance_evaluations), method=method, kind=kind)
             if logger.enabled:
-                stats = self._counter.stats
-                calls = int(stats.calls - base.calls)
-                rows = int(stats.batch_rows - base.batch_rows)
                 log_event(
                     "query",
                     model=self._model_name,
@@ -494,9 +472,9 @@ class BuiltIndex:
                     kind=kind,
                     parameter=parameter,
                     seconds=round(time.perf_counter() - start, 6),
-                    distance_evaluations=calls + rows,
-                    scalar_evaluations=calls,
-                    batched_evaluations=rows,
+                    distance_evaluations=trace.distance_evaluations,
+                    scalar_evaluations=trace.scalar_evaluations,
+                    batched_evaluations=trace.batched_evaluations,
                     results=len(result),
                 )
             return result
@@ -532,9 +510,9 @@ class BuiltIndex:
         batch then runs through the :mod:`repro.engine` planner: pass
         ``executor``/``workers`` to parallelize and ``collector`` (a
         :class:`~repro.engine.trace.TraceCollector`) for per-query cost
-        traces.  With the ``"process"`` executor the model's in-process
-        distance counter does not observe worker evaluations — use the
-        collector's traces as the authoritative counts there.
+        traces.  :meth:`query_costs` reads the same under every executor:
+        worker processes ship their per-query records back and the engine
+        folds them into the model's counter.
         """
         return self._run_batch(
             "knn",
@@ -587,13 +565,8 @@ class BuiltIndex:
         counted under the same ``trace_id`` as the batch that carried it.
         """
         registry = get_registry()
-        logger = get_logger()
-        if not (registry.enabled or logger.enabled):
-            try:
-                return call()
-            finally:
-                self._sync_metrics()
-        with trace_scope():
+        observing = registry.enabled or get_logger().enabled
+        with trace_scope() if observing else nullcontext():
             try:
                 return call()
             except BaseException as exc:

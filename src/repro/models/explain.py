@@ -1,10 +1,11 @@
 """Run one query under event collection and assemble its EXPLAIN plan.
 
 :mod:`repro.obs.explain` is pure assembly; this module is the runner that
-knows about :class:`~repro.models.base.BuiltIndex`: it snapshots the
-model's distance counter, executes the query inside a
-:func:`~repro.obs.events.collect_events` block, and hands the filled
-buffer plus the exact counter delta to :func:`~repro.obs.explain.
+knows about :class:`~repro.models.base.BuiltIndex`: it opens the query's
+:class:`~repro.engine.trace.QueryTrace` with an
+:class:`~repro.obs.events.EventBuffer` attached as its ``events`` detail,
+executes the query inside it, and hands the filled buffer plus the
+record's own evaluation counts to :func:`~repro.obs.explain.
 assemble_plan`.  For the methods with a Table 2 closed form (sequential,
 pivot table, M-tree) it also attaches the :class:`~repro.obs.explain.
 CostAudit` comparing the observed arithmetic against the paper's
@@ -17,10 +18,9 @@ import here would be circular.
 
 from __future__ import annotations
 
-from time import perf_counter
-
+from ..engine.trace import query_trace
 from ..exceptions import QueryError
-from ..obs.events import ROOT, EventBuffer, collect_events
+from ..obs.events import ROOT, EventBuffer
 from ..obs.explain import CostAudit, ExplainPlan, assemble_plan
 from .base import BuiltIndex, IndexCosts
 
@@ -96,9 +96,11 @@ def explain_query(
 
     Pass exactly one of ``k`` (kNN) or ``radius`` (range).  The query runs
     normally — same answers, same counter updates as an unobserved run —
-    with an :class:`~repro.obs.events.EventBuffer` collecting traversal
+    under a cost record whose ``events`` detail collects the traversal
     events; ``max_events`` / ``sample_every`` bound the recorded event
-    list without affecting the plan's exact aggregates.
+    list without affecting the plan's exact aggregates.  The plan's
+    ``counter_*`` totals are this query's own record, so they are exact
+    even while other threads query the same index.
 
     kNN traversals never emit ``result_add`` inside the structure (the
     bounded heap may evict any accepted neighbor later), so the answer's
@@ -107,21 +109,16 @@ def explain_query(
     """
     if (k is None) == (radius is None):
         raise QueryError("explain_query needs exactly one of k= or radius=")
-    counter = index._counter
-    before = counter.stats
-    transforms_before = index._query_transforms
+    kind, parameter = ("knn", int(k)) if k is not None else ("range", float(radius))
     buffer = EventBuffer(max_events=max_events, sample_every=sample_every)
-    start = perf_counter()
-    with collect_events(buffer):
+    with query_trace(kind, parameter, events=buffer) as trace:
         if k is not None:
-            answer = index.knn_search(query, int(k))
+            answer = index.knn_search(query, parameter)
         else:
-            answer = index.range_search(query, float(radius))
-    seconds = perf_counter() - start
-    after = counter.stats
-    counter_calls = after.calls - before.calls
-    counter_rows = after.batch_rows - before.batch_rows
-    transforms = index._query_transforms - transforms_before
+            answer = index.range_search(query, parameter)
+    counter_calls = trace.scalar_evaluations
+    counter_rows = trace.batched_evaluations
+    transforms = int(index._query_mapper is not None)  # one query, mapped once
     if not buffer.results_added and answer:
         for neighbor in answer:
             buffer.result_add(ROOT, neighbor.index, neighbor.distance)
@@ -134,12 +131,12 @@ def explain_query(
         buffer,
         method=index.method_name or type(index.access_method).__name__,
         model=index.model_name,
-        kind="knn" if k is not None else "range",
-        parameter=float(k if k is not None else radius),
+        kind=kind,
+        parameter=float(parameter),
         counter_calls=counter_calls,
         counter_rows=counter_rows,
         transforms=transforms,
         answer=[(neighbor.index, neighbor.distance) for neighbor in answer],
-        seconds=seconds,
+        seconds=trace.seconds,
         audit=plan_audit,
     )

@@ -18,11 +18,13 @@ package is the common model those measurements flow into:
   aligned-table exporters, plus the benches' ``metrics`` block;
 * :mod:`repro.obs.events` — per-query traversal events (node entries,
   lower-bound checks with actual bound values, prunes, candidate
-  verifications) in a bounded, optionally sampled buffer that is off by
-  default and keeps exact aggregates even when records are dropped;
+  verifications) in a bounded, optionally sampled buffer: the optional
+  ``events`` detail of a query's ``QueryTrace``, allocated only for
+  EXPLAIN, keeping exact aggregates even when records are dropped;
 * :mod:`repro.obs.explain` — assembles the events of one query into an
-  :class:`ExplainPlan` cost tree whose charged totals equal the distance
-  counter exactly, with text/JSON rendering and the Table 2 cost audit;
+  :class:`ExplainPlan` cost tree whose charged totals equal the record's
+  evaluation counts exactly, with text/JSON rendering and the Table 2
+  cost audit;
 * :mod:`repro.obs.context` — request-scoped :class:`TraceContext`
   (trace_id/span_id) carried by every span and log record, propagated
   across thread pools (``contextvars.copy_context``) and process pools
@@ -54,22 +56,7 @@ from .context import (
     new_span_id,
     trace_scope,
 )
-from .events import (
-    EVENT_KINDS,
-    ROOT,
-    EventBuffer,
-    NodeStats,
-    TraversalEvent,
-    collect_events,
-    current_buffer,
-    emit_candidate_verify,
-    emit_charge,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-    events_enabled,
-)
+from .events import EVENT_KINDS, ROOT, EventBuffer, NodeStats, TraversalEvent
 from .explain import (
     CostAudit,
     ExplainNode,
@@ -163,15 +150,6 @@ __all__ = [
     "EventBuffer",
     "NodeStats",
     "TraversalEvent",
-    "collect_events",
-    "current_buffer",
-    "events_enabled",
-    "emit_node_enter",
-    "emit_lb_check",
-    "emit_prune",
-    "emit_candidate_verify",
-    "emit_result_add",
-    "emit_charge",
     "CostAudit",
     "ExplainNode",
     "ExplainPlan",

@@ -1,10 +1,10 @@
 """Structured traversal events: the raw material of query EXPLAIN.
 
-The paper prices every query in *distance computations*; the counters and
-traces say how many were spent, but not *where*.  This module records the
-"where": while an :class:`EventBuffer` is active (a :mod:`contextvars`
-context manager, mirroring :class:`~repro.engine.trace.QueryTrace`), the
-access methods emit structured traversal events —
+The paper prices every query in *distance computations*; a
+:class:`~repro.engine.trace.QueryTrace` says how many were spent, but not
+*where*.  An :class:`EventBuffer` is the record's optional ``events``
+detail that says where: ``explain_query`` attaches one, and every call of
+the record's traversal vocabulary then also lands here —
 
 * ``node_enter`` — a tree node's entries are about to be examined;
 * ``lb_check`` — a cheap lower-bound test, with the **actual bound and
@@ -14,66 +14,42 @@ access methods emit structured traversal events —
 * ``candidate_verify`` — an object verified with a real distance;
 * ``result_add`` — an object added to the answer set;
 
-and the :class:`~repro.mam.base.DistancePort` emits a charge record for
-every logical distance evaluation it counts.
+plus a charge for every logical distance evaluation the
+:class:`~repro.mam.base.DistancePort` counts, attributed to the node
+being scanned.
 
 Two guarantees shape the design:
 
-1. **Off by default, zero interference.**  With no buffer active every
-   emit helper is a single ``ContextVar.get`` returning immediately, so
-   query answers and all counters stay bit-identical to a build without
-   this module (the NullRegistry guarantee extended to events).
+1. **Allocated only for EXPLAIN.**  A record without a buffer runs the
+   same traversal code and skips the detail behind one attribute test,
+   so query answers and all counts are identical with and without it.
 2. **Exact totals under bounding.**  The *event record list* is bounded
    (``max_events``) and optionally stride-sampled (``sample_every``) for
    the high-cardinality kinds, but the per-node and global aggregates —
    including the charged scalar/batched evaluation split — are updated
-   unconditionally.  ExplainPlan totals therefore equal the
-   :class:`~repro.distances.base.CountingDistance` counters exactly no
-   matter how small the buffer is.
+   unconditionally.  ExplainPlan totals therefore equal the record's
+   evaluation counts exactly no matter how small the buffer is.
 
-Layering: this module imports nothing from :mod:`repro.mam`,
-:mod:`repro.models` or anywhere else in the library (enforced by the
-TID251 ban on ``repro.obs`` importing mam/models); the access methods
-import *it*.
+Layering: this module imports nothing from the rest of the library
+(enforced by the TID251 ban on ``repro.obs`` importing mam/models);
+:mod:`repro.engine.trace` imports *it*.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
-__all__ = [
-    "EVENT_KINDS",
-    "ROOT",
-    "TraversalEvent",
-    "NodeStats",
-    "EventBuffer",
-    "collect_events",
-    "current_buffer",
-    "events_enabled",
-    "emit_node_enter",
-    "emit_lb_check",
-    "emit_prune",
-    "emit_candidate_verify",
-    "emit_result_add",
-    "emit_charge",
-]
+__all__ = ["EVENT_KINDS", "ROOT", "TraversalEvent", "NodeStats", "EventBuffer"]
 
 #: The event vocabulary, in emission-site order.
 EVENT_KINDS = ("node_enter", "lb_check", "prune", "candidate_verify", "result_add")
 
 #: Pseudo-token for "no node": the parent of top-level nodes, the owner of
 #: work done before any node is entered (e.g. the pivot table's query-to-
-#: pivot distances), and the return value of the emit helpers when no
-#: buffer is active.
+#: pivot distances), and what ``QueryTrace.visit`` returns when the record
+#: collects no detail.
 ROOT = -1
-
-_ACTIVE_BUFFER: contextvars.ContextVar["EventBuffer | None"] = contextvars.ContextVar(
-    "repro_active_event_buffer", default=None
-)
 
 _NAN = float("nan")
 
@@ -347,10 +323,9 @@ class EventBuffer:
     def charge(self, calls: int = 0, rows: int = 0) -> None:
         """Logical distance evaluations charged while :attr:`current` runs.
 
-        Called from the :class:`~repro.mam.base.DistancePort` charging
-        paths, i.e. at exactly the sites where the
-        :class:`~repro.distances.base.CountingDistance` counts — which is
-        what makes the explain totals equal the counter exactly.
+        Called by ``QueryTrace.charge`` with the very numbers it adds to
+        the record — which is what makes the explain totals equal the
+        record's (and so the counter's) evaluation counts exactly.
         """
         if not (calls or rows):
             return
@@ -383,89 +358,3 @@ class EventBuffer:
             for ev in self.events
             if ev.node == token and (kinds is None or ev.kind in kinds)
         ]
-
-
-def current_buffer() -> "EventBuffer | None":
-    """The buffer collecting this context's traversal events, if any."""
-    return _ACTIVE_BUFFER.get()
-
-
-def events_enabled() -> bool:
-    """Whether an event buffer is active in this context.
-
-    Access methods use this to skip building per-entry bound values that
-    only exist for event emission — keeping the disabled hot path free of
-    any extra arithmetic.
-    """
-    return _ACTIVE_BUFFER.get() is not None
-
-
-@contextmanager
-def collect_events(buffer: "EventBuffer | None") -> Iterator["EventBuffer | None"]:
-    """Make *buffer* the active event sink for the duration of the block.
-
-    Passing ``None`` is a no-op, so call sites need no branching.
-    """
-    if buffer is None:
-        yield None
-        return
-    token = _ACTIVE_BUFFER.set(buffer)
-    try:
-        yield buffer
-    finally:
-        _ACTIVE_BUFFER.reset(token)
-
-
-# ----------------------------------------------------------------------
-# emit helpers — each is a single ContextVar.get when no buffer is active
-# ----------------------------------------------------------------------
-
-def emit_node_enter(parent: int = ROOT, label: str = "") -> int:
-    """Allocate and return a node token (:data:`ROOT` when disabled)."""
-    buf = _ACTIVE_BUFFER.get()
-    if buf is None:
-        return ROOT
-    return buf.enter_node(parent, label)
-
-
-def emit_lb_check(
-    node: int,
-    value: float,
-    threshold: float,
-    *,
-    pruned: bool,
-    count: int = 1,
-    label: str = "",
-) -> None:
-    """Record a lower-bound test: ``value`` vs ``threshold`` → *pruned*."""
-    buf = _ACTIVE_BUFFER.get()
-    if buf is not None:
-        buf.lb_check(node, value, threshold, pruned=pruned, count=count, label=label)
-
-
-def emit_prune(node: int, count: int = 1, label: str = "") -> None:
-    """Record *count* subtrees discarded by a cheap lower bound."""
-    buf = _ACTIVE_BUFFER.get()
-    if buf is not None:
-        buf.prune(node, count, label)
-
-
-def emit_candidate_verify(node: int, index: int, distance: float, count: int = 1) -> None:
-    """Record an object verified with a real distance evaluation."""
-    buf = _ACTIVE_BUFFER.get()
-    if buf is not None:
-        buf.candidate_verify(node, index, distance, count)
-
-
-def emit_result_add(node: int, index: int, distance: float) -> None:
-    """Record an object entering the answer set."""
-    buf = _ACTIVE_BUFFER.get()
-    if buf is not None:
-        buf.result_add(node, index, distance)
-
-
-def emit_charge(calls: int = 0, rows: int = 0) -> None:
-    """Record logical distance evaluations (the DistancePort hook)."""
-    buf = _ACTIVE_BUFFER.get()
-    if buf is not None:
-        buf.charge(calls, rows)

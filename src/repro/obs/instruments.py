@@ -1,16 +1,16 @@
 """Adapters funneling the library's existing telemetry sinks into a registry.
 
-The library already measures everything the paper's tables need — but in
-four unrelated sinks: :class:`~repro.distances.base.CountingDistance`
-counts evaluations, :class:`~repro.engine.trace.QueryTrace` records
-per-query filter/candidate outcomes, :class:`~repro.storage.cache
-.CacheStats` tracks page hits/faults, and the cholesky cache keeps its
-own hit/miss pair.  The adapters here translate each sink into the
-common instrument model without this package importing any of them:
-every adapter is duck-typed against the sink's public attributes, so
-:mod:`repro.obs` stays import-free of :mod:`repro.mam`,
-:mod:`repro.models`, :mod:`repro.engine` and :mod:`repro.storage`
-(the layering rule mirrored from :mod:`repro.engine.trace`).
+The library already measures everything the paper's tables need — in
+four sources: :class:`~repro.engine.trace.QueryTrace` is each query's
+cost record (evaluations, filter/candidate outcomes, node visits),
+:class:`~repro.distances.base.CountingDistance` is their running total
+per model, :class:`~repro.storage.cache.CacheStats` tracks page
+hits/faults, and the cholesky cache keeps its own hit/miss pair.  The
+adapters here translate each source into the common instrument model
+without this package importing any of them: every adapter is duck-typed
+against the source's public attributes, so :mod:`repro.obs` stays
+import-free of :mod:`repro.mam`, :mod:`repro.models`,
+:mod:`repro.engine` and :mod:`repro.storage`.
 
 Metric names follow Prometheus conventions (``*_total`` for counters);
 ``docs/api_guide.md`` maps them onto the paper's Table 1/2 columns.
@@ -104,17 +104,15 @@ class DistanceInstrument:
         self._method = method
         self._baselines: dict[int, tuple[int, int]] = {}
 
-    def sync(self, registry: MetricsRegistry | None = None) -> int:
+    def sync(self, registry: MetricsRegistry | None = None) -> None:
         """Charge evaluations made since the previous sync (or rebase).
 
-        Returns the total evaluations charged (scalar calls + batched
-        rows) so callers — e.g. the live rate board — can reuse the
-        exact delta without re-reading the source.  Returns 0 when the
-        registry is disabled.
+        The delta feeds the cumulative counter only; anything reported
+        *per query* comes from that query's own ``QueryTrace``.
         """
         reg = _registry(registry)
         if not reg.enabled:
-            return 0
+            return
         stats = self._source.stats
         calls, rows = int(stats.calls), int(stats.batch_rows)
         base_calls, base_rows = self._baselines.get(id(reg), (0, 0))
@@ -133,7 +131,6 @@ class DistanceInstrument:
             counter.inc(delta_calls, kind="scalar", **labels)
         if delta_rows:
             counter.inc(delta_rows, kind="batched", **labels)
-        return delta_calls + delta_rows
 
     def rebase(self) -> None:
         """Re-anchor all baselines at the source's current snapshot."""

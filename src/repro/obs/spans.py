@@ -3,8 +3,8 @@
 A span prices one *phase* of work — ``span("build/pivot-selection")``,
 ``span("query/refine")`` — the wall-time counterpart of the paper's
 distance-computation accounting.  Spans nest through a
-:mod:`contextvars` stack (the same propagation scheme as
-:class:`~repro.engine.trace.TracingPort`), so concurrently executing
+:mod:`contextvars` stack (the same propagation scheme as the open
+:class:`~repro.engine.trace.QueryTrace`), so concurrently executing
 queries each time their own phases without locking, and a span opened
 inside another records its parent and depth.
 

@@ -3,25 +3,18 @@
 Two layers:
 
 * :mod:`~repro.persistence.artifacts` — the original flat ``.npz``
-  artifact store (QMap matrices, workloads, transformed databases), with
-  the historical ``save_pivot_table``/``load_pivot_table`` entry points
-  kept as shims.
+  artifact store (QMap matrices, workloads, transformed databases).
 * :mod:`~repro.persistence.snapshots` — versioned structural snapshots
   of *every* registered MAM and SAM through a per-method codec registry:
   ``save_index``/``load_index`` round-trip any built index bit-identically
   with zero distance computations on load.
-
-Everything importable from the old flat ``repro.persistence`` module
-remains importable from here.
 """
 
 from ._paths import NPZ_SUFFIX, normalize_npz_path
 from .artifacts import (
-    load_pivot_table,
     load_qmap,
     load_transformed_database,
     load_workload,
-    save_pivot_table,
     save_qmap,
     save_transformed_database,
     save_workload,
@@ -46,15 +39,13 @@ from .format import (
 from .snapshots import load_index, save_index
 
 __all__ = [
-    # legacy artifact API
+    # flat artifact API
     "save_qmap",
     "load_qmap",
     "save_workload",
     "load_workload",
     "save_transformed_database",
     "load_transformed_database",
-    "save_pivot_table",
-    "load_pivot_table",
     # snapshot API
     "save_index",
     "load_index",

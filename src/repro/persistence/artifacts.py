@@ -9,15 +9,12 @@ A production deployment of the QMap model stores, between sessions:
 
 All artifacts are ``.npz`` archives with a ``kind`` marker and explicit
 named arrays — no pickling of code objects.  Index structures are handled
-by the snapshot layer (:mod:`repro.persistence.snapshots`); the pivot
-table save/load functions here are backward-compatible shims over it.
+by the snapshot layer (:mod:`repro.persistence.snapshots`).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -26,18 +23,13 @@ from ..core.qmap import QMap
 from ..core.validation import PDRepair
 from ..datasets.workloads import Workload
 from ..exceptions import StorageError
-from ..mam.base import DistancePort
-from ..mam.pivot_table import PivotTable
 from ._paths import normalize_npz_path
-from .format import SNAPSHOT_KIND, check_kind, read_snapshot
-from .snapshots import load_index, save_index
+from .format import check_kind
 
 __all__ = [
-    "load_pivot_table",
     "load_qmap",
     "load_transformed_database",
     "load_workload",
-    "save_pivot_table",
     "save_qmap",
     "save_transformed_database",
     "save_workload",
@@ -145,66 +137,3 @@ def load_transformed_database(
         if not np.allclose(qmap.transform(database[i]), mapped[i], rtol=1e-9, atol=1e-9):
             raise StorageError(f"{path!s}: stored mapping disagrees with the matrix")
     return qmap, database, mapped
-
-
-def save_pivot_table(table: PivotTable, path: "str | os.PathLike[str]") -> None:
-    """Persist a LAESA pivot table.
-
-    .. deprecated::
-        Thin shim over :func:`repro.persistence.save_index`, which works
-        for every registered access method; new archives are written in
-        the index-snapshot format (still pickle-free ``.npz``).
-    """
-    warnings.warn(
-        "save_pivot_table is deprecated; use repro.persistence.save_index",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    save_index(table, path)
-
-
-def load_pivot_table(
-    path: "str | os.PathLike[str]", distance: DistancePort | Callable
-) -> PivotTable:
-    """Load a pivot table saved by :func:`save_pivot_table`.
-
-    Reads both the current index-snapshot format and the legacy
-    ``kind="pivot-table"`` archives.  *distance* must be the same function
-    the table was built with; a sample entry is re-evaluated to catch
-    obvious mismatches.
-
-    .. deprecated::
-        Thin shim over :func:`repro.persistence.load_index`.
-    """
-    warnings.warn(
-        "load_pivot_table is deprecated; use repro.persistence.load_index",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    target = normalize_npz_path(path)
-    with np.load(target) as archive:
-        kind = str(archive["kind"]) if "kind" in archive else "<missing>"
-        if kind == "pivot-table":
-            instance = PivotTable.from_parts(
-                archive["database"],
-                distance,
-                [int(i) for i in archive["pivot_indices"]],
-                archive["table"],
-            )
-        elif kind != SNAPSHOT_KIND:
-            raise StorageError(
-                f"{path!s} holds a {kind!r} artifact, expected 'pivot-table'"
-            )
-    if kind == SNAPSHOT_KIND:
-        snapshot = read_snapshot(target)
-        if snapshot.method != "pivot-table":
-            raise StorageError(
-                f"{path!s} holds a {snapshot.method!r} index snapshot, "
-                "expected 'pivot-table'"
-            )
-        instance = load_index(snapshot, distance, verify=False)
-    try:
-        instance._verify_state_probe()
-    except StorageError as exc:
-        raise StorageError(f"{path!s}: {exc}") from None
-    return instance  # type: ignore[return-value]

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .._typing import ArrayLike
+from ..engine.trace import current_trace
 from ..exceptions import QueryError, StorageError
 from ..mam.base import (
     AccessMethod,
@@ -361,6 +362,7 @@ class RTree(AccessMethod):
     # ------------------------------------------------------------------
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        trace = current_trace()
         out: list[Neighbor] = []
         stack = [self._root]
         while stack:
@@ -368,7 +370,7 @@ class RTree(AccessMethod):
             if _mindist(query, node.lower, node.upper, self._p) > radius:
                 continue
             if node.is_leaf:
-                dists = self._port.many(query, self._data[node.indices])
+                dists = self._port.many(query, self._data[node.indices], trace)
                 for idx, dist in zip(node.indices, dists):
                     if dist <= radius:
                         out.append(Neighbor(float(dist), int(idx)))
@@ -377,6 +379,7 @@ class RTree(AccessMethod):
         return out
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
+        trace = current_trace()
         heap = _KnnHeap(k)
         counter = itertools.count()
         queue: list[tuple[float, int, _RNode]] = [(0.0, next(counter), self._root)]
@@ -385,7 +388,7 @@ class RTree(AccessMethod):
             if dmin > heap.radius:
                 break
             if node.is_leaf:
-                dists = self._port.many(query, self._data[node.indices])
+                dists = self._port.many(query, self._data[node.indices], trace)
                 for idx, dist in zip(node.indices, dists):
                     heap.offer(float(dist), int(idx))
             else:

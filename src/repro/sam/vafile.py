@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .._typing import ArrayLike
+from ..engine.trace import current_trace
 from ..exceptions import QueryError, StorageError
 from ..mam.base import (
     AccessMethod,
@@ -204,6 +205,7 @@ class VAFile(AccessMethod):
         return lower, upper
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        trace = current_trace()
         lower, upper = self._bounds(query)
         out: list[Neighbor] = []
         certain = np.flatnonzero(upper <= radius)
@@ -212,7 +214,7 @@ class VAFile(AccessMethod):
         for group in (certain, maybe):
             if group.size == 0:
                 continue
-            dists = self._port.many(query, self._data[group])
+            dists = self._port.many(query, self._data[group], trace)
             for idx, dist in zip(group, dists):
                 if dist <= radius:
                     out.append(Neighbor(float(dist), int(idx)))
@@ -226,10 +228,11 @@ class VAFile(AccessMethod):
         # Phase 2: refine candidates in ascending lower-bound order.
         order = candidates[np.argsort(lower[candidates], kind="stable")]
         heap = _KnnHeap(k)
+        trace = current_trace()
         for idx in order:
             if lower[idx] > heap.radius:
                 break
-            heap.offer(self._port.pair(query, self._data[idx]), int(idx))
+            heap.offer(self._port.pair(query, self._data[idx], trace), int(idx))
         return heap.neighbors()
 
     def candidate_ratio(self, query: ArrayLike, k: int) -> float:

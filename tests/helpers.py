@@ -2,11 +2,39 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+import sys
+import threading
+from typing import Callable, Sequence
 
 from repro.mam.base import Neighbor
 
-__all__ = ["assert_same_neighbors", "same_neighbors"]
+__all__ = ["assert_same_neighbors", "run_together", "same_neighbors"]
+
+
+def run_together(*targets: Callable[[], None]) -> None:
+    """Run the targets in threads of their own, released at once.
+
+    The interpreter's switch interval is shortened for the duration, so
+    the threads interleave finely enough for a lost update or a shared
+    mutation to show; every join is time-bounded and completion asserted.
+    """
+    barrier = threading.Barrier(len(targets))
+
+    def released(target: Callable[[], None]) -> None:
+        barrier.wait(timeout=30)
+        target()
+
+    threads = [threading.Thread(target=released, args=(t,)) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def same_neighbors(

@@ -11,8 +11,9 @@ sink and index state the library offers and records what each sink saw:
 * operations: kNN, range, and for the in-RAM tree ``epsilon > 0`` kNN and
   a ``nearest_iter`` prefix;
 * sinks: none (``CountingDistance`` split), ``TraceCollector``
-  (``QueryTrace`` fields), an EXPLAIN ``EventBuffer`` (per-node charged
-  totals and aggregates) and registry + JSON logger (exported values).
+  (``QueryTrace`` fields), a record with the EXPLAIN ``EventBuffer``
+  attached (per-node charged totals and aggregates) and registry + JSON
+  logger (exported values).
 
 ``tests/fixtures/mtree_parity.json`` was generated from the commit *before*
 the array scan (per-entry loops); :mod:`tests.test_mtree_parity` replays
@@ -36,10 +37,10 @@ from itertools import islice
 from pathlib import Path
 
 from repro.datasets import histogram_workload
-from repro.engine.trace import TraceCollector
+from repro.engine.trace import TraceCollector, query_trace
 from repro.models import QFDModel, QMapModel, load_built_index
 from repro.obs import JsonLinesLogger, MetricsRegistry, use_logger, use_registry
-from repro.obs.events import ROOT, EventBuffer, collect_events
+from repro.obs.events import ROOT, EventBuffer
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "mtree_parity.json"
 
@@ -95,7 +96,7 @@ def _split(built, run) -> tuple[list[int], object]:
 
 def _explain(built, run) -> tuple[dict, object]:
     buffer = EventBuffer()
-    with collect_events(buffer):
+    with query_trace("", 0.0, events=buffer):
         answer = run()
     nodes = [
         [

@@ -274,6 +274,36 @@ class TestInsertStorage:
         assert len(index.knn_search(workload.queries[0], 5)) == 5
         assert index.access_method.distance._norms is None
 
+    def test_qfd_row_norms_wait_for_their_first_reader(
+        self, workload, monkeypatch, tmp_path
+    ) -> None:
+        """The plain QFD scan never reads the ``vAv^T`` norms, so neither a
+        build, an insert nor a restore computes them; the blocked scan
+        does read them, once, at its first query."""
+        from repro.kernels.kernels import QFDKernel
+        from repro.models import load_built_index
+
+        computed: list[int] = []
+        row_norms = QFDKernel.row_norms
+        monkeypatch.setattr(
+            QFDKernel,
+            "row_norms",
+            lambda self, rows: (computed.append(len(rows)), row_norms(self, rows))[1],
+        )
+        model = QFDModel(workload.matrix)
+        plain = model.build_index("sequential", workload.database[:100])
+        plain.insert(workload.database[100])
+        restored = load_built_index(plain.save(tmp_path / "scan.npz"))
+        want = [plain.knn_search(q, 5) for q in workload.queries]
+        for q, neighbors in zip(workload.queries, want):
+            assert_same_neighbors(restored.knn_search(q, 5), neighbors)
+        assert computed == []
+        blocked = model.build_index("sequential", workload.database[:101], block_rows=16)
+        assert computed == []
+        for q, neighbors in zip(workload.queries, want):
+            assert_same_neighbors(blocked.knn_search(q, 5), neighbors)
+        assert computed == [101]
+
     def test_restored_tree_takes_inserts_and_bulk_helpers(self, workload) -> None:
         """Regression: ``MTree._entry_rows`` was set only in ``__init__`` —
         missing after ``from_state`` and stale after any insert."""

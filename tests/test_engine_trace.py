@@ -9,10 +9,13 @@ The central claims verified here:
   :class:`CountingDistance` wrapper the models already use, so the two
   cost accounts can never drift apart;
 * the contextvars plumbing attributes evaluations to the right query
-  even when queries run concurrently in worker threads.
+  even when queries run concurrently in worker threads — including two
+  traced batches at once on one index, which shares nothing per query.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,13 +25,14 @@ from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.engine import (
     QueryTrace,
     TraceCollector,
-    TracingPort,
     activate_trace,
     current_trace,
-    record_candidates,
-    record_filter,
+    query_trace,
 )
+from repro.engine.trace import fold_into
 from repro.mam import DistancePort, PivotTable, SequentialFile
+
+from .helpers import run_together
 
 N_PIVOTS = 8
 
@@ -105,19 +109,65 @@ class TestTracesAgreeWithCounters:
             assert trace.candidates == am.size
         assert collector.summary().distance_evaluations == counter.count
 
-    def test_untraced_batch_leaves_port_untouched(self, workload) -> None:
+    def test_batch_leaves_port_untouched(self, workload) -> None:
         am = SequentialFile(workload.database, euclidean)
-        port_before = am._port
-        am.knn_search_batch(workload.queries, 3, executor="thread", workers=2)
-        assert am._port is port_before
-        assert not isinstance(am._port, TracingPort)
+        port_before = am.distance
+        am.knn_search_batch(
+            workload.queries, 3, executor="thread", workers=2, collector=TraceCollector()
+        )
+        assert am.distance is port_before
+
+
+#: Every count a summary carries; its remaining fields are wall times.
+_COUNT_FIELDS = [
+    f.name for f in dataclasses.fields(TraceCollector().summary()) if "seconds" not in f.name
+]
+
+
+class TestConcurrentTracedBatches:
+    """Two traced batches at once on one index see their own costs only.
+
+    Regression: tracing used to swap a wrapper onto the shared index
+    (``am._port = TracingPort(...)``); two concurrent batches nested their
+    wrappers, each trace was charged twice, and one wrapper usually stayed
+    installed for good.
+    """
+
+    def test_each_collector_equals_the_serial_one(self) -> None:
+        work = histogram_workload(600, 40, bins_per_channel=2, seed=7)
+        port, counter = _counting_port()
+        am = PivotTable(work.database, port, n_pivots=N_PIVOTS, rng=np.random.default_rng(3))
+        serial = TraceCollector()
+        am.knn_search_batch(work.queries, 10, collector=serial)
+        want = [getattr(serial.summary(), name) for name in _COUNT_FIELDS]
+        counter.reset()
+
+        collectors = [TraceCollector(), TraceCollector()]
+        finished: list[TraceCollector] = []
+        seen_ports: list[object] = []
+
+        def batches(collector: TraceCollector) -> None:
+            try:
+                for _ in range(3):
+                    am.knn_search_batch(work.queries, 10, collector=collector)
+            finally:
+                finished.append(collector)
+
+        def watch() -> None:
+            while len(finished) < len(collectors):
+                seen_ports.append(am.distance)
+
+        run_together(*[lambda c=c: batches(c) for c in collectors], watch)
+        assert seen_ports and all(p is port for p in seen_ports)
+        assert am.distance is port
+        for collector in collectors:
+            summary = collector.summary()
+            got = [getattr(summary, name) for name in _COUNT_FIELDS]
+            assert got == [3 * value for value in want]
+        assert counter.count == 6 * serial.summary().distance_evaluations
 
 
 class TestTracePlumbing:
-    def test_activate_none_is_noop(self) -> None:
-        with activate_trace(None):
-            assert current_trace() is None
-
     def test_activate_restores_previous(self) -> None:
         outer, inner = QueryTrace(query_index=0), QueryTrace(query_index=1)
         with activate_trace(outer):
@@ -126,22 +176,57 @@ class TestTracePlumbing:
             assert current_trace() is outer
         assert current_trace() is None
 
-    def test_record_hooks_without_trace_are_noops(self) -> None:
-        record_filter(10, 3)
-        record_candidates(5)  # must not raise
-
-    def test_tracing_port_forwards_and_charges(self) -> None:
-        port, counter = _counting_port()
-        tracing = TracingPort(port)
+    def test_activate_accumulates_wall_time(self) -> None:
         trace = QueryTrace()
-        u, rows = np.zeros(4), np.ones((3, 4))
         with activate_trace(trace):
-            tracing.pair(u, rows[0])
-            tracing.many(u, rows)
-        assert (trace.scalar_evaluations, trace.batched_evaluations) == (1, 3)
-        assert counter.count == 4  # inner counter still sees everything
-        assert tracing.inner is port
-        assert tracing.raw is port.raw
+            pass
+        first = trace.seconds
+        with activate_trace(trace):
+            pass
+        assert trace.seconds > first > 0.0
+
+    def test_query_trace_opens_then_joins(self) -> None:
+        collector = TraceCollector()
+        with query_trace("knn", 3, query_index=4, collector=collector) as outer:
+            assert current_trace() is outer
+            with query_trace("range", 0.5, collector=collector) as inner:
+                assert inner is outer  # the outermost layer's record is reused
+        assert current_trace() is None
+        assert [(t.query_index, t.kind, t.parameter) for t in collector.traces] == [
+            (4, "knn", 3.0)
+        ]
+
+    def test_port_charges_the_open_record_not_the_counter(self) -> None:
+        port, counter = _counting_port()
+        u, rows = np.zeros(4), np.ones((3, 4))
+        with query_trace("knn", 1) as trace:
+            port.pair(u, rows[0])
+            port.many(u, rows, trace)  # an explicit record spares the lookup
+            port.charge(calls=2)
+        assert (trace.scalar_evaluations, trace.batched_evaluations) == (3, 3)
+        assert counter.count == 0  # nothing shared was touched while it ran
+        fold_into(counter, (trace,))
+        assert (counter.stats.calls, counter.stats.batch_rows) == (3, 3)
+
+    def test_port_without_an_open_record_charges_the_counter(self) -> None:
+        port, counter = _counting_port()
+        u, rows = np.zeros(4), np.ones((3, 4))
+        port.pair(u, rows[0])
+        port.many(u, rows)
+        assert (counter.stats.calls, counter.stats.batch_rows) == (1, 3)
+
+    def test_a_raising_query_is_still_accounted(self, workload) -> None:
+        port, counter = _counting_port()
+        am = SequentialFile(workload.database, port)
+        counter.reset()
+
+        def boom(result):
+            raise RuntimeError("after the scan")
+
+        am._knn_search, search = (lambda q, k: boom(search(q, k))), am._knn_search
+        with pytest.raises(RuntimeError):
+            am.knn_search(workload.queries[0], 3)
+        assert counter.count == am.size
 
     def test_collector_orders_and_summarizes(self) -> None:
         collector = TraceCollector()

@@ -4,9 +4,10 @@
 :mod:`tests.mtree_parity_recipe`, what each sink saw on the commit *before*
 the per-entry loops were replaced by one shared array scan.  Replaying the
 recipe must reproduce it exactly, with every answer equal to the sequential
-scan's.  The other classes pin the edges the matrix cannot: exact ties and
-self-queries at the ``prune_slack`` boundary, and the O(1) accounting of a
-query with all sinks off.
+scan's.  The other class pins the edges the matrix cannot: exact ties and
+self-queries at the ``prune_slack`` boundary.  (The O(1) accounting of a
+query with all sinks off is guarded for every method at once in
+:mod:`tests.test_accounting_parity`.)
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.distances import CountingDistance, euclidean
-from repro.engine import trace as engine_trace
+from repro.distances import euclidean
 from repro.mam import MTree, PagedMTree, SequentialFile
 from repro.models import QFDModel, QMapModel
-from repro.obs import events as obs_events
 
 from .helpers import assert_same_neighbors
 from .mtree_parity_recipe import (
@@ -148,56 +147,3 @@ class TestTiesAndSelfQueries:
                 nearest = tree.knn_search(q, 12)
                 inside = tree.range_search(q, nearest[-1].distance)
                 assert inside == nearest, f"{type(tree).__name__} boundary range"
-
-
-class _CountingVar:
-    """Stands in for a module-level ``ContextVar``, counting ``get`` calls."""
-
-    def __init__(self, var) -> None:
-        self._var = var
-        self.gets = 0
-
-    def get(self):
-        self.gets += 1
-        return self._var.get()
-
-    def set(self, value):
-        return self._var.set(value)
-
-    def reset(self, token) -> None:
-        self._var.reset(token)
-
-
-class TestAccountingIsPerQuery:
-    """With sinks off a query costs O(1) charges and ContextVar lookups —
-    not one per entry, however many evaluations it decides."""
-
-    @pytest.mark.parametrize("kind", ["knn", "range"])
-    def test_constant_charges_and_lookups(self, kind, monkeypatch) -> None:
-        rng = np.random.default_rng(11)
-        data = rng.uniform(0.0, 1.0, size=(600, 8))
-        q = rng.uniform(0.0, 1.0, size=8)
-        for tree in _trees(data, CountingDistance(euclidean)):
-            port = tree.distance
-            charges: list[dict] = []
-            charge = port.charge
-            monkeypatch.setattr(
-                port, "charge", lambda **kw: (charges.append(kw), charge(**kw))[1]
-            )
-            trace_var = _CountingVar(engine_trace._ACTIVE_TRACE)
-            buffer_var = _CountingVar(obs_events._ACTIVE_BUFFER)
-            monkeypatch.setattr(engine_trace, "_ACTIVE_TRACE", trace_var)
-            monkeypatch.setattr(obs_events, "_ACTIVE_BUFFER", buffer_var)
-            before = port.raw.stats
-            if kind == "knn":
-                tree.knn_search(q, 10)
-            else:
-                tree.range_search(q, 0.35)
-            after = port.raw.stats
-            evaluations = after.calls - before.calls
-            assert evaluations > 60, "the query must be worth counting"
-            assert after.batch_rows == before.batch_rows
-            assert [c for c in charges if any(c.values())] == [{"calls": evaluations}]
-            assert len(charges) == 1
-            assert trace_var.gets + buffer_var.gets <= 6
-            monkeypatch.undo()

@@ -1,9 +1,11 @@
-"""Unit tests for the traversal event buffer (repro.obs.events).
+"""Unit tests for the traversal event buffer (repro.obs.events) and for
+the ``QueryTrace`` vocabulary that feeds it.
 
 The two design guarantees under test:
 
-1. off by default — with no buffer active every emit helper is a no-op
-   returning immediately (``emit_node_enter`` hands back :data:`ROOT`);
+1. allocated only for EXPLAIN — a record without the ``events`` detail
+   takes the same vocabulary calls, counts what it always counts, and
+   skips the detail (``visit`` hands back :data:`ROOT`);
 2. exact totals under bounding — ``max_events`` caps and
    ``sample_every`` thins the *recorded* event list only, while the
    per-node and global aggregates stay exact.
@@ -15,57 +17,72 @@ import math
 
 import pytest
 
-from repro.obs import (
-    ROOT,
-    EventBuffer,
-    TraversalEvent,
-    collect_events,
-    current_buffer,
-    emit_candidate_verify,
-    emit_charge,
-    emit_lb_check,
-    emit_node_enter,
-    emit_prune,
-    emit_result_add,
-    events_enabled,
-)
+from repro.engine.trace import QueryTrace, current_trace, query_trace
+from repro.obs import ROOT, EventBuffer, TraversalEvent
 
 
-class TestDisabledEmission:
-    def test_no_buffer_active_by_default(self) -> None:
-        assert current_buffer() is None
-        assert not events_enabled()
+def _detailed(**bounds) -> tuple[QueryTrace, EventBuffer]:
+    """A record with an event buffer attached, as EXPLAIN opens one."""
+    trace, buffer = QueryTrace(), EventBuffer(**bounds)
+    trace.events = buffer
+    return trace, buffer
 
-    def test_emit_helpers_are_noops_when_disabled(self) -> None:
-        # Must not raise, must not allocate: node_enter returns ROOT so
-        # call sites can thread the token through unconditionally.
-        assert emit_node_enter(ROOT, "leaf") == ROOT
-        emit_lb_check(ROOT, 0.5, 1.0, pruned=False)
-        emit_prune(ROOT, 3)
-        emit_candidate_verify(ROOT, 7, 0.25)
-        emit_result_add(ROOT, 7, 0.25)
-        emit_charge(calls=1, rows=10)
-        assert current_buffer() is None
 
-    def test_collect_events_none_is_a_noop(self) -> None:
-        with collect_events(None) as buf:
-            assert buf is None
-            assert not events_enabled()
+class TestRecordVocabulary:
+    def test_a_plain_record_carries_no_detail(self) -> None:
+        trace = QueryTrace()
+        assert trace.events is None
+        assert "events" not in vars(trace)  # pickles and exports scalars only
 
-    def test_collect_events_activates_and_restores(self) -> None:
+    def test_without_detail_the_vocabulary_only_counts(self) -> None:
+        # Must not raise, must not allocate: visit returns ROOT so call
+        # sites can thread the token through unconditionally.
+        trace = QueryTrace()
+        assert trace.visit(ROOT, "leaf") == ROOT
+        assert trace.visit(ROOT, "scan", count=0) == ROOT
+        trace.lb_check(ROOT, 0.5, 1.0, pruned=False)
+        trace.prune(ROOT, 3)
+        trace.filter(10, 4)
+        trace.refine(4)
+        trace.verify(ROOT, 7, 0.25)
+        trace.result(ROOT, 7, 0.25)
+        trace.charge(calls=1, rows=10)
+        assert trace == QueryTrace(
+            scalar_evaluations=1, batched_evaluations=10, filter_checked=10,
+            filter_hits=4, candidates=4, nodes_visited=1, nodes_pruned=3,
+        )
+        assert trace.events is None
+
+    def test_with_detail_one_call_feeds_record_and_buffer(self) -> None:
+        trace, buf = _detailed()
+        trace.charge(calls=2)  # before any node: the detail charges ROOT
+        tok = trace.visit(ROOT, "leaf")
+        stage = trace.visit(tok, "refine", count=0)
+        trace.lb_check(stage, 0.7, 0.5, pruned=True, label="pivot-linf")
+        trace.prune(stage, 2, "pivot-linf")
+        trace.verify(stage, 3, 0.1)
+        trace.result(stage, 3, 0.1)
+        trace.charge(rows=5)
+        assert (tok, stage) == (0, 1)
+        assert (trace.nodes_visited, buf.nodes_entered) == (1, 2)
+        assert (trace.nodes_pruned, buf.pruned) == (2, 2)
+        assert (buf.lb_checks, buf.candidates_verified, buf.results_added) == (1, 1, 1)
+        assert (trace.scalar_evaluations, trace.batched_evaluations) == (2, 5)
+        assert (buf.nodes[ROOT].charged_calls, buf.nodes[stage].charged_rows) == (2, 5)
+        assert trace.candidates == 0  # refine() counts candidates, verify() is detail
+
+    def test_query_trace_attaches_the_detail_and_restores(self) -> None:
         buffer = EventBuffer()
-        with collect_events(buffer) as active:
-            assert active is buffer
-            assert current_buffer() is buffer
-            assert events_enabled()
-        assert current_buffer() is None
+        with query_trace("knn", 3, events=buffer) as trace:
+            assert trace.events is buffer
+            assert current_trace() is trace
+        assert current_trace() is None
 
-    def test_collect_events_restores_on_exception(self) -> None:
-        buffer = EventBuffer()
+    def test_query_trace_restores_on_exception(self) -> None:
         with pytest.raises(RuntimeError):
-            with collect_events(buffer):
+            with query_trace("knn", 3, events=EventBuffer()):
                 raise RuntimeError("boom")
-        assert current_buffer() is None
+        assert current_trace() is None
 
 
 class TestEventBufferRecording:
@@ -148,43 +165,43 @@ class TestBoundingAndSampling:
             EventBuffer(sample_every=0)
 
     def test_aggregates_exact_past_the_event_cap(self) -> None:
-        buf = EventBuffer(max_events=3)
-        tok = buf.enter_node(ROOT, "scan")
+        trace, buf = _detailed(max_events=3)
+        tok = trace.visit(ROOT, "scan")
         for i in range(10):
-            buf.lb_check(tok, float(i), 5.0, pruned=i > 5)
-            buf.charge(calls=1)
+            trace.lb_check(tok, float(i), 5.0, pruned=i > 5)
+            trace.charge(calls=1)
         assert len(buf.events) == 3  # node_enter + first two checks
         assert buf.dropped == 8
         # Aggregates never stopped counting.
         assert buf.lb_checks == 10
         assert buf.nodes[tok].lb_checks == 10
-        assert buf.charged_calls == 10
+        assert buf.charged_calls == trace.scalar_evaluations == 10
 
     def test_zero_max_events_keeps_exact_aggregates(self) -> None:
-        buf = EventBuffer(max_events=0)
-        tok = buf.enter_node(ROOT, "scan")
-        buf.candidate_verify(tok, 4, 0.5)
-        buf.charge(rows=12)
+        trace, buf = _detailed(max_events=0)
+        tok = trace.visit(ROOT, "scan")
+        trace.verify(tok, 4, 0.5)
+        trace.charge(rows=12)
         assert buf.events == []
         assert buf.dropped == 2
         assert buf.candidates_verified == 1
-        assert buf.charged_rows == 12
+        assert buf.charged_rows == trace.batched_evaluations == 12
 
     def test_stride_sampling_thins_high_cardinality_kinds(self) -> None:
-        buf = EventBuffer(sample_every=3)
-        tok = buf.enter_node(ROOT, "scan")
+        trace, buf = _detailed(sample_every=3)
+        tok = trace.visit(ROOT, "scan")
         for i in range(9):
-            buf.lb_check(tok, float(i), 10.0, pruned=False)
+            trace.lb_check(tok, float(i), 10.0, pruned=False)
         recorded = buf.events_for(tok, kinds=("lb_check",))
         assert len(recorded) == 3  # every 3rd of 9
         assert buf.sampled_out == 6
         assert buf.lb_checks == 9  # aggregate stays exact
 
     def test_structural_kinds_are_never_sampled(self) -> None:
-        buf = EventBuffer(sample_every=100)
-        tok = buf.enter_node(ROOT, "a")
-        buf.prune(tok, 2)
-        buf.result_add(tok, 0, 0.1)
+        trace, buf = _detailed(sample_every=100)
+        tok = trace.visit(ROOT, "a")
+        trace.prune(tok, 2)
+        trace.result(tok, 0, 0.1)
         kinds = [e.kind for e in buf.events]
         assert kinds == ["node_enter", "prune", "result_add"]
 
@@ -245,9 +262,9 @@ class TestPerLabelLowerBoundAggregates:
         assert buf.lb_checks == 1
 
     def test_labels_stay_exact_under_bounding_and_sampling(self) -> None:
-        buf = EventBuffer(max_events=2, sample_every=7)
+        trace, buf = _detailed(max_events=2, sample_every=7)
         for i in range(100):
-            buf.lb_check(ROOT, float(i), 50.0, pruned=i > 50, label="pivot-linf")
+            trace.lb_check(ROOT, float(i), 50.0, pruned=i > 50, label="pivot-linf")
         assert buf.lb_labels["pivot-linf"] == [100, 49]
         assert len(buf.events) <= 2
 

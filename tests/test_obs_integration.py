@@ -9,11 +9,18 @@ Two invariants pin the whole subsystem:
 2. **Non-interference** — with the null registry (the default), the same
    build/query flow charges bit-identical distance counts, which is what
    keeps ``tests/fixtures/count_baseline.json`` valid.
+
+And a third that follows from the single per-query cost record: every
+number reported *per query* is that query's own, also when other threads
+query the same index at the same moment.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -22,16 +29,20 @@ from hypothesis import strategies as st
 
 from repro.core import random_spd_matrix
 from repro.engine import TraceCollector
-from repro.models import QFDModel, QMapModel
+from repro.models import QFDModel, QMapModel, explain_query
 from repro.models.base import MAM_REGISTRY, SAM_REGISTRY
 from repro.obs import (
     NULL_REGISTRY,
+    JsonLinesLogger,
     MetricsRegistry,
     get_registry,
     to_prometheus,
+    use_logger,
     use_registry,
 )
 from repro.obs.instruments import DISTANCE_EVALUATIONS
+
+from .helpers import run_together
 
 #: Small-workload construction arguments per method.
 METHOD_KWARGS: dict[str, dict[str, int]] = {
@@ -233,6 +244,89 @@ class TestNullRegistryNonInterference:
             ]
 
         assert run(False) == run(True)
+
+
+class TestPerQueryNumbersUnderConcurrency:
+    """Per-query numbers come from the query's own record.
+
+    Regression: ``BuiltIndex`` and ``explain_query`` used to read a delta
+    off the shared cumulative counter, so with N threads on one index a
+    ``"query"`` log record (and the ``repro_query_distance_evaluations``
+    histogram, and an EXPLAIN plan) absorbed the other threads'
+    evaluations — logged totals several times the true cost.
+    """
+
+    THREADS = 4
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        rng = np.random.default_rng(23)
+        matrix = random_spd_matrix(8, rng=rng, condition=6.0)
+        built = QMapModel(matrix).build_index(
+            "pivot-table", rng.uniform(0.0, 1.0, size=(500, 8)), n_pivots=6
+        )
+        return built, rng.uniform(0.0, 1.0, size=(10, 8))
+
+    def _serial_costs(self, built, queries) -> list[tuple[int, int]]:
+        costs = []
+        for q in queries:
+            before = built._counter.stats
+            built.knn_search(q, 10)
+            after = built._counter.stats
+            costs.append((after.calls - before.calls, after.batch_rows - before.batch_rows))
+        return costs
+
+    def test_logged_and_observed_evaluations_are_each_querys_own(self, index) -> None:
+        built, queries = index
+        serial = self._serial_costs(built, queries)
+        built.reset_query_costs()
+        registry, stream = MetricsRegistry(), io.StringIO()
+
+        def loop() -> None:
+            for q in queries:
+                built.knn_search(q, 10)
+
+        with JsonLinesLogger(stream) as logger, use_registry(registry), use_logger(logger):
+            run_together(*[loop] * self.THREADS)
+        logged = [
+            (rec["scalar_evaluations"], rec["batched_evaluations"], rec["distance_evaluations"])
+            for rec in map(json.loads, stream.getvalue().splitlines())
+            if rec["event"] == "query"
+        ]
+        assert sorted(logged) == sorted(
+            (calls, rows, calls + rows) for calls, rows in serial * self.THREADS
+        )
+        total = built.query_costs().distance_computations
+        assert sum(rec[2] for rec in logged) == total
+        assert total == self.THREADS * sum(calls + rows for calls, rows in serial)
+        [observed] = [
+            sample.histogram
+            for sample in registry.snapshot()
+            if sample.name == "repro_query_distance_evaluations"
+        ]
+        assert (observed.count, observed.total) == (len(logged), float(total))
+
+    def test_explain_totals_are_the_explained_querys_own(self, index) -> None:
+        built, queries = index
+        want = explain_query(built, queries[0], k=10).to_dict()["totals"]
+        plans: list[dict] = []
+        stop = threading.Event()
+
+        def explain() -> None:
+            try:
+                for _ in range(20):
+                    plans.append(explain_query(built, queries[0], k=10).to_dict()["totals"])
+            finally:
+                stop.set()
+
+        def hammer() -> None:
+            while not stop.is_set():
+                for q in queries:
+                    built.knn_search(q, 10)
+
+        run_together(explain, hammer)
+        assert len(plans) == 20 and all(plan == want for plan in plans)
+        assert want["totals_match"]
 
 
 class TestBatchThroughputMetrics:

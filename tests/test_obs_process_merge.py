@@ -5,8 +5,12 @@ the request-correlation work that is easy to get silently wrong):
 
 * ``--executor process`` batches charge the parent registry's
   ``repro_distance_evaluations_total{phase=query}`` **exactly** — the
-  worker deltas merged on join equal the per-query trace counts summed,
-  for every (model, method) pair, with answers bit-identical to serial;
+  worker records folded in on join equal the per-query trace counts
+  summed, for every (model, method) pair, with answers bit-identical to
+  serial;
+* the model's own counter (``query_costs()``) reads the same under the
+  serial, thread and process executors whatever sinks are on — the
+  paper's cost figure must not depend on observability;
 * worker-side ``query/chunk/*`` spans come back carrying the batch's
   ``trace_id`` and the batch span's id as their parent, and render as
   separate worker-process lanes in the Chrome trace export;
@@ -138,6 +142,45 @@ class TestExactCounterMerge:
             f"{model_name}/{method}: registry mirrors {mirrored}, "
             f"summed worker traces say {trace_total}"
         )
+
+    @pytest.mark.parametrize("sinks", ["off", "collector", "registry+logger"])
+    @pytest.mark.parametrize("chunk_size", [CHUNK, None], ids=["pooled", "default-chunks"])
+    def test_query_costs_identical_under_every_executor(self, sinks, chunk_size) -> None:
+        """Regression: with every sink off, a pooled process batch used to
+        leave ``query_costs()`` at 0 — the workers' evaluations were merged
+        back only when a registry was active."""
+        matrix, data, queries = _workload(31, m=40, n_queries=N_QUERIES)
+        built = _build("qmap", "pivot-table", matrix, data)
+        costs = {}
+        for executor in ("serial", "thread", "process"):
+            built.reset_query_costs()
+            engine = {"executor": executor, "workers": WORKERS}
+            if executor == "process":
+                engine["chunk_size"] = chunk_size
+            if sinks == "collector":
+                engine["collector"] = TraceCollector()
+            if sinks == "registry+logger":
+                with JsonLinesLogger(io.StringIO()) as logger:
+                    with use_registry(MetricsRegistry()), use_logger(logger):
+                        built.knn_search_batch(queries, 3, **engine)
+            else:
+                built.knn_search_batch(queries, 3, **engine)
+            costs[executor] = built.query_costs().distance_computations
+        assert costs["serial"] > 0
+        assert costs == dict.fromkeys(costs, costs["serial"])
+
+    @pytest.mark.parametrize("sinks_on", [False, True], ids=["sinks-off", "registry"])
+    def test_inline_single_chunk_is_not_double_charged(self, sinks_on) -> None:
+        # One chunk (or one worker) runs inline on the parent's own index.
+        matrix, data, queries = _workload(31, m=40, n_queries=N_QUERIES)
+        built = _build("qmap", "pivot-table", matrix, data)
+        built.knn_search_batch(queries, 3, executor="serial")
+        want = built.query_costs().distance_computations
+        for engine in ({"workers": 1}, {"workers": WORKERS, "chunk_size": N_QUERIES}):
+            built.reset_query_costs()
+            with use_registry(MetricsRegistry() if sinks_on else None):
+                built.knn_search_batch(queries, 3, executor="process", **engine)
+            assert built.query_costs().distance_computations == want
 
     @pytest.mark.parametrize("method", sorted(UNPICKLABLE_METHODS))
     def test_disk_backed_methods_are_refused_not_miscounted(self, method) -> None:

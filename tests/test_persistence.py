@@ -7,15 +7,15 @@ import pytest
 
 from repro.core import QMap
 from repro.datasets import histogram_workload
-from repro.distances import euclidean, euclidean_one_to_many
+from repro.distances import euclidean
 from repro.exceptions import StorageError
 from repro.mam import PivotTable, SequentialFile
 from repro.persistence import (
-    load_pivot_table,
+    load_index,
     load_qmap,
     load_transformed_database,
     load_workload,
-    save_pivot_table,
+    save_index,
     save_qmap,
     save_transformed_database,
     save_workload,
@@ -103,50 +103,33 @@ class TestTransformedDatabaseRoundtrip:
 
 
 class TestPivotTableRoundtrip:
-    def test_roundtrip_queries_identical(self, histograms_64, tmp_path) -> None:
-        data = histograms_64[:150]
-        original = PivotTable(data, euclidean, n_pivots=8)
-        path = tmp_path / "pt.npz"
-        save_pivot_table(original, path)
+    """Pivot-table behaviours the all-method snapshot matrix of
+    ``test_persistence_snapshots.py`` does not cover (it pins the
+    zero-evaluation restore and the wrong-metric probe)."""
 
-        from repro.distances import CountingDistance
-
-        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
-        loaded = load_pivot_table(path, counter)
-        counter.reset()
-        q = histograms_64[200]
-        assert_same_neighbors(loaded.knn_search(q, 5), original.knn_search(q, 5))
-        # Loading must NOT have recomputed the m x p table (only the query
-        # and the probe cost distances).
-        assert counter.count < data.shape[0]
-
-    def test_wrong_distance_detected(self, histograms_64, tmp_path) -> None:
-        from repro.distances import manhattan
-
-        data = histograms_64[:80]
-        original = PivotTable(data, euclidean, n_pivots=4)
-        path = tmp_path / "pt2.npz"
-        save_pivot_table(original, path)
-        with pytest.raises(StorageError, match="disagrees with the stored table"):
-            load_pivot_table(path, manhattan)
-
-    def test_from_parts_validates_shapes(self, histograms_64) -> None:
+    def test_restore_validates_shapes(self, histograms_64) -> None:
         from repro.exceptions import QueryError
 
         data = histograms_64[:20]
+
+        def restore(pivot_indices, table):
+            state = {
+                "pivot_indices": np.asarray(pivot_indices, dtype=np.int64),
+                "table": np.asarray(table, dtype=np.float64),
+            }
+            return PivotTable.from_state(data, euclidean, state)
+
         with pytest.raises(QueryError):
-            PivotTable.from_parts(data, euclidean, [0, 1], np.zeros((20, 3)))
+            restore([0, 1], np.zeros((20, 3)))
         with pytest.raises(QueryError):
-            PivotTable.from_parts(data, euclidean, [], np.zeros((20, 0)))
+            restore([], np.zeros((20, 0)))
         with pytest.raises(QueryError):
-            PivotTable.from_parts(data, euclidean, [99], np.zeros((20, 1)))
+            restore([99], np.zeros((20, 1)))
 
     def test_loaded_table_supports_inserts(self, histograms_64, tmp_path) -> None:
         data = histograms_64[:100]
         original = PivotTable(data, euclidean, n_pivots=6)
-        path = tmp_path / "pt3.npz"
-        save_pivot_table(original, path)
-        loaded = load_pivot_table(path, euclidean)
+        loaded = load_index(save_index(original, tmp_path / "pt3.npz"), euclidean)
         loaded.insert(histograms_64[100])
         assert loaded.size == 101
         top = loaded.knn_search(histograms_64[100], 1)[0]
@@ -156,8 +139,6 @@ class TestPivotTableRoundtrip:
         data = histograms_64[:120]
         scan = SequentialFile(data, euclidean)
         original = PivotTable(data, euclidean, n_pivots=10)
-        path = tmp_path / "pt4.npz"
-        save_pivot_table(original, path)
-        loaded = load_pivot_table(path, euclidean)
+        loaded = load_index(save_index(original, tmp_path / "pt4.npz"), euclidean)
         for q in histograms_64[200:203]:
             assert_same_neighbors(loaded.knn_search(q, 7), scan.knn_search(q, 7))

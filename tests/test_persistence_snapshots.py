@@ -18,7 +18,6 @@ from repro.core.qfd import QuadraticFormDistance
 from repro.distances import CountingDistance
 from repro.exceptions import StorageError
 from repro.mam.base import DistancePort
-from repro.mam.pivot_table import PivotTable
 from repro.models import (
     MAM_REGISTRY,
     SAM_REGISTRY,
@@ -37,12 +36,10 @@ from repro.persistence import (
     codec_for,
     codec_for_class,
     load_index,
-    load_pivot_table,
     normalize_npz_path,
     read_snapshot,
     registered_methods,
     save_index,
-    save_pivot_table,
     save_qmap,
     write_snapshot,
 )
@@ -354,51 +351,6 @@ class TestModelLifecycle:
             built.build_costs.distance_computations
         )
         assert str(snapshot.meta["model"]) == "qfd"
-
-
-class TestLegacyShims:
-    def test_save_load_pivot_table_round_trip(self, matrix, data, tmp_path) -> None:
-        counter = _counter(matrix)
-        table = PivotTable(data, counter, n_pivots=4)
-        with pytest.warns(DeprecationWarning, match="save_pivot_table is deprecated"):
-            save_pivot_table(table, tmp_path / "pt")
-        fresh = _counter(matrix)
-        with pytest.warns(DeprecationWarning, match="load_pivot_table is deprecated"):
-            loaded = load_pivot_table(tmp_path / "pt", fresh)
-        q = data[1]
-        assert same_neighbors(loaded.knn_search(q, 5), table.knn_search(q, 5))
-
-    def test_load_pivot_table_reads_snapshot_format(
-        self, matrix, data, tmp_path
-    ) -> None:
-        # Archives written by the generic save_index are readable through
-        # the legacy entry point too.
-        table = PivotTable(data, _counter(matrix), n_pivots=4)
-        path = save_index(table, tmp_path / "generic")
-        with pytest.warns(DeprecationWarning):
-            loaded = load_pivot_table(path, _counter(matrix))
-        assert loaded.size == table.size
-
-    def test_load_pivot_table_wrong_kind_message(self, matrix, tmp_path) -> None:
-        save_qmap(QMap(matrix), tmp_path / "map")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StorageError, match="expected 'pivot-table'"):
-                load_pivot_table(tmp_path / "map", _counter(matrix))
-
-    def test_load_pivot_table_rejects_other_method(self, matrix, data, tmp_path) -> None:
-        tree = _build("mtree", data, _counter(matrix))
-        path = save_index(tree, tmp_path / "tree")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StorageError, match="'mtree' index snapshot"):
-                load_pivot_table(path, _counter(matrix))
-
-    def test_load_pivot_table_wrong_distance(self, matrix, data, tmp_path) -> None:
-        table = PivotTable(data, _counter(matrix), n_pivots=4)
-        with pytest.warns(DeprecationWarning):
-            save_pivot_table(table, tmp_path / "wd")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StorageError, match="disagrees with the stored table"):
-                load_pivot_table(tmp_path / "wd", _counter(np.eye(6) * 5.0))
 
 
 class TestSnapshotKindConstant:
