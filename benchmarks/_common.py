@@ -69,11 +69,12 @@ def get_workload(max_db: int = MAX_DB, n_queries: int = N_QUERIES) -> Workload:
 def maybe_serve_metrics(registry=None, *, env_var: str = "REPRO_BENCH_SERVE"):
     """Serve the bench's live registry over HTTP when *env_var* is set.
 
-    ``REPRO_BENCH_SERVE=[host:]port`` (port 0 auto-assigns) starts a
-    :class:`repro.obs.TelemetryServer` for the duration of the ``with``
-    block, so a long 1M-scale run can be watched from outside with
-    ``curl http://host:port/metrics``.  Unset, this yields ``None`` and
-    adds nothing — the default bench run stays telemetry-free.
+    ``REPRO_BENCH_SERVE=[host:]port`` (port 0 auto-assigns) serves
+    ``/metrics`` for the duration of the ``with`` block (the endpoint of
+    ``repro query --serve-metrics``: one :class:`repro.obs.ObservedRun`),
+    so a long 1M-scale run can be watched from outside with ``curl
+    http://host:port/metrics``.  Unset, this yields ``None`` and adds
+    nothing — the default bench run stays telemetry-free.
 
     With *registry* ``None`` the server resolves the process's active
     registry on every request, so benches that install a fresh registry
@@ -83,39 +84,30 @@ def maybe_serve_metrics(registry=None, *, env_var: str = "REPRO_BENCH_SERVE"):
     if not spec:
         yield None
         return
-    from repro.obs import TelemetryServer, parse_serve_spec
+    from repro.obs import ObservedRun
 
-    host, port = parse_serve_spec(spec)
-    server = TelemetryServer(registry, host=host, port=port)
-    server.start()
-    print(
-        f"serving  : {server.url} (GET /metrics /healthz /snapshot.json)",
-        flush=True,
-    )
-    try:
-        yield server
-    finally:
-        server.stop()
+    with ObservedRun(registry=registry, serve_metrics=spec) as run:
+        yield run.server
 
 
 @contextlib.contextmanager
 def maybe_profile(*, env_var: str = "REPRO_BENCH_PROFILE"):
     """Sample the bench under the built-in profiler when *env_var* is set.
 
-    ``REPRO_BENCH_PROFILE=PATH`` starts a
-    :class:`repro.obs.SamplingProfiler` for the duration of the ``with``
-    block and writes the profile to ``PATH`` on exit — speedscope JSON
-    for a ``.json`` suffix, collapsed flamegraph stacks otherwise.
-    ``PATH:HZ`` (e.g. ``profile.txt:500``) overrides the default 200 Hz
-    sampling rate.  Unset, this yields ``None`` and adds nothing — the
-    default bench run stays profiler-free, keeping the count baselines
-    bit-identical.
+    ``REPRO_BENCH_PROFILE=PATH`` runs the ``with`` block under the
+    sampling profiler of ``repro query --profile-out`` (one
+    :class:`repro.obs.ObservedRun`) and writes the profile to ``PATH`` on
+    exit — speedscope JSON for a ``.json`` suffix, collapsed flamegraph
+    stacks otherwise.  ``PATH:HZ`` (e.g. ``profile.txt:500``) overrides
+    the default 200 Hz sampling rate.  Unset, this yields ``None`` and
+    adds nothing — the default bench run stays profiler-free, keeping
+    the count baselines bit-identical.
     """
     spec = os.environ.get(env_var, "").strip()
     if not spec:
         yield None
         return
-    from repro.obs import profile_to
+    from repro.obs import ObservedRun
 
     path, hz = spec, 200.0
     base, sep, suffix = spec.rpartition(":")
@@ -125,9 +117,8 @@ def maybe_profile(*, env_var: str = "REPRO_BENCH_PROFILE"):
             path = base
         except ValueError:
             pass
-    with profile_to(path, hz=hz) as profiler:
-        yield profiler
-    print(f"profile  : {path} ({profiler.sample_count} samples @ {hz:g}Hz)", flush=True)
+    with ObservedRun(profile_out=path, profile_hz=hz) as run:
+        yield run.profiler
 
 
 def reset_store_cache(index) -> None:

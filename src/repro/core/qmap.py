@@ -20,7 +20,6 @@ Table 1 where the raw QFD model wins.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .._typing import ArrayLike, Matrix, Vector, as_vector, as_vector_batch
 from ..kernels.cholesky_cache import cached_cholesky
@@ -88,12 +87,18 @@ class QMap:
         a triangular solve recovers ``u`` from ``u' = u B`` — the map is a
         homeomorphism, as the paper's title transformation requires.
         """
+        # Imported here: no build, query or restore inverts the map, and
+        # scipy.linalg is half of the package's import time.
+        import scipy.linalg
+
         vec = as_vector(u_prime, self.dim, name="u_prime")
         # u' = u B  <=>  B^T u^T = u'^T; B^T is upper-triangular.
         return scipy.linalg.solve_triangular(self._b.T, vec, lower=False)
 
     def inverse_transform_batch(self, batch: ArrayLike) -> Matrix:
         """Inverse map for a batch of row vectors."""
+        import scipy.linalg
+
         rows = as_vector_batch(batch, self.dim, name="batch")
         return scipy.linalg.solve_triangular(self._b.T, rows.T, lower=False).T
 

@@ -22,7 +22,6 @@ drives the same filter-and-refine machinery as the SVD reduction.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .._typing import ArrayLike, Matrix, Vector, as_vector, as_vector_batch
 from ..core.qfd import QuadraticFormDistance
@@ -56,6 +55,8 @@ class ProjectionBound:
             raise MatrixError("projection contains non-finite entries")
         self._qfd = qfd
         self._projection = proj
+        import scipy.linalg  # deferred: keeps `import repro` scipy-free
+
         # c* = 1 / lambda_max(P A^{-1} P^T); solve A X = P^T instead of
         # forming the inverse.
         x = scipy.linalg.solve(qfd.matrix, proj.T, assume_a="pos")

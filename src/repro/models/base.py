@@ -42,6 +42,7 @@ from ..obs import (
     record_index_description,
     record_memory,
     record_query_error,
+    span,
     trace_scope,
 )
 from ..storage.mmap_store import MmapVectorStore
@@ -67,6 +68,8 @@ __all__ = [
     "resolve_store",
     "restore_distance",
     "record_build_metrics",
+    "finish_index",
+    "restore_index",
 ]
 
 #: Database record backends a model build accepts.
@@ -651,3 +654,115 @@ def instantiate(
     if block_rows is None:
         return cls(database, counter, **kwargs)
     return cls(database, DistancePort(counter, block_rows=block_rows), **kwargs)
+
+
+def finish_index(
+    model: Any,
+    am: AccessMethod,
+    counter: CountingDistance,
+    backing: "MmapVectorStore | None",
+    *,
+    method: str,
+    seconds: float,
+    transforms: int = 0,
+    block_rows: int | None = None,
+    event: str = "build",
+    query_mapper: Callable[[np.ndarray], np.ndarray] | None = None,
+    batch_mapper: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> BuiltIndex:
+    """The tail every model build and restore shares.
+
+    Pins the backing store, snapshots the build-phase costs off
+    *counter*, reports them (``record_build_metrics``), zeroes the
+    counter for the query phase and wraps everything as a
+    :class:`BuiltIndex` of *model* (its ``name`` and ``qfd.matrix``).
+    """
+    if backing is not None:
+        # The rows view aliases the mapping; pin the store to the index
+        # so the file outlives every query against it.
+        am._backing_store = backing
+    build_costs = IndexCosts(
+        distance_computations=counter.count, transforms=transforms, seconds=seconds
+    )
+    record_build_metrics(
+        am, counter, model=model.name, method=method, transforms=transforms,
+        block_rows=block_rows, seconds=seconds, event=event,
+    )
+    counter.reset()
+    return BuiltIndex(
+        am,
+        counter,
+        model_name=model.name,
+        query_mapper=query_mapper,
+        batch_mapper=batch_mapper,
+        build_costs=build_costs,
+        method_name=method,
+        source_matrix=model.qfd.matrix,
+    )
+
+
+def restore_index(
+    model: Any,
+    source: Any,
+    counter: CountingDistance,
+    *,
+    accepts_sams: bool,
+    query_mapper: Callable[[np.ndarray], np.ndarray] | None = None,
+    batch_mapper: Callable[[np.ndarray], np.ndarray] | None = None,
+    verify: bool = True,
+    store: str = "heap",
+    store_path: "str | None" = None,
+    block_rows: int | None = None,
+) -> BuiltIndex:
+    """Restore a snapshot into *model*: the body of both ``load_index``.
+
+    The models differ in four values: the distance behind *counter*, the
+    query/batch mappers, and whether a SAM snapshot is accepted (the
+    QMap model, whose restored SAM refines through a forced
+    :class:`~repro.mam.base.DistancePort`) or refused (the QFD model).
+    Everything else — reading *source*, checking that this model with
+    this matrix saved it, re-wiring the structure at zero distance
+    evaluations, pinning an mmap backing store, the ``load`` record — is
+    the same.
+    """
+    from ..exceptions import StorageError
+    from ..persistence import IndexSnapshot, codec_for, load_index, read_snapshot
+
+    snapshot = source if isinstance(source, IndexSnapshot) else read_snapshot(source)
+    label = snapshot.path or "snapshot"
+    saved_by = str(snapshot.meta.get("model", "<missing>"))
+    if saved_by != model.name:
+        raise StorageError(
+            f"{label} was saved by the {saved_by!r} model, expected {model.name!r}"
+        )
+    matrix = snapshot.meta.get("matrix")
+    if matrix is None or not np.allclose(
+        np.asarray(matrix, dtype=np.float64), model.qfd.matrix, rtol=1e-9, atol=1e-12
+    ):
+        raise StorageError(
+            f"{label}: snapshot's QFD matrix disagrees with the model's "
+            "(wrong matrix?)"
+        )
+    is_sam = codec_for(snapshot.method).is_sam
+    if is_sam and not accepts_sams:
+        raise QueryError(
+            f"SAM {snapshot.method!r} cannot index the raw QFD space; "
+            "transform it with the QMap model first (paper Section 2.4)"
+        )
+    distance, backing = restore_distance(
+        counter, snapshot, store=store, store_path=store_path,
+        block_rows=block_rows, force_port=is_sam,
+    )
+    with span(f"load/{snapshot.method}", model=model.name):
+        start = time.perf_counter()
+        am = load_index(
+            snapshot,
+            distance,
+            verify=verify,
+            database=None if backing is None else backing.rows,
+        )
+        elapsed = time.perf_counter() - start
+    return finish_index(
+        model, am, counter, backing, method=snapshot.method, seconds=elapsed,
+        event="load", query_mapper=query_mapper, batch_mapper=batch_mapper,
+    )

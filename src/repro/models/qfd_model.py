@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-import numpy as np
-
 from .._typing import ArrayLike, as_vector_batch
 from ..core.qfd import QuadraticFormDistance
 from ..distances.base import CountingDistance
@@ -22,11 +20,10 @@ from ..obs import span
 from .base import (
     SAM_REGISTRY,
     BuiltIndex,
-    IndexCosts,
+    finish_index,
     instantiate,
-    record_build_metrics,
     resolve_store,
-    restore_distance,
+    restore_index,
 )
 
 __all__ = ["QFDModel"]
@@ -100,26 +97,9 @@ class QFDModel:
             start = time.perf_counter()
             am = instantiate(method, data, counter, kwargs, block_rows=block_rows)
             elapsed = time.perf_counter() - start
-        if backing is not None:
-            # The rows view aliases the mapping; pin the store to the index
-            # so the file outlives every query against it.
-            am._backing_store = backing
-        build_costs = IndexCosts(
-            distance_computations=counter.count, transforms=0, seconds=elapsed
-        )
-        record_build_metrics(
-            am, counter, model=self.name, method=method, block_rows=block_rows,
-            seconds=elapsed,
-        )
-        counter.reset()
-        return BuiltIndex(
-            am,
-            counter,
-            model_name=self.name,
-            query_mapper=None,
-            build_costs=build_costs,
-            method_name=method,
-            source_matrix=self._qfd.matrix,
+        return finish_index(
+            self, am, counter, backing, method=method, seconds=elapsed,
+            block_rows=block_rows,
         )
 
     def load_index(
@@ -145,64 +125,10 @@ class QFDModel:
         and re-wires the structure over its pages, still at zero
         evaluations; ``block_rows`` defaults on in that case.
         """
-        from ..exceptions import StorageError
-        from ..persistence import IndexSnapshot, load_index, read_snapshot
-
-        snapshot = (
-            source if isinstance(source, IndexSnapshot) else read_snapshot(source)
-        )
-        label = snapshot.path or "snapshot"
-        model = str(snapshot.meta.get("model", "<missing>"))
-        if model != self.name:
-            raise StorageError(
-                f"{label} was saved by the {model!r} model, expected {self.name!r}"
-            )
-        matrix = snapshot.meta.get("matrix")
-        if matrix is None or not np.allclose(
-            np.asarray(matrix, dtype=np.float64), self._qfd.matrix,
-            rtol=1e-9, atol=1e-12,
-        ):
-            raise StorageError(
-                f"{label}: snapshot's QFD matrix disagrees with the model's "
-                "(wrong matrix?)"
-            )
-        if snapshot.method in SAM_REGISTRY:
-            raise QueryError(
-                f"SAM {snapshot.method!r} cannot index the raw QFD space; "
-                "transform it with the QMap model first (paper Section 2.4)"
-            )
         counter = CountingDistance(self._qfd, one_to_many=self._qfd.one_to_many)
-        distance, backing = restore_distance(
-            counter, snapshot, store=store, store_path=store_path,
-            block_rows=block_rows,
-        )
-        with span(f"load/{snapshot.method}", model=self.name):
-            start = time.perf_counter()
-            am = load_index(
-                snapshot,
-                distance,
-                verify=verify,
-                database=None if backing is None else backing.rows,
-            )
-            elapsed = time.perf_counter() - start
-        if backing is not None:
-            am._backing_store = backing
-        build_costs = IndexCosts(
-            distance_computations=counter.count, transforms=0, seconds=elapsed
-        )
-        record_build_metrics(
-            am, counter, model=self.name, method=snapshot.method,
-            seconds=elapsed, event="load",
-        )
-        counter.reset()
-        return BuiltIndex(
-            am,
-            counter,
-            model_name=self.name,
-            query_mapper=None,
-            build_costs=build_costs,
-            method_name=snapshot.method,
-            source_matrix=self._qfd.matrix,
+        return restore_index(
+            self, source, counter, accepts_sams=False, verify=verify, store=store,
+            store_path=store_path, block_rows=block_rows,
         )
 
     def distance(self, u: ArrayLike, v: ArrayLike) -> float:

@@ -28,13 +28,7 @@ from ..distances.minkowski import euclidean, euclidean_one_to_many
 from ..exceptions import QueryError
 from ..obs import span
 from ..storage.mmap_store import MmapVectorStore
-from .base import (
-    BuiltIndex,
-    IndexCosts,
-    instantiate,
-    record_build_metrics,
-    restore_distance,
-)
+from .base import BuiltIndex, finish_index, instantiate, restore_index
 
 __all__ = ["QMapModel"]
 
@@ -186,27 +180,11 @@ class QMapModel:
                     mapped = self._qmap.transform_batch(data)
             am = instantiate(method, mapped, counter, kwargs, block_rows=block_rows)
             elapsed = time.perf_counter() - start
-        if backing is not None:
-            am._backing_store = backing
-        build_costs = IndexCosts(
-            distance_computations=counter.count,
-            transforms=m,
-            seconds=elapsed,
-        )
-        record_build_metrics(
-            am, counter, model=self.name, method=method, transforms=m,
-            block_rows=block_rows, seconds=elapsed,
-        )
-        counter.reset()
-        return BuiltIndex(
-            am,
-            counter,
-            model_name=self.name,
+        return finish_index(
+            self, am, counter, backing, method=method, seconds=elapsed,
+            transforms=m, block_rows=block_rows,
             query_mapper=self._qmap.transform,
             batch_mapper=self._qmap.transform_batch,
-            build_costs=build_costs,
-            method_name=method,
-            source_matrix=self.qfd.matrix,
         )
 
     def load_index(
@@ -228,66 +206,12 @@ class QMapModel:
         structure over a memory-mapped spill of the archived mapped rows,
         still at zero evaluations and zero transforms.
         """
-        from ..exceptions import StorageError
-        from ..persistence import IndexSnapshot, load_index, read_snapshot
-
-        snapshot = (
-            source if isinstance(source, IndexSnapshot) else read_snapshot(source)
-        )
-        label = snapshot.path or "snapshot"
-        model = str(snapshot.meta.get("model", "<missing>"))
-        if model != self.name:
-            raise StorageError(
-                f"{label} was saved by the {model!r} model, expected {self.name!r}"
-            )
-        matrix = snapshot.meta.get("matrix")
-        if matrix is None or not np.allclose(
-            np.asarray(matrix, dtype=np.float64), self.qfd.matrix,
-            rtol=1e-9, atol=1e-12,
-        ):
-            raise StorageError(
-                f"{label}: snapshot's QFD matrix disagrees with the model's "
-                "(wrong matrix?)"
-            )
         counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
-        from ..persistence import codec_for
-
-        distance, backing = restore_distance(
-            counter,
-            snapshot,
-            store=store,
-            store_path=store_path,
-            block_rows=block_rows,
-            force_port=codec_for(snapshot.method).is_sam,
-        )
-        with span(f"load/{snapshot.method}", model=self.name):
-            start = time.perf_counter()
-            am = load_index(
-                snapshot,
-                distance,
-                verify=verify,
-                database=None if backing is None else backing.rows,
-            )
-            elapsed = time.perf_counter() - start
-        if backing is not None:
-            am._backing_store = backing
-        build_costs = IndexCosts(
-            distance_computations=counter.count, transforms=0, seconds=elapsed
-        )
-        record_build_metrics(
-            am, counter, model=self.name, method=snapshot.method,
-            seconds=elapsed, event="load",
-        )
-        counter.reset()
-        return BuiltIndex(
-            am,
-            counter,
-            model_name=self.name,
+        return restore_index(
+            self, source, counter, accepts_sams=True, verify=verify, store=store,
+            store_path=store_path, block_rows=block_rows,
             query_mapper=self._qmap.transform,
             batch_mapper=self._qmap.transform_batch,
-            build_costs=build_costs,
-            method_name=snapshot.method,
-            source_matrix=self.qfd.matrix,
         )
 
     def distance(self, u: ArrayLike, v: ArrayLike) -> float:

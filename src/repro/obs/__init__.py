@@ -34,7 +34,11 @@ package is the common model those measurements flow into:
   exporting collapsed-stack text and speedscope JSON;
 * :mod:`repro.obs.logging` — a JSON-lines structured logger (one record
   per query/build/plan/error event, trace_id-correlated) behind the same
-  null-by-default activation pattern as the registry.
+  null-by-default activation pattern as the registry;
+* :mod:`repro.obs.run` — :class:`ObservedRun`, the one context manager
+  that validates, installs, deactivates and reports several of the
+  sinks above at once (what ``repro query --metrics ... --log-json ...``
+  and the benches' ``REPRO_BENCH_SERVE`` / ``REPRO_BENCH_PROFILE`` use).
 
 Layering rule: this package imports **nothing** from the rest of the
 library (enforced by a ruff ``flake8-tidy-imports`` ban for
@@ -136,6 +140,7 @@ from .registry import (
     set_registry,
     use_registry,
 )
+from .run import ObservedRun, check_output_path
 from .spans import SpanRecord, current_span, open_span_for_thread, span
 from .timeline import (
     chrome_trace,
@@ -185,6 +190,8 @@ __all__ = [
     "PROFILE_SAMPLES",
     "SamplingProfiler",
     "profile_to",
+    "ObservedRun",
+    "check_output_path",
     "DISTANCE_EVALUATIONS",
     "QUERY_ERRORS",
     "TRANSFORMS",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import urllib.request
 
+import pytest
+
 from repro.bench.history import append_history, history_record
 from repro.cli import build_parser, main
 
@@ -132,7 +134,10 @@ class TestServeMetrics:
         assert main(_QUERY_BASE + ["--serve-metrics", "nonsense"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_plan_mode_ignores_serve_with_a_note(self, capsys) -> None:
+    def test_plan_mode_serves_metrics(self, capsys) -> None:
+        # The planned path runs inside the same observed run as every
+        # other query command, so the endpoint is up there too (it used
+        # to be dropped with an "ignored under --plan" note).
         code = main(
             [
                 "query", "--plan", "auto", "--size", "80", "--queries", "2",
@@ -141,8 +146,54 @@ class TestServeMetrics:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "serving  :" not in captured.out
-        assert "ignored under --plan" in captured.err
+        assert "serving  : http://127.0.0.1:" in captured.out
+        assert "ignored under --plan" not in captured.err
+
+
+_MISSING = "/nonexistent-dir/out.file"
+_REPORT_BASE = ["report", "--size", "80", "--bins", "2"]
+_EXPLAIN_BASE = ["explain", "--size", "80", "--bins", "2"]
+
+
+class TestSinkArgumentsFailFast:
+    """A bad sink argument costs nothing: exit 2, one line, no work done."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(_QUERY_BASE + ["--profile-out", "p.txt", "--profile-hz", "0"], id="hz-zero"),
+            pytest.param(_QUERY_BASE + ["--profile-out", "p.txt", "--profile-hz", "-5"], id="hz-negative"),
+            pytest.param(_QUERY_BASE + ["--serve-metrics", "nonsense"], id="serve-spec"),
+            pytest.param(_QUERY_BASE + ["--serve-metrics", "127.0.0.1:99999"], id="serve-port"),
+            pytest.param(_QUERY_BASE + ["--trace-out", _MISSING], id="trace-out"),
+            pytest.param(_QUERY_BASE + ["--explain-out", _MISSING], id="explain-out"),
+            pytest.param(_QUERY_BASE + ["--timeline-out", _MISSING], id="timeline-out"),
+            pytest.param(_QUERY_BASE + ["--profile-out", _MISSING], id="profile-out"),
+            pytest.param(_QUERY_BASE + ["--log-json", _MISSING], id="log-json"),
+            pytest.param(_QUERY_BASE + ["--plan", "auto", "--log-json", _MISSING], id="plan-log-json"),
+            pytest.param(_REPORT_BASE + ["--out", _MISSING], id="report-out"),
+            pytest.param(_REPORT_BASE + ["--trace-out", _MISSING], id="report-trace-out"),
+            pytest.param(_EXPLAIN_BASE + ["--out", _MISSING], id="explain-cmd-out"),
+            pytest.param(_EXPLAIN_BASE + ["--timeline-out", _MISSING], id="explain-cmd-timeline-out"),
+            pytest.param(
+                ["trace", "export", "--size", "80", "--bins", "2", "--out", _MISSING],
+                id="trace-export-out",
+            ),
+        ],
+    )
+    def test_exits_two_before_the_workload_exists(
+        self, argv, capsys, monkeypatch
+    ) -> None:
+        import repro.datasets
+
+        def never(*args, **kwargs):
+            raise AssertionError("the workload was generated before validation")
+
+        monkeypatch.setattr(repro.datasets, "histogram_workload", never)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestTimelineOut:

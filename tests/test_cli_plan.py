@@ -142,3 +142,63 @@ class TestIndexQueryPlan:
         assert "considered plans" in out
         # Both sibling snapshots are in the catalog, not just the argument.
         assert "probe[pivot-table,qmap]" in out and "probe[mtree,qmap]" in out
+
+
+class TestSinksUnderPlan:
+    """The planned path runs inside the same observed run as `query`:
+    no sink flag is silently dropped."""
+
+    def _plan(self, snapshot_dir, *sinks: str) -> list[str]:
+        return [
+            "query", "--plan", "auto", "--index-dir", str(snapshot_dir),
+            *_WORKLOAD_ARGS, *sinks,
+        ]
+
+    def test_metrics_export_follows_the_costs(self, snapshot_dir, capsys) -> None:
+        assert main(self._plan(snapshot_dir, "--metrics", "table")) == 0
+        captured = capsys.readouterr()
+        costs, export = captured.out.split("costs    :", 1)
+        assert "repro_distance_evaluations_total" in export
+        assert captured.err == ""
+
+    def test_every_sink_flag_is_honoured_or_named(
+        self, snapshot_dir, tmp_path, capsys
+    ) -> None:
+        paths = {
+            flag: tmp_path / name
+            for flag, name in [
+                ("--log-json", "log.jsonl"), ("--trace-out", "traces.jsonl"),
+                ("--explain-out", "plan.json"), ("--timeline-out", "timeline.json"),
+                ("--profile-out", "profile.txt"),
+            ]
+        }
+        sinks = ["--metrics", "prom", "--serve-metrics", "127.0.0.1:0",
+                 "--serve-hold", "0.01", "--trace", "--explain", "--profile-hz", "1000"]
+        for flag, path in paths.items():
+            sinks += [flag, str(path)]
+        assert main(self._plan(snapshot_dir, *sinks)) == 0
+        out, err = capsys.readouterr()
+        # What the planner's executor cannot feed is named, once ...
+        (note,) = err.splitlines()
+        assert note.startswith("note: --trace/--trace-out ignored under --plan")
+        assert not paths.pop("--trace-out").exists()
+        assert "trace    :" not in out
+        # ... and everything else did what it does without --plan.
+        for line in ("serving  :", "holding  :", "profile  :", "log      :",
+                     "explain  :", "timeline :", "EXPLAIN knn(k=5)",
+                     "repro_distance_evaluations_total"):
+            assert line in out, line
+        for flag, path in paths.items():
+            assert path.stat().st_size > 0, flag
+
+    def test_index_query_plan_honours_them_too(self, snapshot_dir, tmp_path, capsys) -> None:
+        log = tmp_path / "log.jsonl"
+        code = main(
+            ["index", "query", str(snapshot_dir / "mtree.npz"), "--plan", "auto",
+             "--k", "5", "--metrics", "jsonl", "--log-json", str(log), "--trace"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "repro_distance_evaluations_total" in out and "log      :" in out
+        assert err.startswith("note: --trace ignored under --plan")
+        assert any(json.loads(line)["event"] == "plan" for line in log.read_text().splitlines())

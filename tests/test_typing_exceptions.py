@@ -109,3 +109,16 @@ class TestExceptionHierarchy:
 
         with pytest.raises(ReproError):
             QuadraticFormDistance(np.ones((3, 3)))  # singular
+
+
+def test_importing_the_package_does_not_import_scipy() -> None:
+    # scipy.linalg was half of `import repro`'s time, for two inverse-map
+    # calls no build, query or restore reaches; a subprocess, because this
+    # process has long since imported it.
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, repro, repro.cli; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
