@@ -5,9 +5,9 @@ with shared parameters), validates them once, and executes them against
 any :class:`~repro.mam.base.AccessMethod` through a pluggable
 :class:`~repro.engine.executors.BatchExecutor`:
 
-* queries are split into contiguous chunks so structures with a
-  vectorized batch hook (sequential file, pivot table) amortize their
-  per-scan work across the whole chunk;
+* queries are split into contiguous chunks so a structure with a
+  vectorized batch hook (the sequential file) amortizes its per-scan
+  work across the whole chunk;
 * the serial executor runs the chunks inline, the thread executor fans
   them out (numpy distance kernels release the GIL), and the process
   executor ships pickled chunks to worker processes for pure-Python

@@ -346,9 +346,9 @@ class activate_trace:
     """Run the block as (part of) *trace*'s query: current, and timed.
 
     A record may be activated several times — a vectorized chunk plan
-    charges each query its pivot distances first and refines later — so
-    the wall time accumulates.  (A plain class rather than a generator
-    context manager: this brackets every query.)
+    (the sequential file's) scans for each query first and collects its
+    hits later — so the wall time accumulates.  (A plain class rather
+    than a generator context manager: this brackets every query.)
     """
 
     __slots__ = ("_trace", "_token", "_start")

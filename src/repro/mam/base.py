@@ -100,18 +100,22 @@ def state_str(state: dict[str, np.ndarray], key: str) -> str:
     return str(arr.reshape(()))
 
 
-def grown(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
+def grown(buffer: np.ndarray, used: int, extra: int, axis: int = 0) -> np.ndarray:
     """*buffer* if it has room for *extra* rows after its first *used*,
     else a copy of those rows in a buffer of at least twice the capacity.
 
     Doubling makes appends amortized O(1) and keeps the allocation within
-    twice the rows held.
+    twice the rows held.  "Rows" run along *axis* (1 for a buffer that
+    holds one column per object).
     """
     need = used + extra
-    if need <= buffer.shape[0]:
+    if need <= buffer.shape[axis]:
         return buffer
-    bigger = np.empty((max(need, 2 * buffer.shape[0]), *buffer.shape[1:]), buffer.dtype)
-    bigger[:used] = buffer[:used]
+    shape = list(buffer.shape)
+    shape[axis] = max(need, 2 * shape[axis])
+    bigger = np.empty(shape, buffer.dtype)
+    held = (slice(None),) * axis + (slice(used),)
+    bigger[held] = buffer[held]
     return bigger
 
 
@@ -231,12 +235,19 @@ class DistancePort:
         self, q: np.ndarray, rows: np.ndarray, trace: "QueryTrace | None" = None
     ) -> np.ndarray:
         """Distances from *q* to every row of *rows*."""
-        n = int(rows.shape[0])
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         # One batched row per candidate, as the CountingDistance counts a
         # one-to-many call — also when it has to loop a scalar function.
-        self.charge(rows=n, trace=trace)
+        self.charge(rows=int(rows.shape[0]), trace=trace)
+        return self.compute_many(q, rows)
+
+    def compute_many(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Physically evaluate *q*-to-*rows* distances without charging.
+
+        For a traversal that counts its own evaluations and charges the
+        port once; the arithmetic is :meth:`many`'s.
+        """
+        if rows.shape[0] == 0:
+            return np.empty(0, dtype=np.float64)
         if self._block_rows is not None and self._kernel is not None:
             # Out-of-core scan: stream tiles through the blocked kernel
             # (with the cached database norms when *rows* is the attached
@@ -478,11 +489,7 @@ class BoundQuery:
                 if idx.size == 0 or idx.min() >= 0:
                     norms = self._norms[idx]
             return self._ctx.many(rows, norms)
-        vector = self._port._vector_uncounted
-        if vector is not None:
-            return np.asarray(vector(self._query, rows), dtype=np.float64)
-        scalar = self._port._scalar_uncounted
-        return np.array([scalar(self._query, row) for row in rows], dtype=np.float64)
+        return self._port.compute_many(self._query, rows)
 
     def many(
         self,
@@ -699,8 +706,8 @@ class AccessMethod(ABC):
         *traces* are the queries' cost records, made (and later folded
         into the counter) by the batch engine; a hook makes each current
         while it works on that query.  The default runs the single-query
-        search per row; subclasses with genuinely vectorizable batch
-        plans (sequential file, pivot table) override it.
+        search per row; a subclass with a genuinely vectorizable batch
+        plan (the sequential file) overrides it.
         """
         return self._search_each(
             traces, lambda pos: self._range_search(queries[pos], radius)

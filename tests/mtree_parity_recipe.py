@@ -98,6 +98,11 @@ def _explain(built, run) -> tuple[dict, object]:
     buffer = EventBuffer()
     with query_trace("", 0.0, events=buffer):
         answer = run()
+    return explain_record(buffer), answer
+
+
+def explain_record(buffer: EventBuffer) -> dict:
+    """Per-node charged totals and aggregates of one EXPLAIN detail."""
     nodes = [
         [
             stats.label.split(":")[0],
@@ -112,7 +117,7 @@ def _explain(built, run) -> tuple[dict, object]:
         if token != ROOT
     ]
     root = buffer.nodes[ROOT]
-    record = {
+    return {
         "root_charged": [root.charged_calls, root.charged_rows],
         "nodes": nodes,
         "lb_labels": {label: list(v) for label, v in sorted(buffer.lb_labels.items())},
@@ -126,7 +131,6 @@ def _explain(built, run) -> tuple[dict, object]:
             buffer.charged_rows,
         ],
     }
-    return record, answer
 
 
 def _trace_fields(trace) -> list:

@@ -8,12 +8,15 @@ correct after each batch of inserts, in both models.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datasets import histogram_workload
-from repro.distances import euclidean
+from repro.distances import euclidean, euclidean_one_to_many
 from repro.mam import GNAT, MTree, PivotTable, SequentialFile, VPTree
+from repro.mam.base import DistancePort
 from repro.models import MAM_REGISTRY, SAM_REGISTRY, QFDModel, QMapModel
 from repro.sam import RTree, VAFile
 
@@ -109,6 +112,32 @@ class TestInsertDetails:
         pt.insert(workload.database[50])
         assert pt.table.shape == (51, 6)
         assert pt.size == 51
+
+    def test_pivot_table_insert_does_not_copy_the_table(self) -> None:
+        """An insert writes ``p`` floats into a geometrically grown buffer;
+        it used to ``vstack`` the whole ``m x p`` table per object."""
+        rng = np.random.default_rng(7)
+        data = rng.uniform(0.0, 1.0, size=(4200, 4))
+        port = DistancePort(euclidean, one_to_many=euclidean_one_to_many)
+        pt = PivotTable(data[:4000], port, n_pivots=128)
+        table_bytes = pt.table.nbytes
+        allocated = 0
+        tracemalloc.start()
+        try:
+            for row in data[4000:]:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                pt.insert(row)
+                allocated += tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # One doubling of the table (plus the small row store's), not 200 copies.
+        assert allocated < 3 * table_bytes
+        rebuilt = PivotTable(data, port, pivots=pt.pivot_indices)
+        assert np.array_equal(pt.table, rebuilt.table)
+        query = rng.uniform(0.0, 1.0, size=4)
+        assert pt.knn_search(query, 10) == rebuilt.knn_search(query, 10)
+        assert pt.range_search(query, 0.2) == rebuilt.range_search(query, 0.2)
 
     def test_vafile_insert_out_of_grid_range(self, workload) -> None:
         """A vector outside the build-time data range clamps into the

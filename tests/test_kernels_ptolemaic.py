@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.distances import euclidean, euclidean_one_to_many
 from repro.kernels import (
-    ptolemaic_bound_matrix,
     ptolemaic_bound_scalar,
     ptolemaic_bounds,
     valid_pivot_pairs,
@@ -64,12 +63,18 @@ class TestBitIdentity:
     def test_matrix_columns_equal_per_query_bounds_bitwise(self, case, s) -> None:
         _, _, table, qv, pair = case
         pairs = valid_pivot_pairs(pair)
-        # s slightly perturbed copies of the query vector as a batch.
+        # s slightly perturbed copies of the query vector as a batch, each
+        # bounded on its own over the pivot-major layout the pivot table
+        # holds (one contiguous row per pivot, passed as its (m, p) view).
         qvs = np.stack([qv * (1.0 + 0.01 * i) for i in range(s)])
-        matrix = ptolemaic_bound_matrix(table, qvs, pair, pairs)
+        pivot_major = np.ascontiguousarray(table.T)
+        matrix = np.column_stack(
+            [ptolemaic_bounds(pivot_major.T, qvs[col], pair, pairs) for col in range(s)]
+        )
         for col in range(s):
-            single = ptolemaic_bounds(table, qvs[col], pair, pairs)
-            assert np.array_equal(matrix[:, col], single)
+            for row_idx in range(table.shape[0]):
+                scalar = ptolemaic_bound_scalar(table[row_idx], qvs[col], pair, pairs)
+                assert matrix[row_idx, col] == scalar
 
     def test_blocked_pair_axis_is_still_bitwise(self, monkeypatch) -> None:
         """Force a tiny pair block so multiple blocks are exercised."""
@@ -132,8 +137,8 @@ class TestDegeneratePairs:
         qv = np.ones(3)
         lb = ptolemaic_bounds(table, qv, pair, (ii, jj))
         assert np.array_equal(lb, np.zeros(6))
-        matrix = ptolemaic_bound_matrix(table, np.stack([qv, qv]), pair, (ii, jj))
-        assert np.array_equal(matrix, np.zeros((6, 2)))
+        rows = np.stack([ptolemaic_bounds(table, q, pair, (ii, jj)) for q in (qv, 2 * qv)])
+        assert np.array_equal(rows, np.zeros((2, 6)))
         assert ptolemaic_bound_scalar(table[0], qv, pair, (ii, jj)) == 0.0
 
     def test_empty_table(self) -> None:
@@ -158,9 +163,9 @@ class TestOutAccumulator:
         _, _, table, qv, pair = _setting(12, 25, 5, 4)
         pairs = valid_pivot_pairs(pair)
         qvs = np.stack([qv, qv * 1.1])
-        fresh = ptolemaic_bound_matrix(table, qvs, pair, pairs)
-        seed_values = np.full((table.shape[0], 2), float(np.median(fresh)))
+        fresh = np.stack([ptolemaic_bounds(table, q, pair, pairs) for q in qvs])
+        seed_values = np.full((2, table.shape[0]), float(np.median(fresh)))
         out = seed_values.copy()
-        merged = ptolemaic_bound_matrix(table, qvs, pair, pairs, out=out)
-        assert merged is out
-        assert np.array_equal(merged, np.maximum(seed_values, fresh))
+        for row, q in zip(out, qvs):  # each stacked row is its query's accumulator
+            assert ptolemaic_bounds(table, q, pair, pairs, out=row) is row
+        assert np.array_equal(out, np.maximum(seed_values, fresh))

@@ -8,7 +8,7 @@ import pytest
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.exceptions import EmptyIndexError, QueryError
 from repro.mam import SequentialFile
-from repro.mam.base import DistancePort, Neighbor, _KnnHeap, neighbors_from_distances
+from repro.mam.base import DistancePort, Neighbor, _KnnHeap, grown, neighbors_from_distances
 
 
 class TestNeighbor:
@@ -47,6 +47,25 @@ class TestDistancePort:
         port = DistancePort(cd)
         port.many(np.zeros(2), np.ones((5, 2)))
         assert cd.count == 5
+
+
+    @pytest.mark.parametrize("one_to_many", [None, euclidean_one_to_many])
+    def test_compute_many_is_many_without_the_charge(self, one_to_many) -> None:
+        cd = CountingDistance(euclidean, one_to_many=one_to_many)
+        port = DistancePort(cd)
+        rows = np.arange(10.0).reshape(5, 2)
+        computed = port.compute_many(np.zeros(2), rows)
+        assert cd.count == 0
+        assert np.array_equal(computed, port.many(np.zeros(2), rows))
+        assert cd.count == 5
+        assert port.compute_many(np.zeros(2), np.empty((0, 2))).shape == (0,)
+
+    def test_grown_along_the_column_axis(self) -> None:
+        buffer = np.arange(6.0).reshape(2, 3)
+        assert grown(buffer, 2, 1, axis=1) is buffer  # room for one more column
+        bigger = grown(buffer, 3, 1, axis=1)
+        assert bigger.shape == (2, 6)  # doubled, not grown by one
+        assert np.array_equal(bigger[:, :3], buffer)
 
 
 class TestNeighborsFromDistances:

@@ -141,6 +141,46 @@ class TestMmapHeapTwinEquivalence:
         }
 
 
+def _assert_counts_equal_across_paths(case, seed, b1, b2, k) -> None:
+    """Heap twin at tiling ``b1`` vs mmap at tiling ``b2``: the
+    blocked kernels are bit-identical across tilings, so answers AND
+    charged counts must match exactly even for different block sizes.
+    The unblocked build shares build charges (structural) and
+    answers; its pruning-dependent query charges may sit an ulp away
+    (see TestMmapHeapTwinEquivalence).  QMap pins ``b2 = b1``: its
+    streamed *transform* is a gemm, which is chunk-sensitive — the
+    heap twin mirrors the mmap chunking rather than the reverse."""
+    model_cls, method = case
+    if model_cls is QMapModel:
+        b2 = b1
+    data = _data(28, seed=seed)
+    q = _data(1, seed=seed + 1)[0]
+    model = model_cls(_matrix())
+    plain = model.build_index(
+        method, data, store_dtype="float32", **_method_kwargs(method)
+    )
+    heap = model.build_index(
+        method, data, store_dtype="float32", block_rows=b1, **_method_kwargs(method)
+    )
+    mmap = model.build_index(
+        method, data, store="mmap", block_rows=b2, **_method_kwargs(method)
+    )
+    assert (
+        plain.build_costs.distance_computations
+        == heap.build_costs.distance_computations
+        == mmap.build_costs.distance_computations
+    )
+    for built in (plain, heap, mmap):
+        built.reset_query_costs()
+    results = [built.knn_search(q, k) for built in (plain, heap, mmap)]
+    assert_same_neighbors(results[2], results[1], tol=0.0, label=method)
+    assert_same_neighbors(results[0], results[2], tol=1e-7, label=method)
+    assert (
+        heap.query_costs().distance_computations
+        == mmap.query_costs().distance_computations
+    ), f"{method}: counts diverged between tilings b1={b1}, b2={b2}"
+
+
 @pytest.mark.parametrize("case", ALL_CASES, ids=_case_id)
 class TestChargedCountProperty:
     """Hypothesis: charges are invariant in seed, tiling, and k."""
@@ -151,45 +191,21 @@ class TestChargedCountProperty:
         b2=st.integers(1, 40),
         k=st.integers(1, 6),
     )
-    @settings(max_examples=5, deadline=None)
+    # Derandomized: a fresh random draw per run let one known defect (the
+    # SAT case pinned below) fail tier-1 for an unrelated change.
+    @settings(max_examples=5, deadline=None, derandomize=True)
     def test_counts_equal_across_paths(self, case, seed, b1, b2, k) -> None:
-        """Heap twin at tiling ``b1`` vs mmap at tiling ``b2``: the
-        blocked kernels are bit-identical across tilings, so answers AND
-        charged counts must match exactly even for different block sizes.
-        The unblocked build shares build charges (structural) and
-        answers; its pruning-dependent query charges may sit an ulp away
-        (see TestMmapHeapTwinEquivalence).  QMap pins ``b2 = b1``: its
-        streamed *transform* is a gemm, which is chunk-sensitive — the
-        heap twin mirrors the mmap chunking rather than the reverse."""
-        model_cls, method = case
-        if model_cls is QMapModel:
-            b2 = b1
-        data = _data(28, seed=seed)
-        q = _data(1, seed=seed + 1)[0]
-        model = model_cls(_matrix())
-        plain = model.build_index(
-            method, data, store_dtype="float32", **_method_kwargs(method)
-        )
-        heap = model.build_index(
-            method, data, store_dtype="float32", block_rows=b1, **_method_kwargs(method)
-        )
-        mmap = model.build_index(
-            method, data, store="mmap", block_rows=b2, **_method_kwargs(method)
-        )
-        assert (
-            plain.build_costs.distance_computations
-            == heap.build_costs.distance_computations
-            == mmap.build_costs.distance_computations
-        )
-        for built in (plain, heap, mmap):
-            built.reset_query_costs()
-        results = [built.knn_search(q, k) for built in (plain, heap, mmap)]
-        assert_same_neighbors(results[2], results[1], tol=0.0, label=method)
-        assert_same_neighbors(results[0], results[2], tol=1e-7, label=method)
-        assert (
-            heap.query_costs().distance_computations
-            == mmap.query_costs().distance_computations
-        ), f"{method}: counts diverged between tilings b1={b1}, b2={b2}"
+        _assert_counts_equal_across_paths(case, seed, b1, b2, k)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the SAT's neighbor assignment flips between tilings: the SAT defect, ROADMAP item 5",
+)
+def test_counts_equal_across_paths_known_sat_counterexample() -> None:
+    """The draw that falsified ``[qfd-sat]`` above; stays visible until the
+    SAT is fixed, when this turns into an unexpected pass."""
+    _assert_counts_equal_across_paths((QFDModel, "sat"), seed=102, b1=1, b2=1, k=1)
 
 
 class TestSnapshotRoundTrip:

@@ -107,9 +107,11 @@ class TestSnapshotRoundTrip:
     @settings(max_examples=20, deadline=None)
     def test_state_restores_pair_matrix_for_free(self, seed, m, p) -> None:
         _, data, query = _workload(seed, m)
+        # Both sides evaluate through the same one-to-many form: a scalar-
+        # only port refines with a different (ulp-apart) arithmetic.
         pt = PivotTable(
-            data, euclidean, n_pivots=min(p, m), bound="ptolemaic",
-            rng=np.random.default_rng(seed),
+            data, CountingDistance(euclidean, one_to_many=euclidean_one_to_many),
+            n_pivots=min(p, m), bound="ptolemaic", rng=np.random.default_rng(seed),
         )
         counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
         restored = PivotTable.from_state(data, counter, pt.structural_state())

@@ -122,3 +122,30 @@ def test_importing_the_package_does_not_import_scipy() -> None:
     code = "import sys, repro, repro.cli; assert 'scipy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_a_failing_hypothesis_test_fails_alone(tmp_path) -> None:
+    # Reporting a falsified @given test imports libcst, whose import trips a
+    # third-party DeprecationWarning; as an error it used to abort the whole
+    # session with INTERNALERROR instead of reporting one failure.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    test_file = tmp_path / "test_falsified.py"
+    test_file.write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x != x\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", str(test_file)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout
+    assert run.returncode == 1
