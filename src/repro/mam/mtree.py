@@ -63,6 +63,9 @@ _MAX_PROMOTION_PAIRS = 64
 
 _INF = float("inf")
 
+#: Most nodes one block evaluation opens; a query's blocks double up to it.
+_MAX_BLOCK = 16
+
 
 class _Node:
     """An M-tree node as packed per-entry arrays (one slot per entry).
@@ -156,20 +159,22 @@ class _Node:
         )
 
 
-def parent_bounds(node: _Node, d_parent: float) -> np.ndarray:
+def parent_bounds(
+    dist_to_parent: np.ndarray, radius: np.ndarray, d_parent: "float | np.ndarray"
+) -> np.ndarray:
     """Per entry, a lower bound on ``d(q, o)`` for anything under the entry.
 
     The triangle inequality gives ``|d(q, p) - d(o, p)| - r(o) <= d(q, o)``
     with ``p`` the node's parent routing object — no distance computed.
     Stored bounds are often exactly tight, so the bound is lowered by the
     ulp-scale :func:`~repro.mam.base.prune_slack` of the two distances
-    (written out: it runs once per visited node).  One vectorized
+    (written out: it runs once per evaluated block).  One vectorized
     expression in the per-entry scalar operation order, so each float is
-    what an entry-at-a-time loop computes.
+    what an entry-at-a-time loop computes — with *d_parent* one float for a
+    node or one value per entry for a block of nodes.
     """
-    dtp = node.dist_to_parent
-    slack = PRUNE_SLACK_REL * (abs(d_parent) + np.abs(dtp))
-    return np.abs(d_parent - dtp) - node.radius - slack
+    slack = PRUNE_SLACK_REL * (np.abs(d_parent) + np.abs(dist_to_parent))
+    return np.abs(d_parent - dist_to_parent) - radius - slack
 
 
 def choose_subtree(dists: np.ndarray, radius: np.ndarray) -> int:
@@ -218,19 +223,25 @@ def partition(
 
 
 class MTreeSearchMixin(NodeBatchedSearchMixin):
-    """Range and best-first kNN search over packed :class:`_Node` arrays.
+    """Range and best-first kNN search over packed M-tree nodes.
 
     One traversal per query type, shared by the in-RAM and the paged
-    tree.  A tree supplies ``_open(ref)`` — the :class:`_Node` behind a
-    child reference, the root for ``None`` — ``_node_label(ref, node)``
-    for EXPLAIN, and ``_epsilon``, the kNN relative-error relaxation.
+    tree.  A tree supplies ``_open_block(refs)`` — the packed entries of
+    the nodes behind a list of child references, the root for ``None`` —
+    ``_node_label(ref, is_leaf)`` for EXPLAIN, and ``_epsilon``, the kNN
+    relative-error relaxation.
 
-    Array-at-a-time: a node's parent-distance lower bounds are one
-    vectorized expression (:func:`parent_bounds`), ``nonzero`` selects the
-    survivors and one batched call evaluates them.  Only the
-    order-dependent part stays a loop: leaf offers shrink the kNN radius
-    mid-node, so a leaf's entries are replayed over plain Python floats
-    with the radius held in a local.
+    Block-at-a-time: when the node due next has not been evaluated, it is
+    opened together with the nodes due after it (1, 2, 4, … up to
+    ``_MAX_BLOCK``) and one kernel call, one :func:`parent_bounds`
+    expression and one dmin expression cover all their entries
+    (:meth:`_evaluate`).  That is *physical* work only.  The search itself
+    is the sequential algorithm, replayed per visited node over the
+    resulting plain Python floats: entry by entry, with the kNN radius in
+    a local, so every skip, offer, push and prune — and therefore every
+    answer and count — is what a node-at-a-time scan produces.  A node
+    evaluated ahead and never visited costs its rows (and, paged, a page
+    read) but is neither charged nor counted.
 
     Accounting sits outside the scan: evaluations, node visits and prunes
     accumulate in locals and reach the query's
@@ -254,69 +265,91 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         data = self._data
         return data.view(np.ndarray) if isinstance(data, np.memmap) else data
 
+    def _evaluate(self, bound: BoundQuery, heads: list, done: dict) -> None:
+        """Open and evaluate the nodes of *heads* — ``(ref, d(query, routing
+        object))`` pairs — in one kernel call.
+
+        Leaves in *done*, per ref, ``(is_leaf, children, entries)`` with one
+        ``(index, dist, lower, cover, dmin)`` tuple of plain Python numbers
+        per entry: its database index, distance, parent-distance lower
+        bound, covering radius and the kNN queue key of its subtree.
+        """
+        refs = [ref for ref, _ in heads]
+        index, rows, dist_to_parent, radius, nodes = self._open_block(refs)
+        if rows is None:
+            rows = self._plain_rows()[index]
+        dists = bound.compute_many(rows, index)
+        if heads[0][1] is None:  # the root, alone in its block: nothing bounds it
+            lower = np.full(dists.shape[0], -_INF)
+        else:
+            d_parent = np.array([d for _, d in heads]).repeat([n for _, _, n in nodes])
+            lower = parent_bounds(dist_to_parent, radius, d_parent)
+        dmin = np.maximum(dists - radius - prune_slack(dists, radius), 0.0)
+        entries = list(zip(*(a.tolist() for a in (index, dists, lower, radius, dmin))))
+        lo = 0
+        for ref, (is_leaf, children, n) in zip(refs, nodes):
+            done[ref] = (is_leaf, children, entries[lo : lo + n])
+            lo += n
+
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:
         out: list[Neighbor] = []
-        data = self._plain_rows()
         trace = bound.trace
         buf = trace.events
         tok = ROOT
         visited = evals = pruned = 0
         stack: list[tuple[object, float | None, int]] = [(None, None, ROOT)]
+        done: dict = {}  # evaluated, not yet visited
+        block = 1
         while stack:
             ref, d_parent, parent_tok = stack.pop()
-            node = self._open(ref)
+            if ref not in done:
+                # The radius is fixed, so everything stacked is visited:
+                # evaluate the top of the stack along with this node.
+                ahead = [(r, d) for r, d, _ in stack[: -block : -1] if r not in done]
+                self._evaluate(bound, [(ref, d_parent), *ahead], done)
+                block = min(2 * block, _MAX_BLOCK)
+            is_leaf, children, entries = done.pop(ref)
             visited += 1
             if buf is not None:
-                tok = buf.enter_node(parent_tok, self._node_label(ref, node))
-            n = len(node)
-            if d_parent is None:
-                alive = np.arange(n)
-            else:
-                lower = parent_bounds(node, d_parent)
-                alive = (lower <= radius).nonzero()[0]
-                if not node.is_leaf:
-                    pruned += n - alive.size
-                if tok >= 0:
-                    for value in lower.tolist():
-                        buf.lb_check(
-                            tok, value, radius, pruned=value > radius, label="parent-distance"
-                        )
-                    if not node.is_leaf:
-                        buf.prune(tok, n - alive.size, "parent-distance")
-            index = node.index[alive]
-            # One batched call for the survivors, counted as the one
-            # logical scalar call per entry a per-entry loop makes.
-            dists = bound.compute_many(
-                data[index] if node.rows is None else node.rows[alive], index
-            )
-            evals += alive.size
-            if node.is_leaf:
-                inside = dists <= radius
-                out.extend(map(Neighbor, dists[inside].tolist(), index[inside].tolist()))
-                if tok >= 0:
-                    for idx, dist in zip(index.tolist(), dists.tolist()):
-                        buf.candidate_verify(tok, idx, dist)
-                        if dist <= radius:
-                            buf.result_add(tok, idx, dist)
-            else:
-                cover = node.radius[alive]
-                near = dists - prune_slack(dists, cover)
-                reach = radius + cover
-                keep = near <= reach
-                descend = alive[keep].tolist()
-                pruned += alive.size - len(descend)
-                if tok >= 0:
-                    for value, limit in zip(near.tolist(), reach.tolist()):
-                        buf.lb_check(
-                            tok, value, limit, pruned=value > limit, label="covering-radius"
-                        )
-                        if value > limit:
-                            buf.prune(tok, 1, "covering-radius")
-                # Pushed in reverse, so subtrees are visited in entry order.
-                children = node.children
-                for pos, dist in zip(reversed(descend), reversed(dists[keep].tolist())):
-                    stack.append((children[pos], dist, tok))
+                tok = buf.enter_node(parent_tok, self._node_label(ref, is_leaf))
+            descend = []
+            for pos, (index, dist, low, cover, _) in enumerate(entries):
+                if low > radius:
+                    pruned += not is_leaf
+                    continue
+                evals += 1
+                if is_leaf:
+                    if dist <= radius:
+                        out.append(Neighbor(dist, index))
+                elif dist - prune_slack(dist, cover) > radius + cover:
+                    pruned += 1
+                else:
+                    descend.append((children[pos], dist, tok))
+            # Pushed in reverse, so subtrees are visited in entry order.
+            stack.extend(reversed(descend))
             if tok >= 0:
+                if d_parent is not None:
+                    for _, _, low, _, _ in entries:
+                        buf.lb_check(
+                            tok, low, radius, pruned=low > radius, label="parent-distance"
+                        )
+                    if not is_leaf:
+                        gone = sum(entry[2] > radius for entry in entries)
+                        buf.prune(tok, gone, "parent-distance")
+                for index, dist, low, cover, _ in entries:
+                    if low > radius:
+                        continue
+                    if is_leaf:
+                        buf.candidate_verify(tok, index, dist)
+                        if dist <= radius:
+                            buf.result_add(tok, index, dist)
+                    else:
+                        near, reach = dist - prune_slack(dist, cover), radius + cover
+                        buf.lb_check(
+                            tok, near, reach, pruned=near > reach, label="covering-radius"
+                        )
+                        if near > reach:
+                            buf.prune(tok, 1, "covering-radius")
                 self._port.charge(calls=evals, trace=trace)
                 evals = 0
         self._port.charge(calls=evals, trace=trace)
@@ -331,7 +364,6 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         # reported distances stay within (1 + epsilon) of the true answer.
         relax = 1.0 + self._epsilon
         tau = cutoff = _INF  # the heap's radius, and tau / relax
-        data = self._plain_rows()
         trace = bound.trace
         buf = trace.events
         tok = ROOT
@@ -341,88 +373,70 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         queue: list[tuple[float, int, object, float | None, int]] = [
             (0.0, 0, None, None, ROOT)
         ]
+        done: dict = {}  # evaluated, not yet visited
+        block = 1
         while queue:
             dmin, _, ref, d_parent, parent_tok = heapq.heappop(queue)
             if dmin > cutoff:
                 break
-            node = self._open(ref)
+            if ref not in done:
+                # Evaluate with this node the heads that are visited next
+                # unless the radius shrinks or a nearer subtree turns up;
+                # they go back on the queue, so the visit order is unmoved.
+                ahead = []
+                while len(ahead) < block - 1 and queue and queue[0][0] <= cutoff:
+                    ahead.append(heapq.heappop(queue))
+                for item in ahead:
+                    heapq.heappush(queue, item)
+                heads = [(item[2], item[3]) for item in ahead if item[2] not in done]
+                self._evaluate(bound, [(ref, d_parent), *heads], done)
+                block = min(2 * block, _MAX_BLOCK)
+            is_leaf, children, entries = done.pop(ref)
             visited += 1
             if buf is not None:
-                tok = buf.enter_node(parent_tok, self._node_label(ref, node))
-            n = len(node)
-            if node.is_leaf:
-                # Offers shrink the pruning radius mid-node, so the skip
-                # test is sequential; the distances are still one batch
-                # over the whole leaf, and only consumed entries count.
-                index = node.index
-                ids = index.tolist()
-                dists = bound.compute_many(
-                    data[index] if node.rows is None else node.rows, index
-                ).tolist()
-                lower = (
-                    [-_INF] * n if d_parent is None
-                    else parent_bounds(node, d_parent).tolist()
-                )
-                entered_at = cutoff
-                shrunk: dict[int, float] = {}  # entry position -> cutoff after it
-                for pos, (low, dist) in enumerate(zip(lower, dists)):
-                    if low > cutoff:
-                        continue
-                    evals += 1
+                tok = buf.enter_node(parent_tok, self._node_label(ref, is_leaf))
+            # Leaf offers shrink the pruning radius mid-node, so the skip
+            # test is sequential; only consumed entries count.
+            entered_at = cutoff
+            shrunk: dict[int, float] = {}  # entry position -> cutoff after it
+            for pos, (index, dist, low, _, key) in enumerate(entries):
+                if low > cutoff:
+                    pruned += not is_leaf
+                    continue
+                evals += 1
+                if is_leaf:
                     if dist <= tau:
-                        tau = heap.offer(dist, ids[pos])
+                        tau = heap.offer(dist, index)
                         cutoff = shrunk[pos] = tau / relax
-                if tok >= 0:
-                    at = entered_at
-                    for pos in range(n):
-                        if d_parent is not None:
-                            skip = lower[pos] > at
-                            buf.lb_check(
-                                tok, lower[pos], at, pruned=skip, label="parent-distance"
-                            )
-                            if skip:
-                                continue
-                        buf.candidate_verify(tok, ids[pos], dists[pos])
-                        at = shrunk.get(pos, at)
-            else:
-                # No offers happen while scanning an internal node, so the
-                # pruning radius is constant: the survivor set is known up
-                # front and evaluated in one batch.
-                if d_parent is None:
-                    alive = np.arange(n)
+                elif key > cutoff:
+                    pruned += 1
                 else:
-                    lower = parent_bounds(node, d_parent)
-                    alive = (lower <= cutoff).nonzero()[0]
-                    pruned += n - alive.size
-                    if tok >= 0:
-                        for value in lower.tolist():
-                            buf.lb_check(
-                                tok, value, cutoff, pruned=value > cutoff,
-                                label="parent-distance",
-                            )
-                        buf.prune(tok, n - alive.size, "parent-distance")
-                index = node.index[alive]
-                dists = bound.compute_many(
-                    data[index] if node.rows is None else node.rows[alive], index
-                )
-                evals += alive.size
-                cover = node.radius[alive]
-                child_dmin = np.maximum(dists - cover - prune_slack(dists, cover), 0.0)
-                keep = child_dmin <= cutoff
-                descend = alive[keep].tolist()
-                pruned += alive.size - len(descend)
-                if tok >= 0:
-                    for value in child_dmin.tolist():
-                        buf.lb_check(tok, value, cutoff, pruned=value > cutoff, label="dmin")
-                        if value > cutoff:
-                            buf.prune(tok, 1, "covering-radius")
-                children = node.children
-                for pos, key, dist in zip(
-                    descend, child_dmin[keep].tolist(), dists[keep].tolist()
-                ):
                     heapq.heappush(queue, (key, tick, children[pos], dist, tok))
                     tick += 1
             if tok >= 0:
+                if is_leaf:
+                    at = entered_at
+                    for pos, (index, dist, low, _, _) in enumerate(entries):
+                        if d_parent is not None:
+                            buf.lb_check(
+                                tok, low, at, pruned=low > at, label="parent-distance"
+                            )
+                        if low <= at:
+                            buf.candidate_verify(tok, index, dist)
+                            at = shrunk.get(pos, at)
+                else:
+                    if d_parent is not None:
+                        for _, _, low, _, _ in entries:
+                            buf.lb_check(
+                                tok, low, cutoff, pruned=low > cutoff, label="parent-distance"
+                            )
+                        gone = sum(entry[2] > cutoff for entry in entries)
+                        buf.prune(tok, gone, "parent-distance")
+                    for _, _, low, _, key in entries:
+                        if low <= cutoff:
+                            buf.lb_check(tok, key, cutoff, pruned=key > cutoff, label="dmin")
+                            if key > cutoff:
+                                buf.prune(tok, 1, "covering-radius")
                 self._port.charge(calls=evals, trace=trace)
                 evals = 0
         self._port.charge(calls=evals, trace=trace)
@@ -873,11 +887,20 @@ class MTree(MTreeSearchMixin, AccessMethod):
     # queries (range and kNN: MTreeSearchMixin)
     # ------------------------------------------------------------------
 
-    def _open(self, ref: _Node | None) -> _Node:
-        return self._root if ref is None else ref
+    def _open_block(self, refs: list) -> tuple:
+        """The block read hook: entries gathered from the database, so
+        ``rows`` is ``None`` and a block is one ``data[index]`` gather."""
+        nodes = [self._root if ref is None else ref for ref in refs]
+        return (
+            np.concatenate([node.index for node in nodes]),
+            None,
+            np.concatenate([node.dist_to_parent for node in nodes]),
+            np.concatenate([node.radius for node in nodes]),
+            [(node.is_leaf, node.children, node.index.shape[0]) for node in nodes],
+        )
 
-    def _node_label(self, ref: _Node | None, node: _Node) -> str:
-        return "leaf" if node.is_leaf else "internal"
+    def _node_label(self, ref: _Node | None, is_leaf: bool) -> str:
+        return "leaf" if is_leaf else "internal"
 
     def nearest_iter(self, query: ArrayLike):
         """Lazily yield neighbors in increasing distance order.
@@ -907,7 +930,8 @@ class MTree(MTreeSearchMixin, AccessMethod):
             if d_query_routing is None:
                 keys = [0.0] * len(node)
             else:
-                keys = np.maximum(parent_bounds(node, d_query_routing), 0.0).tolist()
+                bounds = parent_bounds(node.dist_to_parent, node.radius, d_query_routing)
+                keys = np.maximum(bounds, 0.0).tolist()
             for pos, key in enumerate(keys):
                 heapq.heappush(queue, (key, next(counter), "entry", (node, pos), None))
 

@@ -146,20 +146,35 @@ class PagedMTree(MTreeSearchMixin, AccessMethod):
         )
         return page_id
 
+    def _open_block(self, refs: list) -> tuple:
+        """The block read hook and the one page decoder: the entry bytes of
+        the pages behind *refs* (the root's for ``None``) joined under one
+        ``frombuffer`` — read-only field views, nothing copied per node."""
+        raw, headers = [], []
+        for ref in refs:
+            page_id = self._root_page if ref is None else ref
+            payload = self._cache.read_page(page_id)
+            is_leaf, n = _HEADER.unpack_from(payload, 0)
+            if n > self._capacity + 1:
+                raise PageError(f"page {page_id} claims {n} entries: corrupt node page")
+            raw.append(payload[_HEADER.size : _HEADER.size + n * self._entry.itemsize])
+            headers.append((bool(is_leaf), n))
+        entries = np.frombuffer(b"".join(raw), self._entry)
+        child, nodes, lo = entries["child"].tolist(), [], 0
+        for is_leaf, n in headers:
+            nodes.append((is_leaf, [] if is_leaf else child[lo : lo + n], n))
+            lo += n
+        fields = (entries[name] for name in ("index", "vector", "dist_to_parent", "radius"))
+        return (*fields, nodes)
+
     def _load(self, page_id: int) -> _Node:
-        payload = self._cache.read_page(page_id)
-        is_leaf, n_entries = _HEADER.unpack_from(payload, 0)
-        if n_entries > self._capacity + 1:
-            raise PageError(f"page {page_id} claims {n_entries} entries: corrupt node page")
-        entries = np.frombuffer(payload, self._entry, n_entries, _HEADER.size)
-        # Field copies: aligned, writable, and independent of the page.
+        """One page as a node the write path may edit: field copies —
+        aligned, writable, and independent of the page."""
+        index, rows, dist_to_parent, radius, nodes = self._open_block([page_id])
+        is_leaf, children, _ = nodes[0]
         return _Node(
-            bool(is_leaf),
-            entries["index"].astype(np.intp),
-            entries["radius"].copy(),
-            entries["dist_to_parent"].copy(),
-            [] if is_leaf else entries["child"].tolist(),
-            entries["vector"].copy(),
+            is_leaf, index.astype(np.intp), radius.copy(), dist_to_parent.copy(), children,
+            rows.copy(),
         )
 
     def _write_node(self, page_id: int, node: _Node) -> None:
@@ -312,10 +327,7 @@ class PagedMTree(MTreeSearchMixin, AccessMethod):
     # queries (range and kNN: MTreeSearchMixin, over pages)
     # ------------------------------------------------------------------
 
-    def _open(self, ref: int | None) -> _Node:
-        return self._load(self._root_page if ref is None else ref)
-
-    def _node_label(self, ref: int | None, node: _Node) -> str:
+    def _node_label(self, ref: int | None, is_leaf: bool) -> str:
         return "page" if ref is None else f"page:{ref}"
 
     def node_pages(self) -> int:

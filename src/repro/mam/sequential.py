@@ -72,9 +72,10 @@ class SequentialFile(AccessMethod):
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         distances, _ = self._scan(query, current_trace())
-        # argpartition gets the k smallest; explicit sort fixes tie order.
-        order = np.argpartition(distances, k - 1)[:k]
-        return neighbors_from_distances(distances[order], order)
+        # Every row up to the k-th distance, so rows tied there are kept or
+        # dropped by the shared (distance, index) order, not by partition.
+        order = np.flatnonzero(distances <= np.partition(distances, k - 1)[k - 1])
+        return neighbors_from_distances(distances[order], order)[:k]
 
     def _range_search_batch(
         self, queries: np.ndarray, radius: float, traces: "list[QueryTrace]"

@@ -141,3 +141,23 @@ class TestAccessMethodValidation:
         seq = SequentialFile(rng.random((5, 3)), euclidean)
         assert seq.size == 5 and seq.dim == 3
         assert seq.database.shape == (5, 3)
+
+
+class TestScanTieOrder:
+    """The scan is the reference every index is compared with, so rows tied
+    at the k-th distance must be cut by ``(distance, index)``, like
+    everywhere else — not by whichever of them a partition left in front."""
+
+    def test_duplicates_straddling_the_kth_place(self, rng: np.random.Generator) -> None:
+        data = rng.random((300, 5)) + 2.0
+        group = [3, 41, 42, 97, 150, 151, 288, 299]
+        data[group] = 0.25  # eight identical rows, the nearest by far
+        data[7] = 0.26      # and one strictly nearer object in front of them
+        seq = SequentialFile(data, CountingDistance(euclidean, one_to_many=euclidean_one_to_many))
+        q = np.full(5, 0.27)
+        for k in range(1, 12):
+            got = seq.knn_search(q, k)
+            assert [n.index for n in got[:9]] == ([7] + group)[:k]
+            assert got == sorted(got)
+            assert got == seq.knn_search_batch(q[None, :], k)[0]
+        assert seq.distance.counter.count == 2 * 11 * 300  # still one row per object

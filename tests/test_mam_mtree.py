@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import clustered_histograms
+from repro.datasets import clustered_histograms, histogram_workload
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
+from repro.engine.trace import query_trace
 from repro.exceptions import QueryError
-from repro.mam import MTree, SequentialFile
+from repro.mam import MTree, PagedMTree, SequentialFile
+from repro.mam.base import BoundQuery
+from repro.models import QFDModel, QMapModel
 
 from .helpers import assert_same_neighbors
+from .mtree_reference import reference_knn, reference_range
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +116,131 @@ class TestQueryBehaviour:
         tree = MTree(data[:50], euclidean, capacity=9, split_policy="random")
         assert tree.capacity == 9
         assert tree.split_policy == "random"
+
+
+TREES = {
+    "mtree": lambda rows, **kw: MTree(rows, euclidean, **kw),
+    "paged-mtree": lambda rows, **kw: PagedMTree(rows, euclidean, cache_pages=4, **kw),
+}
+
+
+def check_block_search(tree, scan, q, *, k=None, radius=None, epsilon=0.0, tol=0.0):
+    """One query through the block traversal: it answers what the scan
+    answers and spends what the node-at-a-time reference spends."""
+    with query_trace("", 0.0) as trace:
+        got = tree.knn_search(q, k) if radius is None else tree.range_search(q, radius)
+    if radius is None:
+        expected, counts, _ = reference_knn(tree, q, k, epsilon)
+    else:
+        expected, counts, _ = reference_range(tree, q, radius)
+    assert_same_neighbors(got, expected, tol=tol, label="vs reference")
+    assert (trace.distance_evaluations, trace.nodes_visited, trace.nodes_pruned) == counts
+    assert trace.batched_evaluations == 0  # charged as the per-entry calls they replace
+    if scan is not None:
+        truth = scan.knn_search(q, k) if radius is None else scan.range_search(q, radius)
+        assert_same_neighbors(got, truth, tol=max(tol, 1e-8), label="vs scan")
+    return got, trace
+
+
+@pytest.mark.parametrize("method", sorted(TREES))
+class TestBlockTraversal:
+    """Evaluating the frontier in blocks changes no answer and no count."""
+
+    def test_root_is_a_leaf(self, data, method) -> None:
+        tree = TREES[method](data[:6], capacity=8)
+        scan = SequentialFile(data[:6], euclidean)
+        _, trace = check_block_search(tree, scan, data[50], k=3)
+        assert (trace.nodes_visited, trace.distance_evaluations) == (1, 6)
+        check_block_search(tree, scan, data[50], radius=0.3)
+
+    def test_k_from_one_to_beyond_the_database(self, data, method) -> None:
+        tree = TREES[method](data[:90], capacity=5)
+        scan = SequentialFile(data[:90], euclidean)
+        for k in (1, 10, 90, 500):
+            got, _ = check_block_search(tree, scan, data[120], k=k)
+            assert len(got) == min(k, 90)
+
+    def test_query_equal_to_a_routing_object(self, data, method) -> None:
+        tree = TREES[method](data[:300], capacity=6)
+        scan = SequentialFile(data[:300], euclidean)
+        routing, *_ = tree._open_block([None])
+        assert len(routing) >= 2  # the root routes
+        for index in routing.tolist()[:3]:
+            got, _ = check_block_search(tree, scan, data[index], k=5)
+            assert (got[0].index, got[0].distance) == (index, 0.0)
+            check_block_search(tree, scan, data[index], radius=0.0)
+
+    def test_duplicates_tied_at_the_cutoff(self, data, method) -> None:
+        rows = data[:200].copy()
+        rows[150:156] = rows[10]  # with row 10, seven identical objects
+        tree = TREES[method](rows, capacity=4)
+        scan = SequentialFile(rows, euclidean)
+        q = rows[10] + 1e-3
+        for k in (1, 4, 7, 9):
+            got, _ = check_block_search(tree, scan, q, k=k)
+            # Ties are broken by index, by the tree and by the scan alike.
+            assert [n.index for n in got[:7]] == [10, 150, 151, 152, 153, 154, 155][:k]
+        # A radius that *is* the tied distance (the tree's: the scan's may
+        # differ in the last ulp) keeps the whole group, on the boundary.
+        nearest = tree.knn_search(q, 7)
+        got, _ = check_block_search(tree, None, q, radius=nearest[0].distance)
+        assert got == nearest
+
+    def test_insert_then_query(self, data, method) -> None:
+        tree = TREES[method](data[:150], capacity=5)
+        for step, row in enumerate(data[150:230]):
+            tree.insert(row)
+            if step % 16 == 0:
+                scan = SequentialFile(data[: 151 + step], euclidean)
+                check_block_search(tree, scan, data[300 + step], k=7)
+                check_block_search(tree, scan, row, radius=0.25)
+
+    @pytest.mark.parametrize("model_cls", [QFDModel, QMapModel])
+    @pytest.mark.parametrize("store", ["heap", "mmap32"])
+    def test_models_and_memory_mapped_float32(self, method, model_cls, store) -> None:
+        w = histogram_workload(260, 4, bins_per_channel=2, seed=77)
+        model = model_cls(w.matrix)
+        extra = {"store": "mmap", "block_rows": 13} if store == "mmap32" else {}
+        kwargs = {"capacity": 6, **({"cache_pages": 4} if method == "paged-mtree" else {})}
+        built = model.build_index(method, w.database, **kwargs, **extra)
+        scan = model.build_index("sequential", w.database, **extra).access_method
+        tree = built.access_method
+        # The QFD's Gram kernel is a matrix-vector product, whose last ulp
+        # may depend on the batch it is part of; L2 is per-row arithmetic.
+        tol = 1e-9 if model_cls is QFDModel else 0.0
+        for query in w.queries:
+            q = built._map_query(query)
+            got, _ = check_block_search(tree, scan, q, k=8, tol=tol)
+            check_block_search(tree, scan, q, radius=got[-1].distance * (1 + 1e-9), tol=tol)
+
+
+class TestBlockTraversalInRam:
+    def test_epsilon_relaxation_replays_too(self, data) -> None:
+        exact = SequentialFile(data, euclidean)
+        tree = MTree(data, euclidean, capacity=6, epsilon=0.5)
+        for q in data[200:206] + 1e-3:
+            got, _ = check_block_search(tree, None, q, k=6, epsilon=0.5)
+            truth = exact.knn_search(q, 6)
+            assert all(g.distance <= 1.5 * t.distance + 1e-12 for g, t in zip(got, truth))
+
+    def test_kernel_calls_stay_far_below_one_per_node(self, monkeypatch) -> None:
+        """10-NN on 2 000 objects: the node-at-a-time scan made one
+        one-to-many call per visited node; blocks of up to 16 make a few."""
+        rows = clustered_histograms(2000, 16, themes=12, rng=np.random.default_rng(5))
+        tree = MTree(rows, euclidean, capacity=16)
+        calls: list[int] = []
+        compute_many = BoundQuery.compute_many
+
+        def counting(self, rows, indices=None):
+            calls.append(rows.shape[0])
+            return compute_many(self, rows, indices)
+
+        monkeypatch.setattr(BoundQuery, "compute_many", counting)
+        for q in rows[:5] + 1e-3:
+            del calls[:]
+            with query_trace("", 0.0) as trace:
+                tree.knn_search(q, 10)
+            assert trace.nodes_visited >= 12
+            assert len(calls) <= 2 + -(-trace.nodes_visited // 4), (calls, trace.nodes_visited)
+            assert max(calls) <= 16 * 17  # the out-of-core bound on one gather
+            assert sum(calls) >= trace.distance_evaluations  # speculation is physical only

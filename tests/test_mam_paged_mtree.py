@@ -7,11 +7,14 @@ import pytest
 
 from repro.datasets import clustered_histograms
 from repro.distances import euclidean
+from repro.engine.trace import query_trace
 from repro.exceptions import PageError
 from repro.mam import PagedMTree, SequentialFile
 from repro.mam.mtree import _Node
+from repro.mam.paged_mtree import _HEADER
 
-from .helpers import assert_same_neighbors
+from .helpers import assert_same_neighbors, run_together
+from .mtree_reference import reference_knn
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +119,88 @@ class TestInserts:
         idx = tree.insert(data[200])
         top = tree.knn_search(data[200], 1)[0]
         assert top.index == idx and top.distance == pytest.approx(0.0, abs=1e-12)
+
+
+def _traced_knn(tree, q, k):
+    with query_trace("", 0.0) as trace:
+        answer = tree.knn_search(q, k)
+    return answer, (trace.distance_evaluations, trace.nodes_visited, trace.nodes_pruned)
+
+
+class TestBlockReads:
+    """The search opens pages in blocks: a page read ahead is a real read
+    (the cache counts it) but not a visit (the query does not)."""
+
+    def test_page_reads_stay_within_one_block_of_the_visits(self) -> None:
+        rows = clustered_histograms(2000, 16, themes=12, rng=np.random.default_rng(5))
+        tree = PagedMTree(rows, euclidean, capacity=16, cache_pages=8)
+        ahead = 0
+        for q in rows[:8] + 1e-3:
+            before = tree.cache.stats.accesses
+            answer, (evals, visited, pruned) = _traced_knn(tree, q, 10)
+            reads = tree.cache.stats.accesses - before
+            expected, counts, opened = reference_knn(tree, q, 10)
+            assert (answer, (evals, visited, pruned)) == (expected, counts)
+            assert opened == visited <= reads <= visited + 15
+            ahead += reads - visited
+        assert ahead > 0  # the bound above is not vacuous: blocks do read ahead
+
+    def test_two_threads_share_one_tree(self, data) -> None:
+        tree = PagedMTree(data, euclidean, capacity=6, cache_pages=3)
+        queries = data[:40] + 1e-3
+        serial = [_traced_knn(tree, q, 7) for q in queries]
+        seen: dict[str, list] = {}
+
+        def worker(name: str, order) -> None:
+            seen[name] = [(pos, _traced_knn(tree, queries[pos], 7)) for pos in order]
+
+        run_together(
+            lambda: worker("up", range(40)),
+            lambda: worker("down", reversed(range(40))),
+            lambda: worker("odd", range(1, 40, 2)),
+        )
+        assert sorted(seen) == ["down", "odd", "up"]
+        for answers in seen.values():
+            for pos, outcome in answers:
+                assert outcome == serial[pos]
+
+
+class TestOneDecoder:
+    """``_load`` (the write path's node) is built by the search's decoder."""
+
+    def test_load_agrees_with_the_block_hook_and_is_writable(self, paged) -> None:
+        children = paged._load(paged._root_page).children
+        index, rows, dist_to_parent, radius, nodes = paged._open_block(children[:3])
+        lo = 0
+        for page_id, (is_leaf, kids, n) in zip(children, nodes):
+            node = paged._load(page_id)
+            assert (node.is_leaf, node.children, len(node)) == (is_leaf, kids, n)
+            for mine, block in (
+                (node.index, index), (node.rows, rows),
+                (node.dist_to_parent, dist_to_parent), (node.radius, radius),
+            ):
+                assert np.array_equal(mine, block[lo : lo + n])
+                assert mine.flags.writeable and mine.flags.aligned and mine.base is None
+            assert node.index.dtype == np.intp
+            lo += n
+        assert lo == len(index)
+
+    def test_rewriting_a_loaded_node_reproduces_its_page(self, paged) -> None:
+        for page_id in range(paged.node_pages()):
+            image = paged._file.read_page(page_id)
+            paged._write_node(page_id, paged._load(page_id))
+            assert paged._file.read_page(page_id) == image
+
+    def test_corrupt_entry_count_is_refused_everywhere(self, data) -> None:
+        tree = PagedMTree(data[:120], euclidean, capacity=4, cache_pages=2)
+        root = tree._load(tree._root_page)
+        victim = root.children[1]
+        page = bytearray(tree._file.read_page(victim))
+        page[: _HEADER.size] = _HEADER.pack(1, 99)
+        tree._cache.write_page(victim, bytes(page))
+        with pytest.raises(PageError, match=f"page {victim} claims 99 entries"):
+            tree._load(victim)
+        with pytest.raises(PageError, match="corrupt node page"):
+            tree.range_search(data[0], 10.0)  # visits every page
+        with pytest.raises(PageError, match="corrupt node page"):
+            tree.knn_search(data[0], 120)
