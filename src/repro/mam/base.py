@@ -370,10 +370,22 @@ class DistancePort:
         ``qAq^T``) once; *data* enables the cached per-row norms so each
         candidate distance afterwards is O(n).  *trace* is the query's
         open record, charged directly; a lazily consumed cursor leaves it
-        ``None`` and charges whatever is current at each evaluation.
+        ``None`` and charges whatever is current at each evaluation —
+        the counter itself when no query is open.
+
+        Without *data* the vector is a stored object on a write path (an
+        insert descending a tree, a routing object during a split): what
+        is evaluated gets *stored*, so it must be the port's own
+        arithmetic.  The difference-based L2 context is, bit for bit, and
+        spares the per-call validation; a norm-reading (QFD) context is
+        left out, and the bound vector falls back to :meth:`compute_many`
+        and the scalar form.
         """
         norms = self._norms_for(data) if data is not None else None
-        ctx = self._kernel.bind(query) if self._kernel is not None else None
+        if self._kernel is None or (data is None and self._wants_norms):
+            ctx = None
+        else:
+            ctx = self._kernel.bind(query)
         return BoundQuery(self, query, ctx, norms, trace)
 
     def pairwise(self, rows: np.ndarray, *, charge: bool = True) -> np.ndarray:

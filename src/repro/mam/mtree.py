@@ -27,6 +27,7 @@ the paper's cost accounting in both the QFD and the QMap model.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import mmap as _mmap
@@ -46,6 +47,7 @@ from .base import (
     Neighbor,
     NodeBatchedSearchMixin,
     _KnnHeap,
+    grown,
     prune_slack,
     state_array,
     state_float,
@@ -56,10 +58,6 @@ from .base import (
 __all__ = ["MTree", "SPLIT_POLICIES"]
 
 SPLIT_POLICIES = ("mM_RAD", "random")
-
-#: Cap on candidate promotion pairs examined by the mM_RAD policy; beyond
-#: this many pairs a random sample is scored instead of all of them.
-_MAX_PROMOTION_PAIRS = 64
 
 _INF = float("inf")
 
@@ -72,7 +70,14 @@ class _Node:
 
     The layout both trees share — :class:`MTree` keeps nodes in RAM,
     :class:`~repro.mam.paged_mtree.PagedMTree` deserializes one per page —
-    so one pair of scan routines (:class:`MTreeSearchMixin`) serves both.
+    so one search and one write path (:class:`MTreeSearchMixin`) serve both.
+
+    A node grows in place: the arrays it is given are its *slots*, and the
+    per-entry fields are views of the filled ones.  The write path makes
+    its nodes (:meth:`empty`, :meth:`take`) with room for ``capacity + 1``, so
+    an insert is a few scalar stores; a restored, bulk-built or
+    page-decoded node arrives exactly full and its first :meth:`append`
+    moves it to slots of twice the size.
 
     Attributes
     ----------
@@ -94,7 +99,9 @@ class _Node:
         store off the heap.
     """
 
-    __slots__ = ("is_leaf", "index", "radius", "dist_to_parent", "children", "rows")
+    __slots__ = (
+        "is_leaf", "index", "radius", "dist_to_parent", "children", "rows", "_slots",
+    )
 
     def __init__(
         self,
@@ -104,19 +111,37 @@ class _Node:
         dist_to_parent: np.ndarray,
         children: list,
         rows: np.ndarray | None = None,
+        fill: int | None = None,
     ) -> None:
         self.is_leaf = is_leaf
-        self.index = index
-        self.radius = radius
-        self.dist_to_parent = dist_to_parent
         self.children = children
-        self.rows = rows
+        self._slots = (index, radius, dist_to_parent, rows)
+        if fill is None:  # exactly full: the arrays are the fields
+            self.index, self.radius, self.dist_to_parent, self.rows = self._slots
+        else:
+            self._fill(fill)
+
+    def __reduce__(self) -> tuple:
+        # A copied view is no view of the copied slots: ship the filled
+        # fields and rebuild exactly full.
+        fields = (self.index, self.radius, self.dist_to_parent, self.children, self.rows)
+        return _Node, (self.is_leaf, *fields)
+
+    def _fill(self, n: int) -> None:
+        """Point the fields at the first *n* slots."""
+        index, radius, dist_to_parent, rows = self._slots
+        self.index = index[:n]
+        self.radius = radius[:n]
+        self.dist_to_parent = dist_to_parent[:n]
+        self.rows = None if rows is None else rows[:n]
 
     @classmethod
-    def empty(cls, is_leaf: bool, dim: int | None = None) -> "_Node":
-        """A node without entries; given *dim*, one carrying its own rows."""
-        rows = None if dim is None else np.empty((0, dim))
-        return cls(is_leaf, np.empty(0, np.intp), np.empty(0), np.empty(0), [], rows)
+    def empty(cls, is_leaf: bool, room: int, dim: int | None = None) -> "_Node":
+        """A node of *room* free slots; given *dim*, one carrying its own rows."""
+        rows = None if dim is None else np.empty((room, dim))
+        return cls(
+            is_leaf, np.empty(room, np.intp), np.empty(room), np.empty(room), [], rows, 0
+        )
 
     def __len__(self) -> int:
         return self.index.shape[0]
@@ -129,33 +154,48 @@ class _Node:
         child: object = None,
         row: np.ndarray | None = None,
     ) -> None:
-        """Add one entry at the end (the arrays are exact-size)."""
-        self.index = np.append(self.index, np.intp(index))
-        self.radius = np.append(self.radius, radius)
-        self.dist_to_parent = np.append(self.dist_to_parent, dist_to_parent)
+        """Add one entry at the end, in place (a node without a free slot
+        moves to bigger slots first)."""
+        n = self.index.shape[0]
+        if n == self._slots[0].shape[0]:
+            self._slots = tuple(
+                None if held is None else grown(held, n, 1) for held in self._slots
+            )
+        slots = self._slots
+        slots[0][n] = index
+        slots[1][n] = radius
+        slots[2][n] = dist_to_parent
+        if slots[3] is not None:
+            slots[3][n] = row
         if not self.is_leaf:
             self.children.append(child)
-        if self.rows is not None:
-            self.rows = np.vstack([self.rows, row.reshape(1, -1)])
+        self._fill(n + 1)
 
     def remove(self, pos: int) -> None:
         """Drop the entry at *pos*, keeping the others in order."""
-        self.index = np.delete(self.index, pos)
-        self.radius = np.delete(self.radius, pos)
-        self.dist_to_parent = np.delete(self.dist_to_parent, pos)
+        n = self.index.shape[0]
+        for held in self._slots:
+            if held is not None:
+                held[pos : n - 1] = held[pos + 1 : n]
         del self.children[pos]
-        if self.rows is not None:
-            self.rows = np.delete(self.rows, pos, axis=0)
+        self._fill(n - 1)
 
-    def take(self, members: np.ndarray, dist_to_parent: np.ndarray) -> "_Node":
-        """A node of the entries at *members*, with new parent distances."""
+    def take(self, members: np.ndarray, dist_to_parent: np.ndarray, room: int) -> "_Node":
+        """A node of the entries at *members*, with new parent distances,
+        in at least *room* slots."""
+        taken = members.shape[0]
+
+        def slots(values: np.ndarray) -> np.ndarray:
+            return grown(values, taken, room - taken)
+
         return _Node(
             self.is_leaf,
-            self.index[members],
-            self.radius[members],
-            dist_to_parent,
-            [self.children[pos] for pos in members] if self.children else [],
-            None if self.rows is None else self.rows[members],
+            slots(self.index[members]),
+            slots(self.radius[members]),
+            slots(dist_to_parent),
+            [self.children[pos] for pos in members.tolist()] if self.children else [],
+            None if self.rows is None else slots(self.rows[members]),
+            taken,
         )
 
 
@@ -177,59 +217,82 @@ def parent_bounds(
     return np.abs(d_parent - dist_to_parent) - radius - slack
 
 
-def choose_subtree(dists: np.ndarray, radius: np.ndarray) -> int:
+def choose_subtree(dists: list[float], radii: list[float]) -> int:
     """Position of the routing entry an inserted object descends into.
 
     The classic heuristic: a region that needs no enlargement wins (the
     nearest such), otherwise the one needing the least; ties go to the
-    first entry.
+    first entry — the ``(enlargement, distance, position)`` order, as a
+    scalar loop over the few floats of one node.
     """
-    enlargement = np.where(dists <= radius, 0.0, dists - radius)
-    return int(np.lexsort((dists, enlargement))[0])
+    best, best_growth, best_dist = 0, _INF, _INF
+    for pos, dist in enumerate(dists):
+        cover = radii[pos]
+        growth = 0.0 if dist <= cover else dist - cover
+        if growth < best_growth or (growth == best_growth and dist < best_dist):
+            best, best_growth, best_dist = pos, growth, dist
+    return best
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both positions of every unordered pair of *n* entries, in
+    ``itertools.combinations`` order (read-only: every split of an
+    *n*-entry node shares them)."""
+    first, second = np.triu_indices(n, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
 def min_max_radius_pair(
-    pairs: list[tuple[int, int]], subtree_radii: np.ndarray, pairwise: np.ndarray
-) -> tuple[int, int]:
-    """mM_RAD promotion: the first of *pairs* minimizing the larger of the
-    two covering radii its hyperplane partition would produce, reading
-    all distances from the precomputed *pairwise* matrix."""
-    first, second = np.array(pairs).T
+    first: np.ndarray, second: np.ndarray, subtree_radii: np.ndarray, pairwise: np.ndarray
+) -> int:
+    """mM_RAD promotion: which candidate pair ``(first[i], second[i])``
+    minimizes the larger of the two covering radii its hyperplane partition
+    would produce (the earliest on ties), reading all distances from the
+    precomputed *pairwise* matrix."""
     to_first, to_second = pairwise[first], pairwise[second]  # one row per pair
     closer_to_first = to_first <= to_second
     radius1 = np.where(closer_to_first, to_first + subtree_radii, 0.0).max(axis=1)
     radius2 = np.where(closer_to_first, 0.0, to_second + subtree_radii).max(axis=1)
-    return pairs[int(np.argmin(np.maximum(radius1, radius2)))]
+    return int(np.argmin(np.maximum(radius1, radius2)))
 
 
 def partition(
-    node: _Node, pairwise: np.ndarray, first: int, second: int
+    node: _Node, pairwise: np.ndarray, first: int, second: int, room: int
 ) -> tuple[_Node, _Node, float, float]:
     """Generalized-hyperplane split of *node* around two promoted entries.
 
     Returns the two nodes (entry order kept, ``dist_to_parent`` now the
-    distance to the respective promoted object) and their covering radii.
-    For internal entries the covering radius accounts for the subtree
-    radius: ``r = max(d + entry.radius)``.
+    distance to the respective promoted object, *room* slots each) and
+    their covering radii.  For internal entries the covering radius
+    accounts for the subtree radius: ``r = max(d + entry.radius)``.
     """
     d1, d2 = pairwise[first], pairwise[second]
     to_first = d1 <= d2
     to_first[first], to_first[second] = True, False
     group1, group2 = np.flatnonzero(to_first), np.flatnonzero(~to_first)
-    node1, node2 = node.take(group1, d1[group1]), node.take(group2, d2[group2])
+    node1 = node.take(group1, d1[group1], room)
+    node2 = node.take(group2, d2[group2], room)
     radius1 = float((node1.dist_to_parent + node1.radius).max(initial=0.0))
     radius2 = float((node2.dist_to_parent + node2.radius).max(initial=0.0))
     return node1, node2, radius1, radius2
 
 
 class MTreeSearchMixin(NodeBatchedSearchMixin):
-    """Range and best-first kNN search over packed M-tree nodes.
+    """The M-tree algorithms over packed nodes — range search, best-first
+    kNN, the incremental cursor, insert and split — shared by the in-RAM
+    and the paged tree, which differ only in a *node store*.
 
-    One traversal per query type, shared by the in-RAM and the paged
-    tree.  A tree supplies ``_open_block(refs)`` — the packed entries of
-    the nodes behind a list of child references, the root for ``None`` —
-    ``_node_label(ref, is_leaf)`` for EXPLAIN, and ``_epsilon``, the kNN
-    relative-error relaxation.
+    Reading: ``_open_block(refs)`` — the packed entries of the nodes behind
+    a list of child references, the root for ``None`` — plus
+    ``_node_label(ref, is_leaf)`` for EXPLAIN and ``_epsilon``, the kNN
+    relative-error relaxation.  Writing: ``_load(ref)`` (a :class:`_Node`
+    the write path may edit), ``_write_node(ref, node)`` (store it and
+    return the reference it is now reachable by), ``_alloc()`` (a reference
+    for a new node) and ``_set_root(ref)`` — identities and no-ops in RAM,
+    page (de)serialization on disk.
 
     Block-at-a-time: when the node due next has not been evaluated, it is
     opened together with the nodes due after it (1, 2, 4, … up to
@@ -249,10 +312,29 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
     query.  Only while the record carries the EXPLAIN ``events`` detail
     are a node's evaluations charged before the next node is entered (the
     detail attributes a charge to the node being scanned) and its events
-    replayed — behind the ``tok >= 0`` guard.
+    replayed — behind the ``tok >= 0`` guard.  An insert works the same
+    way: the vector is bound once, each level is one uncharged kernel call
+    replayed over plain floats, and the descent is charged once.
     """
 
+    #: Most candidate promotion pairs an mM_RAD split scores; beyond it a
+    #: random sample of that many is scored instead.  ``None``: no cap.
+    _max_promotion_pairs: int | None = None
+
     _epsilon = 0.0
+
+    def _set_params(
+        self, capacity: int, split_policy: str, epsilon: float = 0.0, *, error: type = QueryError
+    ) -> None:
+        """Validate and adopt the tree parameters; a bad one raises *error*
+        (a snapshot's are storage errors, not query errors)."""
+        if capacity < 2:
+            raise error(f"node capacity must be >= 2, got {capacity}")
+        if split_policy not in SPLIT_POLICIES:
+            raise error(f"unknown split policy {split_policy!r}; choose from {SPLIT_POLICIES}")
+        if epsilon < 0.0:
+            raise error(f"epsilon must be non-negative, got {epsilon}")
+        self._capacity, self._split_policy, self._epsilon = capacity, split_policy, epsilon
 
     def _plain_rows(self) -> np.ndarray:
         """The database as a plain ndarray (an alias, never a copy).
@@ -444,6 +526,229 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         trace.nodes_pruned += pruned
         return heap.neighbors()
 
+    # ------------------------------------------------------------------
+    # dynamic inserts (one write path over the node store)
+    # ------------------------------------------------------------------
+
+    def _entry_rows(self, node: _Node, pos: "int | slice" = slice(None)) -> np.ndarray:
+        """The vectors of *node*'s entries (or of the one at *pos*): its own
+        copy when it carries one, else gathered from the database."""
+        if node.rows is not None:
+            return node.rows[pos]
+        return self._plain_rows()[node.index[pos]]
+
+    def _register_insert(self, index: int, vector: np.ndarray) -> None:
+        """Dynamic insert — the M-tree's native operation (Section 4.3):
+        descend, append to the leaf, split overflowing nodes upward.
+
+        The descent is charged once, as the batched rows its per-level
+        one-to-many calls amount to.
+        """
+        bound = self._port.bind_query(vector)
+        path: list[tuple[object, int]] = []  # (node ref, chosen routing position)
+        ref, node = None, self._load(None)
+        descent = 0.0
+        evaluated = 0
+        while not node.is_leaf:
+            dists = bound.compute_many(self._entry_rows(node)).tolist()
+            evaluated += len(dists)
+            radii = node.radius.tolist()
+            pos = choose_subtree(dists, radii)
+            descent = dists[pos]
+            if descent > radii[pos]:
+                node.radius[pos] = descent
+                self._write_node(ref, node)
+            path.append((ref, pos))
+            ref = node.children[pos]
+            node = self._load(ref)
+        self._port.charge(rows=evaluated)
+        node.append(index, 0.0, descent, row=vector)
+        if len(node) <= self._capacity:
+            self._write_node(ref, node)
+        else:
+            self._split(ref, node, path)
+
+    def _split(self, ref: object, node: _Node, path: list[tuple[object, int]]) -> None:
+        """Split overflowing *node* (stored at *ref*), propagating upward."""
+        room = self._capacity + 1
+        # One pairwise distance matrix serves both promotion scoring and the
+        # final partition — the standard mM_RAD implementation trick that
+        # keeps split cost at O(capacity^2) distance computations.
+        pairwise = self._port.pairwise(self._entry_rows(node))
+        first, second = self._promote(node.radius, pairwise)
+        node1, node2, radius1, radius2 = partition(node, pairwise, first, second, room)
+        # The first half takes the split node's place, the second a new one.
+        child1 = self._write_node(ref, node1)
+        child2 = self._write_node(self._alloc(), node2)
+        if path:
+            parent_ref, pos = path[-1]
+            parent = self._load(parent_ref)
+            parent.remove(pos)
+        else:
+            parent_ref = self._alloc()  # a new root, two entries
+            parent = _Node.empty(
+                False, room, None if node.rows is None else node.rows.shape[1]
+            )
+        grandparent = None
+        if len(path) >= 2:
+            above_ref, above_pos = path[-2]
+            grandparent = self._port.bind_query(
+                self._entry_rows(self._load(above_ref), above_pos)
+            )
+        # Routing entries keep the promoted object's database index so the
+        # kernel layer can look up its cached row norm.
+        for promoted, radius, child in ((first, radius1, child1), (second, radius2, child2)):
+            row = self._entry_rows(node, promoted)
+            to_parent = 0.0 if grandparent is None else grandparent.one(row)
+            parent.append(int(node.index[promoted]), radius, to_parent, child, row)
+        if len(parent) > self._capacity:
+            self._split(parent_ref, parent, path[:-1])
+        elif path:
+            self._write_node(parent_ref, parent)
+        else:
+            self._set_root(self._write_node(parent_ref, parent))
+
+    def _promote(self, subtree_radii: np.ndarray, pairwise: np.ndarray) -> tuple[int, int]:
+        """Choose the two entries to promote as new routing objects."""
+        n = pairwise.shape[0]
+        if self._split_policy == "random":
+            first, second = self._rng.choice(n, size=2, replace=False)
+            return int(first), int(second)
+        first, second = _pair_index(n)
+        cap = self._max_promotion_pairs
+        if cap is not None and first.shape[0] > cap:
+            picks = self._rng.choice(first.shape[0], size=cap, replace=False)
+            first, second = first[picks], second[picks]
+        best = min_max_radius_pair(first, second, subtree_radii, pairwise)
+        return int(first[best]), int(second[best])
+
+    def _verify_state_probe(self) -> None:
+        # dist_to_parent of a child-node entry is d(entry, parent routing
+        # object) — recomputable without touching the counter.  A leaf root
+        # has no such pair (bulk-built leaves store medoid distances whose
+        # medoid identity is not kept), so it is skipped.
+        root = self._load(None)
+        if root.is_leaf or not len(root):
+            return
+        child = self._load(root.children[0])
+        if not len(child):
+            return
+        probe = self._port.pair_uncounted(
+            self._entry_rows(child, 0), self._entry_rows(root, 0)
+        )
+        if not np.isclose(probe, child.dist_to_parent[0], rtol=1e-6, atol=1e-9):
+            raise StorageError(
+                "supplied distance disagrees with the stored parent distances "
+                "(wrong metric or wrong matrix?)"
+            )
+
+    # ------------------------------------------------------------------
+    # the incremental cursor
+    # ------------------------------------------------------------------
+
+    def nearest_iter(self, query: ArrayLike):
+        """Lazily yield neighbors in increasing distance order.
+
+        The Hjaltason-Samet incremental algorithm: one priority queue holds
+        both unexplored subtrees (keyed by their dmin) and concrete objects
+        (keyed by their exact distance); popping an object is proof that no
+        unexplored subtree can contain anything closer.  Consuming ``k``
+        items costs no more distance evaluations than a kNN for the same
+        ``k`` — and the caller does not need to fix ``k`` in advance
+        (classic use: distance-ordered cursors in query pipelines).
+        """
+        q = as_vector(query, self.dim, name="query")
+        bound = self._port.bind_query(q, self._data)
+        data = self._plain_rows()
+        counter = itertools.count()
+        # Three item kinds, all keyed by a LOWER BOUND on any object
+        # distance reachable through them, so a popped exact object beats
+        # everything still queued:
+        #   "entry"  — unevaluated node slot; key from the parent-distance
+        #              bound, exact distance deferred until popped;
+        #   "node"   — subtree whose routing distance is known; key dmin;
+        #   "object" — exact distance, ready to yield.
+        queue: list[tuple[float, int, str, object, float | None]] = []
+
+        def push_entries(ref: object, d_query_routing: float | None) -> None:
+            index, rows, dist_to_parent, radius, nodes = self._open_block([ref])
+            is_leaf, children, n = nodes[0]
+            if d_query_routing is None:
+                keys = [0.0] * n
+            else:
+                bounds = parent_bounds(dist_to_parent, radius, d_query_routing)
+                keys = np.maximum(bounds, 0.0).tolist()
+            for pos, (key, entry, cover) in enumerate(zip(keys, index.tolist(), radius.tolist())):
+                row = None if rows is None else rows[pos]  # None: gathered when popped
+                child = None if is_leaf else children[pos]
+                slot = (entry, row, cover, child)
+                heapq.heappush(queue, (key, next(counter), "entry", slot, None))
+
+        push_entries(None, None)
+        while queue:
+            priority, _, kind, payload, stashed = heapq.heappop(queue)
+            if kind == "object":
+                yield Neighbor(priority, payload)  # type: ignore[arg-type]
+            elif kind == "entry":
+                index, row, cover, child = payload  # type: ignore[misc]
+                dist = bound.one(data[index] if row is None else row, index)
+                if child is None:
+                    heapq.heappush(queue, (dist, next(counter), "object", index, None))
+                else:
+                    dmin = max(dist - cover - prune_slack(dist, cover), 0.0)
+                    heapq.heappush(queue, (dmin, next(counter), "node", child, dist))
+            else:
+                push_entries(payload, stashed)
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+
+    @property
+    def capacity(self) -> int:
+        """Maximum entries per node."""
+        return self._capacity
+
+    @property
+    def split_policy(self) -> str:
+        """The promotion policy used for node splits."""
+        return self._split_policy
+
+    def validate_invariants(self) -> None:
+        """Verify covering-radius and dist-to-parent invariants (tests).
+
+        Raises ``AssertionError`` on the first violation: every object in a
+        routing entry's subtree must lie within its covering radius, and
+        every stored ``dist_to_parent`` must equal the recomputed distance.
+        """
+        data = self._data
+
+        def walk(ref: object, parent: int | None) -> list[int]:
+            """Object indices under the node at *ref*, checked against
+            routing object *parent*."""
+            node = self._load(ref)
+            below: list[int] = []
+            for pos, index in enumerate(node.index.tolist()):
+                if parent is not None:
+                    actual = self._port.raw(self._entry_rows(node, pos), data[parent])
+                    stored = node.dist_to_parent[pos]
+                    assert np.isclose(actual, stored, atol=1e-8), (
+                        f"dist_to_parent mismatch: {actual} != {stored}"
+                    )
+                if node.is_leaf:
+                    below.append(index)
+                    continue
+                members = walk(node.children[pos], index)
+                for member in members:
+                    dist = self._port.raw(data[member], data[index])
+                    assert dist <= node.radius[pos] + 1e-8, (
+                        f"covering radius violated: {dist} > {node.radius[pos]}"
+                    )
+                below.extend(members)
+            return below
+
+        walk(None, None)
+
 
 class MTree(MTreeSearchMixin, AccessMethod):
     """In-memory M-tree over a black-box metric.
@@ -486,6 +791,8 @@ class MTree(MTreeSearchMixin, AccessMethod):
     #: memory-mapped database is never materialized on the heap.
     supports_out_of_core = True
 
+    _max_promotion_pairs = 64
+
     def __init__(
         self,
         database: ArrayLike,
@@ -499,14 +806,7 @@ class MTree(MTreeSearchMixin, AccessMethod):
         bulk_workers: int | None = None,
         bulk_executor: str = "thread",
     ) -> None:
-        if capacity < 2:
-            raise QueryError(f"node capacity must be >= 2, got {capacity}")
-        if split_policy not in SPLIT_POLICIES:
-            raise QueryError(
-                f"unknown split policy {split_policy!r}; choose from {SPLIT_POLICIES}"
-            )
-        if epsilon < 0.0:
-            raise QueryError(f"epsilon must be non-negative, got {epsilon}")
+        self._set_params(capacity, split_policy, epsilon)
         if bulk_workers is not None and bulk_workers < 1:
             raise QueryError(f"bulk_workers must be >= 1, got {bulk_workers}")
         if bulk_executor not in ("thread", "serial"):
@@ -515,9 +815,6 @@ class MTree(MTreeSearchMixin, AccessMethod):
                 "processes cannot share the node graph under assembly"
             )
         super().__init__(database, distance)
-        self._capacity = capacity
-        self._split_policy = split_policy
-        self._epsilon = epsilon
         self._rng = np.random.default_rng(0) if rng is None else rng
         if bulk_load:
             indices = np.arange(self.size, dtype=np.intp)
@@ -525,9 +822,10 @@ class MTree(MTreeSearchMixin, AccessMethod):
                 indices, workers=bulk_workers, executor=bulk_executor
             )
         else:
-            self._root = _Node.empty(is_leaf=True)
+            self._root = _Node.empty(True, capacity + 1)
+            data = self._plain_rows()
             for i in range(self.size):
-                self._insert(i)
+                self._register_insert(i, data[i])
 
     # ------------------------------------------------------------------
     # bulk loading (Ciaccia & Patella style, simplified)
@@ -684,68 +982,20 @@ class MTree(MTreeSearchMixin, AccessMethod):
         return node, float((dists + radius).max(initial=0.0)), int(index[medoid])
 
     # ------------------------------------------------------------------
-    # construction
+    # the node store: nodes are their own references
     # ------------------------------------------------------------------
 
-    def _insert(self, index: int) -> None:
-        data = self._plain_rows()
-        vector = data[index]
-        path: list[tuple[_Node, int]] = []  # (node, chosen routing position)
-        node = self._root
-        descent_distance = 0.0
-        while not node.is_leaf:
-            dists = self._port.many(vector, data[node.index])
-            pos = choose_subtree(dists, node.radius)
-            descent_distance = float(dists[pos])
-            if descent_distance > node.radius[pos]:
-                node.radius[pos] = descent_distance
-            path.append((node, pos))
-            node = node.children[pos]
-        node.append(index, 0.0, descent_distance)
-        if len(node) > self._capacity:
-            self._split(node, path)
+    def _load(self, ref: _Node | None) -> _Node:
+        return self._root if ref is None else ref
 
-    def _split(self, node: _Node, path: list[tuple[_Node, int]]) -> None:
-        data = self._plain_rows()
-        # One pairwise distance matrix serves both promotion scoring and the
-        # final partition — the standard mM_RAD implementation trick that
-        # keeps split cost at O(capacity^2) distance computations.
-        pairwise = self._port.pairwise(data[node.index])
-        first, second = self._promote(node.radius, pairwise)
-        node1, node2, radius1, radius2 = partition(node, pairwise, first, second)
-        if path:
-            parent, pos = path[-1]
-            parent.remove(pos)
-        else:
-            parent = self._root = _Node.empty(is_leaf=False)
-        grandparent = None
-        if len(path) >= 2:
-            above, above_pos = path[-2]
-            grandparent = data[above.index[above_pos]]
-        for promoted, radius, child in ((first, radius1, node1), (second, radius2, node2)):
-            index = int(node.index[promoted])
-            to_parent = (
-                0.0 if grandparent is None else self._port.pair(data[index], grandparent)
-            )
-            parent.append(index, radius, to_parent, child)
-        if len(parent) > self._capacity:
-            self._split(parent, path[:-1])
+    def _write_node(self, ref: _Node | None, node: _Node) -> _Node:
+        return node
 
-    def _promote(self, subtree_radii: np.ndarray, pairwise: np.ndarray) -> tuple[int, int]:
-        """Choose the two entries to promote as new routing objects."""
-        n = pairwise.shape[0]
-        if self._split_policy == "random":
-            first, second = self._rng.choice(n, size=2, replace=False)
-            return int(first), int(second)
-        pairs = list(itertools.combinations(range(n), 2))
-        if len(pairs) > _MAX_PROMOTION_PAIRS:
-            picks = self._rng.choice(len(pairs), size=_MAX_PROMOTION_PAIRS, replace=False)
-            pairs = [pairs[i] for i in picks]
-        return min_max_radius_pair(pairs, subtree_radii, pairwise)
+    def _alloc(self) -> None:
+        return None
 
-    def _register_insert(self, index: int, vector: np.ndarray) -> None:
-        """Dynamic insert — the M-tree's native operation (Section 4.3)."""
-        self._insert(index)
+    def _set_root(self, ref: _Node) -> None:
+        self._root = ref
 
     # ------------------------------------------------------------------
     # snapshots
@@ -814,15 +1064,7 @@ class MTree(MTreeSearchMixin, AccessMethod):
                     f"M-tree snapshot: {label} has {arr.shape[0]} rows, "
                     f"expected {n_entries}"
                 )
-        if capacity < 2:
-            raise StorageError(f"node capacity must be >= 2, got {capacity}")
-        if split_policy not in SPLIT_POLICIES:
-            raise StorageError(
-                f"unknown split policy {split_policy!r}; "
-                f"choose from {SPLIT_POLICIES}"
-            )
-        if epsilon < 0.0:
-            raise StorageError(f"epsilon must be non-negative, got {epsilon}")
+        self._set_params(capacity, split_policy, epsilon, error=StorageError)
         bad = np.flatnonzero((entry_index < 0) | (entry_index >= self.size))
         if bad.size:
             raise StorageError(
@@ -859,29 +1101,8 @@ class MTree(MTreeSearchMixin, AccessMethod):
                 node.children.append(nodes[child])
         if not child_seen[1:].all():
             raise StorageError("M-tree snapshot: unreachable nodes")
-        self._capacity = capacity
-        self._split_policy = split_policy
-        self._epsilon = epsilon
         self._rng = np.random.default_rng(0)
         self._root = nodes[0]
-
-    def _verify_state_probe(self) -> None:
-        # dist_to_parent of a child-node entry is d(entry, parent routing
-        # object) — recomputable without touching the counter.  A leaf root
-        # has no such pair (bulk-built leaves store medoid distances whose
-        # medoid identity is not kept), so it is skipped.
-        root = self._root
-        if root.is_leaf or not len(root) or not len(root.children[0]):
-            return
-        child = root.children[0]
-        probe = self._port.pair_uncounted(
-            self._data[child.index[0]], self._data[root.index[0]]
-        )
-        if not np.isclose(probe, child.dist_to_parent[0], rtol=1e-6, atol=1e-9):
-            raise StorageError(
-                "supplied distance disagrees with the stored parent distances "
-                "(wrong metric or wrong matrix?)"
-            )
 
     # ------------------------------------------------------------------
     # queries (range and kNN: MTreeSearchMixin)
@@ -902,73 +1123,6 @@ class MTree(MTreeSearchMixin, AccessMethod):
     def _node_label(self, ref: _Node | None, is_leaf: bool) -> str:
         return "leaf" if is_leaf else "internal"
 
-    def nearest_iter(self, query: ArrayLike):
-        """Lazily yield neighbors in increasing distance order.
-
-        The Hjaltason-Samet incremental algorithm: one priority queue holds
-        both unexplored subtrees (keyed by their dmin) and concrete objects
-        (keyed by their exact distance); popping an object is proof that no
-        unexplored subtree can contain anything closer.  Consuming ``k``
-        items costs no more distance evaluations than a kNN for the same
-        ``k`` — and the caller does not need to fix ``k`` in advance
-        (classic use: distance-ordered cursors in query pipelines).
-        """
-        q = as_vector(query, self.dim, name="query")
-        bound = self._port.bind_query(q, self._data)
-        data = self._plain_rows()
-        counter = itertools.count()
-        # Three item kinds, all keyed by a LOWER BOUND on any object
-        # distance reachable through them, so a popped exact object beats
-        # everything still queued:
-        #   "entry"  — unevaluated node slot; key from the parent-distance
-        #              bound, exact distance deferred until popped;
-        #   "node"   — subtree whose routing distance is known; key dmin;
-        #   "object" — exact distance, ready to yield.
-        queue: list[tuple[float, int, str, object, float | None]] = []
-
-        def push_entries(node: _Node, d_query_routing: float | None) -> None:
-            if d_query_routing is None:
-                keys = [0.0] * len(node)
-            else:
-                bounds = parent_bounds(node.dist_to_parent, node.radius, d_query_routing)
-                keys = np.maximum(bounds, 0.0).tolist()
-            for pos, key in enumerate(keys):
-                heapq.heappush(queue, (key, next(counter), "entry", (node, pos), None))
-
-        push_entries(self._root, None)
-        while queue:
-            priority, _, kind, payload, stashed = heapq.heappop(queue)
-            if kind == "object":
-                yield Neighbor(priority, payload)  # type: ignore[arg-type]
-            elif kind == "entry":
-                node, pos = payload  # type: ignore[misc]
-                index = int(node.index[pos])
-                dist = bound.one(data[index], index)
-                if node.is_leaf:
-                    heapq.heappush(queue, (dist, next(counter), "object", index, None))
-                else:
-                    cover = float(node.radius[pos])
-                    dmin = max(dist - cover - prune_slack(dist, cover), 0.0)
-                    heapq.heappush(
-                        queue, (dmin, next(counter), "node", node.children[pos], dist)
-                    )
-            else:
-                push_entries(payload, stashed)  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        """Maximum entries per node."""
-        return self._capacity
-
-    @property
-    def split_policy(self) -> str:
-        """The promotion policy used for node splits."""
-        return self._split_policy
-
     def height(self) -> int:
         """Tree height (1 for a single leaf root)."""
         h, node = 1, self._root
@@ -980,36 +1134,3 @@ class MTree(MTreeSearchMixin, AccessMethod):
     def node_count(self) -> int:
         """Total number of nodes."""
         return len(self._preorder())
-
-    def validate_invariants(self) -> None:
-        """Verify covering-radius and dist-to-parent invariants (tests).
-
-        Raises ``AssertionError`` on the first violation: every object in a
-        routing entry's subtree must lie within its covering radius, and
-        every stored ``dist_to_parent`` must equal the recomputed distance.
-        """
-        data = self._data
-
-        def walk(node: _Node, parent: int | None) -> list[int]:
-            """Object indices under *node*, checked against routing *parent*."""
-            below: list[int] = []
-            for pos, index in enumerate(node.index.tolist()):
-                if parent is not None:
-                    actual = self._port.raw(data[index], data[parent])
-                    stored = node.dist_to_parent[pos]
-                    assert np.isclose(actual, stored, atol=1e-8), (
-                        f"dist_to_parent mismatch: {actual} != {stored}"
-                    )
-                if node.is_leaf:
-                    below.append(index)
-                    continue
-                members = walk(node.children[pos], index)
-                for member in members:
-                    dist = self._port.raw(data[member], data[index])
-                    assert dist <= node.radius[pos] + 1e-8, (
-                        f"covering radius violated: {dist} > {node.radius[pos]}"
-                    )
-                below.extend(members)
-            return below
-
-        walk(self._root, None)

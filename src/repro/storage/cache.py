@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..exceptions import StorageError
 from .pages import PagedFile
@@ -136,20 +137,30 @@ class LRUPageCache:
             return len(self._pages)
 
     def read_page(self, page_id: int) -> bytes:
-        """Read a page, serving from the cache when possible.
+        """Read a page, serving from the cache when possible."""
+        return self.read_pages((page_id,))[0]
 
-        Thread-safe: concurrent readers (the batch engine's thread
-        executor) serialize on the LRU bookkeeping.
+    def read_pages(self, page_ids: Iterable[int]) -> list[bytes]:
+        """Read several pages, in order, under one lock acquisition.
+
+        Hit/fault counts and the LRU order are those of reading the pages
+        one by one.  Thread-safe: concurrent readers (the batch engine's
+        thread executor) serialize on the LRU bookkeeping.
         """
+        out = []
         with self._lock:
-            if page_id in self._pages:
-                self._stats.hits += 1
-                self._pages.move_to_end(page_id)
-                return self._pages[page_id]
-            self._stats.faults += 1
-            data = self._backing.read_page(page_id)
-            self._insert(page_id, data)
-            return data
+            pages, stats = self._pages, self._stats
+            for page_id in page_ids:
+                data = pages.get(page_id)
+                if data is not None:
+                    stats.hits += 1
+                    pages.move_to_end(page_id)
+                else:
+                    stats.faults += 1
+                    data = self._backing.read_page(page_id)
+                    self._insert(page_id, data)
+                out.append(data)
+        return out
 
     def write_page(self, page_id: int, payload: bytes) -> None:
         """Write-through a page and refresh the cached copy.

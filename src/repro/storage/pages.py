@@ -18,6 +18,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..exceptions import PageError, StorageError
 
 __all__ = ["PageStats", "PagedFile", "DEFAULT_PAGE_SIZE"]
@@ -72,12 +74,15 @@ class PagedFile:
         self._n_pages = 0
         self._stats = PageStats()
         self._path = os.fspath(path) if path is not None else None
+        # A real file is an unbuffered descriptor read and written at
+        # explicit offsets (a buffered file discards its buffer on every
+        # seek); without a path the pages live in an in-memory buffer.
+        self._buffer: io.BytesIO | None = None
+        self._fd: int | None = None
         if self._path is None:
-            self._buffer: io.BytesIO | None = io.BytesIO()
-            self._file = None
+            self._buffer = io.BytesIO()
         else:
-            self._buffer = None
-            self._file = open(self._path, "w+b")
+            self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
 
     @property
     def page_size(self) -> int:
@@ -94,20 +99,53 @@ class PagedFile:
         """Physical I/O counters (reads bypass the cache layer only)."""
         return self._stats
 
-    def _backend(self) -> io.BufferedRandom | io.BytesIO:
-        backend = self._file if self._file is not None else self._buffer
-        if backend is None:  # pragma: no cover - defensive
+    def _write_at(self, offset: int, payload: bytes) -> None:
+        if self._fd is not None:
+            if os.pwrite(self._fd, payload, offset) != len(payload):
+                raise PageError(f"short write at offset {offset}")
+        elif self._buffer is not None:
+            self._buffer.seek(offset)
+            self._buffer.write(payload)
+        else:
             raise StorageError("paged file is closed")
-        return backend
+
+    def _read_at(self, offset: int, size: int) -> bytes:
+        if self._fd is not None:
+            return os.pread(self._fd, size, offset)
+        if self._buffer is None:
+            raise StorageError("paged file is closed")
+        self._buffer.seek(offset)
+        return self._buffer.read(size)
 
     def allocate(self) -> int:
         """Allocate a zero-filled page, returning its page id."""
-        backend = self._backend()
         page_id = self._n_pages
-        backend.seek(page_id * self._page_size)
-        backend.write(b"\x00" * self._page_size)
+        self._write_at(page_id * self._page_size, b"\x00" * self._page_size)
         self._n_pages += 1
         return page_id
+
+    def image(self) -> np.ndarray:
+        """Every page verbatim, as an ``(n_pages, page_size)`` uint8 array
+        (one physical read per page, past any cache in front of the file)."""
+        data = self._read_at(0, self._n_pages * self._page_size)
+        if len(data) != self._n_pages * self._page_size:
+            raise PageError("short read of the page image")
+        self._stats.reads += self._n_pages
+        return np.frombuffer(data, np.uint8).reshape(self._n_pages, self._page_size)
+
+    def load_image(self, pages: np.ndarray) -> None:
+        """Append the pages of an :meth:`image` with one write.
+
+        For restoring a saved file: the image is where the file starts,
+        not I/O it did, so the counters are untouched.
+        """
+        if pages.ndim != 2 or pages.shape[1] != self._page_size or pages.dtype != np.uint8:
+            raise PageError(
+                f"page image of shape {pages.shape} ({pages.dtype}) does not "
+                f"hold {self._page_size}-byte pages"
+            )
+        self._write_at(self._n_pages * self._page_size, pages.tobytes())
+        self._n_pages += pages.shape[0]
 
     def _check_page_id(self, page_id: int) -> None:
         if not 0 <= page_id < self._n_pages:
@@ -120,9 +158,7 @@ class PagedFile:
             raise PageError(
                 f"payload of {len(payload)} bytes exceeds page size {self._page_size}"
             )
-        backend = self._backend()
-        backend.seek(page_id * self._page_size)
-        backend.write(payload.ljust(self._page_size, b"\x00"))
+        self._write_at(page_id * self._page_size, payload.ljust(self._page_size, b"\x00"))
         self._stats.writes += 1
 
     def read_page(self, page_id: int) -> bytes:
@@ -130,9 +166,7 @@ class PagedFile:
         self._check_page_id(page_id)
         if self._read_latency > 0.0:
             time.sleep(self._read_latency)
-        backend = self._backend()
-        backend.seek(page_id * self._page_size)
-        data = backend.read(self._page_size)
+        data = self._read_at(page_id * self._page_size, self._page_size)
         if len(data) != self._page_size:
             raise PageError(f"short read on page {page_id}")
         self._stats.reads += 1
@@ -140,9 +174,9 @@ class PagedFile:
 
     def close(self) -> None:
         """Release the backing file or buffer."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         self._buffer = None
 
     def __enter__(self) -> "PagedFile":

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.engine.trace import query_trace
 from repro.exceptions import QueryError
 from repro.mam import MTree, PagedMTree, SequentialFile
-from repro.mam.base import BoundQuery
+from repro.mam.base import BoundQuery, DistancePort
 from repro.models import QFDModel, QMapModel
 
 from .helpers import assert_same_neighbors
@@ -244,3 +247,90 @@ class TestBlockTraversalInRam:
             assert len(calls) <= 2 + -(-trace.nodes_visited // 4), (calls, trace.nodes_visited)
             assert max(calls) <= 16 * 17  # the out-of-core bound on one gather
             assert sum(calls) >= trace.distance_evaluations  # speculation is physical only
+
+
+class TestWritePath:
+    """One insert/split serves both trees: the vector is bound once, a level
+    is one uncharged kernel call, the descent one charge."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return clustered_histograms(2100, 16, themes=12, rng=np.random.default_rng(9))
+
+    @pytest.mark.parametrize("cls", [MTree, PagedMTree])
+    def test_an_insert_charges_its_descent_once(self, rows, cls, monkeypatch) -> None:
+        """The per-level ``port.many`` used to charge (and look the open
+        record up) once per level, ``height - 1`` times per insert."""
+        tree = cls(rows[:1600], CountingDistance(euclidean, one_to_many=euclidean_one_to_many))
+
+        def height() -> int:
+            levels, node = 1, tree._load(None)
+            while not node.is_leaf:
+                levels, node = levels + 1, tree._load(node.children[0])
+            return levels
+
+        assert height() >= 3
+        charges: list[tuple[int, int]] = []
+        kernel_calls: list[int] = []
+        charge, compute_many = DistancePort.charge, BoundQuery.compute_many
+
+        def counting_charge(self, *, calls=0, rows=0, trace=None):
+            charges.append((calls, rows))
+            return charge(self, calls=calls, rows=rows, trace=trace)
+
+        def counting_compute_many(self, rows, indices=None):
+            kernel_calls.append(rows.shape[0])
+            return compute_many(self, rows, indices)
+
+        monkeypatch.setattr(DistancePort, "charge", counting_charge)
+        monkeypatch.setattr(BoundQuery, "compute_many", counting_compute_many)
+        nodes = tree.node_pages if cls is PagedMTree else tree.node_count
+        plain = split = 0
+        for row in rows[1600:1900]:
+            del charges[:], kernel_calls[:]
+            before, levels = nodes(), height()
+            tree.insert(row)
+            added = nodes() - before
+            # The descent: rows only, what its one-to-many calls amount to.
+            assert charges[0] == (0, sum(kernel_calls)) and len(kernel_calls) == levels - 1
+            if added:
+                split += 1  # + per split: the pairwise matrix, two parent distances
+                assert 2 <= len(charges) <= 1 + 3 * added
+            else:
+                plain += 1
+                assert len(charges) == 1
+        assert plain > 200 and split > 5
+
+    @pytest.mark.parametrize("cls", [MTree, PagedMTree])
+    def test_invariants_hold_after_interleaved_inserts(self, rows, cls) -> None:
+        tree = cls(rows[:1600], euclidean, capacity=16)
+        for step, row in enumerate(rows[1600:]):
+            tree.insert(row)
+            if step % 50 == 0:
+                tree.knn_search(rows[step] + 1e-3, 5)
+        assert tree.size == 2100
+        tree.validate_invariants()
+        scan = SequentialFile(rows, euclidean)
+        for q in rows[:4] + 1e-3:
+            assert_same_neighbors(tree.knn_search(q, 10), scan.knn_search(q, 10))
+
+    def test_a_copied_tree_keeps_growing_in_place(self, rows) -> None:
+        """A node's fields are views of its slots; a pickled or deep-copied
+        node must alias its own arrays again, or an enlarged radius is lost
+        at the node's next append."""
+        tree = MTree(rows[:600], euclidean, capacity=8)
+        for row in rows[600:700]:
+            tree.insert(row)
+        twin = pickle.loads(pickle.dumps(tree))
+        clone = copy.deepcopy(tree)
+        for each in (twin, clone):
+            for node in each._preorder():
+                fields = (node.index, node.radius, node.dist_to_parent)
+                assert all(np.shares_memory(f, held) for f, held in zip(fields, node._slots))
+        for row in rows[700:1000]:
+            for each in (tree, twin, clone):
+                each.insert(row)
+        for each in (twin, clone):
+            each.validate_invariants()
+            state, want = each.structural_state(), tree.structural_state()
+            assert all(np.array_equal(state[key], want[key]) for key in want)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from repro.datasets import clustered_histograms
-from repro.distances import euclidean
+from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.engine.trace import query_trace
-from repro.exceptions import PageError
-from repro.mam import PagedMTree, SequentialFile
+from repro.exceptions import PageError, StorageError
+from repro.mam import MTree, PagedMTree, SequentialFile
 from repro.mam.mtree import _Node
 from repro.mam.paged_mtree import _HEADER
 
@@ -44,8 +46,6 @@ class TestQueries:
         assert_same_neighbors(paged.range_search(q, radius), scan.range_search(q, radius))
 
     def test_matches_in_memory_mtree(self, data) -> None:
-        from repro.mam import MTree
-
         memory = MTree(data, euclidean, capacity=8, rng=np.random.default_rng(2))
         disk = PagedMTree(
             data, euclidean, capacity=8, cache_pages=16, rng=np.random.default_rng(2)
@@ -119,6 +119,72 @@ class TestInserts:
         idx = tree.insert(data[200])
         top = tree.knn_search(data[200], 1)[0]
         assert top.index == idx and top.distance == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSplitPolicy:
+    """The policy used to reach only the in-memory build: page splits always
+    scored every pair with mM_RAD, and a snapshot forgot the policy."""
+
+    def test_random_policy_splits_pages_and_survives_a_snapshot(self, data) -> None:
+        rng = np.random.default_rng(7)
+        tree = PagedMTree(data[:200], euclidean, capacity=4, split_policy="random", rng=rng)
+        assert tree.split_policy == "random"
+        drawn, pages = rng.bit_generator.state, tree.node_pages()
+        for row in data[200:260]:
+            tree.insert(row)
+        assert tree.node_pages() > pages  # pages split ...
+        assert rng.bit_generator.state != drawn  # ... and drew from the tree's generator
+        tree.validate_invariants()
+
+        state = tree.structural_state()
+        assert str(state["split_policy"]) == "random"
+        restored = PagedMTree.from_state(tree.database, euclidean, state)
+        assert restored.split_policy == "random"
+        drawn = restored._rng.bit_generator.state
+        for row in data[260:300]:
+            restored.insert(row)
+        assert restored._rng.bit_generator.state != drawn
+        scan = SequentialFile(data[:300], euclidean)
+        assert_same_neighbors(restored.knn_search(data[310], 7), scan.knn_search(data[310], 7))
+
+    def test_default_policy_snapshot_carries_no_key(self, data) -> None:
+        tree = PagedMTree(data[:120], euclidean, capacity=4)
+        state = tree.structural_state()
+        assert sorted(state) == ["cache_pages", "capacity", "pages", "root_page"]
+        assert PagedMTree.from_state(tree.database, euclidean, state).split_policy == "mM_RAD"
+        with pytest.raises(StorageError, match="unknown split policy"):
+            PagedMTree.from_state(
+                tree.database, euclidean, {**state, "split_policy": np.str_("linear")}
+            )
+
+
+class TestCursor:
+    """``nearest_iter`` is the mixin's: the paged tree gets the incremental
+    cursor, at the in-RAM tree's answers and charged evaluations."""
+
+    def test_prefix_equals_knn_and_the_in_ram_cursor(self, data) -> None:
+        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+        memory = MTree(data, counter, capacity=6, rng=np.random.default_rng(2))
+        disk = PagedMTree(
+            data, counter, capacity=6, cache_pages=4, rng=np.random.default_rng(2)
+        )
+        for q in data[:6] + 1e-3:
+            for k in (1, 9, 40):
+                seen = []
+                for tree in (memory, disk):
+                    counter.reset()
+                    prefix = list(islice(tree.nearest_iter(q), k))
+                    seen.append((prefix, counter.stats.calls, counter.stats.batch_rows))
+                    # The cursor evaluates entry by entry (the scalar form), the
+                    # kNN search in blocks: the same objects to the last ulp.
+                    assert_same_neighbors(prefix, tree.knn_search(q, k), tol=1e-12)
+                assert seen[0] == seen[1] and seen[0][1] >= k
+
+    def test_cursor_runs_to_the_end_in_order(self, data) -> None:
+        tree = PagedMTree(data[:90], euclidean, capacity=4, cache_pages=2)
+        everything = list(tree.nearest_iter(data[95]))
+        assert sorted(n.index for n in everything) == list(range(90))
+        assert everything == sorted(everything, key=lambda n: n.distance)
 
 
 def _traced_knn(tree, q, k):

@@ -57,6 +57,44 @@ class TestPagedFile:
             assert pf.read_page(pid)[:4] == b"disk"
         assert path.exists()
 
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_image_round_trips_with_one_write(self, tmp_path, on_disk) -> None:
+        def opened(name: str) -> PagedFile:
+            return PagedFile(32, path=tmp_path / name if on_disk else None)
+
+        with opened("a.bin") as source, opened("b.bin") as copy:
+            for i in range(5):
+                source.write_page(source.allocate(), bytes([i + 1]) * (i + 1))
+            image = source.image()
+            assert image.shape == (5, 32) and image.dtype == np.uint8
+            assert source.stats.reads == 5  # a dump reads every page
+            copy.load_image(image)
+            assert copy.n_pages == 5
+            assert (copy.stats.reads, copy.stats.writes) == (0, 0)
+            assert [copy.read_page(i) for i in range(5)] == [source.read_page(i) for i in range(5)]
+            assert copy.allocate() == 5  # and the file goes on from there
+            with pytest.raises(PageError):
+                copy.load_image(np.zeros((2, 31), np.uint8))
+
+    def test_file_backed_reads_what_was_written_at_any_offset(self, tmp_path) -> None:
+        """Real-file I/O is positional (pread/pwrite): no seek state to lose
+        between interleaved reads and writes of different pages."""
+        path = tmp_path / "pages.bin"
+        with PagedFile(48, path=path) as pf:
+            for _ in range(6):
+                pf.allocate()
+            for pid in (4, 1, 5, 0):
+                pf.write_page(pid, bytes([65 + pid]) * 7)
+                assert pf.read_page(3) == b"\x00" * 48  # an untouched page stays zero
+            assert [pf.read_page(p)[:7] for p in (0, 1, 4, 5)] == [
+                b"A" * 7, b"B" * 7, b"E" * 7, b"F" * 7
+            ]
+            with pytest.raises(PageError):
+                pf.read_page(6)
+        assert path.stat().st_size == 6 * 48
+        with pytest.raises(StorageError):
+            pf.read_page(0)  # closed
+
     def test_rejects_tiny_page(self) -> None:
         with pytest.raises(StorageError):
             PagedFile(8)
@@ -93,6 +131,19 @@ class TestLRUPageCache:
         assert cache.stats.hits == 1
         cache.read_page(1)
         assert cache.stats.faults == 1
+
+    def test_read_pages_accounts_like_single_reads(self) -> None:
+        """One lock, one loop — the hits, faults, evictions and LRU order of
+        reading the same ids one by one (duplicates and evictions included)."""
+        ids = [0, 1, 0, 2, 3, 1, 1, 0, 4, 2]
+        block = LRUPageCache(self._file_with_pages(5), capacity=3)
+        single = LRUPageCache(self._file_with_pages(5), capacity=3)
+        got = block.read_pages(ids[:6]) + block.read_pages(ids[6:])
+        assert got == [single.read_page(i) for i in ids]
+        assert block.stats == single.stats and block.stats.faults > 5
+        assert list(block._pages) == list(single._pages)  # same residents, same order
+        assert block.backing.stats.reads == single.backing.stats.reads
+        assert block.read_pages([]) == []
 
     def test_working_set_within_capacity_never_refaults(self) -> None:
         """The Section 5.3 fixed-cache effect, small-database side."""
