@@ -16,6 +16,7 @@ import numpy as np
 
 from .._typing import ArrayLike, Matrix, Vector, as_square_matrix, as_vector, as_vector_batch
 from ..exceptions import NotSymmetricError
+from ..kernels.gram import _flush_subnormals
 from .symmetrize import is_symmetric, symmetrize
 from .validation import require_positive_definite
 
@@ -89,7 +90,7 @@ class QuadraticFormDistance:
         """
         query = as_vector(q, self.dim, name="q")
         rows = as_vector_batch(batch, self.dim, name="batch")
-        diff = rows - query
+        diff = _flush_subnormals(rows - query, inplace=True)
         # One BLAS gemm plus an elementwise reduction: still O(m n^2)
         # arithmetic, just with the best constants the QFD model can get.
         sq = np.einsum("ij,ij->i", diff @ self._matrix, diff)
@@ -102,7 +103,7 @@ class QuadraticFormDistance:
         ``d(u,v)^2 = uAu^T + vAv^T - 2 uAv^T`` so the cost is one
         ``m x n @ n x n`` product instead of ``m^2`` separate forms.
         """
-        rows = as_vector_batch(batch, self.dim, name="batch")
+        rows = _flush_subnormals(as_vector_batch(batch, self.dim, name="batch"))
         cross = rows @ self._matrix @ rows.T
         norms = np.diag(cross)
         sq = norms[:, None] + norms[None, :] - (cross + cross.T)

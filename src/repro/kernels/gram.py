@@ -47,6 +47,29 @@ __all__ = [
 #: distances the caller can ever act on are far above 1e-12 * scale.
 RECHECK_REL = 1e-12
 
+_TINY = np.finfo(np.float64).tiny
+
+
+def _flush_subnormals(x: np.ndarray, *, inplace: bool = False) -> np.ndarray:
+    """*x* with its float64 subnormals set to ``0.0``, ahead of a BLAS product.
+
+    Every multiply-add that meets a subnormal operand takes an x86
+    microcode assist; ``Dirichlet(alpha ~ 1e-3)`` histograms carry ~1 % of
+    them and run a gemm 2.5-5x slower for it.  Call once per raw operand
+    and reuse the result.  ``inplace`` is only for arrays the caller
+    allocated itself; otherwise *x* is copied, and only when it has a
+    subnormal.  Results do not move by a bit (``docs/architecture.md``).
+    """
+    mask = x != 0.0
+    mask &= x < _TINY
+    mask &= x > -_TINY
+    if not inplace:
+        if not mask.any():
+            return x
+        x = x.copy()
+    x[mask] = 0.0
+    return x
+
 
 def _as64(rows: np.ndarray) -> np.ndarray:
     """Coerce to float64 so every accumulation runs in double precision.
@@ -61,7 +84,7 @@ def _as64(rows: np.ndarray) -> np.ndarray:
 
 def qfd_row_norms(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-row quadratic forms ``vAv^T`` (the cacheable half of the Gram sum)."""
-    rows = _as64(rows)
+    rows = _flush_subnormals(_as64(rows))
     return np.einsum("ij,ij->i", rows @ matrix, rows)
 
 
@@ -72,8 +95,9 @@ def l2_row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _qfd_squared_diff(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Exact difference-based squared QFD (the recheck path)."""
-    diff = _as64(rows) - _as64(q)
+    """Exact difference-based squared QFD of *rows* against *q* — one
+    vector or one row per row (the recheck path)."""
+    diff = _flush_subnormals(_as64(rows) - _as64(q), inplace=True)
     return np.einsum("ij,ij->i", diff @ matrix, diff)
 
 
@@ -148,7 +172,7 @@ def qfd_squared_pairwise(
     bit-symmetric — partition decisions that read row *i* against row *j*
     see the same number in both orders.
     """
-    rows = _as64(rows)
+    rows = _flush_subnormals(_as64(rows))
     g = rows @ matrix
     if row_norms is None:
         row_norms = np.einsum("ij,ij->i", g, rows)
@@ -159,8 +183,7 @@ def qfd_squared_pairwise(
     np.fill_diagonal(suspect, False)
     ii, jj = np.nonzero(np.triu(suspect, 1))
     if ii.size:
-        diff = rows[ii] - rows[jj]
-        exact = np.einsum("ij,ij->i", diff @ matrix, diff)
+        exact = _qfd_squared_diff(matrix, rows[jj], rows[ii])
         sq[ii, jj] = exact
         sq[jj, ii] = exact
     return np.maximum(sq, 0.0)
@@ -204,8 +227,8 @@ def qfd_cross(
     norms_b: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(a, b)`` QFD distance matrix between two row batches."""
-    rows_a = _as64(rows_a)
-    rows_b = _as64(rows_b)
+    rows_a = _flush_subnormals(_as64(rows_a))
+    rows_b = _flush_subnormals(_as64(rows_b))
     g = rows_a @ matrix
     if norms_a is None:
         norms_a = np.einsum("ij,ij->i", g, rows_a)
@@ -215,8 +238,7 @@ def qfd_cross(
     suspect = sq <= RECHECK_REL * (norms_a[:, None] + norms_b[None, :])
     ii, jj = np.nonzero(suspect)
     if ii.size:
-        diff = rows_a[ii] - rows_b[jj]
-        sq[ii, jj] = np.einsum("ij,ij->i", diff @ matrix, diff)
+        sq[ii, jj] = _qfd_squared_diff(matrix, rows_b[jj], rows_a[ii])
     return np.sqrt(np.maximum(sq, 0.0))
 
 
