@@ -42,7 +42,7 @@ from ..exceptions import DimensionMismatchError, QueryError, StorageError
 from ..kernels.ptolemaic import ptolemaic_bounds, valid_pivot_pairs
 from ..obs.events import ROOT
 from .base import AccessMethod, DistancePort, Neighbor, _KnnHeap, grown, state_array, state_str
-from .pivots import select_pivots
+from .pivots import select_pivot_columns
 
 if TYPE_CHECKING:
     from ..engine.trace import QueryTrace
@@ -115,6 +115,9 @@ class PivotTable(AccessMethod):
             raise QueryError(
                 f"unknown bound mode {bound!r}; choose from {BOUND_MODES}"
             )
+        # The m x p distance matrix ("the pivot table") is held pivot-major
+        # (p x capacity, one contiguous row per pivot): a query's bounds
+        # are then whole-row array passes, and an insert writes one column.
         if pivots is not None:
             pivot_list = [int(i) for i in pivots]
             if not pivot_list:
@@ -122,11 +125,13 @@ class PivotTable(AccessMethod):
             for i in pivot_list:
                 if not 0 <= i < self.size:
                     raise QueryError(f"pivot index {i} out of range [0, {self.size})")
+            self._rows = np.stack(
+                [self._port.many(self._data[j], self._data) for j in pivot_list]
+            )
         else:
-            n_pivots = min(n_pivots, self.size)
-            pivot_list = select_pivots(
+            pivot_list, self._rows = select_pivot_columns(
                 self._data,
-                n_pivots,
+                min(n_pivots, self.size),
                 self._port,
                 method=pivot_method,
                 sample_size=pivot_sample,
@@ -134,12 +139,6 @@ class PivotTable(AccessMethod):
             )
         self._pivot_indices = pivot_list
         self._pivot_rows = self._data[pivot_list]
-        # The m x p distance matrix ("the pivot table"), held pivot-major
-        # (p x capacity, one contiguous row per pivot): a query's bounds
-        # are then whole-row array passes, and an insert writes one column.
-        self._rows = np.stack(
-            [self._port.many(self._data[j], self._data) for j in pivot_list]
-        )
         self._bound = bound
         self._pivot_pair: np.ndarray | None = None
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None

@@ -74,11 +74,19 @@ def _random_pivots(data: np.ndarray, p: int, rng: np.random.Generator) -> list[i
 
 
 def _maxmin_pivots(
-    data: np.ndarray, p: int, port: DistancePort, rng: np.random.Generator
+    data: np.ndarray,
+    p: int,
+    port: DistancePort,
+    rng: np.random.Generator,
+    columns: list[np.ndarray] | None = None,
 ) -> list[int]:
+    """Farthest-first pivots; each pivot's distance vector to every row of
+    *data* is appended to *columns* when the caller wants them kept."""
     m = data.shape[0]
     pivots = [int(rng.integers(0, m))]
     min_dist = port.many(data[pivots[0]], data)
+    if columns is not None:
+        columns.append(min_dist)
     while len(pivots) < p:
         candidate = int(np.argmax(min_dist))
         if candidate in pivots or min_dist[candidate] <= 0.0:
@@ -88,7 +96,10 @@ def _maxmin_pivots(
             # content-distinct unused row when one exists.
             candidate = _distinct_fallback(data, pivots)
         pivots.append(candidate)
-        min_dist = np.minimum(min_dist, port.many(data[candidate], data))
+        column = port.many(data[candidate], data)
+        if columns is not None:
+            columns.append(column)
+        min_dist = np.minimum(min_dist, column)
     return pivots
 
 
@@ -151,6 +162,40 @@ def select_pivots(
     rng:
         Randomness source; defaults to a fixed seed for reproducibility.
     """
+    return _select(data, p, port, method, sample_size, rng)
+
+
+def select_pivot_columns(
+    data: np.ndarray, p: int, port: DistancePort, **selection
+) -> tuple[list[int], np.ndarray]:
+    """:func:`select_pivots` plus the pivot-major ``p x m`` table of the
+    pivots' distances to every row of *data*.
+
+    Whole-database max-min selection has already evaluated exactly those
+    vectors, so they are kept, not computed again.  The table phase still
+    charges its ``p * m`` evaluations: the paper prices selection and
+    table separately (Section 4.2.1), and a kept vector is a cache hit,
+    not a cheaper algorithm.
+    """
+    columns: list[np.ndarray] = []
+    pivots = _select(data, p, port, columns=columns, **selection)
+    if columns:
+        port.charge(rows=p * data.shape[0])
+    else:
+        columns = [port.many(data[j], data) for j in pivots]
+    return pivots, np.stack(columns)
+
+
+def _select(
+    data: np.ndarray,
+    p: int,
+    port: DistancePort,
+    method: str = "maxmin",
+    sample_size: int | None = None,
+    rng: np.random.Generator | None = None,
+    columns: list[np.ndarray] | None = None,
+) -> list[int]:
+    """:func:`select_pivots`; whole-database max-min fills *columns*."""
     m = data.shape[0]
     if not 1 <= p <= m:
         raise QueryError(f"p must be in [1, {m}], got {p}")
@@ -173,7 +218,7 @@ def select_pivots(
     if method == "random":
         local = _random_pivots(subset, p, rng)
     elif method == "maxmin":
-        local = _maxmin_pivots(subset, p, port, rng)
+        local = _maxmin_pivots(subset, p, port, rng, columns if subset is data else None)
     else:
         local = _spread_pivots(subset, p, port, rng)
     return [int(sample[i]) for i in local]

@@ -207,3 +207,115 @@ class TestPivotTable:
         pt = PivotTable(data, euclidean, n_pivots=1)
         q = data[10]
         assert_same_neighbors(pt.knn_search(q, 4), scan.knn_search(q, 4))
+
+
+class _SpyPort(DistancePort):
+    """Records the row count of every physical one-to-many evaluation."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.sizes: list[int] = []
+
+    def compute_many(self, q, rows):
+        self.sizes.append(int(rows.shape[0]))
+        return super().compute_many(q, rows)
+
+
+def _l2_counter() -> CountingDistance:
+    return CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+
+
+def two_loop_reference(data, p, **selection):
+    """The build as it was before the columns were kept: select, then
+    evaluate every pivot's distance vector again.  Returns the pivots, the
+    ``m x p`` table and the counter both loops charged."""
+    counter = _l2_counter()
+    port = DistancePort(counter)
+    pivots = select_pivots(data, p, port, **selection)
+    table = np.stack([port.many(data[j], data) for j in pivots]).T
+    return pivots, table, counter
+
+
+class TestPivotColumnsEvaluatedOnce:
+    """Whole-database max-min selection hands its distance vectors to the
+    table instead of recomputing them; nothing charged or stored moves."""
+
+    M, P = 2000, 12
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return clustered_histograms(self.M, 4, themes=10, rng=np.random.default_rng(77))
+
+    def test_default_build_evaluates_each_pivot_once(self, big) -> None:
+        counter = _l2_counter()
+        port = _SpyPort(counter)
+        pt = PivotTable(big, port, n_pivots=self.P, rng=np.random.default_rng(3))
+        assert port.sizes.count(self.M) == self.P  # 2 P before
+        assert counter.stats.batch_rows == 2 * self.P * self.M
+        assert counter.stats.calls == 0
+        pivots, table, ref = two_loop_reference(
+            big, self.P, method="maxmin", rng=np.random.default_rng(3)
+        )
+        assert pt.pivot_indices == pivots
+        assert np.array_equal(pt.structural_state()["table"], table)
+        assert counter.stats == ref.stats
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"pivot_sample": 300},
+            {"pivot_method": "random"},
+            {"pivot_method": "spread"},
+            {"pivot_method": "spread", "pivot_sample": 300},
+            {"bound": "ptolemaic"},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_other_builds_unchanged(self, big, kwargs) -> None:
+        counter = _l2_counter()
+        port = _SpyPort(counter)
+        pt = PivotTable(big, port, n_pivots=self.P, rng=np.random.default_rng(4), **kwargs)
+        assert port.sizes.count(self.M) == self.P
+        pivots, table, ref = two_loop_reference(
+            big,
+            self.P,
+            method=kwargs.get("pivot_method", "maxmin"),
+            sample_size=kwargs.get("pivot_sample"),
+            rng=np.random.default_rng(4),
+        )
+        assert pt.pivot_indices == pivots
+        assert pt.structural_state()["table"].tobytes() == table.tobytes()
+        pair_rows = self.P * (self.P - 1) // 2 if "bound" in kwargs else 0
+        assert counter.stats.batch_rows == ref.stats.batch_rows + pair_rows
+        assert counter.stats.calls == ref.stats.calls == 0
+
+    def test_explicit_pivots_unchanged(self, big) -> None:
+        counter = _l2_counter()
+        port = _SpyPort(counter)
+        chosen = [5, 1999, 17, 400]
+        pt = PivotTable(big, port, pivots=chosen)
+        assert port.sizes == [self.M] * 4
+        assert counter.stats.batch_rows == 4 * self.M
+        want = np.stack([euclidean_one_to_many(big[j], big) for j in chosen]).T
+        assert pt.structural_state()["table"].tobytes() == want.tobytes()
+
+    def test_duplicate_rows_fall_back_and_keep_their_columns(self) -> None:
+        base = clustered_histograms(3, 2, themes=3, rng=np.random.default_rng(5))
+        data = np.repeat(base, 4, axis=0)  # 12 rows, 3 distinct: maxmin runs dry
+        counter = _l2_counter()
+        port = _SpyPort(counter)
+        pt = PivotTable(data, port, n_pivots=5, rng=np.random.default_rng(1))
+        assert port.sizes == [12] * 5
+        pivots, table, ref = two_loop_reference(
+            data, 5, method="maxmin", rng=np.random.default_rng(1)
+        )
+        assert pt.pivot_indices == pivots
+        assert pt.structural_state()["table"].tobytes() == table.tobytes()
+        assert counter.stats == ref.stats
+
+    def test_select_pivots_is_what_it_was(self, big) -> None:
+        """Public signature and return value: indices only, selection cost only."""
+        counter = _l2_counter()
+        pivots = select_pivots(big, self.P, DistancePort(counter), rng=np.random.default_rng(3))
+        assert isinstance(pivots, list) and len(pivots) == self.P
+        assert counter.stats.batch_rows == self.P * self.M
