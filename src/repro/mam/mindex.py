@@ -32,10 +32,11 @@ from .base import (
     DistancePort,
     Neighbor,
     NodeBatchedSearchMixin,
+    grown,
     state_array,
     state_float,
 )
-from .pivots import select_pivots
+from .pivots import select_pivot_columns
 
 if TYPE_CHECKING:
     from ..engine.trace import QueryTrace
@@ -77,13 +78,17 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             raise QueryError(f"radius growth factor must exceed 1, got {growth}")
         self._growth = growth
         n_pivots = min(n_pivots, self.size)
-        self._pivot_indices = select_pivots(
+        self._pivot_indices, columns = select_pivot_columns(
             self._data, n_pivots, self._port, method=pivot_method, rng=rng
         )
         self._pivot_rows = self._data[self._pivot_indices]
-        columns = [self._port.many(self._data[j], self._data) for j in self._pivot_indices]
-        self._table = np.column_stack(columns)  # (m, p)
+        self._rows = np.ascontiguousarray(columns.T)  # (capacity, p), grown by inserts
         self._assign_clusters()
+
+    @property
+    def _table(self) -> np.ndarray:
+        """The filled ``m x p`` part of the object-to-pivot distance buffer."""
+        return self._rows[: self.size]
 
     def _assign_clusters(self) -> None:
         owner = np.argmin(self._table, axis=1)
@@ -128,7 +133,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         self._growth = growth
         self._pivot_indices = pivot_list
         self._pivot_rows = self._data[pivot_list]
-        self._table = table.copy()
+        self._rows = table.copy()
         # Cluster assignment and scalar keys derive from the table alone —
         # pure argmin/argsort arithmetic, no distance evaluations.
         self._assign_clusters()
@@ -160,7 +165,8 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Route the new object to its nearest pivot's cluster."""
         row = self._port.many(vector, self._pivot_rows)
-        self._table = np.vstack([self._table, row.reshape(1, -1)])
+        self._rows = grown(self._rows, index, 1)
+        self._rows[index] = row
         cluster = int(np.argmin(row))
         key = float(row[cluster])
         pos = bisect.bisect_left(self._cluster_keys[cluster].tolist(), key)

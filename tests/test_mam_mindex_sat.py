@@ -137,3 +137,73 @@ class TestSATree:
         t2 = SATree(data[:100], euclidean, rng=np.random.default_rng(4))
         q = data[200]
         assert t1.knn_search(q, 6) == t2.knn_search(q, 6)
+
+
+class TestMIndexTable:
+    """The object-to-pivot table: evaluated once at build, grown in place."""
+
+    def test_default_build_evaluates_each_pivot_once(self, data) -> None:
+        from repro.mam import select_pivots
+        from repro.mam.base import DistancePort
+
+        sizes: list[int] = []
+
+        class SpyPort(DistancePort):
+            def compute_many(self, q, rows):
+                sizes.append(int(rows.shape[0]))
+                return super().compute_many(q, rows)
+
+        m, p = len(data), 12
+        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+        index = MIndex(data, SpyPort(counter), n_pivots=p, rng=np.random.default_rng(3))
+        assert sizes.count(m) == p  # 2 p before the selection vectors were kept
+        assert counter.stats.batch_rows == 2 * p * m and counter.stats.calls == 0
+        # The two loops this build used to run, inline.
+        ref = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+        port = DistancePort(ref)
+        pivots = select_pivots(data, p, port, method="maxmin", rng=np.random.default_rng(3))
+        table = np.column_stack([port.many(data[j], data) for j in pivots])
+        assert index.pivot_indices == pivots
+        assert np.array_equal(index.structural_state()["table"], table)
+        assert counter.stats == ref.stats
+
+    def test_random_pivots_build_unchanged(self, data) -> None:
+        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+        index = MIndex(
+            data, counter, n_pivots=9, pivot_method="random", rng=np.random.default_rng(8)
+        )
+        assert counter.stats.batch_rows == 9 * len(data)
+        want = np.column_stack([euclidean_one_to_many(data[j], data) for j in index.pivot_indices])
+        assert index.structural_state()["table"].tobytes() == want.tobytes()
+
+    def test_inserts_grow_the_table_geometrically(self, monkeypatch) -> None:
+        """500 inserts used to ``np.vstack`` (reallocate) the table 500 times."""
+        import repro.mam.mindex as mindex_module
+
+        rows = clustered_histograms(600, 4, themes=8, rng=np.random.default_rng(12))
+        reallocations = []
+
+        def counting_grown(buffer, used, extra, axis=0):
+            out = mindex_module_grown(buffer, used, extra, axis)
+            if out is not buffer:
+                reallocations.append(out.shape[0])
+            return out
+
+        mindex_module_grown = mindex_module.grown
+        monkeypatch.setattr(mindex_module, "grown", counting_grown)
+        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
+        index = MIndex(rows[:100], counter, n_pivots=8, rng=np.random.default_rng(2))
+        for row in rows[100:]:
+            index.insert(row)
+        assert index.size == 600
+        assert len(reallocations) <= 3  # 100 -> 200 -> 400 -> 800
+        state = index.structural_state()
+        assert state["table"].shape == (600, 8) and state["table"].flags.c_contiguous
+        want = np.stack([euclidean_one_to_many(r, rows[index.pivot_indices]) for r in rows])
+        assert state["table"].tobytes() == want.tobytes()
+        rebuilt = MIndex.from_state(rows, counter, state)
+        q = rows[77] * 0.5 + rows[301] * 0.5
+        assert_same_neighbors(index.knn_search(q, 9), rebuilt.knn_search(q, 9))
+        assert_same_neighbors(
+            index.knn_search(q, 9), SequentialFile(rows, euclidean).knn_search(q, 9)
+        )
