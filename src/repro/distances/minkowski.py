@@ -16,6 +16,7 @@ import numpy as np
 
 from .._typing import ArrayLike, Vector, as_vector, as_vector_batch
 from ..exceptions import QueryError
+from ..kernels.gram import l2_one_to_many
 
 __all__ = [
     "minkowski",
@@ -76,9 +77,7 @@ def weighted_euclidean(u: ArrayLike, v: ArrayLike, weights: ArrayLike) -> float:
 def euclidean_one_to_many(q: ArrayLike, batch: ArrayLike) -> Vector:
     """Vectorized L2 distances from *q* to every row of *batch*."""
     query = as_vector(q, name="q")
-    rows = as_vector_batch(batch, query.shape[0], name="batch")
-    diff = rows - query
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return l2_one_to_many(query, as_vector_batch(batch, query.shape[0], name="batch"))
 
 
 class MinkowskiDistance:

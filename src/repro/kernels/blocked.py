@@ -40,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gram import RECHECK_REL
+from .gram import RECHECK_REL, l2_one_to_many
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
@@ -168,19 +168,9 @@ def blocked_l2_one_to_many(
     *,
     block_rows: int | None = None,
 ) -> np.ndarray:
-    """L2 distances from *q* to every row — tiled difference form.
-
-    The per-row difference + einsum reduction is exactly the arithmetic
-    of :func:`repro.kernels.gram.l2_one_to_many`, so the tiled result is
-    bitwise identical to the unblocked scan (QMap answers do not move).
-    """
-    q64 = np.asarray(q, dtype=np.float64)
-    n = rows.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for start, stop in iter_blocks(n, block_rows):
-        diff = _tile64(rows, start, stop) - q64
-        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=out[start:stop])
-    return out
+    """L2 distances from *q* to every row — the one tiled difference form,
+    :func:`repro.kernels.gram.l2_one_to_many`, at this tile height."""
+    return l2_one_to_many(q, rows, block_rows=block_rows)
 
 
 def blocked_qfd_cross(

@@ -49,6 +49,11 @@ RECHECK_REL = 1e-12
 
 _TINY = np.finfo(np.float64).tiny
 
+#: Floats in the difference buffer of one tile of :func:`l2_one_to_many`
+#: (1 MB, 256 rows at 512-d): it stays L2-resident, where an ``m x n``
+#: temporary is allocated, page-faulted and freed on every call.
+_L2_TILE_FLOATS = 131072
+
 
 def _flush_subnormals(x: np.ndarray, *, inplace: bool = False) -> np.ndarray:
     """*x* with its float64 subnormals set to ``0.0``, ahead of a BLAS product.
@@ -148,15 +153,36 @@ def qfd_one_to_many(
     )
 
 
-def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def l2_one_to_many(
+    q: np.ndarray, rows: np.ndarray, *, block_rows: int | None = None
+) -> np.ndarray:
     """L2 distances from *q* to every row — difference-based on purpose.
 
     For a single query the diff form is already one fused pass and, unlike
     the Gram form, exact near zero; the QMap-space query path uses it so
     mapped-space results stay bit-identical to a plain Euclidean scan.
+    More rows than one tile (*block_rows*, default ``_L2_TILE_FLOATS``
+    worth) stream through one reused difference buffer: the per-row
+    reduction does not depend on how many rows share the call, so the
+    floats are those of the one-shot form without its ``m x n`` temporary.
     """
-    diff = _as64(rows) - _as64(q)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    q = _as64(q)
+    n = rows.shape[0]
+    tile = block_rows
+    if tile is None:
+        tile = max(1, _L2_TILE_FLOATS // max(1, rows.shape[1]))
+    elif tile < 1:
+        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+    if n <= tile:
+        diff = _as64(rows) - q
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    out = np.empty(n, dtype=np.float64)
+    buffer = np.empty((tile, rows.shape[1]), dtype=np.float64)
+    for start in range(0, n, tile):
+        block = rows[start : start + tile]
+        diff = np.subtract(block, q, out=buffer[: block.shape[0]])
+        np.einsum("ij,ij->i", diff, diff, out=out[start : start + tile])
+    return np.sqrt(out, out=out)
 
 
 def qfd_squared_pairwise(

@@ -165,8 +165,8 @@ class L2QueryContext:
     :func:`repro.distances.minkowski.euclidean_one_to_many`, which keeps the
     QMap model's mapped-space results exactly equal to a plain scan; the
     Gram form for L2 is exposed only through the kernel's batch methods.
-    The blocked variant tiles the same per-row difference arithmetic, so
-    its floats do not move either.
+    ``block_rows`` only sets the tile height of that one kernel, so its
+    floats do not move either.
     """
 
     __slots__ = ("query", "block_rows")
@@ -176,11 +176,7 @@ class L2QueryContext:
         self.block_rows = block_rows
 
     def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_l2_one_to_many(
-                self.query, rows, block_rows=self.block_rows
-            )
-        return gram.l2_one_to_many(self.query, rows)
+        return gram.l2_one_to_many(self.query, rows, block_rows=self.block_rows)
 
     def one(self, row: np.ndarray, norm: float | None = None) -> float:
         return float(np.linalg.norm(np.asarray(row, dtype=np.float64) - self.query))
@@ -209,9 +205,7 @@ class L2Kernel:
     def one_to_many(
         self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
     ) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_l2_one_to_many(q, rows, block_rows=self.block_rows)
-        return gram.l2_one_to_many(q, rows)
+        return gram.l2_one_to_many(q, rows, block_rows=self.block_rows)
 
     def pairwise(
         self, rows: np.ndarray, *, row_norms: np.ndarray | None = None

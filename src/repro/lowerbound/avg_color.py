@@ -26,6 +26,7 @@ import numpy as np
 from .._typing import ArrayLike, Matrix, Vector, as_vector, as_vector_batch
 from ..core.qfd import QuadraticFormDistance
 from ..exceptions import DimensionMismatchError, MatrixError
+from ..kernels.gram import l2_one_to_many
 
 __all__ = ["ProjectionBound", "average_color_bound"]
 
@@ -110,9 +111,7 @@ class ProjectionBound:
     def lower_bound_one_to_many(self, q_reduced: ArrayLike, batch_reduced: ArrayLike) -> Vector:
         """Vectorized projected-space L2 from one query to many rows."""
         q = as_vector(q_reduced, self.k, name="q_reduced")
-        rows = as_vector_batch(batch_reduced, self.k, name="batch_reduced")
-        diff = rows - q
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return l2_one_to_many(q, as_vector_batch(batch_reduced, self.k, name="batch_reduced"))
 
 
 def average_color_bound(

@@ -24,6 +24,7 @@ import numpy as np
 from .._typing import ArrayLike, Matrix, Vector, as_vector, as_vector_batch
 from ..core.qfd import QuadraticFormDistance
 from ..exceptions import QueryError
+from ..kernels.gram import l2_one_to_many
 
 __all__ = ["SVDReduction"]
 
@@ -95,9 +96,7 @@ class SVDReduction:
     def lower_bound_one_to_many(self, q_reduced: ArrayLike, batch_reduced: ArrayLike) -> Vector:
         """Vectorized reduced-space L2 from one query row to many rows."""
         q = as_vector(q_reduced, self._k, name="q_reduced")
-        rows = as_vector_batch(batch_reduced, self._k, name="batch_reduced")
-        diff = rows - q
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return l2_one_to_many(q, as_vector_batch(batch_reduced, self._k, name="batch_reduced"))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SVDReduction(n={self.source_dim}, k={self._k})"
