@@ -10,7 +10,10 @@ product.  Pinned here:
   re-hash every fixture and benchmark input);
 * every flushed entry point returns the parent's bits, with the parent's
   arithmetic written inline as the reference;
-* no caller array is ever written.
+* no caller array is ever written;
+* ``QMap.transform`` / ``transform_batch`` flush too (PR 22) — the one
+  place a *stored* bit moves: mapped entries below 1e-290, by less than
+  1e-300, and no distance, answer or count with them.
 """
 
 from __future__ import annotations
@@ -23,8 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.qfd import QuadraticFormDistance
+from repro.core.qmap import QMap
 from repro.datasets import histogram_workload
 from repro.kernels import gram
+from repro.models import QFDModel, QMapModel
+
+from .helpers import assert_same_neighbors
 
 TINY = np.finfo(np.float64).tiny
 
@@ -294,3 +301,127 @@ class TestNoCallerArrayIsWritten:
         assert gram._flush_subnormals(clean) is clean  # nothing to flush: no copy
         assert gram._flush_subnormals(x, inplace=True) is x
         assert x.tobytes() == want.tobytes()
+
+
+def _assert_transform_contract(qmap: QMap, rows: np.ndarray) -> None:
+    """Flushed ``transform_batch`` vs the parent's ``rows @ B``."""
+    raw = rows @ qmap.matrix
+    got = qmap.transform_batch(rows)
+    moved = got != raw
+    if moved.any():
+        assert np.abs(raw[moved]).max() < 1e-290
+        assert np.abs(got - raw)[moved].max() < 1e-300
+    # One vector and its row of the batch: a gemv against a gemm, as close
+    # as the two were before either was flushed.
+    for i in range(0, rows.shape[0], max(1, rows.shape[0] // 5)):
+        parent_gap = np.abs(rows[i] @ qmap.matrix - raw[i]).max()
+        gap = np.abs(qmap.transform(rows[i]) - got[i]).max()
+        assert gap <= max(parent_gap, 1e-300)
+
+
+class TestTheTransformIsFlushed:
+    def test_benchmark_corpus(self, matrix: np.ndarray) -> None:
+        """More rows than one product tile, ~1 % of the entries subnormal."""
+        bins = round(matrix.shape[0] ** (1 / 3))
+        w = histogram_workload(2500, 3, bins_per_channel=bins, seed=2011)
+        assert _is_subnormal(w.database).any()
+        _assert_transform_contract(QMap(w.matrix), w.database)
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 1024, 1025, 1027, 2049, 3075])
+    def test_tiles_do_not_show(self, matrix: np.ndarray, count: int) -> None:
+        """Any row count maps to the bits of one product over flushed rows —
+        also one, two or three rows past a tile, which as a tile of their
+        own would take BLAS's small-matrix path."""
+        rows = _dirichlet_rows(np.random.default_rng(11), matrix.shape[0], 3075)[:count]
+        qmap = QMap(matrix)
+        got = qmap.transform_batch(rows)
+        assert got.shape == rows.shape and got.flags.c_contiguous
+        assert np.array_equal(got, gram._flush_subnormals(rows) @ qmap.matrix)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        scale=st.sampled_from([1.0, 1e-140, 1e-160, 1e-300]),
+        injected=st.lists(
+            st.tuples(
+                st.integers(0, 12 * 64 - 1),
+                st.sampled_from(
+                    [5e-324, 1e-310, float(np.nextafter(TINY, 0.0)), TINY,
+                     float(np.nextafter(TINY, 1.0)), 3e-308, 0.0]
+                ),
+                st.booleans(),
+            ),
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_injected_subnormals_zeros_and_near_tiny(self, seed, scale, injected) -> None:
+        a = histogram_workload(8, 1, bins_per_channel=4, seed=3).matrix
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(64, 1e-3), size=12) * scale
+        for position, value, negative in injected:
+            rows.reshape(-1)[position] = -value if negative else value
+        _assert_transform_contract(QMap(a), rows)
+
+    def test_models_still_agree_on_200_queries(self) -> None:
+        """``TestModelEquivalence``'s contract on the subnormal-bearing corpus."""
+        w = histogram_workload(600, 200, bins_per_channel=4, seed=2011)
+        assert _is_subnormal(w.database).any() and _is_subnormal(w.queries).any()
+        built = [
+            model(w.matrix).build_index(
+                "pivot-table", w.database, n_pivots=8, rng=np.random.default_rng(1)
+            )
+            for model in (QFDModel, QMapModel)
+        ]
+        assert built[0].build_costs.distance_computations == (
+            built[1].build_costs.distance_computations
+        )
+        for q in w.queries:
+            answers = []
+            for index in built:
+                index.reset_query_costs()
+                answers.append(index.knn_search(q, 8))
+            assert_same_neighbors(*answers, tol=1e-7)
+            assert built[0].query_costs().distance_computations == (
+                built[1].query_costs().distance_computations
+            )
+
+    def test_a_stored_row_is_found_at_the_distance_it_was(self, matrix: np.ndarray) -> None:
+        """Self-queries: the parent's distance (``0.0`` where it was ``0.0``)."""
+        bins = round(matrix.shape[0] ** (1 / 3))
+        w = histogram_workload(150, 1, bins_per_channel=bins, seed=2011)
+        index = QMapModel(w.matrix).build_index("sequential", w.database)
+        b = QMap(w.matrix).matrix
+        mapped = w.database @ b  # the parent's stored rows
+        for i in range(0, 150, 7):
+            diff = mapped - w.database[i] @ b
+            parent = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            got = index.knn_search(w.database[i], 1)[0]
+            assert got.distance == parent.min() and parent[got.index] == parent.min()
+        # A batch maps its queries with the product that mapped the rows.
+        batch = index.knn_search_batch(w.database[:20], 1)
+        assert [answer[0].distance for answer in batch] == [0.0] * 20
+
+    def test_no_caller_array_is_written(self, matrix: np.ndarray) -> None:
+        rows = _dirichlet_rows(np.random.default_rng(8), matrix.shape[0], 1500)
+        assert _is_subnormal(rows).any()
+        rows.setflags(write=False)
+        before = rows.tobytes()
+        qmap = QMap(matrix)
+        qmap.transform_batch(rows)
+        qmap.transform(rows[3])
+        assert rows.tobytes() == before
+
+    def test_out_of_core_builds_map_to_the_in_ram_rows(self, tmp_path) -> None:
+        """A chunked (``block_rows``) float64 mmap build stores the heap build's bits."""
+        w = histogram_workload(700, 2, bins_per_channel=4, seed=2011)
+        model = QMapModel(w.matrix)
+        heap = model.build_index("sequential", w.database)
+        spilled = model.build_index(
+            "sequential", w.database, store="mmap", store_dtype="float64",
+            store_path=str(tmp_path / "mapped.bin"), block_rows=97,
+        )
+        assert np.array_equal(
+            np.asarray(spilled.access_method.database), heap.access_method.database
+        )
+        for q in w.queries:
+            assert_same_neighbors(spilled.knn_search(q, 5), heap.knn_search(q, 5), tol=0.0)
