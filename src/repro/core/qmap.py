@@ -83,17 +83,14 @@ class QMap:
     def transform_batch(self, batch: ArrayLike) -> Matrix:
         """Map a whole ``(m, n)`` database at once: ``U' = U B``.
 
-        Subnormal histogram entries are flushed ahead of the product (they
-        cost a microcode assist per multiply-add and move a mapped entry by
-        less than 1e-308), a tile of rows at a time so the flushed copy
-        never reaches the size of the batch.  Tiles are near-equal: a
-        remainder of a few rows would take BLAS's small-matrix path, whose
-        last ulp differs from the same row inside a tall product.
+        Subnormal entries are flushed first (an x86 assist per multiply-add,
+        for < 1e-308 of a mapped entry), a tile of rows at a time so the copy
+        stays small.  Tiles are near-equal: a remainder of a few rows takes
+        BLAS's small-matrix path, whose last ulp differs from a tall product's.
         """
         rows = as_vector_batch(batch, self.dim, name="batch")
         out = np.empty(rows.shape, dtype=np.float64)
-        m = rows.shape[0]
-        edges = np.linspace(0, m, -(-m // _TILE_ROWS) + 1, dtype=int)
+        edges = np.linspace(0, len(rows), -(-len(rows) // _TILE_ROWS) + 1, dtype=int)
         for start, stop in zip(edges[:-1], edges[1:]):
             np.matmul(_flush_subnormals(rows[start:stop]), self._b, out=out[start:stop])
         return out

@@ -40,7 +40,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .gram import RECHECK_REL, l2_one_to_many
+from .gram import RECHECK_REL
+from .gram import l2_one_to_many as blocked_l2_one_to_many  # the one tiled difference form
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
@@ -160,17 +161,6 @@ def blocked_qfd_one_to_many(
             sq[i] = _qfd_exact_sq(matrix, tile[i], q64)
         np.sqrt(np.maximum(sq, 0.0), out=out[start:stop])
     return out
-
-
-def blocked_l2_one_to_many(
-    q: np.ndarray,
-    rows: np.ndarray,
-    *,
-    block_rows: int | None = None,
-) -> np.ndarray:
-    """L2 distances from *q* to every row — the one tiled difference form,
-    :func:`repro.kernels.gram.l2_one_to_many`, at this tile height."""
-    return l2_one_to_many(q, rows, block_rows=block_rows)
 
 
 def blocked_qfd_cross(

@@ -49,9 +49,7 @@ RECHECK_REL = 1e-12
 
 _TINY = np.finfo(np.float64).tiny
 
-#: Floats in the difference buffer of one tile of :func:`l2_one_to_many`
-#: (1 MB, 256 rows at 512-d): it stays L2-resident, where an ``m x n``
-#: temporary is allocated, page-faulted and freed on every call.
+#: Floats in one tile's difference buffer of :func:`l2_one_to_many` (1 MB, L2-resident).
 _L2_TILE_FLOATS = 131072
 
 
@@ -161,16 +159,14 @@ def l2_one_to_many(
     For a single query the diff form is already one fused pass and, unlike
     the Gram form, exact near zero; the QMap-space query path uses it so
     mapped-space results stay bit-identical to a plain Euclidean scan.
-    More rows than one tile (*block_rows*, default ``_L2_TILE_FLOATS``
-    worth) stream through one reused difference buffer: the per-row
-    reduction does not depend on how many rows share the call, so the
-    floats are those of the one-shot form without its ``m x n`` temporary.
+    Past one tile (*block_rows*, else ``_L2_TILE_FLOATS`` worth) rows stream
+    through one reused buffer — same floats, no ``m x n`` temporary.
     """
     q = _as64(q)
     n = rows.shape[0]
     tile = block_rows
-    if tile is None:
-        tile = max(1, _L2_TILE_FLOATS // max(1, rows.shape[1]))
+    if tile is None:  # the common case — a node, a refinement block — first and cheapest
+        tile = n if rows.size <= _L2_TILE_FLOATS else max(1, _L2_TILE_FLOATS // rows.shape[1])
     elif tile < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     if n <= tile:

@@ -82,16 +82,12 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             self._data, n_pivots, self._port, method=pivot_method, rng=rng
         )
         self._pivot_rows = self._data[self._pivot_indices]
-        self._rows = np.ascontiguousarray(columns.T)  # (capacity, p), grown by inserts
+        # (capacity, p): inserts grow it, rows past ``size`` are spare.
+        self._table = np.ascontiguousarray(columns.T)
         self._assign_clusters()
 
-    @property
-    def _table(self) -> np.ndarray:
-        """The filled ``m x p`` part of the object-to-pivot distance buffer."""
-        return self._rows[: self.size]
-
     def _assign_clusters(self) -> None:
-        owner = np.argmin(self._table, axis=1)
+        owner = np.argmin(self._table[: self.size], axis=1)
         keys = self._table[np.arange(self.size), owner]
         p = len(self._pivot_indices)
         self._cluster_keys: list[np.ndarray] = []
@@ -105,7 +101,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
     def structural_state(self) -> dict[str, np.ndarray]:
         return {
             "pivot_indices": np.asarray(self._pivot_indices, dtype=np.int64),
-            "table": self._table.copy(),
+            "table": self._table[: self.size].copy(),
             "growth": np.float64(self._growth),
         }
 
@@ -133,7 +129,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         self._growth = growth
         self._pivot_indices = pivot_list
         self._pivot_rows = self._data[pivot_list]
-        self._rows = table.copy()
+        self._table = table.copy()
         # Cluster assignment and scalar keys derive from the table alone —
         # pure argmin/argsort arithmetic, no distance evaluations.
         self._assign_clusters()
@@ -165,8 +161,8 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Route the new object to its nearest pivot's cluster."""
         row = self._port.many(vector, self._pivot_rows)
-        self._rows = grown(self._rows, index, 1)
-        self._rows[index] = row
+        self._table = grown(self._table, index, 1)
+        self._table[index] = row
         cluster = int(np.argmin(row))
         key = float(row[cluster])
         pos = bisect.bisect_left(self._cluster_keys[cluster].tolist(), key)

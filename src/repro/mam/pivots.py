@@ -74,19 +74,13 @@ def _random_pivots(data: np.ndarray, p: int, rng: np.random.Generator) -> list[i
 
 
 def _maxmin_pivots(
-    data: np.ndarray,
-    p: int,
-    port: DistancePort,
-    rng: np.random.Generator,
-    columns: list[np.ndarray] | None = None,
-) -> list[int]:
-    """Farthest-first pivots; each pivot's distance vector to every row of
-    *data* is appended to *columns* when the caller wants them kept."""
+    data: np.ndarray, p: int, port: DistancePort, rng: np.random.Generator
+) -> tuple[list[int], list[np.ndarray]]:
+    """Farthest-first pivots and each one's distance vector to every row."""
     m = data.shape[0]
     pivots = [int(rng.integers(0, m))]
-    min_dist = port.many(data[pivots[0]], data)
-    if columns is not None:
-        columns.append(min_dist)
+    columns = [port.many(data[pivots[0]], data)]
+    min_dist = columns[0]
     while len(pivots) < p:
         candidate = int(np.argmax(min_dist))
         if candidate in pivots or min_dist[candidate] <= 0.0:
@@ -96,11 +90,9 @@ def _maxmin_pivots(
             # content-distinct unused row when one exists.
             candidate = _distinct_fallback(data, pivots)
         pivots.append(candidate)
-        column = port.many(data[candidate], data)
-        if columns is not None:
-            columns.append(column)
-        min_dist = np.minimum(min_dist, column)
-    return pivots
+        columns.append(port.many(data[candidate], data))
+        min_dist = np.minimum(min_dist, columns[-1])
+    return pivots, columns
 
 
 def _spread_pivots(
@@ -162,40 +154,31 @@ def select_pivots(
     rng:
         Randomness source; defaults to a fixed seed for reproducibility.
     """
-    return _select(data, p, port, method, sample_size, rng)
+    return _select(data, p, port, method, sample_size, rng)[0]
 
 
 def select_pivot_columns(
     data: np.ndarray, p: int, port: DistancePort, **selection
 ) -> tuple[list[int], np.ndarray]:
-    """:func:`select_pivots` plus the pivot-major ``p x m`` table of the
-    pivots' distances to every row of *data*.
+    """:func:`select_pivots` plus the pivot-major ``p x m`` distance table.
 
-    Whole-database max-min selection has already evaluated exactly those
-    vectors, so they are kept, not computed again.  The table phase still
-    charges its ``p * m`` evaluations: the paper prices selection and
-    table separately (Section 4.2.1), and a kept vector is a cache hit,
-    not a cheaper algorithm.
+    Whole-database max-min selection has evaluated exactly those vectors:
+    they are kept, not recomputed, and the table phase still charges its
+    ``p * m`` — the paper prices selection and table separately (4.2.1).
     """
-    columns: list[np.ndarray] = []
-    pivots = _select(data, p, port, columns=columns, **selection)
-    if columns:
-        port.charge(rows=p * data.shape[0])
-    else:
+    pivots, columns = _select(data, p, port, **selection)
+    if columns is None:
         columns = [port.many(data[j], data) for j in pivots]
+    else:
+        port.charge(rows=p * data.shape[0])
     return pivots, np.stack(columns)
 
 
 def _select(
-    data: np.ndarray,
-    p: int,
-    port: DistancePort,
-    method: str = "maxmin",
-    sample_size: int | None = None,
-    rng: np.random.Generator | None = None,
-    columns: list[np.ndarray] | None = None,
-) -> list[int]:
-    """:func:`select_pivots`; whole-database max-min fills *columns*."""
+    data: np.ndarray, p: int, port: DistancePort, method: str = "maxmin",
+    sample_size: int | None = None, rng: np.random.Generator | None = None,
+) -> tuple[list[int], list[np.ndarray] | None]:
+    """The pivots, and their columns where selection scanned all of *data*."""
     m = data.shape[0]
     if not 1 <= p <= m:
         raise QueryError(f"p must be in [1, {m}], got {p}")
@@ -215,10 +198,11 @@ def _select(
         # cached row norms on every selection scan.
         sample = np.arange(m)
         subset = data
+    columns = None
     if method == "random":
         local = _random_pivots(subset, p, rng)
     elif method == "maxmin":
-        local = _maxmin_pivots(subset, p, port, rng, columns if subset is data else None)
+        local, columns = _maxmin_pivots(subset, p, port, rng)
     else:
         local = _spread_pivots(subset, p, port, rng)
-    return [int(sample[i]) for i in local]
+    return [int(sample[i]) for i in local], columns if subset is data else None
