@@ -22,9 +22,11 @@ subnormals, and every multiply-add that meets one takes an x86 microcode
 assist.  A second table therefore times each QFD entry point on the raw
 histogram rows and on the same rows with the subnormals zeroed, interleaved
 in one process, and reports ``subnormal_penalty_ratio = raw / flushed``.
-Entry points that flush their operand themselves (PR 21) are marked
-``fixed`` and must read ~1; the others are measured and left (see
-``docs/architecture.md``, *Subnormal operands*).
+Entry points that flush their operand themselves (PR 21; the QMap
+transform since PR 22) are marked ``fixed`` and must read ~1; the others
+are measured and left (see ``docs/architecture.md``, *Subnormal operands*).
+A last line times the one difference-form L2 one-to-many over a
+database-sized batch: ns per row and the peak bytes it allocates.
 
 The full run writes ``BENCH_kernels.json`` at the repository root;
 ``--smoke`` runs a tiny grid without writing, as a CI check: it exits
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +239,10 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: d["ctx"].one(d["rows"][0], norms[0])),
         ("QuadraticFormDistance.squared", False, f"1x{qfd.dim}",
          lambda d: qfd.squared(d["q"], d["rows"][0])),
-        ("QMap.transform_batch", False, f"{m}x{qfd.dim}",
+        ("QMap.transform_batch", True, f"{m}x{qfd.dim}",
          lambda d: qmap.transform_batch(d["rows"])),
+        ("QMap.transform", True, f"1x{qfd.dim}",
+         lambda d: qmap.transform(d["q"])),
         ("blocked tiles, float32 store", False, f"{m}x{qfd.dim}",
          lambda d: tiles.one_to_many(d["q"], d["rows32"])),
     ]
@@ -263,6 +268,27 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
         "subnormal_fraction": float(subnormal(raw["rows"]).mean()),
         "repeats": repeats,
         "entry_points": rows,
+    }
+
+
+def l2_scan(m: int, dim: int, repeats: int) -> dict:
+    """``gram.l2_one_to_many`` over ``m x dim`` rows: time and peak allocation."""
+    rng = np.random.default_rng(2011)
+    rows, q = rng.standard_normal((m, dim)), rng.standard_normal(dim)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        gram.l2_one_to_many(q, rows)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    gram.l2_one_to_many(q, rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "shape": f"{m}x{dim}",
+        "ns_per_row": best / m * 1e9,
+        "peak_temporary_bytes": peak,
+        "operand_bytes": rows.nbytes,
     }
 
 
@@ -368,6 +394,14 @@ def main() -> None:
             f"subnormal_penalty_ratio > {MAX_FIXED_PENALTY} on fixed entry point(s): "
             + ", ".join(slow)
         )
+
+    scan = l2_scan(8000, 512, penalty_repeats)
+    report["l2_one_to_many"] = scan
+    print(
+        f"\nl2_one_to_many {scan['shape']}: {scan['ns_per_row']:.0f} ns/row, peak "
+        f"temporary {scan['peak_temporary_bytes'] / 1e6:.2f} MB "
+        f"(operand {scan['operand_bytes'] / 1e6:.1f} MB)"
+    )
 
     if args.smoke and args.out is None:
         print("smoke run: machinery OK, no JSON written")

@@ -28,8 +28,8 @@ from .qfd import QuadraticFormDistance
 
 __all__ = ["QMap"]
 
-#: Most rows per product of :meth:`QMap.transform_batch`: bounds the flushed copy.
-_TILE_ROWS = 1024
+#: Most floats per product of :meth:`QMap.transform_batch`: bounds the flushed copy (8 MB).
+_TILE_FLOATS = 1 << 20
 
 
 class QMap:
@@ -85,12 +85,13 @@ class QMap:
 
         Subnormal entries are flushed first (an x86 assist per multiply-add,
         for < 1e-308 of a mapped entry), a tile of rows at a time so the copy
-        stays small.  Tiles are near-equal: a remainder of a few rows takes
-        BLAS's small-matrix path, whose last ulp differs from a tall product's.
+        stays small.  Tiles are few (each product is a thread rendezvous) and
+        near-equal: a remainder of a few rows takes BLAS's small-matrix path,
+        whose last ulp differs from a tall product's.
         """
         rows = as_vector_batch(batch, self.dim, name="batch")
         out = np.empty(rows.shape, dtype=np.float64)
-        edges = np.linspace(0, len(rows), -(-len(rows) // _TILE_ROWS) + 1, dtype=int)
+        edges = np.linspace(0, len(rows), -(-rows.size // _TILE_FLOATS) + 1, dtype=int)
         for start, stop in zip(edges[:-1], edges[1:]):
             np.matmul(_flush_subnormals(rows[start:stop]), self._b, out=out[start:stop])
         return out
