@@ -87,7 +87,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         self._assign_clusters()
 
     def _assign_clusters(self) -> None:
-        owner = np.argmin(self._table[: self.size], axis=1)
+        owner = np.argmin(self._table, axis=1)  # build / restore: no spare rows yet
         keys = self._table[np.arange(self.size), owner]
         p = len(self._pivot_indices)
         self._cluster_keys: list[np.ndarray] = []

@@ -6,9 +6,21 @@ import sys
 import threading
 from typing import Callable, Sequence
 
-from repro.mam.base import Neighbor
+from repro.mam.base import DistancePort, Neighbor
 
-__all__ = ["assert_same_neighbors", "run_together", "same_neighbors"]
+__all__ = ["SpyPort", "assert_same_neighbors", "run_together", "same_neighbors"]
+
+
+class SpyPort(DistancePort):
+    """A port that records the row count of every physical one-to-many call."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.sizes: list[int] = []
+
+    def compute_many(self, q, rows):
+        self.sizes.append(int(rows.shape[0]))
+        return super().compute_many(q, rows)
 
 
 def run_together(*targets: Callable[[], None]) -> None:

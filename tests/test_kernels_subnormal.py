@@ -36,6 +36,28 @@ from .helpers import assert_same_neighbors
 TINY = np.finfo(np.float64).tiny
 
 
+#: (flat position in a 12 x 64 batch, value, negate?) triples: subnormals,
+#: zero, and values at and just above ``tiny``.
+INJECTED = st.lists(
+    st.tuples(
+        st.integers(0, 12 * 64 - 1),
+        st.sampled_from(
+            [
+                5e-324,
+                1e-310,
+                float(np.nextafter(TINY, 0.0)),
+                TINY,
+                float(np.nextafter(TINY, 1.0)),
+                3e-308,
+                0.0,
+            ]
+        ),
+        st.booleans(),
+    ),
+    max_size=200,
+)
+
+
 def _is_subnormal(x: np.ndarray) -> np.ndarray:
     return (np.abs(x) < TINY) & (x != 0.0)
 
@@ -180,24 +202,7 @@ class TestBitIdenticalToTheParentFormulas:
     @given(
         seed=st.integers(0, 10_000),
         scale=st.sampled_from([1.0, 1e-140, 1e-160, 1e-300]),
-        injected=st.lists(
-            st.tuples(
-                st.integers(0, 12 * 64 - 1),
-                st.sampled_from(
-                    [
-                        5e-324,
-                        1e-310,
-                        float(np.nextafter(TINY, 0.0)),
-                        TINY,
-                        float(np.nextafter(TINY, 1.0)),
-                        3e-308,
-                        0.0,
-                    ]
-                ),
-                st.booleans(),
-            ),
-            max_size=200,
-        ),
+        injected=INJECTED,
     )
     @settings(max_examples=80, deadline=None)
     def test_injected_subnormals_zeros_and_near_tiny(self, seed, scale, injected) -> None:
@@ -349,17 +354,7 @@ class TestTheTransformIsFlushed:
     @given(
         seed=st.integers(0, 10_000),
         scale=st.sampled_from([1.0, 1e-140, 1e-160, 1e-300]),
-        injected=st.lists(
-            st.tuples(
-                st.integers(0, 12 * 64 - 1),
-                st.sampled_from(
-                    [5e-324, 1e-310, float(np.nextafter(TINY, 0.0)), TINY,
-                     float(np.nextafter(TINY, 1.0)), 3e-308, 0.0]
-                ),
-                st.booleans(),
-            ),
-            max_size=200,
-        ),
+        injected=INJECTED,
     )
     @settings(max_examples=60, deadline=None)
     def test_injected_subnormals_zeros_and_near_tiny(self, seed, scale, injected) -> None:

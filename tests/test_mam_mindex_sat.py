@@ -10,7 +10,7 @@ from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.exceptions import QueryError
 from repro.mam import MIndex, SATree, SequentialFile
 
-from .helpers import assert_same_neighbors
+from .helpers import SpyPort, assert_same_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -146,17 +146,11 @@ class TestMIndexTable:
         from repro.mam import select_pivots
         from repro.mam.base import DistancePort
 
-        sizes: list[int] = []
-
-        class SpyPort(DistancePort):
-            def compute_many(self, q, rows):
-                sizes.append(int(rows.shape[0]))
-                return super().compute_many(q, rows)
-
         m, p = len(data), 12
         counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
-        index = MIndex(data, SpyPort(counter), n_pivots=p, rng=np.random.default_rng(3))
-        assert sizes.count(m) == p  # 2 p before the selection vectors were kept
+        spy = SpyPort(counter)
+        index = MIndex(data, spy, n_pivots=p, rng=np.random.default_rng(3))
+        assert spy.sizes.count(m) == p  # 2 p before the selection vectors were kept
         assert counter.stats.batch_rows == 2 * p * m and counter.stats.calls == 0
         # The two loops this build used to run, inline.
         ref = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)

@@ -11,7 +11,7 @@ from repro.exceptions import QueryError
 from repro.mam import PIVOT_METHODS, PivotTable, SequentialFile, select_pivots
 from repro.mam.base import DistancePort
 
-from .helpers import assert_same_neighbors
+from .helpers import SpyPort, assert_same_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -209,18 +209,6 @@ class TestPivotTable:
         assert_same_neighbors(pt.knn_search(q, 4), scan.knn_search(q, 4))
 
 
-class _SpyPort(DistancePort):
-    """Records the row count of every physical one-to-many evaluation."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.sizes: list[int] = []
-
-    def compute_many(self, q, rows):
-        self.sizes.append(int(rows.shape[0]))
-        return super().compute_many(q, rows)
-
-
 def _l2_counter() -> CountingDistance:
     return CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
 
@@ -248,7 +236,7 @@ class TestPivotColumnsEvaluatedOnce:
 
     def test_default_build_evaluates_each_pivot_once(self, big) -> None:
         counter = _l2_counter()
-        port = _SpyPort(counter)
+        port = SpyPort(counter)
         pt = PivotTable(big, port, n_pivots=self.P, rng=np.random.default_rng(3))
         assert port.sizes.count(self.M) == self.P  # 2 P before
         assert counter.stats.batch_rows == 2 * self.P * self.M
@@ -273,7 +261,7 @@ class TestPivotColumnsEvaluatedOnce:
     )
     def test_other_builds_unchanged(self, big, kwargs) -> None:
         counter = _l2_counter()
-        port = _SpyPort(counter)
+        port = SpyPort(counter)
         pt = PivotTable(big, port, n_pivots=self.P, rng=np.random.default_rng(4), **kwargs)
         assert port.sizes.count(self.M) == self.P
         pivots, table, ref = two_loop_reference(
@@ -291,7 +279,7 @@ class TestPivotColumnsEvaluatedOnce:
 
     def test_explicit_pivots_unchanged(self, big) -> None:
         counter = _l2_counter()
-        port = _SpyPort(counter)
+        port = SpyPort(counter)
         chosen = [5, 1999, 17, 400]
         pt = PivotTable(big, port, pivots=chosen)
         assert port.sizes == [self.M] * 4
@@ -303,7 +291,7 @@ class TestPivotColumnsEvaluatedOnce:
         base = clustered_histograms(3, 2, themes=3, rng=np.random.default_rng(5))
         data = np.repeat(base, 4, axis=0)  # 12 rows, 3 distinct: maxmin runs dry
         counter = _l2_counter()
-        port = _SpyPort(counter)
+        port = SpyPort(counter)
         pt = PivotTable(data, port, n_pivots=5, rng=np.random.default_rng(1))
         assert port.sizes == [12] * 5
         pivots, table, ref = two_loop_reference(
