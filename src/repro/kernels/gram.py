@@ -162,22 +162,21 @@ def l2_one_to_many(
     Past one tile (*block_rows*, else ``_L2_TILE_FLOATS`` worth) rows stream
     through one reused buffer — same floats, no ``m x n`` temporary.
     """
+    if block_rows is None:
+        if rows.size <= _L2_TILE_FLOATS:  # a node, a refinement block: the one-shot form
+            diff = _as64(rows) - _as64(q)
+            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        block_rows = max(1, _L2_TILE_FLOATS // rows.shape[1])
+    elif block_rows < 1:
+        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     q = _as64(q)
     n = rows.shape[0]
-    tile = block_rows
-    if tile is None:  # the common case — a node, a refinement block — first and cheapest
-        tile = n if rows.size <= _L2_TILE_FLOATS else max(1, _L2_TILE_FLOATS // rows.shape[1])
-    elif tile < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    if n <= tile:
-        diff = _as64(rows) - q
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     out = np.empty(n, dtype=np.float64)
-    buffer = np.empty((tile, rows.shape[1]), dtype=np.float64)
-    for start in range(0, n, tile):
-        block = rows[start : start + tile]
+    buffer = np.empty((min(block_rows, n), rows.shape[1]), dtype=np.float64)
+    for start in range(0, n, block_rows):
+        block = rows[start : start + block_rows]
         diff = np.subtract(block, q, out=buffer[: block.shape[0]])
-        np.einsum("ij,ij->i", diff, diff, out=out[start : start + tile])
+        np.einsum("ij,ij->i", diff, diff, out=out[start : start + block_rows])
     return np.sqrt(out, out=out)
 
 
