@@ -14,13 +14,19 @@ Expected shape: Ptolemaic filtering yields a strictly smaller total
 candidate set than triangle filtering (asserted by the report), with
 ``best`` at least as tight as either; query-time charging stays ``p``
 pivot distances + one per verified candidate in every mode, so the
-candidate column *is* the cost story.
+candidate column *is* the cost story — in evaluations.  The ``knn_ms`` /
+``range_ms`` columns are the same queries in seconds: a bound that prunes
+more also computes more (``p (p-1) / 2`` pair terms against ``p``), and
+only the clock says which wins.  The passes of all six cells are
+interleaved in one process and each cell reports its median.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -39,6 +45,7 @@ BINS = 4
 N_PIVOTS = 16
 K = 10
 TARGET_RESULTS = 10
+TIMING_REPEATS = 9
 
 BOUNDS = ("triangle", "ptolemaic", "best")
 
@@ -110,6 +117,27 @@ def _measure(model_name: str, bound: str) -> dict:
     }
 
 
+def _time_cells(cells: list[dict]) -> None:
+    """Add ``knn_ms`` / ``range_ms`` (per query) to every cell: the median
+    of ``TIMING_REPEATS`` passes over the query set, the cells' passes
+    interleaved so a slow stretch of the host falls on all of them."""
+    queries, radius = _workload().queries, _radius()
+    passes: dict[tuple[int, str], list[float]] = {}
+    for _ in range(TIMING_REPEATS):
+        for pos, cell in enumerate(cells):
+            index = _index(cell["model"], cell["bound"])
+            for name, search, parameter in (
+                ("knn_ms", index.knn_search, K),
+                ("range_ms", index.range_search, radius),
+            ):
+                begin = time.perf_counter()
+                for q in queries:
+                    search(q, parameter)
+                passes.setdefault((pos, name), []).append(time.perf_counter() - begin)
+    for (pos, name), seconds in passes.items():
+        cells[pos][name] = round(statistics.median(seconds) * 1e3 / len(queries), 4)
+
+
 def test_ptolemaic_filters_strictly_better() -> None:
     """The acceptance check, also run under plain pytest."""
     for model_name in ("qfd", "qmap"):
@@ -162,23 +190,26 @@ def main() -> None:
         },
         "results": [],
     }
-    rows = []
     measured: dict[tuple[str, str], dict] = {}
     for model_name in ("qfd", "qmap"):
         for bound in BOUNDS:
             cell = _measure(model_name, bound)
             measured[(model_name, bound)] = cell
             report["results"].append(cell)
-            rows.append(
-                [
-                    model_name,
-                    bound,
-                    cell["build_evaluations"],
-                    cell["range_candidates"],
-                    cell["range_evaluations"],
-                    cell["knn_evaluations"],
-                ]
-            )
+    _time_cells(report["results"])
+    rows = [
+        [
+            cell["model"],
+            cell["bound"],
+            cell["build_evaluations"],
+            cell["range_candidates"],
+            cell["range_evaluations"],
+            cell["knn_evaluations"],
+            cell["range_ms"],
+            cell["knn_ms"],
+        ]
+        for cell in report["results"]
+    ]
     print(
         format_table(
             [
@@ -188,6 +219,8 @@ def main() -> None:
                 "range candidates",
                 "range evals",
                 "kNN evals",
+                "range ms/q",
+                "kNN ms/q",
             ],
             rows,
             title="filtering power over the full query workload (totals)",

@@ -14,6 +14,16 @@ dynamic radius as better neighbors arrive — once the lower bound of the
 next candidate exceeds the current kth distance, the remainder is pruned
 wholesale.
 
+The filter is staged, as LAESA's elimination loop is.  Every bound here is
+a *max over terms* (one per pivot, one per pivot pair), so the max over
+the terms of the first few pivots is already a sound lower bound: stage 1
+computes it for all ``m`` objects, and only the objects it leaves within
+the query's limit (the radius; for kNN a cap on the ``k``-th bound, then
+the first ``k`` distances' radius) get the remaining terms, over their
+columns gathered from the pivot-major table.  The finished bounds are the
+full bounds float for float, so answers, charges and EXPLAIN are those of
+the one-object-at-a-time loop (``tests/pivot_reference.py``).
+
 Beyond the paper: because QMap embeds the QFD isometrically into L2, the
 QFD is a *Ptolemaic* metric, and Hetland's Ptolemaic pivot bound
 
@@ -52,10 +62,9 @@ __all__ = ["PivotTable", "BOUND_MODES"]
 #: Lower-bound modes of :class:`PivotTable`.
 BOUND_MODES = ("triangle", "ptolemaic", "best")
 
-#: Floats in the ``p x block`` temporary of one pass of the triangle-bound
-#: kernel (1 MB): it stays L2-resident while the table streams past —
-#: measured fastest among 256..8192 columns at p = 32, m = 8 000.
-_BOUND_BLOCK_FLOATS = 131072
+#: Pivots whose terms bound *every* object; the other pivots' terms are
+#: computed only for the objects these leave within the query's limit.
+_HEAD_PIVOTS = 4
 
 
 class PivotTable(AccessMethod):
@@ -280,38 +289,73 @@ class PivotTable(AccessMethod):
         """Distances from the query to every pivot (``p`` evaluations)."""
         return self._port.many(query, self._pivot_rows, trace)
 
-    def _triangle_bounds(self, query_vector: np.ndarray) -> np.ndarray:
-        """Pivot-mapped L∞ (triangle) lower bound for every object.
+    def _merge_terms(
+        self,
+        out: np.ndarray,
+        query_vector: np.ndarray,
+        lo: int,
+        hi: int,
+        objects: "np.ndarray | None" = None,
+        mode: "str | None" = None,
+    ) -> np.ndarray:
+        """Max-merge into *out* the bound's terms of pivots ``lo..hi-1``.
 
-        ``max_j |d(o, p_j) - d(q, p_j)|`` over contiguous pivot rows, a
-        block of columns at a time; abs-difference and max are exact, so
-        the floats do not depend on the layout or the blocking.
+        The one bound routine.  A pivot's triangle term
+        ``|d(o, p_j) - d(q, p_j)|`` is its own, a pivot pair's Ptolemaic
+        term belongs to its later pivot, so the terms of ``[0, h)`` and
+        ``[h, p)`` partition the *mode*'s bound (default: the operative
+        one): the max over either part is a lower bound, the max of both
+        parts is the bound itself, float for float.  Over every object
+        (the contiguous pivot rows) or, given *objects*, over their
+        gathered columns.
         """
+        if lo >= hi:  # EXPLAIN, or p within the first stage: nothing is left
+            return out
+        mode = mode or self._bound
         columns = self._columns()
-        qv = query_vector[:, None]
-        out = np.empty(columns.shape[1], dtype=np.float64)
-        block = max(1, _BOUND_BLOCK_FLOATS // columns.shape[0])
-        for start in range(0, out.shape[0], block):
-            diff = columns[:, start : start + block] - qv
+        if objects is not None:
+            columns = np.take(columns, objects, axis=1)  # a copy: ours to overwrite
+        if mode != "triangle":
+            ii, jj = self._pairs
+            ours = (jj >= lo) & (jj < hi)
+            ptolemaic_bounds(
+                columns.T, query_vector, self._pivot_pair, (ii[ours], jj[ours]), out=out
+            )
+        if mode != "ptolemaic":
+            rows = columns[lo:hi]
+            diff = np.subtract(
+                rows, query_vector[lo:hi, None], out=rows if objects is not None else None
+            )
             np.abs(diff, out=diff)
-            np.maximum.reduce(diff, axis=0, out=out[start : start + block])
+            np.maximum(out, np.maximum.reduce(diff, axis=0), out=out)
         return out
 
-    def _ptolemaic_lb(
-        self, query_vector: np.ndarray, out: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        return ptolemaic_bounds(
-            self.table, query_vector, self._pivot_pair, self._pairs, out=out
-        )
+    def _first_stage(
+        self, query_vector: np.ndarray, trace: "QueryTrace | None"
+    ) -> tuple[int, np.ndarray]:
+        """``(h, bounds)``: every object bounded by the first ``h`` pivots —
+        a few, or all of them under EXPLAIN, whose every reported bound is
+        then the full one."""
+        head = min(_HEAD_PIVOTS, self.n_pivots)
+        if trace is not None and trace.events is not None:
+            head = self.n_pivots
+        return head, self._merge_terms(np.zeros(self.size), query_vector, 0, head)
 
-    def _lower_bounds(self, query_vector: np.ndarray) -> np.ndarray:
-        """The mode's operative lower bound for every database object."""
-        if self._bound == "triangle":
-            return self._triangle_bounds(query_vector)
-        if self._bound == "ptolemaic":
-            return self._ptolemaic_lb(query_vector)
-        # "best": max-merge the Ptolemaic bound into the triangle one.
-        return self._ptolemaic_lb(query_vector, out=self._triangle_bounds(query_vector))
+    def _finish(
+        self, query_vector: np.ndarray, head: int, objects: np.ndarray, partial: np.ndarray
+    ) -> np.ndarray:
+        """Exact bounds of *objects*, whose first-stage bounds are in *partial*.
+
+        The remaining terms are computed over the objects' gathered
+        columns, or over the contiguous table when most objects are asked
+        for — the survivor count alone decides.
+        """
+        lb = partial[objects]
+        p, m = self.n_pivots, partial.size
+        if 2 * objects.size <= m:
+            return self._merge_terms(lb, query_vector, head, p, objects)
+        rest = self._merge_terms(np.zeros(m), query_vector, head, p)
+        return np.maximum(lb, rest[objects], out=lb)
 
     def _bound_views(
         self, query_vector: np.ndarray, lb: np.ndarray
@@ -324,27 +368,34 @@ class PivotTable(AccessMethod):
         """
         if self._bound == "triangle":
             return [("pivot-linf", lb)]
-        tri = self._triangle_bounds(query_vector)
+
+        def whole(mode: str) -> np.ndarray:
+            return self._merge_terms(np.zeros(lb.size), query_vector, 0, self.n_pivots, mode=mode)
+
         if self._bound == "ptolemaic":
-            return [("pivot-linf", tri), ("pivot-ptolemaic", lb)]
+            return [("pivot-linf", whole("triangle")), ("pivot-ptolemaic", lb)]
         return [
-            ("pivot-linf", tri),
-            ("pivot-ptolemaic", self._ptolemaic_lb(query_vector)),
+            ("pivot-linf", whole("triangle")),
+            ("pivot-ptolemaic", whole("ptolemaic")),
             ("pivot-best", lb),
         ]
 
+    def _filter(
+        self, query_vector: np.ndarray, radius: float, trace: "QueryTrace | None"
+    ) -> np.ndarray:
+        """Indices of the objects whose bound is within *radius*, ascending."""
+        head, partial = self._first_stage(query_vector, trace)
+        survivors = np.flatnonzero(partial <= radius)
+        if trace is not None and trace.events is not None:
+            tok = trace.visit(ROOT, "pivot-filter", count=0)
+            for label, bounds in self._bound_views(query_vector, partial):
+                for val in bounds:
+                    trace.lb_check(tok, float(val), radius, pruned=val > radius, label=label)
+        return survivors[self._finish(query_vector, head, survivors, partial) <= radius]
+
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         trace = current_trace()
-        qv = self._query_vector(query, trace)
-        lb = self._lower_bounds(qv)
-        candidates = np.flatnonzero(lb <= radius)
-        if trace.events is not None:
-            tok = trace.visit(ROOT, "pivot-filter", count=0)
-            for label, bounds in self._bound_views(qv, lb):
-                for val in bounds:
-                    trace.lb_check(
-                        tok, float(val), radius, pruned=val > radius, label=label
-                    )
+        candidates = self._filter(self._query_vector(query, trace), radius, trace)
         return self._refine_range(query, radius, candidates, trace)
 
     def _refine_range(
@@ -369,66 +420,55 @@ class PivotTable(AccessMethod):
         ]
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        trace = current_trace()
-        qv = self._query_vector(query, trace)
-        lb = self._lower_bounds(qv)
-        # Under EXPLAIN the comparison bounds ride along for the side-by-
-        # side section; pure table arithmetic, zero distance evaluations.
-        views = self._bound_views(qv, lb) if trace.events is not None else ()
-        return self._refine_knn(query, k, lb, trace, views)
-
-    def _refine_knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        lb: np.ndarray,
-        trace: "QueryTrace",
-        views: "Sequence[tuple[str, np.ndarray]]" = (),
-    ) -> list[Neighbor]:
         """Best-first refinement in ascending ``(bound, index)`` order.
 
-        Answers, counts and events are those of the sequential loop
-        "stop at the first bound above the current k-th distance, else
-        evaluate and offer", but the distances are evaluated in blocks
-        and the stop test is replayed over them:
+        Answers, counts and events are those of the sequential loop "stop
+        at the first bound above the current k-th distance, else evaluate
+        and offer"; bounds are finished and distances evaluated only where
+        that loop can still look:
 
-        * the first ``k`` objects meet an unfilled heap, so they are
-          evaluated unconditionally — never filtered by the radius they
-          produce (a pivot's own bound equals its distance only to an ulp);
-        * their largest distance ``r0`` bounds every later radius, so the
-          rest of the order is the objects with ``lb <= r0``, sorted;
-        * those are evaluated in doubling blocks — a schedule fixed by
-          ``k`` and the bound order alone — and rows computed past the
-          stop are never charged: the port is charged ``refined`` scalar
+        * the full bounds of the ``k`` objects nearest by the first stage
+          cap the ``k``-th smallest full bound, and a first-stage bound
+          never exceeds the full one: the exact first ``k`` of the order
+          are among the objects the first stage leaves within the cap;
+        * those meet an unfilled heap, so they are evaluated whatever the
+          radius they produce (a pivot's own bound equals its distance
+          only to an ulp); that radius, ``r0``, bounds every later one, so
+          the rest of the order is the objects bounded within ``r0``;
+        * those are evaluated in doubling blocks, each cut at the last
+          bound still within the current radius; rows computed past the
+          stop are never charged — the port is charged ``refined`` scalar
           calls once, what the per-candidate loop used to charge.
 
-        *views* are the EXPLAIN detail's (label, bounds) arrays, *lb* last:
-        each stop test reports the comparison bounds alongside the operative
-        one — the "would the other bound have pruned here?" record behind
-        the side-by-side section.
+        Under EXPLAIN each stop test reports every bound view of its
+        object, the comparison bounds alongside the operative one.
         """
-        m = lb.shape[0]
-        if k < m:
-            kth = np.partition(lb, k - 1)[k - 1]
-            below = np.flatnonzero(lb < kth)
-            ties = np.flatnonzero(lb == kth)  # ascending index: already in order
-            order = np.concatenate(
-                [below[np.argsort(lb[below], kind="stable")], ties[: k - below.size]]
-            )
-        else:
-            order = np.argsort(lb, kind="stable")
-        compute, data = self._port.compute_many, self._data
+        trace = current_trace()
+        qv = self._query_vector(query, trace)
+        head, partial = self._first_stage(qv, trace)
+        # Pure table arithmetic, zero distance evaluations.
+        views = self._bound_views(qv, partial) if trace.events is not None else ()
+        nearest = np.argpartition(partial, k - 1)[:k]
+        cap = self._finish(qv, head, nearest, partial).max()
+        order = np.flatnonzero(partial <= cap)
+        lb = self._finish(qv, head, order, partial)
+        by_bound = np.argsort(lb, kind="stable")  # ascending index among equals
+        order, lb = order[by_bound], lb[by_bound]
+        evaluate, data = self._port.bind_query(query).compute_many, self._data
         heap = _KnnHeap(k)
-        radius = r0 = heap.radius
+        radius = heap.radius
         tok = trace.visit(ROOT, "refine", count=0)
         start = refined = 0
-        size = order.size  # the unconditional first k; then k, 2k, 4k, ...
+        size = k  # the unconditional first k; then k, 2k, 4k, ...
         stopped = False
-        while start < order.size and not stopped:
-            block = order[start : start + size]
-            distances = compute(query, data[block]).tolist()
-            for idx, bound, dist in zip(block.tolist(), lb[block].tolist(), distances):
-                stopped = bound > radius
+        while not stopped:
+            stop = min(start + size, int(lb.searchsorted(radius, "right")))
+            if stop <= start:
+                break
+            block = order[start:stop]
+            distances = evaluate(data[block]).tolist()
+            for idx, value, dist in zip(block.tolist(), lb[start:stop].tolist(), distances):
+                stopped = value > radius
                 if tok >= 0:
                     self._trace_stop_test(trace, tok, views, idx, radius)
                 if stopped:
@@ -438,25 +478,31 @@ class PivotTable(AccessMethod):
                 if dist <= radius:
                     radius = heap.offer(dist, idx)
                 refined += 1
-            if start == 0 and k < m:
-                # No later radius exceeds r0, so the loop cannot get past
-                # the objects bounded within it: sort only those.
-                r0 = radius
-                later = lb <= r0
-                later[order] = False
-                rest = np.flatnonzero(later)
-                order = np.concatenate([order, rest[np.argsort(lb[rest], kind="stable")]])
-            start += size
+            if start == 0:
+                # No later radius exceeds this one (r0), so the loop cannot
+                # get past the objects the first stage leaves within it:
+                # finish those too and put the order's tail in order.
+                later = np.flatnonzero(partial <= radius)
+                later = later[partial[later] > cap]
+                order = np.concatenate([order, later])
+                lb = np.concatenate([lb, self._finish(qv, head, later, partial)])
+                by_bound = k + np.lexsort((order[k:], lb[k:]))
+                order[k:], lb[k:] = order[by_bound], lb[by_bound]
+            start = stop
             size = start
-        if tok >= 0 and not stopped and refined < m:
+        if tok >= 0 and not stopped and refined < partial.size:
             # The sequential loop ends on the first object it does not
-            # evaluate; past the r0 survivors that is the smallest
-            # remaining bound (lowest index among equals).  The first k
-            # were evaluated even if their bound is an ulp above r0.
-            beyond = lb > r0
-            beyond[order[:k]] = False
-            beyond = np.flatnonzero(beyond)
-            self._trace_stop_test(trace, tok, views, int(beyond[np.argmin(lb[beyond])]), radius)
+            # evaluate: the next of the order or, past it, the smallest
+            # remaining bound, lowest index among equals (EXPLAIN's first
+            # stage spans every pivot, so *partial* is the bound).
+            if start < order.size:
+                ended_on = order[start]
+            else:
+                left = np.ones(partial.size, dtype=bool)
+                left[order] = False
+                left = np.flatnonzero(left)
+                ended_on = left[np.argmin(partial[left])]
+            self._trace_stop_test(trace, tok, views, int(ended_on), radius)
         self._port.charge(calls=refined, trace=trace)
         trace.filter(self.size, refined)
         trace.refine(refined)
@@ -496,5 +542,4 @@ class PivotTable(AccessMethod):
             raise QueryError(f"malformed range query: {exc}") from exc
         if radius < 0.0:
             raise QueryError(f"radius must be non-negative, got {radius}")
-        lb = self._lower_bounds(self._query_vector(q))
-        return int(np.count_nonzero(lb <= radius))
+        return int(self._filter(self._query_vector(q), radius, None).size)

@@ -6,21 +6,46 @@ import sys
 import threading
 from typing import Callable, Sequence
 
-from repro.mam.base import DistancePort, Neighbor
+from repro.mam.base import BoundQuery, DistancePort, Neighbor
 
 __all__ = ["SpyPort", "assert_same_neighbors", "run_together", "same_neighbors"]
 
 
+class _SpyBound(BoundQuery):
+    """A bound query that reports the rows its own kernel context evaluates."""
+
+    __slots__ = ()
+
+    def compute_many(self, rows, indices=None):
+        if self._ctx is not None:  # else the port's compute_many records it
+            self._port.sizes.append(int(rows.shape[0]))
+        return super().compute_many(rows, indices)
+
+
 class SpyPort(DistancePort):
-    """A port that records the row count of every physical one-to-many call."""
+    """A port that records the physical and the logical work asked of it:
+    the row count of every one-to-many evaluation (``sizes``), every
+    ``(calls, rows)`` charge (``charges``) and the queries bound (``binds``)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.sizes: list[int] = []
+        self.charges: list[tuple[int, int]] = []
+        self.binds = 0
 
     def compute_many(self, q, rows):
         self.sizes.append(int(rows.shape[0]))
         return super().compute_many(q, rows)
+
+    def charge(self, *, calls=0, rows=0, trace=None):
+        self.charges.append((calls, rows))
+        super().charge(calls=calls, rows=rows, trace=trace)
+
+    def bind_query(self, query, data=None, trace=None):
+        self.binds += 1
+        bound = super().bind_query(query, data, trace)
+        bound.__class__ = _SpyBound
+        return bound
 
 
 def run_together(*targets: Callable[[], None]) -> None:

@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import clustered_histograms
+from repro.core.qmap import QMap
+from repro.datasets import clustered_histograms, histogram_workload
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
+from repro.engine.trace import query_trace
 from repro.exceptions import QueryError
 from repro.mam import PIVOT_METHODS, PivotTable, SequentialFile, select_pivots
 from repro.mam.base import DistancePort
+from repro.mam.pivot_table import _HEAD_PIVOTS
 
-from .helpers import SpyPort, assert_same_neighbors
+from .helpers import SpyPort, assert_same_neighbors, run_together
+from .pivot_reference import lower_bounds, query_vector
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +311,94 @@ class TestPivotColumnsEvaluatedOnce:
         pivots = select_pivots(big, self.P, DistancePort(counter), rng=np.random.default_rng(3))
         assert isinstance(pivots, list) and len(pivots) == self.P
         assert counter.stats.batch_rows == self.P * self.M
+
+
+class TestStagedFilterPhysicalWork:
+    """The staged filter does the sequential loop's logical work with less
+    physical work: a few pivots bound every object, the rest only the
+    survivors; refinement evaluates hardly a row it does not charge."""
+
+    M, P, K = 2000, 32, 10
+
+    @pytest.fixture(scope="class")
+    def mapped(self):
+        workload = histogram_workload(self.M, 12, bins_per_channel=8, seed=2011)
+        qmap = QMap(workload.matrix)
+        return qmap.transform_batch(workload.database), qmap.transform_batch(workload.queries)
+
+    @pytest.fixture()
+    def table(self, mapped):
+        port = SpyPort(_l2_counter())
+        return PivotTable(mapped[0], port, n_pivots=self.P, rng=np.random.default_rng(3))
+
+    def test_bound_kernels_touch_the_head_rows_and_the_survivors_columns(
+        self, table, mapped, monkeypatch
+    ) -> None:
+        m, p, k, head = self.M, self.P, self.K, _HEAD_PIVOTS
+        stages: list[tuple[int, int, int]] = []
+        merge_terms = PivotTable._merge_terms
+
+        def spy(self, out, qv, lo, hi, objects=None, mode=None):
+            stages.append((lo, hi, m if objects is None else int(objects.size)))
+            return merge_terms(self, out, qv, lo, hi, objects, mode)
+
+        monkeypatch.setattr(PivotTable, "_merge_terms", spy)
+        touched = allowed = 0
+        for query in mapped[1]:
+            stages.clear()
+            table.knn_search(query, k)
+            assert stages[0] == (0, head, m)  # every object, the first few pivots
+            assert all(stage[:2] == (head, p) for stage in stages[1:])
+            # What the first stage leaves within the cap, then within r0.
+            qv = query_vector(table, query)
+            full = lower_bounds(table, qv)
+            partial = np.abs(table.table[:, :head] - qv[:head]).max(axis=1)
+            cap = full[np.argpartition(partial, k - 1)[:k]].max()
+            first = np.lexsort((np.arange(m), full))[:k]
+            r0 = euclidean_one_to_many(query, table.database[first]).max()
+            survivors = k + int(np.count_nonzero(partial <= max(cap, r0)))
+            assert sum(stage[2] for stage in stages[1:]) == survivors
+            touched += sum((hi - lo) * n for lo, hi, n in stages)
+            allowed += head * m + (p - head) * survivors
+        assert touched <= allowed < 0.5 * len(mapped[1]) * p * m  # the parent: p m per query
+
+    def test_refinement_rows_binds_and_charges(self, table, mapped) -> None:
+        port = table.distance
+        physical = charged = 0
+        for query in mapped[1]:
+            port.sizes.clear()
+            port.charges.clear()
+            binds = port.binds
+            with query_trace("knn", self.K) as trace:
+                table.knn_search(query, self.K)
+            assert port.binds == binds + 1
+            # The pivot distances as batched rows, the refinement as one
+            # charge of scalar calls.
+            assert port.charges == [(0, self.P), (trace.candidates, 0)]
+            assert port.sizes[0] == self.P
+            physical += sum(port.sizes[1:])
+            charged += trace.candidates
+        assert charged <= physical <= 1.1 * charged  # the parent: 1.29 x
+
+    def test_queries_leave_no_state_on_the_index(self, table, mapped) -> None:
+        def state():
+            return {
+                name: (id(value), value.tobytes() if isinstance(value, np.ndarray) else None)
+                for name, value in vars(table).items()
+            }
+
+        before = state()
+        expected = [table.knn_search(q, self.K) for q in mapped[1]]
+        table.range_search(mapped[1][0], expected[0][-1].distance)
+        table.candidates_for_radius(mapped[1][0], expected[0][-1].distance)
+        assert state() == before
+        # Three threads on the one index, finely interleaved.
+        answers: dict[int, list] = {}
+
+        def worker(slot: int):
+            return lambda: answers.update(
+                {slot: [table.knn_search(q, self.K) for q in mapped[1]]}
+            )
+
+        run_together(*(worker(slot) for slot in range(3)))
+        assert [answers[slot] for slot in range(3)] == [expected] * 3
