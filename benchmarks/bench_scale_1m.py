@@ -26,7 +26,7 @@ CI liveness check (no JSON unless ``--out`` is given).
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scale_1m.py [--smoke] [--n N]
-        [--queries Q] [--k K] [--block-rows B] [--bulk-workers W]
+        [--queries Q] [--k K] [--block-rows B]
         [--workdir DIR] [--keep-data] [--out PATH]
 """
 
@@ -127,8 +127,6 @@ def _phase_cell(args: argparse.Namespace, model_name: str, method: str) -> dict:
     matrix, queries = aux["matrix"], aux["queries"]
     model = QFDModel(matrix) if model_name == "qfd" else QMapModel(matrix)
     kwargs = dict(METHOD_KWARGS.get(method, {}))
-    if method == "mtree" and args.bulk_workers:
-        kwargs["bulk_workers"] = args.bulk_workers
     # The QMap model spills its *mapped* vectors to a second memmap; give
     # it a named file in the workdir so the parent's cleanup removes it.
     store_path = (
@@ -214,8 +212,6 @@ def _spawn(args: argparse.Namespace, phase: str) -> dict:
     ]
     if args.block_rows is not None:
         cmd += ["--block-rows", str(args.block_rows)]
-    if args.bulk_workers is not None:
-        cmd += ["--bulk-workers", str(args.bulk_workers)]
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = (
@@ -252,7 +248,6 @@ def main() -> None:
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2011)
     parser.add_argument("--block-rows", type=int, default=None)
-    parser.add_argument("--bulk-workers", type=int, default=None)
     parser.add_argument(
         "--smoke", action="store_true", help="20k-row CI grid (no JSON unless --out)"
     )
@@ -364,7 +359,6 @@ def main() -> None:
             "seed": args.seed,
             "store": "mmap",
             "block_rows": args.block_rows or DEFAULT_BLOCK_ROWS,
-            "bulk_workers": args.bulk_workers,
             "smoke": args.smoke,
         },
         "results": {

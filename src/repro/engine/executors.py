@@ -1,29 +1,30 @@
 """Pluggable execution backends for the batch query engine.
 
-Three strategies, one interface (:meth:`BatchExecutor.map_ordered`):
+Three strategies, one protocol — :meth:`BatchExecutor.chunks` splits a
+batch into contiguous ranges, :meth:`BatchExecutor.map` applies a
+function to one item per range and returns the results in order:
 
-* :class:`SerialExecutor` — the calling thread runs every task in order;
-  zero overhead, the baseline every speedup is measured against.
-* :class:`ThreadPoolBatchExecutor` — ``concurrent.futures`` threads.
-  MAM queries are numpy-heavy (the one-to-many distance kernels release
-  the GIL), so threads already deliver near-linear scaling for the
-  paper's workloads without any serialization cost.
-* :class:`ProcessPoolBatchExecutor` — chunked worker processes, for the
-  pure-Python distance paths (SQFD, custom callables) where the GIL
-  would serialize threads.  Tasks are shipped in chunks to amortize the
-  per-task pickling of the index.
+* :class:`SerialExecutor` — one chunk, run by the calling thread; the
+  baseline, and on every ledger workload the fastest (ROADMAP item 5).
+* :class:`ThreadPoolBatchExecutor` — ``concurrent.futures`` threads, a
+  few chunks per worker.  Pool threads do not inherit the submitter's
+  contextvars; whatever a chunk needs of them travels in its arguments.
+* :class:`ProcessPoolBatchExecutor` — worker processes, one chunk per
+  worker, for scalar Python-callable distances the GIL would serialize.
+  The mapped function is pickled once, before any worker starts.
 
-Executors know nothing about queries; they map an arbitrary function
-over an index sequence and preserve input order in the output.  The
-query semantics live in :mod:`repro.engine.batch`.
+Executors know nothing about queries; the query semantics live in
+:mod:`repro.engine.batch`.  A batch of one chunk, or one worker, never
+starts a pool.
 """
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from ..exceptions import QueryError
 
@@ -39,31 +40,14 @@ __all__ = [
 T = TypeVar("T")
 
 
+def _at_least_one(name: str, value: int | None) -> int | None:
+    if value is not None and value < 1:
+        raise QueryError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 class BatchExecutor:
-    """Strategy interface: run ``fn(i)`` for every ``i`` in order."""
-
-    name = "abstract"
-
-    #: Whether tasks may run concurrently in this process (drives the
-    #: engine's decision to install per-thread trace contexts).
-    concurrent_in_process = False
-
-    def map_ordered(self, fn: Callable[[int], T], indices: Sequence[int]) -> list[T]:
-        """Apply *fn* to every index, returning results in input order."""
-        raise NotImplementedError
-
-
-class SerialExecutor(BatchExecutor):
-    """Run every query in the calling thread, one after another."""
-
-    name = "serial"
-
-    def map_ordered(self, fn: Callable[[int], T], indices: Sequence[int]) -> list[T]:
-        return [fn(i) for i in indices]
-
-
-class ThreadPoolBatchExecutor(BatchExecutor):
-    """Fan queries out over a thread pool.
+    """Strategy interface: split a batch into chunks, map over them.
 
     Parameters
     ----------
@@ -71,82 +55,91 @@ class ThreadPoolBatchExecutor(BatchExecutor):
         Pool size; defaults to ``os.cpu_count()`` capped at 8 (beyond
         that the memory bandwidth of the distance kernels saturates on
         typical hosts).
+    chunk_size:
+        Queries per chunk; defaults to an even split into
+        ``workers * chunks_per_worker`` chunks.
+    """
+
+    name = "abstract"
+
+    #: Chunks per worker in the default split.
+    chunks_per_worker = 1
+
+    #: The ``concurrent.futures`` pool class chunks fan out over.
+    _pool: Any = None
+
+    def __init__(self, workers: int | None = None, *, chunk_size: int | None = None) -> None:
+        if _at_least_one("workers", workers) is None:
+            workers = min(os.cpu_count() or 1, 8)
+        self.workers = workers
+        self.chunk_size = _at_least_one("chunk_size", chunk_size)
+
+    def chunks(self, n: int) -> list[tuple[int, int]]:
+        """Contiguous ``[start, stop)`` ranges covering ``[0, n)``, in order."""
+        size = self.chunk_size
+        if size is None:
+            size = max(1, -(-n // (self.workers * self.chunks_per_worker)))  # ceil
+        return [(start, min(start + size, n)) for start in range(0, n, size)]
+
+    def map(self, fn: Callable[[Any], T], items: Sequence[Any]) -> list[T]:
+        """``fn(item)`` for every item, results in input order."""
+        if len(items) <= 1 or self.workers == 1:
+            return [fn(item) for item in items]
+        with self._pool(max_workers=min(self.workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+
+
+class SerialExecutor(BatchExecutor):
+    """Run the whole batch as one chunk in the calling thread."""
+
+    name = "serial"
+
+    def __init__(self) -> None:
+        super().__init__(1)
+
+
+class ThreadPoolBatchExecutor(BatchExecutor):
+    """Fan chunks out over a thread pool.
+
+    A few chunks per worker balances load while keeping the vectorized
+    batch hooks' per-chunk work worthwhile.
     """
 
     name = "thread"
-    concurrent_in_process = True
+    chunks_per_worker = 4
+    _pool = ThreadPoolExecutor
 
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is None:
-            workers = min(os.cpu_count() or 1, 8)
-        if workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
 
-    def map_ordered(self, fn: Callable[[int], T], indices: Sequence[int]) -> list[T]:
-        if len(indices) <= 1 or self.workers == 1:
-            return [fn(i) for i in indices]
-        # Pool threads do not inherit the submitter's contextvars (the
-        # active trace context and span stack), so snapshot the context
-        # once per task at submit time and run the task inside its own
-        # copy — worker-thread spans then nest under the batch span and
-        # carry the request's trace_id.
-        tasks = [(contextvars.copy_context(), i) for i in indices]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(lambda task: task[0].run(fn, task[1]), tasks))
+def _call_pickled(payload: bytes, item: Any) -> Any:
+    return pickle.loads(payload)(item)
 
 
 class ProcessPoolBatchExecutor(BatchExecutor):
-    """Fan *chunks* of queries out over worker processes.
-
-    The function shipped to each worker receives a contiguous slice of
-    query indices and returns their results as a list; chunking keeps
-    the number of times the (potentially large) index is pickled down to
-    roughly one per worker rather than one per query.
+    """Fan chunks out over worker processes, one chunk per worker.
 
     Worker processes cannot update in-process state of the parent, so
-    everything a chunk measures travels back with its results: the
-    queries' :class:`~repro.engine.trace.QueryTrace` records (which the
-    engine folds into the parent's distance counter, exactly as it does
-    for in-process chunks) and, with a registry active, the worker's
-    spans and instrument state.
+    everything a chunk measures must travel back in its return value.
     """
 
     name = "process"
-    concurrent_in_process = False
+    _pool = ProcessPoolExecutor
 
-    def __init__(self, workers: int | None = None, *, chunk_size: int | None = None) -> None:
-        if workers is None:
-            workers = min(os.cpu_count() or 1, 8)
-        if workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise QueryError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.workers = workers
-        self.chunk_size = chunk_size
-
-    def chunks(self, n_tasks: int) -> list[tuple[int, int]]:
-        """Contiguous ``[start, stop)`` task ranges, one per submission."""
-        if n_tasks == 0:
-            return []
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-n_tasks // self.workers))  # ceil division
-        return [(start, min(start + size, n_tasks)) for start in range(0, n_tasks, size)]
-
-    def map_chunks(
-        self, fn: Callable[[tuple[int, int]], T], n_tasks: int
-    ) -> list[T]:
-        """Apply the (picklable) chunk function to every range, in order.
-
-        With one chunk or one worker the pool is skipped entirely, so
-        small batches never pay process start-up.
-        """
-        ranges = self.chunks(n_tasks)
-        if len(ranges) <= 1 or self.workers == 1:
-            return [fn(rng) for rng in ranges]
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(ranges))) as pool:
-            return list(pool.map(fn, ranges))
+    def map(self, fn: Callable[[Any], T], items: Sequence[Any]) -> list[T]:
+        if len(items) > 1 and self.workers > 1:
+            # Pickled once, up front: the (potentially large) index is
+            # serialized one time rather than per chunk, and a failure
+            # here is a pickling problem by construction — a TypeError a
+            # query raises later in a worker is not.
+            try:
+                payload = pickle.dumps(fn)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise QueryError(
+                    "the process executor must pickle the index and its distance "
+                    "function; use module-level distance callables, or the "
+                    "'thread' executor for unpicklable indexes"
+                ) from exc
+            fn = functools.partial(_call_pickled, payload)
+        return super().map(fn, items)
 
 
 #: Executor names accepted by the engine/CLI.
@@ -166,13 +159,15 @@ def resolve_executor(
     """Normalize an executor spec (instance, name, choice, or ``None``).
 
     ``None`` means serial unless *workers* asks for parallelism, in
-    which case threads are chosen — the right default for numpy-backed
-    distances.  A planner-chosen executor (any object with a string
-    ``name`` and optional ``workers``/``chunk_size`` attributes, e.g.
-    :class:`repro.planner.ExecutorChoice`) is accepted duck-typed, so
-    the engine needs no planner import; explicit *workers*/*chunk_size*
-    arguments override the choice's own fields.
+    which case threads are chosen.  A planner-chosen executor (any
+    object with a string ``name`` and optional ``workers``/``chunk_size``
+    attributes, e.g. :class:`repro.planner.ExecutorChoice`) is accepted
+    duck-typed, so the engine needs no planner import; explicit
+    *workers*/*chunk_size* arguments override the choice's own fields.
+    *workers* and *chunk_size* below 1 are rejected whatever the spec.
     """
+    _at_least_one("workers", workers)
+    _at_least_one("chunk_size", chunk_size)
     if isinstance(executor, BatchExecutor):
         return executor
     if executor is not None and not isinstance(executor, str):
@@ -188,13 +183,11 @@ def resolve_executor(
             chunk_size = getattr(executor, "chunk_size", None)
         executor = name
     if executor is None:
-        executor = "serial" if workers in (None, 0, 1) else "thread"
+        executor = "serial" if workers in (None, 1) else "thread"
     if executor not in EXECUTOR_REGISTRY:
         raise QueryError(
             f"unknown executor {executor!r}; choose from {sorted(EXECUTOR_REGISTRY)}"
         )
     if executor == "serial":
         return SerialExecutor()
-    if executor == "thread":
-        return ThreadPoolBatchExecutor(workers)
-    return ProcessPoolBatchExecutor(workers, chunk_size=chunk_size)
+    return EXECUTOR_REGISTRY[executor](workers, chunk_size=chunk_size)

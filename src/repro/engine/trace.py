@@ -27,20 +27,20 @@ already opened (``explain_query`` → ``BuiltIndex`` → ``AccessMethod``
 nest this way); :class:`activate_trace` is the one place a record is
 made current and timed.
 
-This module imports only :mod:`repro.obs.events` (itself import-free),
-so :mod:`repro.mam` modules can use it without import cycles.
+This module imports only from :mod:`repro.obs` (which imports nothing of
+the library), so :mod:`repro.mam` modules can use it without import cycles.
 """
 
 from __future__ import annotations
 
 import contextvars
-import math
 import threading
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, ClassVar, Iterable
 
 from ..obs.events import ROOT, EventBuffer
+from ..obs.instruments import nearest_rank
 
 __all__ = [
     "QueryTrace",
@@ -248,23 +248,6 @@ class TraceSummary:
         return self.queries / self.seconds
 
 
-def _nearest_rank(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of pre-sorted values (0.0 when empty).
-
-    The nearest-rank definition: the smallest value whose rank
-    ``ceil(q * n)`` covers fraction *q* of the samples.  A single-element
-    batch therefore yields p50 == p95 == that sample.  The rank is clamped
-    into ``[1, n]`` so q=0 maps to the minimum and floating-point noise in
-    ``q * n`` (e.g. ``1.0 * n`` landing a hair above ``n``) can never index
-    past the end.
-    """
-    if not sorted_values:
-        return 0.0
-    n = len(sorted_values)
-    rank = min(max(math.ceil(q * n), 1), n)
-    return sorted_values[rank - 1]
-
-
 class TraceCollector:
     """Thread-safe sink for completed :class:`QueryTrace` records."""
 
@@ -332,8 +315,8 @@ class TraceCollector:
             batch_seconds=batch_seconds,
             nodes_visited=sum(t.nodes_visited for t in traces),
             nodes_pruned=sum(t.nodes_pruned for t in traces),
-            p50_seconds=_nearest_rank(times, 0.50),
-            p95_seconds=_nearest_rank(times, 0.95),
+            p50_seconds=nearest_rank(times, 0.50),
+            p95_seconds=nearest_rank(times, 0.95),
         )
 
 

@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from .._typing import ArrayLike, as_vector
-from ..engine.executors import resolve_executor
 from ..exceptions import QueryError, StorageError
 from ..obs.events import ROOT
 from .base import (
@@ -773,17 +772,6 @@ class MTree(MTreeSearchMixin, AccessMethod):
         (cf. the paper's reference [27]).  ``0`` (default) is exact.
     rng:
         Randomness for the random split policy and promotion sampling.
-    bulk_workers:
-        With ``bulk_load=True``, fan the top-level cluster builds out
-        over this many workers through the engine's executors.  The
-        resulting tree is deterministic for *any* worker count (each
-        cluster gets its own spawned RNG stream), but differs from the
-        sequential default (``None``), whose RNG stream is shared across
-        clusters in build order.
-    bulk_executor:
-        Executor name for the parallel bulk path: ``"thread"`` (default)
-        or ``"serial"``.  The process executor cannot share the node
-        graph under assembly and is rejected.
     """
 
     #: Nodes hold database *indices*; bulk loads, inserts and queries
@@ -803,24 +791,12 @@ class MTree(MTreeSearchMixin, AccessMethod):
         bulk_load: bool = False,
         epsilon: float = 0.0,
         rng: np.random.Generator | None = None,
-        bulk_workers: int | None = None,
-        bulk_executor: str = "thread",
     ) -> None:
         self._set_params(capacity, split_policy, epsilon)
-        if bulk_workers is not None and bulk_workers < 1:
-            raise QueryError(f"bulk_workers must be >= 1, got {bulk_workers}")
-        if bulk_executor not in ("thread", "serial"):
-            raise QueryError(
-                "bulk_executor must be 'thread' or 'serial': worker "
-                "processes cannot share the node graph under assembly"
-            )
         super().__init__(database, distance)
         self._rng = np.random.default_rng(0) if rng is None else rng
         if bulk_load:
-            indices = np.arange(self.size, dtype=np.intp)
-            self._root, _, _ = self._bulk_build(
-                indices, workers=bulk_workers, executor=bulk_executor
-            )
+            self._root, _, _ = self._bulk_build(np.arange(self.size, dtype=np.intp))
         else:
             self._root = _Node.empty(True, capacity + 1)
             data = self._plain_rows()
@@ -881,47 +857,9 @@ class MTree(MTreeSearchMixin, AccessMethod):
         if mapped is not None and hasattr(_mmap, "MADV_DONTNEED"):
             mapped.madvise(_mmap.MADV_DONTNEED)
 
-    def _build_children(
-        self,
-        groups: list[np.ndarray],
-        rng: np.random.Generator,
-        workers: int | None,
-        executor: str,
-        depth: int = 1,
-    ) -> list[tuple[_Node, float, int]]:
-        """Build one subtree per index group, optionally in parallel.
-
-        Sequential (``workers=None``) shares *rng* across groups in build
-        order — byte-identical to the historical recursion.  With workers,
-        each group gets its own spawned stream so the tree is
-        deterministic for any worker count; the thread pool is safe here
-        because the groups' node graphs are disjoint and the distance
-        counter serializes its own bookkeeping.
-        """
-        if workers is None or len(groups) <= 1:
-            children = []
-            for group in groups:
-                children.append(self._bulk_build(group, rng=rng, depth=depth + 1))
-                if depth == 0:
-                    self._release_source_pages()
-            return children
-        rngs = rng.spawn(len(groups))
-        pool = resolve_executor(executor, workers=workers)
-        children = pool.map_ordered(
-            lambda pos: self._bulk_build(groups[pos], rng=rngs[pos], depth=depth + 1),
-            range(len(groups)),
-        )
-        if depth == 0:
-            self._release_source_pages()
-        return children
-
     def _bulk_build(
         self,
         indices: np.ndarray,
-        *,
-        rng: np.random.Generator | None = None,
-        workers: int | None = None,
-        executor: str = "thread",
         depth: int = 0,
     ) -> tuple[_Node, float, int]:
         """Recursive bulk build.
@@ -936,12 +874,8 @@ class MTree(MTreeSearchMixin, AccessMethod):
         *indices* is an intp array into the database; rows are gathered
         from the store per leaf / per seed set / per cross chunk, never
         all at once, so a memory-mapped database is streamed rather than
-        materialized.  *workers* fans the top-level clusters out across
-        the engine's executors (recursive calls stay sequential — the
-        top split alone exposes up to ``capacity``-way parallelism).
+        materialized.
         """
-        if rng is None:
-            rng = self._rng
         n = int(indices.shape[0])
         data = self._plain_rows()
         if n <= self._capacity:
@@ -952,7 +886,7 @@ class MTree(MTreeSearchMixin, AccessMethod):
             return node, float(dists.max(initial=0.0)), int(indices[medoid])
 
         n_seeds = min(self._capacity, n)
-        seed_positions = rng.choice(n, size=n_seeds, replace=False)
+        seed_positions = self._rng.choice(n, size=n_seeds, replace=False)
         owner = self._cluster_owners(data[indices[seed_positions]], indices)
         # Coincident seeds can dump every object into one cluster — no
         # progress, infinite recursion.  Chunk arbitrarily instead: with
@@ -970,7 +904,11 @@ class MTree(MTreeSearchMixin, AccessMethod):
                 for group_id in range(n_seeds)
                 if (members := indices[np.flatnonzero(owner == group_id)]).size
             ]
-        built = self._build_children(groups, rng, workers, executor, depth)
+        built = []
+        for group in groups:
+            built.append(self._bulk_build(group, depth + 1))
+            if depth == 0:
+                self._release_source_pages()
         if len(built) == 1:
             # Degenerate clustering (all seeds equal): the only child is
             # this subtree.

@@ -26,22 +26,21 @@ import numpy as np
 
 from .._typing import ArrayLike, as_vector, as_vector_batch
 from ..distances.base import CountingDistance
-from ..engine.trace import QueryTrace, query_trace
+from ..engine.trace import QueryTrace, activate_trace, fold_into, query_trace
 from ..exceptions import QueryError
 from ..mam.base import AccessMethod, Neighbor
 from ..obs import (
-    TRANSFORMS,
-    DistanceInstrument,
+    BATCH_OWNER,
     get_logger,
     get_registry,
     log_event,
-    observe_query_progress,
+    record_build_costs,
     record_cache_stats,
     record_cholesky_cache,
-    record_distance_stats,
     record_index_description,
     record_memory,
     record_query_error,
+    report_queries,
     span,
     trace_scope,
 )
@@ -248,8 +247,8 @@ def record_build_metrics(
     """Funnel a finished build into the active observability registry.
 
     Call *before* the model resets its counter: the build-phase
-    evaluations are recorded one-shot here (labeled ``phase="build"``),
-    then the query-phase delta-sync starts from zero.  A no-op with the
+    evaluations are recorded one-shot here (labeled ``phase="build"``);
+    the query phase is reported query by query.  A no-op with the
     null registry.  When the structured JSON-lines logger is active, one
     *event* record (``"build"`` or ``"load"``) with the exact build-phase
     costs is emitted regardless of the registry — inside a trace scope,
@@ -269,13 +268,9 @@ def record_build_metrics(
     registry = get_registry()
     if not registry.enabled:
         return
-    record_distance_stats(
-        counter.stats, registry=registry, model=model, method=method, phase="build"
+    record_build_costs(
+        counter.stats, registry=registry, model=model, method=method, transforms=transforms
     )
-    if transforms:
-        registry.counter(
-            TRANSFORMS, "vector transformations into the Euclidean space"
-        ).inc(transforms, model=model, method=method, phase="build")
     from ..kernels.cholesky_cache import cholesky_cache_info
     from ..mam.stats import describe_index
 
@@ -331,12 +326,8 @@ class BuiltIndex:
         self._method_name = method_name
         self._source_matrix = source_matrix
         self._query_transforms = 0
-        self._instrument = DistanceInstrument(
-            counter,
-            model=model_name,
-            method=method_name or type(access_method).__name__,
-        )
-        self._transform_baselines: dict[int, int] = {}
+        #: Transforms one mapped query or inserted vector costs (QMap: 1).
+        self._transforms_per_vector = int(query_mapper is not None)
 
     @property
     def access_method(self) -> AccessMethod:
@@ -392,108 +383,76 @@ class BuiltIndex:
         q = as_vector(query, name="query")
         if self._query_mapper is None:
             return q
+        mapped = self._query_mapper(q)
         self._query_transforms += 1
-        return self._query_mapper(q)
-
-    def _sync_metrics(self, trace: "QueryTrace | None" = None) -> None:
-        """Mirror query-phase counters into the active observability registry.
-
-        Delta-synced, so the registry's ``repro_distance_evaluations_total``
-        for this model/method equals the :class:`CountingDistance` exactly
-        at every sync point.  A no-op with the null registry active.
-
-        *trace* is the record of the single query this sync closes out;
-        its own evaluation count feeds the rolling-rate windows.  Batch
-        paths pass nothing — the engine fed the windows record by record
-        as its chunks landed.
-        """
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        self._instrument.sync(registry)
-        method = self._method_label()
-        if trace is not None:
-            observe_query_progress(
-                1, trace.distance_evaluations, method=method, registry=registry
-            )
-        current = self._query_transforms
-        base = self._transform_baselines.get(id(registry), 0)
-        if current < base:
-            base = 0
-        if current > base:
-            registry.counter(
-                TRANSFORMS, "vector transformations into the Euclidean space"
-            ).inc(current - base, model=self._model_name, method=method, phase="query")
-        self._transform_baselines[id(registry)] = current
-        cache = _page_cache(self._am)
-        if cache is not None:
-            record_cache_stats(cache.stats, registry=registry)
+        return mapped
 
     def _method_label(self) -> str:
         return self._method_name or type(self._am).__name__
 
+    def _report(
+        self, record: QueryTrace, kind: str, transforms: int, *, answered: bool = True
+    ) -> None:
+        """One finished query or insert to the active sinks, once."""
+        report_queries(
+            (record,), model=self._model_name, method=self._method_label(),
+            kind=kind, transforms=transforms, answered=answered,
+        )
+        self._refresh_cache_gauges()
+
+    def _refresh_cache_gauges(self) -> None:
+        cache = _page_cache(self._am)
+        if cache is not None:
+            record_cache_stats(cache.stats)
+
     def _run_single(
-        self, kind: str, parameter: float, call: Callable[[], list[Neighbor]]
+        self,
+        kind: str,
+        parameter: float,
+        query: ArrayLike,
+        search: Callable[[np.ndarray], list[Neighbor]],
     ) -> list[Neighbor]:
         """Run one query under its cost record and the active sinks.
 
         The record is opened here (or joined, under ``explain_query``) and
         filled by the access method, which also feeds the model counter
-        when the query ends; everything reported per query — the
-        ``repro_query_distance_evaluations`` observation, the ``"query"``
-        log record's evaluation split — is read off that record, never
-        off the shared counter, so it is exact under concurrent queries.
-        With either sink on, the query runs inside a trace scope (minting
-        a root context if the caller has none) and a failure is accounted
-        through :func:`record_query_error`.
+        when the query ends; everything reported — through
+        :func:`~repro.obs.report_queries`, once, also when the query
+        raises — is read off that record, never off the shared counter, so
+        it is exact under concurrent queries.  With either sink on, the
+        query runs inside a trace scope (minting a root context if the
+        caller has none) and a failure is accounted through
+        :func:`record_query_error`.
         """
         registry = get_registry()
-        logger = get_logger()
-        observing = registry.enabled or logger.enabled
-        method = self._method_label()
-        start = time.perf_counter()
+        observing = registry.enabled or get_logger().enabled
+        transforms = 0
         with trace_scope() if observing else nullcontext():
             try:
                 with query_trace(kind, parameter) as trace:
-                    result = call()
+                    mapped = self._map_query(query)
+                    transforms = self._transforms_per_vector
+                    result = search(mapped)
             except BaseException as exc:
-                self._sync_metrics(trace)
-                record_query_error(
-                    exc, registry=registry, model=self._model_name, method=method, kind=kind
-                )
+                if observing:
+                    self._report(trace, kind, transforms, answered=False)
+                    record_query_error(
+                        exc, registry=registry, model=self._model_name,
+                        method=self._method_label(), kind=kind,
+                    )
                 raise
-            self._sync_metrics(trace)
-            if registry.enabled:
-                registry.histogram(
-                    "repro_query_distance_evaluations", "distance evaluations per query"
-                ).observe(float(trace.distance_evaluations), method=method, kind=kind)
-            if logger.enabled:
-                log_event(
-                    "query",
-                    model=self._model_name,
-                    method=method,
-                    kind=kind,
-                    parameter=parameter,
-                    seconds=round(time.perf_counter() - start, 6),
-                    distance_evaluations=trace.distance_evaluations,
-                    scalar_evaluations=trace.scalar_evaluations,
-                    batched_evaluations=trace.batched_evaluations,
-                    results=len(result),
-                )
+            if observing:
+                self._report(trace, kind, transforms)
             return result
 
     def knn_search(self, query: ArrayLike, k: int) -> list[Neighbor]:
         """kNN in the source space (transforming the query if needed)."""
-        return self._run_single(
-            "knn", float(k), lambda: self._am.knn_search(self._map_query(query), k)
-        )
+        return self._run_single("knn", float(k), query, lambda q: self._am.knn_search(q, k))
 
     def range_search(self, query: ArrayLike, radius: float) -> list[Neighbor]:
         """Range query in the source space (radii are preserved exactly)."""
         return self._run_single(
-            "range",
-            float(radius),
-            lambda: self._am.range_search(self._map_query(query), radius),
+            "range", float(radius), query, lambda q: self._am.range_search(q, radius)
         )
 
     def knn_search_batch(
@@ -519,13 +478,10 @@ class BuiltIndex:
         """
         return self._run_batch(
             "knn",
-            lambda: self._am.knn_search_batch(
-                self._map_query_batch(queries),
-                k,
-                executor=executor,
-                workers=workers,
-                chunk_size=chunk_size,
-                collector=collector,
+            queries,
+            lambda mapped: self._am.knn_search_batch(
+                mapped, k, executor=executor, workers=workers,
+                chunk_size=chunk_size, collector=collector,
             ),
         )
 
@@ -547,51 +503,60 @@ class BuiltIndex:
         """
         return self._run_batch(
             "range",
-            lambda: self._am.range_search_batch(
-                self._map_query_batch(queries),
-                float(radius),
-                executor=executor,
-                workers=workers,
-                chunk_size=chunk_size,
-                collector=collector,
+            queries,
+            lambda mapped: self._am.range_search_batch(
+                mapped, float(radius), executor=executor, workers=workers,
+                chunk_size=chunk_size, collector=collector,
             ),
         )
 
     def _run_batch(
-        self, kind: str, call: Callable[[], list[list[Neighbor]]]
+        self,
+        kind: str,
+        queries: ArrayLike,
+        run: Callable[[np.ndarray], list[list[Neighbor]]],
     ) -> list[list[Neighbor]]:
         """Run a batch call, accounting a failure against this index.
 
-        The engine's own trace scope is entered inside the call; opening
-        one here first (only when a sink is active — :func:`trace_scope`
-        is idempotent) means a query that raises mid-batch is logged and
-        counted under the same ``trace_id`` as the batch that carried it.
+        The engine reports the batch (:meth:`QueryBatch.run`); this layer
+        contributes what only it knows — the model label and the batch's
+        transform count (:data:`~repro.obs.BATCH_OWNER`).  The engine's own
+        trace scope is entered inside the call; opening one here first
+        (only when a sink is active — :func:`trace_scope` is idempotent)
+        means a query that raises mid-batch is logged and counted under the
+        same ``trace_id`` as the batch that carried it.
         """
         registry = get_registry()
         observing = registry.enabled or get_logger().enabled
         with trace_scope() if observing else nullcontext():
             try:
-                return call()
+                mapped = self._map_query_batch(queries)
+                transforms = mapped.shape[0] * self._transforms_per_vector
+                owner = BATCH_OWNER.set((self._model_name, transforms))
+                try:
+                    return run(mapped)
+                finally:
+                    BATCH_OWNER.reset(owner)
             except BaseException as exc:
                 record_query_error(
-                    exc,
-                    registry=registry,
-                    model=self._model_name,
-                    method=self._method_label(),
-                    kind=kind,
+                    exc, registry=registry, model=self._model_name,
+                    method=self._method_label(), kind=kind,
                 )
                 raise
             finally:
-                self._sync_metrics()
+                if registry.enabled:
+                    self._refresh_cache_gauges()
 
     def _map_query_batch(self, queries: ArrayLike) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if self._query_mapper is None:
             return rows
-        self._query_transforms += rows.shape[0]
         if self._batch_mapper is not None:
-            return self._batch_mapper(rows)
-        return np.array([self._query_mapper(q) for q in rows])
+            mapped = self._batch_mapper(rows)
+        else:
+            mapped = np.array([self._query_mapper(q) for q in rows])
+        self._query_transforms += rows.shape[0]
+        return mapped
 
     def insert(self, vector: ArrayLike) -> int:
         """Dynamically insert a source-space vector, returning its index.
@@ -602,18 +567,27 @@ class BuiltIndex:
         without any distortion" property of paper Section 6 — unlike the
         database-dependent reductions of Section 2.3.1, the map never
         degrades as objects arrive.
+
+        The insert runs under a cost record of its own, whose totals are
+        fed to the model counter and the cumulative registry counters
+        when it ends; it is not a query and reports nothing per query.
         """
+        record = QueryTrace(kind="insert")
+        transforms = 0
         try:
-            return self._am.insert(self._map_query(vector))
+            with activate_trace(record):
+                mapped = self._map_query(vector)
+                transforms = self._transforms_per_vector
+                return self._am.insert(mapped)
         finally:
-            self._sync_metrics()
+            fold_into(self._counter, (record,))
+            if get_registry().enabled:
+                self._report(record, "insert", transforms, answered=False)
 
     def reset_query_costs(self) -> None:
         """Zero the query-time counters (call between measured batches)."""
         self._counter.reset()
         self._query_transforms = 0
-        self._instrument.rebase()
-        self._transform_baselines = {key: 0 for key in self._transform_baselines}
 
     def query_costs(self, seconds: float = 0.0) -> IndexCosts:
         """Costs accumulated since the last :meth:`reset_query_costs`."""

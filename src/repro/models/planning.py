@@ -236,9 +236,13 @@ def materialize_plan(
       archived QFD matrix matches the workload's;
     * :class:`FilterRefine` wires the contractive bound and the
       sequential filter-and-refine scanner.
+
+    The plan runs serially unless *executor* names another engine
+    executor; *batch_size* no longer bears on that and is accepted only
+    for callers that still pass it.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    choice = executor if executor is not None else node.executor_hint(batch_size)
+    choice = executor if executor is not None else ExecutorChoice(name="serial")
     if isinstance(node, DirectScan):
         model = QFDModel(matrix) if node.model == "qfd" else QMapModel(matrix)
         index = model.build_index("sequential", database)
@@ -302,8 +306,8 @@ def plan_query_batch(
     the cost model from *history* records (``repro.bench.load_history``
     lines) when given, picks the argmin — or the *force*-named plan — and
     materializes it, ready for :meth:`PlanExecution.run_batch`.  An
-    explicit *executor* overrides the plan's own hint (the CLI's
-    ``--executor`` escape hatch).
+    explicit *executor* replaces the serial default (the CLI's
+    ``--executor``).
     """
     if (k is None) == (radius is None):
         raise QueryError("plan_query_batch needs exactly one of k= or radius=")

@@ -12,8 +12,9 @@ package is the common model those measurements flow into:
 * :mod:`repro.obs.spans` — nestable monotonic-clocked :func:`span`
   blocks propagated via contextvars;
 * :mod:`repro.obs.instruments` — duck-typed adapters funneling the
-  existing sinks (``CountingDistance``, ``QueryTrace``, ``CacheStats``,
-  the cholesky cache, ``describe_index``) into the registry;
+  existing sinks (``QueryTrace``, ``CacheStats``, the cholesky cache,
+  ``describe_index``) into the registry, and :func:`report_queries`, the
+  one routine every finished query, insert and batch is reported by;
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text format, and
   aligned-table exporters, plus the benches' ``metrics`` block;
 * :mod:`repro.obs.events` — per-query traversal events (node entries,
@@ -27,8 +28,8 @@ package is the common model those measurements flow into:
   cost audit;
 * :mod:`repro.obs.context` — request-scoped :class:`TraceContext`
   (trace_id/span_id) carried by every span and log record, propagated
-  across thread pools (``contextvars.copy_context``) and process pools
-  (pickled into chunk payloads) by the batch engine;
+  across thread and process pools (handed to every chunk, pickled for a
+  worker process) by the batch engine;
 * :mod:`repro.obs.prof` — a zero-dependency sampling profiler, off by
   default, attributing wall-clock samples to the open span stack and
   exporting collapsed-stack text and speedscope JSON;
@@ -83,16 +84,15 @@ from .export import (
 from .instruments import (
     DISTANCE_EVALUATIONS,
     QUERY_ERRORS,
+    BATCH_OWNER,
     TRANSFORMS,
-    DistanceInstrument,
-    record_batch_summary,
+    nearest_rank,
+    record_build_costs,
     record_cache_stats,
     record_cholesky_cache,
-    record_distance_stats,
     record_index_description,
     record_query_error,
-    record_trace,
-    record_traces,
+    report_queries,
 )
 from .live import (
     TELEMETRY_SCRAPES,
@@ -125,7 +125,6 @@ from .logging import (
 from .prof import (
     PROFILE_SAMPLES,
     SamplingProfiler,
-    profile_to,
 )
 from .registry import (
     NULL_REGISTRY,
@@ -189,7 +188,6 @@ __all__ = [
     "log_event",
     "PROFILE_SAMPLES",
     "SamplingProfiler",
-    "profile_to",
     "ObservedRun",
     "check_output_path",
     "DISTANCE_EVALUATIONS",
@@ -217,12 +215,11 @@ __all__ = [
     "ParsedSample",
     "PromParseError",
     "parse_prometheus_text",
-    "DistanceInstrument",
-    "record_distance_stats",
+    "BATCH_OWNER",
+    "nearest_rank",
+    "record_build_costs",
     "record_query_error",
-    "record_trace",
-    "record_traces",
-    "record_batch_summary",
+    "report_queries",
     "record_cache_stats",
     "record_cholesky_cache",
     "record_index_description",

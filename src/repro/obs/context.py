@@ -6,16 +6,14 @@ log record, and worker-process slice produced on its behalf carries, so
 a timeline or a JSON-lines log can be filtered down to exactly one
 request even when its work fanned out over threads and processes.
 
-Propagation uses the three mechanisms the engine's executors need:
+Propagation uses the two mechanisms the engine's executors need:
 
 * **same thread** — a :mod:`contextvars` variable, exactly like the
   span stack in :mod:`repro.obs.spans`;
-* **thread pool** — :func:`contextvars.copy_context` snapshots taken at
-  submit time (``ThreadPoolExecutor`` workers do *not* inherit the
-  submitter's context on their own);
-* **process pool** — the context is a frozen dataclass of strings, so
-  the engine pickles it into the chunk payload and the worker activates
-  it before running; worker spans then carry the parent's ``trace_id``.
+* **thread pool and process pool** — neither inherits the submitter's
+  context on its own, so the engine hands the context to every chunk (a
+  frozen dataclass of strings: it pickles) and the chunk activates it
+  before running; chunk spans then carry the parent's ``trace_id``.
 
 Identifiers follow the W3C trace-context shape (128-bit ``trace_id``,
 64-bit ``span_id``, lowercase hex) but are generated with plain

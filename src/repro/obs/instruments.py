@@ -12,27 +12,34 @@ against the source's public attributes, so :mod:`repro.obs` stays
 import-free of :mod:`repro.mam`, :mod:`repro.models`,
 :mod:`repro.engine` and :mod:`repro.storage`.
 
+Everything a finished query (or insert, or batch) reports goes through
+one routine, :func:`report_queries`, fed the finished records — the
+cumulative evaluation counter included, so no sink polls the
+``CountingDistance``.
+
 Metric names follow Prometheus conventions (``*_total`` for counters);
 ``docs/api_guide.md`` maps them onto the paper's Table 1/2 columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+import contextvars
+import math
+from typing import Any, Mapping, Sequence
 
-from .logging import log_event
+from .live import observe_query_progress
+from .logging import get_logger, log_event
 from .registry import MetricsRegistry, get_registry
 
 __all__ = [
     "DISTANCE_EVALUATIONS",
     "QUERY_ERRORS",
     "TRANSFORMS",
-    "DistanceInstrument",
-    "record_distance_stats",
+    "BATCH_OWNER",
+    "nearest_rank",
+    "record_build_costs",
     "record_query_error",
-    "record_trace",
-    "record_traces",
-    "record_batch_summary",
+    "report_queries",
     "record_cache_stats",
     "record_cholesky_cache",
     "record_index_description",
@@ -57,86 +64,43 @@ def _registry(registry: MetricsRegistry | None) -> MetricsRegistry:
 # CountingDistance
 # ----------------------------------------------------------------------
 
-def record_distance_stats(
+def _charge_costs(
+    reg: MetricsRegistry, calls: int, rows: int, transforms: int, **labels: str
+) -> None:
+    """Grow the cumulative evaluation / transform counters (model, method, phase)."""
+    counter = reg.counter(
+        DISTANCE_EVALUATIONS, "logical distance computations (the paper's cost unit)"
+    )
+    if calls:
+        counter.inc(calls, kind="scalar", **labels)
+    if rows:
+        counter.inc(rows, kind="batched", **labels)
+    if transforms:
+        reg.counter(TRANSFORMS, "vector transformations into the Euclidean space").inc(
+            transforms, **labels
+        )
+
+
+def record_build_costs(
     stats: Any,
     *,
     registry: MetricsRegistry | None = None,
     model: str = "",
     method: str = "",
-    phase: str = "query",
+    transforms: int = 0,
 ) -> None:
-    """Charge one :class:`DistanceStats`-shaped snapshot to the registry.
+    """Charge a finished build (``phase="build"``) to the registry.
 
-    *stats* needs ``calls`` and ``batch_rows`` attributes.  Use this for
-    one-shot snapshots that will not be read again (e.g. build-phase
-    totals, recorded immediately before the model resets its counter);
-    for a live counter polled repeatedly, use :class:`DistanceInstrument`.
+    *stats* needs ``calls`` and ``batch_rows`` attributes — the model
+    counter's snapshot, read immediately before the model zeroes it for
+    the query phase, which :func:`report_queries` accounts.
     """
     reg = _registry(registry)
-    if not reg.enabled:
-        return
-    counter = reg.counter(
-        DISTANCE_EVALUATIONS, "logical distance computations (the paper's cost unit)"
-    )
-    if stats.calls:
-        counter.inc(stats.calls, kind="scalar", model=model, method=method, phase=phase)
-    if stats.batch_rows:
-        counter.inc(
-            stats.batch_rows, kind="batched", model=model, method=method, phase=phase
+    if reg.enabled:
+        _charge_costs(
+            reg, stats.calls, stats.batch_rows, transforms,
+            model=model, method=method, phase="build",
         )
-
-
-class DistanceInstrument:
-    """Incremental mirror of a :class:`CountingDistance` into a registry.
-
-    ``sync()`` reads the source's ``stats`` snapshot and charges only the
-    *delta* since the last sync, so the registry's
-    :data:`DISTANCE_EVALUATIONS` counter equals the source counter
-    exactly at every sync point — the invariant the acceptance tests pin.
-    Baselines are kept per registry (by identity), so swapping the active
-    registry mid-run never double-charges.  ``rebase()`` realigns the
-    baseline after the source counter is reset.
-    """
-
-    def __init__(self, source: Any, *, model: str = "", method: str = "") -> None:
-        self._source = source
-        self._model = model
-        self._method = method
-        self._baselines: dict[int, tuple[int, int]] = {}
-
-    def sync(self, registry: MetricsRegistry | None = None) -> None:
-        """Charge evaluations made since the previous sync (or rebase).
-
-        The delta feeds the cumulative counter only; anything reported
-        *per query* comes from that query's own ``QueryTrace``.
-        """
-        reg = _registry(registry)
-        if not reg.enabled:
-            return
-        stats = self._source.stats
-        calls, rows = int(stats.calls), int(stats.batch_rows)
-        base_calls, base_rows = self._baselines.get(id(reg), (0, 0))
-        if calls < base_calls or rows < base_rows:
-            # The source counter was reset behind our back; realign so the
-            # post-reset evaluations are charged from zero.
-            base_calls, base_rows = 0, 0
-        delta_calls, delta_rows = calls - base_calls, rows - base_rows
-        self._baselines[id(reg)] = (calls, rows)
-        counter = reg.counter(
-            DISTANCE_EVALUATIONS,
-            "logical distance computations (the paper's cost unit)",
-        )
-        labels = {"model": self._model, "method": self._method, "phase": "query"}
-        if delta_calls:
-            counter.inc(delta_calls, kind="scalar", **labels)
-        if delta_rows:
-            counter.inc(delta_rows, kind="batched", **labels)
-
-    def rebase(self) -> None:
-        """Re-anchor all baselines at the source's current snapshot."""
-        stats = self._source.stats
-        for key in self._baselines:
-            self._baselines[key] = (int(stats.calls), int(stats.batch_rows))
 
 
 def record_query_error(
@@ -172,91 +136,138 @@ def record_query_error(
 
 
 # ----------------------------------------------------------------------
-# QueryTrace / TraceSummary
+# QueryTrace: the one query-end report
 # ----------------------------------------------------------------------
 
-def record_trace(
-    trace: Any,
-    *,
-    registry: MetricsRegistry | None = None,
-    method: str = "",
-) -> None:
-    """Funnel one finished :class:`QueryTrace` into the registry.
+#: ``(model label, query transforms)`` of the model-layer call the current
+#: batch runs for: ``BuiltIndex`` sets it around the call, the engine that
+#: reports the batch reads it — ``AccessMethod.*_search_batch`` between
+#: them takes no such arguments.
+BATCH_OWNER: contextvars.ContextVar[tuple[str, int]] = contextvars.ContextVar(
+    "repro_obs_batch_owner", default=("", 0)
+)
 
-    Counts queries, filter outcomes, refined candidates, result sizes and
-    the per-MAM node accounting (nodes visited / subtrees pruned by a
-    lower bound), and observes the per-query wall-time and
-    evaluations-per-query distributions.
+#: Per-query counters fed from the like-named :class:`QueryTrace` fields.
+_QUERY_COUNTERS = (
+    ("repro_query_filter_checked_total", "objects lower-bound tested", "filter_checked"),
+    ("repro_query_filter_hits_total", "objects surviving the filter", "filter_hits"),
+    ("repro_query_candidates_total", "objects refined with real distances", "candidates"),
+    ("repro_query_results_total", "answer-set sizes", "results"),
+    ("repro_query_nodes_visited_total", "index nodes visited", "nodes_visited"),
+    ("repro_query_subtrees_pruned_total", "subtrees discarded by a lower bound", "nodes_pruned"),
+)
+
+
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of pre-sorted values (0.0 when empty).
+
+    The smallest value whose rank ``ceil(q * n)`` covers fraction *q* of
+    the samples, so a single sample is its own p50 and p95.  The rank is
+    clamped into ``[1, n]``: q=0 maps to the minimum, and floating-point
+    noise in ``q * n`` can never index past the end.
     """
-    reg = _registry(registry)
-    if not reg.enabled:
-        return
-    kind = str(getattr(trace, "kind", ""))
-    labels = {"method": method, "kind": kind}
-    reg.counter("repro_queries_total", "executed queries").inc(1, **labels)
-    for name, help_text, attr in (
-        ("repro_query_filter_checked_total", "objects lower-bound tested", "filter_checked"),
-        ("repro_query_filter_hits_total", "objects surviving the filter", "filter_hits"),
-        ("repro_query_candidates_total", "objects refined with real distances", "candidates"),
-        ("repro_query_results_total", "answer-set sizes", "results"),
-        ("repro_query_nodes_visited_total", "index nodes visited", "nodes_visited"),
-        (
-            "repro_query_subtrees_pruned_total",
-            "subtrees discarded by a lower bound",
-            "nodes_pruned",
-        ),
-    ):
-        value = int(getattr(trace, attr, 0))
-        if value:
-            reg.counter(name, help_text).inc(value, **labels)
-    reg.histogram("repro_query_seconds", "wall seconds per query").observe(
-        float(getattr(trace, "seconds", 0.0)), **labels
-    )
-    reg.histogram(
-        "repro_query_distance_evaluations", "distance evaluations per query"
-    ).observe(float(getattr(trace, "distance_evaluations", 0)), **labels)
+    if not sorted_values:
+        return 0.0
+    n = len(sorted_values)
+    return sorted_values[min(max(math.ceil(q * n), 1), n) - 1]
 
 
-def record_traces(
-    traces: Iterable[Any],
+def report_queries(
+    records: Sequence[Any],
     *,
-    registry: MetricsRegistry | None = None,
-    method: str = "",
-) -> None:
-    """Funnel many finished traces (one batch) into the registry."""
-    reg = _registry(registry)
-    if not reg.enabled:
-        return
-    for trace in traces:
-        record_trace(trace, registry=reg, method=method)
-
-
-def record_batch_summary(
-    summary: Any,
-    *,
-    registry: MetricsRegistry | None = None,
+    model: str = "",
     method: str = "",
     kind: str = "",
+    transforms: int = 0,
+    executor: str | None = None,
+    seconds: float = 0.0,
+    answered: bool = True,
 ) -> None:
-    """Record batch-level throughput facts from a :class:`TraceSummary`."""
-    reg = _registry(registry)
-    if not reg.enabled:
+    """Report finished cost records to the registry and the JSON log.
+
+    The one query-end report: every single query, insert and batch
+    reaches it exactly once, with its :class:`QueryTrace` *records*
+    (duck-typed), and nothing else writes the series and log records
+    below.  A batch passes its *executor*'s name and the wall *seconds*
+    measured around it.
+
+    Always: the cumulative :data:`DISTANCE_EVALUATIONS` /
+    :data:`TRANSFORMS` counters (``phase="query"``) grow by the records'
+    own totals and *transforms* — so they track the model's
+    ``CountingDistance`` exactly, whichever registry is active when.
+
+    Only when the records' queries were *answered* (not for an insert,
+    not when the call raised): ``repro_queries_total``, the filter /
+    candidate / result / node counters and the ``repro_query_seconds`` /
+    ``repro_query_distance_evaluations`` histograms per record, the
+    rolling rate windows, one ``"query"`` log record per record — and,
+    for a batch, ``repro_batch_seconds``, the throughput and latency
+    gauges and one ``"batch"`` log record.
+    """
+    reg = get_registry()
+    logging = answered and get_logger().enabled
+    if not (reg.enabled or logging):
         return
-    batch_seconds = float(getattr(summary, "batch_seconds", 0.0))
-    if batch_seconds > 0.0:
-        reg.histogram(
-            "repro_batch_seconds", "wall seconds per executed query batch"
-        ).observe(batch_seconds, method=method, kind=kind)
-        reg.gauge(
-            "repro_batch_queries_per_second", "throughput of the last batch"
-        ).set(getattr(summary, "queries", 0) / batch_seconds, method=method, kind=kind)
-    latency = reg.gauge(
-        "repro_batch_query_seconds", "per-query wall-time percentiles"
-    )
-    for quantile in ("p50", "p95"):
-        value = float(getattr(summary, f"{quantile}_seconds", 0.0))
-        if value > 0.0:
-            latency.set(value, method=method, kind=kind, quantile=quantile)
+    calls = sum(r.scalar_evaluations for r in records)
+    rows = sum(r.batched_evaluations for r in records)
+    if reg.enabled and answered:
+        labels = {"method": method, "kind": kind}
+        reg.counter("repro_queries_total", "executed queries").inc(len(records), **labels)
+        for name, help_text, attr in _QUERY_COUNTERS:
+            value = sum(getattr(r, attr) for r in records)
+            if value:
+                reg.counter(name, help_text).inc(value, **labels)
+        wall = reg.histogram("repro_query_seconds", "wall seconds per query")
+        evaluations = reg.histogram(
+            "repro_query_distance_evaluations", "distance evaluations per query"
+        )
+        for r in records:
+            wall.observe(float(r.seconds), **labels)
+            evaluations.observe(float(r.distance_evaluations), **labels)
+        observe_query_progress(len(records), calls + rows, method=method, registry=reg)
+        if executor is not None:
+            if seconds > 0.0:
+                reg.histogram(
+                    "repro_batch_seconds", "wall seconds per executed query batch"
+                ).observe(seconds, **labels)
+                reg.gauge(
+                    "repro_batch_queries_per_second", "throughput of the last batch"
+                ).set(len(records) / seconds, **labels)
+            latency = reg.gauge("repro_batch_query_seconds", "per-query wall-time percentiles")
+            times = sorted(r.seconds for r in records)
+            for quantile, q in (("p50", 0.50), ("p95", 0.95)):
+                value = nearest_rank(times, q)
+                if value > 0.0:
+                    latency.set(value, quantile=quantile, **labels)
+    if reg.enabled:
+        _charge_costs(reg, calls, rows, transforms, model=model, method=method, phase="query")
+    if logging:
+        for r in records:
+            log_event(
+                "query",
+                model=model or None,
+                method=method,
+                kind=kind,
+                parameter=r.parameter,
+                query_index=r.query_index,
+                seconds=r.seconds,
+                distance_evaluations=r.distance_evaluations,
+                scalar_evaluations=r.scalar_evaluations,
+                batched_evaluations=r.batched_evaluations,
+                candidates=r.candidates,
+                results=r.results,
+            )
+        if executor is not None:
+            log_event(
+                "batch",
+                model=model or None,
+                method=method,
+                kind=kind,
+                queries=len(records),
+                seconds=seconds,
+                distance_evaluations=calls + rows,
+                executor=executor,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,12 @@ the roadmap's query-service item:
   use), so a scrape taken mid-batch is internally consistent.
 * :class:`WindowedRate` — a bucketed rolling-window rate estimator, and
   a per-registry rate board behind :func:`observe_query_progress` that
-  the engine feeds as query chunks complete.  :func:`sync_rate_gauges`
+  the query-end report feeds.  :func:`sync_rate_gauges`
   (called automatically on every scrape) turns the windows into
   ``repro_window_queries_per_second`` / ``repro_window_distance_
-  evaluations_per_second`` gauges, so a scrape mid-batch shows progress
-  instead of a frozen pre-batch snapshot.
+  evaluations_per_second`` gauges, so a scrape during a run of queries
+  or batches shows progress instead of a frozen snapshot (a batch feeds
+  its window when it ends, not chunk by chunk).
 
 Non-interference: with the :data:`~repro.obs.registry.NULL_REGISTRY`
 active, :func:`observe_query_progress` returns after one attribute
@@ -165,8 +166,7 @@ _RATE_HELP = {
 }
 
 # Rate boards keyed by registry identity but held weakly, so a dropped
-# registry releases its windows (mirrors DistanceInstrument's per-registry
-# baselines without keeping registries alive).
+# registry releases its windows.
 _boards: "weakref.WeakKeyDictionary[MetricsRegistry, _RateBoard]" = (
     weakref.WeakKeyDictionary()
 )
@@ -192,10 +192,10 @@ def observe_query_progress(
 ) -> None:
     """Feed completed work into the rolling-rate windows.
 
-    Called by the batch engine as each chunk of queries finishes and by
-    the model layer after each single-query search, so a mid-batch
-    scrape sees live throughput.  A no-op (single attribute check) when
-    observability is disabled.
+    Called by :func:`~repro.obs.instruments.report_queries` as each
+    query or batch is reported, so a scrape between them sees live
+    throughput.  A no-op (single attribute check) when observability is
+    disabled.
     """
     reg = registry if registry is not None else get_registry()
     if not reg.enabled:

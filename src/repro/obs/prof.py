@@ -40,9 +40,8 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .registry import MetricsRegistry, get_registry
 from .spans import open_span_for_thread
@@ -50,7 +49,6 @@ from .spans import open_span_for_thread
 __all__ = [
     "PROFILE_SAMPLES",
     "SamplingProfiler",
-    "profile_to",
 ]
 
 #: Counter of profiler samples attributed to each open span phase.
@@ -268,24 +266,3 @@ class SamplingProfiler:
         )
         for phase, count in self.phase_counts().items():
             counter.inc(count, span=phase)
-
-
-@contextmanager
-def profile_to(
-    path: "str | Path", *, hz: float = 200.0
-) -> Iterator[SamplingProfiler]:
-    """Profile the enclosed block and write the result to *path*.
-
-    The CLI/bench convenience wrapper: format follows the path's
-    extension (see :meth:`SamplingProfiler.write`), and the per-phase
-    sample counts are mirrored into the active registry (if any) so
-    ``repro report`` can show where samples landed.
-    """
-    profiler = SamplingProfiler(hz=hz)
-    profiler.start()
-    try:
-        yield profiler
-    finally:
-        profiler.stop()
-        profiler.record_to()
-        profiler.write(path)

@@ -13,7 +13,7 @@ Four pieces, each import-clean of the index/model/observability layers
 * :mod:`~repro.planner.cost` — price plans with the Table 2 closed
   forms, calibrated by replayed benchmark history;
 * :mod:`~repro.planner.plans` — the physical plan nodes (direct scan,
-  index probe, filter-and-refine) with executor hints;
+  index probe, filter-and-refine);
 * :mod:`~repro.planner.planner` — enumerate, price, argmin, and record
   every considered alternative in a :class:`PlanChoice`.
 """
@@ -30,7 +30,6 @@ from .cost import (
 )
 from .planner import ConsideredPlan, PlanChoice, Planner, QuerySpec
 from .plans import (
-    THREAD_BATCH_THRESHOLD,
     DirectScan,
     ExecutorChoice,
     FilterRefine,
@@ -53,7 +52,6 @@ __all__ = [
     "IndexProbe",
     "FilterRefine",
     "ExecutorChoice",
-    "THREAD_BATCH_THRESHOLD",
     "Planner",
     "QuerySpec",
     "PlanChoice",

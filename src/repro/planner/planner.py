@@ -36,8 +36,7 @@ class QuerySpec:
     kind, param:
         ``"knn"`` with ``k``, or ``"range"`` with the radius.
     batch_size:
-        Queries in the batch; setup costs amortize over it and executor
-        hints scale with it.
+        Queries in the batch; setup costs amortize over it.
     m, dim:
         Database size and vector dimensionality.
     histogram:
@@ -221,7 +220,7 @@ class Planner:
                     plan=node,
                     cost=cost,
                     total_flops=cost.total(spec.batch_size),
-                    executor=node.executor_hint(spec.batch_size),
+                    executor=ExecutorChoice(name="serial"),
                 )
             )
         priced.sort(key=lambda candidate: (candidate.total_flops, candidate.name))

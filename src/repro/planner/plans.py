@@ -13,11 +13,10 @@ same QFD query exactly:
   refinement of the survivors.
 
 Every node prices itself through the shared :class:`~repro.planner.cost.
-CostModel` (``predicted_cost``) and proposes an executor
-(``executor_hint``): serial for small batches, threads once the batch is
-wide enough to amortize pool startup — never processes, whose workers
-cannot update the in-process distance counters the whole reproduction
-accounts with.
+CostModel` (``predicted_cost``).  No node proposes an executor: on every
+ledger cell the thread and process pools lose to the serial engine
+(ROADMAP item 5), so a plan runs serially unless the caller names an
+executor.
 """
 
 from __future__ import annotations
@@ -33,11 +32,7 @@ __all__ = [
     "DirectScan",
     "IndexProbe",
     "FilterRefine",
-    "THREAD_BATCH_THRESHOLD",
 ]
-
-#: Batches at least this wide get a thread-pool executor hint.
-THREAD_BATCH_THRESHOLD = 16
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,6 @@ class ExecutorChoice:
         return self.name
 
 
-def _default_executor_hint(batch_size: int) -> ExecutorChoice:
-    if int(batch_size) >= THREAD_BATCH_THRESHOLD:
-        return ExecutorChoice(name="thread")
-    return ExecutorChoice(name="serial")
-
-
 class PlanNode:
     """One physical alternative for a query batch."""
 
@@ -75,10 +64,6 @@ class PlanNode:
     def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
         """Price this plan for *spec* (see :class:`PredictedCost`)."""
         raise NotImplementedError
-
-    def executor_hint(self, batch_size: int) -> ExecutorChoice:
-        """The executor this plan should run under for *batch_size*."""
-        return _default_executor_hint(batch_size)
 
 
 @dataclass(frozen=True)
@@ -93,13 +78,6 @@ class DirectScan(PlanNode):
 
     def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
         return cost_model.scan_cost(spec, self.model)
-
-    def executor_hint(self, batch_size: int) -> ExecutorChoice:
-        # A scan's per-query work is embarrassingly parallel and large
-        # (the whole database per query), so threads pay off earlier.
-        if int(batch_size) >= max(2, THREAD_BATCH_THRESHOLD // 2):
-            return ExecutorChoice(name="thread")
-        return ExecutorChoice(name="serial")
 
 
 @dataclass(frozen=True)
@@ -148,8 +126,3 @@ class FilterRefine(PlanNode):
 
     def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
         return cost_model.filter_refine_cost(spec, rank=int(self.rank))
-
-    def executor_hint(self, batch_size: int) -> ExecutorChoice:
-        # The filter-and-refine scan aggregates per-query stats on the
-        # shared scanner object; it runs serially by design.
-        return ExecutorChoice(name="serial")

@@ -8,18 +8,31 @@ Replaying the recipe must reproduce it exactly, with every answer equal to
 the sequential scan's.  The second test guards the point of the single
 record: with every sink off, a query's accounting costs O(1) context
 lookups and counter-lock acquisitions for every method, however many
-evaluations it decides.
+evaluations it decides — and with the sinks on, the finished record is
+reported through one routine, once.  The third holds the registry's
+cumulative counters to the model's own across every way a query can end.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.engine import batch as engine_batch
 from repro.engine import trace as engine_trace
 from repro.models import QFDModel, QMapModel
+from repro.models import base as models_base
+from repro.obs import (
+    DISTANCE_EVALUATIONS,
+    TRANSFORMS,
+    JsonLinesLogger,
+    MetricsRegistry,
+    use_logger,
+    use_registry,
+)
 from repro.obs import context as obs_context
 from repro.obs import spans as obs_spans
 
@@ -31,6 +44,7 @@ from .accounting_parity_recipe import (
     parity_workload,
 )
 TOL = 1e-8
+K_GUARD = 5
 
 #: Found while recording the fixture, on the parent commit as well: the
 #: SAT assigns an object to the closest neighbor *promoted so far*, not the
@@ -140,7 +154,10 @@ def guard_data():
 def test_accounting_is_per_query(method, kwargs, kind, guard_data, monkeypatch) -> None:
     """With sinks off a query costs O(1) ContextVar lookups and counter
     locks — not one per evaluation (the pivot table used to make 5 314
-    lookups and 1 770 lock acquisitions for one kNN query)."""
+    lookups and 1 770 lock acquisitions for one kNN query).  With the
+    registry and the logger on, a single query enters the report routine
+    exactly once and a batch once, and nothing outside that routine writes
+    a per-query series or a ``"query"`` / ``"batch"`` log record."""
     model, data, q, radius = guard_data
     built = model.build_index(method, data, **kwargs)
     counter = built._counter
@@ -163,6 +180,107 @@ def test_accounting_is_per_query(method, kwargs, kind, guard_data, monkeypatch) 
     assert evaluations > 60, "the query must be worth counting"
     assert len(gets) <= 8, gets
     assert len(locks) <= 2, locks
+
+    reports: list[tuple[int, dict]] = []
+
+    def silent_report(records, **labels) -> None:
+        reports.append((len(records), labels))
+
+    monkeypatch.setattr(models_base, "report_queries", silent_report)
+    monkeypatch.setattr(engine_batch, "report_queries", silent_report)
+    registry, stream = MetricsRegistry(), io.StringIO()
+    batch = np.stack([q, q[::-1], q])
+    with JsonLinesLogger(stream) as logger, use_registry(registry), use_logger(logger):
+        if kind == "knn":
+            built.knn_search(q, 64)
+            built.knn_search_batch(batch, 64)
+        else:
+            built.range_search(q, radius)
+            built.range_search_batch(batch, radius)
+    monkeypatch.undo()
+    (single, single_labels), (batched, batch_labels) = reports
+    assert (single, batched) == (1, 3)
+    assert single_labels["kind"] == batch_labels["kind"] == kind
+    assert "executor" not in single_labels and batch_labels["executor"] == "serial"
+    assert {single_labels["model"], batch_labels["model"]} == {"qmap"}
+    assert (single_labels["transforms"], batch_labels["transforms"]) == (1, 3)
+    written = {sample.name for sample in registry.snapshot()}
+    assert not {n for n in written if n.startswith(("repro_quer", "repro_batch_"))}, written
+    events = {json.loads(line)["event"] for line in stream.getvalue().splitlines()}
+    assert not events & {"query", "batch"}, events
     close = getattr(built.access_method, "close", None)
     if close is not None:
         close()
+
+
+def _mid_search_failure(access_method):
+    """Make the next kNN search evaluate normally, then raise."""
+    search = access_method._knn_search
+
+    def failing(query, k):
+        search(query, k)
+        raise RuntimeError("boom")
+
+    access_method._knn_search = failing
+    return lambda: access_method.__dict__.pop("_knn_search")
+
+
+def test_cumulative_counters_grow_by_what_query_costs_grows() -> None:
+    """``repro_distance_evaluations_total{phase="query"}`` and
+    ``repro_transforms_total{phase="query"}`` are fed from the finished
+    records, so they track ``BuiltIndex.query_costs()`` step for step —
+    single query, batch under every executor, insert, failing query,
+    counter reset — also when the active registry is swapped mid-run
+    (what the delta-sync's per-registry baselines existed for)."""
+    workload = parity_workload()
+    built = QMapModel(workload.matrix).build_index("mtree", workload.database, capacity=6)
+    q, queries = workload.queries[0], workload.queries
+    registries = [MetricsRegistry(), MetricsRegistry()]
+
+    def exported() -> tuple[int, int]:
+        totals = {DISTANCE_EVALUATIONS: 0, TRANSFORMS: 0}
+        for registry in registries:
+            for sample in registry.snapshot():
+                if sample.name in totals and sample.labels.get("phase") == "query":
+                    assert sample.labels["model"] == "qmap"
+                    assert sample.labels["method"] == "mtree"
+                    totals[sample.name] += int(sample.value)
+        return totals[DISTANCE_EVALUATIONS], totals[TRANSFORMS]
+
+    def failing(call):
+        def step() -> None:
+            restore = _mid_search_failure(built.access_method)
+            try:
+                with pytest.raises(RuntimeError, match="boom"):
+                    call()
+            finally:
+                restore()
+
+        return step
+
+    steps = [
+        lambda: built.knn_search(q, K_GUARD),
+        lambda: built.knn_search_batch(queries, K_GUARD, executor="serial"),
+        lambda: built.knn_search_batch(queries, K_GUARD, executor="thread", workers=2),
+        lambda: built.knn_search_batch(queries, K_GUARD, executor="process", workers=2),
+        lambda: built.insert(workload.database[3]),
+        failing(lambda: built.knn_search(q, K_GUARD)),
+        failing(lambda: built.knn_search_batch(queries, K_GUARD)),
+        built.reset_query_costs,
+        lambda: built.range_search(q, 0.3),
+        lambda: built.insert(workload.database[4]),
+    ]
+    grown = [0, 0]
+    for position, step in enumerate(steps):
+        if step == built.reset_query_costs:
+            step()
+            continue
+        before = built.query_costs()
+        with use_registry(registries[position % 2]):
+            step()
+        after = built.query_costs()
+        grown[0] += after.distance_computations - before.distance_computations
+        grown[1] += after.transforms - before.transforms
+        assert exported() == tuple(grown), f"step {position}"
+    assert grown[0] > 0 and grown[1] == 1 + 3 * len(queries) + 1 + 1 + len(queries) + 1 + 1
+    assert all(registry.snapshot() for registry in registries)

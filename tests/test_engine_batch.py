@@ -10,6 +10,8 @@ comparison here is ``==``, not approx.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,103 @@ class TestProcessExecutor:
             am.knn_search_batch(workload.queries, 3, executor="process", workers=2)
 
 
+#: First coordinate marking the one query vector :func:`_poisoned_l1`
+#: rejects (histogram coordinates never exceed 1).
+_POISON = 7.0
+
+
+def _poisoned_l1(u: np.ndarray, v: np.ndarray) -> float:
+    """A module-level (picklable) user distance with a bug on one query."""
+    if u[0] == _POISON or v[0] == _POISON:
+        raise TypeError("unsupported operand type(s) for -: 'str' and 'float'")
+    return float(np.abs(u - v).sum())
+
+
+def _poisoned_last(workload) -> np.ndarray:
+    queries = workload.queries.copy()
+    queries[-1, 0] = _POISON
+    return queries
+
+
+class TestRaisingQuery:
+    """A query that raises: its own exception, the same counter everywhere."""
+
+    @pytest.mark.parametrize("chunk_size", [None, 100], ids=["pool", "one-inline-chunk"])
+    def test_type_error_in_a_query_is_not_a_pickling_error(self, workload, chunk_size) -> None:
+        """The process path used to translate *any* TypeError/AttributeError
+        — a worker's, or the inline single chunk's — into "must pickle"."""
+        am = SequentialFile(workload.database, _poisoned_l1)
+        with pytest.raises(TypeError, match="unsupported operand") as raised:
+            am.knn_search_batch(
+                _poisoned_last(workload), 3,
+                executor="process", workers=2, chunk_size=chunk_size,
+            )
+        if chunk_size is None:  # the worker's stack came home as the cause
+            assert "_poisoned_l1" in str(raised.value.__cause__)
+
+    def test_counter_and_exception_are_the_same_under_every_executor(self, workload) -> None:
+        """Serial and thread chunks used to leave their finished queries
+        folded into the counter, the process executor nothing."""
+        queries = _poisoned_last(workload)
+        n = len(queries)
+        engines = {
+            "serial": {"executor": "serial"},
+            "thread/1": {"executor": "thread", "workers": 2, "chunk_size": n},
+            "thread/n": {"executor": "thread", "workers": 2, "chunk_size": 2},
+            "process/1": {"executor": "process", "workers": 2, "chunk_size": n},
+            "process/n": {"executor": "process", "workers": 2, "chunk_size": 2},
+        }
+        totals = {}
+        for label, engine in engines.items():
+            counter = CountingDistance(_poisoned_l1)
+            am = PivotTable(
+                workload.database, counter, n_pivots=6, rng=np.random.default_rng(0)
+            )
+            counter.reset()
+            with pytest.raises(TypeError, match="unsupported operand"):
+                am.knn_search_batch(queries, 3, **engine)
+            totals[label] = counter.count
+        assert totals["serial"] > 0
+        assert set(totals.values()) == {totals["serial"]}, totals
+
+
+class TestChunking:
+    @pytest.mark.parametrize("chunk_size", [1, 2, 6])
+    def test_thread_executor_honours_chunk_size(self, workload, chunk_size) -> None:
+        """It used to be dropped for threads (always ``4 * workers`` chunks)."""
+        am = PivotTable(
+            workload.database, euclidean, n_pivots=6, rng=np.random.default_rng(0)
+        )
+        n = len(workload.queries)
+        assert n == 6
+        serial = TraceCollector()
+        expected = am.knn_search_batch(workload.queries, 5, executor="serial", collector=serial)
+        run_chunk, sizes = am._knn_search_batch, []
+
+        def counting_chunk(queries, k, traces):
+            sizes.append(len(traces))
+            return run_chunk(queries, k, traces)
+
+        am._knn_search_batch = counting_chunk
+        threaded = TraceCollector()
+        got = am.knn_search_batch(
+            workload.queries, 5,
+            executor="thread", workers=2, chunk_size=chunk_size, collector=threaded,
+        )
+        assert got == expected
+        assert sizes == [chunk_size] * (n // chunk_size)
+
+        def untimed(collector):
+            return [dataclasses.replace(t, seconds=0.0) for t in collector.traces]
+
+        assert untimed(threaded) == untimed(serial)
+
+    def test_default_splits(self) -> None:
+        assert SerialExecutor().chunks(10) == [(0, 10)]
+        assert len(ThreadPoolBatchExecutor(2).chunks(64)) == 8
+        assert ProcessPoolBatchExecutor(2).chunks(9) == [(0, 5), (5, 9)]
+
+
 class TestQueryBatchValidation:
     def test_negative_radius_rejected(self) -> None:
         with pytest.raises(QueryError):
@@ -171,3 +270,19 @@ class TestExecutorResolution:
     def test_nameless_object_is_rejected(self) -> None:
         with pytest.raises(QueryError):
             resolve_executor(object())
+
+    def test_non_positive_workers_and_chunk_size_rejected_for_every_spelling(self) -> None:
+        """``resolve_executor(None, workers=0)`` used to mean serial, quietly."""
+        from repro.planner import ExecutorChoice
+
+        specs = [
+            None, "serial", "thread", "process",
+            ThreadPoolBatchExecutor(2), ExecutorChoice(name="thread"),
+        ]
+        for spec in specs:
+            with pytest.raises(QueryError, match="workers"):
+                resolve_executor(spec, workers=0)
+            with pytest.raises(QueryError, match="chunk_size"):
+                resolve_executor(spec, chunk_size=0)
+        with pytest.raises(QueryError, match="workers"):
+            resolve_executor(ExecutorChoice(name="process", workers=0))

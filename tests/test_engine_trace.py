@@ -279,9 +279,9 @@ class TestNearestRankEdgeCases:
     """
 
     def _rank(self, values: list[float], q: float) -> float:
-        from repro.engine.trace import _nearest_rank
+        from repro.obs import nearest_rank
 
-        return _nearest_rank(sorted(values), q)
+        return nearest_rank(sorted(values), q)
 
     def test_empty_is_zero(self) -> None:
         assert self._rank([], 0.5) == 0.0

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from repro.color import rgb_bin_prototypes
 from repro.core import prototype_similarity_matrix
 from repro.datasets import clustered_histograms
-from repro.exceptions import IndexStateError, QueryError
-from repro.mam import MTree
+from repro.exceptions import IndexStateError
 from repro.models import QFDModel, QMapModel, load_built_index
 from repro.models.base import MAM_REGISTRY, SAM_REGISTRY
 
@@ -253,66 +252,6 @@ class TestSnapshotRoundTrip:
         assert (tmp_path / "rows.bin").exists()
         q = _data(1, seed=14)[0]
         assert len(built.knn_search(q, 3)) == 3
-
-
-class TestParallelBulkLoad:
-    """The chunked M-tree bulk-load: worker-count invariant, guarded."""
-
-    def _bulk(self, data, counter_model, workers):
-        return counter_model.build_index(
-            "mtree",
-            data,
-            store="mmap",
-            block_rows=BLOCK,
-            capacity=6,
-            bulk_load=True,
-            bulk_workers=workers,
-            rng=np.random.default_rng(2),
-        )
-
-    def test_worker_count_does_not_change_results_or_counts(self) -> None:
-        data = _data(120, seed=21)
-        queries = _data(3, seed=22)
-        model = QFDModel(_matrix())
-        serial = self._bulk(data, model, None)
-        one = self._bulk(data, model, 1)
-        two = self._bulk(data, model, 2)
-        three = self._bulk(data, model, 3)
-        # Any worker count yields the same tree: per-cluster spawned RNG
-        # streams make the parallel build worker-count invariant.  The
-        # sequential default shares one stream, so only its exactness —
-        # not its tree shape — is comparable.
-        assert (
-            one.build_costs.distance_computations
-            == two.build_costs.distance_computations
-            == three.build_costs.distance_computations
-        )
-        for q in queries:
-            for built in (serial, one, two, three):
-                built.reset_query_costs()
-            r0 = one.knn_search(q, 5)
-            assert_same_neighbors(two.knn_search(q, 5), r0, tol=0.0, label="w2")
-            assert_same_neighbors(three.knn_search(q, 5), r0, tol=0.0, label="w3")
-            assert_same_neighbors(serial.knn_search(q, 5), r0, tol=0.0, label="serial")
-            assert (
-                one.query_costs().distance_computations
-                == two.query_costs().distance_computations
-                == three.query_costs().distance_computations
-            )
-
-    def test_process_executor_is_rejected(self) -> None:
-        from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
-
-        counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
-        with pytest.raises(QueryError):
-            MTree(
-                _data(16, seed=23),
-                counter,
-                bulk_load=True,
-                bulk_executor="process",
-            )
-        with pytest.raises(QueryError):
-            MTree(_data(16, seed=23), counter, bulk_load=True, bulk_workers=0)
 
 
 class TestOutOfCoreStaticity:

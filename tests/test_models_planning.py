@@ -191,6 +191,14 @@ class TestPlanQueryBatch:
         )
         assert planned.execution.executor.name == "thread"
 
+    def test_no_plan_asks_for_a_pool_on_its_own(self, workload) -> None:
+        """A wide batch used to get a thread-pool hint the ledger prices
+        at 0.48-0.68x serial; every considered plan now runs serially."""
+        wide = np.repeat(workload.queries, 8, axis=0)[:32]
+        planned = plan_query_batch(workload.matrix, workload.database, wide, k=5)
+        assert planned.execution.executor.name == "serial"
+        assert {c.executor.name for c in planned.choice.considered} == {"serial"}
+
     def test_filter_refine_reports_stats_and_flops(self, workload) -> None:
         planned = plan_query_batch(
             workload.matrix, workload.database, workload.queries,

@@ -6,8 +6,8 @@ The request-correlation contract of :mod:`repro.obs.context`:
   context, nested scopes reuse it;
 * spans stamp ``trace_id``/``span_id``/``parent_span_id`` from the
   active context and nest parent ids correctly;
-* the context crosses thread pools (the engine snapshots contextvars per
-  task) and pickles cleanly for the process executor's chunk payloads.
+* the context crosses thread pools (the engine hands it to every chunk)
+  and pickles cleanly for the process executor's chunk payloads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from __future__ import annotations
 import pickle
 import re
 
-from repro.engine.executors import ThreadPoolBatchExecutor
+import numpy as np
+
+from repro.distances import euclidean
+from repro.mam import SequentialFile
 from repro.obs import (
     MetricsRegistry,
     TraceContext,
@@ -111,17 +114,29 @@ class TestSpanStamping:
         assert record.trace_id == "" and record.span_id == ""
 
     def test_thread_pool_inherits_the_context(self) -> None:
-        reg = MetricsRegistry()
-        pool = ThreadPoolBatchExecutor(workers=4)
+        """Pool threads inherit no contextvars: every chunk is handed the
+        batch's context, re-rooted at the batch span, and activates it."""
+        rng = np.random.default_rng(3)
+        am = SequentialFile(rng.uniform(size=(20, 4)), euclidean)
+        run_chunk = am._knn_search_batch
+        seen: list[str] = []
 
-        def work(i: int) -> str:
-            with span(f"task/{i}"):
+        def traced_chunk(queries, k, traces):
+            with span("task"):
                 ctx = current_trace_context()
-                return ctx.trace_id if ctx is not None else ""
+                seen.append(ctx.trace_id if ctx is not None else "")
+            return run_chunk(queries, k, traces)
 
+        am._knn_search_batch = traced_chunk
+        reg = MetricsRegistry()
         with use_registry(reg), trace_scope() as ctx:
-            seen = pool.map_ordered(work, list(range(8)))
+            am.knn_search_batch(
+                rng.uniform(size=(8, 4)), 2, executor="thread", workers=4, chunk_size=1
+            )
         assert seen == [ctx.trace_id] * 8
         assert {r.trace_id for r in reg.spans} == {ctx.trace_id}
-        # Worker-thread spans hang off the scope root, not off each other.
-        assert {r.parent_span_id for r in reg.spans} == {ctx.span_id}
+        (batch,) = [r for r in reg.spans if r.name == "query/batch/knn"]
+        # Worker-thread spans hang off the batch span, not off each other.
+        tasks = [r for r in reg.spans if r.name == "task"]
+        assert len(tasks) == 8
+        assert {r.parent_span_id for r in tasks} == {batch.span_id}

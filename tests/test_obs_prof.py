@@ -19,7 +19,6 @@ from repro.obs import (
     PROFILE_SAMPLES,
     MetricsRegistry,
     SamplingProfiler,
-    profile_to,
     span,
     use_registry,
 )
@@ -133,18 +132,6 @@ class TestExports:
         counter = reg.counter(PROFILE_SAMPLES)
         assert counter.value(span="build/mtree") == 1
         assert counter.value(span="(no span)") == 1
-
-    def test_profile_to_writes_and_records(self, tmp_path) -> None:
-        reg = MetricsRegistry()
-        out = tmp_path / "run.json"
-        with use_registry(reg), profile_to(out, hz=500) as profiler:
-            deadline = time.perf_counter() + 1.0
-            while profiler.sample_count == 0 and time.perf_counter() < deadline:
-                time.sleep(0.01)
-        doc = json.loads(out.read_text())
-        assert doc["profiles"][0]["samples"]
-        total = sum(s.value for s in reg.counter(PROFILE_SAMPLES).samples())
-        assert total > 0
 
 
 class TestInertness:

@@ -40,7 +40,6 @@ from repro.planner import (
     QuerySpec,
     calibration_from_history,
 )
-from repro.planner.plans import THREAD_BATCH_THRESHOLD
 
 
 def _entry(method: str = "pivot-table", model: str = "qmap", *, size: int = 400,
@@ -298,15 +297,6 @@ class TestPlanner:
 
 
 class TestExecutorHints:
-    def test_scan_threads_early_filter_refine_never(self) -> None:
-        assert DirectScan().executor_hint(1).name == "serial"
-        assert DirectScan().executor_hint(8).name == "thread"
-        probe = IndexProbe(entry=_entry())
-        assert probe.executor_hint(THREAD_BATCH_THRESHOLD - 1).name == "serial"
-        assert probe.executor_hint(THREAD_BATCH_THRESHOLD).name == "thread"
-        for batch in (1, 100):
-            assert FilterRefine().executor_hint(batch).name == "serial"
-
     def test_executor_choice_describe(self) -> None:
         assert ExecutorChoice(name="thread", workers=4).describe() == "thread(4)"
         assert ExecutorChoice(name="serial").describe() == "serial"
