@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import sys
 import threading
+import zipfile
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.mam.base import BoundQuery, DistancePort, Neighbor
 
-__all__ = ["SpyPort", "assert_same_neighbors", "run_together", "same_neighbors"]
+__all__ = [
+    "SpyPort",
+    "assert_same_neighbors",
+    "npy_bytes",
+    "rewrite_archive",
+    "run_together",
+    "same_neighbors",
+]
 
 
 class _SpyBound(BoundQuery):
@@ -102,3 +113,20 @@ def assert_same_neighbors(
         assert g.index == e.index and abs(g.distance - e.distance) <= tol, (
             f"{label}: mismatch at position {pos}: got {g}, expected {e}"
         )
+
+
+def npy_bytes(value) -> bytes:
+    """*value* as the bytes of a plain ``.npy`` archive member."""
+    buf = io.BytesIO()
+    np.save(buf, value, allow_pickle=True)
+    return buf.getvalue()
+
+
+def rewrite_archive(path, edit: Callable[[dict], None]) -> None:
+    """Re-zip the archive at *path* after *edit* changed its ``{name: bytes}``."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, body in members.items():
+            archive.writestr(name, body)

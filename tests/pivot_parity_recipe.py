@@ -17,8 +17,8 @@ charges or reports.  This recipe drives the pivot table through
 and records each query's neighbor indices and distances, every count field
 of its :class:`~repro.engine.trace.QueryTrace` in every mode, the
 ``CountingDistance`` scalar/batched split, EXPLAIN's per-node totals and
-per-label bound checks, and a sha256 over the members of the index's
-snapshot archive.
+per-label bound checks, and a sha256 over what the index's snapshot
+archive decodes to.
 
 ``tests/fixtures/pivot_parity.json`` was generated from the commit *before*
 the rewrite (per-candidate ``DistancePort.pair`` loop, ``m x s`` bound
@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from repro.datasets import histogram_workload
 from repro.engine.trace import TraceCollector, query_trace
 from repro.models import QFDModel, QMapModel, load_built_index
 from repro.obs.events import EventBuffer
-from repro.persistence import save_index
+from repro.persistence import read_snapshot, save_index
 
 from .mtree_parity_recipe import _split, _trace_fields, explain_record
 
@@ -108,16 +107,24 @@ def build_state(model, bound: str, state: str, workload, queries, tmp: Path):
 
 
 def snapshot_sha256(built, tmp: Path) -> str:
-    """sha256 over the snapshot archive's members (names and ``.npy`` bytes).
+    """sha256 over the decoded snapshot: every entry's key, dtype, shape, bytes.
 
-    The archive file itself carries zip timestamps; its members do not.
+    The decoded arrays, not the zip members, so the pin holds whatever
+    member codec or zip timestamps the archive was written with.
     """
-    path = save_index(built.access_method, tmp / "hashed")
+    snapshot = read_snapshot(save_index(built.access_method, tmp / "hashed"))
+    entries = {
+        "method": np.str_(snapshot.method),
+        "method_version": np.int64(snapshot.method_version),
+        "database": snapshot.database,
+        **{f"state__{key}": value for key, value in snapshot.state.items()},
+        **{f"meta__{key}": value for key, value in snapshot.meta.items()},
+    }
     digest = hashlib.sha256()
-    with zipfile.ZipFile(path) as archive:
-        for name in sorted(archive.namelist()):
-            digest.update(name.encode())
-            digest.update(archive.read(name))
+    for key in sorted(entries):
+        value = np.asarray(entries[key])
+        digest.update(f"{key}|{value.dtype.str}|{value.shape}".encode())
+        digest.update(value.tobytes())
     return digest.hexdigest()
 
 

@@ -46,7 +46,7 @@ from repro.persistence import (
 from repro.sam.rtree import RTree
 from repro.sam.xtree import XTree
 
-from .helpers import same_neighbors
+from .helpers import npy_bytes, rewrite_archive, same_neighbors
 
 #: Small construction arguments so trees actually split at m=40.
 METHOD_KWARGS: dict[str, dict[str, int]] = {
@@ -190,20 +190,21 @@ class TestFormatIntegrity:
             state=index.structural_state(),
         )
         path = write_snapshot(snapshot, tmp_path / "v1")
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        arrays["format_version"] = np.int64(FORMAT_VERSION + 1)
-        np.savez_compressed(path, **arrays)
+        rewrite_archive(
+            path,
+            lambda members: members.update(
+                {"format_version.npy": npy_bytes(np.int64(FORMAT_VERSION + 1))}
+            ),
+        )
         with pytest.raises(StorageError, match="snapshot format version"):
             read_snapshot(path)
 
     def test_unknown_top_level_key_rejected(self, matrix, data, tmp_path) -> None:
         index = _build("sequential", data, _counter(matrix))
         path = save_index(index, tmp_path / "extra")
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        arrays["rogue"] = np.int64(1)
-        np.savez_compressed(path, **arrays)
+        rewrite_archive(
+            path, lambda members: members.update({"rogue.npy": npy_bytes(np.int64(1))})
+        )
         with pytest.raises(StorageError, match="rogue"):
             read_snapshot(path)
 
