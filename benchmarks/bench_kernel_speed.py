@@ -157,7 +157,6 @@ def run_model(
     counts: dict[str, int] = {}
     for tier, port in ports.items():
         tree._port = port
-        port.attach_database(tree.database)
         counter: CountingDistance = port.raw  # type: ignore[assignment]
         counter.reset()
         seconds = _time_queries(tree, queries, k, repeats)
@@ -205,7 +204,7 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
         return (np.abs(x) < np.finfo(x.dtype).tiny) & (x != 0)
 
     # rows32 holds *float32* subnormals (values a float64 store keeps as
-    # normals), which a blocked tile upcasts back to float64 normals.
+    # normals), which a tile upcasts back to float64 normals.
     raw = {"rows": workload.database, "q": workload.queries[0]}
     raw["rows32"] = raw["rows"].astype(np.float32)
     clean = {name: np.where(subnormal(x), 0, x) for name, x in raw.items()}
@@ -213,7 +212,6 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     qfd = QuadraticFormDistance(matrix)
     qmap = QMap(matrix)
     kernel = QFDKernel(matrix)
-    tiles = QFDKernel(matrix, block_rows=256)
     norms = gram.qfd_row_norms(matrix, raw["rows"])
     for operands in (raw, clean):
         operands["ctx"] = kernel.bind(operands["q"])
@@ -243,8 +241,8 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: qmap.transform_batch(d["rows"])),
         ("QMap.transform", True, f"1x{qfd.dim}",
          lambda d: qmap.transform(d["q"])),
-        ("blocked tiles, float32 store", False, f"{m}x{qfd.dim}",
-         lambda d: tiles.one_to_many(d["q"], d["rows32"])),
+        ("QuadraticFormDistance.one_to_many, f32", False, f"{m}x{qfd.dim}",
+         lambda d: qfd.one_to_many(d["q"], d["rows32"])),
     ]
     rows = []
     for name, fixed, shape, call in entry_points:

@@ -8,8 +8,8 @@ float64 copy (~4 GB) the in-memory path would need:
 
 * the corpus streams straight to a memory-mapped float32 store
   (:func:`repro.datasets.stream_clustered_histograms`);
-* indexes build over the raw memmap through the blocked Gram kernels
-  (``store="mmap"``, :mod:`repro.kernels.blocked`);
+* indexes build over the raw memmap (``store="mmap"``), whose rows the
+  kernels read in 8192-row tiles with the in-memory arithmetic;
 * the QMap model streams its transform chunk-by-chunk into a second
   memmap of mapped vectors.
 
@@ -26,7 +26,7 @@ CI liveness check (no JSON unless ``--out`` is given).
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scale_1m.py [--smoke] [--n N]
-        [--queries Q] [--k K] [--block-rows B]
+        [--queries Q] [--k K]
         [--workdir DIR] [--keep-data] [--out PATH]
 """
 
@@ -149,7 +149,6 @@ def _phase_cell(args: argparse.Namespace, model_name: str, method: str) -> dict:
             source,
             store="mmap",
             store_path=store_path,
-            block_rows=args.block_rows,
             **kwargs,
         )
         measured = measure_queries(built, queries, mode="knn", k=args.k)
@@ -210,8 +209,6 @@ def _spawn(args: argparse.Namespace, phase: str) -> dict:
         "--seed",
         str(args.seed),
     ]
-    if args.block_rows is not None:
-        cmd += ["--block-rows", str(args.block_rows)]
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = (
@@ -247,7 +244,6 @@ def main() -> None:
     parser.add_argument("--queries", type=int, default=20)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument("--block-rows", type=int, default=None)
     parser.add_argument(
         "--smoke", action="store_true", help="20k-row CI grid (no JSON unless --out)"
     )
@@ -268,7 +264,6 @@ def main() -> None:
         return
 
     from repro.bench import format_table, metrics_block
-    from repro.kernels import DEFAULT_BLOCK_ROWS
 
     from _common import write_report
 
@@ -281,8 +276,7 @@ def main() -> None:
     heap_bytes = args.n * DIM * 8  # the float64 heap copy this bench avoids
     print(
         f"scale bench: n={args.n:,} x {DIM}-d float32, "
-        f"{args.queries} queries, k={args.k}, "
-        f"block_rows={args.block_rows or DEFAULT_BLOCK_ROWS} "
+        f"{args.queries} queries, k={args.k} "
         f"(heap float64 copy would be {heap_bytes / 2**30:.2f} GiB)"
     )
     try:
@@ -358,7 +352,6 @@ def main() -> None:
             "k": args.k,
             "seed": args.seed,
             "store": "mmap",
-            "block_rows": args.block_rows or DEFAULT_BLOCK_ROWS,
             "smoke": args.smoke,
         },
         "results": {

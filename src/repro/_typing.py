@@ -54,12 +54,22 @@ def as_vector(data: ArrayLike, dim: int | None = None, *, name: str = "vector") 
     return arr
 
 
-def as_vector_batch(data: ArrayLike, dim: int | None = None, *, name: str = "batch") -> Matrix:
+def as_vector_batch(
+    data: ArrayLike,
+    dim: int | None = None,
+    *,
+    name: str = "batch",
+    keep_float32: bool = False,
+) -> Matrix:
     """Coerce *data* to a 2-D ``(m, n)`` ``float64`` array of row vectors.
 
-    A single 1-D vector is promoted to a one-row batch.
+    A single 1-D vector is promoted to a one-row batch.  With
+    *keep_float32* a float32 array (a memory-mapped store) is returned
+    without its float64 copy, for a kernel that upcasts it tile by tile.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    arr = np.asarray(data)
+    if not (keep_float32 and arr.dtype == np.float32):
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:

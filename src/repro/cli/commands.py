@@ -235,10 +235,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_index_build(args: argparse.Namespace) -> int:
     workload = make_workload(args)
-    index, kwargs = build_index(
-        args, workload,
-        store=args.store, store_path=args.store_path, block_rows=args.block_rows,
-    )
+    index, kwargs = build_index(args, workload, store=args.store, store_path=args.store_path)
     costs = index.build_costs
     print(_workload_line(workload, args.size, args.queries))
     store_tag = "" if args.store == "heap" else f" store={args.store}"
@@ -259,9 +256,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_index_load(args: argparse.Namespace) -> int:
     from ..models import load_built_index
 
-    index = load_built_index(
-        args.path, verify=not args.no_verify, store=args.store, block_rows=args.block_rows
-    )
+    index = load_built_index(args.path, verify=not args.no_verify, store=args.store)
     am = index.access_method
     costs = index.build_costs
     store_tag = "" if args.store == "heap" else f" store={args.store}"

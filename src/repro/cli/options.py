@@ -98,15 +98,9 @@ OPTIONS: dict[str, dict] = {
         choices=["heap", "mmap"],
         default="heap",
         help="vector storage: heap float64 arrays (default) or an "
-        "out-of-core float32 memmap evaluated by the blocked kernels",
+        "out-of-core float32 memmap, read in place with the same arithmetic",
     ),
     "--store-path": _path("backing file for --store mmap (default: a temporary file)"),
-    "--block-rows": dict(
-        type=int,
-        default=None,
-        help="tile height of the blocked kernels (selects the out-of-core "
-        "evaluation path; defaults to 8192 under --store mmap)",
-    ),
     # shared by several sub-commands without forming a group
     "--plan": dict(
         default=None,
@@ -143,7 +137,7 @@ GROUPS: dict[str, tuple[str, ...]] = {
         "--profile-out",
         "--profile-hz",
     ),
-    "store": ("--store", "--store-path", "--block-rows"),
+    "store": ("--store", "--store-path"),
 }
 
 

@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     iload.add_argument("path", help="snapshot .npz path")
     iload.add_argument("--no-verify", action="store_true", help="skip the integrity probe on load")
-    attach(iload, "--store", "--block-rows")
+    attach(iload, "--store")
 
     iquery = command(
         index_sub,

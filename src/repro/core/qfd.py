@@ -16,7 +16,7 @@ import numpy as np
 
 from .._typing import ArrayLike, Matrix, Vector, as_square_matrix, as_vector, as_vector_batch
 from ..exceptions import NotSymmetricError
-from ..kernels.gram import _flush_subnormals
+from ..kernels.gram import _flush_subnormals, row_tiles
 from .symmetrize import is_symmetric, symmetrize
 from .validation import require_positive_definite
 
@@ -87,14 +87,19 @@ class QuadraticFormDistance:
 
         This is the workhorse of the sequential scan in the QFD model;
         still O(n^2) arithmetic per row, merely amortized through BLAS.
+        The rows are read in :func:`~repro.kernels.gram.row_tiles`, so a
+        memory-mapped float32 store is upcast one tile at a time.
         """
         query = as_vector(q, self.dim, name="q")
-        rows = as_vector_batch(batch, self.dim, name="batch")
-        diff = _flush_subnormals(rows - query, inplace=True)
-        # One BLAS gemm plus an elementwise reduction: still O(m n^2)
-        # arithmetic, just with the best constants the QFD model can get.
-        sq = np.einsum("ij,ij->i", diff @ self._matrix, diff)
-        return np.sqrt(np.maximum(sq, 0.0))
+        rows = as_vector_batch(batch, self.dim, name="batch", keep_float32=True)
+        out = np.empty(rows.shape[0], dtype=np.float64)
+        for tile in row_tiles(rows.shape[0]):
+            diff = _flush_subnormals(rows[tile] - query, inplace=True)
+            # One BLAS gemm plus an elementwise reduction: still O(m n^2)
+            # arithmetic, just with the best constants the QFD model can get.
+            sq = np.einsum("ij,ij->i", diff @ self._matrix, diff)
+            out[tile] = np.sqrt(np.maximum(sq, 0.0))
+        return out
 
     def pairwise(self, batch: ArrayLike) -> Matrix:
         """Full ``m x m`` distance matrix over the rows of *batch*.

@@ -77,7 +77,8 @@ def weighted_euclidean(u: ArrayLike, v: ArrayLike, weights: ArrayLike) -> float:
 def euclidean_one_to_many(q: ArrayLike, batch: ArrayLike) -> Vector:
     """Vectorized L2 distances from *q* to every row of *batch*."""
     query = as_vector(q, name="q")
-    return l2_one_to_many(query, as_vector_batch(batch, query.shape[0], name="batch"))
+    rows = as_vector_batch(batch, query.shape[0], name="batch", keep_float32=True)
+    return l2_one_to_many(query, rows)
 
 
 class MinkowskiDistance:

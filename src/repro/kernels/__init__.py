@@ -8,18 +8,6 @@ in :mod:`~repro.kernels.cholesky_cache`.  Nothing here counts distance
 evaluations — logical charging stays in :class:`repro.mam.base.DistancePort`.
 """
 
-from .blocked import (
-    DEFAULT_BLOCK_ROWS,
-    blocked_l2_cross,
-    blocked_l2_one_to_many,
-    blocked_l2_pairwise,
-    blocked_l2_row_norms,
-    blocked_qfd_cross,
-    blocked_qfd_one_to_many,
-    blocked_qfd_pairwise,
-    blocked_qfd_row_norms,
-    iter_blocks,
-)
 from .cholesky_cache import cached_cholesky, cholesky_cache_info, clear_cholesky_cache
 from .gram import (
     RECHECK_REL,
@@ -33,6 +21,7 @@ from .gram import (
     qfd_row_norms,
     qfd_squared_one_to_many,
     qfd_squared_pairwise,
+    row_tiles,
 )
 from .kernels import L2Kernel, L2QueryContext, QFDKernel, QFDQueryContext, resolve_kernel
 from .ptolemaic import (
@@ -42,17 +31,7 @@ from .ptolemaic import (
 )
 
 __all__ = [
-    "DEFAULT_BLOCK_ROWS",
     "RECHECK_REL",
-    "blocked_l2_cross",
-    "blocked_l2_one_to_many",
-    "blocked_l2_pairwise",
-    "blocked_l2_row_norms",
-    "blocked_qfd_cross",
-    "blocked_qfd_one_to_many",
-    "blocked_qfd_pairwise",
-    "blocked_qfd_row_norms",
-    "iter_blocks",
     "cached_cholesky",
     "cholesky_cache_info",
     "clear_cholesky_cache",
@@ -73,5 +52,6 @@ __all__ = [
     "ptolemaic_bound_scalar",
     "ptolemaic_bounds",
     "resolve_kernel",
+    "row_tiles",
     "valid_pivot_pairs",
 ]

@@ -39,6 +39,7 @@ __all__ = [
     "l2_pairwise",
     "qfd_cross",
     "l2_cross",
+    "row_tiles",
 ]
 
 #: Relative threshold under which a Gram-expanded squared distance is
@@ -51,6 +52,19 @@ _TINY = np.finfo(np.float64).tiny
 
 #: Floats in one tile's difference buffer of :func:`l2_one_to_many` (1 MB, L2-resident).
 _L2_TILE_FLOATS = 131072
+
+#: Rows per tile of a database-sized operand: 8192 x 512 d x 8 B = 32 MB of
+#: float64, so a memory-mapped float32 store is never upcast whole.  Both
+#: stores go through the same tiles, which is what keeps an mmap index and
+#: its heap twin bit-identical (a one-row tile is a matrix-vector product,
+#: another BLAS kernel, so tilings are not interchangeable in general).  A
+#: heap database at benchmark sizes is a single tile.
+_TILE_ROWS = 8192
+
+
+def row_tiles(n: int) -> list[slice]:
+    """Slices of at most ``_TILE_ROWS`` rows covering ``range(n)``."""
+    return [slice(start, start + _TILE_ROWS) for start in range(0, n, _TILE_ROWS)]
 
 
 def _flush_subnormals(x: np.ndarray, *, inplace: bool = False) -> np.ndarray:
@@ -87,8 +101,11 @@ def _as64(rows: np.ndarray) -> np.ndarray:
 
 def qfd_row_norms(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-row quadratic forms ``vAv^T`` (the cacheable half of the Gram sum)."""
-    rows = _flush_subnormals(_as64(rows))
-    return np.einsum("ij,ij->i", rows @ matrix, rows)
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    for tile in row_tiles(rows.shape[0]):
+        block = _flush_subnormals(_as64(rows[tile]))
+        out[tile] = np.einsum("ij,ij->i", block @ matrix, block)
+    return out
 
 
 def l2_row_norms(rows: np.ndarray) -> np.ndarray:
@@ -151,32 +168,27 @@ def qfd_one_to_many(
     )
 
 
-def l2_one_to_many(
-    q: np.ndarray, rows: np.ndarray, *, block_rows: int | None = None
-) -> np.ndarray:
+def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """L2 distances from *q* to every row — difference-based on purpose.
 
     For a single query the diff form is already one fused pass and, unlike
     the Gram form, exact near zero; the QMap-space query path uses it so
     mapped-space results stay bit-identical to a plain Euclidean scan.
-    Past one tile (*block_rows*, else ``_L2_TILE_FLOATS`` worth) rows stream
-    through one reused buffer — same floats, no ``m x n`` temporary.
+    Past one tile (``_L2_TILE_FLOATS`` worth of rows) rows stream through
+    one reused buffer — same floats, no ``m x n`` temporary.
     """
-    if block_rows is None:
-        if rows.size <= _L2_TILE_FLOATS:  # a node, a refinement block: the one-shot form
-            diff = _as64(rows) - _as64(q)
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        block_rows = max(1, _L2_TILE_FLOATS // rows.shape[1])
-    elif block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+    if rows.size <= _L2_TILE_FLOATS:  # a node, a refinement block: the one-shot form
+        diff = _as64(rows) - _as64(q)
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    step = max(1, _L2_TILE_FLOATS // rows.shape[1])
     q = _as64(q)
     n = rows.shape[0]
     out = np.empty(n, dtype=np.float64)
-    buffer = np.empty((min(block_rows, n), rows.shape[1]), dtype=np.float64)
-    for start in range(0, n, block_rows):
-        block = rows[start : start + block_rows]
+    buffer = np.empty((min(step, n), rows.shape[1]), dtype=np.float64)
+    for start in range(0, n, step):
+        block = rows[start : start + step]
         diff = np.subtract(block, q, out=buffer[: block.shape[0]])
-        np.einsum("ij,ij->i", diff, diff, out=out[start : start + block_rows])
+        np.einsum("ij,ij->i", diff, diff, out=out[start : start + step])
     return np.sqrt(out, out=out)
 
 
@@ -247,20 +259,28 @@ def qfd_cross(
     norms_a: np.ndarray | None = None,
     norms_b: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``(a, b)`` QFD distance matrix between two row batches."""
+    """``(a, b)`` QFD distance matrix between two row batches.
+
+    *rows_b* may be database-sized: it is read one tile at a time.
+    """
     rows_a = _flush_subnormals(_as64(rows_a))
-    rows_b = _flush_subnormals(_as64(rows_b))
     g = rows_a @ matrix
     if norms_a is None:
         norms_a = np.einsum("ij,ij->i", g, rows_a)
-    if norms_b is None:
-        norms_b = qfd_row_norms(matrix, rows_b)
-    sq = norms_a[:, None] + norms_b[None, :] - 2.0 * (g @ rows_b.T)
-    suspect = sq <= RECHECK_REL * (norms_a[:, None] + norms_b[None, :])
-    ii, jj = np.nonzero(suspect)
-    if ii.size:
-        sq[ii, jj] = _qfd_squared_diff(matrix, rows_b[jj], rows_a[ii])
-    return np.sqrt(np.maximum(sq, 0.0))
+    out = np.empty((rows_a.shape[0], rows_b.shape[0]), dtype=np.float64)
+    for tile in row_tiles(rows_b.shape[0]):
+        block = _flush_subnormals(_as64(rows_b[tile]))
+        if norms_b is None:
+            n_b = np.einsum("ij,ij->i", block @ matrix, block)
+        else:
+            n_b = norms_b[tile]
+        sq = norms_a[:, None] + n_b[None, :] - 2.0 * (g @ block.T)
+        suspect = sq <= RECHECK_REL * (norms_a[:, None] + n_b[None, :])
+        ii, jj = np.nonzero(suspect)
+        if ii.size:
+            sq[ii, jj] = _qfd_squared_diff(matrix, block[jj], rows_a[ii])
+        out[:, tile] = np.sqrt(np.maximum(sq, 0.0))
+    return out
 
 
 def l2_cross(

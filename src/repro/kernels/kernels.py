@@ -15,12 +15,10 @@ behind a small object interface the access-method layer can hold on to:
 ``None`` when no batched form is known (the caller then falls back to the
 function's own vectorized form or a plain loop).
 
-Kernels are constructed with an optional ``block_rows``: when set, every
-batch method streams its candidate rows through the tiled,
-block-size-invariant primitives of :mod:`repro.kernels.blocked` instead
-of the unblocked BLAS forms — the out-of-core configuration used with
-memory-mapped float32 stores.  ``block_rows=None`` (the default) keeps
-the original unblocked arithmetic byte-identical.
+There is one arithmetic per kernel, whatever the rows' store: float32 rows
+(a memory-mapped database) are upcast to float64 before any product, so
+they give the floats of their float64 copy, and database-sized operands
+are read in :func:`~repro.kernels.gram.row_tiles`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import blocked, gram
+from . import gram
 
 __all__ = [
     "QFDKernel",
@@ -60,16 +58,6 @@ class QFDQueryContext:
 
     def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
         """Distances from the bound query to every row."""
-        if self._kernel.block_rows is not None:
-            return blocked.blocked_qfd_one_to_many(
-                self._kernel.matrix,
-                self.query,
-                rows,
-                row_norms=norms,
-                q_a=self.q_a,
-                q_norm=self.q_norm,
-                block_rows=self._kernel.block_rows,
-            )
         return gram.qfd_one_to_many(
             self._kernel.matrix,
             self.query,
@@ -93,26 +81,17 @@ class QFDQueryContext:
 
 
 class QFDKernel:
-    """Batched Gram-expansion evaluator for a static QFD matrix.
+    """Batched Gram-expansion evaluator for a static QFD matrix."""
 
-    ``block_rows`` selects the tiled out-of-core arithmetic (see module
-    docstring); ``None`` keeps the unblocked path.
-    """
-
-    __slots__ = ("matrix", "block_rows")
+    __slots__ = ("matrix",)
 
     #: The bound context's Gram expansion reads the cached ``vAv^T`` terms.
     context_uses_norms = True
 
-    def __init__(self, matrix: np.ndarray, *, block_rows: int | None = None) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.block_rows = block_rows
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_qfd_row_norms(
-                self.matrix, rows, block_rows=self.block_rows
-            )
         return gram.qfd_row_norms(self.matrix, rows)
 
     def bind(self, query: np.ndarray) -> QFDQueryContext:
@@ -121,19 +100,11 @@ class QFDKernel:
     def one_to_many(
         self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
     ) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_qfd_one_to_many(
-                self.matrix, q, rows, row_norms=row_norms, block_rows=self.block_rows
-            )
         return gram.qfd_one_to_many(self.matrix, q, rows, row_norms=row_norms)
 
     def pairwise(
         self, rows: np.ndarray, *, row_norms: np.ndarray | None = None
     ) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_qfd_pairwise(
-                self.matrix, rows, row_norms=row_norms, block_rows=self.block_rows
-            )
         return gram.qfd_pairwise(self.matrix, rows, row_norms=row_norms)
 
     def cross(
@@ -144,15 +115,6 @@ class QFDKernel:
         norms_a: np.ndarray | None = None,
         norms_b: np.ndarray | None = None,
     ) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_qfd_cross(
-                self.matrix,
-                rows_a,
-                rows_b,
-                norms_a=norms_a,
-                norms_b=norms_b,
-                block_rows=self.block_rows,
-            )
         return gram.qfd_cross(
             self.matrix, rows_a, rows_b, norms_a=norms_a, norms_b=norms_b
         )
@@ -165,18 +127,15 @@ class L2QueryContext:
     :func:`repro.distances.minkowski.euclidean_one_to_many`, which keeps the
     QMap model's mapped-space results exactly equal to a plain scan; the
     Gram form for L2 is exposed only through the kernel's batch methods.
-    ``block_rows`` only sets the tile height of that one kernel, so its
-    floats do not move either.
     """
 
-    __slots__ = ("query", "block_rows")
+    __slots__ = ("query",)
 
-    def __init__(self, query: np.ndarray, *, block_rows: int | None = None) -> None:
+    def __init__(self, query: np.ndarray) -> None:
         self.query = np.asarray(query, dtype=np.float64)
-        self.block_rows = block_rows
 
     def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-        return gram.l2_one_to_many(self.query, rows, block_rows=self.block_rows)
+        return gram.l2_one_to_many(self.query, rows)
 
     def one(self, row: np.ndarray, norm: float | None = None) -> float:
         return float(np.linalg.norm(np.asarray(row, dtype=np.float64) - self.query))
@@ -185,35 +144,26 @@ class L2QueryContext:
 class L2Kernel:
     """Batched evaluator for the Euclidean distance."""
 
-    __slots__ = ("block_rows",)
+    __slots__ = ()
 
     #: :class:`L2QueryContext` is difference-based and ignores row norms,
     #: so callers need not compute, cache or gather them.
     context_uses_norms = False
 
-    def __init__(self, *, block_rows: int | None = None) -> None:
-        self.block_rows = block_rows
-
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_l2_row_norms(rows, block_rows=self.block_rows)
         return gram.l2_row_norms(rows)
 
     def bind(self, query: np.ndarray) -> L2QueryContext:
-        return L2QueryContext(query, block_rows=self.block_rows)
+        return L2QueryContext(query)
 
     def one_to_many(
         self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
     ) -> np.ndarray:
-        return gram.l2_one_to_many(q, rows, block_rows=self.block_rows)
+        return gram.l2_one_to_many(q, rows)
 
     def pairwise(
         self, rows: np.ndarray, *, row_norms: np.ndarray | None = None
     ) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_l2_pairwise(
-                rows, row_norms=row_norms, block_rows=self.block_rows
-            )
         return gram.l2_pairwise(rows, row_norms=row_norms)
 
     def cross(
@@ -224,27 +174,15 @@ class L2Kernel:
         norms_a: np.ndarray | None = None,
         norms_b: np.ndarray | None = None,
     ) -> np.ndarray:
-        if self.block_rows is not None:
-            return blocked.blocked_l2_cross(
-                rows_a,
-                rows_b,
-                norms_a=norms_a,
-                norms_b=norms_b,
-                block_rows=self.block_rows,
-            )
         return gram.l2_cross(rows_a, rows_b, norms_a=norms_a, norms_b=norms_b)
 
 
-def resolve_kernel(
-    func: Callable, *, block_rows: int | None = None
-) -> QFDKernel | L2Kernel | None:
+def resolve_kernel(func: Callable) -> QFDKernel | L2Kernel | None:
     """Best batched kernel for a scalar distance function, or ``None``.
 
     Unwraps :class:`~repro.distances.base.CountingDistance` to inspect the
     underlying metric; recognizes the static QFD and the plain Euclidean
     distance.  Imports lazily — this module sits below the distance layer.
-    *block_rows* configures the returned kernel for tiled out-of-core
-    evaluation (see :mod:`repro.kernels.blocked`).
     """
     from ..distances.base import CountingDistance
 
@@ -253,9 +191,9 @@ def resolve_kernel(
     from ..core.qfd import QuadraticFormDistance
 
     if isinstance(func, QuadraticFormDistance):
-        return QFDKernel(func.matrix, block_rows=block_rows)
+        return QFDKernel(func.matrix)
     from ..distances.minkowski import euclidean
 
     if func is euclidean:
-        return L2Kernel(block_rows=block_rows)
+        return L2Kernel()
     return None

@@ -170,12 +170,6 @@ class DistancePort:
         when supplied, else a Python loop.
     one_to_many:
         Optional vectorized ``d1m(q, rows) -> ndarray`` fallback.
-    block_rows:
-        When set, the resolved kernel evaluates batches through the
-        tiled block-size-invariant primitives of
-        :mod:`repro.kernels.blocked` — the out-of-core configuration for
-        memory-mapped float32 databases.  ``None`` (default) keeps every
-        existing code path byte-identical.
 
     Notes
     -----
@@ -190,7 +184,6 @@ class DistancePort:
         *,
         one_to_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         use_kernel: bool = True,
-        block_rows: int | None = None,
     ) -> None:
         self._func = func
         counter = func if isinstance(func, CountingDistance) else None
@@ -204,22 +197,15 @@ class DistancePort:
         else:
             bound = getattr(func, "one_to_many", None)
             self._vector_uncounted = bound if callable(bound) else one_to_many
-        self._block_rows = block_rows
         if use_kernel:
             from ..kernels.kernels import resolve_kernel  # kernels sit below mam
 
-            self._kernel = resolve_kernel(func, block_rows=block_rows)
+            self._kernel = resolve_kernel(func)
         else:
             self._kernel = None
-        if block_rows is not None and self._kernel is None:
-            raise QueryError(
-                "block_rows requires a kernel-backed distance (QFD or "
-                "Euclidean); this distance has no batched kernel"
-            )
         # Row norms are cached only for a kernel whose query context
         # reads them (the QFD's Gram expansion; L2 is difference-based).
         self._wants_norms = getattr(self._kernel, "context_uses_norms", False)
-        self._database: np.ndarray | None = None
         self._norms_store: np.ndarray | None = None
         self._norms: np.ndarray | None = None
         self._norms_source: np.ndarray | None = None
@@ -248,13 +234,6 @@ class DistancePort:
         """
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        if self._block_rows is not None and self._kernel is not None:
-            # Out-of-core scan: stream tiles through the blocked kernel
-            # (with the cached database norms when *rows* is the attached
-            # store) instead of the one-to-many, whose difference form
-            # would materialize full n x d float64 temporaries.
-            norms = self._norms_for(rows) if rows is self._database else None
-            return self._kernel.one_to_many(q, rows, row_norms=norms)
         vector = self._vector_uncounted
         if vector is not None:
             return np.asarray(vector(q, np.asarray(rows)), dtype=np.float64)
@@ -283,11 +262,6 @@ class DistancePort:
         return self._kernel
 
     @property
-    def block_rows(self) -> int | None:
-        """Tile height of the blocked kernels (``None`` = unblocked)."""
-        return self._block_rows
-
-    @property
     def counter(self) -> CountingDistance | None:
         """The wrapped :class:`CountingDistance`, if the distance is one."""
         return self._counter
@@ -311,16 +285,6 @@ class DistancePort:
         elif self._counter is not None and (calls or rows):
             self._counter.add_counts(calls=calls, batch_rows=rows)
 
-    def attach_database(self, data: np.ndarray) -> None:
-        """Name *data* as the indexed array whose per-row norms are cached.
-
-        The norms are computed by their first reader — a query bound over
-        *data* or a blocked scan of it — so a method that reads neither
-        (the plain sequential scan) never pays the ``m n^2`` product, at
-        build or at every restore.
-        """
-        self._database = data
-
     def database_grew(self, previous: np.ndarray, data: np.ndarray) -> None:
         """*data* is *previous* plus appended rows: extend the cached norms.
 
@@ -328,8 +292,6 @@ class DistancePort:
         some other array nothing happens — the next bound query over
         *data* recomputes it whole, as for any unknown array.
         """
-        if self._database is previous:
-            self._database = data
         if self._norms_source is previous and self._norms_store is not None:
             used = previous.shape[0]
             store = grown(self._norms_store, used, data.shape[0] - used)
@@ -348,6 +310,9 @@ class DistancePort:
         """Cached kernel row norms for *data*, or ``None`` if the kernel's
         query context does not use them.
 
+        Computed by their first reader, a query bound over *data*, so a
+        method that binds none (the sequential scan, on either store)
+        never pays the ``m n^2`` product, at build or at restore.
         Identity-keyed; :meth:`database_grew` re-keys the cache across a
         dynamic insert, any other array is recomputed with one matrix
         product.
@@ -562,36 +527,31 @@ class AccessMethod(ABC):
 
     #: Whether this structure's build and search touch vector data only
     #: through the :class:`DistancePort` batch paths and per-row copies —
-    #: the contract that lets a blocked port keep the database as a raw
-    #: float32 memmap view instead of a heap-resident float64 copy.
+    #: the contract that lets it keep a memory-mapped database as the raw
+    #: float32 view instead of a heap-resident float64 copy.
     supports_out_of_core = False
 
     def __init__(self, database: ArrayLike, distance: DistancePort | Callable) -> None:
         port = distance if isinstance(distance, DistancePort) else DistancePort(distance)
-        data = self._coerce_database(database, port)
+        data = self._coerce_database(database)
         if data.shape[0] == 0:
             raise EmptyIndexError("cannot build an index over an empty database")
         self._data = data
         self._row_buffer: np.ndarray | None = None  # once inserts start
         self._port = port
-        # Row norms (vAv^T) for the whole store, computed once at build
-        # time; bound queries reuse them for O(n)-per-candidate evaluation.
-        self._port.attach_database(self._data)
 
-    def _coerce_database(self, database: ArrayLike, port: DistancePort) -> np.ndarray:
+    def _coerce_database(self, database: ArrayLike) -> np.ndarray:
         """The stored database array for *database*.
 
-        Default: a validated float64 heap copy (`as_vector_batch`), the
-        arithmetic every existing path is pinned to.  Under a blocked
-        port, out-of-core-capable structures keep a dense float32/float64
-        2-D array (typically an :class:`~repro.storage.mmap_store
-        .MmapVectorStore` row view) as-is — zero copies; the blocked
-        kernels upcast tile by tile.
+        Default: a validated float64 heap copy (`as_vector_batch`).
+        Out-of-core-capable structures keep an ``np.memmap`` (what
+        :attr:`~repro.storage.mmap_store.MmapVectorStore.rows` returns)
+        as-is — zero copies; the kernels upcast its rows tile by tile to
+        the floats of the heap copy.
         """
         if (
-            port.block_rows is not None
-            and type(self).supports_out_of_core
-            and isinstance(database, np.ndarray)
+            type(self).supports_out_of_core
+            and isinstance(database, np.memmap)
             and database.ndim == 2
             and database.dtype in (np.float32, np.float64)
         ):

@@ -37,6 +37,7 @@ import numpy as np
 
 from .._typing import ArrayLike, as_vector
 from ..exceptions import QueryError, StorageError
+from ..kernels.gram import row_tiles
 from ..obs.events import ROOT
 from .base import (
     PRUNE_SLACK_REL,
@@ -824,23 +825,20 @@ class MTree(MTreeSearchMixin, AccessMethod):
         """Nearest-seed assignment for every object in *indices*.
 
         The seed-to-object cross matrix is the one place a bulk load
-        touches the whole database at once, so it is computed in chunks
-        of ``port.block_rows`` candidate rows (the whole set when
-        unblocked): each chunk materializes only ``block_rows`` records
-        from the store, keeping an out-of-core build's heap bounded.  One
-        explicit charge replays the logical cost of the full cross —
-        identical to the unchunked call it replaces.
+        touches the whole database at once, so it is computed in the
+        kernels' row tiles: each gathers only one tile of records from the
+        store, keeping an out-of-core build's heap bounded.  One explicit
+        charge replays the logical cost of the full cross — identical to
+        the unchunked call it replaces.
         """
         n = int(indices.shape[0])
         n_seeds = int(seed_rows.shape[0])
         owner = np.empty(n, dtype=np.intp)
-        chunk = self._port.block_rows or n
         data = self._plain_rows()
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            block = data[indices[start:stop]]
+        for tile in row_tiles(n):
+            block = data[indices[tile]]
             dist_matrix = self._port.cross(seed_rows, block, charge=False)
-            owner[start:stop] = np.argmin(dist_matrix, axis=0)
+            owner[tile] = np.argmin(dist_matrix, axis=0)
         self._port.charge(rows=n_seeds * n)
         return owner
 

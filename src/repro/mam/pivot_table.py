@@ -103,7 +103,7 @@ class PivotTable(AccessMethod):
     """
 
     #: Every database touch is a ``port.many`` over the stored rows or a
-    #: small fancy-indexed candidate copy — a blocked kernel streams the
+    #: small fancy-indexed candidate copy — the one-to-many reads the
     #: former in tiles, so a memory-mapped store is never materialized.
     supports_out_of_core = True
 

@@ -48,8 +48,8 @@ class SequentialFile(AccessMethod):
     — the single row of Table 1 where the QFD model wins).
     """
 
-    #: A scan is one ``port.many`` over the database rows; with a blocked
-    #: kernel that streams cache-sized tiles of a memory-mapped store.
+    #: A scan is one ``port.many`` over the database rows: the distance's
+    #: own one-to-many, which reads a memory-mapped store tile by tile.
     supports_out_of_core = True
 
     def _scan(self, query: np.ndarray, trace: "QueryTrace") -> tuple[np.ndarray, int]:

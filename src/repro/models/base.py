@@ -28,7 +28,7 @@ from .._typing import ArrayLike, as_vector, as_vector_batch
 from ..distances.base import CountingDistance
 from ..engine.trace import QueryTrace, activate_trace, fold_into, query_trace
 from ..exceptions import QueryError
-from ..mam.base import AccessMethod, Neighbor
+from ..mam.base import AccessMethod, DistancePort, Neighbor
 from ..obs import (
     BATCH_OWNER,
     get_logger,
@@ -192,7 +192,6 @@ def restore_distance(
     *,
     store: str = "heap",
     store_path: "str | None" = None,
-    block_rows: int | None = None,
     force_port: bool = False,
 ) -> tuple[Any, "MmapVectorStore | None"]:
     """Snapshot-restore companion of :func:`resolve_store`.
@@ -200,28 +199,19 @@ def restore_distance(
     Returns ``(distance, backing_store)`` for
     :func:`repro.persistence.load_index`: with ``store="mmap"`` the
     archived rows are spilled block-by-block into a memory-mapped store
-    (pass its ``rows`` as the load's database override) and
-    ``block_rows`` defaults on, so the restored index streams pages
-    exactly like a fresh out-of-core build.  *force_port* wraps the
-    counter in a :class:`~repro.mam.base.DistancePort` even without
-    blocking (the SAM refinement contract).
+    (pass its ``rows`` as the load's database override), which the
+    restored index reads exactly like a fresh out-of-core build.
+    *force_port* wraps the counter in a
+    :class:`~repro.mam.base.DistancePort` (the SAM refinement contract).
     """
     if store not in STORES:
         raise QueryError(f"unknown store {store!r}; choose from {list(STORES)}")
-    if store == "mmap" and block_rows is None:
-        from ..kernels import DEFAULT_BLOCK_ROWS
-
-        block_rows = DEFAULT_BLOCK_ROWS
     backing: MmapVectorStore | None = None
     if store == "mmap":
         db = np.asarray(snapshot.database)
         dtype = db.dtype if db.dtype in (np.float32, np.float64) else np.float64
         backing = MmapVectorStore.from_array(db, dtype=dtype, path=store_path)
-    if block_rows is None and not force_port:
-        return counter, backing
-    from ..mam.base import DistancePort
-
-    return DistancePort(counter, block_rows=block_rows), backing
+    return (DistancePort(counter) if force_port else counter), backing
 
 
 def _page_cache(am: AccessMethod) -> Any:
@@ -240,7 +230,6 @@ def record_build_metrics(
     model: str,
     method: str,
     transforms: int = 0,
-    block_rows: int | None = None,
     seconds: float = 0.0,
     event: str = "build",
 ) -> None:
@@ -288,13 +277,7 @@ def record_build_metrics(
     cache = _page_cache(am)
     if cache is not None:
         record_cache_stats(cache.stats, registry=registry)
-    record_memory(
-        registry=registry,
-        model=model,
-        method=method,
-        phase="build",
-        block_rows=block_rows,
-    )
+    record_memory(registry=registry, model=model, method=method, phase="build")
 
 
 class BuiltIndex:
@@ -603,31 +586,17 @@ def instantiate(
     database: np.ndarray,
     counter: CountingDistance,
     kwargs: dict[str, Any],
-    *,
-    block_rows: int | None = None,
 ) -> AccessMethod:
     """Build a registry access method, wiring the model's counter in.
 
     MAMs take the distance as their black box; SAMs pick their own query
     distance but accept an injected refinement counter so the experiments
-    can account their distance evaluations identically.  *block_rows*
-    flows into the method's :class:`~repro.mam.base.DistancePort`,
-    switching its batched evaluations onto the blocked kernels (and, for
-    out-of-core capable methods, letting a memory-mapped database pass
-    through without a heap copy).
+    can account their distance evaluations identically.
     """
     cls, is_sam = resolve_method(name)
-    from ..mam.base import DistancePort
-
     if is_sam:
-        return cls(
-            database,
-            refine_distance=DistancePort(counter, block_rows=block_rows),
-            **kwargs,
-        )
-    if block_rows is None:
-        return cls(database, counter, **kwargs)
-    return cls(database, DistancePort(counter, block_rows=block_rows), **kwargs)
+        return cls(database, refine_distance=DistancePort(counter), **kwargs)
+    return cls(database, counter, **kwargs)
 
 
 def finish_index(
@@ -639,7 +608,6 @@ def finish_index(
     method: str,
     seconds: float,
     transforms: int = 0,
-    block_rows: int | None = None,
     event: str = "build",
     query_mapper: Callable[[np.ndarray], np.ndarray] | None = None,
     batch_mapper: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -660,7 +628,7 @@ def finish_index(
     )
     record_build_metrics(
         am, counter, model=model.name, method=method, transforms=transforms,
-        block_rows=block_rows, seconds=seconds, event=event,
+        seconds=seconds, event=event,
     )
     counter.reset()
     return BuiltIndex(
@@ -686,7 +654,6 @@ def restore_index(
     verify: bool = True,
     store: str = "heap",
     store_path: "str | None" = None,
-    block_rows: int | None = None,
 ) -> BuiltIndex:
     """Restore a snapshot into *model*: the body of both ``load_index``.
 
@@ -724,8 +691,7 @@ def restore_index(
             "transform it with the QMap model first (paper Section 2.4)"
         )
     distance, backing = restore_distance(
-        counter, snapshot, store=store, store_path=store_path,
-        block_rows=block_rows, force_port=is_sam,
+        counter, snapshot, store=store, store_path=store_path, force_port=is_sam,
     )
     with span(f"load/{snapshot.method}", model=model.name):
         start = time.perf_counter()

@@ -27,7 +27,6 @@ def load_built_index(
     verify: bool = True,
     store: str = "heap",
     store_path: "str | None" = None,
-    block_rows: int | None = None,
 ) -> BuiltIndex:
     """Restore a :meth:`BuiltIndex.save` snapshot, model included.
 
@@ -38,10 +37,9 @@ def load_built_index(
     single file open.  Reads the stored model marker and QFD matrix,
     builds the matching :class:`QFDModel` or :class:`QMapModel`, and
     delegates to its ``load_index`` — zero distance evaluations, like
-    every snapshot restore.  ``store``/``store_path``/``block_rows``
-    forward to the model: ``store="mmap"`` re-wires the structure over a
-    memory-mapped spill of the archived rows and evaluates through the
-    blocked kernels.
+    every snapshot restore.  ``store``/``store_path`` forward to the
+    model: ``store="mmap"`` re-wires the structure over a memory-mapped
+    spill of the archived rows.
     """
     from ..persistence import IndexSnapshot, read_snapshot
 
@@ -55,7 +53,7 @@ def load_built_index(
             "BuiltIndex.save"
         )
     matrix = np.asarray(matrix, dtype=np.float64)
-    restore_kwargs = dict(store=store, store_path=store_path, block_rows=block_rows)
+    restore_kwargs = dict(store=store, store_path=store_path)
     if model == QFDModel.name:
         return QFDModel(matrix).load_index(snapshot, verify=verify, **restore_kwargs)
     if model == QMapModel.name:

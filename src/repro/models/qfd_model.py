@@ -63,7 +63,6 @@ class QFDModel:
         store: str = "heap",
         store_dtype: Any = None,
         store_path: "str | None" = None,
-        block_rows: int | None = None,
         **kwargs: Any,
     ) -> BuiltIndex:
         """Build the named access method over *database*.
@@ -75,19 +74,14 @@ class QFDModel:
 
         ``store="mmap"`` indexes a memory-mapped record store (built from
         *database* if it is not already a
-        :class:`~repro.storage.MmapVectorStore`) and defaults
-        ``block_rows`` on, so out-of-core capable methods stream the rows
-        through the blocked kernels instead of materializing them.
+        :class:`~repro.storage.MmapVectorStore`); out-of-core capable
+        methods read its rows in place, with the heap build's arithmetic.
         """
         if method in SAM_REGISTRY:
             raise QueryError(
                 f"SAM {method!r} cannot index the raw QFD space; transform "
                 "it with the QMap model first (paper Section 2.4)"
             )
-        if store == "mmap" and block_rows is None:
-            from ..kernels import DEFAULT_BLOCK_ROWS
-
-            block_rows = DEFAULT_BLOCK_ROWS
         data, backing = resolve_store(
             database, self.dim, store=store, store_dtype=store_dtype,
             store_path=store_path,
@@ -95,12 +89,9 @@ class QFDModel:
         counter = CountingDistance(self._qfd, one_to_many=self._qfd.one_to_many)
         with span(f"build/{method}", model=self.name):
             start = time.perf_counter()
-            am = instantiate(method, data, counter, kwargs, block_rows=block_rows)
+            am = instantiate(method, data, counter, kwargs)
             elapsed = time.perf_counter() - start
-        return finish_index(
-            self, am, counter, backing, method=method, seconds=elapsed,
-            block_rows=block_rows,
-        )
+        return finish_index(self, am, counter, backing, method=method, seconds=elapsed)
 
     def load_index(
         self,
@@ -109,7 +100,6 @@ class QFDModel:
         verify: bool = True,
         store: str = "heap",
         store_path: "str | None" = None,
-        block_rows: int | None = None,
     ) -> BuiltIndex:
         """Restore a :meth:`BuiltIndex.save` snapshot into this model.
 
@@ -123,12 +113,12 @@ class QFDModel:
         ``store="mmap"`` spills the archived rows into a memory-mapped
         store (block by block — the heap never holds the full database)
         and re-wires the structure over its pages, still at zero
-        evaluations; ``block_rows`` defaults on in that case.
+        evaluations.
         """
         counter = CountingDistance(self._qfd, one_to_many=self._qfd.one_to_many)
         return restore_index(
             self, source, counter, accepts_sams=False, verify=verify, store=store,
-            store_path=store_path, block_rows=block_rows,
+            store_path=store_path,
         )
 
     def distance(self, u: ArrayLike, v: ArrayLike) -> float:

@@ -26,6 +26,7 @@ from ..core.qmap import QMap
 from ..distances.base import CountingDistance
 from ..distances.minkowski import euclidean, euclidean_one_to_many
 from ..exceptions import QueryError
+from ..kernels.gram import row_tiles
 from ..obs import span
 from ..storage.mmap_store import MmapVectorStore
 from .base import BuiltIndex, finish_index, instantiate, restore_index
@@ -62,13 +63,13 @@ class QMapModel:
         """Histogram dimensionality ``n`` (preserved by the map, k = n)."""
         return self._qmap.dim
 
-    def _iter_source_blocks(self, database: ArrayLike, chunk: int) -> Any:
+    def _iter_source_blocks(self, database: ArrayLike) -> Any:
         """Yield float64 ``(k, n)`` blocks of the source database.
 
         A :class:`~repro.storage.MmapVectorStore` (or a raw 2-D array /
-        memmap) is streamed in *chunk*-row slices, so the heap holds one
-        block at a time; anything else is coerced through the standard
-        validation first.
+        memmap) is streamed in the kernels' row tiles, so the heap holds
+        one block at a time; anything else is coerced through the
+        standard validation first.
         """
         if isinstance(database, MmapVectorStore):
             if database.dim != self.dim:
@@ -76,9 +77,7 @@ class QMapModel:
                     f"database dimensionality {database.dim} does not match "
                     f"the model's {self.dim}"
                 )
-            for _, view in database.iter_blocks(chunk):
-                yield np.asarray(view, dtype=np.float64)
-            return
+            database = database.rows
         rows = np.asarray(database)
         if rows.ndim != 2 or rows.dtype not in (np.float32, np.float64):
             rows = as_vector_batch(database, self.dim, name="database")
@@ -87,8 +86,8 @@ class QMapModel:
                 f"database shape {rows.shape} does not match expected "
                 f"dimensionality {self.dim}"
             )
-        for start in range(0, rows.shape[0], chunk):
-            yield np.asarray(rows[start : start + chunk], dtype=np.float64)
+        for tile in row_tiles(rows.shape[0]):
+            yield np.asarray(rows[tile], dtype=np.float64)
 
     def _source_length(self, database: ArrayLike) -> int:
         if isinstance(database, MmapVectorStore):
@@ -103,7 +102,6 @@ class QMapModel:
         store: str = "heap",
         store_dtype: Any = None,
         store_path: "str | None" = None,
-        block_rows: int | None = None,
         **kwargs: Any,
     ) -> BuiltIndex:
         """Transform *database* and build the named access method over it.
@@ -121,19 +119,12 @@ class QMapModel:
         — one extra rounding per coordinate versus the heap path; pass
         ``store_dtype`` on a heap build to get its bit-exact heap twin).
         """
-        if store == "mmap" and block_rows is None:
-            from ..kernels import DEFAULT_BLOCK_ROWS
-
-            block_rows = DEFAULT_BLOCK_ROWS
         counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
         m = self._source_length(database)
         backing: MmapVectorStore | None = None
         with span(f"build/{method}", model=self.name):
             start = time.perf_counter()
             if store == "mmap":
-                from ..kernels import DEFAULT_BLOCK_ROWS
-
-                chunk = block_rows or DEFAULT_BLOCK_ROWS
                 backing = MmapVectorStore(
                     self.dim,
                     dtype=store_dtype or "float32",
@@ -143,32 +134,24 @@ class QMapModel:
                 # Release written pages every ~256 MiB: dirty mapped
                 # pages count toward RSS until flushed, and the mapped
                 # rows are not read back until the index build.
-                drop_every = max(
-                    1,
-                    (256 << 20)
-                    // max(1, chunk * self.dim * backing.dtype.itemsize),
-                )
+                dropped = 0
                 with span("build/transform", model=self.name):
-                    for i, block in enumerate(
-                        self._iter_source_blocks(database, chunk)
-                    ):
+                    for block in self._iter_source_blocks(database):
                         backing.append_block(self._qmap.transform_batch(block))
-                        if (i + 1) % drop_every == 0:
+                        if backing.nbytes - dropped >= 256 << 20:
                             backing.drop_pages()
+                            dropped = backing.nbytes
                 mapped = backing.rows
             elif store_dtype is not None and np.dtype(store_dtype) != np.float64:
                 # Heap twin of the mmap path: same chunk boundaries, same
                 # per-block transform, same rounding through the record
                 # dtype — the rows differ from an mmap build only in
                 # where they live.
-                from ..kernels import DEFAULT_BLOCK_ROWS
-
-                chunk = block_rows or DEFAULT_BLOCK_ROWS
                 record = np.dtype(store_dtype)
                 mapped = np.empty((m, self.dim), dtype=np.float64)
                 pos = 0
                 with span("build/transform", model=self.name):
-                    for block in self._iter_source_blocks(database, chunk):
+                    for block in self._iter_source_blocks(database):
                         out = self._qmap.transform_batch(block)
                         mapped[pos : pos + out.shape[0]] = (
                             out.astype(record).astype(np.float64)
@@ -178,11 +161,11 @@ class QMapModel:
                 data = as_vector_batch(database, self.dim, name="database")
                 with span("build/transform", model=self.name):
                     mapped = self._qmap.transform_batch(data)
-            am = instantiate(method, mapped, counter, kwargs, block_rows=block_rows)
+            am = instantiate(method, mapped, counter, kwargs)
             elapsed = time.perf_counter() - start
         return finish_index(
             self, am, counter, backing, method=method, seconds=elapsed,
-            transforms=m, block_rows=block_rows,
+            transforms=m,
             query_mapper=self._qmap.transform,
             batch_mapper=self._qmap.transform_batch,
         )
@@ -194,7 +177,6 @@ class QMapModel:
         verify: bool = True,
         store: str = "heap",
         store_path: "str | None" = None,
-        block_rows: int | None = None,
     ) -> BuiltIndex:
         """Restore a :meth:`BuiltIndex.save` snapshot into this model.
 
@@ -209,7 +191,7 @@ class QMapModel:
         counter = CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
         return restore_index(
             self, source, counter, accepts_sams=True, verify=verify, store=store,
-            store_path=store_path, block_rows=block_rows,
+            store_path=store_path,
             query_mapper=self._qmap.transform,
             batch_mapper=self._qmap.transform_batch,
         )

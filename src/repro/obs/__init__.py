@@ -105,7 +105,6 @@ from .live import (
     sync_rate_gauges,
 )
 from .memory import (
-    KERNEL_BLOCK_ROWS,
     PEAK_RSS,
     RssSampler,
     current_rss_bytes,
@@ -194,7 +193,6 @@ __all__ = [
     "QUERY_ERRORS",
     "TRANSFORMS",
     "PEAK_RSS",
-    "KERNEL_BLOCK_ROWS",
     "peak_rss_bytes",
     "peak_rss_source",
     "current_rss_bytes",

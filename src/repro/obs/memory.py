@@ -29,7 +29,6 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 __all__ = [
     "PEAK_RSS",
-    "KERNEL_BLOCK_ROWS",
     "peak_rss_bytes",
     "peak_rss_source",
     "current_rss_bytes",
@@ -39,9 +38,6 @@ __all__ = [
 
 #: Gauge of the process peak resident set size in bytes (high-water mark).
 PEAK_RSS = "repro_peak_rss_bytes"
-
-#: Gauge of the blocked-kernel tile height used by a build (rows).
-KERNEL_BLOCK_ROWS = "repro_kernel_block_rows"
 
 
 def peak_rss_source() -> str:
@@ -197,9 +193,8 @@ def record_memory(
     model: str = "",
     method: str = "",
     phase: str = "build",
-    block_rows: int | None = None,
 ) -> None:
-    """Record the current peak RSS (and the kernel tile size, if blocked).
+    """Record the current peak RSS.
 
     A no-op with the null registry.  Labels mirror the distance counters
     so one query joins memory against evaluations per model/method.
@@ -212,7 +207,3 @@ def record_memory(
         reg.gauge(
             PEAK_RSS, "process peak resident set size in bytes (high-water mark)"
         ).set(peak, model=model, method=method, phase=phase)
-    if block_rows:
-        reg.gauge(
-            KERNEL_BLOCK_ROWS, "blocked Gram kernel tile height in rows"
-        ).set(int(block_rows), model=model, method=method)

@@ -5,9 +5,10 @@ the heap-resident float64 arrays the in-memory path uses (~4 GB for the
 raw copy alone).  :class:`MmapVectorStore` keeps the records in a single
 ``np.memmap`` file of packed float32 (or float64) rows instead: the
 operating system pages vector data in and out on demand, the process RSS
-stays bounded by the working set, and the blocked kernels
-(:mod:`repro.kernels.blocked`) stream row-range *views* of the mapping
-without ever copying the whole store.
+stays bounded by the working set, and the kernels read row-range *views*
+of the mapping one tile at a time (:func:`repro.kernels.gram.row_tiles`),
+upcasting each to the float64 floats a heap copy would hold, so an index
+answers and charges the same on either store.
 
 The record API mirrors :class:`~repro.storage.vector_store.VectorStore`
 (``append`` / ``extend`` / ``get`` / ``scan`` / ``scan_pages`` /

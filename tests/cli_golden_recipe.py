@@ -127,9 +127,8 @@ INVOCATIONS: list[tuple[str, list[str]]] = [
     # ci.yml "Out-of-core build smoke"
     ("index-build-mmap",
      ["index", "build", "--method", "mtree", "--size", "400", "--bins", "2",
-      "--store", "mmap", "--block-rows", "128", "--out", "{tmp}/mmap_idx"]),
-    ("index-load-mmap",
-     ["index", "load", "{tmp}/mmap_idx.npz", "--store", "mmap", "--block-rows", "128"]),
+      "--store", "mmap", "--out", "{tmp}/mmap_idx"]),
+    ("index-load-mmap", ["index", "load", "{tmp}/mmap_idx.npz", "--store", "mmap"]),
     ("index-query-mmap", ["index", "query", "{tmp}/mmap_idx.npz", "--k", "5"]),
     # planner (ci.yml "Cost-based planner smoke", api_guide, SKILL.md)
     ("plan-save-pivot",

@@ -57,7 +57,6 @@ N_QUERIES = 3
 K = 6
 EPSILON = 0.5
 RADIUS_RANK = 8  # range radius = this query's 8th-nearest distance
-BLOCK_ROWS = 13
 BINS = 2         # 8-d histograms: low enough that kNN prunes subtrees too
 
 
@@ -70,9 +69,7 @@ def build_state(model, method: str, state: str, workload, tmp: Path, **extra):
     """One index of the matrix in the requested *state*."""
     kwargs = dict(TREES[method], **extra)
     if state == "mmap32":
-        return model.build_index(
-            method, workload.database, store="mmap", block_rows=BLOCK_ROWS, **kwargs
-        )
+        return model.build_index(method, workload.database, store="mmap", **kwargs)
     if state == "inserted":
         built = model.build_index(method, workload.database[:M_BEFORE], **kwargs)
         for step, row in enumerate(workload.database[M_BEFORE:]):

@@ -7,8 +7,7 @@ charges or reports.  This recipe drives the pivot table through
 
 * bounds ``triangle`` / ``ptolemaic`` / ``best`` x models QFD / QMap;
 * states: fresh build, after interleaved query/insert steps, after a
-  snapshot round-trip, and over a memory-mapped float32 store read
-  through ``block_rows`` tiles;
+  snapshot round-trip, and over a memory-mapped float32 store;
 * operations: kNN with ``k`` = 1, 10 and ``k >= m``, and a range query;
 * modes: single queries (sinks off, then under the EXPLAIN detail), the
   batch engine's serial executor and its thread executor (two workers
@@ -65,7 +64,6 @@ N_PIVOTS = 6
 N_QUERIES = 4    # three held-out queries plus one stored object (a self-query)
 KS = {"knn1": 1, "knn10": 10, "knn_all": M + 5}
 RADIUS_RANK = 8  # range radius = the largest 8th-nearest distance of any query
-BLOCK_ROWS = 13
 BINS = 4         # 64-d histograms: the bounds prune, but loosely enough to refine in blocks
 DISTANCE_TOL = 1e-9
 
@@ -91,9 +89,7 @@ def build_state(model, bound: str, state: str, workload, queries, tmp: Path):
     """One pivot table of the matrix in the requested *state*."""
     kwargs = {"n_pivots": N_PIVOTS, "bound": bound}
     if state == "mmap32":
-        return model.build_index(
-            "pivot-table", workload.database, store="mmap", block_rows=BLOCK_ROWS, **kwargs
-        )
+        return model.build_index("pivot-table", workload.database, store="mmap", **kwargs)
     if state == "inserted":
         built = model.build_index("pivot-table", workload.database[:M_BEFORE], **kwargs)
         for step, row in enumerate(workload.database[M_BEFORE:]):

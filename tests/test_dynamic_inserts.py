@@ -306,9 +306,9 @@ class TestInsertStorage:
     def test_qfd_row_norms_wait_for_their_first_reader(
         self, workload, monkeypatch, tmp_path
     ) -> None:
-        """The plain QFD scan never reads the ``vAv^T`` norms, so neither a
-        build, an insert nor a restore computes them; the blocked scan
-        does read them, once, at its first query."""
+        """A QFD scan never reads the ``vAv^T`` norms, on either store, so
+        neither a build, an insert, a restore nor a query computes them;
+        a tree's bound query over the database is their first reader."""
         from repro.kernels.kernels import QFDKernel
         from repro.models import load_built_index
 
@@ -323,14 +323,18 @@ class TestInsertStorage:
         plain = model.build_index("sequential", workload.database[:100])
         plain.insert(workload.database[100])
         restored = load_built_index(plain.save(tmp_path / "scan.npz"))
-        want = [plain.knn_search(q, 5) for q in workload.queries]
-        for q, neighbors in zip(workload.queries, want):
-            assert_same_neighbors(restored.knn_search(q, 5), neighbors)
+        mmap = model.build_index("sequential", workload.database[:101], store="mmap")
+        rounded = model.build_index(
+            "sequential", workload.database[:101], store_dtype="float32"
+        )
+        for q in workload.queries:
+            want = plain.knn_search(q, 5)
+            assert_same_neighbors(restored.knn_search(q, 5), want)
+            assert_same_neighbors(mmap.knn_search(q, 5), rounded.knn_search(q, 5), tol=0.0)
         assert computed == []
-        blocked = model.build_index("sequential", workload.database[:101], block_rows=16)
+        tree = model.build_index("mtree", workload.database[:101], store="mmap", capacity=6)
         assert computed == []
-        for q, neighbors in zip(workload.queries, want):
-            assert_same_neighbors(blocked.knn_search(q, 5), neighbors)
+        tree.knn_search(workload.queries[0], 5)
         assert computed == [101]
 
     def test_restored_tree_takes_inserts_and_bulk_helpers(self, workload) -> None:

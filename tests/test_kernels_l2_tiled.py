@@ -1,8 +1,9 @@
 """The one difference-form L2 one-to-many (``gram.l2_one_to_many``).
 
-``euclidean_one_to_many`` and ``blocked_l2_one_to_many`` delegate to it.
+``euclidean_one_to_many`` and ``L2Kernel.one_to_many`` delegate to it.
 More rows than one tile stream through a reused difference buffer instead
-of an ``m x n`` temporary.  Pinned here:
+of an ``m x n`` temporary.  Tile heights are forced by patching the tile
+constant ``gram._L2_TILE_FLOATS``.  Pinned here:
 
 * every float is ``np.array_equal`` to the one-shot form
   ``sqrt(einsum(diff, diff))`` written inline, at every tile boundary;
@@ -20,7 +21,7 @@ import pytest
 
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.exceptions import DimensionMismatchError
-from repro.kernels import blocked_l2_one_to_many, gram
+from repro.kernels import L2Kernel, gram
 from repro.mam import MTree
 
 
@@ -34,9 +35,14 @@ def tile_rows(dim: int) -> int:
     return gram._L2_TILE_FLOATS // dim
 
 
+def force_tile_rows(monkeypatch, rows: int, dim: int) -> None:
+    """Make :func:`gram.l2_one_to_many` stream *rows*-row tiles of *dim*-d rows."""
+    monkeypatch.setattr(gram, "_L2_TILE_FLOATS", rows * dim)
+
+
 ENTRY_POINTS = {
     "gram": gram.l2_one_to_many,
-    "blocked": blocked_l2_one_to_many,
+    "kernel": L2Kernel().one_to_many,
     "euclidean": euclidean_one_to_many,
 }
 
@@ -61,16 +67,19 @@ class TestBitIdenticalToTheOneShotForm:
             assert np.array_equal(got, one_shot(q, rows[:count])), (entry, count)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 100, 4096, 8000, 9000])
-    def test_explicit_block_rows(self, corpus, block_rows) -> None:
+    def test_explicit_block_rows(self, corpus, block_rows, monkeypatch) -> None:
+        """Any tile height, forced through the constant, gives the same floats."""
         q, rows = corpus
         want = one_shot(q, rows[:3000])
-        for kernel in (gram.l2_one_to_many, blocked_l2_one_to_many):
-            assert np.array_equal(kernel(q, rows[:3000], block_rows=block_rows), want)
+        force_tile_rows(monkeypatch, block_rows, rows.shape[1])
+        for kernel in ENTRY_POINTS.values():
+            assert np.array_equal(kernel(q, rows[:3000]), want)
 
-    def test_block_rows_must_be_positive(self, corpus) -> None:
+    def test_block_rows_must_be_positive(self, corpus, monkeypatch) -> None:
+        """A tile constant narrower than one row still streams one row per tile."""
         q, rows = corpus
-        with pytest.raises(ValueError, match="block_rows"):
-            blocked_l2_one_to_many(q, rows, block_rows=0)
+        monkeypatch.setattr(gram, "_L2_TILE_FLOATS", rows.shape[1] // 2)
+        assert np.array_equal(gram.l2_one_to_many(q, rows[:50]), one_shot(q, rows[:50]))
 
     def test_float32_rows(self, corpus) -> None:
         q, rows = corpus
@@ -81,7 +90,7 @@ class TestBitIdenticalToTheOneShotForm:
         assert np.array_equal(gram.l2_one_to_many(q.astype(np.float32), rows32),
                               one_shot(q.astype(np.float32), rows32))
 
-    def test_read_only_memmap_rows(self, corpus, tmp_path) -> None:
+    def test_read_only_memmap_rows(self, corpus, tmp_path, monkeypatch) -> None:
         q, rows = corpus
         for dtype in (np.float32, np.float64):
             path = tmp_path / f"rows_{np.dtype(dtype).name}.bin"
@@ -90,7 +99,9 @@ class TestBitIdenticalToTheOneShotForm:
             want = one_shot(q, np.asarray(mapped))
             for kernel in ENTRY_POINTS.values():
                 assert np.array_equal(kernel(q, mapped), want)
-            assert np.array_equal(gram.l2_one_to_many(q, mapped, block_rows=13), want)
+            with monkeypatch.context() as patch:
+                force_tile_rows(patch, 13, rows.shape[1])
+                assert np.array_equal(gram.l2_one_to_many(q, mapped), want)
 
     def test_non_contiguous_views(self, corpus) -> None:
         q, rows = corpus

@@ -414,14 +414,15 @@ class TestTheTransformIsFlushed:
         qmap.transform(rows[3])
         assert rows.tobytes() == before
 
-    def test_out_of_core_builds_map_to_the_in_ram_rows(self, tmp_path) -> None:
-        """A chunked (``block_rows``) float64 mmap build stores the heap build's bits."""
+    def test_out_of_core_builds_map_to_the_in_ram_rows(self, tmp_path, monkeypatch) -> None:
+        """A float64 mmap build transformed in many tiles stores the heap build's bits."""
         w = histogram_workload(700, 2, bins_per_channel=4, seed=2011)
         model = QMapModel(w.matrix)
         heap = model.build_index("sequential", w.database)
+        monkeypatch.setattr(gram, "_TILE_ROWS", 97)
         spilled = model.build_index(
             "sequential", w.database, store="mmap", store_dtype="float64",
-            store_path=str(tmp_path / "mapped.bin"), block_rows=97,
+            store_path=str(tmp_path / "mapped.bin"),
         )
         assert np.array_equal(
             np.asarray(spilled.access_method.database), heap.access_method.database

@@ -203,7 +203,7 @@ class TestBlockTraversal:
     def test_models_and_memory_mapped_float32(self, method, model_cls, store) -> None:
         w = histogram_workload(260, 4, bins_per_channel=2, seed=77)
         model = model_cls(w.matrix)
-        extra = {"store": "mmap", "block_rows": 13} if store == "mmap32" else {}
+        extra = {"store": "mmap"} if store == "mmap32" else {}
         kwargs = {"capacity": 6, **({"cache_pages": 4} if method == "paged-mtree" else {})}
         built = model.build_index(method, w.database, **kwargs, **extra)
         scan = model.build_index("sequential", w.database, **extra).access_method

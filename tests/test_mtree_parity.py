@@ -23,7 +23,6 @@ from repro.models import QFDModel, QMapModel
 
 from .helpers import assert_same_neighbors
 from .mtree_parity_recipe import (
-    BLOCK_ROWS,
     EPSILON,
     FIXTURE_PATH,
     K,
@@ -50,7 +49,7 @@ class TestParityMatrix:
             rounded = bool(np.array_equal(rows, rows.astype(np.float32)))
             key = (built.model_name, rounded)
             if key not in scans:
-                store = {"store": "mmap", "block_rows": BLOCK_ROWS} if rounded else {}
+                store = {"store": "mmap"} if rounded else {}
                 scans[key] = MODELS[built.model_name](workload.matrix).build_index(
                     "sequential", workload.database, **store
                 )

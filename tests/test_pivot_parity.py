@@ -5,9 +5,10 @@
 *before* the pivot-major table and the block-evaluated refinement.
 Replaying the recipe must reproduce it — indices, counts, EXPLAIN totals and
 the snapshot hash exactly, distances within 1e-9 — with every answer equal
-to the sequential scan's.  The other classes pin what the blocked design can
-get wrong (the unconditional first ``k``, ties at the ``k``-th bound, the
-``r0`` survivors) and that refinement really is array-at-a-time.
+to the sequential scan's.  The other classes pin what block-evaluated
+refinement can get wrong (the unconditional first ``k``, ties at the
+``k``-th bound, the ``r0`` survivors) and that refinement really is
+array-at-a-time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.models import QFDModel, QMapModel, explain_query
 
 from .helpers import assert_same_neighbors
 from .pivot_parity_recipe import (
-    BLOCK_ROWS,
     BOUNDS,
     DISTANCE_TOL,
     FIXTURE_PATH,
@@ -50,7 +50,7 @@ class TestParityMatrix:
             rounded = rows.dtype == np.float32
             key = (built.model_name, rounded)
             if key not in scans:
-                store = {"store": "mmap", "block_rows": BLOCK_ROWS} if rounded else {}
+                store = {"store": "mmap"} if rounded else {}
                 scans[key] = MODELS[built.model_name](workload.matrix).build_index(
                     "sequential", workload.database, **store
                 )

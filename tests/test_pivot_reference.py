@@ -89,19 +89,32 @@ class TestAgainstReference:
     @given(seed=st.integers(0, 100_000), m=st.integers(2, 50), k=st.integers(1, 12))
     @settings(max_examples=15, deadline=None)
     def test_float32_mmap_store_under_both_models(self, bound, seed, m, k) -> None:
+        """An mmap table is its heap twin over the same float32-rounded rows;
+        under QMap both are the reference's too.  (The QFD model's
+        difference form evaluates the reference's one-row batches as a
+        matrix-vector product, whose last ulp differs from a block's.)"""
         rng = np.random.default_rng(seed)
         matrix = random_spd_matrix(DIM, rng=rng, condition=6.0)
         rows = grid_rows(rng, m)
+        queries = (rows[rng.integers(m)], rng.uniform(0, 1, DIM))
         for model in (QMapModel(matrix), QFDModel(matrix)):
-            built = model.build_index(
-                "pivot-table", rows, store="mmap", block_rows=7, n_pivots=min(6, m), bound=bound
-            )
+            kwargs = {"n_pivots": min(6, m), "bound": bound}
+            built = model.build_index("pivot-table", rows, store="mmap", **kwargs)
+            twin = model.build_index("pivot-table", rows, store_dtype="float32", **kwargs)
             table = built.access_method
             assert table.database.dtype == np.float32
-            for query in (rows[rng.integers(m)], rng.uniform(0, 1, DIM)):
+            for query in queries:
                 mapped = built._map_query(query)
                 radius = table.distance.compute_many(mapped, table.database[m // 2 : m // 2 + 1])
-                check_against_reference(table, mapped, k, float(radius[0]))
+                for search, parameter in (("knn_search", k), ("range_search", radius[0])):
+                    runs = []
+                    for index in (built, twin):
+                        with query_trace("", 0.0) as trace:
+                            answer = getattr(index, search)(query, parameter)
+                        runs.append((answer, Spent.of(trace)))
+                    assert runs[0] == runs[1]
+                if isinstance(model, QMapModel):
+                    check_against_reference(table, mapped, k, float(radius[0]))
 
     def test_fewer_pivots_than_any_stage_one(self, bound) -> None:
         """p = 1, 2, 3: every pivot is a first-stage pivot, the second stage

@@ -1,9 +1,9 @@
 """Memory-mapped vector store: record-API parity, views, lifecycle.
 
-The mmap store is the out-of-core record backend (ISSUE: the paper's
+The mmap store is the out-of-core record backend (the paper's
 1M x 512-d testbed).  Its record API must behave exactly like the heap
 :class:`~repro.storage.vector_store.VectorStore` so call sites work
-unchanged, while its zero-copy row views feed the blocked kernels.
+unchanged, while its zero-copy row views feed the kernels tile by tile.
 """
 
 from __future__ import annotations
@@ -247,19 +247,12 @@ class TestMemoryObservability:
         assert peak_rss_source() in ("getrusage", "tracemalloc", "unavailable")
 
     def test_record_memory_sets_gauges(self) -> None:
-        from repro.obs import (
-            KERNEL_BLOCK_ROWS,
-            PEAK_RSS,
-            MetricsRegistry,
-            record_memory,
-            snapshot_dict,
-        )
+        from repro.obs import PEAK_RSS, MetricsRegistry, record_memory, snapshot_dict
 
         registry = MetricsRegistry()
-        record_memory(registry=registry, model="qfd", method="mtree", block_rows=8192)
+        record_memory(registry=registry, model="qfd", method="mtree")
         names = {m["name"] for m in snapshot_dict(registry)["metrics"]}
-        assert PEAK_RSS in names
-        assert KERNEL_BLOCK_ROWS in names
+        assert names == {PEAK_RSS}
 
     def test_metrics_block_always_carries_memory(self) -> None:
         from repro.bench import metrics_block
