@@ -21,31 +21,50 @@ execute code).  The layout is versioned and self-describing:
                     under the magic ``\x93PLANE`` (``np.load`` returns it
                     as raw bytes), then each 1 MiB block of the body as
                     every item's first byte, then every second byte, ...
-block rule          the body is streamed in 1 MiB blocks (whole items);
-                    per member, deflate the first block both ways and
-                    keep the smaller form (a tie stays plain)
+block rule          the body is cut in 1 MiB blocks (whole items); per
+                    member, deflate the first block both ways and keep
+                    the smaller form (a tie stays plain)
+one block           a member of at most one block is a zip-DEFLATEd
+                    entry holding the header and the body (format 2's
+                    layout, so ``np.load`` and older readers still read
+                    every marker)
+blocks              a longer member is a zip-STORED entry: the header, a
+                    ``u32`` block count, one ``u32`` deflated length per
+                    block, then every block as its own zlib stream at
+                    the default level (format 3; ``np.load`` cannot
+                    decode it)
 ==================  =====================================================
 
-Every member is zip-DEFLATEd at zlib's default level.  The reader
-allocates each array once and unshuffles block by block straight into
-it; zip checks every member's CRC-32, and a damaged archive raises
-:class:`StorageError`.  Restoring an index from a snapshot re-wires the
-structure from these arrays and performs **zero** logical distance
-computations.
+Independent blocks are deflated on save and inflated on load by a pool
+of at most four threads, sized by the process's CPU affinity (zlib
+releases the GIL), with at most two blocks per thread in flight.  The
+reader allocates each array once and every block is unshuffled straight
+into it; each block's Adler-32, its inflated length and every entry's
+zip CRC-32 are checked, and a damaged archive raises
+:class:`StorageError`.  A DEFLATEd entry (every member of versions 1
+and 2) is decoded block by block on the calling thread.  Restoring an
+index from a snapshot re-wires the structure from these arrays and
+performs **zero** logical distance computations.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import io
+import itertools
 import lzma
 import math
 import os
 import struct
+import tempfile
+import tokenize
 import zipfile
 import zlib
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -66,7 +85,7 @@ __all__ = [
 ]
 
 SNAPSHOT_KIND = "index-snapshot"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 STATE_PREFIX = "state__"
 META_PREFIX = "meta__"
 
@@ -77,6 +96,15 @@ _HEADER_KEYS = ("kind", "format_version", "method", "method_version", "database"
 _BLOCK_BYTES = 1 << 20
 _PLAIN, _SHUFFLED = "npy", "shuffled"
 _MAGIC = {_PLAIN: b"\x93NUMPY", _SHUFFLED: b"\x93PLANE"}
+
+#: Threads that deflate / inflate blocks (zlib releases the GIL).
+_POOL_SIZE = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+#: What a pool thread hands zlib at a time.  Its output goes straight into
+#: memory the calling thread allocated: glibc keeps what a thread frees in
+#: that thread's own arena, so a pool thread's large buffers would stay
+#: resident after the call.
+_PIECE_BYTES = 1 << 16
 
 #: What zipfile, zlib and numpy's header parser raise on a damaged archive.
 _DECODE_ERRORS = (EOFError, OSError, RuntimeError, ValueError, struct.error,
@@ -124,27 +152,123 @@ def _block_items(itemsize: int) -> int:
     return max(1, _BLOCK_BYTES // max(1, itemsize))
 
 
-def _planes(block: np.ndarray) -> bytes:
-    """The byte-plane shuffle of one block: all first bytes, then all second, ..."""
-    return block.view(np.uint8).reshape(-1, block.itemsize).T.tobytes()
+def _body_pieces(block: np.ndarray, shuffle: bool) -> "Iterator[np.ndarray]":
+    """One block's body in order: its byte planes (every item's first byte,
+    then every second byte, ...), or its bytes in pieces."""
+    data = block.view(np.uint8)
+    if shuffle:
+        items = data.reshape(-1, block.itemsize)
+        return (np.ascontiguousarray(items[:, plane]) for plane in range(block.itemsize))
+    return (data[start : start + _PIECE_BYTES] for start in range(0, data.size, _PIECE_BYTES))
 
 
-def _write_member(zf: zipfile.ZipFile, key: str, arr: np.ndarray) -> None:
-    """Stream one entry into *zf* as a plain or shuffled member (module docs)."""
-    header = np.lib.format.header_data_from_array_1_0(arr)
-    flat = np.ravel(arr, order="F" if header["fortran_order"] else "C")
-    step = _block_items(flat.itemsize)
-    first = flat[:step]
-    plain, planes = first.view(np.uint8), _planes(first)
-    shuffle = flat.itemsize > 1 and len(zlib.compress(planes)) < len(zlib.compress(plain))
+def _deflate_buffer(block: np.ndarray) -> bytearray:
+    """Room for one deflated block (zlib's ``deflateBound``, rounded up)."""
+    size = block.nbytes
+    return bytearray(size + (size >> 12) + (size >> 14) + 64)
+
+
+def _deflated_pieces(block: np.ndarray, shuffle: bool) -> "Iterator[bytes]":
+    packer = zlib.compressobj()
+    yield from map(packer.compress, _body_pieces(block, shuffle))
+    yield packer.flush()
+
+
+def _deflate(block: np.ndarray, shuffle: bool, out: bytearray) -> memoryview:
+    """``zlib.compress`` of one block's body, written into *out* (a pool job).
+
+    Feeding zlib the body in pieces yields exactly the bytes of one call;
+    *out* grows should the bound fall short.
+    """
+    end = 0
+    for data in _deflated_pieces(block, shuffle):
+        out[end : end + len(data)] = data
+        end += len(data)
+    return memoryview(out)[:end]
+
+
+def _in_order(pool: ThreadPoolExecutor, jobs: "Iterable[Callable[[], Any]]") -> "Iterator[Any]":
+    """Run *jobs* on *pool*, at most two per thread in flight; yield their results in order."""
+    window: collections.deque = collections.deque()
+    for job in jobs:
+        if len(window) == 2 * _POOL_SIZE:
+            yield window.popleft().result()
+        window.append(pool.submit(job))
+    while window:
+        yield window.popleft().result()
+
+
+def _shuffles(trial: "list[Future[memoryview]]") -> bool:
+    """Whether the first block deflated smaller shuffled (a tie stays plain)."""
+    return len(trial) == 2 and len(trial[1].result()) < len(trial[0].result())
+
+
+def _winner(trial: "list[Future[memoryview]]") -> memoryview:
+    return trial[_shuffles(trial)].result()
+
+
+def _deflate_as_decided(
+    trial: "list[Future[memoryview]]", block: np.ndarray, out: bytearray
+) -> memoryview:
+    return _deflate(block, _shuffles(trial), out)
+
+
+def _deflate_jobs(
+    pool: ThreadPoolExecutor, payload: "dict[str, np.ndarray]", started: collections.deque
+) -> "Iterator[Callable[[], memoryview]]":
+    """One deflate job per block of every entry, in archive order.
+
+    As an entry starts, its codec trial (the first block deflated both
+    ways) is submitted and ``(key, header, blocks, trial)`` is queued on
+    *started*; its block jobs wait for the trial, whose winner is block 0.
+    The trial is submitted before them, so a waiting job never starves it.
+    """
+    for key, arr in payload.items():
+        header = np.lib.format.header_data_from_array_1_0(arr)
+        flat = np.ravel(arr, order="F" if header["fortran_order"] else "C")
+        step = _block_items(flat.itemsize)
+        blocks = [flat[start : start + step] for start in range(0, flat.size, step)] or [flat]
+        forms = (False, True) if flat.itemsize > 1 else (False,)
+        trial = [
+            pool.submit(_deflate, blocks[0], shuffle, _deflate_buffer(blocks[0]))
+            for shuffle in forms
+        ]
+        started.append((key, header, blocks, trial))
+        yield functools.partial(_winner, trial)
+        for block in blocks[1:]:
+            yield functools.partial(_deflate_as_decided, trial, block, _deflate_buffer(block))
+
+
+def _write_member(
+    zf: zipfile.ZipFile,
+    key: str,
+    header: dict,
+    blocks: "list[np.ndarray]",
+    shuffle: bool,
+    deflated: "Iterator[memoryview]",
+    spill: io.BufferedRandom,
+) -> None:
+    """Write one entry into *zf* as a plain or shuffled member (module docs).
+
+    *deflated* yields its blocks deflated; a longer member's go through
+    *spill*, since the block table that precedes them is known only once
+    all are deflated.
+    """
     codec = _SHUFFLED if shuffle else _PLAIN
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(head, header)
+    head = _MAGIC[codec] + head.getvalue()[len(_MAGIC[_PLAIN]) :]
+    if len(blocks) == 1:
+        body = b"".join(_body_pieces(blocks[0], shuffle))
+        zf.writestr(f"{key}.{codec}", head + body, zipfile.ZIP_DEFLATED)
+        return
+    spill.seek(0)
+    lengths = [spill.write(data) for data in deflated]
+    spill.seek(0)
     with zf.open(f"{key}.{codec}", "w", force_zip64=True) as fh:
-        fh.write(_MAGIC[codec] + head.getvalue()[len(_MAGIC[_PLAIN]) :])
-        for start in range(0, flat.size, step):
-            block = flat[start : start + step]
-            fh.write(_planes(block) if shuffle else block.view(np.uint8))
+        fh.write(head + struct.pack(f"<{len(lengths) + 1}I", len(lengths), *lengths))
+        for length in lengths:
+            fh.write(spill.read(length))
 
 
 def write_snapshot(snapshot: IndexSnapshot, path: "str | os.PathLike[str]") -> str:
@@ -166,9 +290,19 @@ def write_snapshot(snapshot: IndexSnapshot, path: "str | os.PathLike[str]") -> s
     target = normalize_npz_path(path)
     partial = target + ".tmp"
     try:
-        with zipfile.ZipFile(partial, "w", zipfile.ZIP_DEFLATED) as zf:
-            for key, value in payload.items():
-                _write_member(zf, key, value)
+        with (
+            ThreadPoolExecutor(_POOL_SIZE) as pool,
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(partial))) as spill,
+            zipfile.ZipFile(partial, "w") as zf,
+        ):
+            started: collections.deque = collections.deque()
+            deflated = _in_order(pool, _deflate_jobs(pool, payload, started))
+            for first in deflated:
+                key, header, blocks, trial = started.popleft()
+                rest = itertools.islice(deflated, len(blocks) - 1)
+                _write_member(
+                    zf, key, header, blocks, _shuffles(trial), itertools.chain([first], rest), spill
+                )
         os.replace(partial, target)
     finally:
         with contextlib.suppress(FileNotFoundError):  # gone once replaced
@@ -184,35 +318,105 @@ def _npy_header(
     if magic != _MAGIC[name.rpartition(".")[2]] or version not in ((1, 0), (2, 0)):
         raise StorageError(f"{label!s}: entry {name!r} has no npy 1.0/2.0 header of its codec")
     read = getattr(np.lib.format, f"read_array_header_{version[0]}_0")
-    shape, fortran, dtype = read(fh)
+    try:
+        shape, fortran, dtype = read(fh)
+    except (SyntaxError, TypeError, tokenize.TokenError) as exc:  # numpy parses the header text
+        raise StorageError(f"{label!s}: entry {name!r} has an unreadable header ({exc})") from None
     if dtype.hasobject:
         raise StorageError(f"{label!s}: entry {name!r} has object dtype (no pickling)")
     return tuple(int(s) for s in shape), bool(fortran), dtype
 
 
-def _read_member(zf: zipfile.ZipFile, info: zipfile.ZipInfo, label: object) -> np.ndarray:
-    """Inflate (and unshuffle) one member block by block into its array."""
+def _place(data: bytes, dest: np.ndarray, size: int, shuffled: bool, start: int) -> None:
+    """Copy *data*, a block's body from byte *start* on, into the block *dest*.
+
+    A shuffled body is one byte plane after another, so its bytes land
+    item-strided, one plane at a time.
+    """
+    raw = np.frombuffer(data, np.uint8)
+    if not shuffled:
+        dest[start : start + raw.size] = raw
+        return
+    items = dest.reshape(-1, size)
+    while raw.size:
+        plane, item = divmod(start, len(items))
+        part = raw[: len(items) - item]
+        items[item : item + part.size, plane] = part
+        raw, start = raw[part.size :], start + part.size
+
+
+def _inflate(block: bytes, dest: np.ndarray, size: int, shuffled: bool, entry: str) -> None:
+    """Inflate one independently deflated block into *dest* (a pool job).
+
+    zlib is fed in pieces and never allowed past the end of *dest*; the
+    block must be exactly one zlib stream (its Adler-32 is checked at the
+    stream's end) of exactly ``dest.size`` bytes.
+    """
+    inflater, end, source = zlib.decompressobj(), 0, memoryview(block)
+    for start in range(0, len(source), _PIECE_BYTES):
+        data = inflater.decompress(source[start : start + _PIECE_BYTES], dest.size + 1 - end)
+        if end + len(data) > dest.size:
+            raise StorageError(f"{entry}: a block inflates to more than {dest.size} bytes")
+        _place(data, dest, size, shuffled, end)
+        end += len(data)
+    if end != dest.size or not inflater.eof or inflater.unused_data:
+        raise StorageError(
+            f"{entry}: a block is not one zlib stream of {dest.size} bytes ({end} "
+            f"inflated, {'complete' if inflater.eof else 'cut short'}, "
+            f"{len(inflater.unused_data)} bytes after it)"
+        )
+
+
+def _member_jobs(
+    zf: zipfile.ZipFile, info: zipfile.ZipInfo, label: object, keep: "Callable[[np.ndarray], None]"
+) -> "Iterator[Callable[[], None]]":
+    """Decode one member into a new array, handed to *keep* before its body is read.
+
+    A STORED member's blocks are read here and yielded as inflate jobs for
+    the caller to run; a DEFLATEd one is decoded here, block by block.
+    """
+    entry = f"{label!s}: entry {info.filename!r}"
+    stored = info.compress_type == zipfile.ZIP_STORED
     with zf.open(info) as fh:
         shape, fortran, dtype = _npy_header(fh, info.filename, label)
         count, size = math.prod(shape), dtype.itemsize
+        step = _block_items(size)
+        if stored:
+            (blocks,) = struct.unpack("<I", fh.read(4))
+            if blocks != -(-count // step):
+                raise StorageError(
+                    f"{entry} holds {blocks} blocks, its header declares {-(-count // step)}"
+                )
+            lengths = struct.unpack(f"<{blocks}I", fh.read(4 * blocks))
+            declared, by = sum(lengths), "its block table"
+        else:
+            declared, by = count * size, "its header"
         body = info.file_size - fh.tell()
-        if body != count * size:
-            raise StorageError(
-                f"{label!s}: entry {info.filename!r} holds {body} body "
-                f"bytes, its header declares {count * size}"
-            )
+        if body != declared:
+            raise StorageError(f"{entry} holds {body} body bytes, {by} declares {declared}")
         flat = np.empty(count, dtype)
-        out, step = flat.view(np.uint8), _block_items(size)
-        for start in range(0, count, step):
-            n = min(step, count - start)
-            raw = np.frombuffer(fh.read(n * size), np.uint8)
-            dest = out[start * size : (start + n) * size]
-            if info.filename.endswith(_SHUFFLED):
-                dest.reshape(n, size)[...] = raw.reshape(size, n).T
+        keep(flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape))
+        out, shuffled = flat.view(np.uint8), info.filename.endswith(_SHUFFLED)
+        for block, start in enumerate(range(0, count, step)):
+            dest = out[start * size : min(start + step, count) * size]
+            if stored:
+                deflated = fh.read(lengths[block])
+                yield functools.partial(_inflate, deflated, dest, size, shuffled, entry)
             else:
-                dest[...] = raw
+                data = fh.read(dest.size)
+                if len(data) != dest.size:
+                    raise StorageError(f"{entry} ends inside its body")
+                _place(data, dest, size, shuffled, 0)
         fh.read(1)  # reach the member's end, where zip checks its CRC-32
-    return flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape)
+
+
+def _read_member(zf: zipfile.ZipFile, info: zipfile.ZipInfo, label: object) -> np.ndarray:
+    """Decode one member on the calling thread."""
+    kept: list[np.ndarray] = []
+    with contextlib.closing(_member_jobs(zf, info, label, kept.append)) as jobs:
+        for job in jobs:
+            job()
+    return kept[0]
 
 
 def _members(zf: zipfile.ZipFile, path: object) -> "tuple[dict[str, zipfile.ZipInfo], int]":
@@ -268,7 +472,17 @@ def read_snapshot(path: "str | os.PathLike[str]") -> IndexSnapshot:
     with a :class:`StorageError`.
     """
     def read(zf: zipfile.ZipFile, members: dict, _: int) -> "dict[str, np.ndarray]":
-        return {key: _read_member(zf, info, path) for key, info in members.items()}
+        arrays: dict[str, np.ndarray] = {}
+        jobs = (
+            job
+            for key, info in members.items()
+            for job in _member_jobs(zf, info, path, functools.partial(arrays.__setitem__, key))
+        )
+        # Closing *jobs* closes the member being read, should a block fail.
+        with ThreadPoolExecutor(_POOL_SIZE) as pool, contextlib.closing(jobs):
+            for _ in _in_order(pool, jobs):
+                pass  # the jobs fill *arrays* in place
+        return arrays
 
     arrays = _open_snapshot(path, read)
     state: dict[str, np.ndarray] = {}

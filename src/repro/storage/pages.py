@@ -99,7 +99,7 @@ class PagedFile:
         """Physical I/O counters (reads bypass the cache layer only)."""
         return self._stats
 
-    def _write_at(self, offset: int, payload: bytes) -> None:
+    def _write_at(self, offset: int, payload: "bytes | memoryview") -> None:
         if self._fd is not None:
             if os.pwrite(self._fd, payload, offset) != len(payload):
                 raise PageError(f"short write at offset {offset}")
@@ -144,7 +144,8 @@ class PagedFile:
                 f"page image of shape {pages.shape} ({pages.dtype}) does not "
                 f"hold {self._page_size}-byte pages"
             )
-        self._write_at(self._n_pages * self._page_size, pages.tobytes())
+        image = memoryview(np.ascontiguousarray(pages)).cast("B")
+        self._write_at(self._n_pages * self._page_size, image)
         self._n_pages += pages.shape[0]
 
     def _check_page_id(self, page_id: int) -> None:

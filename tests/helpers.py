@@ -123,10 +123,15 @@ def npy_bytes(value) -> bytes:
 
 
 def rewrite_archive(path, edit: Callable[[dict], None]) -> None:
-    """Re-zip the archive at *path* after *edit* changed its ``{name: bytes}``."""
+    """Re-zip the archive at *path* after *edit* changed its ``{name: bytes}``.
+
+    Every member keeps its zip compression; a new one is DEFLATEd.
+    """
     with zipfile.ZipFile(path) as archive:
-        members = {info.filename: archive.read(info) for info in archive.infolist()}
+        infos = archive.infolist()
+        members = {info.filename: archive.read(info) for info in infos}
+    compression = {info.filename: info.compress_type for info in infos}
     edit(members)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+    with zipfile.ZipFile(path, "w") as archive:
         for name, body in members.items():
-            archive.writestr(name, body)
+            archive.writestr(name, body, compression.get(name, zipfile.ZIP_DEFLATED))
