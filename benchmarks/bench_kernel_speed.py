@@ -1,18 +1,16 @@
-"""Kernel-layer speed benchmark: scalar vs node-batched vs Gram kernel.
+"""Kernel-layer speed benchmark: scalar calls vs the batched kernel.
 
-Times M-tree kNN querying under three evaluation strategies over the *same*
+Times M-tree kNN querying under two evaluation strategies over the *same*
 tree, for the QFD model (raw histograms + quadratic form) and the QMap
 model (Cholesky-mapped vectors + L2), at n in {64, 256, 512}:
 
-* ``scalar``       — one Python-level distance call per candidate, the
-  pre-kernel fallback path (``use_kernel=False``, no vectorized form);
-* ``node_batched`` — all entries of a visited node evaluated through the
-  metric's own one-to-many form (diff-based, O(n^2) per row);
-* ``gram_kernel``  — the :mod:`repro.kernels` query context: ``qA`` and
-  ``qAq^T`` precomputed once per query, cached ``vAv^T`` per row, O(n) per
-  candidate.
+* ``scalar`` — one Python-level distance call per candidate, the fallback
+  path of a distance no kernel or vectorized form resolves for;
+* ``kernel`` — the :mod:`repro.kernels` query context: a visited block of
+  nodes in one batched call, O(n^2) per row for the QFD (its difference
+  form, the one QFD arithmetic) and O(n) per row for L2 after QMap.
 
-All three tiers traverse identically and charge identical logical distance
+Both tiers traverse identically and charge identical logical distance
 counts (asserted); only the physical evaluation differs.  The grid runs on
 Gaussian ``vector_workload`` rows, plus one ``histogram_workload`` row at
 the largest dimension — the data every other benchmark and the paper use.
@@ -75,31 +73,15 @@ def _scalar_only(func):
 
 
 def _tier_ports(model: str, matrix: np.ndarray) -> dict[str, DistancePort]:
-    """The three evaluation strategies for one model's metric."""
+    """The two evaluation strategies for one model's metric."""
     if model == "qfd":
         qfd = QuadraticFormDistance(matrix)
-        return {
-            "scalar": DistancePort(
-                CountingDistance(_scalar_only(qfd)), use_kernel=False
-            ),
-            "node_batched": DistancePort(
-                CountingDistance(qfd, one_to_many=qfd.one_to_many), use_kernel=False
-            ),
-            "gram_kernel": DistancePort(
-                CountingDistance(qfd, one_to_many=qfd.one_to_many)
-            ),
-        }
+        func, one_to_many = qfd, qfd.one_to_many
+    else:
+        func, one_to_many = euclidean, euclidean_one_to_many
     return {
-        "scalar": DistancePort(
-            CountingDistance(_scalar_only(euclidean)), use_kernel=False
-        ),
-        "node_batched": DistancePort(
-            CountingDistance(euclidean, one_to_many=euclidean_one_to_many),
-            use_kernel=False,
-        ),
-        "gram_kernel": DistancePort(
-            CountingDistance(euclidean, one_to_many=euclidean_one_to_many)
-        ),
+        "scalar": DistancePort(CountingDistance(_scalar_only(func))),
+        "kernel": DistancePort(CountingDistance(func, one_to_many=one_to_many)),
     }
 
 
@@ -139,11 +121,11 @@ def run_model(
         queries = qmap.transform_batch(workload.queries)
 
     ports = _tier_ports(model, workload.matrix)
-    # One tree, three evaluation strategies: the structure is built once
+    # One tree, two evaluation strategies: the structure is built once
     # (with the kernel port) and the port swapped per tier, so the timing
     # isolates the query hot path.
     build_start = time.perf_counter()
-    tree = MTree(data, ports["gram_kernel"], capacity=capacity)
+    tree = MTree(data, ports["kernel"], capacity=capacity)
     build_seconds = time.perf_counter() - build_start
 
     entry: dict = {
@@ -176,9 +158,9 @@ def run_model(
     assert len(set(counts.values())) == 1, (
         f"{model}/n={dim}: logical distance counts differ across tiers: {counts}"
     )
-    scalar_s = entry["tiers"]["scalar"]["seconds"]
-    entry["speedup_node_batched"] = scalar_s / entry["tiers"]["node_batched"]["seconds"]
-    entry["speedup_gram_kernel"] = scalar_s / entry["tiers"]["gram_kernel"]["seconds"]
+    entry["speedup_kernel"] = (
+        entry["tiers"]["scalar"]["seconds"] / entry["tiers"]["kernel"]["seconds"]
+    )
     return entry
 
 
@@ -212,29 +194,28 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     qfd = QuadraticFormDistance(matrix)
     qmap = QMap(matrix)
     kernel = QFDKernel(matrix)
-    norms = gram.qfd_row_norms(matrix, raw["rows"])
     for operands in (raw, clean):
         operands["ctx"] = kernel.bind(operands["q"])
-    split, a, b = 17, min(64, m // 4), min(300, m // 2)
+    # Pairwise and cross forms are one one-to-many row per row, O(rows^2 n^2).
+    split, a, b = 17, min(16, m // 4), min(300, m // 2)
+    pair = min(64, m // 2)
 
-    # (name, fixed by PR 21?, shape, call over one of the two operand sets)
+    # (name, flushed?, shape, call over one of the two operand sets)
     entry_points = [
         ("QuadraticFormDistance.one_to_many", True, f"{m}x{qfd.dim}",
          lambda d: qfd.one_to_many(d["q"], d["rows"])),
-        ("QuadraticFormDistance.pairwise", True, f"{b}x{qfd.dim}",
-         lambda d: qfd.pairwise(d["rows"][:b])),
-        ("gram.qfd_row_norms", True, f"{m}x{qfd.dim}",
-         lambda d: gram.qfd_row_norms(matrix, d["rows"])),
-        ("gram.qfd_squared_pairwise", True, f"{split}x{qfd.dim}",
-         lambda d: gram.qfd_squared_pairwise(matrix, d["rows"][:split])),
-        ("gram.qfd_cross", True, f"{a}x{b}x{qfd.dim}",
-         lambda d: gram.qfd_cross(matrix, d["rows"][:a], d["rows"][a : a + b])),
-        ("gram.qfd_squared_one_to_many (no norms)", True, f"{m}x{qfd.dim}",
-         lambda d: gram.qfd_squared_one_to_many(matrix, d["q"], d["rows"])),
-        ("QFDQueryContext.many (cached norms)", False, f"{m}x{qfd.dim}",
-         lambda d: d["ctx"].many(d["rows"], norms)),
-        ("QFDQueryContext.one (cached norm)", False, f"1x{qfd.dim}",
-         lambda d: d["ctx"].one(d["rows"][0], norms[0])),
+        ("QuadraticFormDistance.pairwise", True, f"{pair}x{qfd.dim}",
+         lambda d: qfd.pairwise(d["rows"][:pair])),
+        ("gram.qfd_one_to_many", True, f"{m}x{qfd.dim}",
+         lambda d: gram.qfd_one_to_many(matrix, d["q"], d["rows"])),
+        ("QFDKernel.pairwise", True, f"{split}x{qfd.dim}",
+         lambda d: kernel.pairwise(d["rows"][:split])),
+        ("QFDKernel.cross", True, f"{a}x{b}x{qfd.dim}",
+         lambda d: kernel.cross(d["rows"][:a], d["rows"][a : a + b])),
+        ("QFDQueryContext.many", True, f"{m}x{qfd.dim}",
+         lambda d: d["ctx"].many(d["rows"])),
+        ("QFDQueryContext.one", True, f"1x{qfd.dim}",
+         lambda d: d["ctx"].one(d["rows"][0])),
         ("QuadraticFormDistance.squared", False, f"1x{qfd.dim}",
          lambda d: qfd.squared(d["q"], d["rows"][0])),
         ("QMap.transform_batch", True, f"{m}x{qfd.dim}",
@@ -331,8 +312,7 @@ def main() -> None:
         "results": [],
     }
     header = (
-        f"{'model':>6} {'data':>9} {'n':>4} {'scalar':>10} {'node-batch':>11} "
-        f"{'gram':>10} {'speedup':>8}"
+        f"{'model':>6} {'data':>9} {'n':>4} {'scalar':>10} {'kernel':>10} {'speedup':>8}"
     )
     print(header)
     print("-" * len(header))
@@ -359,9 +339,8 @@ def main() -> None:
                 print(
                     f"{model:>6} {data:>9} {dim:>4} "
                     f"{tiers['scalar']['seconds']:>10.4f} "
-                    f"{tiers['node_batched']['seconds']:>11.4f} "
-                    f"{tiers['gram_kernel']['seconds']:>10.4f} "
-                    f"{entry['speedup_gram_kernel']:>7.1f}x"
+                    f"{tiers['kernel']['seconds']:>10.4f} "
+                    f"{entry['speedup_kernel']:>7.1f}x"
                 )
     report["metrics"] = metrics_block(registry)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .._typing import ArrayLike, Matrix, Vector, as_square_matrix, as_vector, as_vector_batch
 from ..exceptions import NotSymmetricError
-from ..kernels.gram import _flush_subnormals, row_tiles
+from ..kernels.gram import qfd_one_to_many, qfd_pairwise
 from .symmetrize import is_symmetric, symmetrize
 from .validation import require_positive_definite
 
@@ -86,38 +86,23 @@ class QuadraticFormDistance:
         """Distances from *q* to every row of *batch*, vectorized.
 
         This is the workhorse of the sequential scan in the QFD model;
-        still O(n^2) arithmetic per row, merely amortized through BLAS.
-        The rows are read in :func:`~repro.kernels.gram.row_tiles`, so a
-        memory-mapped float32 store is upcast one tile at a time.
+        still O(n^2) arithmetic per row, merely amortized through BLAS
+        (:func:`~repro.kernels.gram.qfd_one_to_many`, the arithmetic of
+        every QFD evaluation).  A memory-mapped float32 store is upcast one
+        row tile at a time.
         """
         query = as_vector(q, self.dim, name="q")
         rows = as_vector_batch(batch, self.dim, name="batch", keep_float32=True)
-        out = np.empty(rows.shape[0], dtype=np.float64)
-        for tile in row_tiles(rows.shape[0]):
-            diff = _flush_subnormals(rows[tile] - query, inplace=True)
-            # One BLAS gemm plus an elementwise reduction: still O(m n^2)
-            # arithmetic, just with the best constants the QFD model can get.
-            sq = np.einsum("ij,ij->i", diff @ self._matrix, diff)
-            out[tile] = np.sqrt(np.maximum(sq, 0.0))
-        return out
+        return qfd_one_to_many(self._matrix, query, rows)
 
     def pairwise(self, batch: ArrayLike) -> Matrix:
         """Full ``m x m`` distance matrix over the rows of *batch*.
 
-        Uses the Gram-matrix identity
-        ``d(u,v)^2 = uAu^T + vAv^T - 2 uAv^T`` so the cost is one
-        ``m x n @ n x n`` product instead of ``m^2`` separate forms.
+        Row by row through :meth:`one_to_many`'s arithmetic over the upper
+        triangle, mirrored: exactly symmetric, with an exactly zero
+        diagonal, for any positive-definite matrix.
         """
-        rows = _flush_subnormals(as_vector_batch(batch, self.dim, name="batch"))
-        cross = rows @ self._matrix @ rows.T
-        norms = np.diag(cross)
-        sq = norms[:, None] + norms[None, :] - (cross + cross.T)
-        # Gram-expansion cancellation can leave tiny negative values (or a
-        # nonzero diagonal); clamp and pin so the metric postulates hold
-        # exactly: d(u, u) == 0 and d >= 0 even for near-singular PD
-        # matrices.
-        np.fill_diagonal(sq, 0.0)
-        return np.sqrt(np.maximum(sq, 0.0))
+        return qfd_pairwise(self._matrix, as_vector_batch(batch, self.dim, name="batch"))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QuadraticFormDistance(dim={self.dim})"

@@ -64,7 +64,7 @@ class CountingDistance:
         The underlying distance ``d(u, v) -> float``.
     one_to_many:
         Optional vectorized form ``d1m(q, batch) -> ndarray``; when absent,
-        a Gram-expansion kernel resolved from *func* takes its place, and
+        a batched kernel resolved from *func* takes its place, and
         only if neither exists does :meth:`one_to_many` fall back to a
         Python loop over ``func``.
     """

@@ -1,7 +1,8 @@
-"""BLAS-backed distance kernels (Gram expansion, query contexts, factor cache).
+"""BLAS-backed distance kernels (batched forms, query contexts, factor cache).
 
 This package is the performance substrate under the distance and MAM
-layers: pure batched math in :mod:`~repro.kernels.gram`, per-metric kernel
+layers: pure batched math in :mod:`~repro.kernels.gram` (the QFD's one
+difference form, L2's difference and Gram forms), per-metric kernel
 objects and :func:`~repro.kernels.kernels.resolve_kernel` in
 :mod:`~repro.kernels.kernels`, and the content-addressed Cholesky registry
 in :mod:`~repro.kernels.cholesky_cache`.  Nothing here counts distance
@@ -10,17 +11,13 @@ evaluations — logical charging stays in :class:`repro.mam.base.DistancePort`.
 
 from .cholesky_cache import cached_cholesky, cholesky_cache_info, clear_cholesky_cache
 from .gram import (
-    RECHECK_REL,
     l2_cross,
     l2_one_to_many,
     l2_pairwise,
     l2_row_norms,
-    qfd_cross,
     qfd_one_to_many,
     qfd_pairwise,
     qfd_row_norms,
-    qfd_squared_one_to_many,
-    qfd_squared_pairwise,
     row_tiles,
 )
 from .kernels import L2Kernel, L2QueryContext, QFDKernel, QFDQueryContext, resolve_kernel
@@ -31,7 +28,6 @@ from .ptolemaic import (
 )
 
 __all__ = [
-    "RECHECK_REL",
     "cached_cholesky",
     "cholesky_cache_info",
     "clear_cholesky_cache",
@@ -39,12 +35,9 @@ __all__ = [
     "l2_one_to_many",
     "l2_pairwise",
     "l2_row_norms",
-    "qfd_cross",
     "qfd_one_to_many",
     "qfd_pairwise",
     "qfd_row_norms",
-    "qfd_squared_one_to_many",
-    "qfd_squared_pairwise",
     "L2Kernel",
     "L2QueryContext",
     "QFDKernel",

@@ -1,26 +1,29 @@
-"""Gram-expansion distance math (BLAS substrate of the kernel layer).
+"""Batched distance math (BLAS substrate of the kernel layer).
 
-Both the QFD and the Euclidean distance admit the Gram expansion
+The QFD has one arithmetic, the difference form of paper Section 1.2,
 
-    d(u, v)^2 = uAu^T + vAv^T - 2 uAv^T          (A = I for L2)
+    QFD_A(u, v)^2 = (u - v) A (u - v)^T,
 
-("Faster Linear Algebra for Distance Matrices", arXiv 2210.15114): once the
-per-row norms ``vAv^T`` are known, a whole batch of distances against a
-fixed query costs one matrix-vector product instead of one O(n^2) quadratic
-form per pair.  The functions here are pure array math — no counting, no
-validation; the charging semantics live in :class:`repro.mam.base.DistancePort`.
+O(n^2) per pair however it is batched (:func:`qfd_one_to_many`, and
+:func:`qfd_pairwise` built from it).  Only after QMap is a distance O(n);
+the Euclidean functions here use the Gram expansion
+``|u - v|^2 = uu^T + vv^T - 2 uv^T`` for their matrix forms
+(:func:`l2_pairwise`, :func:`l2_cross`) and the difference form for one
+query (:func:`l2_one_to_many`).  The functions are pure array math — no
+counting, no validation; the charging semantics live in
+:class:`repro.mam.base.DistancePort`.
 
-Cancellation guard
-------------------
-The expansion subtracts numbers of size ``uAu^T + vAv^T`` to produce a
+Cancellation guard (L2 matrix forms)
+------------------------------------
+The expansion subtracts numbers of size ``uu^T + vv^T`` to produce a
 result that can be arbitrarily small, so tiny distances lose all their
 significant digits (``u == v`` comes out as ``±O(eps * scale)`` instead of
-exactly ``0``).  Every function therefore *rechecks* suspiciously small
-squared distances — anything below ``RECHECK_REL * (uAu^T + vAv^T)`` — by
-recomputing them with the exact difference-based form.  The threshold is
-orders of magnitude above the expansion's rounding error and orders of
-magnitude below any distance the expansion can resolve, so the recheck
-changes only values that were pure noise.
+exactly ``0``).  :func:`l2_pairwise` and :func:`l2_cross` therefore
+*recheck* suspiciously small squared distances — anything below
+``RECHECK_REL * (uu^T + vv^T)`` — with the exact difference form.  The
+threshold is orders of magnitude above the expansion's rounding error and
+orders of magnitude below any distance the expansion can resolve, so the
+recheck changes only values that were pure noise.
 """
 
 from __future__ import annotations
@@ -31,18 +34,15 @@ __all__ = [
     "RECHECK_REL",
     "qfd_row_norms",
     "l2_row_norms",
-    "qfd_squared_one_to_many",
     "qfd_one_to_many",
     "l2_one_to_many",
-    "qfd_squared_pairwise",
     "qfd_pairwise",
     "l2_pairwise",
-    "qfd_cross",
     "l2_cross",
     "row_tiles",
 ]
 
-#: Relative threshold under which a Gram-expanded squared distance is
+#: Relative threshold under which a Gram-expanded squared L2 distance is
 #: indistinguishable from cancellation noise and is recomputed exactly.
 #: The expansion's error is O(eps * scale) ~ 1e-14 * scale; true squared
 #: distances the caller can ever act on are far above 1e-12 * scale.
@@ -100,7 +100,7 @@ def _as64(rows: np.ndarray) -> np.ndarray:
 
 
 def qfd_row_norms(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-row quadratic forms ``vAv^T`` (the cacheable half of the Gram sum)."""
+    """Per-row quadratic forms ``vAv^T`` (no QFD evaluation reads them)."""
     out = np.empty(rows.shape[0], dtype=np.float64)
     for tile in row_tiles(rows.shape[0]):
         block = _flush_subnormals(_as64(rows[tile]))
@@ -114,58 +114,23 @@ def l2_row_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _qfd_squared_diff(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Exact difference-based squared QFD of *rows* against *q* — one
-    vector or one row per row (the recheck path)."""
-    diff = _flush_subnormals(_as64(rows) - _as64(q), inplace=True)
-    return np.einsum("ij,ij->i", diff @ matrix, diff)
+def qfd_one_to_many(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """QFD distances from *q* to every row: ``sqrt((v - q) A (v - q)^T)``.
 
-
-def qfd_squared_one_to_many(
-    matrix: np.ndarray,
-    q: np.ndarray,
-    rows: np.ndarray,
-    *,
-    row_norms: np.ndarray | None = None,
-    q_a: np.ndarray | None = None,
-    q_norm: float | None = None,
-) -> np.ndarray:
-    """Squared QFD from *q* to every row via the Gram expansion.
-
-    With *row_norms*, *q_a* (= ``qA``) and *q_norm* (= ``qAq^T``) supplied,
-    each row costs one O(n) dot product — this is the amortized hot path of
-    :class:`~repro.kernels.kernels.QFDQueryContext`.
+    The QFD model's one arithmetic.  One BLAS gemm plus an elementwise
+    reduction per tile of :func:`row_tiles`: still O(n^2) per row, the
+    paper's cost, merely amortized through BLAS.  The differences are
+    flushed of subnormals before the product; a float32 tile upcasts to
+    the floats of its float64 copy.  No cancellation: ``v == q`` gives
+    exactly ``0``.
     """
     q = _as64(q)
-    rows = _as64(rows)
-    if q_a is None:
-        q_a = q @ matrix
-    if q_norm is None:
-        q_norm = float(q_a @ q)
-    if row_norms is None:
-        row_norms = qfd_row_norms(matrix, rows)
-    sq = q_norm + row_norms - 2.0 * (rows @ q_a)
-    suspect = np.flatnonzero(sq <= RECHECK_REL * (q_norm + row_norms))
-    if suspect.size:
-        sq[suspect] = _qfd_squared_diff(matrix, q, rows[suspect])
-    return np.maximum(sq, 0.0)
-
-
-def qfd_one_to_many(
-    matrix: np.ndarray,
-    q: np.ndarray,
-    rows: np.ndarray,
-    *,
-    row_norms: np.ndarray | None = None,
-    q_a: np.ndarray | None = None,
-    q_norm: float | None = None,
-) -> np.ndarray:
-    """QFD distances from *q* to every row (Gram expansion + recheck)."""
-    return np.sqrt(
-        qfd_squared_one_to_many(
-            matrix, q, rows, row_norms=row_norms, q_a=q_a, q_norm=q_norm
-        )
-    )
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    for tile in row_tiles(rows.shape[0]):
+        diff = _flush_subnormals(rows[tile] - q, inplace=True)
+        sq = np.einsum("ij,ij->i", diff @ matrix, diff)
+        out[tile] = np.sqrt(np.maximum(sq, 0.0))
+    return out
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -192,44 +157,21 @@ def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def qfd_squared_pairwise(
-    matrix: np.ndarray,
-    rows: np.ndarray,
-    *,
-    row_norms: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exactly-symmetric squared QFD matrix over *rows* (Gram + recheck).
+def qfd_pairwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pairwise QFD distance matrix: each row's :func:`qfd_one_to_many`
+    over the rows after it, mirrored.
 
-    The diagonal is forced to exactly ``0`` and the cross term is
-    symmetrized as ``C + C^T`` (float addition commutes), so the output is
-    bit-symmetric — partition decisions that read row *i* against row *j*
-    see the same number in both orders.
+    Bit-symmetric with an exactly zero diagonal by construction, so
+    partition decisions that read row *i* against row *j* see the same
+    number in both orders.
     """
-    rows = _flush_subnormals(_as64(rows))
-    g = rows @ matrix
-    if row_norms is None:
-        row_norms = np.einsum("ij,ij->i", g, rows)
-    cross = g @ rows.T
-    sq = row_norms[:, None] + row_norms[None, :] - (cross + cross.T)
-    np.fill_diagonal(sq, 0.0)
-    suspect = sq <= RECHECK_REL * (row_norms[:, None] + row_norms[None, :])
-    np.fill_diagonal(suspect, False)
-    ii, jj = np.nonzero(np.triu(suspect, 1))
-    if ii.size:
-        exact = _qfd_squared_diff(matrix, rows[jj], rows[ii])
-        sq[ii, jj] = exact
-        sq[jj, ii] = exact
-    return np.maximum(sq, 0.0)
-
-
-def qfd_pairwise(
-    matrix: np.ndarray,
-    rows: np.ndarray,
-    *,
-    row_norms: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pairwise QFD distance matrix (symmetric, zero diagonal)."""
-    return np.sqrt(qfd_squared_pairwise(matrix, rows, row_norms=row_norms))
+    n = rows.shape[0]
+    out = np.zeros((n, n), dtype=np.float64)
+    for i in range(n - 1):
+        d = qfd_one_to_many(matrix, rows[i], rows[i + 1 :])
+        out[i, i + 1 :] = d
+        out[i + 1 :, i] = d
+    return out
 
 
 def l2_pairwise(rows: np.ndarray, *, row_norms: np.ndarray | None = None) -> np.ndarray:
@@ -249,38 +191,6 @@ def l2_pairwise(rows: np.ndarray, *, row_norms: np.ndarray | None = None) -> np.
         sq[ii, jj] = exact
         sq[jj, ii] = exact
     return np.sqrt(np.maximum(sq, 0.0))
-
-
-def qfd_cross(
-    matrix: np.ndarray,
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
-    *,
-    norms_a: np.ndarray | None = None,
-    norms_b: np.ndarray | None = None,
-) -> np.ndarray:
-    """``(a, b)`` QFD distance matrix between two row batches.
-
-    *rows_b* may be database-sized: it is read one tile at a time.
-    """
-    rows_a = _flush_subnormals(_as64(rows_a))
-    g = rows_a @ matrix
-    if norms_a is None:
-        norms_a = np.einsum("ij,ij->i", g, rows_a)
-    out = np.empty((rows_a.shape[0], rows_b.shape[0]), dtype=np.float64)
-    for tile in row_tiles(rows_b.shape[0]):
-        block = _flush_subnormals(_as64(rows_b[tile]))
-        if norms_b is None:
-            n_b = np.einsum("ij,ij->i", block @ matrix, block)
-        else:
-            n_b = norms_b[tile]
-        sq = norms_a[:, None] + n_b[None, :] - 2.0 * (g @ block.T)
-        suspect = sq <= RECHECK_REL * (norms_a[:, None] + n_b[None, :])
-        ii, jj = np.nonzero(suspect)
-        if ii.size:
-            sq[ii, jj] = _qfd_squared_diff(matrix, block[jj], rows_a[ii])
-        out[:, tile] = np.sqrt(np.maximum(sq, 0.0))
-    return out
 
 
 def l2_cross(

@@ -1,19 +1,22 @@
 """Distance kernels: per-metric batched evaluators and query contexts.
 
-A *kernel* packages the Gram-expansion math of :mod:`repro.kernels.gram`
-behind a small object interface the access-method layer can hold on to:
+A *kernel* packages the batched math of :mod:`repro.kernels.gram` behind a
+small object interface the access-method layer can hold on to:
 
-``row_norms(rows)``
-    the cacheable per-row term (``vAv^T`` for QFD, ``vv^T`` for L2);
-``bind(query, ...) -> QueryContext``
-    precompute the per-query terms once (``qA`` and ``qAq^T``) so every
-    subsequent candidate costs one O(n) dot product;
+``bind(query) -> QueryContext``
+    a query bound for repeated evaluation (``many(rows)``, ``one(row)``);
 ``one_to_many`` / ``pairwise`` / ``cross``
-    free-standing batched forms for build-time work.
+    free-standing batched forms for build-time work;
+``row_norms(rows)``
+    the per-row term ``vAv^T`` (``vv^T`` for L2), which no evaluation
+    reads; it is kept for what it costs to compute.
 
-:func:`resolve_kernel` maps a scalar distance function to its kernel, or
-``None`` when no batched form is known (the caller then falls back to the
-function's own vectorized form or a plain loop).
+Every QFD evaluation is one arithmetic, the difference form of
+:func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row); the L2
+kernel is what QMap buys, O(n) per row.  :func:`resolve_kernel` maps a
+scalar distance function to its kernel, or ``None`` when no batched form
+is known (the caller then falls back to the function's own vectorized
+form or a plain loop).
 
 There is one arithmetic per kernel, whatever the rows' store: float32 rows
 (a memory-mapped database) are upcast to float64 before any product, so
@@ -39,54 +42,32 @@ __all__ = [
 
 
 class QFDQueryContext:
-    """Per-query amortization for the QFD: ``qA`` and ``qAq^T`` once.
+    """A query bound to a QFD matrix.
 
-    After binding, each candidate distance is
-    ``sqrt(qAq^T - 2 qA.v + vAv^T)`` — O(n) with a cached row norm instead
-    of the O(n^2) quadratic form per pair.
+    Every distance, one row or many, is
+    :func:`~repro.kernels.gram.qfd_one_to_many`: the same floats the
+    scan, the pivot table and the build get for the same pair.
     """
 
-    __slots__ = ("_kernel", "query", "q_a", "q_norm")
+    __slots__ = ("_matrix", "query")
 
     def __init__(self, kernel: "QFDKernel", query: np.ndarray) -> None:
-        self._kernel = kernel
+        self._matrix = kernel.matrix
         self.query = np.asarray(query, dtype=np.float64)
-        # gemv, not part of a chunk-wide gemm: per-query BLAS paths must be
-        # identical no matter how many queries share the bind site.
-        self.q_a = self.query @ kernel.matrix
-        self.q_norm = float(self.q_a @ self.query)
 
     def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-        """Distances from the bound query to every row."""
-        return gram.qfd_one_to_many(
-            self._kernel.matrix,
-            self.query,
-            rows,
-            row_norms=norms,
-            q_a=self.q_a,
-            q_norm=self.q_norm,
-        )
+        """Distances from the bound query to every row (*norms* is unused)."""
+        return gram.qfd_one_to_many(self._matrix, self.query, rows)
 
     def one(self, row: np.ndarray, norm: float | None = None) -> float:
         """Distance from the bound query to a single row."""
-        row = np.asarray(row, dtype=np.float64)
-        if norm is None:
-            g = row @ self._kernel.matrix
-            norm = float(g @ row)
-        sq = self.q_norm + norm - 2.0 * float(row @ self.q_a)
-        if sq <= gram.RECHECK_REL * (self.q_norm + norm):
-            diff = row - self.query
-            sq = float(diff @ self._kernel.matrix @ diff)
-        return float(np.sqrt(sq if sq > 0.0 else 0.0))
+        return float(self.many(np.asarray(row)[None, :])[0])
 
 
 class QFDKernel:
-    """Batched Gram-expansion evaluator for a static QFD matrix."""
+    """Batched evaluator for a static QFD matrix: the difference form."""
 
     __slots__ = ("matrix",)
-
-    #: The bound context's Gram expansion reads the cached ``vAv^T`` terms.
-    context_uses_norms = True
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
@@ -97,27 +78,19 @@ class QFDKernel:
     def bind(self, query: np.ndarray) -> QFDQueryContext:
         return QFDQueryContext(self, query)
 
-    def one_to_many(
-        self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
-    ) -> np.ndarray:
-        return gram.qfd_one_to_many(self.matrix, q, rows, row_norms=row_norms)
+    def one_to_many(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return gram.qfd_one_to_many(self.matrix, q, rows)
 
-    def pairwise(
-        self, rows: np.ndarray, *, row_norms: np.ndarray | None = None
-    ) -> np.ndarray:
-        return gram.qfd_pairwise(self.matrix, rows, row_norms=row_norms)
+    def pairwise(self, rows: np.ndarray) -> np.ndarray:
+        return gram.qfd_pairwise(self.matrix, rows)
 
-    def cross(
-        self,
-        rows_a: np.ndarray,
-        rows_b: np.ndarray,
-        *,
-        norms_a: np.ndarray | None = None,
-        norms_b: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return gram.qfd_cross(
-            self.matrix, rows_a, rows_b, norms_a=norms_a, norms_b=norms_b
-        )
+    def cross(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """``(a, b)`` distance matrix: one :meth:`one_to_many` per row of *a*;
+        *rows_b* may be database-sized (it is read in row tiles)."""
+        out = np.empty((rows_a.shape[0], rows_b.shape[0]), dtype=np.float64)
+        for i, row in enumerate(rows_a):
+            out[i] = self.one_to_many(row, rows_b)
+        return out
 
 
 class L2QueryContext:
@@ -145,10 +118,6 @@ class L2Kernel:
     """Batched evaluator for the Euclidean distance."""
 
     __slots__ = ()
-
-    #: :class:`L2QueryContext` is difference-based and ignores row norms,
-    #: so callers need not compute, cache or gather them.
-    context_uses_norms = False
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.l2_row_norms(rows)

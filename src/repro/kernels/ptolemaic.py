@@ -20,7 +20,7 @@ logical charging discipline of :class:`repro.mam.base.DistancePort` is
 untouched.  The vectorized form is arranged so every elementwise
 operation (multiply, subtract, abs, divide, max) is performed on exactly
 the floats of :func:`ptolemaic_bound_scalar`, giving the same bit-identical
-vectorized/scalar guarantee as the Gram kernels in :mod:`repro.kernels.gram`.
+vectorized/scalar guarantee as the kernels in :mod:`repro.kernels.gram`.
 
 Degenerate pivot pairs (``d(p1,p2) <= 0`` — duplicate pivot vectors) would
 put a zero in the denominator; :func:`valid_pivot_pairs` excludes them up
@@ -72,7 +72,7 @@ def ptolemaic_bound_scalar(
     *query_vector* the query's ``d(q, p_*)``.  This is the ground truth the
     batched forms must reproduce bit-for-bit (same multiply/subtract/abs/
     divide sequence per pair, and max is exact), mirroring the scalar
-    fallback discipline of the Gram kernels.
+    fallback discipline of the distance kernels.
     """
     ii, jj = pairs
     best = 0.0

@@ -123,10 +123,11 @@ def grown(buffer: np.ndarray, used: int, extra: int, axis: int = 0) -> np.ndarra
 #: distances against build-stored bounds (covering radii, parent
 #: distances, vantage medians, GNAT ranges).  Those bounds are frequently
 #: *exactly tight* — a covering radius IS some member's build-time
-#: distance — and the batched Gram kernels agree with the build
-#: arithmetic only to the last few ulps, so a self-query (or an exact
-#: duplicate) would otherwise prune the very subtree holding its zero-
-#: distance match.  Slack only ever admits a subtree, never excludes one,
+#: distance — and under QMap the build's Gram-form L2 matrices agree with
+#: the query's difference form only to the last few ulps, so a self-query
+#: (or an exact duplicate) would otherwise prune the very subtree holding
+#: its zero-distance match.  (The QFD model runs one arithmetic on both
+#: sides.)  Slack only ever admits a subtree, never excludes one,
 #: so results stay exact; at 1e-12 relative it changes which nodes are
 #: visited only at bitwise-boundary coincidences, where the pre-kernel
 #: scalar arithmetic visited the node too.
@@ -183,7 +184,6 @@ class DistancePort:
         func: Callable[[np.ndarray, np.ndarray], float],
         *,
         one_to_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-        use_kernel: bool = True,
     ) -> None:
         self._func = func
         counter = func if isinstance(func, CountingDistance) else None
@@ -197,18 +197,9 @@ class DistancePort:
         else:
             bound = getattr(func, "one_to_many", None)
             self._vector_uncounted = bound if callable(bound) else one_to_many
-        if use_kernel:
-            from ..kernels.kernels import resolve_kernel  # kernels sit below mam
+        from ..kernels.kernels import resolve_kernel  # kernels sit below mam
 
-            self._kernel = resolve_kernel(func)
-        else:
-            self._kernel = None
-        # Row norms are cached only for a kernel whose query context
-        # reads them (the QFD's Gram expansion; L2 is difference-based).
-        self._wants_norms = getattr(self._kernel, "context_uses_norms", False)
-        self._norms_store: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._norms_source: np.ndarray | None = None
+        self._kernel = resolve_kernel(func)
 
     def pair(
         self, u: np.ndarray, v: np.ndarray, trace: "QueryTrace | None" = None
@@ -285,73 +276,21 @@ class DistancePort:
         elif self._counter is not None and (calls or rows):
             self._counter.add_counts(calls=calls, batch_rows=rows)
 
-    def database_grew(self, previous: np.ndarray, data: np.ndarray) -> None:
-        """*data* is *previous* plus appended rows: extend the cached norms.
-
-        Only the new rows' norms are computed.  When the cache is keyed to
-        some other array nothing happens — the next bound query over
-        *data* recomputes it whole, as for any unknown array.
-        """
-        if self._norms_source is previous and self._norms_store is not None:
-            used = previous.shape[0]
-            store = grown(self._norms_store, used, data.shape[0] - used)
-            store[used : data.shape[0]] = self._kernel.row_norms(data[used:])
-            self._cache_norms(store, data)
-
-    def _cache_norms(self, store: np.ndarray, data: np.ndarray) -> None:
-        """Key the cache to *data*; its norms are the filled prefix of *store*."""
-        norms = store[: data.shape[0]]
-        norms.setflags(write=False)
-        self._norms_store = store
-        self._norms = norms
-        self._norms_source = data
-
-    def _norms_for(self, data: np.ndarray) -> np.ndarray | None:
-        """Cached kernel row norms for *data*, or ``None`` if the kernel's
-        query context does not use them.
-
-        Computed by their first reader, a query bound over *data*, so a
-        method that binds none (the sequential scan, on either store)
-        never pays the ``m n^2`` product, at build or at restore.
-        Identity-keyed; :meth:`database_grew` re-keys the cache across a
-        dynamic insert, any other array is recomputed with one matrix
-        product.
-        """
-        if not self._wants_norms:
-            return None
-        if data is not self._norms_source:
-            self._cache_norms(self._kernel.row_norms(data), data)
-        return self._norms
-
     def bind_query(
-        self,
-        query: np.ndarray,
-        data: np.ndarray | None = None,
-        trace: "QueryTrace | None" = None,
+        self, query: np.ndarray, trace: "QueryTrace | None" = None
     ) -> "BoundQuery":
         """Bind *query* into a :class:`BoundQuery` evaluation context.
 
-        With a kernel, this precomputes the per-query Gram terms (``qA``,
-        ``qAq^T``) once; *data* enables the cached per-row norms so each
-        candidate distance afterwards is O(n).  *trace* is the query's
-        open record, charged directly; a lazily consumed cursor leaves it
-        ``None`` and charges whatever is current at each evaluation —
-        the counter itself when no query is open.
-
-        Without *data* the vector is a stored object on a write path (an
-        insert descending a tree, a routing object during a split): what
-        is evaluated gets *stored*, so it must be the port's own
-        arithmetic.  The difference-based L2 context is, bit for bit, and
-        spares the per-call validation; a norm-reading (QFD) context is
-        left out, and the bound vector falls back to :meth:`compute_many`
-        and the scalar form.
+        With a kernel, every evaluation afterwards goes through its query
+        context: the metric's own batched arithmetic, so a bound vector on
+        a write path (an insert descending a tree, a routing object during
+        a split) stores what :meth:`compute_many` would have.  *trace* is
+        the query's open record, charged directly; a lazily consumed
+        cursor leaves it ``None`` and charges whatever is current at each
+        evaluation — the counter itself when no query is open.
         """
-        norms = self._norms_for(data) if data is not None else None
-        if self._kernel is None or (data is None and self._wants_norms):
-            ctx = None
-        else:
-            ctx = self._kernel.bind(query)
-        return BoundQuery(self, query, ctx, norms, trace)
+        ctx = None if self._kernel is None else self._kernel.bind(query)
+        return BoundQuery(self, query, ctx, trace)
 
     def pairwise(self, rows: np.ndarray, *, charge: bool = True) -> np.ndarray:
         """Symmetric distance matrix over *rows* (zero diagonal).
@@ -415,32 +354,29 @@ class DistancePort:
 class BoundQuery:
     """One query bound to a :class:`DistancePort` for repeated evaluation.
 
-    Holds the per-query kernel context (``qA``/``qAq^T`` for QFD) and the
-    database's cached row norms, so every candidate evaluation during a
-    traversal is O(n).  Physical evaluation is batched; *charging* follows
-    the traversal's logical access pattern through the explicit ``charge``
-    arguments — ``"calls"`` for loops that used to make per-entry scalar
-    calls and ``"rows"`` for sites that were already one-to-many batches;
+    Holds the per-query kernel context.  Physical evaluation is batched;
+    *charging* follows the traversal's logical access pattern through the
+    explicit ``charge`` arguments — ``"calls"`` for loops that used to make
+    per-entry scalar calls and ``"rows"`` for sites that were already
+    one-to-many batches;
     a traversal that counts its own evaluations (the M-tree family) uses
     the uncharged :meth:`compute_many` and charges the port once.  This is
     what keeps the paper's distance counts bit-identical under the kernel
     rewrite.
     """
 
-    __slots__ = ("_port", "_query", "_ctx", "_norms", "trace")
+    __slots__ = ("_port", "_query", "_ctx", "trace")
 
     def __init__(
         self,
         port: DistancePort,
         query: np.ndarray,
         ctx,
-        norms: np.ndarray | None,
         trace: "QueryTrace | None" = None,
     ) -> None:
         self._port = port
         self._query = query
         self._ctx = ctx
-        self._norms = norms
         #: The query's open cost record (``None``: look it up per charge).
         self.trace = trace
 
@@ -449,34 +385,17 @@ class BoundQuery:
         """The bound query vector."""
         return self._query
 
-    def compute_many(
-        self, rows: np.ndarray, indices: np.ndarray | Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Physically evaluate query-to-rows distances without charging.
-
-        *indices* are the rows' database indices; when every index is valid
-        the cached row norms are used (the O(n)-per-candidate hot path).
-        """
+    def compute_many(self, rows: np.ndarray) -> np.ndarray:
+        """Physically evaluate query-to-rows distances without charging."""
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
         if self._ctx is not None:
-            norms = None
-            if self._norms is not None and indices is not None:
-                idx = np.asarray(indices, dtype=np.intp)
-                if idx.size == 0 or idx.min() >= 0:
-                    norms = self._norms[idx]
-            return self._ctx.many(rows, norms)
+            return self._ctx.many(rows)
         return self._port.compute_many(self._query, rows)
 
-    def many(
-        self,
-        rows: np.ndarray,
-        indices: np.ndarray | Sequence[int] | None = None,
-        *,
-        charge: str | None = "rows",
-    ) -> np.ndarray:
+    def many(self, rows: np.ndarray, *, charge: str | None = "rows") -> np.ndarray:
         """Query-to-rows distances, charged per *charge* category."""
-        out = self.compute_many(rows, indices)
+        out = self.compute_many(rows)
         n = int(out.shape[0])
         if n and charge == "rows":
             self._port.charge(rows=n, trace=self.trace)
@@ -484,14 +403,11 @@ class BoundQuery:
             self._port.charge(calls=n, trace=self.trace)
         return out
 
-    def one(self, row: np.ndarray, index: int | None = None) -> float:
+    def one(self, row: np.ndarray) -> float:
         """One query-to-row distance, charged as a scalar call."""
         self._port.charge(calls=1, trace=self.trace)
         if self._ctx is not None:
-            norm = None
-            if self._norms is not None and index is not None and index >= 0:
-                norm = float(self._norms[index])
-            return self._ctx.one(row, norm)
+            return self._ctx.one(row)
         return float(self._port._scalar_uncounted(self._query, row))
 
 
@@ -836,7 +752,6 @@ class AccessMethod(ABC):
         except BaseException:
             self._data = previous
             raise
-        self._port.database_grew(previous, self._data)
         return index
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
@@ -859,16 +774,16 @@ class NodeBatchedSearchMixin:
 
     Subclasses implement ``_range_impl(bound, radius)`` and
     ``_knn_impl(bound, k)`` over a bound query; this mixin binds the query
-    — its kernel context, the database's cached row norms and the query's
-    open cost record (``bound.trace``), fetched here once.
+    — its kernel context and the query's open cost record
+    (``bound.trace``), fetched here once.
     """
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        bound = self._port.bind_query(query, self._data, current_trace())
+        bound = self._port.bind_query(query, current_trace())
         return self._range_impl(bound, radius)
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        bound = self._port.bind_query(query, self._data, current_trace())
+        bound = self._port.bind_query(query, current_trace())
         return self._knn_impl(bound, k)
 
     def _range_impl(self, bound: BoundQuery, radius: float) -> list[Neighbor]:

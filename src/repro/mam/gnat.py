@@ -319,7 +319,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             node, parent_tok = stack.pop()
             if node.bucket is not None:
                 tok = trace.visit(parent_tok, "bucket")
-                dists = bound.many(self._data[node.bucket], node.bucket)
+                dists = bound.many(self._data[node.bucket])
                 for idx, dist in zip(node.bucket, dists):
                     trace.verify(tok, int(idx), float(dist))
                     if dist <= radius:
@@ -333,7 +333,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             # drop a split lying inside the query ball).  One batch,
             # charged as per-split scalar calls, like the kNN loop.
             splits = node.split_indices
-            split_dists = bound.many(self._data[splits], splits, charge="calls")
+            split_dists = bound.many(self._data[splits], charge="calls")
             alive = np.ones(len(node.children), dtype=bool)
             for i, split in enumerate(splits):
                 d = float(split_dists[i])
@@ -387,7 +387,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
                 break
             if node.bucket is not None:
                 tok = trace.visit(parent_tok, "bucket")
-                dists = bound.many(self._data[node.bucket], node.bucket)
+                dists = bound.many(self._data[node.bucket])
                 for idx, dist in zip(node.bucket, dists):
                     trace.verify(tok, int(idx), float(dist))
                     heap.offer(float(dist), int(idx))
@@ -397,7 +397,7 @@ class GNAT(NodeBatchedSearchMixin, AccessMethod):
             # pruning radius is only read after it), so every split point
             # is evaluated: one batch, charged as per-split scalar calls.
             splits = node.split_indices
-            split_dists = bound.many(self._data[splits], splits, charge="calls")
+            split_dists = bound.many(self._data[splits], charge="calls")
             arity = len(node.children)
             lower = np.zeros(arity, dtype=np.float64)
             for i, split in enumerate(splits):

@@ -233,7 +233,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             return result
         trace.refine(int(candidates.size))
         tok = trace.visit(ROOT, "refine", count=0)
-        distances = bound.many(self._data[candidates], candidates)
+        distances = bound.many(self._data[candidates])
         for idx, dist in zip(candidates, distances):
             trace.verify(tok, int(idx), float(dist))
             if dist <= radius:
@@ -257,7 +257,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             if fresh:
                 trace.refine(len(fresh))
                 tok = trace.visit(round_tok, "refine", count=0)
-                distances = bound.many(self._data[fresh], fresh)
+                distances = bound.many(self._data[fresh])
                 for idx, dist in zip(fresh, distances):
                     trace.verify(tok, int(idx), float(dist))
                     seen[idx] = float(dist)

@@ -360,7 +360,7 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         index, rows, dist_to_parent, radius, nodes = self._open_block(refs)
         if rows is None:
             rows = self._plain_rows()[index]
-        dists = bound.compute_many(rows, index)
+        dists = bound.compute_many(rows)
         if heads[0][1] is None:  # the root, alone in its block: nothing bounds it
             lower = np.full(dists.shape[0], -_INF)
         else:
@@ -595,8 +595,8 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
             grandparent = self._port.bind_query(
                 self._entry_rows(self._load(above_ref), above_pos)
             )
-        # Routing entries keep the promoted object's database index so the
-        # kernel layer can look up its cached row norm.
+        # Routing entries keep the promoted object's database index: a
+        # snapshot stores indices and recovers the rows from the database.
         for promoted, radius, child in ((first, radius1, child1), (second, radius2, child2)):
             row = self._entry_rows(node, promoted)
             to_parent = 0.0 if grandparent is None else grandparent.one(row)
@@ -658,7 +658,7 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         (classic use: distance-ordered cursors in query pipelines).
         """
         q = as_vector(query, self.dim, name="query")
-        bound = self._port.bind_query(q, self._data)
+        bound = self._port.bind_query(q)
         data = self._plain_rows()
         counter = itertools.count()
         # Three item kinds, all keyed by a LOWER BOUND on any object
@@ -691,7 +691,7 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
                 yield Neighbor(priority, payload)  # type: ignore[arg-type]
             elif kind == "entry":
                 index, row, cover, child = payload  # type: ignore[misc]
-                dist = bound.one(data[index] if row is None else row, index)
+                dist = bound.one(data[index] if row is None else row)
                 if child is None:
                     heapq.heappush(queue, (dist, next(counter), "object", index, None))
                 else:

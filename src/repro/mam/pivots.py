@@ -194,8 +194,7 @@ def _select(
     else:
         # Whole-database selection: keep the stored array itself.  A
         # fancy-indexed copy would materialize a memory-mapped database
-        # on the heap and, having a fresh identity, miss the port's
-        # cached row norms on every selection scan.
+        # on the heap.
         sample = np.arange(m)
         subset = data
     columns = None

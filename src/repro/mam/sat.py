@@ -223,7 +223,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
             if not node.children:
                 return
             child_indices = [c.index for c in node.children]
-            d_children = bound.many(self._data[child_indices], child_indices)
+            d_children = bound.many(self._data[child_indices])
             # Hyperplane bound uses the node itself and all its children.
             closest = min(float(d_children.min(initial=np.inf)), d_node)
             for child, d_child in zip(node.children, d_children):
@@ -247,7 +247,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
 
         visit(
             self._root,
-            bound.one(self._data[self._root.index], self._root.index),
+            bound.one(self._data[self._root.index]),
             ROOT,
         )
         return out
@@ -256,7 +256,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
         trace = bound.trace
         heap = _KnnHeap(k)
         counter = itertools.count()
-        d_root = bound.one(self._data[self._root.index], self._root.index)
+        d_root = bound.one(self._data[self._root.index])
         root_dmin = max(
             d_root - self._root.radius - prune_slack(d_root, self._root.radius), 0.0
         )
@@ -273,7 +273,7 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
             if not node.children:
                 continue
             child_indices = [c.index for c in node.children]
-            d_children = bound.many(self._data[child_indices], child_indices)
+            d_children = bound.many(self._data[child_indices])
             closest = min(float(d_children.min(initial=np.inf)), float(d_node))
             tau = heap.radius
             for child, d_child in zip(node.children, d_children):

@@ -244,7 +244,7 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
             node, parent_tok = stack.pop()
             if node.bucket is not None:
                 tok = trace.visit(parent_tok, "bucket")
-                dists = bound.many(self._data[node.bucket], node.bucket)
+                dists = bound.many(self._data[node.bucket])
                 for idx, dist in zip(node.bucket, dists):
                     trace.verify(tok, int(idx), float(dist))
                     if dist <= radius:
@@ -252,7 +252,7 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
                         trace.result(tok, int(idx), float(dist))
                 continue
             tok = trace.visit(parent_tok, "vantage")
-            d_vp = bound.one(self._data[node.vp_index], node.vp_index)
+            d_vp = bound.one(self._data[node.vp_index])
             trace.verify(tok, node.vp_index, d_vp)
             if d_vp <= radius:
                 out.append(Neighbor(float(d_vp), node.vp_index))
@@ -286,13 +286,13 @@ class VPTree(NodeBatchedSearchMixin, AccessMethod):
                 break
             if node.bucket is not None:
                 tok = trace.visit(parent_tok, "bucket")
-                dists = bound.many(self._data[node.bucket], node.bucket)
+                dists = bound.many(self._data[node.bucket])
                 for idx, dist in zip(node.bucket, dists):
                     trace.verify(tok, int(idx), float(dist))
                     heap.offer(float(dist), int(idx))
                 continue
             tok = trace.visit(parent_tok, "vantage")
-            d_vp = bound.one(self._data[node.vp_index], node.vp_index)
+            d_vp = bound.one(self._data[node.vp_index])
             trace.verify(tok, node.vp_index, d_vp)
             heap.offer(float(d_vp), node.vp_index)
             tau = heap.radius

@@ -27,10 +27,10 @@ class _SpyBound(BoundQuery):
 
     __slots__ = ()
 
-    def compute_many(self, rows, indices=None):
+    def compute_many(self, rows):
         if self._ctx is not None:  # else the port's compute_many records it
             self._port.sizes.append(int(rows.shape[0]))
-        return super().compute_many(rows, indices)
+        return super().compute_many(rows)
 
 
 class SpyPort(DistancePort):
@@ -52,9 +52,9 @@ class SpyPort(DistancePort):
         self.charges.append((calls, rows))
         super().charge(calls=calls, rows=rows, trace=trace)
 
-    def bind_query(self, query, data=None, trace=None):
+    def bind_query(self, query, trace=None):
         self.binds += 1
-        bound = super().bind_query(query, data, trace)
+        bound = super().bind_query(query, trace)
         bound.__class__ = _SpyBound
         return bound
 

@@ -30,7 +30,7 @@ class _Reference:
 
     def __init__(self, tree, query) -> None:
         self.tree = tree
-        self.bound = tree.distance.bind_query(np.asarray(query, float), tree.database)
+        self.bound = tree.distance.bind_query(np.asarray(query, float))
         self.evals = self.visited = self.pruned = self.opened = 0
 
     def open(self, ref, d_parent):
@@ -45,7 +45,7 @@ class _Reference:
         )
         if rows is None:
             rows = np.asarray(self.tree.database)[index]
-        dists = self.bound.compute_many(rows, index).tolist()
+        dists = self.bound.compute_many(rows).tolist()
         entries = []
         for pos in range(n):
             dtp, cover = float(dist_to_parent[pos]), float(radius[pos])

@@ -231,9 +231,8 @@ class TestInsertSupportGate:
 
 
 class TestInsertStorage:
-    """Rows live in one geometrically grown buffer, and the QFD row norms
-    grow with it — an insert neither copies the database nor recomputes
-    what it already knows."""
+    """Rows live in one geometrically grown buffer: an insert does not
+    copy the database."""
 
     def test_inserts_share_one_buffer_instead_of_pinning_copies(self) -> None:
         """Regression: each insert ``vstack``-ed a fresh copy of the whole
@@ -262,81 +261,6 @@ class TestInsertStorage:
         np.testing.assert_array_equal(data, caller_copy)
         tree.validate_invariants()
 
-    def test_qfd_row_norms_grow_by_the_inserted_row_only(self, workload, monkeypatch) -> None:
-        from repro.kernels.kernels import QFDKernel
-
-        model = QFDModel(workload.matrix)
-        index = model.build_index("mtree", workload.database[:200], capacity=6)
-        index.knn_search(workload.queries[0], 5)
-        reference = model.build_index("sequential", workload.database[:230])
-        computed: list[int] = []
-        row_norms = QFDKernel.row_norms
-        monkeypatch.setattr(
-            QFDKernel,
-            "row_norms",
-            lambda self, rows: (computed.append(len(rows)), row_norms(self, rows))[1],
-        )
-        for row in workload.database[200:230]:
-            index.insert(row)
-            index.knn_search(workload.queries[1], 5)
-        assert computed == [1] * 30
-        port = index.access_method.distance
-        np.testing.assert_allclose(
-            port._norms, row_norms(port.kernel, index.access_method.database), rtol=1e-14
-        )
-        for q in workload.queries:
-            assert_same_neighbors(index.knn_search(q, 10), reference.knn_search(q, 10))
-
-    def test_l2_queries_never_touch_row_norms(self, workload, monkeypatch) -> None:
-        """The QMap model's L2 context is difference-based: no norms are
-        computed at build time, after an insert, or gathered per node."""
-        from repro.kernels.kernels import L2Kernel
-
-        def forbidden(self, rows):
-            raise AssertionError("L2 row norms computed for a bound query")
-
-        monkeypatch.setattr(L2Kernel, "row_norms", forbidden)
-        index = QMapModel(workload.matrix).build_index(
-            "paged-mtree", workload.database[:100], capacity=6, cache_pages=4
-        )
-        index.insert(workload.database[100])
-        assert len(index.knn_search(workload.queries[0], 5)) == 5
-        assert index.access_method.distance._norms is None
-
-    def test_qfd_row_norms_wait_for_their_first_reader(
-        self, workload, monkeypatch, tmp_path
-    ) -> None:
-        """A QFD scan never reads the ``vAv^T`` norms, on either store, so
-        neither a build, an insert, a restore nor a query computes them;
-        a tree's bound query over the database is their first reader."""
-        from repro.kernels.kernels import QFDKernel
-        from repro.models import load_built_index
-
-        computed: list[int] = []
-        row_norms = QFDKernel.row_norms
-        monkeypatch.setattr(
-            QFDKernel,
-            "row_norms",
-            lambda self, rows: (computed.append(len(rows)), row_norms(self, rows))[1],
-        )
-        model = QFDModel(workload.matrix)
-        plain = model.build_index("sequential", workload.database[:100])
-        plain.insert(workload.database[100])
-        restored = load_built_index(plain.save(tmp_path / "scan.npz"))
-        mmap = model.build_index("sequential", workload.database[:101], store="mmap")
-        rounded = model.build_index(
-            "sequential", workload.database[:101], store_dtype="float32"
-        )
-        for q in workload.queries:
-            want = plain.knn_search(q, 5)
-            assert_same_neighbors(restored.knn_search(q, 5), want)
-            assert_same_neighbors(mmap.knn_search(q, 5), rounded.knn_search(q, 5), tol=0.0)
-        assert computed == []
-        tree = model.build_index("mtree", workload.database[:101], store="mmap", capacity=6)
-        assert computed == []
-        tree.knn_search(workload.queries[0], 5)
-        assert computed == [101]
-
     def test_restored_tree_takes_inserts_and_bulk_helpers(self, workload) -> None:
         """Regression: ``MTree._entry_rows`` was set only in ``__init__`` —
         missing after ``from_state`` and stale after any insert."""
@@ -356,3 +280,39 @@ class TestInsertStorage:
         for q in workload.queries:
             assert_same_neighbors(tree.knn_search(q, 8), scan.knn_search(q, 8))
             assert_same_neighbors(tree.range_search(q, 0.2), scan.range_search(q, 0.2))
+
+
+NORM_FREE_CELLS = [
+    (model, method, METHOD_KWARGS[method])
+    for model in ("qfd", "qmap")
+    for method in sorted(MAM_REGISTRY) + (sorted(SAM_REGISTRY) if model == "qmap" else [])
+] + [(model, "mtree", {"capacity": 6, "bulk_load": True}) for model in ("qfd", "qmap")]
+
+
+@pytest.mark.parametrize(
+    "model_name, method, kwargs",
+    NORM_FREE_CELLS,
+    ids=[f"{m}-{meth}{'-bulk' if 'bulk_load' in kw else ''}" for m, meth, kw in NORM_FREE_CELLS],
+)
+def test_no_evaluation_reads_row_norms(model_name, method, kwargs, workload, monkeypatch, tmp_path) -> None:
+    """Every QFD evaluation is the difference form and every L2 query
+    context difference-based, so no build, bulk load, insert, split, query
+    or restore computes the per-row ``vAv^T`` (``vv^T``) term."""
+    from repro.kernels.kernels import L2Kernel, QFDKernel
+    from repro.models import load_built_index
+
+    def forbidden(self, rows):
+        raise AssertionError(f"{type(self).__name__}.row_norms computed")
+
+    monkeypatch.setattr(QFDKernel, "row_norms", forbidden)
+    monkeypatch.setattr(L2Kernel, "row_norms", forbidden)
+    model = (QFDModel if model_name == "qfd" else QMapModel)(workload.matrix)
+    built = model.build_index(method, workload.database[:200], **kwargs)
+    q = workload.queries[0]
+    radius = built.knn_search(q, 5)[-1].distance
+    for row in workload.database[200:240]:  # capacity-6 trees split along the way
+        built.insert(row)
+    restored = load_built_index(built.save(tmp_path / "index"))
+    for index in (built, restored):
+        assert len(index.knn_search(q, 5)) == 5
+        assert len(index.range_search(q, radius)) >= 1

@@ -1,10 +1,12 @@
 """Property tests of the distance-kernel layer (:mod:`repro.kernels`).
 
-Randomized checks over random SPD matrices: the Gram-expansion kernels and
-query contexts must agree with the scalar quadratic form to tight absolute
-tolerance, hold the metric postulates exactly (zero self-distance, exact
-symmetry), and the QMap-space L2 kernels must agree with the QFD kernels —
-the paper's central Lemma, here exercised through the batched forms.
+Randomized checks over random SPD matrices: the QFD kernels and query
+context must agree with the scalar quadratic form to tight absolute
+tolerance, be one arithmetic (the difference form, bit for bit wherever
+they are reached from), hold the metric postulates exactly (zero
+self-distance, exact symmetry), and the QMap-space L2 kernels must agree
+with the QFD kernels — the paper's central Lemma, here exercised through
+the batched forms.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from repro.kernels import (
     l2_cross,
     l2_one_to_many,
     l2_pairwise,
-    qfd_cross,
     qfd_one_to_many,
     qfd_pairwise,
-    qfd_row_norms,
     resolve_kernel,
 )
 
@@ -60,7 +60,7 @@ def qfd_cases(draw):
 
 
 class TestGramVsScalar:
-    """Kernel distances agree with the scalar quadratic form to 1e-9."""
+    """QFD kernel distances agree with the scalar quadratic form to 1e-9."""
 
     @settings(max_examples=60, deadline=None)
     @given(qfd_cases())
@@ -88,12 +88,10 @@ class TestGramVsScalar:
         matrix, rows, q = case
         qfd = QuadraticFormDistance(matrix)
         ctx = QFDKernel(matrix).bind(q)
-        norms = qfd_row_norms(matrix, rows)
-        many = ctx.many(rows, norms)
+        many = ctx.many(rows)
         for pos, row in enumerate(rows):
             want = qfd(q, row)
             assert many[pos] == pytest.approx(want, abs=TOL)
-            assert ctx.one(row, float(norms[pos])) == pytest.approx(want, abs=TOL)
             assert ctx.one(row) == pytest.approx(want, abs=TOL)
 
     @settings(max_examples=40, deadline=None)
@@ -102,14 +100,59 @@ class TestGramVsScalar:
         matrix, rows, q = case
         qfd = QuadraticFormDistance(matrix)
         rows_b = np.vstack([q, rows[0]])
-        got = qfd_cross(matrix, rows, rows_b)
+        got = QFDKernel(matrix).cross(rows, rows_b)
         for i in range(rows.shape[0]):
             for j in range(rows_b.shape[0]):
                 assert got[i, j] == pytest.approx(qfd(rows[i], rows_b[j]), abs=TOL)
 
 
+class TestOneArithmetic:
+    """Every QFD evaluation is :func:`qfd_one_to_many`, wherever it is reached
+    from — which is why a vector bound on a write path needs no special
+    case: it stores what the scan computes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(qfd_cases())
+    def test_bound_context_is_the_scan_bit_for_bit(self, case) -> None:
+        matrix, rows, q = case
+        qfd = QuadraticFormDistance(matrix)
+        ctx = QFDKernel(matrix).bind(q)
+        want = qfd.one_to_many(q, rows)
+        assert np.array_equal(ctx.many(rows), want)
+        assert np.array_equal(QFDKernel(matrix).one_to_many(q, rows), want)
+        for pos, row in enumerate(rows):
+            assert ctx.one(row) == qfd.one_to_many(q, row[None, :])[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(qfd_cases())
+    def test_pairwise_and_cross_rows_are_one_to_many_rows(self, case) -> None:
+        matrix, rows, q = case
+        kernel = QFDKernel(matrix)
+        pw = kernel.pairwise(rows)
+        assert np.array_equal(pw, QuadraticFormDistance(matrix).pairwise(rows))
+        for i in range(rows.shape[0] - 1):
+            assert np.array_equal(pw[i, i + 1 :], qfd_one_to_many(matrix, rows[i], rows[i + 1 :]))
+        others = np.vstack([q, rows[-1]])
+        cross = kernel.cross(others, rows)
+        for i, row in enumerate(others):
+            assert np.array_equal(cross[i], qfd_one_to_many(matrix, row, rows))
+
+    def test_near_singular_pairwise_is_bit_symmetric_with_a_zero_diagonal(self) -> None:
+        rng = np.random.default_rng(11)
+        dim = 24
+        basis = rng.normal(size=(dim, dim))
+        matrix = basis @ basis.T + 1e-12 * np.eye(dim)
+        rows = _rows(rng, 50, dim)
+        rows[7] = rows[31]
+        rows[12] = rows[40] * (1.0 + 1e-12)
+        for pw in (qfd_pairwise(matrix, rows), QuadraticFormDistance(matrix).pairwise(rows)):
+            assert np.array_equal(pw, pw.T)
+            assert np.all(np.diag(pw) == 0.0) and pw[7, 31] == 0.0
+            assert np.all(np.isfinite(pw)) and np.all(pw >= 0.0)
+
+
 class TestMetricPostulates:
-    """Exact zeros and exact symmetry survive the Gram expansion."""
+    """Exact zeros and exact symmetry hold for every QFD kernel form."""
 
     @settings(max_examples=60, deadline=None)
     @given(qfd_cases())
@@ -119,7 +162,7 @@ class TestMetricPostulates:
         got = qfd_one_to_many(matrix, q, rows)
         assert got[0] == 0.0
         ctx = QFDKernel(matrix).bind(q)
-        assert ctx.many(rows, qfd_row_norms(matrix, rows))[0] == 0.0
+        assert ctx.many(rows)[0] == 0.0
         assert ctx.one(rows[0]) == 0.0
 
     @settings(max_examples=60, deadline=None)
@@ -139,8 +182,7 @@ class TestMetricPostulates:
         assert got[0, -1] == 0.0 and got[-1, 0] == 0.0
 
     def test_near_singular_matrix_stays_nonnegative(self) -> None:
-        # Regression (numerical-robustness satellite): a barely-PD matrix
-        # maximizes Gram cancellation; no kernel may return NaN or a
+        # Regression: a barely-PD matrix; no kernel may return NaN or a
         # negative distance, and self-distances stay exactly zero.
         rng = np.random.default_rng(7)
         dim = 16
@@ -154,10 +196,7 @@ class TestMetricPostulates:
         o2m = qfd_one_to_many(matrix, rows[5], rows)
         assert np.all(np.isfinite(o2m)) and np.all(o2m >= 0.0)
         assert o2m[5] == 0.0 and o2m[17] == 0.0
-        qfd = QuadraticFormDistance(matrix)
-        np.testing.assert_allclose(
-            pw, qfd.pairwise(rows), atol=1e-6, rtol=1e-6
-        )
+        assert np.array_equal(pw, QuadraticFormDistance(matrix).pairwise(rows))
 
 
 class TestQMapLemma:
@@ -181,7 +220,7 @@ class TestQMapLemma:
         )
         np.testing.assert_allclose(
             l2_cross(mapped_rows, mapped_q.reshape(1, -1)),
-            qfd_cross(matrix, rows, q.reshape(1, -1)),
+            QFDKernel(matrix).cross(rows, q.reshape(1, -1)),
             atol=1e-7,
             rtol=1e-7,
         )

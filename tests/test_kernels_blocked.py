@@ -1,8 +1,9 @@
 """Kernel row tiles: one arithmetic, wherever the rows live.
 
 Every kernel function that takes a database-sized operand —
-``gram.qfd_row_norms``, the second operand of ``gram.qfd_cross`` and
-``QuadraticFormDistance.one_to_many`` — reads it in the row tiles of
+``gram.qfd_row_norms`` and ``gram.qfd_one_to_many`` (so
+``QuadraticFormDistance.one_to_many``, the QFD query context and the second
+operand of ``QFDKernel.cross``) — reads it in the row tiles of
 ``gram.row_tiles`` (``gram._TILE_ROWS`` rows, patched small here), and
 upcasts float32 rows (a memory-mapped store) one tile at a time.  Pinned:
 
@@ -99,16 +100,18 @@ class TestBlockSizeInvariance:
         )
 
     def test_qfd_one_to_many_with_precomputed_norms(self, setup) -> None:
-        """The Gram form reads the same norms whether passed in or computed."""
+        """Norms handed to the QFD context change nothing: every entry point
+        is the scan's difference form."""
         matrix, rows, _, q = setup
         kernel = QFDKernel(matrix)
         norms = kernel.row_norms(rows)
         context = kernel.bind(q)
         _all_equal([
+            QuadraticFormDistance(matrix).one_to_many(q, rows),
             kernel.one_to_many(q, rows),
-            kernel.one_to_many(q, rows, row_norms=norms),
             context.many(rows, norms),
-            context.many(rows.astype(np.float64), norms),
+            context.many(rows),
+            context.many(rows.astype(np.float64)),
         ])
 
     def test_l2_one_to_many(self, setup, monkeypatch) -> None:
@@ -127,8 +130,8 @@ class TestBlockSizeInvariance:
         matrix, rows, others, _ = setup
         heap = rows.astype(np.float64)
         _all_equal(
-            _tiled(monkeypatch, lambda: gram.qfd_cross(matrix, others, rows))
-            + _tiled(monkeypatch, lambda: gram.qfd_cross(matrix, others, heap))
+            _tiled(monkeypatch, lambda: QFDKernel(matrix).cross(others, rows))
+            + _tiled(monkeypatch, lambda: QFDKernel(matrix).cross(others, heap))
         )
 
     def test_l2_cross(self, setup) -> None:
@@ -202,7 +205,7 @@ class TestBlockInvarianceProperty:
                     (
                         qfd.one_to_many(q, rows),
                         gram.qfd_row_norms(matrix, rows),
-                        gram.qfd_cross(matrix, others, rows),
+                        QFDKernel(matrix).cross(others, rows),
                     )
                 )
         for first, second in zip(*results):
@@ -274,7 +277,7 @@ def test_a_float32_scan_never_holds_a_float64_copy(monkeypatch) -> None:
 
 
 class TestGramFloat32Accumulation:
-    """float32 inputs accumulate in float64 everywhere."""
+    """float32 inputs accumulate in float64 in every kernel function."""
 
     def test_all_gram_functions_coerce_to_float64(self, setup) -> None:
         matrix, rows, others, q = setup
@@ -287,8 +290,8 @@ class TestGramFloat32Accumulation:
             (gram.qfd_pairwise(matrix, rows), gram.qfd_pairwise(matrix, heap)),
             (gram.l2_pairwise(rows), gram.l2_pairwise(heap)),
             (
-                gram.qfd_cross(matrix, others, rows),
-                gram.qfd_cross(matrix, others.astype(np.float64), heap),
+                QFDKernel(matrix).cross(others, rows),
+                QFDKernel(matrix).cross(others.astype(np.float64), heap),
             ),
             (
                 gram.l2_cross(others, rows),
@@ -300,9 +303,9 @@ class TestGramFloat32Accumulation:
             assert np.array_equal(got, expected)
 
     def test_float32_inputs_do_not_drift(self) -> None:
-        """Without the float64 coercion, a float32 Gram expansion loses
-        ~half its digits to cancellation; with it the result matches the
-        exact difference form to full float64 round-off."""
+        """Close float32 pairs, the cancellation-hostile regime: the QFD
+        kernel upcasts before subtracting, so the result matches the exact
+        difference form to full float64 round-off."""
         rng = np.random.default_rng(7)
         dim = 16
         matrix = random_spd_matrix(dim, condition=100.0, rng=rng)

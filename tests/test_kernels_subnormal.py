@@ -8,8 +8,8 @@ product.  Pinned here:
 
 * the generator still emits subnormals (the cause — "fixing" it would
   re-hash every fixture and benchmark input);
-* every flushed entry point returns the parent's bits, with the parent's
-  arithmetic written inline as the reference;
+* every flushed entry point returns the bits of its arithmetic without the
+  flush, written inline as the reference;
 * no caller array is ever written;
 * ``QMap.transform`` / ``transform_batch`` flush too (PR 22) — the one
   place a *stored* bit moves: mapped entries below 1e-290, by less than
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.qfd import QuadraticFormDistance
 from repro.core.qmap import QMap
 from repro.datasets import histogram_workload
-from repro.kernels import gram
+from repro.kernels import QFDKernel, gram
 from repro.models import QFDModel, QMapModel
 
 from .helpers import assert_same_neighbors
@@ -63,7 +63,7 @@ def _is_subnormal(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The parent commit's arithmetic, verbatim minus the flush: the references.
+# Each entry point's arithmetic, minus the flush: the references.
 # ---------------------------------------------------------------------------
 
 
@@ -73,11 +73,15 @@ def _ref_one_to_many(a, q, rows):
 
 
 def _ref_pairwise(a, rows):
-    cross = rows @ a @ rows.T
-    norms = np.diag(cross)
-    sq = norms[:, None] + norms[None, :] - (cross + cross.T)
-    np.fill_diagonal(sq, 0.0)
-    return np.sqrt(np.maximum(sq, 0.0))
+    n = rows.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n - 1):
+        out[i, i + 1 :] = out[i + 1 :, i] = _ref_one_to_many(a, rows[i], rows[i + 1 :])
+    return out
+
+
+def _ref_cross(a, rows_a, rows_b):
+    return np.stack([_ref_one_to_many(a, row, rows_b) for row in rows_a])
 
 
 def _ref_row_norms(a, rows):
@@ -85,78 +89,24 @@ def _ref_row_norms(a, rows):
     return np.einsum("ij,ij->i", rows @ a, rows)
 
 
-def _ref_squared_diff(a, q, rows):
-    diff = np.asarray(rows, dtype=np.float64) - np.asarray(q, dtype=np.float64)
-    return np.einsum("ij,ij->i", diff @ a, diff)
-
-
-def _ref_squared_one_to_many(a, q, rows):
-    q = np.asarray(q, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.float64)
-    q_a = q @ a
-    q_norm = float(q_a @ q)
-    norms = _ref_row_norms(a, rows)
-    sq = q_norm + norms - 2.0 * (rows @ q_a)
-    suspect = np.flatnonzero(sq <= gram.RECHECK_REL * (q_norm + norms))
-    if suspect.size:
-        sq[suspect] = _ref_squared_diff(a, q, rows[suspect])
-    return np.maximum(sq, 0.0)
-
-
-def _ref_squared_pairwise(a, rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    g = rows @ a
-    norms = np.einsum("ij,ij->i", g, rows)
-    cross = g @ rows.T
-    sq = norms[:, None] + norms[None, :] - (cross + cross.T)
-    np.fill_diagonal(sq, 0.0)
-    suspect = sq <= gram.RECHECK_REL * (norms[:, None] + norms[None, :])
-    np.fill_diagonal(suspect, False)
-    ii, jj = np.nonzero(np.triu(suspect, 1))
-    if ii.size:
-        diff = rows[ii] - rows[jj]
-        exact = np.einsum("ij,ij->i", diff @ a, diff)
-        sq[ii, jj] = exact
-        sq[jj, ii] = exact
-    return np.maximum(sq, 0.0)
-
-
-def _ref_cross(a, rows_a, rows_b):
-    rows_a = np.asarray(rows_a, dtype=np.float64)
-    rows_b = np.asarray(rows_b, dtype=np.float64)
-    g = rows_a @ a
-    norms_a = np.einsum("ij,ij->i", g, rows_a)
-    norms_b = _ref_row_norms(a, rows_b)
-    sq = norms_a[:, None] + norms_b[None, :] - 2.0 * (g @ rows_b.T)
-    suspect = sq <= gram.RECHECK_REL * (norms_a[:, None] + norms_b[None, :])
-    ii, jj = np.nonzero(suspect)
-    if ii.size:
-        diff = rows_a[ii] - rows_b[jj]
-        sq[ii, jj] = np.einsum("ij,ij->i", diff @ a, diff)
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
 def _assert_all_entry_points_match(a, q, rows):
     """``np.array_equal`` (not ``allclose``) for every flushed entry point.
 
-    ``rows[-1]`` duplicates ``rows[0]`` in every caller, so each Gram-form
-    function also walks its cancellation recheck.
+    ``rows[-1]`` duplicates ``rows[0]`` in every caller, so each entry
+    point also meets an exact zero.
     """
     qfd = QuadraticFormDistance(a)
+    kernel = QFDKernel(a)
     half = len(rows) // 2
     pairs = [
         (qfd.one_to_many(q, rows), _ref_one_to_many(a, q, rows)),
         (qfd.one_to_many(rows[0], rows), _ref_one_to_many(a, rows[0], rows)),
+        (gram.qfd_one_to_many(a, q, rows), _ref_one_to_many(a, q, rows)),
+        (kernel.bind(q).many(rows), _ref_one_to_many(a, q, rows)),
         (qfd.pairwise(rows), _ref_pairwise(a, rows)),
+        (kernel.pairwise(rows), _ref_pairwise(a, rows)),
+        (kernel.cross(rows[:half], rows), _ref_cross(a, rows[:half], rows)),
         (gram.qfd_row_norms(a, rows), _ref_row_norms(a, rows)),
-        (gram._qfd_squared_diff(a, q, rows), _ref_squared_diff(a, q, rows)),
-        (gram.qfd_squared_one_to_many(a, q, rows), _ref_squared_one_to_many(a, q, rows)),
-        (
-            gram.qfd_squared_one_to_many(a, rows[0], rows),
-            _ref_squared_one_to_many(a, rows[0], rows),
-        ),
-        (gram.qfd_squared_pairwise(a, rows), _ref_squared_pairwise(a, rows)),
-        (gram.qfd_cross(a, rows[:half], rows), _ref_cross(a, rows[:half], rows)),
     ]
     for i, (got, want) in enumerate(pairs):
         assert np.array_equal(got, want, equal_nan=True), f"entry point #{i} moved a bit"
@@ -229,8 +179,8 @@ class TestEdgeCases:
         qfd = QuadraticFormDistance(matrix)
         assert qfd.one_to_many(rows[2], rows)[2] == 0.0
         assert gram.qfd_one_to_many(matrix, rows[2], rows)[2] == 0.0
-        assert gram.qfd_squared_pairwise(matrix, rows)[0, -1] == 0.0
-        assert gram.qfd_cross(matrix, rows[:2], rows)[1, 1] == 0.0
+        assert gram.qfd_pairwise(matrix, rows)[0, -1] == 0.0
+        assert QFDKernel(matrix).cross(rows[:2], rows)[1, 1] == 0.0
 
     def test_all_subnormal_diff_is_a_finite_zero(self, matrix: np.ndarray) -> None:
         dim = matrix.shape[0]
@@ -244,7 +194,7 @@ class TestEdgeCases:
             for got in (
                 qfd.one_to_many(q, rows),
                 qfd.one_to_many(q_small, rows_small),
-                gram._qfd_squared_diff(matrix, q_small, rows_small),
+                QFDKernel(matrix).bind(q_small).many(rows_small),
                 gram.qfd_row_norms(matrix, rows_small),
                 gram.qfd_one_to_many(matrix, q_small, rows_small),
             ):
@@ -265,15 +215,17 @@ class TestEdgeCases:
         rows = _dirichlet_rows(rng, matrix.shape[0], 16).astype(np.float32)
         rows[2, :4] = np.float32(1e-40)  # float32 subnormal
         q = rows[5].astype(np.float64)
+        heap = rows.astype(np.float64)
         assert np.array_equal(gram.qfd_row_norms(matrix, rows), _ref_row_norms(matrix, rows))
         assert np.array_equal(
-            gram.qfd_squared_one_to_many(matrix, q, rows),
-            _ref_squared_one_to_many(matrix, q, rows),
+            QFDKernel(matrix).bind(q).many(rows), _ref_one_to_many(matrix, q, heap)
         )
-        assert np.array_equal(gram.qfd_cross(matrix, rows[:4], rows), _ref_cross(matrix, rows[:4], rows))
+        assert np.array_equal(
+            QFDKernel(matrix).cross(rows[:4], rows), _ref_cross(matrix, heap[:4], heap)
+        )
         assert np.array_equal(
             QuadraticFormDistance(matrix).one_to_many(q, rows),
-            _ref_one_to_many(matrix, q, rows.astype(np.float64)),
+            _ref_one_to_many(matrix, q, heap),
         )
 
 
@@ -290,9 +242,10 @@ class TestNoCallerArrayIsWritten:
         qfd.one_to_many(q, rows)
         qfd.pairwise(rows)
         gram.qfd_row_norms(matrix, rows)
-        gram.qfd_squared_one_to_many(matrix, q, rows)
-        gram.qfd_squared_pairwise(matrix, rows)
-        gram.qfd_cross(matrix, rows[:7], rows)
+        kernel = QFDKernel(matrix)
+        kernel.bind(q).many(rows)
+        kernel.bind(q).one(rows[3])
+        kernel.cross(rows[:7], rows)
         assert (rows.tobytes(), q.tobytes()) == before
 
     def test_helper_copies_unless_told_the_array_is_private(self) -> None:

@@ -234,9 +234,9 @@ class TestBlockTraversalInRam:
         calls: list[int] = []
         compute_many = BoundQuery.compute_many
 
-        def counting(self, rows, indices=None):
+        def counting(self, rows):
             calls.append(rows.shape[0])
-            return compute_many(self, rows, indices)
+            return compute_many(self, rows)
 
         monkeypatch.setattr(BoundQuery, "compute_many", counting)
         for q in rows[:5] + 1e-3:
@@ -278,9 +278,9 @@ class TestWritePath:
             charges.append((calls, rows))
             return charge(self, calls=calls, rows=rows, trace=trace)
 
-        def counting_compute_many(self, rows, indices=None):
+        def counting_compute_many(self, rows):
             kernel_calls.append(rows.shape[0])
-            return compute_many(self, rows, indices)
+            return compute_many(self, rows)
 
         monkeypatch.setattr(DistancePort, "charge", counting_charge)
         monkeypatch.setattr(BoundQuery, "compute_many", counting_compute_many)
