@@ -25,7 +25,7 @@ import os
 from pathlib import Path
 
 
-from repro.bench import append_history, format_table, history_record, speedup
+from repro.bench import format_table, speedup
 from repro.datasets import Workload, histogram_workload
 
 __all__ = [
@@ -182,52 +182,9 @@ def report_sweep(comparisons, *, metric: str, title: str) -> str:
     )
 
 
-def _headline_numbers(report: dict) -> dict:
-    """Flatten the report's numeric result leaves into dotted-key metrics.
-
-    The ``metrics`` observability block is skipped (it has its own JSON
-    shape); everything numeric under ``results`` becomes one history
-    metric, so the append-only log stays grep-able without knowing each
-    bench's schema.
-    """
-
-    def walk(obj, prefix: str, out: dict) -> None:
-        if isinstance(obj, dict):
-            for key, value in obj.items():
-                walk(value, f"{prefix}.{key}" if prefix else str(key), out)
-        elif isinstance(obj, list):
-            for pos, value in enumerate(obj):
-                walk(value, f"{prefix}.{pos}", out)
-        elif isinstance(obj, bool):
-            return
-        elif isinstance(obj, (int, float)):
-            out[prefix] = obj
-
-    metrics: dict = {}
-    walk(report.get("results", []), "results", metrics)
-    return metrics
-
-
-def write_report(report: dict, out, *, history=None) -> Path:
-    """Write a ``BENCH_*.json`` report and append the run to the history.
-
-    Every full benchmark run leaves two artifacts: the report JSON at
-    *out*, and one line in ``BENCH_history.jsonl`` next to it — git
-    revision, environment fingerprint, and the report's numeric results —
-    so performance regressions can be bisected against recorded runs
-    (``repro bench history`` lists them).
-    """
+def write_report(report: dict, out) -> Path:
+    """Write a ``BENCH_*.json`` report to *out*; nothing else is written."""
     out = Path(out)
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
-    history_path = (
-        Path(history) if history is not None else out.parent / "BENCH_history.jsonl"
-    )
-    record = history_record(
-        str(report.get("benchmark", out.stem)),
-        _headline_numbers(report),
-        meta=report.get("config"),
-    )
-    append_history(record, history_path)
-    print(f"history: appended to {history_path}")
     return out

@@ -9,7 +9,7 @@ versus an oracle that runs everything?*
 
 On the E_A4-style workload (64-d histograms, Lab-prototype matrix, fixed
 paper seed) it snapshots the closed-form qmap and qfd indexes into a
-scratch catalog, plans the kNN batch with the uncalibrated cost model,
+scratch catalog, plans the kNN batch with the Table 2 cost model,
 then executes **every** considered alternative over the full batch and
 measures actual arithmetic in the cost model's unit.  Reported per plan:
 predicted vs actual flops/query, whether its answers match the
@@ -20,7 +20,7 @@ best).
 Expected shape: the planner never picks the raw-QFD scan (m*n^2/query is
 the ceiling every other plan undercuts), its pick's answers are
 baseline-identical, and regret stays O(1) — the closed forms rank plans
-correctly even before calibration.
+correctly.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def test_planner_pick_is_near_oracle() -> None:
     assert chosen["matches_baseline"]
     scan_qfd = next(r for r in measured["rows"] if r["plan"] == "scan[qfd]")
     assert chosen["actual_per_query"] < scan_qfd["actual_per_query"]
-    # Regret is bounded: trusting the uncalibrated closed forms costs at
+    # Regret is bounded: trusting the closed forms costs at
     # most a small constant factor over the run-everything oracle.
     regret = chosen["actual_per_query"] / oracle["actual_per_query"]
     assert regret < 10.0, regret
@@ -187,7 +187,7 @@ def main() -> None:
     print(
         f"testbed: {workload.name}, m={m}, {N_QUERIES} held-out queries, "
         f"{K}NN, catalog: {len(SNAPSHOT_GRID)} snapshots "
-        f"(p={N_PIVOTS}, capacity={CAPACITY}), uncalibrated cost model"
+        f"(p={N_PIVOTS}, capacity={CAPACITY}), Table 2 cost model"
     )
     print("=" * 72)
 

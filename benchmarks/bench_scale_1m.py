@@ -19,9 +19,9 @@ resident set**.  Each cell runs in its own subprocess because
 ``ru_maxrss`` is a process-lifetime high-water mark — one process per
 phase makes the peaks independent and attributable.
 
-The full run writes ``BENCH_scale_1m.json`` at the repository root and
-appends to ``BENCH_history.jsonl``; ``--smoke`` runs a 20k-row grid as a
-CI liveness check (no JSON unless ``--out`` is given).
+The full run writes ``BENCH_scale_1m.json`` at the repository root;
+``--smoke`` runs a 20k-row grid as a CI liveness check (no JSON unless
+``--out`` is given).
 
 Usage::
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: timing, cost measurement, sweep running, reporting.
+"""Benchmark harness: cost measurement, sweep running, reporting, the gate.
 
 One module per concern; the actual per-figure experiment definitions live
 in ``benchmarks/`` at the repository root (one file per paper table or
@@ -6,34 +6,12 @@ figure, see DESIGN.md Section 3).
 """
 
 from .complexity import (
-    ComplexityRow,
     measured_flops,
     theoretical_indexing_flops,
     theoretical_querying_flops,
 )
-from .history import (
-    HISTORY_FILENAME,
-    RegressionCheck,
-    append_history,
-    check_regression,
-    environment_fingerprint,
-    git_revision,
-    history_record,
-    load_history,
-)
-from .reporting import format_series, format_table, metrics_block, speedup
-from .watch import (
-    BenchWatch,
-    MetricDelta,
-    MetricDrift,
-    WatchReport,
-    diff_metrics,
-    is_count_metric,
-    load_metrics_jsonl,
-    render_diff,
-    robust_zscore,
-    watch_history,
-)
+from .gate import RegressionCheck, check_regression
+from .reporting import format_table, metrics_block, speedup
 from .runner import (
     ModelComparison,
     QueryMeasurement,
@@ -41,14 +19,9 @@ from .runner import (
     measure_queries,
     sweep_sizes,
 )
-from .timing import Stopwatch, TimingResult, time_callable
 
 __all__ = [
-    "Stopwatch",
-    "TimingResult",
-    "time_callable",
     "format_table",
-    "format_series",
     "speedup",
     "metrics_block",
     "QueryMeasurement",
@@ -59,23 +32,6 @@ __all__ = [
     "measured_flops",
     "theoretical_indexing_flops",
     "theoretical_querying_flops",
-    "ComplexityRow",
-    "HISTORY_FILENAME",
     "RegressionCheck",
-    "environment_fingerprint",
-    "git_revision",
-    "history_record",
-    "append_history",
-    "load_history",
     "check_regression",
-    "BenchWatch",
-    "MetricDelta",
-    "MetricDrift",
-    "WatchReport",
-    "diff_metrics",
-    "is_count_metric",
-    "load_metrics_jsonl",
-    "render_diff",
-    "robust_zscore",
-    "watch_history",
 ]

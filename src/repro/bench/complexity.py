@@ -11,8 +11,6 @@ the "Better" column comes out the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..exceptions import QueryError
 from ..models import IndexCosts
 
@@ -20,7 +18,6 @@ __all__ = [
     "measured_flops",
     "theoretical_indexing_flops",
     "theoretical_querying_flops",
-    "ComplexityRow",
 ]
 
 
@@ -95,22 +92,3 @@ def theoretical_querying_flops(
     if method == "mtree":
         return float(x * n * n) if model == "qfd" else float(n * n + x * n)
     raise QueryError(f"no Table 2 closed form for method {method!r}")
-
-
-@dataclass(frozen=True)
-class ComplexityRow:
-    """One row of the reproduced Table 1 / Table 2."""
-
-    method: str
-    model: str
-    measured_evaluations: int
-    measured_transforms: int
-    measured_flops: float
-    theoretical_flops: float
-
-    @property
-    def flops_ratio(self) -> float:
-        """Measured over theoretical; O-constant, stable across sizes."""
-        if self.theoretical_flops <= 0.0:
-            return float("inf")
-        return self.measured_flops / self.theoretical_flops

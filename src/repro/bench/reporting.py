@@ -11,7 +11,6 @@ from typing import Any, Iterable, Sequence
 
 __all__ = [
     "format_table",
-    "format_series",
     "speedup",
     "memory_block",
     "metrics_block",
@@ -44,21 +43,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *, ti
     for row in str_rows:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[object],
-    series: dict[str, Sequence[float]],
-    *,
-    title: str = "",
-) -> str:
-    """Render figure-style data: one x column plus one column per series."""
-    headers = [x_label, *series.keys()]
-    rows = []
-    for i, x in enumerate(x_values):
-        rows.append([x, *[values[i] for values in series.values()]])
-    return format_table(headers, rows, title=title)
 
 
 def speedup(baseline: float, improved: float) -> float:

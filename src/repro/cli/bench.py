@@ -1,11 +1,10 @@
-"""``repro bench check | history | watch``: the benchmark regression gate."""
+"""``repro bench check``: the benchmark regression gate."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from ..exceptions import QueryError
 from ..models import QFDModel, QMapModel
 from .run import index_kwargs, make_workload
 
@@ -48,10 +47,9 @@ def _bench_check_metrics(args: argparse.Namespace) -> dict:
                 metrics[f"{prefix}.query_transforms"] = costs.transforms
 
     # Planner gate: snapshot the closed-form qmap indexes into a scratch
-    # catalog, plan the same workload with the uncalibrated cost model
-    # (calibration would make the pick machine-dependent), and gate what
-    # the chosen plan actually spends.  Any drift means either the cost
-    # model's argmin moved or the chosen traversal changed.
+    # catalog, plan the same workload, and gate what the chosen plan
+    # actually spends.  Any drift means either the cost model's argmin
+    # moved or the chosen traversal changed.
     import tempfile
     from pathlib import Path
 
@@ -82,7 +80,7 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from ..bench import append_history, check_regression, history_record
+    from ..bench import check_regression
 
     meta = {
         "size": args.size,
@@ -96,9 +94,6 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
         f"bins={args.bins}, seed={args.seed}"
     )
     metrics = _bench_check_metrics(args)
-    if not args.no_history:
-        path = append_history(history_record("bench-check", metrics, meta=meta), args.history)
-        print(f"history  : appended to {path}")
 
     baseline_path = Path(args.baseline)
     if args.update_baseline:
@@ -152,39 +147,3 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     print(f"bench check: passed, {len(checks)} metrics match the baseline")
     return 0
 
-
-def cmd_bench_history(args: argparse.Namespace) -> int:
-    from ..bench import load_history
-
-    records = load_history(args.history)
-    if not records:
-        print(f"no history at {args.history}")
-        return 0
-    shown = records[-args.last :] if args.last > 0 else records
-    print(f"{args.history}: {len(records)} run(s), showing {len(shown)}")
-    for record in shown:
-        metrics = record.get("metrics", {})
-        git = str(record.get("git", "unknown"))[:12]
-        print(
-            f"  {record.get('timestamp', '?'):25s} {record.get('bench', '?'):12s} "
-            f"git={git}  {len(metrics)} metrics"
-        )
-    return 0
-
-
-def cmd_bench_watch(args: argparse.Namespace) -> int:
-    from ..bench import watch_history
-
-    if args.window < 1:
-        raise QueryError(f"--window must be >= 1, got {args.window}")
-    if args.min_history < 1:
-        raise QueryError(f"--min-history must be >= 1, got {args.min_history}")
-    report = watch_history(
-        args.history,
-        bench=args.bench,
-        window=args.window,
-        sigma=args.sigma,
-        min_history=args.min_history,
-    )
-    print(report.render())
-    return report.exit_code

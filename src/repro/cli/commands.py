@@ -166,7 +166,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             headers=[_workload_line(workload, args.size, args.queries)],
             index_dir=args.index_dir,
             seed=args.seed,
-            calibrate_from=args.calibrate_from,
         )
     return _build_and_run(args, run, workload, trace=args.trace)
 
@@ -211,7 +210,7 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _report_diff(args: argparse.Namespace) -> int:
-    from ..bench import diff_metrics, load_metrics_jsonl, render_diff
+    from ..obs.export import diff_metrics, load_metrics_jsonl, render_diff
 
     path_a, path_b = args.diff
     deltas = diff_metrics(load_metrics_jsonl(path_a), load_metrics_jsonl(path_b))

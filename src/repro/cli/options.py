@@ -110,11 +110,6 @@ OPTIONS: dict[str, dict] = {
         "'scan[qmap]') forces that alternative (--method/--bound are "
         "ignored; index query plans over the snapshot's directory)",
     ),
-    "--history": dict(
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="append-only benchmark run history (JSON-lines)",
-    ),
 }
 
 #: Sinks fed by the per-query trace collector.  A run that cannot hand

@@ -67,16 +67,8 @@ evaluations.
 
 _BENCH_CHECK = """\
 Measure the deterministic distance-evaluation counts of a fixed-seed
-workload, append them to the history, and compare them against the
-committed baseline (exit 1 on regression, 2 on a missing or mismatched
-baseline).
-"""
-
-_BENCH_WATCH = """\
-Drift detector over the benchmark history: per metric key, the latest
-run is compared against the trailing window with robust median/MAD
-statistics - count keys zero-tolerance, timing keys gated at a
-configurable sigma.  Exit 0 clean, 1 drift, 2 insufficient history.
+workload and compare them against the committed baseline (exit 1 on
+regression, 2 on a missing or mismatched baseline).
 """
 
 
@@ -133,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory of .npz index snapshots the planner may probe",
     )
-    query.add_argument(
-        "--calibrate-from",
-        default=None,
-        metavar="PATH",
-        help="bench history JSON-lines used to calibrate the planner's "
-        "cost model (default: uncalibrated Table 2 closed forms)",
-    )
 
     explain = command(
         sub,
@@ -190,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="repro_timeline.json", metavar="PATH", help="timeline JSON output path"
     )
 
-    bench_cmd = sub.add_parser("bench", help="benchmark regression history and baseline gate")
+    bench_cmd = sub.add_parser("bench", help="deterministic distance-count baseline gate")
     bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
     bcheck = command(
         bench_sub,
@@ -200,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         _BENCH_CHECK,
     )
     attach(
-        bcheck, "--size", "--bins", "--queries", "--k", "--seed", "--history",
+        bcheck, "--size", "--bins", "--queries", "--k", "--seed",
         size=400, queries=10, seed=2011,
     )
     bcheck.add_argument(
@@ -210,48 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="committed baseline file",
     )
     bcheck.add_argument(
-        "--no-history", action="store_true", help="do not append this run to the history file"
-    )
-    bcheck.add_argument(
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline from this run instead of gating",
-    )
-
-    bhistory = command(
-        bench_sub, "history", bench.cmd_bench_history, "show the recorded benchmark run history"
-    )
-    attach(bhistory, "--history")
-    bhistory.add_argument("--last", type=int, default=10, help="show only the most recent N runs")
-
-    bwatch = command(
-        bench_sub,
-        "watch",
-        bench.cmd_bench_watch,
-        "detect drift in the benchmark history (exit 0 clean, 1 drift, 2 too short)",
-        _BENCH_WATCH,
-    )
-    attach(bwatch, "--history")
-    bwatch.add_argument(
-        "--bench",
-        default=None,
-        metavar="NAME",
-        help="watch only this bench name (default: every bench found)",
-    )
-    bwatch.add_argument(
-        "--window", type=int, default=10, help="trailing prior runs forming the baseline window"
-    )
-    bwatch.add_argument(
-        "--sigma",
-        type=float,
-        default=5.0,
-        help="robust z-score threshold for timing metrics (counts stay zero-tolerance)",
-    )
-    bwatch.add_argument(
-        "--min-history",
-        type=int,
-        default=3,
-        help="minimum prior runs a bench needs before it is checked",
     )
 
     index = sub.add_parser(

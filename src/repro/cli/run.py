@@ -253,7 +253,6 @@ def run_planned(
     headers: "list[str]",
     index_dir: "str | None",
     seed: int,
-    calibrate_from: "str | None" = None,
 ) -> int:
     """Plan, print the considered alternatives, and execute the choice."""
     from ..models.planning import plan_query_batch
@@ -270,11 +269,6 @@ def run_planned(
     with run:
         for line in headers:
             print(line)
-        history = None
-        if calibrate_from:
-            from ..bench import load_history
-
-            history = load_history(calibrate_from)
         executor = None
         if args.executor or args.workers:
             executor = ExecutorChoice(
@@ -288,7 +282,6 @@ def run_planned(
             k=k,
             radius=radius,
             index_dir=index_dir,
-            history=history,
             force=None if args.plan == "auto" else args.plan,
             executor=executor,
             seed=seed,
@@ -301,8 +294,6 @@ def run_planned(
             print(f"catalog  : {catalog.directory}: {note}")
             for warning in catalog.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
-        if history is not None:
-            print(f"calibrate: {calibrate_from} ({len(history)} record(s))")
         print(planned.choice.render())
         execution = planned.execution
         run_and_report(

@@ -31,7 +31,6 @@ from ..exceptions import QueryError, StorageError
 from ..obs import log_event
 from ..lowerbound import FilterRefineScan, FilterRefineStats, SVDReduction, average_color_bound
 from ..planner import (
-    CostModel,
     DirectScan,
     DistanceHistogram,
     ExecutorChoice,
@@ -42,7 +41,6 @@ from ..planner import (
     Planner,
     PlanNode,
     QuerySpec,
-    calibration_from_history,
 )
 from .base import BuiltIndex, IndexCosts
 from .lifecycle import load_built_index
@@ -294,7 +292,6 @@ def plan_query_batch(
     k: "int | None" = None,
     radius: "float | None" = None,
     index_dir: "str | None" = None,
-    history: "list[dict] | None" = None,
     force: "str | None" = None,
     executor: "ExecutorChoice | None" = None,
     seed: int = 0,
@@ -302,12 +299,10 @@ def plan_query_batch(
     """Plan one query batch end to end and materialize the chosen plan.
 
     Builds the :class:`QuerySpec` from the workload shape, scans
-    *index_dir* into a catalog (empty catalog when ``None``), calibrates
-    the cost model from *history* records (``repro.bench.load_history``
-    lines) when given, picks the argmin — or the *force*-named plan — and
-    materializes it, ready for :meth:`PlanExecution.run_batch`.  An
-    explicit *executor* replaces the serial default (the CLI's
-    ``--executor``).
+    *index_dir* into a catalog (empty catalog when ``None``), picks the
+    argmin — or the *force*-named plan — and materializes it, ready for
+    :meth:`PlanExecution.run_batch`.  An explicit *executor* replaces the
+    serial default (the CLI's ``--executor``).
     """
     if (k is None) == (radius is None):
         raise QueryError("plan_query_batch needs exactly one of k= or radius=")
@@ -325,9 +320,7 @@ def plan_query_batch(
         histogram=histogram,
     )
     catalog = IndexCatalog.scan(index_dir) if index_dir is not None else IndexCatalog()
-    calibration = calibration_from_history(history) if history else None
-    planner = Planner(catalog=catalog, cost_model=CostModel(calibration=calibration))
-    choice = planner.plan(spec, force=force)
+    choice = Planner(catalog=catalog).plan(spec, force=force)
     log_event(
         "plan",
         kind=spec.kind,

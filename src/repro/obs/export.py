@@ -2,6 +2,8 @@
 
 * :func:`to_jsonl` — newline-delimited JSON events (metrics then spans),
   the archival format the benches embed and ``--trace-out`` reuses;
+  :func:`load_metrics_jsonl` reads one back and :func:`diff_metrics` /
+  :func:`render_diff` compare two (``repro report --diff A B``);
 * :func:`to_prometheus` — Prometheus text exposition format
   (``name{labels} value`` with ``# HELP``/``# TYPE`` headers), so a
   production deployment can scrape any experiment verbatim;
@@ -9,7 +11,8 @@
 
 Everything here consumes only the snapshot model of
 :mod:`repro.obs.registry` (plus duck-typed trace records for
-:func:`traces_to_jsonl`), keeping the package dependency-free.
+:func:`traces_to_jsonl` and this module's own JSON-lines for
+:func:`load_metrics_jsonl`), keeping the package dependency-free.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .registry import HistogramState, MetricsRegistry
@@ -28,6 +32,10 @@ __all__ = [
     "to_table",
     "snapshot_dict",
     "traces_to_jsonl",
+    "load_metrics_jsonl",
+    "MetricDelta",
+    "diff_metrics",
+    "render_diff",
     "EXPORT_FORMATS",
     "export",
     "ParsedSample",
@@ -249,6 +257,93 @@ def traces_to_jsonl(traces: Iterable[Any]) -> str:
             entry["distance_evaluations"] = int(total)
         lines.append(json.dumps(entry, sort_keys=True))
     return "\n".join(lines) + "\n" if lines else ""
+
+
+# ----------------------------------------------------------------------
+# Reading to_jsonl exports back (repro report --diff A B)
+# ----------------------------------------------------------------------
+
+def load_metrics_jsonl(path: "str | Path") -> dict[str, float]:
+    """Flatten one :func:`to_jsonl` export into ``{key: value}``.
+
+    Keys are ``name{label=value,...}`` for counters/gauges; histograms
+    contribute ``...#count`` and ``...#sum``.  Span records are skipped
+    (wall times per individual span are not comparable run to run).
+    """
+    out: dict[str, float] = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        entry = json.loads(line)
+        if entry.get("type") == "span":
+            continue
+        name = str(entry.get("name", ""))
+        labels = entry.get("labels") or {}
+        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+        key = f"{name}{{{label_text}}}" if label_text else name
+        if "value" in entry:
+            out[key] = float(entry["value"])
+        else:
+            out[f"{key}#count"] = float(entry.get("count", 0))
+            out[f"{key}#sum"] = float(entry.get("sum", 0.0))
+    return out
+
+
+@dataclass(frozen=True)
+class MetricDelta:
+    """One key's A-vs-B comparison in :func:`diff_metrics`."""
+
+    key: str
+    a: "float | None"
+    b: "float | None"
+
+    @property
+    def delta(self) -> float:
+        return (self.b or 0.0) - (self.a or 0.0)
+
+    @property
+    def relative(self) -> float:
+        if not self.a:
+            return float("inf") if self.delta else 0.0
+        return self.delta / self.a
+
+
+def diff_metrics(
+    a: Mapping[str, float], b: Mapping[str, float]
+) -> list[MetricDelta]:
+    """Key-wise comparison of two flattened metrics maps (changed first)."""
+    deltas = [
+        MetricDelta(key, a.get(key), b.get(key))
+        for key in sorted(set(a) | set(b))
+    ]
+    return sorted(deltas, key=lambda d: (-abs(d.delta), d.key))
+
+
+def render_diff(
+    deltas: "list[MetricDelta]", *, label_a: str = "A", label_b: str = "B"
+) -> str:
+    """Aligned table of :func:`diff_metrics` output."""
+    changed = [d for d in deltas if d.delta or d.a is None or d.b is None]
+    lines = [
+        f"metrics diff: {label_a} -> {label_b} "
+        f"({len(changed)} changed / {len(deltas)} keys)"
+    ]
+    if not changed:
+        lines.append("  (identical)")
+        return "\n".join(lines)
+    width = max(len(d.key) for d in changed)
+
+    def cell(value: "float | None") -> str:
+        return "-" if value is None else f"{value:g}"
+
+    for d in changed:
+        rel = "" if d.a in (None, 0.0) or d.b is None else f"  ({d.relative:+.1%})"
+        lines.append(
+            f"  {d.key:<{width}}  {cell(d.a):>14} -> {cell(d.b):>14}"
+            f"  Δ={d.delta:+g}{rel}"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

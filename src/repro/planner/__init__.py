@@ -11,7 +11,7 @@ Four pieces, each import-clean of the index/model/observability layers
 * :mod:`~repro.planner.catalog` — discover built indexes from snapshot
   headers, never loading vectors;
 * :mod:`~repro.planner.cost` — price plans with the Table 2 closed
-  forms, calibrated by replayed benchmark history;
+  forms;
 * :mod:`~repro.planner.plans` — the physical plan nodes (direct scan,
   index probe, filter-and-refine);
 * :mod:`~repro.planner.planner` — enumerate, price, argmin, and record
@@ -26,7 +26,6 @@ from .cost import (
     CostModel,
     DistanceHistogram,
     PredictedCost,
-    calibration_from_history,
 )
 from .planner import ConsideredPlan, PlanChoice, Planner, QuerySpec
 from .plans import (
@@ -43,7 +42,6 @@ __all__ = [
     "CostModel",
     "DistanceHistogram",
     "PredictedCost",
-    "calibration_from_history",
     "DEFAULT_FILTER_LOOSENESS",
     "DEFAULT_RANGE_SELECTIVITY",
     "DEFAULT_VISIT_FRACTION",

@@ -1,18 +1,16 @@
-"""Plan pricing: the paper's Table 2 closed forms plus calibration.
+"""Plan pricing: the paper's Table 2 closed forms.
 
 :class:`CostModel` prices every candidate physical plan in the paper's
 cost unit — arithmetic operations, with a QFD evaluation worth ``n^2``, a
 Euclidean evaluation ``n`` and a QMap transform ``n^2`` — by evaluating
 the same Table 2 closed forms the EXPLAIN :class:`~repro.obs.explain.
-CostAudit` checks against.  Two inputs it cannot get from the formulas:
-
-* **selectivity** — how many objects a range query touches, estimated
-  from an empirical :class:`DistanceHistogram` of sampled pairwise
-  distances (kNN selectivity is simply ``k/m``);
-* **calibration** — how well each method's filter actually prunes on the
-  observed workloads, replayed from ``BENCH_history.jsonl`` records via
-  :func:`calibration_from_history`.  The history lines are plain dicts,
-  so the planner stays import-clean of :mod:`repro.obs` internals.
+CostAudit` checks against.  One input it cannot get from the formulas
+is **selectivity** — how many objects a range query touches, estimated
+from an empirical :class:`DistanceHistogram` of sampled pairwise
+distances (kNN selectivity is simply ``k/m``).  How many objects a
+filter passes or a traversal visits is a fixed, deliberately
+pessimistic fraction (:data:`DEFAULT_FILTER_LOOSENESS`,
+:data:`DEFAULT_VISIT_FRACTION`).
 
 Setup costs (e.g. the database reduction a filter-and-refine plan must
 pay before its first query) are priced separately from per-query costs,
@@ -31,7 +29,6 @@ __all__ = [
     "DistanceHistogram",
     "PredictedCost",
     "CostModel",
-    "calibration_from_history",
     "DEFAULT_RANGE_SELECTIVITY",
     "DEFAULT_VISIT_FRACTION",
     "DEFAULT_FILTER_LOOSENESS",
@@ -39,17 +36,16 @@ __all__ = [
 
 #: Fraction of the database a range query is assumed to select when no
 #: distance histogram is available (matches the benches' "~10 results on
-#: m=1000" calibration target, with slack).
+#: m=1000" range-radius target, with slack).
 DEFAULT_RANGE_SELECTIVITY = 0.05
 
-#: Fraction of the database a tree traversal is assumed to evaluate when
-#: no calibration is available.  Deliberately pessimistic: an
-#: uncalibrated exotic index must clearly beat the scan on the closed
-#: forms before the planner picks it.
+#: Fraction of the database a tree traversal is assumed to evaluate.
+#: Deliberately pessimistic: an exotic index must clearly beat the scan
+#: on the closed forms before the planner picks it.
 DEFAULT_VISIT_FRACTION = 0.5
 
 #: How many times more candidates than true results a contractive filter
-#: (pivot table, SVD/QBIC lower bound) is assumed to pass uncalibrated.
+#: (pivot table, SVD/QBIC lower bound) is assumed to pass.
 DEFAULT_FILTER_LOOSENESS = 3.0
 
 
@@ -104,64 +100,8 @@ class PredictedCost:
         return self.setup_flops + max(int(batch_size), 1) * self.per_query_flops
 
 
-def calibration_from_history(records: "list[dict]") -> "dict[tuple[str, str], float]":
-    """Per-``(method, model)`` observed visit fractions from history lines.
-
-    Replays ``bench-check`` records (plain dicts, as loaded by
-    :func:`repro.bench.load_history`): each ``<method>.<model>.
-    query_evaluations`` metric, divided by the record's query count and
-    database size, is the fraction of the database that method actually
-    evaluated per query on the fixed gate workload.  Later records win,
-    so the calibration tracks the current code.  Bound-mode variants
-    (``pivot-table+best``) calibrate their base method conservatively:
-    the largest observed fraction is kept.
-    """
-    calibration: dict[tuple[str, str], float] = {}
-    for record in records:
-        if record.get("bench") != "bench-check":
-            continue
-        meta = record.get("meta") or {}
-        size = int(meta.get("size", 0))
-        queries = int(meta.get("queries", 0))
-        if size <= 0 or queries <= 0:
-            continue
-        fresh: dict[tuple[str, str], float] = {}
-        for key, value in (record.get("metrics") or {}).items():
-            parts = str(key).split(".")
-            if len(parts) != 3 or parts[2] != "query_evaluations":
-                continue
-            method = parts[0].split("+")[0]
-            model = parts[1]
-            fraction = float(value) / (queries * size)
-            fraction = min(max(fraction, 0.0), 1.0)
-            previous = fresh.get((method, model))
-            if previous is None or fraction > previous:
-                fresh[(method, model)] = fraction
-        calibration.update(fresh)
-    return calibration
-
-
 class CostModel:
-    """Prices physical plans for one workload dimensionality.
-
-    Parameters
-    ----------
-    calibration:
-        ``(method, model) -> visit fraction`` corrections (see
-        :func:`calibration_from_history`); missing entries fall back to
-        the pessimistic defaults.
-    """
-
-    def __init__(
-        self,
-        *,
-        calibration: "dict[tuple[str, str], float] | None" = None,
-    ) -> None:
-        self._calibration = dict(calibration or {})
-
-    @property
-    def calibration(self) -> "dict[tuple[str, str], float]":
-        return dict(self._calibration)
+    """Prices physical plans for one workload dimensionality."""
 
     # -- workload statistics -------------------------------------------
 
@@ -182,10 +122,6 @@ class CostModel:
         fraction = min(1.0, looseness * self.result_fraction(spec))
         floor = float(spec.param) if spec.kind == "knn" else 1.0
         return min(float(m), max(fraction * m, floor))
-
-    def visit_fraction(self, method: str, model: str) -> float:
-        """Calibrated fraction of the database a traversal evaluates."""
-        return self._calibration.get((method, model), DEFAULT_VISIT_FRACTION)
 
     # -- plan pricing --------------------------------------------------
 
@@ -208,9 +144,8 @@ class CostModel:
         Methods with a Table 2 closed form (pivot table, M-tree) are
         priced exactly; every other structure is priced generically as
         ``x`` evaluations at the model's per-evaluation cost, with ``x``
-        from the calibrated visit fraction — uncalibrated, that fraction
-        is pessimistic enough that only the closed-form structures can
-        beat the scan.
+        from :data:`DEFAULT_VISIT_FRACTION` — pessimistic enough that
+        only the closed-form structures can beat the scan.
         """
         m, n = int(spec.m), int(spec.dim)
         method, model = entry.method, entry.model
@@ -223,25 +158,18 @@ class CostModel:
             return PredictedCost(setup_flops=0.0, per_query_flops=per_query)
         if method == "pivot-table":
             p = int(entry.n_pivots or 16)
-            calibrated = self._calibration.get((method, model))
-            if calibrated is not None:
-                # The calibrated fraction counts pivot distances too;
-                # strip them to recover the candidate rate, then scale
-                # by the workload's relative selectivity.
-                x = max(calibrated * m - p, float(spec.param if spec.kind == "knn" else 1.0))
-            else:
-                x = self.filter_candidates(spec)
+            x = self.filter_candidates(spec)
             per_query = theoretical_querying_flops(
                 method, model, m=m, n=n, p=p, x=int(round(x))
             )
             return PredictedCost(setup_flops=0.0, per_query_flops=per_query)
         if method in ("mtree", "paged-mtree"):
-            x = int(round(self.visit_fraction("mtree", model) * m))
+            x = int(round(DEFAULT_VISIT_FRACTION * m))
             per_query = theoretical_querying_flops(
                 "mtree", model, m=m, n=n, x=x
             )
             return PredictedCost(setup_flops=0.0, per_query_flops=per_query)
-        x = self.visit_fraction(method, model) * m
+        x = DEFAULT_VISIT_FRACTION * m
         if model == "qfd":
             per_query = x * n * n
         else:

@@ -161,25 +161,15 @@ class Planner:
     catalog:
         Discovered index snapshots (``None`` means no probes — the
         planner still offers both scans and the filter pipelines).
-    cost_model:
-        The pricing model (a default, uncalibrated one if omitted).
     """
 
-    def __init__(
-        self,
-        catalog: "IndexCatalog | None" = None,
-        cost_model: "CostModel | None" = None,
-    ) -> None:
+    def __init__(self, catalog: "IndexCatalog | None" = None) -> None:
         self._catalog = catalog if catalog is not None else IndexCatalog()
-        self._cost_model = cost_model if cost_model is not None else CostModel()
+        self._cost_model = CostModel()
 
     @property
     def catalog(self) -> IndexCatalog:
         return self._catalog
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self._cost_model
 
     def alternatives(self, spec: QuerySpec) -> "list[PlanNode]":
         """Every physical alternative for *spec*.

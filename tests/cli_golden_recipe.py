@@ -32,7 +32,6 @@ import re
 import tempfile
 from pathlib import Path
 
-from repro.bench import append_history, history_record
 from repro.cli import build_parser, main
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
@@ -182,23 +181,14 @@ INVOCATIONS: list[tuple[str, list[str]]] = [
       "--out", "{tmp}/timeline_pivot.json"]),
     # bench (ci.yml "Benchmark regression gate", api_guide)
     ("bench-check",
-     ["bench", "check", "--baseline", "{repo}/benchmarks/bench_baseline.json",
-      "--history", "{tmp}/BENCH_history.jsonl"]),
+     ["bench", "check", "--baseline", "{repo}/benchmarks/bench_baseline.json"]),
     ("bench-update-baseline",
      ["bench", "check", *_W, "--k", "3", "--baseline", "{tmp}/baseline.json",
-      "--history", "{tmp}/BENCH_history.jsonl", "--update-baseline"]),
+      "--update-baseline"]),
     ("bench-check-small",
-     ["bench", "check", *_W, "--k", "3", "--baseline", "{tmp}/baseline.json",
-      "--no-history"]),
+     ["bench", "check", *_W, "--k", "3", "--baseline", "{tmp}/baseline.json"]),
     ("bench-check-mismatch",
-     ["bench", "check", *_W, "--k", "4", "--baseline", "{tmp}/baseline.json",
-      "--no-history"]),
-    ("bench-history",
-     ["bench", "history", "--history", "{tmp}/BENCH_history.jsonl", "--last", "5"]),
-    ("bench-watch-short",
-     ["bench", "watch", "--history", "{tmp}/BENCH_history.jsonl",
-      "--bench", "bench-check", "--min-history", "2"]),
-    ("bench-watch", ["bench", "watch", "--history", "{tmp}/watch.jsonl", "--min-history", "2"]),
+     ["bench", "check", *_W, "--k", "4", "--baseline", "{tmp}/baseline.json"]),
 ]
 
 _TIME_METRIC = re.compile(
@@ -212,8 +202,6 @@ _MASKS: list[tuple[re.Pattern, str]] = [
     (re.compile(r'"seconds": [\d.e+-]+'), '"seconds": <t>'),
     (re.compile(r"\b\d+ samples @"), "<n> samples @"),
     (re.compile(r"^numpy \S+$"), "numpy <version>"),
-    (re.compile(r"\b\d{4}-\d\d-\d\dT[\d:.+-]+Z?"), "<timestamp>"),
-    (re.compile(r"\bgit=\S+"), "git=<rev>"),
     (re.compile(r" {2,}"), " "),
     (re.compile(r"-{4,}"), "----"),
 ]
@@ -299,11 +287,6 @@ def _seed_inputs(tmp: Path) -> None:
             {"type": "counter", "name": "repro_y_total", "labels": {"kind": "knn"}, "value": 1.0},
         ]
         (tmp / name).write_text("".join(json.dumps(e) + "\n" for e in entries))
-    for evaluations in (10, 10, 10, 11):
-        append_history(
-            history_record("bench-x", {"a.build_evaluations": evaluations}),
-            tmp / "watch.jsonl",
-        )
 
 
 def run_invocations() -> dict:

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import (
-    ComplexityRow,
-    Stopwatch,
     compare_models,
-    format_series,
     format_table,
     measure_queries,
     measured_flops,
@@ -17,7 +14,6 @@ from repro.bench import (
     sweep_sizes,
     theoretical_indexing_flops,
     theoretical_querying_flops,
-    time_callable,
 )
 from repro.datasets import histogram_workload
 from repro.exceptions import QueryError
@@ -29,33 +25,12 @@ def workload():
     return histogram_workload(200, 4, bins_per_channel=2, seed=23)
 
 
-class TestTiming:
-    def test_stopwatch(self) -> None:
-        with Stopwatch() as sw:
-            sum(range(100))
-        assert sw.seconds >= 0.0
-
-    def test_time_callable(self) -> None:
-        result = time_callable(lambda: None, repeats=3)
-        assert result.repeats == 3
-        assert result.mean >= 0.0
-        assert result.best <= result.mean * 3
-
-    def test_time_callable_rejects_zero_repeats(self) -> None:
-        with pytest.raises(QueryError):
-            time_callable(lambda: None, repeats=0)
-
-
 class TestReporting:
     def test_format_table(self) -> None:
         out = format_table(["a", "b"], [[1, 2.5], [3, 4.0]], title="T")
         assert "T" in out
         assert "a" in out and "b" in out
         assert "2.5" in out
-
-    def test_format_series(self) -> None:
-        out = format_series("m", [10, 20], {"qfd": [1.0, 2.0], "qmap": [0.1, 0.2]})
-        assert "qfd" in out and "qmap" in out and "20" in out
 
     def test_speedup(self) -> None:
         assert speedup(10.0, 2.0) == pytest.approx(5.0)
@@ -156,6 +131,21 @@ class TestComplexity:
         with pytest.raises(QueryError):
             theoretical_querying_flops("rtree", "qfd", m=10, n=4)
 
-    def test_complexity_row_ratio(self) -> None:
-        row = ComplexityRow("mtree", "qfd", 100, 0, 1000.0, 500.0)
-        assert row.flops_ratio == pytest.approx(2.0)
+
+class TestWriteReport:
+    def test_writes_the_report_and_nothing_else(self, tmp_path) -> None:
+        import json
+        import sys
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        try:
+            from _common import write_report
+        finally:
+            sys.path.pop(0)
+
+        report = {"benchmark": "x", "results": [{"evaluations": 3}]}
+        target = tmp_path / "BENCH_x.json"
+        assert write_report(report, target) == target
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert json.loads(target.read_text(encoding="utf-8")) == report

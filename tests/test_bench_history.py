@@ -1,10 +1,9 @@
-"""Benchmark regression history and baseline gate (repro.bench.history).
+"""Benchmark baseline gate (repro.bench.gate) and ``repro explain``.
 
-Covers the library layer (records, append-only log, the
-:class:`RegressionCheck` semantics) and the ``repro bench`` CLI: the gate
-passes against a freshly written baseline, fails with exit 1 on an
-injected count regression, exits 2 without a baseline, and every check
-run appends one record to the history log.
+Covers the :class:`RegressionCheck` semantics and the ``repro bench
+check`` CLI: the gate passes against a freshly written baseline, fails
+with exit 1 on an injected count regression, exits 2 without a baseline,
+and writes no file besides the baseline it is asked to rewrite.
 """
 
 from __future__ import annotations
@@ -14,15 +13,7 @@ import math
 
 import pytest
 
-from repro.bench import (
-    RegressionCheck,
-    append_history,
-    check_regression,
-    environment_fingerprint,
-    git_revision,
-    history_record,
-    load_history,
-)
+from repro.bench import RegressionCheck, check_regression
 from repro.cli import main
 
 #: A tiny-but-real workload so the CLI gate runs in well under a second.
@@ -36,43 +27,8 @@ def _check_args(tmp_path, *extra: str) -> list[str]:
         *_WORKLOAD_ARGS,
         "--baseline",
         str(tmp_path / "baseline.json"),
-        "--history",
-        str(tmp_path / "history.jsonl"),
         *extra,
     ]
-
-
-class TestHistoryRecords:
-    def test_environment_fingerprint_shape(self) -> None:
-        env = environment_fingerprint()
-        assert set(env) == {"python", "numpy", "platform", "machine", "cpu_count"}
-        assert env["cpu_count"] >= 1
-
-    def test_git_revision_in_repo_and_outside(self, tmp_path) -> None:
-        assert git_revision() != "unknown"  # the test suite runs in a checkout
-        assert git_revision(tmp_path) == "unknown"
-
-    def test_record_append_load_roundtrip(self, tmp_path) -> None:
-        path = tmp_path / "history.jsonl"
-        first = history_record("unit", {"a.count": 3}, meta={"size": 10})
-        second = history_record("unit", {"a.count": 4})
-        append_history(first, path)
-        append_history(second, path)
-        records = load_history(path)
-        assert [r["metrics"] for r in records] == [{"a.count": 3}, {"a.count": 4}]
-        assert records[0]["meta"] == {"size": 10}
-        assert "meta" not in records[1]
-        for record in records:
-            assert record["bench"] == "unit"
-            assert record["git"] == git_revision()
-            assert "timestamp" in record and "env" in record
-        # Genuinely append-only JSON-lines: one object per line.
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line) for line in lines)
-
-    def test_load_history_missing_file_is_empty(self, tmp_path) -> None:
-        assert load_history(tmp_path / "nope.jsonl") == []
 
 
 class TestRegressionCheck:
@@ -121,7 +77,6 @@ class TestRegressionCheck:
 class TestBenchCheckCLI:
     def test_gate_lifecycle(self, tmp_path, capsys) -> None:
         baseline = tmp_path / "baseline.json"
-        history = tmp_path / "history.jsonl"
 
         # No baseline yet: exit 2 with a hint, nothing gated.
         assert main(_check_args(tmp_path)) == 2
@@ -154,13 +109,8 @@ class TestBenchCheckCLI:
         out = capsys.readouterr().out
         assert "REGRESSED" in out
 
-        # Every check run (including the baseline rewrite) appended one
-        # history record.
-        assert len(load_history(history)) == 4
-
-    def test_no_history_flag_skips_the_log(self, tmp_path) -> None:
-        assert main(_check_args(tmp_path, "--no-history", "--update-baseline")) == 0
-        assert not (tmp_path / "history.jsonl").exists()
+        # The gate reads the baseline and writes nothing else.
+        assert sorted(tmp_path.iterdir()) == [baseline]
 
     def test_workload_mismatch_refuses_to_gate(self, tmp_path, capsys) -> None:
         assert main(_check_args(tmp_path, "--update-baseline")) == 0
@@ -178,21 +128,6 @@ class TestBenchCheckCLI:
         capsys.readouterr()
         assert main(_check_args(tmp_path)) == 0
         assert "consider --update-baseline" in capsys.readouterr().out
-
-
-class TestBenchHistoryCLI:
-    def test_history_listing(self, tmp_path, capsys) -> None:
-        path = tmp_path / "history.jsonl"
-        for pos in range(3):
-            append_history(history_record(f"run{pos}", {"m": pos}), path)
-        assert main(["bench", "history", "--history", str(path), "--last", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "3 run(s), showing 2" in out
-        assert "run2" in out and "run0" not in out
-
-    def test_missing_history_is_not_an_error(self, tmp_path, capsys) -> None:
-        assert main(["bench", "history", "--history", str(tmp_path / "no.jsonl")]) == 0
-        assert "no history" in capsys.readouterr().out
 
 
 class TestExplainCLI:

@@ -2,8 +2,7 @@
 
 Covers the PR's new flags and subcommands end-to-end through
 ``repro.cli.main``: ``query --serve-metrics/--serve-hold/--timeline-out``,
-``explain --timeline-out``, ``trace export``, ``bench watch`` exit codes,
-and ``report --diff``.
+``explain --timeline-out``, ``trace export`` and ``report --diff``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import urllib.request
 
 import pytest
 
-from repro.bench.history import append_history, history_record
 from repro.cli import build_parser, main
 
 _QUERY_BASE = ["query", "--size", "80", "--bins", "2", "--queries", "4", "--k", "3"]
@@ -43,11 +41,6 @@ class TestParser:
         args = build_parser().parse_args(["trace", "export"])
         assert args.method == "mtree" and args.model == "qmap"
         assert args.out == "repro_timeline.json"
-
-    def test_bench_watch_defaults(self) -> None:
-        args = build_parser().parse_args(["bench", "watch"])
-        assert args.history == "BENCH_history.jsonl"
-        assert args.window == 10 and args.sigma == 5.0 and args.min_history == 3
 
     def test_report_diff_takes_two_paths(self) -> None:
         args = build_parser().parse_args(["report", "--diff", "a.jsonl", "b.jsonl"])
@@ -295,42 +288,6 @@ class TestTraceExport:
         # Both lanes present: wall-clock spans and the traversal replay.
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert "span" in cats and "traversal" in cats
-
-
-class TestBenchWatch:
-    def _history(self, path, rows) -> None:
-        for metrics in rows:
-            append_history(history_record("bench-x", metrics), path)
-
-    def test_clean_history_exits_zero(self, capsys, tmp_path) -> None:
-        path = tmp_path / "hist.jsonl"
-        self._history(path, [{"a.build_evaluations": 10} for _ in range(4)])
-        code = main(["bench", "watch", "--history", str(path), "--min-history", "3"])
-        assert code == 0
-        assert "bench-x" in capsys.readouterr().out
-
-    def test_drift_exits_one(self, capsys, tmp_path) -> None:
-        path = tmp_path / "hist.jsonl"
-        rows = [{"a.build_evaluations": 10} for _ in range(4)] + [
-            {"a.build_evaluations": 11}
-        ]
-        self._history(path, rows)
-        code = main(["bench", "watch", "--history", str(path), "--min-history", "3"])
-        assert code == 1
-        assert "DRIFT" in capsys.readouterr().out
-
-    def test_insufficient_history_exits_two(self, capsys, tmp_path) -> None:
-        path = tmp_path / "hist.jsonl"
-        self._history(path, [{"a.x": 1.0}])
-        code = main(["bench", "watch", "--history", str(path), "--min-history", "3"])
-        assert code == 2
-
-    def test_bad_window_exits_two(self, capsys, tmp_path) -> None:
-        path = tmp_path / "hist.jsonl"
-        self._history(path, [{"a.x": 1.0}])
-        code = main(["bench", "watch", "--history", str(path), "--window", "0"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestReportDiff:

@@ -26,7 +26,6 @@ from repro.bench.complexity import theoretical_querying_flops
 from repro.exceptions import QueryError
 from repro.planner import (
     DEFAULT_RANGE_SELECTIVITY,
-    DEFAULT_VISIT_FRACTION,
     CatalogEntry,
     CostModel,
     DirectScan,
@@ -38,7 +37,6 @@ from repro.planner import (
     Planner,
     PredictedCost,
     QuerySpec,
-    calibration_from_history,
 )
 
 
@@ -132,39 +130,6 @@ class TestQuerySpec:
             _spec(kind="knn", param=0)
         with pytest.raises(QueryError):
             _spec(kind="range", param=-1.0)
-
-
-class TestCalibration:
-    def test_later_records_win_and_bound_variants_merge(self) -> None:
-        records = [
-            {
-                "bench": "bench-check",
-                "meta": {"size": 100, "queries": 10},
-                "metrics": {
-                    "pivot-table.qmap.query_evaluations": 200,
-                    "pivot-table+best.qmap.query_evaluations": 400,
-                    "mtree.qfd.query_evaluations": 500,
-                    "planner.auto.alternatives": 6,  # wrong shape: ignored
-                },
-            },
-            {"bench": "other", "metrics": {"mtree.qfd.query_evaluations": 999}},
-            {
-                "bench": "bench-check",
-                "meta": {"size": 100, "queries": 10},
-                "metrics": {"mtree.qfd.query_evaluations": 300},
-            },
-        ]
-        calibration = calibration_from_history(records)
-        # Bound variants calibrate the base method; the larger fraction wins.
-        assert calibration[("pivot-table", "qmap")] == pytest.approx(0.4)
-        # The later bench-check record overrides the earlier one.
-        assert calibration[("mtree", "qfd")] == pytest.approx(0.3)
-        assert ("planner", "auto") not in calibration
-
-    def test_calibration_feeds_visit_fraction(self) -> None:
-        model = CostModel(calibration={("mtree", "qmap"): 0.25})
-        assert model.visit_fraction("mtree", "qmap") == 0.25
-        assert model.visit_fraction("mtree", "qfd") == DEFAULT_VISIT_FRACTION
 
 
 class TestCostModel:
