@@ -28,7 +28,12 @@ recheck changes only values that were pure noise.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+from ._pool import pool_size
 
 __all__ = [
     "RECHECK_REL",
@@ -62,12 +67,41 @@ _L2_TILE_FLOATS = 131072
 _TILE_ROWS = 8192
 
 
+def _split_workers() -> int:
+    """Threads one QFD tile may be split across: the cores BLAS leaves idle.
+
+    Only a BLAS thread count the environment declares leaves any; with
+    none declared, BLAS threads every product over all cores itself.
+    """
+    declared = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas_threads = int(declared or 0)
+    except ValueError:
+        return 1
+    return pool_size(blas_threads) if blas_threads > 0 else 1
+
+
+_SPLIT_WORKERS = _split_workers()
+
+#: Fewest multiply-adds (``rows * n^2``) one chunk of a split QFD tile
+#: gets; a tile splits only into two or more such chunks.  Set where the
+#: split stops losing: with two threads at 512-d, 128 rows read 2.7 ms
+#: serial against 5.6 ms split, 256 rows 4.6 against 4.5, 1 024 rows 20.8
+#: against 13.2 (Xeon, 2 vCPUs, BLAS pinned to one thread).  Far above
+#: OpenBLAS's small-matrix path (``M * N * K <= 1e6``), so every chunk runs
+#: the gemm kernel the whole tile runs and each row keeps the floats of
+#: the unsplit product.
+_CHUNK_MACS = 1 << 25
+
+
 def row_tiles(n: int) -> list[slice]:
     """Slices of at most ``_TILE_ROWS`` rows covering ``range(n)``."""
     return [slice(start, start + _TILE_ROWS) for start in range(0, n, _TILE_ROWS)]
 
 
-def _flush_subnormals(x: np.ndarray, *, inplace: bool = False) -> np.ndarray:
+def _flush_subnormals(
+    x: np.ndarray, *, inplace: bool = False, masks: np.ndarray | None = None
+) -> np.ndarray:
     """*x* with its float64 subnormals set to ``0.0``, ahead of a BLAS product.
 
     Every multiply-add that meets a subnormal operand takes an x86
@@ -75,16 +109,19 @@ def _flush_subnormals(x: np.ndarray, *, inplace: bool = False) -> np.ndarray:
     them and run a gemm 2.5-5x slower for it.  Call once per raw operand
     and reuse the result.  ``inplace`` is only for arrays the caller
     allocated itself; otherwise *x* is copied, and only when it has a
-    subnormal.  Results do not move by a bit (``docs/architecture.md``).
+    subnormal.  ``masks`` is a ``(2, *x.shape)`` boolean work buffer
+    the caller owns (else one is allocated).  Results do not move by a bit
+    (``docs/architecture.md``).
     """
-    mask = x != 0.0
-    mask &= x < _TINY
-    mask &= x > -_TINY
+    mask = np.not_equal(x, 0.0, out=None if masks is None else masks[0])
+    spare = np.less(x, _TINY, out=None if masks is None else masks[1])
+    mask &= spare
+    mask &= np.greater(x, -_TINY, out=spare)
     if not inplace:
         if not mask.any():
             return x
         x = x.copy()
-    x[mask] = 0.0
+    np.copyto(x, 0.0, where=mask)
     return x
 
 
@@ -122,15 +159,69 @@ def qfd_one_to_many(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.n
     paper's cost, merely amortized through BLAS.  The differences are
     flushed of subnormals before the product; a float32 tile upcasts to
     the floats of its float64 copy.  No cancellation: ``v == q`` gives
-    exactly ``0``.
+    exactly ``0``.  A large tile runs as near-equal row chunks on a
+    per-call pool when BLAS leaves cores idle (:func:`_split`); each row
+    keeps its floats, and no thread outlives the call.
     """
     q = _as64(q)
-    out = np.empty(rows.shape[0], dtype=np.float64)
-    for tile in row_tiles(rows.shape[0]):
-        diff = _flush_subnormals(rows[tile] - q, inplace=True)
-        sq = np.einsum("ij,ij->i", diff @ matrix, diff)
-        out[tile] = np.sqrt(np.maximum(sq, 0.0))
+    m, n = rows.shape
+    out = np.empty(m, dtype=np.float64)
+    for tile in row_tiles(m):
+        block, block_out = rows[tile], out[tile]
+        diff = np.empty(block.shape, dtype=np.float64)
+        prod = np.empty_like(diff)
+
+        def run(part: slice) -> None:
+            _qfd_rows(matrix, q, block[part], diff[part], prod[part], block_out[part])
+
+        parts = _split(block.shape[0], n)
+        if len(parts) == 1:
+            run(parts[0])
+            continue
+        with ThreadPoolExecutor(len(parts) - 1) as pool:
+            pending = [pool.submit(run, part) for part in parts[1:]]
+            run(parts[0])
+            for job in pending:
+                job.result()
     return out
+
+
+def _split(rows: int, n: int) -> list[slice]:
+    """Near-equal row chunks of one QFD tile, one per thread that runs it:
+    a single chunk unless BLAS leaves cores idle and the tile holds two or
+    more chunks of ``_CHUNK_MACS`` multiply-adds and of two or more rows
+    (a one-row product is a matrix-vector call, another BLAS kernel)."""
+    parts = min(_SPLIT_WORKERS, rows * n * n // _CHUNK_MACS, rows // 2)
+    if parts < 2:
+        return [slice(0, rows)]
+    edges = np.linspace(0, rows, parts + 1).astype(int)
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _qfd_rows(
+    matrix: np.ndarray,
+    q: np.ndarray,
+    rows: np.ndarray,
+    diff: np.ndarray,
+    prod: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out = sqrt((rows - q) A (rows - q)^T)`` in buffers the caller owns.
+
+    Allocates nothing of the rows' size, so it may run on a pool thread:
+    glibc keeps what a thread frees in that thread's own arena.  Until the
+    product lands in *prod*, its bytes hold the subnormal masks.  The
+    subtract and flush run on the chunk's thread too: at 4 000 x 512 with
+    two threads that reads 52 ms a call against 63 ms with both on the
+    calling thread (Xeon, 2 vCPUs, BLAS pinned to one thread).
+    """
+    np.copyto(diff, rows)  # a float32 tile upcasts without a cast buffer
+    np.subtract(diff, q, out=diff)
+    masks = prod.reshape(-1).view(np.bool_)[: 2 * diff.size].reshape(2, *diff.shape)
+    _flush_subnormals(diff, inplace=True, masks=masks)
+    np.matmul(diff, matrix, out=prod)
+    np.einsum("ij,ij->i", prod, diff, out=out)
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:

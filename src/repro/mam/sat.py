@@ -93,21 +93,18 @@ class SATree(NodeBatchedSearchMixin, AccessMethod):
 
         neighbors: list[int] = []  # positions into `members`
         neighbor_dist: list[np.ndarray] = []  # d(neighbor, all members)
-        assigned: dict[int, list[int]] = {}
         for pos in order:
-            d_to_center = d_center[pos]
-            best_neighbor, best_dist = -1, d_to_center
-            for n_pos, n_dists in zip(neighbors, neighbor_dist):
-                if n_dists[pos] < best_dist:
-                    best_neighbor, best_dist = n_pos, n_dists[pos]
-            if best_neighbor == -1:
-                # Closer to the center than to every existing neighbor:
-                # promote to a new neighbor.
+            # Closer to the center than to every neighbor so far: promote.
+            if all(n_dists[pos] >= d_center[pos] for n_dists in neighbor_dist):
                 neighbors.append(int(pos))
                 neighbor_dist.append(self._port.many(rows[pos], rows))
-                assigned[int(pos)] = []
-            else:
-                assigned[best_neighbor].append(int(pos))
+        # Every other member hangs under its closest *final* neighbor (the
+        # first on a tie), which is what the hyperplane prune assumes.
+        assigned: dict[int, list[int]] = {n_pos: [] for n_pos in neighbors}
+        closest = np.argmin(np.stack(neighbor_dist), axis=0)
+        for pos in order:
+            if int(pos) not in assigned:
+                assigned[neighbors[closest[pos]]].append(int(pos))
         for n_pos in neighbors:
             child_members = [members[p] for p in assigned[n_pos]]
             node.children.append(self._build(members[n_pos], child_members))

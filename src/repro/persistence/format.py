@@ -69,6 +69,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from ..exceptions import StorageError
+from ..kernels._pool import pool_size
 from ._paths import normalize_npz_path
 
 __all__ = [
@@ -98,8 +99,7 @@ _PLAIN, _SHUFFLED = "npy", "shuffled"
 _MAGIC = {_PLAIN: b"\x93NUMPY", _SHUFFLED: b"\x93PLANE"}
 
 #: Threads that deflate / inflate blocks (zlib releases the GIL).
-_POOL_SIZE = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
+_POOL_SIZE = pool_size()
 #: What a pool thread hands zlib at a time.  Its output goes straight into
 #: memory the calling thread allocated: glibc keeps what a thread frees in
 #: that thread's own arena, so a pool thread's large buffers would stay

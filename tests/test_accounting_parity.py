@@ -46,13 +46,11 @@ from .accounting_parity_recipe import (
 TOL = 1e-8
 K_GUARD = 5
 
-#: Found while recording the fixture, on the parent commit as well: the
-#: SAT assigns an object to the closest neighbor *promoted so far*, not the
-#: closest of the final neighbor set, so its hyperplane bound can discard a
-#: true neighbor (QFD model, query 1: the 5th nearest is missed).  Fixing
-#: it moves the SAT's pinned evaluation counts, so it is left to its own
-#: change; until then the SAT's answers are checked for soundness only.
-INCOMPLETE = {"sat"}
+#: Methods whose answers are checked for soundness only, not completeness.
+#: Empty: every method returns the scan's answer.  (The SAT was here while
+#: it hung an object under the closest neighbor *promoted so far*, which
+#: let its hyperplane bound discard a true neighbor.)
+INCOMPLETE: set[str] = set()
 
 
 def test_every_cell_matches_the_recorded_baseline() -> None:
