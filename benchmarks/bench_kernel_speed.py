@@ -20,9 +20,11 @@ subnormals, and every multiply-add that meets one takes an x86 microcode
 assist.  A second table therefore times each QFD entry point on the raw
 histogram rows and on the same rows with the subnormals zeroed, interleaved
 in one process, and reports ``subnormal_penalty_ratio = raw / flushed``.
-Entry points that flush their operand themselves (PR 21; the QMap
-transform since PR 22) are marked ``fixed`` and must read ~1; the others
-are measured and left (see ``docs/architecture.md``, *Subnormal operands*).
+Entry points that flush their operand themselves (the QFD kernels, the
+QMap transform, and the QFD sequential scan's float32 filter over a heap
+shadow or a float32 store's own rows) are marked ``fixed`` and must read
+~1; the others are measured and left (see ``docs/architecture.md``,
+*Subnormal operands*).
 A last line times the one difference-form L2 one-to-many over a
 database-sized batch: ns per row and the peak bytes it allocates.
 
@@ -38,6 +40,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -51,7 +54,7 @@ from repro.datasets import histogram_workload, vector_workload
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.bench import metrics_block
 from repro.kernels import QFDKernel, gram
-from repro.mam import MTree
+from repro.mam import MTree, SequentialFile
 from repro.mam.base import DistancePort
 from repro.obs import MetricsRegistry, span, use_registry
 
@@ -194,8 +197,21 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     qfd = QuadraticFormDistance(matrix)
     qmap = QMap(matrix)
     kernel = QFDKernel(matrix)
-    for operands in (raw, clean):
+    # The filtered QFD scan: float32 over the shadow its warm-up query
+    # builds, or over a float32 store's own rows, float64 where undecided.
+    store_dir = tempfile.TemporaryDirectory()
+    for label, operands in (("raw", raw), ("clean", clean)):
         operands["ctx"] = kernel.bind(operands["q"])
+        port = DistancePort(CountingDistance(qfd, one_to_many=qfd.one_to_many))
+        stored = np.memmap(
+            Path(store_dir.name) / label, dtype=np.float32, mode="w+",
+            shape=operands["rows32"].shape,
+        )
+        stored[:] = operands["rows32"]
+        operands["scan"] = SequentialFile(operands["rows"], port)
+        operands["scan32"] = SequentialFile(stored, port)
+        for scan in (operands["scan"], operands["scan32"]):
+            scan.knn_search(operands["q"], 10)
     # Pairwise and cross forms are one one-to-many row per row, O(rows^2 n^2).
     split, a, b = 17, min(16, m // 4), min(300, m // 2)
     pair = min(64, m // 2)
@@ -224,6 +240,10 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: qmap.transform(d["q"])),
         ("QuadraticFormDistance.one_to_many, f32", False, f"{m}x{qfd.dim}",
          lambda d: qfd.one_to_many(d["q"], d["rows32"])),
+        ("SequentialFile.knn_search (filtered)", True, f"{m}x{qfd.dim}",
+         lambda d: d["scan"].knn_search(d["q"], 10)),
+        ("SequentialFile.knn_search, f32 mmap", True, f"{m}x{qfd.dim}",
+         lambda d: d["scan32"].knn_search(d["q"], 10)),
     ]
     rows = []
     for name, fixed, shape, call in entry_points:
@@ -240,6 +260,9 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
                 "subnormal_penalty_ratio": raw_s / flushed_s,
             }
         )
+    for operands in (raw, clean):
+        del operands["scan32"]  # close the stores before their directory goes
+    store_dir.cleanup()
     return {
         "data": "histogram",
         "dim": qfd.dim,

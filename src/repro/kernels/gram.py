@@ -13,6 +13,12 @@ query (:func:`l2_one_to_many`).  The functions are pure array math — no
 counting, no validation; the charging semantics live in
 :class:`repro.mam.base.DistancePort`.
 
+The QFD sequential scan also runs the difference form in float32, as a
+certified filter (:func:`qfd_filter` over a :func:`qfd_shadow`): each
+row's float32 value comes with a proven bound on its distance from the
+float64 value above, and the scan re-evaluates in float64 only the rows
+the bound cannot decide — what it returns is always the float64 form's.
+
 Cancellation guard (L2 matrix forms)
 ------------------------------------
 The expansion subtracts numbers of size ``uu^T + vv^T`` to produce a
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +47,9 @@ __all__ = [
     "qfd_row_norms",
     "l2_row_norms",
     "qfd_one_to_many",
+    "qfd_shadow",
+    "qfd_filter",
+    "abs_row_sum",
     "l2_one_to_many",
     "qfd_pairwise",
     "l2_pairwise",
@@ -53,7 +63,10 @@ __all__ = [
 #: distances the caller can ever act on are far above 1e-12 * scale.
 RECHECK_REL = 1e-12
 
-_TINY = np.finfo(np.float64).tiny
+_TINY32 = float(np.finfo(np.float32).tiny)
+_TINY64 = float(np.finfo(np.float64).tiny)
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
 
 #: Floats in one tile's difference buffer of :func:`l2_one_to_many` (1 MB, L2-resident).
 _L2_TILE_FLOATS = 131072
@@ -102,21 +115,23 @@ def row_tiles(n: int) -> list[slice]:
 def _flush_subnormals(
     x: np.ndarray, *, inplace: bool = False, masks: np.ndarray | None = None
 ) -> np.ndarray:
-    """*x* with its float64 subnormals set to ``0.0``, ahead of a BLAS product.
+    """*x* with its subnormals set to ``0.0``, ahead of a BLAS product.
 
-    Every multiply-add that meets a subnormal operand takes an x86
-    microcode assist; ``Dirichlet(alpha ~ 1e-3)`` histograms carry ~1 % of
-    them and run a gemm 2.5-5x slower for it.  Call once per raw operand
-    and reuse the result.  ``inplace`` is only for arrays the caller
-    allocated itself; otherwise *x* is copied, and only when it has a
-    subnormal.  ``masks`` is a ``(2, *x.shape)`` boolean work buffer
-    the caller owns (else one is allocated).  Results do not move by a bit
-    (``docs/architecture.md``).
+    Subnormal means below the ``tiny`` of *x*'s own dtype (float64 or
+    float32).  Every multiply-add that meets a subnormal operand takes an
+    x86 microcode assist; ``Dirichlet(alpha ~ 1e-3)`` histograms carry ~1 %
+    of them and run a gemm 2.5-5x slower for it.  Call once per raw
+    operand and reuse the result.  ``inplace`` is only for arrays the
+    caller allocated itself; otherwise *x* is copied, and only when it has
+    a subnormal.  ``masks`` is a ``(2, *x.shape)`` boolean work buffer
+    the caller owns (else one is allocated).  Results of the float64
+    kernels do not move by a bit (``docs/architecture.md``).
     """
+    tiny = np.finfo(x.dtype).tiny
     mask = np.not_equal(x, 0.0, out=None if masks is None else masks[0])
-    spare = np.less(x, _TINY, out=None if masks is None else masks[1])
+    spare = np.less(x, tiny, out=None if masks is None else masks[1])
     mask &= spare
-    mask &= np.greater(x, -_TINY, out=spare)
+    mask &= np.greater(x, -tiny, out=spare)
     if not inplace:
         if not mask.any():
             return x
@@ -174,16 +189,22 @@ def qfd_one_to_many(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.n
         def run(part: slice) -> None:
             _qfd_rows(matrix, q, block[part], diff[part], prod[part], block_out[part])
 
-        parts = _split(block.shape[0], n)
-        if len(parts) == 1:
-            run(parts[0])
-            continue
-        with ThreadPoolExecutor(len(parts) - 1) as pool:
-            pending = [pool.submit(run, part) for part in parts[1:]]
-            run(parts[0])
-            for job in pending:
-                job.result()
+        _run_split(block.shape[0], n, run)
     return out
+
+
+def _run_split(rows: int, n: int, run: Callable[[slice], None]) -> None:
+    """``run(part)`` for every chunk of :func:`_split`, the calling thread
+    taking the first and a per-call pool the rest; no thread outlives it."""
+    parts = _split(rows, n)
+    if len(parts) == 1:
+        run(parts[0])
+        return
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        pending = [pool.submit(run, part) for part in parts[1:]]
+        run(parts[0])
+        for job in pending:
+            job.result()
 
 
 def _split(rows: int, n: int) -> list[slice]:
@@ -222,6 +243,182 @@ def _qfd_rows(
     np.matmul(diff, matrix, out=prod)
     np.einsum("ij,ij->i", prod, diff, out=out)
     np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+
+
+def abs_row_sum(matrix: np.ndarray) -> float:
+    """``R = max_i sum_j |A_ij|``, rounded up: ``R >= lambda_max(|A|) >= ||A||_2``.
+
+    The norm of ``|A|`` is at most its largest absolute row sum, and
+    ``|y A z| <= |y| |A| |z| <= R ||y|| ||z||`` for any vectors; the one
+    constant :func:`qfd_filter`'s bound needs from the matrix.
+    """
+    n = matrix.shape[0]
+    return float(np.abs(matrix).sum(axis=1).max()) * (1.0 + _gamma(n + 1, _U64))
+
+
+def qfd_shadow(rows: np.ndarray) -> np.ndarray:
+    """The float32 "shadow" of float64 *rows* that :func:`qfd_filter` reads.
+
+    Cast tile by tile and flushed of float32 subnormals, once, so no query
+    pays the microcode assist on them; every entry is within
+    ``2^-24 |v_i| + tiny32`` of the row's (the bound's ``e`` term).
+    """
+    shadow = np.empty(rows.shape, dtype=np.float32)
+    with np.errstate(over="ignore"):  # beyond float32 range: inf, re-evaluated
+        for tile in row_tiles(rows.shape[0]):
+            block = shadow[tile]
+            np.copyto(block, rows[tile], casting="same_kind")
+            _flush_subnormals(block, inplace=True)
+    return shadow
+
+
+def qfd_filter(
+    matrix32: np.ndarray,
+    radius: float,
+    q: np.ndarray,
+    shadow: np.ndarray,
+    *,
+    rows_exact: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified float32 squared QFDs: ``(s, delta)`` per row of *shadow*.
+
+    ``s`` is the float32 value of ``(v^ - q^) A^ (v^ - q^)^T`` over the
+    shadow rows ``v^`` (:func:`qfd_shadow`), the flushed float32 query
+    ``q^`` and the flushed float32 matrix ``A^`` (*matrix32*), in the row
+    tiles and chunks of :func:`qfd_one_to_many` (twice the multiply-adds
+    per cycle, half the bytes).  ``delta`` bounds ``|s - d64|``, where
+    ``d64`` is the squared distance **the float64 path computes**
+    (:func:`qfd_one_to_many` before its clamp and square root) for the row
+    ``v`` the shadow stands for — not the exact value.  A row whose ``s``
+    or ``delta`` is not finite is certified nothing: callers re-evaluate
+    it.  *radius* is :func:`abs_row_sum` of the matrix; ``rows_exact``
+    says the shadow *is* the stored rows (a float32 store), so they carry
+    no rounding of their own.
+
+    The bound, with ``u = 2^-24``, ``w = 2^-53``, ``t`` / ``t64`` the two
+    dtypes' ``tiny``, ``gamma_k(u) = k u / (1 - k u)``, ``R = radius``,
+    ``x = v - q`` exact and ``x^`` the float32 difference::
+
+        delta = [T32 + T_in + T64] (1 + 2^-40) + 2^-50 |s|
+
+    * ``||x^||``: ``nu``, the float32 sum of squares, is within
+      ``gamma_n(u) ||x^||^2 + 2 n t`` of it in any summation order, so
+      ``||x^|| <= xi = sqrt((nu + 2 n t) / (1 - gamma_n(u)))``.
+    * ``T32`` — float32 arithmetic and ``A^``.  Each of the ``n`` inner
+      products ``p_i = sum_j x^_j A^_ji`` and the reduction
+      ``sum_i p_i x^_i`` has ``n`` terms; with or without FMA, blocked or
+      not, the computed form is within ``gamma_2n(u) |x^| |A^| |x^|^T``
+      of ``x^ A^ x^^T`` (Higham, Lemma 3.3), and ``|A^| <= (1+u)|A|``,
+      ``|A^ - A| <= u|A| + t``.  With ``|y| |A| |y|^T <= R ||y||^2`` and
+      ``||y||_1 <= sqrt(n) ||y||``: ``gamma_{2n+2}(u) R xi^2 + n t xi^2``.
+      Underflow (gradual or flushed to zero) adds at most ``t`` per
+      operation, at most doubled by the later additions:
+      ``4 n t + 8 n sqrt(n) t xi``.
+    * ``T_in`` — the inputs' rounding.  ``|v^_i - v_i| <= u |v_i| + t``
+      (cast, then flush), the same for ``q``, and the float32 subtraction
+      is within ``u |x^_i|`` (``t`` more if flushed), so with
+      ``||v|| <= ||q|| + ||x||`` and ``||x|| <= ||x^|| + e``::
+
+          e = (2u (||q|| + xi) + 4 sqrt(n) t) / (1 - u) >= ||x^ - x||
+
+      (``e = u (||q|| + xi) + 4 sqrt(n) t`` when ``rows_exact``).  With
+      ``X = xi + e >= ||x||``:
+      ``|x^ A x^^T - x A x^T| = |(x^ - x) A (x^ + x)^T| <= R e (2X + e)``.
+    * ``T64`` — the float64 path's own rounding.  Its difference is within
+      ``e64 = w X + sqrt(n) t64`` of ``x`` (a subnormal difference is
+      exact, then flushed), adding ``R e64 (2X + e64)``, and its gemm and
+      reduction ``gamma_2n(w) R X64^2 + 4 n t64 + 8 n sqrt(n) t64 X64``
+      with ``X64 = X + e64``.
+
+    Every term is a sum and product of non-negative float64 values, so
+    its computed value is low by a relative ``~1e-14`` at most; the
+    ``1 + 2^-40`` absorbs that, and ``2^-50 |s|`` the rounding of a
+    caller's ``s - delta`` and ``s + delta``.  The triangle inequality
+    in ``T_in`` spares the shadow a per-row norm.  The bound is loose by
+    orders of magnitude against the observed error; what it must be is
+    certain.
+    """
+    n = matrix32.shape[0]
+    m = shadow.shape[0]
+    q64 = _as64(q)
+    with np.errstate(over="ignore"):
+        q32 = _flush_subnormals(q64.astype(np.float32), inplace=True)
+    s = np.empty(m, dtype=np.float32)
+    nu = np.empty(m, dtype=np.float32)
+    for tile in row_tiles(m):
+        block, block_s, block_nu = shadow[tile], s[tile], nu[tile]
+        diff = np.empty(block.shape, dtype=np.float32)
+        prod = np.empty_like(diff)
+
+        def run(part: slice) -> None:
+            _qfd_rows_f32(
+                matrix32, q32, block[part], diff[part], prod[part],
+                block_s[part], block_nu[part], flush=rows_exact,
+            )
+
+        _run_split(block.shape[0], n, run)
+    s64 = s.astype(np.float64)
+    with np.errstate(all="ignore"):  # inf / nan rows: delta not finite
+        delta = _filter_bound(s64, nu, float(q64 @ q64), radius, n, rows_exact)
+    return s64, delta
+
+
+def _qfd_rows_f32(
+    matrix32: np.ndarray,
+    q32: np.ndarray,
+    rows32: np.ndarray,
+    diff: np.ndarray,
+    prod: np.ndarray,
+    s: np.ndarray,
+    nu: np.ndarray,
+    *,
+    flush: bool,
+) -> None:
+    """``s = (rows - q) A (rows - q)^T`` and ``nu = ||rows - q||^2`` in
+    float32, in buffers the caller owns (see :func:`_qfd_rows`).
+
+    A shadow is flushed once when it is built; stored float32 rows are
+    not (the store is read in place), so with ``flush`` the difference
+    is, here: 1.6 % of a float32 histogram store is subnormal, and the
+    product ran 2x slower on them.
+    """
+    with np.errstate(all="ignore"):  # rows beyond float32 range: inf / nan
+        np.subtract(rows32, q32, out=diff)
+        if flush:
+            masks = prod.reshape(-1).view(np.bool_)[: 2 * diff.size]
+            _flush_subnormals(diff, inplace=True, masks=masks.reshape(2, *diff.shape))
+        np.matmul(diff, matrix32, out=prod)
+        np.einsum("ij,ij->i", prod, diff, out=s)
+        np.einsum("ij,ij->i", diff, diff, out=nu)
+
+
+def _gamma(k: float, u: float) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``: the relative error bound of
+    ``k`` rounded operations in sequence."""
+    return k * u / (1.0 - k * u)
+
+
+def _filter_bound(
+    s: np.ndarray, nu: np.ndarray, qq: float, radius: float, n: int, rows_exact: bool
+) -> np.ndarray:
+    """:func:`qfd_filter`'s ``delta``, term for term (see its docstring)."""
+    root_n = np.sqrt(n)
+    # ||q|| from its float64 sum of squares, rounded up.
+    q_norm = np.sqrt(qq * (1.0 + _gamma(n + 1, _U64)) + n * _TINY64) * (1.0 + 4 * _U64)
+    xi = np.sqrt((nu.astype(np.float64) + 2 * n * _TINY32) / (1.0 - _gamma(n, _U32)))
+    if rows_exact:
+        e = _U32 * (q_norm + xi) + 4 * root_n * _TINY32
+    else:
+        e = (2 * _U32 * (q_norm + xi) + 4 * root_n * _TINY32) / (1.0 - _U32)
+    big_x = xi + e
+    e64 = _U64 * big_x + root_n * _TINY64
+    x64 = big_x + e64
+    t32 = (_gamma(2 * n + 2, _U32) * radius + n * _TINY32) * xi * xi
+    t32 += 4 * n * _TINY32 + 8 * n * root_n * _TINY32 * xi
+    t_in = radius * e * (2 * big_x + e)
+    t64 = radius * e64 * (2 * big_x + e64) + _gamma(2 * n, _U64) * radius * x64 * x64
+    t64 += 4 * n * _TINY64 + 8 * n * root_n * _TINY64 * x64
+    return (t32 + t_in + t64) * (1.0 + 2.0**-40) + np.abs(s) * 2.0**-50
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -9,7 +9,12 @@ small object interface the access-method layer can hold on to:
     free-standing batched forms for build-time work;
 ``row_norms(rows)``
     the per-row term ``vAv^T`` (``vv^T`` for L2), which no evaluation
-    reads; it is kept for what it costs to compute.
+    reads; it is kept for what it costs to compute;
+``filter(q, shadow)`` (QFD only)
+    the certified float32 squared distances over a float32 copy of the
+    rows (:func:`~repro.kernels.gram.qfd_shadow`), ``(s, delta)`` with
+    ``|s - d64| <= delta``, that the sequential scan filters with before
+    it evaluates in float64.
 
 Every QFD evaluation is one arithmetic, the difference form of
 :func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row); the L2
@@ -65,12 +70,49 @@ class QFDQueryContext:
 
 
 class QFDKernel:
-    """Batched evaluator for a static QFD matrix: the difference form."""
+    """Batched evaluator for a static QFD matrix: the difference form, and
+    its certified float32 filter (:meth:`filter`)."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_filter_operands")
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
+        self._filter_operands: tuple[np.ndarray, float] | None = None
+
+    def __reduce__(self):
+        # The filter's operands are rebuilt, not shipped to a worker.
+        return (QFDKernel, (self.matrix,))
+
+    def _operands(self) -> tuple[np.ndarray, float]:
+        """:attr:`matrix32` and :attr:`radius`, made by their first use —
+        a query, not the build (0.8 ms at 512-d); racing threads make the
+        same values."""
+        operands = self._filter_operands
+        if operands is None:
+            with np.errstate(over="ignore"):  # beyond float32 range: no row certifies
+                cast = self.matrix.astype(np.float32)
+            operands = (gram._flush_subnormals(cast, inplace=True), gram.abs_row_sum(self.matrix))
+            self._filter_operands = operands
+        return operands
+
+    @property
+    def matrix32(self) -> np.ndarray:
+        """``A`` in float32, flushed of float32 subnormals."""
+        return self._operands()[0]
+
+    @property
+    def radius(self) -> float:
+        """``R >= lambda_max(|A|)`` (:func:`~repro.kernels.gram.abs_row_sum`)."""
+        return self._operands()[1]
+
+    def filter(
+        self, q: np.ndarray, shadow: np.ndarray, *, rows_exact: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(s, delta)`` per shadow row: the float32 squared distance and a
+        bound on its distance from the float64 path's
+        (:func:`~repro.kernels.gram.qfd_filter`)."""
+        matrix32, radius = self._operands()
+        return gram.qfd_filter(matrix32, radius, q, shadow, rows_exact=rows_exact)
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)

@@ -1,0 +1,210 @@
+"""The certified float32 filter of the QFD scan (``gram.qfd_filter``).
+
+For every row the filter returns ``s``, the float32 squared QFD over the
+row's float32 shadow, and ``delta``, a proven bound on ``|s - d64|`` where
+``d64`` is the squared distance the float64 path computes.  A row whose
+``s`` or ``delta`` is not finite certifies nothing and is flagged for
+re-evaluation.  Pinned here:
+
+* the bound holds on Hafner ``1 - D/d_max`` matrices, near-singular SPD
+  matrices, matrices scaled over 1e-6 ... 1e6 with negative
+  off-diagonals, rows with float32-subnormal entries, zero and duplicate
+  rows, and rows beyond float32 range (always flagged);
+* a float32 store's rows are their own shadow (``rows_exact``);
+* the filter's row chunks give the unsplit call's bits;
+* on the benchmark corpus the bound is loose yet decides almost every row.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.matrices import prototype_similarity_matrix
+from repro.datasets import histogram_workload
+from repro.kernels import QFDKernel, gram
+
+F32_TINY = float(np.finfo(np.float32).tiny)
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _d64(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float64 path's squared distances, before its clamp and root."""
+    with np.errstate(all="ignore"):
+        diff = gram._flush_subnormals(np.asarray(rows, dtype=np.float64) - q, inplace=True)
+        return np.einsum("ij,ij->i", diff @ matrix, diff)
+
+
+def _certify(
+    matrix: np.ndarray, q: np.ndarray, rows: np.ndarray, *, rows_exact: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s, delta, flagged)``, asserting ``|s - d64| <= delta`` on every
+    row that is not flagged."""
+    kernel = QFDKernel(matrix)
+    shadow = rows if rows_exact else gram.qfd_shadow(rows)
+    s, delta = kernel.filter(q, shadow, rows_exact=rows_exact)
+    flagged = ~(np.isfinite(s) & np.isfinite(delta))
+    want = _d64(matrix, q, rows)
+    kept = ~flagged
+    assert np.all(delta[kept] >= 0.0)
+    gap = np.abs(s[kept] - want[kept])
+    assert np.all(gap <= delta[kept]), float(np.max(gap / delta[kept]))
+    return s, delta, flagged
+
+
+def _matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "hafner":
+        return prototype_similarity_matrix(rng.uniform(0.0, 100.0, size=(n, 3))).matrix
+    if kind == "near-singular":
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        matrix = (basis * np.logspace(-12, 0, n)) @ basis.T
+        return (matrix + matrix.T) / 2
+    # SPD with negative off-diagonals, then scaled so entries span 1e-6 ... 1e6.
+    raw = rng.standard_normal((n, n))
+    spd = raw @ raw.T + n * np.eye(n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    return spd * scale[:, None] * scale[None, :]
+
+
+#: (row, column, value) injections: float32 subnormals, values at and near
+#: float32 ``tiny``, zeros and values beyond float32 range.
+SPECIAL = st.sampled_from(
+    [1e-45, 7e-46, 3e-39, 1.1e-38, F32_TINY, -2e-40, 0.0, -0.0, 1e-300, 5e-324]
+)
+
+
+class TestTheBoundHolds:
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "near-singular", "scaled"]),
+        n=st.sampled_from([3, 8, 27, 64]),
+        m=st.integers(1, 40),
+        scale=st.sampled_from([1.0, 1e-20, 1e10]),
+        injected=st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(0, 10_000), SPECIAL), max_size=30
+        ),
+        alpha=st.sampled_from([1e-3, 0.1, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_is_certified_or_flagged(
+        self, seed, kind, n, m, scale, injected, alpha
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix(kind, n, rng)
+        rows = rng.dirichlet(np.full(n, alpha), size=m + 1) * scale
+        for r, c, value in injected:
+            rows[r % (m + 1), c % n] = value
+        q, rows = rows[0], rows[1:]
+        rows[rng.integers(0, m)] = 0.0  # a zero row
+        rows[rng.integers(0, m)] = q  # the query itself: d = 0
+        rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
+        _, _, flagged = _certify(matrix, q, rows)
+        assert not flagged.any()  # nothing here leaves float32 range
+
+    @given(seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_beyond_float32_range_are_flagged(self, seed, n) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix("hafner", n, rng)
+        rows = rng.dirichlet(np.ones(n), size=9)
+        q, rows = rows[0], rows[1:]
+        huge = rng.choice(8, size=3, replace=False)
+        rows[huge[0], 0] = 1e39
+        rows[huge[1], n - 1] = -3.5e38
+        rows[huge[2]] = 1e300
+        _, _, flagged = _certify(matrix, q, rows)
+        assert flagged[huge].all()
+
+    def test_a_query_beyond_float32_range_flags_every_row(self) -> None:
+        rng = np.random.default_rng(5)
+        matrix = _matrix("hafner", 8, rng)
+        rows = rng.dirichlet(np.ones(8), size=6)
+        q = rows[0].copy()
+        q[3] = 2 * F32_MAX
+        _, _, flagged = _certify(matrix, q, rows)
+        assert flagged.all()
+
+    @given(seed=st.integers(0, 100_000), kind=st.sampled_from(["hafner", "scaled"]))
+    @settings(max_examples=40, deadline=None)
+    def test_float32_rows_are_their_own_shadow(self, seed, kind) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix(kind, 27, rng)
+        rows = rng.dirichlet(np.full(27, 1e-3), size=31)
+        rows[:, :3] = [3e-40, 1e-45, 2e-39]  # float32 subnormals, kept by the store
+        rows32 = rows.astype(np.float32)
+        _certify(matrix, rows[0], rows32, rows_exact=True)
+
+    def test_the_benchmark_corpus_at_512d(self) -> None:
+        w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
+        for q in w.queries:
+            s, delta, flagged = _certify(w.matrix, q, w.database)
+            assert not flagged.any()
+            # Loose by orders of magnitude, and still decisive: the kNN
+            # cut of the scan leaves a few percent of the rows undecided.
+            upper = np.partition(s + delta, 9)[9]
+            assert np.count_nonzero(s - delta <= upper) < 0.05 * s.shape[0]
+
+
+class TestTheKernel:
+    def test_radius_bounds_the_spectral_norm(self) -> None:
+        rng = np.random.default_rng(3)
+        for kind in ("hafner", "near-singular", "scaled"):
+            matrix = _matrix(kind, 24, rng)
+            radius = QFDKernel(matrix).radius
+            assert radius >= np.max(np.abs(np.linalg.eigvalsh(np.abs(matrix))))
+            assert radius >= np.linalg.norm(matrix, 2)
+
+    def test_matrix_and_shadow_are_flushed_float32(self) -> None:
+        matrix = np.eye(3) + np.array([[0, 1e-40, 0], [1e-40, 0, 0], [0, 0, 0]])
+        kernel = QFDKernel(matrix)
+        assert kernel.matrix32.dtype == np.float32
+        assert kernel.matrix32[0, 1] == 0.0 and kernel.matrix32[0, 0] == 1.0
+        rows = np.array([[1e-40, -1e-42, F32_TINY, 0.5]])
+        shadow = gram.qfd_shadow(rows)
+        assert shadow.dtype == np.float32
+        assert shadow.tolist() == [[0.0, 0.0, F32_TINY, 0.5]]
+
+    def test_flush_takes_the_arrays_own_tiny(self) -> None:
+        x = np.array([1e-40, F32_TINY, -1e-39, 1e-300], dtype=np.float32)
+        assert gram._flush_subnormals(x).tolist() == [0.0, F32_TINY, 0.0, 0.0]
+        y = np.array([1e-40, 1e-310])
+        assert gram._flush_subnormals(y).tolist() == [1e-40, 0.0]
+
+    def test_caller_arrays_are_never_written(self) -> None:
+        w = histogram_workload(300, 2, bins_per_channel=4, seed=7)
+        rows, q = w.database.copy(), w.queries[0].copy()
+        kernel = QFDKernel(w.matrix)
+        shadow = gram.qfd_shadow(rows)
+        before = rows.tobytes(), q.tobytes(), shadow.tobytes()
+        kernel.filter(q, shadow)
+        assert (rows.tobytes(), q.tobytes(), shadow.tobytes()) == before
+
+    @pytest.mark.parametrize("bins, m", [(8, 513), (4, 300)])
+    def test_chunks_give_the_unsplit_bits(self, monkeypatch, bins, m) -> None:
+        w = histogram_workload(m, 2, bins_per_channel=bins, seed=11)
+        kernel = QFDKernel(w.matrix)
+        shadow = gram.qfd_shadow(w.database)
+        want = kernel.filter(w.queries[0], shadow)
+        rows32 = w.database.astype(np.float32)
+        want_exact = kernel.filter(w.queries[0], rows32, rows_exact=True)
+        monkeypatch.setattr(gram, "_SPLIT_WORKERS", 4)
+        monkeypatch.setattr(gram, "_CHUNK_MACS", 1 << 16)
+        assert len(gram._split(m, w.matrix.shape[0])) == 4
+        for got, ref in zip(kernel.filter(w.queries[0], shadow), want):
+            assert np.array_equal(got, ref)
+        got_exact = kernel.filter(w.queries[0], rows32, rows_exact=True)
+        for got, ref in zip(got_exact, want_exact):
+            assert np.array_equal(got, ref)
+
+    def test_tiles_give_the_untiled_bits(self, monkeypatch) -> None:
+        w = histogram_workload(700, 2, bins_per_channel=4, seed=13)
+        kernel = QFDKernel(w.matrix)
+        want_shadow = gram.qfd_shadow(w.database)
+        want = kernel.filter(w.queries[1], want_shadow)
+        monkeypatch.setattr(gram, "_TILE_ROWS", 256)
+        shadow = gram.qfd_shadow(w.database)
+        assert np.array_equal(shadow, want_shadow)
+        for got, ref in zip(kernel.filter(w.queries[1], shadow), want):
+            assert np.array_equal(got, ref)
