@@ -13,8 +13,9 @@ query (:func:`l2_one_to_many`).  The functions are pure array math — no
 counting, no validation; the charging semantics live in
 :class:`repro.mam.base.DistancePort`.
 
-The QFD sequential scan also runs the difference form in float32, as a
-certified filter (:func:`qfd_filter` over a :func:`qfd_shadow`): each
+The QFD sequential scan also runs the quadratic form in float32, over
+the upper triangle of ``A + A^T``, as a certified filter
+(:func:`qfd_filter` over a :func:`qfd_shadow`): each
 row's float32 value comes with a proven bound on its distance from the
 float64 value above, and the scan re-evaluates in float64 only the rows
 the bound cannot decide — what it returns is always the float64 form's.
@@ -48,8 +49,9 @@ __all__ = [
     "l2_row_norms",
     "qfd_one_to_many",
     "qfd_shadow",
+    "qfd_triangle",
     "qfd_filter",
-    "abs_row_sum",
+    "abs_sum_radius",
     "l2_one_to_many",
     "qfd_pairwise",
     "l2_pairwise",
@@ -105,6 +107,14 @@ _SPLIT_WORKERS = _split_workers()
 #: the gemm kernel the whole tile runs and each row keeps the floats of
 #: the unsplit product.
 _CHUNK_MACS = 1 << 25
+
+
+#: Columns per block of the filter's upper-triangle product
+#: (:func:`qfd_triangle`): ``n // 64`` near-equal blocks, so 8 at 512-d
+#: (9/16 of the full product's multiply-adds) and one below 128-d (the
+#: full product).  At 512-d 4 and 8 blocks read alike and 16 lost (Xeon,
+#: 2 vCPUs, BLAS pinned to one thread).
+_TRIANGLE_COLS = 64
 
 
 def row_tiles(n: int) -> list[slice]:
@@ -245,15 +255,18 @@ def _qfd_rows(
     np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
-def abs_row_sum(matrix: np.ndarray) -> float:
-    """``R = max_i sum_j |A_ij|``, rounded up: ``R >= lambda_max(|A|) >= ||A||_2``.
+def abs_sum_radius(matrix: np.ndarray) -> float:
+    """``R``, the largest absolute row or column sum of ``A``, rounded up.
 
-    The norm of ``|A|`` is at most its largest absolute row sum, and
-    ``|y A z| <= |y| |A| |z| <= R ||y|| ||z||`` for any vectors; the one
-    constant :func:`qfd_filter`'s bound needs from the matrix.
+    ``||A||_2 <= || |A| ||_2 <= sqrt(||A||_1 ||A||_inf) <= R``, so
+    ``|y A z| <= |y| |A| |z|^T <= R ||y|| ||z||`` for any vectors, whether
+    or not ``A`` is symmetric (a QFD matrix need be only within 1e-9); the
+    one constant :func:`qfd_filter`'s bound needs from the matrix.
     """
     n = matrix.shape[0]
-    return float(np.abs(matrix).sum(axis=1).max()) * (1.0 + _gamma(n + 1, _U64))
+    magnitudes = np.abs(matrix)
+    largest = max(magnitudes.sum(axis=1).max(), magnitudes.sum(axis=0).max())
+    return float(largest) * (1.0 + _gamma(n + 1, _U64))
 
 
 def qfd_shadow(rows: np.ndarray) -> np.ndarray:
@@ -272,8 +285,34 @@ def qfd_shadow(rows: np.ndarray) -> np.ndarray:
     return shadow
 
 
+def qfd_triangle(matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The operands of :func:`qfd_filter`'s quadratic form: ``T^`` and its
+    column blocks.
+
+    ``T = triu(A + A^T, 1) + diag(A)`` has ``x T x^T = x A x^T`` for every
+    ``x``, with no symmetry assumed: the sum is formed in float64 from both
+    triangles, because a QFD matrix need be symmetric only within 1e-9.
+    ``T^`` is ``T`` cast to float32 (an entry beyond float32 range becomes
+    infinite, and no row certifies) and flushed of float32 subnormals.  The
+    blocks are ``T^[:J.stop, J]``, contiguous, for ``n // _TRIANGLE_COLS``
+    near-equal column blocks ``J`` (at least one); a block's shape is
+    ``(J.stop, |J|)``, which is all :func:`qfd_filter` needs of ``J``.
+    """
+    n = matrix.shape[0]
+    full = np.triu(matrix + matrix.T, 1)
+    np.fill_diagonal(full, np.diagonal(matrix))
+    with np.errstate(over="ignore"):
+        triangle = _flush_subnormals(full.astype(np.float32), inplace=True)
+    edges = np.linspace(0, n, max(1, n // _TRIANGLE_COLS) + 1).astype(int)
+    blocks = tuple(
+        np.ascontiguousarray(triangle[:stop, start:stop])
+        for start, stop in zip(edges[:-1], edges[1:])
+    )
+    return triangle, blocks
+
+
 def qfd_filter(
-    matrix32: np.ndarray,
+    blocks: tuple[np.ndarray, ...],
     radius: float,
     q: np.ndarray,
     shadow: np.ndarray,
@@ -282,18 +321,22 @@ def qfd_filter(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified float32 squared QFDs: ``(s, delta)`` per row of *shadow*.
 
-    ``s`` is the float32 value of ``(v^ - q^) A^ (v^ - q^)^T`` over the
+    ``s`` is the float32 value of ``(v^ - q^) T^ (v^ - q^)^T`` over the
     shadow rows ``v^`` (:func:`qfd_shadow`), the flushed float32 query
-    ``q^`` and the flushed float32 matrix ``A^`` (*matrix32*), in the row
-    tiles and chunks of :func:`qfd_one_to_many` (twice the multiply-adds
-    per cycle, half the bytes).  ``delta`` bounds ``|s - d64|``, where
-    ``d64`` is the squared distance **the float64 path computes**
-    (:func:`qfd_one_to_many` before its clamp and square root) for the row
-    ``v`` the shadow stands for — not the exact value.  A row whose ``s``
-    or ``delta`` is not finite is certified nothing: callers re-evaluate
-    it.  *radius* is :func:`abs_row_sum` of the matrix; ``rows_exact``
-    says the shadow *is* the stored rows (a float32 store), so they carry
-    no rounding of their own.
+    ``q^`` and the upper-triangle float32 matrix ``T^`` whose column
+    *blocks* :func:`qfd_triangle` makes, in the row tiles and chunks of
+    :func:`qfd_one_to_many`: per block ``J``, ``P[:, J] = x^[:, :J.stop]
+    @ T^[:J.stop, J]``, then the row-dot of ``P`` with ``x^`` (9/16 of the
+    full product's multiply-adds at 512-d, in float32: twice the
+    multiply-adds per cycle, half the bytes).  ``delta`` bounds
+    ``|s - d64|``, where ``d64`` is the squared distance **the float64
+    path computes** (:func:`qfd_one_to_many` before its clamp and square
+    root, the full difference form over ``A``) for the row ``v`` the
+    shadow stands for — not the exact value.  A row whose ``s`` or
+    ``delta`` is not finite is certified nothing: callers re-evaluate it.
+    *radius* is :func:`abs_sum_radius` of ``A``; ``rows_exact`` says the
+    shadow *is* the stored rows (a float32 store), so they carry no
+    rounding of their own.
 
     The bound, with ``u = 2^-24``, ``w = 2^-53``, ``t`` / ``t64`` the two
     dtypes' ``tiny``, ``gamma_k(u) = k u / (1 - k u)``, ``R = radius``,
@@ -304,16 +347,25 @@ def qfd_filter(
     * ``||x^||``: ``nu``, the float32 sum of squares, is within
       ``gamma_n(u) ||x^||^2 + 2 n t`` of it in any summation order, so
       ``||x^|| <= xi = sqrt((nu + 2 n t) / (1 - gamma_n(u)))``.
-    * ``T32`` — float32 arithmetic and ``A^``.  Each of the ``n`` inner
-      products ``p_i = sum_j x^_j A^_ji`` and the reduction
-      ``sum_i p_i x^_i`` has ``n`` terms; with or without FMA, blocked or
-      not, the computed form is within ``gamma_2n(u) |x^| |A^| |x^|^T``
-      of ``x^ A^ x^^T`` (Higham, Lemma 3.3), and ``|A^| <= (1+u)|A|``,
-      ``|A^ - A| <= u|A| + t``.  With ``|y| |A| |y|^T <= R ||y||^2`` and
-      ``||y||_1 <= sqrt(n) ||y||``: ``gamma_{2n+2}(u) R xi^2 + n t xi^2``.
+    * ``T32`` — float32 arithmetic and ``T^``.  Each of the ``n`` inner
+      products ``p_j = sum_{i < J.stop} x^_i T^_ij`` (``j`` in block
+      ``J``; the zeros below the diagonal included) and the reduction
+      ``sum_j p_j x^_j`` has at most ``n`` terms, as in the full product,
+      so with or without FMA, blocked or not, the computed form is within
+      ``gamma_2n(u) |x^| |T^| |x^|^T`` of ``x^ T^ x^^T`` (Higham, Lemma
+      3.3).
+      ``T^`` is the float64 sum ``A_ij + A_ji`` rounded to float32, then
+      flushed: ``|T^ - T| <= (u + w + uw) |T| + t`` and
+      ``|T^| <= (1 + u)(1 + w) |T|``, entrywise, and ``|x| |T| |x|^T <=
+      |x| |A| |x|^T`` as ``|A_ij + A_ji| <= |A_ij| + |A_ji|``.  The
+      ``w`` terms total under ``3 w``, inside the ``u`` by which
+      ``gamma_{2n+2}(u)`` exceeds ``gamma_2n(u) (1 + u) + u``, and the
+      ``t`` terms total ``t sum_{i<=j} |x^_i| |x^_j| <= t ||x^||_1^2``.
+      With ``|y| |A| |y|^T <= R ||y||^2`` and ``||y||_1 <= sqrt(n) ||y||``:
+      ``gamma_{2n+2}(u) R xi^2 + n t xi^2``, the full product's terms.
       Underflow (gradual or flushed to zero) adds at most ``t`` per
-      operation, at most doubled by the later additions:
-      ``4 n t + 8 n sqrt(n) t xi``.
+      operation, at most doubled by the later additions — no more
+      operations than the full product's: ``4 n t + 8 n sqrt(n) t xi``.
     * ``T_in`` — the inputs' rounding.  ``|v^_i - v_i| <= u |v_i| + t``
       (cast, then flush), the same for ``q``, and the float32 subtraction
       is within ``u |x^_i|`` (``t`` more if flushed), so with
@@ -338,7 +390,7 @@ def qfd_filter(
     orders of magnitude against the observed error; what it must be is
     certain.
     """
-    n = matrix32.shape[0]
+    n = blocks[-1].shape[0]
     m = shadow.shape[0]
     q64 = _as64(q)
     with np.errstate(over="ignore"):
@@ -352,7 +404,7 @@ def qfd_filter(
 
         def run(part: slice) -> None:
             _qfd_rows_f32(
-                matrix32, q32, block[part], diff[part], prod[part],
+                blocks, q32, block[part], diff[part], prod[part],
                 block_s[part], block_nu[part], flush=rows_exact,
             )
 
@@ -364,7 +416,7 @@ def qfd_filter(
 
 
 def _qfd_rows_f32(
-    matrix32: np.ndarray,
+    blocks: tuple[np.ndarray, ...],
     q32: np.ndarray,
     rows32: np.ndarray,
     diff: np.ndarray,
@@ -374,8 +426,11 @@ def _qfd_rows_f32(
     *,
     flush: bool,
 ) -> None:
-    """``s = (rows - q) A (rows - q)^T`` and ``nu = ||rows - q||^2`` in
-    float32, in buffers the caller owns (see :func:`_qfd_rows`).
+    """``s = (rows - q) T (rows - q)^T`` over the column *blocks* of
+    :func:`qfd_triangle` and ``nu = ||rows - q||^2`` in float32, in
+    buffers the caller owns (see :func:`_qfd_rows`): block ``J``'s
+    product lands in ``prod[:, J]``, and one row-dot with the difference
+    reduces them all.
 
     A shadow is flushed once when it is built; stored float32 rows are
     not (the store is read in place), so with ``flush`` the difference
@@ -387,7 +442,9 @@ def _qfd_rows_f32(
         if flush:
             masks = prod.reshape(-1).view(np.bool_)[: 2 * diff.size]
             _flush_subnormals(diff, inplace=True, masks=masks.reshape(2, *diff.shape))
-        np.matmul(diff, matrix32, out=prod)
+        for block in blocks:
+            stop, width = block.shape
+            np.matmul(diff[:, :stop], block, out=prod[:, stop - width : stop])
         np.einsum("ij,ij->i", prod, diff, out=s)
         np.einsum("ij,ij->i", diff, diff, out=nu)
 

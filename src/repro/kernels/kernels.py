@@ -71,39 +71,38 @@ class QFDQueryContext:
 
 class QFDKernel:
     """Batched evaluator for a static QFD matrix: the difference form, and
-    its certified float32 filter (:meth:`filter`)."""
+    its certified float32 filter over the upper triangle (:meth:`filter`)."""
 
     __slots__ = ("matrix", "_filter_operands")
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
-        self._filter_operands: tuple[np.ndarray, float] | None = None
+        self._filter_operands: tuple[np.ndarray, tuple[np.ndarray, ...], float] | None = None
 
     def __reduce__(self):
         # The filter's operands are rebuilt, not shipped to a worker.
         return (QFDKernel, (self.matrix,))
 
-    def _operands(self) -> tuple[np.ndarray, float]:
-        """:attr:`matrix32` and :attr:`radius`, made by their first use —
-        a query, not the build (0.8 ms at 512-d); racing threads make the
-        same values."""
+    def _operands(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
+        """:attr:`triangle32`, its column blocks and :attr:`radius`, made
+        by their first use — a query, not the build; racing threads make
+        the same values."""
         operands = self._filter_operands
         if operands is None:
-            with np.errstate(over="ignore"):  # beyond float32 range: no row certifies
-                cast = self.matrix.astype(np.float32)
-            operands = (gram._flush_subnormals(cast, inplace=True), gram.abs_row_sum(self.matrix))
+            operands = (*gram.qfd_triangle(self.matrix), gram.abs_sum_radius(self.matrix))
             self._filter_operands = operands
         return operands
 
     @property
-    def matrix32(self) -> np.ndarray:
-        """``A`` in float32, flushed of float32 subnormals."""
+    def triangle32(self) -> np.ndarray:
+        """``triu(A + A^T, 1) + diag(A)`` in float32, flushed of float32
+        subnormals (:func:`~repro.kernels.gram.qfd_triangle`)."""
         return self._operands()[0]
 
     @property
     def radius(self) -> float:
-        """``R >= lambda_max(|A|)`` (:func:`~repro.kernels.gram.abs_row_sum`)."""
-        return self._operands()[1]
+        """``R >= || |A| ||_2`` (:func:`~repro.kernels.gram.abs_sum_radius`)."""
+        return self._operands()[2]
 
     def filter(
         self, q: np.ndarray, shadow: np.ndarray, *, rows_exact: bool = False
@@ -111,8 +110,8 @@ class QFDKernel:
         """``(s, delta)`` per shadow row: the float32 squared distance and a
         bound on its distance from the float64 path's
         (:func:`~repro.kernels.gram.qfd_filter`)."""
-        matrix32, radius = self._operands()
-        return gram.qfd_filter(matrix32, radius, q, shadow, rows_exact=rows_exact)
+        _, blocks, radius = self._operands()
+        return gram.qfd_filter(blocks, radius, q, shadow, rows_exact=rows_exact)
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)

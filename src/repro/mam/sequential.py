@@ -58,11 +58,13 @@ __all__ = ["SequentialFile", "DiskSequentialFile"]
 _REFINE_MACS = 1 << 21
 
 #: A scan filters only databases of at least this many padded
-#: re-evaluations: 256 rows at 512-d, 16 384 at 64-d, never at 8-d.  Below
-#: it the float32 pass does not pay for itself (at 512-d, 128 rows read
-#: 1.07-1.17x the plain scan, 250 rows 0.88-0.90x; at 64-d, 8 192 rows
-#: 0.88x, 16 384 rows 0.62x; Xeon, 2 vCPUs, BLAS pinned to one thread).
-_FILTER_MIN_REFINES = 32
+#: re-evaluations: 128 rows at 512-d, 8 192 at 64-d, never at 8-d.  Below
+#: it the float32 pass does not pay for itself.  Filtered over plain kNN
+#: time, in-process, alternated, three runs each (Xeon, 2 vCPUs, BLAS
+#: pinned to one thread): at 512-d 64 rows 1.04-1.10x, 128 rows
+#: 0.86-0.92x, 192 rows 0.73x, 256 rows 0.67-0.71x; at 64-d 4 096 rows
+#: 0.95x, 8 192 rows 0.76-0.77x.
+_FILTER_MIN_REFINES = 16
 
 #: ``1 + 2^-40`` on a squared threshold: a squared distance above it has a
 #: square root strictly above the threshold's, so no row left out of the

@@ -8,8 +8,14 @@ re-evaluation.  Pinned here:
 
 * the bound holds on Hafner ``1 - D/d_max`` matrices, near-singular SPD
   matrices, matrices scaled over 1e-6 ... 1e6 with negative
-  off-diagonals, rows with float32-subnormal entries, zero and duplicate
-  rows, and rows beyond float32 range (always flagged);
+  off-diagonals, matrices symmetric only within ``is_symmetric``'s
+  tolerance (and far from symmetric), rows with float32-subnormal
+  entries, zero and duplicate rows, and rows beyond float32 range
+  (always flagged), over one to four column blocks of the upper-triangle
+  product, uneven widths included;
+* an entry whose ``A_ij + A_ji`` overflows float32 flags the rows it
+  touches;
+* the 512-d plan does at most 0.6 n^2 multiply-adds per row;
 * a float32 store's rows are their own shadow (``rows_exact``);
 * the filter's row chunks give the unsplit call's bits;
 * on the benchmark corpus the bound is loose yet decides almost every row.
@@ -17,11 +23,14 @@ re-evaluation.  Pinned here:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import is_symmetric
 from repro.core.matrices import prototype_similarity_matrix
 from repro.datasets import histogram_workload
 from repro.kernels import QFDKernel, gram
@@ -54,9 +63,20 @@ def _certify(
     return s, delta, flagged
 
 
+def _blocks(n: int, count: int):
+    """Patch the filter's column blocks to about *count* (2-4 for any
+    ``count > 1``, one for ``count == 1``) for kernels made inside."""
+    return mock.patch.object(gram, "_TRIANGLE_COLS", max(1, n // count))
+
+
 def _matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "hafner":
         return prototype_similarity_matrix(rng.uniform(0.0, 100.0, size=(n, 3))).matrix
+    if kind == "skewed":
+        # A + eps (B - B^T), symmetric only within is_symmetric's tolerance.
+        matrix = _matrix("hafner", n, rng)
+        skew = rng.uniform(-1.0, 1.0, size=(n, n))
+        return matrix + 1e-10 * (skew - skew.T) * np.abs(matrix)
     if kind == "near-singular":
         basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
         matrix = (basis * np.logspace(-12, 0, n)) @ basis.T
@@ -78,8 +98,9 @@ SPECIAL = st.sampled_from(
 class TestTheBoundHolds:
     @given(
         seed=st.integers(0, 100_000),
-        kind=st.sampled_from(["hafner", "near-singular", "scaled"]),
+        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
         n=st.sampled_from([3, 8, 27, 64]),
+        blocks=st.integers(1, 4),
         m=st.integers(1, 40),
         scale=st.sampled_from([1.0, 1e-20, 1e10]),
         injected=st.lists(
@@ -89,7 +110,7 @@ class TestTheBoundHolds:
     )
     @settings(max_examples=150, deadline=None)
     def test_every_row_is_certified_or_flagged(
-        self, seed, kind, n, m, scale, injected, alpha
+        self, seed, kind, n, blocks, m, scale, injected, alpha
     ) -> None:
         rng = np.random.default_rng(seed)
         matrix = _matrix(kind, n, rng)
@@ -100,12 +121,15 @@ class TestTheBoundHolds:
         rows[rng.integers(0, m)] = 0.0  # a zero row
         rows[rng.integers(0, m)] = q  # the query itself: d = 0
         rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
-        _, _, flagged = _certify(matrix, q, rows)
+        with _blocks(n, blocks):
+            _, _, flagged = _certify(matrix, q, rows)
         assert not flagged.any()  # nothing here leaves float32 range
 
-    @given(seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]))
+    @given(
+        seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]), blocks=st.integers(1, 4)
+    )
     @settings(max_examples=40, deadline=None)
-    def test_rows_beyond_float32_range_are_flagged(self, seed, n) -> None:
+    def test_rows_beyond_float32_range_are_flagged(self, seed, n, blocks) -> None:
         rng = np.random.default_rng(seed)
         matrix = _matrix("hafner", n, rng)
         rows = rng.dirichlet(np.ones(n), size=9)
@@ -114,7 +138,8 @@ class TestTheBoundHolds:
         rows[huge[0], 0] = 1e39
         rows[huge[1], n - 1] = -3.5e38
         rows[huge[2]] = 1e300
-        _, _, flagged = _certify(matrix, q, rows)
+        with _blocks(n, blocks):
+            _, _, flagged = _certify(matrix, q, rows)
         assert flagged[huge].all()
 
     def test_a_query_beyond_float32_range_flags_every_row(self) -> None:
@@ -126,15 +151,55 @@ class TestTheBoundHolds:
         _, _, flagged = _certify(matrix, q, rows)
         assert flagged.all()
 
-    @given(seed=st.integers(0, 100_000), kind=st.sampled_from(["hafner", "scaled"]))
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "scaled", "skewed"]),
+        blocks=st.integers(1, 4),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_float32_rows_are_their_own_shadow(self, seed, kind) -> None:
+    def test_float32_rows_are_their_own_shadow(self, seed, kind, blocks) -> None:
         rng = np.random.default_rng(seed)
         matrix = _matrix(kind, 27, rng)
         rows = rng.dirichlet(np.full(27, 1e-3), size=31)
         rows[:, :3] = [3e-40, 1e-45, 2e-39]  # float32 subnormals, kept by the store
         rows32 = rows.astype(np.float32)
-        _certify(matrix, rows[0], rows32, rows_exact=True)
+        with _blocks(27, blocks):
+            _certify(matrix, rows[0], rows32, rows_exact=True)
+
+    def test_the_skewed_kind_passes_is_symmetric(self) -> None:
+        rng = np.random.default_rng(17)
+        for n in (3, 8, 27, 64):
+            matrix = _matrix("skewed", n, rng)
+            assert is_symmetric(matrix) and not np.array_equal(matrix, matrix.T)
+
+    @given(seed=st.integers(0, 100_000), blocks=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_a_matrix_far_from_symmetric(self, seed, blocks) -> None:
+        # x T x^T = x A x^T for any A: the triangle sums both halves, and
+        # the radius bounds the columns' sums as well as the rows'.
+        rng = np.random.default_rng(seed)
+        matrix = _matrix("hafner", 27, rng) + rng.uniform(-1.0, 1.0, size=(27, 27))
+        matrix[:, 4] += 30.0  # one heavy column
+        rows = rng.dirichlet(np.full(27, 0.1), size=25)
+        with _blocks(27, blocks):
+            _, _, flagged = _certify(matrix, rows[0], rows[1:])
+        assert not flagged.any()
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_an_overflowing_pair_sum_is_flagged(self, blocks) -> None:
+        # A_01 and A_10 are float32-finite; their sum, T_01, is not.
+        rng = np.random.default_rng(23)
+        matrix = _matrix("hafner", 8, rng)
+        matrix[0, 1] = matrix[1, 0] = 2e38
+        rows = rng.dirichlet(np.ones(8), size=12)
+        rows[3, :2] = 0.0  # a row the entry does not touch
+        q = rows[0].copy()
+        q[:2] = 0.0
+        with _blocks(8, blocks):
+            assert np.isinf(QFDKernel(matrix).triangle32[0, 1])
+            _, _, flagged = _certify(matrix, q, rows)
+        touched = (rows[:, 0] != 0.0) & (rows[:, 1] != 0.0)
+        assert touched.sum() == 11 and flagged[touched].all()
 
     def test_the_benchmark_corpus_at_512d(self) -> None:
         w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
@@ -147,6 +212,47 @@ class TestTheBoundHolds:
             assert np.count_nonzero(s - delta <= upper) < 0.05 * s.shape[0]
 
 
+class TestTheTriangle:
+    @pytest.mark.parametrize("n", [3, 8, 27, 64])
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_patched_blocks_cover_the_triangle(self, n, count) -> None:
+        matrix = _matrix("skewed", n, np.random.default_rng(n))
+        with _blocks(n, count):
+            triangle, blocks = gram.qfd_triangle(matrix)
+        assert 2 <= len(blocks) <= 4
+        stops = [block.shape[0] for block in blocks]
+        widths = [block.shape[1] for block in blocks]
+        assert stops[-1] == n and sum(widths) == n
+        assert stops == list(np.cumsum(widths))
+        for block, stop, width in zip(blocks, stops, widths):
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, triangle[:stop, stop - width : stop])
+
+    def test_widths_may_be_uneven(self) -> None:
+        with _blocks(27, 4):
+            _, blocks = gram.qfd_triangle(np.eye(27))
+        assert [block.shape[1] for block in blocks] == [6, 7, 7, 7]
+
+    def test_the_triangle_is_built_from_both_halves(self) -> None:
+        matrix = _matrix("skewed", 8, np.random.default_rng(2))
+        want = np.triu(matrix + matrix.T, 1) + np.diag(np.diagonal(matrix))
+        got = QFDKernel(matrix).triangle32
+        assert np.array_equal(got, want.astype(np.float32))
+        assert not np.any(np.tril(got, -1))
+
+    @pytest.mark.parametrize("n, count", [(64, 1), (127, 1), (128, 2), (512, 8)])
+    def test_block_count(self, n, count) -> None:
+        _, blocks = gram.qfd_triangle(np.eye(n))
+        assert len(blocks) == count
+
+    def test_the_512d_plan_does_a_fraction_of_the_full_product(self) -> None:
+        w = histogram_workload(20, 1, bins_per_channel=8, seed=3)
+        n = w.matrix.shape[0]
+        _, blocks, _ = QFDKernel(w.matrix)._operands()
+        macs_per_row = sum(block.size for block in blocks)
+        assert macs_per_row <= 0.6 * n * n
+
+
 class TestTheKernel:
     def test_radius_bounds_the_spectral_norm(self) -> None:
         rng = np.random.default_rng(3)
@@ -156,11 +262,17 @@ class TestTheKernel:
             assert radius >= np.max(np.abs(np.linalg.eigvalsh(np.abs(matrix))))
             assert radius >= np.linalg.norm(matrix, 2)
 
+    def test_radius_bounds_a_column_heavy_matrix(self) -> None:
+        # Not symmetric: its largest row sum is 2, its spectral norm ~sqrt(24).
+        matrix = np.eye(24)
+        matrix[:, 0] = 1.0
+        assert QFDKernel(matrix).radius >= np.linalg.norm(matrix, 2)
+
     def test_matrix_and_shadow_are_flushed_float32(self) -> None:
         matrix = np.eye(3) + np.array([[0, 1e-40, 0], [1e-40, 0, 0], [0, 0, 0]])
         kernel = QFDKernel(matrix)
-        assert kernel.matrix32.dtype == np.float32
-        assert kernel.matrix32[0, 1] == 0.0 and kernel.matrix32[0, 0] == 1.0
+        assert kernel.triangle32.dtype == np.float32
+        assert kernel.triangle32[0, 1] == 0.0 and kernel.triangle32[0, 0] == 1.0
         rows = np.array([[1e-40, -1e-42, F32_TINY, 0.5]])
         shadow = gram.qfd_shadow(rows)
         assert shadow.dtype == np.float32
