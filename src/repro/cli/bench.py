@@ -48,8 +48,8 @@ def _bench_check_metrics(args: argparse.Namespace) -> dict:
 
     # Planner gate: snapshot the closed-form qmap indexes into a scratch
     # catalog, plan the same workload, and gate what the chosen plan
-    # actually spends.  Any drift means either the cost model's argmin
-    # moved or the chosen traversal changed.
+    # actually spends.  Any drift means either the planner's rule picked
+    # another plan or the chosen traversal changed.
     import tempfile
     from pathlib import Path
 

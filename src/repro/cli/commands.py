@@ -165,7 +165,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             workload,
             headers=[_workload_line(workload, args.size, args.queries)],
             index_dir=args.index_dir,
-            seed=args.seed,
         )
     return _build_and_run(args, run, workload, trace=args.trace)
 
@@ -296,7 +295,6 @@ def cmd_index_query(args: argparse.Namespace) -> int:
             workload,
             headers=[f"snapshot : {snapshot.path}", _workload_line(workload, size, n_queries)],
             index_dir=str(Path(args.path).parent),
-            seed=seed,
         )
     k, radius, what = query_kind(args)
     with run:

@@ -105,8 +105,9 @@ OPTIONS: dict[str, dict] = {
     "--plan": dict(
         default=None,
         metavar="auto|NAME",
-        help="route the batch through the cost-based planner: 'auto' "
-        "executes the cheapest physical plan, a plan name (e.g. "
+        help="route the batch through the planner: 'auto' executes the "
+        "catalogued QMap pivot table with the most pivots, else the QMap "
+        "M-tree, else the QMap scan; a plan name (e.g. "
         "'scan[qmap]') forces that alternative (--method/--bound are "
         "ignored; index query plans over the snapshot's directory)",
     ),

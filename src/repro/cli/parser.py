@@ -24,11 +24,11 @@ worker count (--batch for the batch engine, otherwise a plain per-query
 loop); --trace prints the per-query cost aggregation (distance
 evaluations, filter hits, candidates) next to the throughput.
 
---plan auto hands the batch to the cost-based planner instead: it
-enumerates every physical alternative (both scans, filter-and-refine
-pipelines, one probe per snapshot in --index-dir), prints the considered
-plans with predicted costs, and executes the cheapest; --plan NAME
-forces a specific alternative.
+--plan auto hands the batch to the planner instead: it enumerates every
+physical alternative (both scans, filter-and-refine pipelines, one probe
+per snapshot in --index-dir), prints the considered plans, and executes
+the QMap pivot table with the most pivots, else the QMap M-tree, else
+the QMap scan; --plan NAME forces a specific alternative.
 """
 
 _INDEX = """\
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub,
         "query",
         commands.cmd_query,
-        "run a query batch (plain loop, batch engine, or the cost-based planner)",
+        "run a query batch (plain loop, batch engine, or the planner)",
         _QUERY,
     )
     attach(query, "workload", "kind", "executor", "sinks", "--plan")

@@ -12,7 +12,7 @@ query batch, report time and distance computations.  The pieces:
   ``method   :`` header;
 * :func:`run_and_report` — run the batch, deactivate the sinks, print
   ``wall time`` / ``costs`` / ``trace`` / ``latency``, EXPLAIN query 0;
-* :func:`run_planned` — the same around the cost-based planner.
+* :func:`run_planned` — the same around the rule-based planner.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def _explain_planned(run: ObservedRun, planned, workload, k, radius) -> None:
     """The planner's EXPLAIN: considered plans with measured actuals.
 
     Re-runs query 0 through *every* considered alternative to fill the
-    ``actual=`` column (per-query flops in the cost model's unit), then
+    ``actual=`` column (per-query flops in Table 2's unit), then
     — when the chosen plan is index-backed — adds the usual traversal
     tree for the chosen plan, whose totals still match the distance
     counter exactly.
@@ -223,19 +223,17 @@ def _explain_planned(run: ObservedRun, planned, workload, k, radius) -> None:
     actuals = alternative_actual_flops(
         planned.choice, workload.matrix, workload.database, query, k=k, radius=radius
     )
-    text = planned.choice.render(per_query=True, actual_flops=actuals)
+    text = planned.choice.render(actual_flops=actuals)
     plan = None
     if planned.execution.index is not None:
         plan = explain_query(planned.execution.index, query, k=k, radius=radius)
         text += "\n\n" + plan.render()
     payload = {
+        "reason": planned.choice.reason,
         "considered": [
             {
                 "plan": c.name,
-                "predicted_flops": c.total_flops,
-                "predicted_per_query_flops": c.cost.per_query_flops,
                 "actual_per_query_flops": actuals.get(c.name),
-                "executor": c.executor.describe(),
                 "chosen": c.chosen,
             }
             for c in planned.choice.considered
@@ -252,7 +250,6 @@ def run_planned(
     *,
     headers: "list[str]",
     index_dir: "str | None",
-    seed: int,
 ) -> int:
     """Plan, print the considered alternatives, and execute the choice."""
     from ..models.planning import plan_query_batch
@@ -284,7 +281,6 @@ def run_planned(
             index_dir=index_dir,
             force=None if args.plan == "auto" else args.plan,
             executor=executor,
-            seed=seed,
         )
         catalog = planned.catalog
         if catalog.directory is not None:

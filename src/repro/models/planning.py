@@ -1,20 +1,18 @@
 """Materialize and execute planner-chosen physical plans.
 
 :mod:`repro.planner` deliberately knows nothing about models, access
-methods, or observability — it prices abstract plan nodes from snapshot
-headers and Table 2 closed forms.  This module is the other half: given a
+methods, or observability — it ranks abstract plan nodes read from
+snapshot headers.  This module is the other half: given a
 :class:`~repro.planner.PlanChoice` and the actual workload (QFD matrix,
 database, queries), it
 
-* builds the empirical :class:`~repro.planner.DistanceHistogram` the
-  planner uses for range selectivity (uncounted sample distances);
 * turns the chosen node into something that can answer queries — a
   :class:`~repro.models.base.BuiltIndex` for scans and probes, a
   :class:`~repro.lowerbound.FilterRefineScan` for the Section 2.3.1
   pipelines — wrapped in a :class:`PlanExecution` with uniform batch
   entry points and cost accounting;
 * measures per-alternative *actual* costs for the EXPLAIN "considered
-  plans" header, in the same arithmetic unit the cost model predicts.
+  plans" header, in Table 2's arithmetic unit.
 
 Import direction: this module imports the planner, never the reverse.
 """
@@ -26,13 +24,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.qfd import QuadraticFormDistance
 from ..exceptions import QueryError, StorageError
 from ..obs import log_event
 from ..lowerbound import FilterRefineScan, FilterRefineStats, SVDReduction, average_color_bound
 from ..planner import (
     DirectScan,
-    DistanceHistogram,
     ExecutorChoice,
     FilterRefine,
     IndexCatalog,
@@ -48,54 +44,12 @@ from .qfd_model import QFDModel
 from .qmap_model import QMapModel
 
 __all__ = [
-    "sample_distance_histogram",
     "PlanExecution",
     "materialize_plan",
     "plan_query_batch",
     "PlannedBatch",
     "alternative_actual_flops",
 ]
-
-#: Sampling caps for planning-time distance histograms: enough mass for a
-#: selectivity estimate, negligible next to one real query.
-_HISTOGRAM_MAX_ROWS = 256
-_HISTOGRAM_MAX_QUERIES = 8
-
-
-def sample_distance_histogram(
-    matrix: "QuadraticFormDistance | np.ndarray",
-    database: np.ndarray,
-    queries: "np.ndarray | None" = None,
-    *,
-    max_rows: int = _HISTOGRAM_MAX_ROWS,
-    max_queries: int = _HISTOGRAM_MAX_QUERIES,
-    seed: int = 0,
-) -> DistanceHistogram:
-    """Sample query-to-row QFD distances for range-selectivity estimates.
-
-    Uses the *uncounted* :meth:`QuadraticFormDistance.one_to_many`
-    kernel, so planning never perturbs the experiment's distance
-    counters.  Rows are subsampled deterministically (*seed*); probes are
-    the first *max_queries* query vectors, or held-out database rows when
-    no queries are given.
-    """
-    qfd = (
-        matrix
-        if isinstance(matrix, QuadraticFormDistance)
-        else QuadraticFormDistance(matrix)
-    )
-    data = np.atleast_2d(np.asarray(database, dtype=np.float64))
-    rng = np.random.default_rng(seed)
-    if data.shape[0] > max_rows:
-        rows = data[rng.choice(data.shape[0], size=max_rows, replace=False)]
-    else:
-        rows = data
-    if queries is not None:
-        probes = np.atleast_2d(np.asarray(queries, dtype=np.float64))[:max_queries]
-    else:
-        probes = rows[: min(max_queries, rows.shape[0])]
-    samples = [qfd.one_to_many(probe, rows) for probe in probes]
-    return DistanceHistogram.from_sample(np.concatenate(samples))
 
 
 @dataclass
@@ -104,9 +58,9 @@ class PlanExecution:
 
     Exactly one of ``index`` (scans, probes) and ``scan`` (filter-and-
     refine) is set.  ``run_batch`` answers a whole query batch through
-    the planner-chosen executor; ``query_costs``/``actual_flops`` report
-    what it actually cost, in the counters' unit and in Table 2's
-    arithmetic unit respectively.
+    ``executor`` (serial unless the caller named another);
+    ``query_costs``/``actual_flops`` report what it actually cost, in the
+    counters' unit and in Table 2's arithmetic unit respectively.
     """
 
     plan: PlanNode
@@ -171,7 +125,7 @@ class PlanExecution:
         )
 
     def actual_flops(self) -> float:
-        """Observed arithmetic, in the cost model's unit, so far.
+        """Observed arithmetic, in Table 2's unit, so far.
 
         Scans/probes convert the distance counters through
         :func:`repro.bench.complexity.measured_flops`; the pivot table
@@ -227,8 +181,7 @@ def materialize_plan(
     """Turn an abstract plan node into a runnable :class:`PlanExecution`.
 
     * :class:`DirectScan` builds a fresh sequential index under the
-      node's model (the QMap variant pays its database transform here —
-      the setup cost the planner amortized);
+      node's model (the QMap variant pays its database transform here);
     * :class:`IndexProbe` restores the cataloged snapshot with
       :func:`load_built_index` (zero evaluations) and verifies the
       archived QFD matrix matches the workload's;
@@ -294,51 +247,41 @@ def plan_query_batch(
     index_dir: "str | None" = None,
     force: "str | None" = None,
     executor: "ExecutorChoice | None" = None,
-    seed: int = 0,
 ) -> PlannedBatch:
     """Plan one query batch end to end and materialize the chosen plan.
 
     Builds the :class:`QuerySpec` from the workload shape, scans
-    *index_dir* into a catalog (empty catalog when ``None``), picks the
-    argmin — or the *force*-named plan — and materializes it, ready for
-    :meth:`PlanExecution.run_batch`.  An explicit *executor* replaces the
-    serial default (the CLI's ``--executor``).
+    *index_dir* into a catalog (empty catalog when ``None``), picks by
+    the planner's rule — or the *force*-named plan — and materializes
+    it, ready for :meth:`PlanExecution.run_batch`.  An explicit
+    *executor* replaces the serial default (the CLI's ``--executor``).
     """
     if (k is None) == (radius is None):
         raise QueryError("plan_query_batch needs exactly one of k= or radius=")
     data = np.atleast_2d(np.asarray(database, dtype=np.float64))
     rows = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    histogram = None
-    if radius is not None:
-        histogram = sample_distance_histogram(matrix, data, rows, seed=seed)
     spec = QuerySpec(
         kind="knn" if k is not None else "range",
         param=float(k if k is not None else radius),
         batch_size=rows.shape[0],
         m=data.shape[0],
         dim=data.shape[1],
-        histogram=histogram,
     )
     catalog = IndexCatalog.scan(index_dir) if index_dir is not None else IndexCatalog()
     choice = Planner(catalog=catalog).plan(spec, force=force)
+    executor = executor if executor is not None else ExecutorChoice(name="serial")
     log_event(
         "plan",
         kind=spec.kind,
         parameter=spec.param,
         batch_size=spec.batch_size,
         plan=choice.chosen.name,
-        executor=choice.chosen.executor.name,
-        predicted_cost=choice.predicted_cost,
+        executor=executor.name,
+        reason=choice.reason,
         considered=len(choice.considered),
         forced=force,
     )
-    execution = materialize_plan(
-        choice.chosen.plan,
-        matrix,
-        data,
-        executor=executor if executor is not None else choice.chosen.executor,
-        batch_size=spec.batch_size,
-    )
+    execution = materialize_plan(choice.chosen.plan, matrix, data, executor=executor)
     return PlannedBatch(spec=spec, choice=choice, execution=execution, catalog=catalog)
 
 
@@ -354,22 +297,15 @@ def alternative_actual_flops(
     """Measure every considered alternative's *actual* per-query cost.
 
     Runs one probe query through each alternative (materializing it
-    first) and returns ``{plan name: observed flops}`` in the cost
-    model's unit — the numbers the EXPLAIN "considered plans" header
-    shows next to the predictions.  Alternatives that fail to
-    materialize (e.g. a snapshot deleted between planning and explain)
-    are simply absent from the result.
+    first) and returns ``{plan name: observed flops}`` in Table 2's
+    unit — the numbers the EXPLAIN "considered plans" header shows.
+    Alternatives that fail to materialize (e.g. a snapshot deleted
+    between planning and explain) are simply absent from the result.
     """
     actuals: dict[str, float] = {}
     for candidate in choice.considered:
         try:
-            execution = materialize_plan(
-                candidate.plan,
-                matrix,
-                database,
-                executor=ExecutorChoice(name="serial"),
-                batch_size=1,
-            )
+            execution = materialize_plan(candidate.plan, matrix, database)
         except (QueryError, StorageError):
             continue
         if execution.index is not None:

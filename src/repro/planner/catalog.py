@@ -3,9 +3,9 @@
 :class:`IndexCatalog` scans a directory of ``.npz`` index snapshots
 through :func:`~repro.persistence.probe_snapshot` — zip headers and
 scalar markers only, never the archived rows — and turns each into a
-:class:`CatalogEntry`: the physical facts the planner prices a probe
-against (method, model, bound mode, shape, record dtype, pivot count,
-build costs, workload recipe).
+:class:`CatalogEntry`: the physical facts the planner ranks a probe
+by (method, model, bound mode, shape, record dtype, pivot count), plus
+build costs and the workload recipe.
 
 Unreadable or foreign archives are never silently skipped: every failure
 is recorded as a warning on the catalog, so ``repro index ls`` (and any
@@ -36,7 +36,7 @@ _RECIPE_KEYS = (
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One discovered snapshot: everything the cost model needs, no rows.
+    """One discovered snapshot: everything the planner needs, no rows.
 
     Attributes
     ----------

@@ -1,14 +1,25 @@
-"""The cost-based planner: enumerate alternatives, price, pick argmin.
+"""The planner: enumerate every alternative, pick one by a fixed rule.
 
 Given a :class:`QuerySpec` (range vs kNN, parameter, batch size, database
-shape, optional distance histogram) and an :class:`~repro.planner.
-catalog.IndexCatalog` of built snapshots, :class:`Planner` enumerates
-every physical alternative — both direct scans, one probe per compatible
-snapshot, and the filter-and-refine pipelines — prices each through the
-:class:`~repro.planner.cost.CostModel`, and returns a :class:`PlanChoice`
-that records *every* considered alternative with its predicted cost, not
-just the winner.  Ties break on the plan name, so planning is
-deterministic for a fixed catalog.
+shape) and an :class:`~repro.planner.catalog.IndexCatalog` of built
+snapshots, :class:`Planner` enumerates every physical alternative — both
+direct scans, one probe per compatible snapshot, and the
+filter-and-refine pipelines — and returns a :class:`PlanChoice` that
+records *every* alternative, not just the one it picked.
+
+``--plan auto`` is a precedence rule over QMap plans, the paper's
+argument (Table 2, §3.3) that QMap always wins and an index beats the
+scan:
+
+1. the catalogued QMap pivot table with the most pivots, a float64
+   (heap) snapshot before a float32 (mmap) one;
+2. else the catalogued QMap M-tree, in-memory before paged;
+3. else ``scan[qmap]``.
+
+Auto never picks a QFD-model plan or a filter-and-refine pipeline; those
+stay enumerated and reachable by name (``force=``), so the paper's
+§2.3.1 and Table 2 comparisons still run.  Equal-rank snapshots keep the
+catalog's path order, so planning is deterministic for a fixed catalog.
 
 The choice is advisory: executing a plan is the job of
 :mod:`repro.models.planning`, which keeps this package import-clean of
@@ -17,14 +28,18 @@ the model/index layers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 from ..exceptions import QueryError
 from .catalog import IndexCatalog
-from .cost import CostModel, DistanceHistogram, PredictedCost
-from .plans import DirectScan, ExecutorChoice, FilterRefine, IndexProbe, PlanNode
+from .plans import DirectScan, FilterRefine, IndexProbe, PlanNode
 
 __all__ = ["QuerySpec", "ConsideredPlan", "PlanChoice", "Planner"]
+
+#: Rank of the plans auto never picks: listed after the rule's, forceable by name.
+_FORCE_ONLY = (3,)
 
 
 @dataclass(frozen=True)
@@ -36,12 +51,9 @@ class QuerySpec:
     kind, param:
         ``"knn"`` with ``k``, or ``"range"`` with the radius.
     batch_size:
-        Queries in the batch; setup costs amortize over it.
+        Queries in the batch.
     m, dim:
         Database size and vector dimensionality.
-    histogram:
-        Optional empirical distance distribution for range-selectivity
-        estimates (kNN selectivity is ``k/m`` and needs no sample).
     """
 
     kind: str
@@ -49,7 +61,6 @@ class QuerySpec:
     batch_size: int
     m: int
     dim: int
-    histogram: "DistanceHistogram | None" = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("knn", "range"):
@@ -62,12 +73,9 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class ConsideredPlan:
-    """One priced alternative inside a :class:`PlanChoice`."""
+    """One alternative inside a :class:`PlanChoice`."""
 
     plan: PlanNode
-    cost: PredictedCost
-    total_flops: float
-    executor: ExecutorChoice
     chosen: bool = False
 
     @property
@@ -77,22 +85,17 @@ class ConsideredPlan:
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """The planner's decision, with its full deliberation attached.
+    """The planner's decision, with every alternative attached.
 
-    ``considered`` holds every alternative sorted by ascending predicted
-    total cost; ``chosen`` is the winner (the cheapest, unless a plan was
-    forced by name).  ``predicted_cost`` is the chosen plan's total for
-    the whole batch — the number the EXPLAIN header compares against the
-    actually observed cost.
+    ``considered`` lists the rule's candidates in precedence order, then
+    the plans only reachable by name; ``chosen`` is the rule's pick (or
+    the forced plan) and ``reason`` says why it was picked.
     """
 
     spec: QuerySpec
     considered: "tuple[ConsideredPlan, ...]"
     chosen: ConsideredPlan
-
-    @property
-    def predicted_cost(self) -> float:
-        return self.chosen.total_flops
+    reason: str
 
     def alternative(self, name: str) -> ConsideredPlan:
         """Look up a considered alternative by plan name."""
@@ -102,26 +105,17 @@ class PlanChoice:
         known = [candidate.name for candidate in self.considered]
         raise QueryError(f"no plan named {name!r}; considered: {known}")
 
-    def render(
-        self,
-        *,
-        actual_flops: "dict[str, float] | None" = None,
-        per_query: bool = False,
-    ) -> str:
-        """The "considered plans" header: predicted (vs actual) per plan.
+    def render(self, *, actual_flops: "dict[str, float] | None" = None) -> str:
+        """The "considered plans" header: every plan, the chosen one's reason.
 
-        *actual_flops* maps plan names to observed arithmetic costs (from
-        the EXPLAIN event buffers); alternatives without a measurement
-        show a ``-``.  With *per_query* the predicted column shows the
-        per-query rate instead of the batch total — the right comparison
-        when the actuals come from explaining a single query.
+        *actual_flops* maps plan names to the observed arithmetic of one
+        query (EXPLAIN); alternatives without a measurement show a ``-``.
         """
         what = (
             f"range(r={self.spec.param:g})"
             if self.spec.kind == "range"
             else f"knn(k={int(self.spec.param)})"
         )
-        unit = "flops/query" if per_query else "flops"
         lines = [
             f"considered plans for {what}  "
             f"(batch={self.spec.batch_size}, m={self.spec.m}, "
@@ -130,31 +124,49 @@ class PlanChoice:
         width = max(len(candidate.name) for candidate in self.considered)
         for candidate in self.considered:
             marker = "*" if candidate.chosen else " "
-            predicted = (
-                candidate.cost.per_query_flops if per_query else candidate.total_flops
-            )
-            line = (
-                f"  {marker} {candidate.name:<{width}}  "
-                f"predicted={predicted:.4g} {unit}"
-            )
-            if candidate.cost.setup_flops and not per_query:
-                line += f" (setup {candidate.cost.setup_flops:.3g})"
+            line = f"  {marker} {candidate.name:<{width}}"
             if actual_flops is not None:
                 actual = actual_flops.get(candidate.name)
                 line += (
-                    f"  actual={actual:.4g}"
+                    f"  actual={actual:.4g} flops/query"
                     if actual is not None
                     else "  actual=-"
                 )
-            line += f"  [{candidate.executor.describe()}]"
             if candidate.chosen:
-                line += "  (chosen)"
-            lines.append(line)
+                line += f"  (chosen) {self.reason}"
+            lines.append(line.rstrip())
         return "\n".join(lines)
 
 
+def _rank(node: PlanNode) -> tuple:
+    """The rule's precedence for *node*: lower wins, ``_FORCE_ONLY`` never."""
+    if isinstance(node, IndexProbe) and node.model == "qmap":
+        entry = node.entry
+        if entry.method == "pivot-table":
+            return (0, -(entry.n_pivots or 0), entry.store == "mmap")
+        if entry.method in ("mtree", "paged-mtree"):
+            return (1, entry.method == "paged-mtree")
+    if isinstance(node, DirectScan) and node.model == "qmap":
+        return (2,)
+    return _FORCE_ONLY
+
+
+def _reason(node: PlanNode) -> str:
+    """Why the rule picked *node* (the first-ranked alternative)."""
+    if isinstance(node, IndexProbe) and node.method == "pivot-table":
+        entry = node.entry
+        return (
+            "rule 1: the QMap pivot table with the most pivots "
+            f"(p={entry.n_pivots or 0}, {entry.store})"
+        )
+    if isinstance(node, IndexProbe):
+        kind = "paged" if node.method == "paged-mtree" else "in-memory"
+        return f"rule 2: no QMap pivot table; the {kind} QMap M-tree"
+    return "rule 3: no QMap pivot table or M-tree"
+
+
 class Planner:
-    """Enumerates and prices physical plans for query specs.
+    """Enumerates physical plans for query specs and picks one by rule.
 
     Parameters
     ----------
@@ -165,7 +177,6 @@ class Planner:
 
     def __init__(self, catalog: "IndexCatalog | None" = None) -> None:
         self._catalog = catalog if catalog is not None else IndexCatalog()
-        self._cost_model = CostModel()
 
     @property
     def catalog(self) -> IndexCatalog:
@@ -174,64 +185,60 @@ class Planner:
     def alternatives(self, spec: QuerySpec) -> "list[PlanNode]":
         """Every physical alternative for *spec*.
 
-        Always at least three: both direct scans and the SVD
-        filter-and-refine pipeline; the average-color pipeline when the
-        dimensionality is a color-histogram cube (``bins^3``); one probe
-        per dimension-compatible catalog snapshot.
+        One probe per dimension- and size-compatible catalog snapshot
+        (a label two snapshots share gets each one's file stem), both
+        direct scans, the SVD filter-and-refine pipeline, and the
+        average-color pipeline when the dimensionality is a
+        color-histogram cube (``bins^3``).
         """
-        rank = max(1, int(spec.dim) // 4)
+        entries = [
+            entry
+            for entry in self._catalog.compatible(int(spec.dim))
+            if entry.size == int(spec.m)
+        ]
+        labels = Counter(entry.label for entry in entries)
         nodes: list[PlanNode] = [
-            DirectScan(model="qfd"),
+            IndexProbe(
+                entry=entry,
+                stem=Path(entry.path).stem if labels[entry.label] > 1 else None,
+            )
+            for entry in entries
+        ]
+        nodes += [
             DirectScan(model="qmap"),
-            FilterRefine(lower_bound="svd", rank=rank),
+            DirectScan(model="qfd"),
+            FilterRefine(lower_bound="svd", rank=max(1, int(spec.dim) // 4)),
         ]
         bins = round(float(spec.dim) ** (1.0 / 3.0))
         if bins >= 2 and bins**3 == int(spec.dim):
             nodes.append(FilterRefine(lower_bound="avg_color", rank=3))
-        for entry in self._catalog.compatible(int(spec.dim)):
-            if entry.size != int(spec.m):
-                continue
-            nodes.append(IndexProbe(entry=entry))
         return nodes
 
     def plan(self, spec: QuerySpec, *, force: "str | None" = None) -> PlanChoice:
-        """Price every alternative and pick the argmin (or *force* by name).
+        """Pick by the rule (or *force* a plan by name).
 
-        The returned :class:`PlanChoice` lists all alternatives sorted by
-        predicted total cost; a forced plan is marked chosen even when it
-        is not the cheapest, so ``--plan <name>`` keeps the comparison
-        visible.
+        The returned :class:`PlanChoice` lists every alternative; a forced
+        plan is marked chosen wherever the rule ranks it, so
+        ``--plan <name>`` keeps the comparison visible.
         """
-        priced: list[ConsideredPlan] = []
-        for node in self.alternatives(spec):
-            cost = node.predicted_cost(spec, self._cost_model)
-            priced.append(
-                ConsideredPlan(
-                    plan=node,
-                    cost=cost,
-                    total_flops=cost.total(spec.batch_size),
-                    executor=ExecutorChoice(name="serial"),
-                )
-            )
-        priced.sort(key=lambda candidate: (candidate.total_flops, candidate.name))
-        if force is not None:
-            names = [candidate.name for candidate in priced]
+        nodes = sorted(self.alternatives(spec), key=_rank)
+        if force is None:
+            chosen_pos, reason = 0, _reason(nodes[0])
+        else:
+            names = [node.name for node in nodes]
             if force not in names:
                 raise QueryError(
                     f"no plan named {force!r} for this workload; "
                     f"available: {names}"
                 )
-            chosen_pos = names.index(force)
-        else:
-            chosen_pos = 0
-        final = tuple(
-            ConsideredPlan(
-                plan=candidate.plan,
-                cost=candidate.cost,
-                total_flops=candidate.total_flops,
-                executor=candidate.executor,
-                chosen=pos == chosen_pos,
-            )
-            for pos, candidate in enumerate(priced)
+            chosen_pos, reason = names.index(force), "forced by name"
+        considered = tuple(
+            ConsideredPlan(plan=node, chosen=pos == chosen_pos)
+            for pos, node in enumerate(nodes)
         )
-        return PlanChoice(spec=spec, considered=final, chosen=final[chosen_pos])
+        return PlanChoice(
+            spec=spec,
+            considered=considered,
+            chosen=considered[chosen_pos],
+            reason=reason,
+        )

@@ -12,11 +12,9 @@ same QFD query exactly:
   QBIC average-color projection) over a sequential scan, with exact QFD
   refinement of the survivors.
 
-Every node prices itself through the shared :class:`~repro.planner.cost.
-CostModel` (``predicted_cost``).  No node proposes an executor: on every
-ledger cell the thread and process pools lose to the serial engine
-(ROADMAP item 5), so a plan runs serially unless the caller names an
-executor.
+No node proposes an executor: on every ledger cell the thread and
+process pools lose to the serial engine (ROADMAP item 5), so a plan runs
+serially unless the caller names an executor.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry
-from .cost import CostModel, PredictedCost
 
 __all__ = [
     "ExecutorChoice",
@@ -37,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExecutorChoice:
-    """A planner-chosen executor: accepted by ``resolve_executor``.
+    """A caller-chosen executor: accepted by ``resolve_executor``.
 
     Duck-typed by its ``name``/``workers``/``chunk_size`` attributes —
     the engine needs no import of the planner to honor it.
@@ -61,10 +58,6 @@ class PlanNode:
         """Stable identifier, also accepted by ``--plan <name>``."""
         raise NotImplementedError
 
-    def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
-        """Price this plan for *spec* (see :class:`PredictedCost`)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DirectScan(PlanNode):
@@ -76,15 +69,18 @@ class DirectScan(PlanNode):
     def name(self) -> str:
         return f"scan[{self.model}]"
 
-    def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
-        return cost_model.scan_cost(spec, self.model)
-
 
 @dataclass(frozen=True)
 class IndexProbe(PlanNode):
-    """Restore a cataloged snapshot and traverse the index."""
+    """Restore a cataloged snapshot and traverse the index.
+
+    ``stem`` is set only when another snapshot of the catalog carries the
+    same label; it then joins the name (``probe[pivot-table,qmap@p16]``)
+    so that every probe stays reachable by ``--plan <name>``.
+    """
 
     entry: CatalogEntry
+    stem: "str | None" = None
 
     @property
     def method(self) -> str:
@@ -100,10 +96,8 @@ class IndexProbe(PlanNode):
 
     @property
     def name(self) -> str:
-        return f"probe[{self.entry.label}]"
-
-    def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
-        return cost_model.probe_cost(spec, self.entry)
+        tag = f"@{self.stem}" if self.stem else ""
+        return f"probe[{self.entry.label}{tag}]"
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,3 @@ class FilterRefine(PlanNode):
     @property
     def name(self) -> str:
         return f"filter-refine[{self.lower_bound},k={int(self.rank)}]"
-
-    def predicted_cost(self, spec, cost_model: CostModel) -> PredictedCost:
-        return cost_model.filter_refine_cost(spec, rank=int(self.rank))

@@ -129,7 +129,7 @@ INVOCATIONS: list[tuple[str, list[str]]] = [
       "--store", "mmap", "--out", "{tmp}/mmap_idx"]),
     ("index-load-mmap", ["index", "load", "{tmp}/mmap_idx.npz", "--store", "mmap"]),
     ("index-query-mmap", ["index", "query", "{tmp}/mmap_idx.npz", "--k", "5"]),
-    # planner (ci.yml "Cost-based planner smoke", api_guide, SKILL.md)
+    # planner (ci.yml "Planner smoke", api_guide, SKILL.md)
     ("plan-save-pivot",
      ["index", "save", "--method", "pivot-table", *_W, "--seed", "2011",
       "--out", "{tmp}/planner/pivot_table"]),

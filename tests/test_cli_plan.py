@@ -2,9 +2,9 @@
 
 Pinned behavior:
 
-1. ``--plan auto`` prints the considered-plans header (every alternative
-   with predicted cost), executes the argmin, and picks a probe whenever
-   a compatible snapshot undercuts the scan;
+1. ``--plan auto`` prints the considered-plans header (every alternative,
+   the pick marked with the rule's reason), executes the pick, and picks
+   a probe whenever a QMap pivot table or M-tree snapshot is catalogued;
 2. ``--plan <name>`` forces that alternative but keeps the comparison
    visible;
 3. ``--explain`` adds per-alternative *actual* costs and writes the
@@ -44,7 +44,7 @@ class TestParser:
     def test_query_plan_flags(self) -> None:
         args = build_parser().parse_args(["query", "--plan", "auto", "--index-dir", "d"])
         assert args.plan == "auto" and args.index_dir == "d"
-        # The planner has one cost model; there is nothing to calibrate.
+        # The planner applies a fixed rule; there is nothing to calibrate.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "--plan", "auto", "--calibrate-from", "h"])
 
@@ -64,7 +64,7 @@ class TestQueryPlan:
         out = capsys.readouterr().out
         assert code == 0
         assert "considered plans for knn(k=5)" in out
-        # Acceptance: the snapshot beats the scan, so the pick is a probe.
+        # Acceptance: a QMap snapshot is catalogued, so the pick is a probe.
         assert "* probe[" in out and "(chosen)" in out
         assert "2 snapshot(s)" in out
         # At least the two scans and both filter pipelines are listed.
@@ -85,7 +85,7 @@ class TestQueryPlan:
         out = capsys.readouterr().out
         assert code == 0
         assert "* scan[qfd]" in out and "execution: scan[qfd]" in out
-        # The cheaper probes are still listed, unchosen.
+        # The rule's probes are still listed, unchosen.
         assert "probe[pivot-table,qmap]" in out
 
     def test_unknown_plan_name_fails(self, snapshot_dir, capsys) -> None:

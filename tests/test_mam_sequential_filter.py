@@ -29,7 +29,7 @@ M = 400
 
 @pytest.fixture(scope="module")
 def workload():
-    """512-d: the filter's size floor is 256 rows there."""
+    """512-d: the filter's size floor is 128 rows there."""
     w = histogram_workload(M, 12, bins_per_channel=8, seed=2011)
     data = w.database.copy()
     data[7] = data[3]  # duplicates: a tie at any k they reach

@@ -2,15 +2,15 @@
 
 Pinned invariants:
 
-1. planning is free — sampling the distance histogram never perturbs the
-   workload's distance counters, and restoring a probed snapshot costs
-   zero evaluations;
+1. planning is free — restoring a probed snapshot costs zero
+   evaluations;
 2. a materialized probe answers the *planned* workload: a snapshot whose
    archived QFD matrix (or shape) disagrees is refused, not silently
    traversed;
 3. ``plan_query_batch`` end to end: the chosen plan's answers equal the
-   sequential baseline's, forced plans included, and per-alternative
-   actual costs are measured in the predicted unit.
+   sequential baseline's, forced plans included, every plan family
+   charges the counts it charged under the flops-priced planner, and
+   per-alternative actual costs are measured in Table 2's unit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.models.planning import (
     alternative_actual_flops,
     materialize_plan,
     plan_query_batch,
-    sample_distance_histogram,
 )
 from repro.persistence import read_snapshot
 from repro.planner import DirectScan, ExecutorChoice, FilterRefine
@@ -53,33 +52,27 @@ def snapshot_dir(tmp_path_factory, workload):
 
 
 @pytest.fixture(scope="module")
+def family_dir(tmp_path_factory, workload):
+    """One snapshot per probed family: both models, in-memory and paged."""
+    root = tmp_path_factory.mktemp("families")
+    for model_cls, model_name in ((QMapModel, "qmap"), (QFDModel, "qfd")):
+        model = model_cls(workload.matrix)
+        model.build_index("pivot-table", workload.database, n_pivots=8).save(
+            str(root / f"pivot_{model_name}.npz")
+        )
+        model.build_index("mtree", workload.database, capacity=16).save(
+            str(root / f"mtree_{model_name}.npz")
+        )
+    QMapModel(workload.matrix).build_index(
+        "paged-mtree", workload.database, capacity=16
+    ).save(str(root / "paged_qmap.npz"))
+    return root
+
+
+@pytest.fixture(scope="module")
 def baseline(workload):
     index = QFDModel(workload.matrix).build_index("sequential", workload.database)
     return [index.knn_search(q, 5) for q in workload.queries]
-
-
-class TestHistogramSampling:
-    def test_deterministic_and_counter_free(self, workload) -> None:
-        index = QFDModel(workload.matrix).build_index(
-            "sequential", workload.database
-        )
-        before = index.query_costs().distance_computations
-        hist = sample_distance_histogram(
-            workload.matrix, workload.database, workload.queries, seed=3
-        )
-        again = sample_distance_histogram(
-            workload.matrix, workload.database, workload.queries, seed=3
-        )
-        assert index.query_costs().distance_computations == before
-        assert np.array_equal(hist.sample, again.sample)
-        assert 0.0 < hist.selectivity(hist.radius_at(0.5)) <= 1.0
-
-    def test_subsampling_caps(self, workload) -> None:
-        hist = sample_distance_histogram(
-            workload.matrix, workload.database, workload.queries,
-            max_rows=16, max_queries=2,
-        )
-        assert hist.sample.size == 16 * 2
 
 
 class TestMaterialize:
@@ -177,12 +170,12 @@ class TestPlanQueryBatch:
             for got, expected in zip(results, baseline):
                 assert_same_neighbors(got, expected, label=candidate.name)
 
-    def test_range_planning_samples_a_histogram(self, workload) -> None:
+    def test_range_planning_builds_a_range_spec(self, workload) -> None:
         planned = plan_query_batch(
             workload.matrix, workload.database, workload.queries, radius=0.4
         )
-        assert planned.spec.kind == "range"
-        assert planned.spec.histogram is not None
+        assert planned.spec.kind == "range" and planned.spec.param == 0.4
+        assert planned.plan_name == "scan[qmap]"
 
     def test_executor_override_wins(self, workload) -> None:
         planned = plan_query_batch(
@@ -197,7 +190,41 @@ class TestPlanQueryBatch:
         wide = np.repeat(workload.queries, 8, axis=0)[:32]
         planned = plan_query_batch(workload.matrix, workload.database, wide, k=5)
         assert planned.execution.executor.name == "serial"
-        assert {c.executor.name for c in planned.choice.considered} == {"serial"}
+
+    def test_every_family_forced_charges_what_it_charged(
+        self, workload, family_dir, baseline
+    ) -> None:
+        """Ranking by rule instead of by flops moves no forced plan: each
+        family answers like the baseline and charges the distance
+        evaluations and query transforms it charged when the planner
+        priced plans by Table 2's closed forms."""
+        charged = {
+            "scan[qfd]": (750, 0),
+            "scan[qmap]": (750, 5),
+            "probe[pivot-table,qfd]": (92, 0),
+            "probe[pivot-table,qmap]": (92, 5),
+            "probe[mtree,qfd]": (142, 0),
+            "probe[mtree,qmap]": (142, 5),
+            "probe[paged-mtree,qmap]": (142, 5),
+            "filter-refine[svd,k=16]": (38, 0),
+            "filter-refine[avg_color,k=3]": (61, 0),
+        }
+        auto = plan_query_batch(
+            workload.matrix, workload.database, workload.queries,
+            k=5, index_dir=str(family_dir),
+        )
+        assert auto.plan_name == "probe[pivot-table,qmap]"
+        assert sorted(c.name for c in auto.choice.considered) == sorted(charged)
+        for name, counts in charged.items():
+            planned = plan_query_batch(
+                workload.matrix, workload.database, workload.queries,
+                k=5, index_dir=str(family_dir), force=name,
+            )
+            results = planned.execution.run_batch(workload.queries, k=5)
+            for got, expected in zip(results, baseline):
+                assert_same_neighbors(got, expected, label=name)
+            costs = planned.execution.query_costs()
+            assert (costs.distance_computations, costs.transforms) == counts, name
 
     def test_filter_refine_reports_stats_and_flops(self, workload) -> None:
         planned = plan_query_batch(

@@ -1,14 +1,15 @@
-"""Unit tests for the cost-based planner (`repro.planner`).
+"""Unit tests for the rule-based planner (`repro.planner`).
 
 Pinned invariants:
 
 1. layering — importing ``repro.planner`` never pulls in the execution or
    observability layers (``repro.models`` / ``repro.mam`` / ``repro.obs``);
-   the planner prices plans from headers and closed forms only;
-2. pricing — plan costs are the Table 2 closed forms, monotone in the
-   database size, with setup amortized over the batch;
-3. planning — the argmin is deterministic, every alternative stays
-   visible in the :class:`PlanChoice`, and ``force=`` picks by name
+   the planner ranks plans from snapshot headers only;
+2. the rule — auto picks the QMap pivot table with the most pivots (heap
+   before mmap), else the QMap M-tree (in-memory before paged), else the
+   QMap scan, and never a QFD-model or filter-and-refine plan;
+3. planning — every alternative stays visible in the
+   :class:`PlanChoice` under a unique name, and ``force=`` picks by name
    without hiding the comparison.
 """
 
@@ -17,41 +18,32 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.bench.complexity import theoretical_querying_flops
 from repro.exceptions import QueryError
 from repro.planner import (
-    DEFAULT_RANGE_SELECTIVITY,
     CatalogEntry,
-    CostModel,
-    DirectScan,
-    DistanceHistogram,
     ExecutorChoice,
     FilterRefine,
     IndexCatalog,
-    IndexProbe,
     Planner,
-    PredictedCost,
     QuerySpec,
 )
 
 
 def _entry(method: str = "pivot-table", model: str = "qmap", *, size: int = 400,
            dim: int = 64, n_pivots: "int | None" = 16,
-           bound: "str | None" = "triangle") -> CatalogEntry:
-    """A synthetic catalog entry (no file behind it — pricing needs none)."""
+           bound: "str | None" = "triangle", dtype: str = "float64",
+           stem: "str | None" = None) -> CatalogEntry:
+    """A synthetic catalog entry (no file behind it — ranking needs none)."""
     return CatalogEntry(
-        path=f"/nowhere/{method}_{model}.npz",
+        path=f"/nowhere/{stem or f'{method}_{model}'}.npz",
         method=method,
         model=model,
         bound=bound,
         size=size,
         dim=dim,
-        dtype="float64",
+        dtype=dtype,
         format_version=1,
         method_version=1,
         n_pivots=n_pivots,
@@ -62,10 +54,8 @@ def _entry(method: str = "pivot-table", model: str = "qmap", *, size: int = 400,
 
 
 def _spec(*, kind: str = "knn", param: float = 10, batch: int = 10,
-          m: int = 400, dim: int = 64, histogram=None) -> QuerySpec:
-    return QuerySpec(
-        kind=kind, param=param, batch_size=batch, m=m, dim=dim, histogram=histogram
-    )
+          m: int = 400, dim: int = 64) -> QuerySpec:
+    return QuerySpec(kind=kind, param=param, batch_size=batch, m=m, dim=dim)
 
 
 class TestLayering:
@@ -73,8 +63,8 @@ class TestLayering:
         """The contract ruff's TID251 gate enforces, checked structurally.
 
         Every import in ``src/repro/planner`` must stay below the
-        model/index/observability layers — the planner prices plans from
-        snapshot headers and closed forms only.  (Importing the package
+        model/index/observability layers — the planner ranks plans from
+        snapshot headers only.  (Importing the package
         at runtime can't show this: ``repro/__init__`` re-exports the
         whole library.)
         """
@@ -107,21 +97,6 @@ class TestLayering:
         assert not offenders, offenders
 
 
-class TestDistanceHistogram:
-    def test_selectivity_and_radius_roundtrip(self) -> None:
-        hist = DistanceHistogram.from_sample(np.arange(1, 101, dtype=float))
-        assert hist.selectivity(10.0) == pytest.approx(0.10)
-        assert hist.selectivity(0.0) == 0.0
-        assert hist.selectivity(1_000.0) == 1.0
-        assert hist.radius_at(0.10) == pytest.approx(10.0)
-
-    def test_rejects_empty_and_drops_nonfinite(self) -> None:
-        with pytest.raises(ValueError):
-            DistanceHistogram.from_sample([])
-        hist = DistanceHistogram.from_sample([1.0, np.nan, 2.0, np.inf])
-        assert hist.sample.tolist() == [1.0, 2.0]
-
-
 class TestQuerySpec:
     def test_validation(self) -> None:
         with pytest.raises(QueryError):
@@ -130,72 +105,6 @@ class TestQuerySpec:
             _spec(kind="knn", param=0)
         with pytest.raises(QueryError):
             _spec(kind="range", param=-1.0)
-
-
-class TestCostModel:
-    def test_scan_cost_is_table2(self) -> None:
-        spec = _spec(m=400, dim=64)
-        qfd = CostModel().scan_cost(spec, "qfd")
-        qmap = CostModel().scan_cost(spec, "qmap")
-        assert qfd.per_query_flops == theoretical_querying_flops(
-            "sequential", "qfd", m=400, n=64
-        )
-        assert qfd.setup_flops == 0.0
-        assert qmap.per_query_flops == theoretical_querying_flops(
-            "sequential", "qmap", m=400, n=64
-        )
-        # The QMap scan pays the Table 1 database transform up front.
-        assert qmap.setup_flops == 400 * 64 * 64
-
-    def test_setup_amortizes_over_batch(self) -> None:
-        cost = PredictedCost(setup_flops=1000.0, per_query_flops=10.0)
-        assert cost.total(1) == 1010.0
-        assert cost.total(100) == 2000.0
-        assert cost.total(0) == 1010.0  # never fewer than one query
-
-    def test_range_selectivity_uses_histogram(self) -> None:
-        hist = DistanceHistogram.from_sample(np.linspace(0.0, 1.0, 100))
-        with_hist = CostModel().result_fraction(
-            _spec(kind="range", param=0.5, histogram=hist)
-        )
-        without = CostModel().result_fraction(_spec(kind="range", param=0.5))
-        assert with_hist == pytest.approx(hist.selectivity(0.5))
-        assert without == DEFAULT_RANGE_SELECTIVITY
-
-    @given(
-        m_small=st.integers(min_value=20, max_value=2_000),
-        growth=st.integers(min_value=1, max_value=2_000),
-        dim=st.sampled_from([16, 64, 512]),
-        model=st.sampled_from(["qfd", "qmap"]),
-        method=st.sampled_from(["sequential", "pivot-table"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_predicted_cost_monotone_in_database_size(
-        self, m_small: int, growth: int, dim: int, model: str, method: str
-    ) -> None:
-        """Bigger databases never get cheaper — for scans and pivot tables."""
-        cost_model = CostModel()
-        totals = []
-        for m in (m_small, m_small + growth):
-            spec = _spec(m=m, dim=dim)
-            if method == "sequential":
-                cost = cost_model.scan_cost(spec, model)
-            else:
-                cost = cost_model.probe_cost(
-                    spec, _entry("pivot-table", model, size=m, dim=dim)
-                )
-            totals.append(cost.total(spec.batch_size))
-        assert totals[1] >= totals[0]
-
-    def test_pivot_probe_prices_the_closed_form(self) -> None:
-        spec = _spec(m=400, dim=64, param=10)
-        cost_model = CostModel()
-        cost = cost_model.probe_cost(spec, _entry("pivot-table", "qmap"))
-        x = int(round(cost_model.filter_candidates(spec)))
-        assert cost.per_query_flops == theoretical_querying_flops(
-            "pivot-table", "qmap", m=400, n=64, p=16, x=x
-        )
-        assert cost.setup_flops == 0.0  # snapshots restore without evaluations
 
 
 class TestPlanner:
@@ -224,19 +133,19 @@ class TestPlanner:
         assert "probe[pivot-table,qmap]" in names
         assert not any("mtree" in name for name in names)
 
-    def test_argmin_is_first_and_chosen(self) -> None:
+    def test_rule_pick_is_first_and_chosen(self) -> None:
         catalog = IndexCatalog(entries=(_entry("pivot-table", "qmap"),))
         choice = Planner(catalog).plan(_spec())
-        totals = [c.total_flops for c in choice.considered]
-        assert totals == sorted(totals)
         assert choice.considered[0].chosen
         assert choice.chosen is choice.considered[0]
-        assert choice.predicted_cost == totals[0]
+        assert choice.chosen.name == "probe[pivot-table,qmap]"
+        assert sum(c.chosen for c in choice.considered) == 1
 
     def test_force_picks_by_name_and_keeps_comparison(self) -> None:
         choice = Planner().plan(_spec(), force="scan[qfd]")
         assert choice.chosen.name == "scan[qfd]"
-        # The raw-QFD scan is never the argmin at this shape...
+        assert choice.reason == "forced by name"
+        # The raw-QFD scan is never the rule's pick...
         assert choice.considered[0].name != "scan[qfd]"
         # ...and exactly one alternative is marked chosen.
         assert sum(c.chosen for c in choice.considered) == 1
@@ -249,16 +158,123 @@ class TestPlanner:
         with pytest.raises(QueryError):
             choice.alternative("probe[unicorn,qmap]")
 
-    def test_render_shows_predictions_and_actuals(self) -> None:
+    def test_render_shows_reason_and_actuals(self) -> None:
         choice = Planner().plan(_spec())
         text = choice.render()
         assert "considered plans for knn(k=10)" in text
-        assert "(chosen)" in text and "scan[qfd]" in text
-        per_query = choice.render(
-            per_query=True, actual_flops={"scan[qfd]": 123.0}
+        chosen_line = text.splitlines()[1]
+        assert chosen_line.split()[:3] == ["*", "scan[qmap]", "(chosen)"]
+        assert chosen_line.endswith(f"(chosen) {choice.reason}")
+        assert text.endswith("filter-refine[avg_color,k=3]")  # no trailing blanks
+        assert "scan[qfd]" in text and "actual=" not in text
+        assert "predicted" not in text
+        explained = choice.render(actual_flops={"scan[qfd]": 123.0})
+        assert "actual=123 flops/query" in explained and "actual=-" in explained
+
+    def test_colliding_labels_get_the_file_stem(self) -> None:
+        """Two snapshots with one label used to share one plan name, and
+        ``force=`` could reach only the first of them."""
+        catalog = IndexCatalog(
+            entries=(
+                _entry("pivot-table", n_pivots=4, stem="p4"),
+                _entry("pivot-table", n_pivots=16, stem="p16"),
+                _entry("mtree"),
+            )
         )
-        assert "flops/query" in per_query
-        assert "actual=123" in per_query and "actual=-" in per_query
+        names = [c.name for c in Planner(catalog).plan(_spec()).considered]
+        assert len(names) == len(set(names))
+        assert "probe[pivot-table,qmap@p4]" in names
+        assert "probe[pivot-table,qmap@p16]" in names
+        assert "probe[mtree,qmap]" in names  # unique labels stay as they are
+        for name in ("probe[pivot-table,qmap@p4]", "probe[pivot-table,qmap@p16]"):
+            forced = Planner(catalog).plan(_spec(), force=name)
+            assert forced.chosen.name == name
+        p4 = Planner(catalog).plan(_spec(), force="probe[pivot-table,qmap@p4]")
+        assert p4.chosen.plan.entry.n_pivots == 4
+
+
+def _pick(*entries: CatalogEntry, dim: int = 64) -> str:
+    return Planner(IndexCatalog(entries=entries)).plan(_spec(dim=dim)).chosen.name
+
+
+class TestRule:
+    """The precedence ``--plan auto`` applies, one catalog per row."""
+
+    @pytest.mark.parametrize(
+        "entries,expected",
+        [
+            # most pivots wins, whatever the catalog order
+            (
+                (_entry(n_pivots=4, stem="a"), _entry(n_pivots=16, stem="b")),
+                "probe[pivot-table,qmap@b]",
+            ),
+            (
+                (_entry(n_pivots=16, stem="a"), _entry(n_pivots=4, stem="b")),
+                "probe[pivot-table,qmap@a]",
+            ),
+            # heap beats mmap at equal pivots, even listed second
+            (
+                (
+                    _entry(dtype="float32", stem="a"),
+                    _entry(dtype="float64", stem="b"),
+                ),
+                "probe[pivot-table,qmap@b]",
+            ),
+            # ...but more pivots beat the store
+            (
+                (
+                    _entry(n_pivots=32, dtype="float32", stem="a"),
+                    _entry(n_pivots=16, stem="b"),
+                ),
+                "probe[pivot-table,qmap@a]",
+            ),
+            # a pivot table beats an M-tree
+            ((_entry("mtree"), _entry("pivot-table")), "probe[pivot-table,qmap]"),
+            # M-tree beats paged M-tree
+            ((_entry("paged-mtree"), _entry("mtree")), "probe[mtree,qmap]"),
+            ((_entry("paged-mtree"),), "probe[paged-mtree,qmap]"),
+            # no catalog gives the QMap scan
+            ((), "scan[qmap]"),
+            # a QFD-only catalog gives the QMap scan
+            (
+                (_entry("pivot-table", "qfd"), _entry("mtree", "qfd")),
+                "scan[qmap]",
+            ),
+            # other QMap methods are never picked
+            (
+                (_entry("gnat"), _entry("sequential"), _entry("mindex")),
+                "scan[qmap]",
+            ),
+            # a pivot table of another workload shape is not on offer
+            ((_entry(size=999), _entry("mtree")), "probe[mtree,qmap]"),
+        ],
+        ids=[
+            "most-pivots-second", "most-pivots-first", "heap-over-mmap",
+            "pivots-over-store", "pivot-table-over-mtree", "mtree-over-paged",
+            "paged-mtree", "no-catalog", "qfd-only", "other-qmap-methods",
+            "other-shape",
+        ],
+    )
+    def test_precedence(self, entries, expected) -> None:
+        assert _pick(*entries) == expected
+
+    def test_never_a_qfd_or_filter_plan(self) -> None:
+        choice = Planner().plan(_spec(dim=64))
+        names = [c.name for c in choice.considered]
+        assert "filter-refine[avg_color,k=3]" in names and "scan[qfd]" in names
+        assert choice.chosen.name == "scan[qmap]"
+
+    def test_reasons_name_the_rule(self) -> None:
+        def reason(*entries: CatalogEntry) -> str:
+            return Planner(IndexCatalog(entries=entries)).plan(_spec()).reason
+
+        assert reason(_entry(n_pivots=16, dtype="float32")) == (
+            "rule 1: the QMap pivot table with the most pivots (p=16, mmap)"
+        )
+        assert reason(_entry("paged-mtree")) == (
+            "rule 2: no QMap pivot table; the paged QMap M-tree"
+        )
+        assert reason() == "rule 3: no QMap pivot table or M-tree"
 
 
 class TestExecutorHints:
