@@ -21,10 +21,13 @@ assist.  A second table therefore times each QFD entry point on the raw
 histogram rows and on the same rows with the subnormals zeroed, interleaved
 in one process, and reports ``subnormal_penalty_ratio = raw / flushed``.
 Entry points that flush their operand themselves (the QFD kernels, the
-QMap transform, and the QFD sequential scan's float32 filter over a heap
-shadow or a float32 store's own rows) are marked ``fixed`` and must read
-~1; the others are measured and left (see ``docs/architecture.md``,
-*Subnormal operands*).
+QMap transform, the QFD sequential scan's float32 filter over a heap
+shadow or a float32 store's own rows, and the O(n) lower bound over a
+heap shadow, whose gemv reads the shadow flushed once) are marked
+``fixed`` and must read ~1; the others are measured and left (see
+``docs/architecture.md``, *Subnormal operands*) — the lower bound over a
+float32 store's own rows among them: its gemv reads the store's
+subnormals in place, which the whole f32-mmap scan entry absorbs.
 A last line times the one difference-form L2 one-to-many over a
 database-sized batch: ns per row and the peak bytes it allocates.
 
@@ -202,6 +205,9 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     store_dir = tempfile.TemporaryDirectory()
     for label, operands in (("raw", raw), ("clean", clean)):
         operands["ctx"] = kernel.bind(operands["q"])
+        operands["shadow"] = gram.qfd_shadow(operands["rows"])
+        operands["norms"] = gram.shadow_norms(operands["shadow"])
+        operands["norms32"] = gram.shadow_norms(operands["rows32"])
         port = DistancePort(CountingDistance(qfd, one_to_many=qfd.one_to_many))
         stored = np.memmap(
             Path(store_dir.name) / label, dtype=np.float32, mode="w+",
@@ -240,6 +246,10 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: qmap.transform(d["q"])),
         ("QuadraticFormDistance.one_to_many, f32", False, f"{m}x{qfd.dim}",
          lambda d: qfd.one_to_many(d["q"], d["rows32"])),
+        ("QFDKernel.lower_bound", True, f"{m}x{qfd.dim}",
+         lambda d: kernel.lower_bound(d["q"], d["shadow"], d["norms"])),
+        ("QFDKernel.lower_bound, f32 store", False, f"{m}x{qfd.dim}",
+         lambda d: kernel.lower_bound(d["q"], d["rows32"], d["norms32"], rows_exact=True)),
         ("SequentialFile.knn_search (filtered)", True, f"{m}x{qfd.dim}",
          lambda d: d["scan"].knn_search(d["q"], 10)),
         ("SequentialFile.knn_search, f32 mmap", True, f"{m}x{qfd.dim}",

@@ -18,7 +18,7 @@ from .._typing import ArrayLike, Matrix, Vector, as_square_matrix, as_vector, as
 from ..exceptions import NotSymmetricError
 from ..kernels.gram import qfd_one_to_many, qfd_pairwise
 from .symmetrize import is_symmetric, symmetrize
-from .validation import require_positive_definite
+from .validation import positive_definite_factor
 
 __all__ = ["QuadraticFormDistance"]
 
@@ -54,9 +54,21 @@ class QuadraticFormDistance:
                     "(paper Section 3.2.3)"
                 )
             mat = symmetrize(mat)
-        require_positive_definite(mat, name="QFD matrix")
+        self._factor: Matrix | None = positive_definite_factor(mat, name="QFD matrix")
         self._matrix = mat
         self._matrix.setflags(write=False)
+
+    def __getstate__(self) -> dict:
+        # The factor is n^2 floats a copy can do without (see cholesky_factor).
+        return {**self.__dict__, "_factor": None}
+
+    @property
+    def cholesky_factor(self) -> Matrix | None:
+        """The Cholesky factor the positive-definiteness check made (``None``
+        in an unpickled copy), kept so a scan's kernel can estimate the
+        matrix's smallest eigenvalue without factoring it again
+        (:func:`~repro.kernels.gram.lambda_min_floor`)."""
+        return self._factor
 
     @property
     def matrix(self) -> Matrix:

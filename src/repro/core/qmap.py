@@ -60,6 +60,9 @@ class QMap:
         # over the same handful of matrices, so the O(n^3) factorization is
         # paid once per distinct matrix (the factor is already read-only).
         self._b = cached_cholesky(qfd.matrix)
+        # B factors the matrix the QFD's positive-definiteness check
+        # factored: the QFD keeps this shared copy instead of its own.
+        qfd._factor = self._b
 
     @property
     def qfd(self) -> QuadraticFormDistance:

@@ -23,6 +23,7 @@ from .symmetrize import is_symmetric, symmetrize
 __all__ = [
     "is_positive_definite",
     "require_positive_definite",
+    "positive_definite_factor",
     "min_eigenvalue",
     "ensure_positive_definite",
     "PDRepair",
@@ -46,18 +47,22 @@ def is_positive_definite(a: ArrayLike) -> bool:
 def require_positive_definite(a: ArrayLike, *, name: str = "QFD matrix") -> Matrix:
     """Return *a* as an array, raising unless it is symmetric PD."""
     mat = as_square_matrix(a, name=name)
-    if not is_symmetric(mat):
-        mat_sym = symmetrize(mat)
-    else:
-        mat_sym = mat
+    positive_definite_factor(mat, name=name)
+    return mat
+
+
+def positive_definite_factor(a: ArrayLike, *, name: str = "QFD matrix") -> Matrix:
+    """The Cholesky factor of *a* (of its symmetric part, unless *a* is
+    symmetric within tolerance), raising unless it is strictly PD."""
+    mat = as_square_matrix(a, name=name)
+    mat_sym = mat if is_symmetric(mat) else symmetrize(mat)
     try:
-        cholesky(mat_sym, check_symmetry=False)
+        return cholesky(mat_sym, check_symmetry=False)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
             f"{name} is not strictly positive-definite; QFD would violate "
             "the identity metric postulate (paper Section 3.2.3)"
         ) from None
-    return mat
 
 
 def min_eigenvalue(a: ArrayLike) -> float:

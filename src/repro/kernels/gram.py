@@ -19,6 +19,10 @@ the upper triangle of ``A + A^T``, as a certified filter
 row's float32 value comes with a proven bound on its distance from the
 float64 value above, and the scan re-evaluates in float64 only the rows
 the bound cannot decide — what it returns is always the float64 form's.
+Before that pass, :func:`qfd_lower_bound` rules rows out in O(n) each:
+``mu ||v - q||^2`` with ``mu`` a certified lower bound on the smallest
+eigenvalue of ``A``'s symmetric part (:func:`lambda_min_floor`), less
+every rounding error, bounds the float64 form from below.
 
 Cancellation guard (L2 matrix forms)
 ------------------------------------
@@ -51,6 +55,9 @@ __all__ = [
     "qfd_shadow",
     "qfd_triangle",
     "qfd_filter",
+    "shadow_norms",
+    "qfd_lower_bound",
+    "lambda_min_floor",
     "abs_sum_radius",
     "l2_one_to_many",
     "qfd_pairwise",
@@ -107,6 +114,15 @@ _SPLIT_WORKERS = _split_workers()
 #: the gemm kernel the whole tile runs and each row keeps the floats of
 #: the unsplit product.
 _CHUNK_MACS = 1 << 25
+
+#: The same floor for :func:`qfd_filter`'s chunks, also in the full
+#: product's multiply-adds (``rows * n^2``): its float32 triangle does a
+#: fraction of the float64 work per row, in eight smaller gemms at 512-d.
+#: With two threads at 512-d the filter read 2.53 ms serial against 3.13
+#: split at 400 rows, 6.14 against 6.75 at 1 000, 10.75 against 12.19 at
+#: 2 000 and 25.81 against 19.29 at 4 000 (Xeon, 2 vCPUs, BLAS pinned to
+#: one thread), so a chunk holds at least 1 024 rows at 512-d.
+_FILTER_CHUNK_MACS = 1 << 28
 
 
 #: Columns per block of the filter's upper-triangle product
@@ -199,14 +215,14 @@ def qfd_one_to_many(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.n
         def run(part: slice) -> None:
             _qfd_rows(matrix, q, block[part], diff[part], prod[part], block_out[part])
 
-        _run_split(block.shape[0], n, run)
+        _run_split(_split(block.shape[0], n), run)
     return out
 
 
-def _run_split(rows: int, n: int, run: Callable[[slice], None]) -> None:
-    """``run(part)`` for every chunk of :func:`_split`, the calling thread
-    taking the first and a per-call pool the rest; no thread outlives it."""
-    parts = _split(rows, n)
+def _run_split(parts: list[slice], run: Callable[[slice], None]) -> None:
+    """``run(part)`` for every chunk in *parts* (:func:`_split`), the
+    calling thread taking the first and a per-call pool the rest; no
+    thread outlives it."""
     if len(parts) == 1:
         run(parts[0])
         return
@@ -217,12 +233,14 @@ def _run_split(rows: int, n: int, run: Callable[[slice], None]) -> None:
             job.result()
 
 
-def _split(rows: int, n: int) -> list[slice]:
+def _split(rows: int, n: int, chunk_macs: int | None = None) -> list[slice]:
     """Near-equal row chunks of one QFD tile, one per thread that runs it:
     a single chunk unless BLAS leaves cores idle and the tile holds two or
-    more chunks of ``_CHUNK_MACS`` multiply-adds and of two or more rows
-    (a one-row product is a matrix-vector call, another BLAS kernel)."""
-    parts = min(_SPLIT_WORKERS, rows * n * n // _CHUNK_MACS, rows // 2)
+    more chunks of *chunk_macs* (default ``_CHUNK_MACS``) multiply-adds
+    and of two or more rows (a one-row product is a matrix-vector call,
+    another BLAS kernel)."""
+    macs = _CHUNK_MACS if chunk_macs is None else chunk_macs
+    parts = min(_SPLIT_WORKERS, rows * n * n // macs, rows // 2)
     if parts < 2:
         return [slice(0, rows)]
     edges = np.linspace(0, rows, parts + 1).astype(int)
@@ -324,8 +342,9 @@ def qfd_filter(
     ``s`` is the float32 value of ``(v^ - q^) T^ (v^ - q^)^T`` over the
     shadow rows ``v^`` (:func:`qfd_shadow`), the flushed float32 query
     ``q^`` and the upper-triangle float32 matrix ``T^`` whose column
-    *blocks* :func:`qfd_triangle` makes, in the row tiles and chunks of
-    :func:`qfd_one_to_many`: per block ``J``, ``P[:, J] = x^[:, :J.stop]
+    *blocks* :func:`qfd_triangle` makes, in the row tiles of
+    :func:`qfd_one_to_many` and chunks of at least ``_FILTER_CHUNK_MACS``:
+    per block ``J``, ``P[:, J] = x^[:, :J.stop]
     @ T^[:J.stop, J]``, then the row-dot of ``P`` with ``x^`` (9/16 of the
     full product's multiply-adds at 512-d, in float32: twice the
     multiply-adds per cycle, half the bytes).  ``delta`` bounds
@@ -408,7 +427,7 @@ def qfd_filter(
                 block_s[part], block_nu[part], flush=rows_exact,
             )
 
-        _run_split(block.shape[0], n, run)
+        _run_split(_split(block.shape[0], n, _FILTER_CHUNK_MACS), run)
     s64 = s.astype(np.float64)
     with np.errstate(all="ignore"):  # inf / nan rows: delta not finite
         delta = _filter_bound(s64, nu, float(q64 @ q64), radius, n, rows_exact)
@@ -460,22 +479,220 @@ def _filter_bound(
 ) -> np.ndarray:
     """:func:`qfd_filter`'s ``delta``, term for term (see its docstring)."""
     root_n = np.sqrt(n)
-    # ||q|| from its float64 sum of squares, rounded up.
-    q_norm = np.sqrt(qq * (1.0 + _gamma(n + 1, _U64)) + n * _TINY64) * (1.0 + 4 * _U64)
+    q_norm = _norm_up(qq, n)
     xi = np.sqrt((nu.astype(np.float64) + 2 * n * _TINY32) / (1.0 - _gamma(n, _U32)))
     if rows_exact:
         e = _U32 * (q_norm + xi) + 4 * root_n * _TINY32
     else:
         e = (2 * _U32 * (q_norm + xi) + 4 * root_n * _TINY32) / (1.0 - _U32)
     big_x = xi + e
-    e64 = _U64 * big_x + root_n * _TINY64
-    x64 = big_x + e64
     t32 = (_gamma(2 * n + 2, _U32) * radius + n * _TINY32) * xi * xi
     t32 += 4 * n * _TINY32 + 8 * n * root_n * _TINY32 * xi
     t_in = radius * e * (2 * big_x + e)
-    t64 = radius * e64 * (2 * big_x + e64) + _gamma(2 * n, _U64) * radius * x64 * x64
-    t64 += 4 * n * _TINY64 + 8 * n * root_n * _TINY64 * x64
+    t64 = _float64_error(big_x, radius, n)
     return (t32 + t_in + t64) * (1.0 + 2.0**-40) + np.abs(s) * 2.0**-50
+
+
+def _norm_up(squares: float, n: int) -> float:
+    """A vector's norm from its float64 sum of *squares* over *n* entries,
+    rounded up."""
+    return np.sqrt(squares * (1.0 + _gamma(n + 1, _U64)) + n * _TINY64) * (1.0 + 4 * _U64)
+
+
+def _float64_error(big_x: np.ndarray, radius: float, n: int) -> np.ndarray:
+    """``T64``: how far the float64 path's squared distance can be from
+    ``x A x^T`` for any ``x`` with ``||x|| <= big_x`` (:func:`qfd_filter`'s
+    last term)."""
+    root_n = np.sqrt(n)
+    e64 = _U64 * big_x + root_n * _TINY64
+    x64 = big_x + e64
+    t64 = radius * e64 * (2 * big_x + e64) + _gamma(2 * n, _U64) * radius * x64 * x64
+    return t64 + 4 * n * _TINY64 + 8 * n * root_n * _TINY64 * x64
+
+
+def shadow_norms(shadow: np.ndarray) -> np.ndarray:
+    """``||v^||^2`` per float32 row of *shadow*, summed in float64.
+
+    A float32 entry's square is exact in float64 (48 significant bits, and
+    even a float32 subnormal's square is a float64 normal), so each value
+    is within ``gamma_n(w) ||v^||^2`` of the exact one, in any summation
+    order.  :func:`qfd_lower_bound` reads it.
+    """
+    out = np.empty(shadow.shape[0], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf rows: inf
+        for tile in row_tiles(shadow.shape[0]):
+            np.einsum("ij,ij->i", shadow[tile], shadow[tile], dtype=np.float64, out=out[tile])
+    return out
+
+
+def qfd_lower_bound(
+    mu: float,
+    radius: float,
+    q: np.ndarray,
+    shadow: np.ndarray,
+    norms: np.ndarray,
+    *,
+    rows_exact: bool = False,
+) -> np.ndarray:
+    """Certified lower bounds, in O(n) per row, on the squared QFDs the
+    float64 path computes: ``mu ||v - q||^2`` less every rounding error.
+
+    *mu* is at most ``lambda_min((A + A^T) / 2)`` (:func:`lambda_min_floor`),
+    so ``x A x^T >= mu ||x||^2`` for ``x = v - q``.  ``||v - q||`` comes from
+    the Gram form over the shadow (:func:`qfd_shadow`): *norms* is
+    :func:`shadow_norms`, ``||q^||^2`` is summed in float64 and ``v^ . q^``
+    is one float32 gemv ``shadow @ q^``.  Like :func:`qfd_filter`'s
+    ``delta``, the result bounds ``d64`` — the value **the float64 path
+    computes** (:func:`qfd_one_to_many` before its clamp and square root)
+    for the row ``v`` the shadow stands for — not the exact one.  A row
+    whose bound is not finite gets ``-inf``: it is never ruled out.
+    *radius* and ``rows_exact`` are :func:`qfd_filter`'s.
+
+    The bound, with :func:`qfd_filter`'s ``u``, ``w``, ``t``, ``t64`` and
+    ``gamma_k``, ``S = norms + ||q^||^2`` and ``N = S - 2 (v^ . q^)``
+    evaluated in float64 from the gemv's float32 result::
+
+        bound = mu l^2 - T64(X)
+
+    * the cancellation: ``N`` is within ``E = gamma_{n+1}(u) S + 9 n t``
+      of ``||v^ - q^||^2``.  The gemv is within ``gamma_n(u) |v^| |q^|^T
+      <= gamma_n(u) S / 2`` of ``v^ . q^`` in any summation order, with or
+      without FMA, plus at most ``t`` per product that underflows and per
+      addition, doubled by later additions: ``4 n t``.  ``S``'s two sums
+      are within ``gamma_n(w)`` of their squares' (:func:`shadow_norms`),
+      and the two float64 operations forming ``N`` within ``w`` of
+      operands under ``2 S``: those ``w`` terms total far below the ``u S``
+      by which ``gamma_{n+1}(u) S`` exceeds ``gamma_n(u) S``.
+    * the inputs' rounding: ``|v^_i - v_i| <= u |v_i| + t`` (cast, then
+      flush), so with ``|v_i| <= |v^_i| / (1 - u) + t``,
+      ``||v^ - v|| <= e_v = (u ||v^|| + 2 sqrt(n) t) / (1 - u)`` (``0``
+      when ``rows_exact``), and ``||q^ - q|| <= e_q = u ||q|| + sqrt(n) t``.
+      With ``e = e_v + e_q``: ``l = sqrt(N - E) - e <= ||v - q|| <=
+      sqrt(N + E) + e = X``.
+    * ``T64`` — the float64 path's own rounding over ``||x|| <= X``,
+      :func:`qfd_filter`'s last term: ``d64 >= x A x^T - T64(X) >=
+      mu l^2 - T64(X)``.
+
+    Every quantity that must be low (``sqrt(N - E)``, ``l``, ``mu l^2``)
+    is scaled by ``1 - 2^-40`` before anything is subtracted from it, and
+    every one that must be high (``E``, ``e``, ``sqrt(N + E)``, ``T64``) by
+    ``1 + 2^-40``: that absorbs the relative ``~1e-14`` by which their
+    float64 evaluation can miss, a subtraction's rounding included.
+    """
+    n = shadow.shape[1]
+    q64 = _as64(q)
+    with np.errstate(over="ignore"):
+        q32 = _flush_subnormals(q64.astype(np.float32), inplace=True)
+    q32_64 = q32.astype(np.float64)
+    with np.errstate(all="ignore"):  # rows or a query beyond float32 range
+        dots = np.asarray(shadow @ q32).astype(np.float64)
+        bound = _lower_bound(
+            norms, dots, float(q32_64 @ q32_64), float(q64 @ q64), mu, radius, n, rows_exact
+        )
+        bound[~np.isfinite(bound)] = -np.inf
+    return bound
+
+
+def _lower_bound(
+    norms: np.ndarray,
+    dots: np.ndarray,
+    qq32: float,
+    qq: float,
+    mu: float,
+    radius: float,
+    n: int,
+    rows_exact: bool,
+) -> np.ndarray:
+    """:func:`qfd_lower_bound`'s bound, term for term (see its docstring)."""
+    low, high = 1.0 - 2.0**-40, 1.0 + 2.0**-40
+    root_n = np.sqrt(n)
+    total = norms + qq32
+    gram_form = total - 2.0 * dots
+    slack = (_gamma(n + 1, _U32) * total + 9 * n * _TINY32) * high
+    e = _U32 * _norm_up(qq, n) + root_n * _TINY32
+    if not rows_exact:
+        v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64)))
+        e = e + (_U32 * v_norm + 2 * root_n * _TINY32) / (1.0 - _U32)
+    e = e * high
+    floor = np.maximum(np.sqrt(np.maximum(gram_form - slack, 0.0)) * low - e, 0.0) * low
+    big_x = np.sqrt(gram_form + slack) * high + e
+    return mu * floor * floor * low - _float64_error(big_x, radius, n) * high
+
+
+def lambda_min_floor(matrix: np.ndarray, factor: np.ndarray | None = None) -> float:
+    """``mu``, a certified lower bound on ``lambda_min((A + A^T) / 2)``, or
+    ``0.0`` when none above zero can be certified.
+
+    An estimate ``lambda^`` comes from three steps of block inverse
+    iteration on *factor* — a Cholesky factor of (about) ``A``, such as the
+    one a :class:`~repro.core.qfd.QuadraticFormDistance` makes for its
+    positive-definiteness check; factored here when not given — and a
+    Rayleigh-Ritz value over the four vectors.  It is only a guess.  The
+    certificate is that ``np.linalg.cholesky`` completes on the float64
+    ``H = fl((A + A^T) / 2) - (lambda^ / 2) I``: then ``H + dH = R^T R`` is
+    positive semi-definite for some ``|dH| <= g |R^T| |R|`` (Demmel;
+    Higham, Theorem 10.7: ``g = gamma_{n+1}(w)`` for any order of the
+    inner products, so blocked LAPACK and FMA too; ``g = gamma_{n+3}(w)``
+    here, for a kernel that multiplies by a rounded reciprocal of the
+    pivot instead of dividing), so ``lambda_min(H) >= -||dH||_2 >=
+    -g ||R||_F^2 >= -g trace(H) / (1 - g)``.  Underflow adds at most
+    ``t64`` per product and ``t64 r_jj`` per division to an entry of
+    ``dH``: ``n (n + 1 + max H_ii) t64`` in the 2-norm, taken twice.
+    Forming ``H`` is within ``w (R_A + max H_ii) + n t64`` of ``(A + A^T)
+    / 2 - (lambda^ / 2) I`` in the 2-norm (``R_A`` the
+    :func:`abs_sum_radius`), so
+
+        mu = lambda^ / 2 - g trace(H) / (1 - g) - w (R_A + max H_ii)
+             - (2 n (n + 1 + max H_ii) + n) t64
+
+    rounded down.  Halving the estimate costs nothing: the scan's pruning
+    is flat from ``lambda_min`` down to ``lambda_min / 4``.  Given the
+    factor, ~9 ms at 512-d (one Cholesky, ~2 ms of solves, forming ``H``),
+    against 15 ms for ``np.linalg.eigvalsh``.
+    """
+    n = matrix.shape[0]
+    sym = (matrix + matrix.T) * 0.5
+    try:
+        with np.errstate(all="ignore"):
+            if factor is None:
+                factor = np.linalg.cholesky(sym)
+            estimate = _lambda_min_estimate(factor, sym)
+            if not (np.isfinite(estimate) and estimate > 0.0):
+                return 0.0
+            shifted = sym.copy()
+            np.fill_diagonal(shifted, np.diagonal(sym) - 0.5 * estimate)
+            np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return 0.0
+    g = _gamma(n + 3, _U64)
+    diagonal = np.abs(np.diagonal(shifted))
+    trace = float(diagonal.sum()) * (1.0 + _gamma(n, _U64))
+    top = float(diagonal.max())
+    margin = g * trace / (1.0 - g) + _U64 * (abs_sum_radius(matrix) + top)
+    margin += (2 * n * (n + 1 + top) + n) * _TINY64
+    mu = (0.5 * estimate - margin * (1.0 + 2.0**-40)) * (1.0 - 2.0**-40)
+    return mu if mu > 0.0 else 0.0
+
+
+def _lambda_min_estimate(factor: np.ndarray, sym: np.ndarray) -> float:
+    """About ``lambda_min(sym)``: three steps of inverse iteration through
+    ``factor factor^T ~ sym`` on four vectors, then the least Rayleigh-Ritz
+    value.  Each solve is blocked forward then back substitution over
+    the 32-wide diagonal blocks' inverses (numpy has no triangular solve,
+    and ``np.linalg.solve`` would factor the triangle again)."""
+    n = factor.shape[0]
+    edges = list(range(0, n, 32)) + [n]
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    inverses = [np.linalg.inv(factor[b, b]) for b in blocks]
+    y = np.random.default_rng(0).standard_normal((n, min(4, n)))
+    for _ in range(3):
+        z = np.empty_like(y)
+        for b, inverse in zip(blocks, inverses):
+            z[b] = inverse @ (y[b] - factor[b, : b.start] @ z[: b.start])
+        for b, inverse in zip(reversed(blocks), reversed(inverses)):
+            y[b] = inverse.T @ (z[b] - factor[b.stop :, b].T @ y[b.stop :])
+        y, _ = np.linalg.qr(y)
+    return float(np.linalg.eigvalsh(y.T @ sym @ y)[0])
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:

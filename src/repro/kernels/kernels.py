@@ -14,7 +14,11 @@ small object interface the access-method layer can hold on to:
     the certified float32 squared distances over a float32 copy of the
     rows (:func:`~repro.kernels.gram.qfd_shadow`), ``(s, delta)`` with
     ``|s - d64| <= delta``, that the sequential scan filters with before
-    it evaluates in float64.
+    it evaluates in float64;
+``lower_bound(q, shadow, norms)`` (QFD only)
+    an O(n) certified lower bound on every row's ``d64``
+    (:func:`~repro.kernels.gram.qfd_lower_bound`), which decides which
+    rows the filter runs on at all.
 
 Every QFD evaluation is one arithmetic, the difference form of
 :func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row); the L2
@@ -70,27 +74,43 @@ class QFDQueryContext:
 
 
 class QFDKernel:
-    """Batched evaluator for a static QFD matrix: the difference form, and
-    its certified float32 filter over the upper triangle (:meth:`filter`)."""
+    """Batched evaluator for a static QFD matrix: the difference form, its
+    certified float32 filter over the upper triangle (:meth:`filter`) and
+    the O(n) bound that runs before it (:meth:`lower_bound`).
 
-    __slots__ = ("matrix", "_filter_operands")
+    *factor*, a Cholesky factor of the matrix (the one a
+    :class:`~repro.core.qfd.QuadraticFormDistance` made for its
+    positive-definiteness check), spares :attr:`mu`'s estimate a
+    factorization; it is dropped once :attr:`mu` is made.
+    """
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    __slots__ = ("matrix", "_filter_operands", "_factor")
+
+    def __init__(self, matrix: np.ndarray, factor: np.ndarray | None = None) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
-        self._filter_operands: tuple[np.ndarray, tuple[np.ndarray, ...], float] | None = None
+        self._factor = factor
+        self._filter_operands: (
+            tuple[np.ndarray, tuple[np.ndarray, ...], float, float] | None
+        ) = None
 
     def __reduce__(self):
-        # The filter's operands are rebuilt, not shipped to a worker.
+        # The filter's operands (mu included) are rebuilt, not shipped to a worker.
         return (QFDKernel, (self.matrix,))
 
-    def _operands(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
-        """:attr:`triangle32`, its column blocks and :attr:`radius`, made
-        by their first use — a query, not the build; racing threads make
-        the same values."""
+    def _operands(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, float]:
+        """:attr:`triangle32`, its column blocks, :attr:`radius` and
+        :attr:`mu`, made by their first use — a query, not the build;
+        racing threads make the same values."""
+        factor = self._factor  # read first: the build drops it after publishing
         operands = self._filter_operands
         if operands is None:
-            operands = (*gram.qfd_triangle(self.matrix), gram.abs_sum_radius(self.matrix))
+            operands = (
+                *gram.qfd_triangle(self.matrix),
+                gram.abs_sum_radius(self.matrix),
+                gram.lambda_min_floor(self.matrix, factor),
+            )
             self._filter_operands = operands
+            self._factor = None
         return operands
 
     @property
@@ -104,14 +124,31 @@ class QFDKernel:
         """``R >= || |A| ||_2`` (:func:`~repro.kernels.gram.abs_sum_radius`)."""
         return self._operands()[2]
 
+    @property
+    def mu(self) -> float:
+        """A certified lower bound on the smallest eigenvalue of the
+        matrix's symmetric part, ``0.0`` when none above zero certifies
+        (:func:`~repro.kernels.gram.lambda_min_floor`)."""
+        return self._operands()[3]
+
     def filter(
         self, q: np.ndarray, shadow: np.ndarray, *, rows_exact: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(s, delta)`` per shadow row: the float32 squared distance and a
         bound on its distance from the float64 path's
         (:func:`~repro.kernels.gram.qfd_filter`)."""
-        _, blocks, radius = self._operands()
+        _, blocks, radius, _ = self._operands()
         return gram.qfd_filter(blocks, radius, q, shadow, rows_exact=rows_exact)
+
+    def lower_bound(
+        self, q: np.ndarray, shadow: np.ndarray, norms: np.ndarray, *, rows_exact: bool = False
+    ) -> np.ndarray:
+        """Per shadow row, a lower bound on the float64 path's squared
+        distance, ``-inf`` where none is certain
+        (:func:`~repro.kernels.gram.qfd_lower_bound`); *norms* is
+        :func:`~repro.kernels.gram.shadow_norms` of *shadow*."""
+        _, _, radius, mu = self._operands()
+        return gram.qfd_lower_bound(mu, radius, q, shadow, norms, rows_exact=rows_exact)
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)
@@ -201,7 +238,7 @@ def resolve_kernel(func: Callable) -> QFDKernel | L2Kernel | None:
     from ..core.qfd import QuadraticFormDistance
 
     if isinstance(func, QuadraticFormDistance):
-        return QFDKernel(func.matrix)
+        return QFDKernel(func.matrix, func.cholesky_factor)
     from ..distances.minkowski import euclidean
 
     if func is euclidean:

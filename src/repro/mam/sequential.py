@@ -9,11 +9,12 @@ that also can take advantage of the QMap model": under QFD each of the
 Two variants are provided:
 
 * :class:`SequentialFile` — in-memory rows (the default everywhere).
-  Under the QFD it scans through a certified float32 filter: float32 over
-  a shadow copy of the rows, float64 only where the filter's error bound
-  cannot decide (paper Section 2.3.1's filter-and-refine, with the lower
-  bound from floating-point analysis).  Answers, distances and charged
-  counts are the full float64 scan's.
+  Under the QFD it scans through two certified filters (paper Section
+  2.3.1's filter-and-refine): an O(n) lower bound ``mu ||v - q||^2``
+  rules most rows out, float32 over a shadow copy of the rows decides
+  most of the rest, and float64 runs only where that error bound cannot
+  decide.  Answers, distances and charged counts are the full float64
+  scan's.
 * :class:`DiskSequentialFile` — rows behind the paged storage substrate,
   used by the disk-cache ablation (bench E_A4).
 """
@@ -58,13 +59,16 @@ __all__ = ["SequentialFile", "DiskSequentialFile"]
 _REFINE_MACS = 1 << 21
 
 #: A scan filters only databases of at least this many padded
-#: re-evaluations: 128 rows at 512-d, 8 192 at 64-d, never at 8-d.  Below
-#: it the float32 pass does not pay for itself.  Filtered over plain kNN
-#: time, in-process, alternated, three runs each (Xeon, 2 vCPUs, BLAS
-#: pinned to one thread): at 512-d 64 rows 1.04-1.10x, 128 rows
-#: 0.86-0.92x, 192 rows 0.73x, 256 rows 0.67-0.71x; at 64-d 4 096 rows
-#: 0.95x, 8 192 rows 0.76-0.77x.
-_FILTER_MIN_REFINES = 16
+#: re-evaluations: 112 rows at 512-d, 7 168 at 64-d, never at 8-d.  Below
+#: it the bound and the float32 pass do not pay for themselves.  Filtered
+#: over plain kNN time (k = 10), in-process, alternated, three runs of
+#: seven rounds each (Xeon, 2 vCPUs, BLAS pinned to one thread): at 512-d
+#: 64 rows 1.30-1.53x, 96 rows 1.06-1.16x, 112 rows 0.80-0.99x, 128 rows
+#: 0.90-0.98x, 192 rows 0.59-0.66x, 256 rows 0.42-0.44x; at 64-d 2 048
+#: rows 1.27-1.35x, 3 072 rows 0.86-0.92x, 4 096 rows 0.70-0.77x, 6 144
+#: rows 0.54x, 8 192 rows 0.46-0.48x.  The floor is the least count of
+#: paddings at which neither loses.
+_FILTER_MIN_REFINES = 14
 
 #: ``1 + 2^-40`` on a squared threshold: a squared distance above it has a
 #: square root strictly above the threshold's, so no row left out of the
@@ -81,6 +85,42 @@ def _refine_rows(dim: int) -> int:
     return max(2, -(-_REFINE_MACS // (dim * dim)))
 
 
+def _survivors(
+    kernel: QFDKernel,
+    query: np.ndarray,
+    shadow: np.ndarray,
+    norms: np.ndarray,
+    exact: bool,
+    k: int | None,
+    radius: float,
+) -> np.ndarray:
+    """Rows the O(n) lower bound cannot rule out, ascending.
+
+    Every row's float64 squared distance is at least its bound
+    (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound`; ``-inf`` where
+    none is certain).  Range keeps ``{bound <= r^2}``.  kNN first filters
+    the ``max(2k, _refine_rows(n))`` rows of smallest bound: ``H``, the
+    k-th smallest of their ``s + delta``, is at least the k-th distance,
+    so every row of the answer, ties included, has its bound at most
+    ``H`` and is kept.  Both cuts take ``_CUT_SLACK``.  With ``k`` seed
+    rows instead of ``2k``, one of them far from the query loosens ``H``:
+    on ``scan512`` (k = 10) a median 422 and at worst 3 485 of 4 000 rows
+    survived, against 395 and 424 with ``2k``, which is what the true
+    k-th distance as the cut keeps.
+    """
+    bound = kernel.lower_bound(query, shadow, norms, rows_exact=exact)
+    if k is None:
+        cut = radius * radius
+    else:
+        first = max(2 * k, _refine_rows(shadow.shape[1]))
+        if first >= bound.shape[0]:  # the seed is every row: the filter decides
+            return np.arange(bound.shape[0])
+        seed = np.argpartition(bound, first - 1)[:first]
+        _, upper = _bracket(*kernel.filter(query, shadow[seed], rows_exact=exact))
+        cut = _kth(upper, k)
+    return np.flatnonzero(bound <= cut * _CUT_SLACK)
+
+
 def _undecided(
     s: np.ndarray, delta: np.ndarray, k: int | None, radius: float
 ) -> np.ndarray:
@@ -93,17 +133,27 @@ def _undecided(
     and every row tied with its k-th distance, is kept.  Range keeps
     ``{s - delta <= r^2}``.
     """
-    lower = s - delta
-    upper = s + delta
+    lower, upper = _bracket(s, delta)
+    cut = radius * radius if k is None else _kth(upper, k)
+    return np.flatnonzero(lower <= cut * _CUT_SLACK)
+
+
+def _bracket(s: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[s - delta, s + delta]`` per row, ``[-inf, inf]`` for a row whose
+    bounds are not finite."""
+    with np.errstate(invalid="ignore"):
+        lower = s - delta
+        upper = s + delta
     bad = ~(np.isfinite(lower) & np.isfinite(upper))
     if bad.any():
         lower[bad] = -np.inf
         upper[bad] = np.inf
-    if k is None:
-        cut = radius * radius
-    else:
-        cut = max(float(np.partition(upper, k - 1)[k - 1]), 0.0)
-    return np.flatnonzero(lower <= cut * _CUT_SLACK)
+    return lower, upper
+
+
+def _kth(upper: np.ndarray, k: int) -> float:
+    """The kNN cut: the k-th smallest upper bound, at least ``0``."""
+    return max(float(np.partition(upper, k - 1)[k - 1]), 0.0)
 
 
 def _refine(
@@ -143,16 +193,17 @@ class SequentialFile(AccessMethod):
     — the single row of Table 1 where the QFD model wins).
 
     Under a QFD (the port's kernel is a
-    :class:`~repro.kernels.kernels.QFDKernel`), a query computes every
-    row's squared distance in float32 over a float32 *shadow* of the rows,
-    with a proven error bound per row
+    :class:`~repro.kernels.kernels.QFDKernel`), a query bounds every row's
+    squared distance from below in O(n) (:func:`_survivors`), computes the
+    rows that bound cannot rule out in float32 over a float32 *shadow* of
+    the rows, with a proven error bound per row
     (:func:`~repro.kernels.gram.qfd_filter`), and re-evaluates in float64,
-    uncharged, only the rows the bound cannot rule out.  It charges the
+    uncharged, only the rows that bound cannot rule out.  It charges the
     ``m`` rows a full scan charges, makes the same trace calls, and
     returns the full scan's answers and distances bit for bit.  The shadow
-    is built by the first filtered query (not at build time), extended by
-    inserts, and left out of snapshots and pickles; float32
-    (memory-mapped) rows are their own shadow.
+    and its row norms are built by the first filtered query (not at build
+    time), extended by inserts, and left out of snapshots and pickles;
+    float32 (memory-mapped) rows are their own shadow.
     """
 
     #: A scan is one ``port.many`` over the database rows: the distance's
@@ -160,15 +211,19 @@ class SequentialFile(AccessMethod):
     supports_out_of_core = True
 
     #: The float32 shadow of the rows (``None`` until the first filtered
-    #: query) and the grown buffer it is the filled prefix of.
+    #: query, and always for float32 rows, their own shadow), its float64
+    #: row norms ``||v^||^2`` (``None`` until the first filtered query),
+    #: and the grown buffers they are the filled prefixes of.
     _shadow: "np.ndarray | None" = None
     _shadow_buffer: "np.ndarray | None" = None
+    _norms: "np.ndarray | None" = None
+    _norms_buffer: "np.ndarray | None" = None
 
     def __getstate__(self) -> dict:
-        # A copy rebuilds its own shadow on its first query.
+        # A copy rebuilds its own shadow and norms on its first query.
         state = super().__getstate__()
-        state.pop("_shadow", None)
-        state.pop("_shadow_buffer", None)
+        for key in ("_shadow", "_shadow_buffer", "_norms", "_norms_buffer"):
+            state.pop(key, None)
         return state
 
     def _scan(
@@ -194,8 +249,8 @@ class SequentialFile(AccessMethod):
         self, query: np.ndarray, k: int | None, radius: float
     ) -> tuple[np.ndarray | None, np.ndarray]:
         """Every row's float64 distance, or under a QFD those of the rows
-        the float32 filter leaves undecided (none is ruled out when *k* is
-        every row or *radius* is infinite)."""
+        neither the lower bound nor the float32 filter rules out (none is
+        ruled out when *k* is every row or *radius* is infinite)."""
         data = self._data
         kernel = self._port.kernel
         everything = k == data.shape[0] if k is not None else radius == np.inf
@@ -204,29 +259,40 @@ class SequentialFile(AccessMethod):
             and not everything
             and data.shape[0] >= _FILTER_MIN_REFINES * _refine_rows(self.dim)
         ):
-            shadow = self._shadow_rows()
-            if shadow is not None:
-                s, delta = kernel.filter(query, shadow, rows_exact=shadow is data)
-                rows = _undecided(s, delta, k, radius)
+            operands = self._shadow_rows()
+            if operands is not None:
+                shadow, norms = operands
+                exact = shadow is data
+                rows = _survivors(kernel, query, shadow, norms, exact, k, radius)
+                kept = shadow if rows.shape[0] == data.shape[0] else shadow[rows]
+                s, delta = kernel.filter(query, kept, rows_exact=exact)
+                rows = rows[_undecided(s, delta, k, radius)]
                 if rows.shape[0] < data.shape[0]:
                     return rows, _refine(self._port, query, data, rows)
         return None, self._port.compute_many(query, data)
 
-    def _shadow_rows(self) -> np.ndarray | None:
-        """The shadow of the stored rows, built on first use."""
+    def _shadow_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The shadow of the stored rows and its norms
+        (:func:`~repro.kernels.gram.shadow_norms`), built on first use."""
         data = self._data
-        if data.dtype == np.float32:
-            return data
-        shadow = self._shadow
-        if shadow is None:
+        norms = self._norms
+        if norms is None:
             with _SHADOW_LOCK:
-                shadow = self._shadow
-                if shadow is None:
-                    shadow = gram.qfd_shadow(data)
-                    self._shadow_buffer = shadow
-                    self._shadow = shadow
+                norms = self._norms
+                if norms is None:
+                    shadow = data
+                    if data.dtype != np.float32:
+                        shadow = gram.qfd_shadow(data)
+                        self._shadow_buffer = shadow
+                        self._shadow = shadow
+                    norms = gram.shadow_norms(shadow)
+                    self._norms_buffer = norms
+                    self._norms = norms  # published last: a reader checks it first
+        shadow = data if data.dtype == np.float32 else self._shadow
         # Off only mid-insert (the rows are stored before the hook runs).
-        return shadow if shadow.shape[0] == data.shape[0] else None
+        if shadow.shape[0] != data.shape[0] or norms.shape[0] != data.shape[0]:
+            return None
+        return shadow, norms
 
     def _range_hits(
         self, query: np.ndarray, radius: float, trace: "QueryTrace"
@@ -268,14 +334,19 @@ class SequentialFile(AccessMethod):
         return out
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
-        """Appending the row is the entire build; a built shadow is
-        extended by the row's float32 copy, never rebuilt."""
-        if self._shadow is None:
+        """Appending the row is the entire build; a built shadow and its
+        norms are extended by the row's float32 copy and its norm, never
+        rebuilt (only float64 stores take inserts)."""
+        if self._norms is None:
             return
-        buffer = grown(self._shadow_buffer, index, 1)
-        buffer[index : index + 1] = gram.qfd_shadow(vector[None, :])
-        self._shadow_buffer = buffer
-        self._shadow = buffer[: index + 1]
+        row = gram.qfd_shadow(vector[None, :])
+        shadow = grown(self._shadow_buffer, index, 1)
+        shadow[index : index + 1] = row
+        norms = grown(self._norms_buffer, index, 1)
+        norms[index : index + 1] = gram.shadow_norms(row)
+        self._shadow_buffer, self._norms_buffer = shadow, norms
+        self._shadow = shadow[: index + 1]
+        self._norms = norms[: index + 1]
 
 
 class DiskSequentialFile(AccessMethod):

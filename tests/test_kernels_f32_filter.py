@@ -18,11 +18,17 @@ re-evaluation.  Pinned here:
 * the 512-d plan does at most 0.6 n^2 multiply-adds per row;
 * a float32 store's rows are their own shadow (``rows_exact``);
 * the filter's row chunks give the unsplit call's bits;
-* on the benchmark corpus the bound is loose yet decides almost every row.
+* on the benchmark corpus the bound is loose yet decides almost every row;
+* the O(n) lower bound ``mu ||v - q||^2 - errors`` that runs before the
+  filter never exceeds the float64 path's squared distance, over the same
+  matrices and rows (and a float32 store's unflushed rows), a row beyond
+  float32 range gets ``-inf``, and ``mu`` never exceeds ``eigvalsh``'s
+  smallest eigenvalue — ``0.0`` when the certificate fails.
 """
 
 from __future__ import annotations
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -30,10 +36,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import is_symmetric
+from repro.core import QMap, QuadraticFormDistance, is_symmetric
 from repro.core.matrices import prototype_similarity_matrix
 from repro.datasets import histogram_workload
-from repro.kernels import QFDKernel, gram
+from repro.kernels import QFDKernel, gram, resolve_kernel
 
 F32_TINY = float(np.finfo(np.float32).tiny)
 F32_MAX = float(np.finfo(np.float32).max)
@@ -248,7 +254,7 @@ class TestTheTriangle:
     def test_the_512d_plan_does_a_fraction_of_the_full_product(self) -> None:
         w = histogram_workload(20, 1, bins_per_channel=8, seed=3)
         n = w.matrix.shape[0]
-        _, blocks, _ = QFDKernel(w.matrix)._operands()
+        blocks = QFDKernel(w.matrix)._operands()[1]
         macs_per_row = sum(block.size for block in blocks)
         assert macs_per_row <= 0.6 * n * n
 
@@ -302,8 +308,8 @@ class TestTheKernel:
         rows32 = w.database.astype(np.float32)
         want_exact = kernel.filter(w.queries[0], rows32, rows_exact=True)
         monkeypatch.setattr(gram, "_SPLIT_WORKERS", 4)
-        monkeypatch.setattr(gram, "_CHUNK_MACS", 1 << 16)
-        assert len(gram._split(m, w.matrix.shape[0])) == 4
+        monkeypatch.setattr(gram, "_FILTER_CHUNK_MACS", 1 << 16)
+        assert len(gram._split(m, w.matrix.shape[0], gram._FILTER_CHUNK_MACS)) == 4
         for got, ref in zip(kernel.filter(w.queries[0], shadow), want):
             assert np.array_equal(got, ref)
         got_exact = kernel.filter(w.queries[0], rows32, rows_exact=True)
@@ -320,3 +326,164 @@ class TestTheKernel:
         assert np.array_equal(shadow, want_shadow)
         for got, ref in zip(kernel.filter(w.queries[1], shadow), want):
             assert np.array_equal(got, ref)
+
+
+def _lambda_min(matrix: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((matrix + matrix.T) / 2)[0])
+
+
+def _bound(
+    matrix: np.ndarray, q: np.ndarray, rows: np.ndarray, *, rows_exact: bool = False
+) -> tuple[np.ndarray, float]:
+    """``(bound, mu)``, asserting ``bound <= d64`` on every row."""
+    kernel = QFDKernel(matrix)
+    shadow = rows if rows_exact else gram.qfd_shadow(rows)
+    bound = kernel.lower_bound(q, shadow, gram.shadow_norms(shadow), rows_exact=rows_exact)
+    want = _d64(matrix, q, rows)
+    assert not np.isnan(bound).any() and not (bound == np.inf).any()
+    over = bound > want
+    assert not over.any(), float(np.max(bound[over] - want[over]))
+    return bound, kernel.mu
+
+
+class TestTheLowerBound:
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
+        n=st.sampled_from([2, 3, 8, 27, 64]),
+        m=st.integers(1, 40),
+        scale=st.sampled_from([1.0, 1e-20, 1e10]),
+        injected=st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(0, 10_000), SPECIAL), max_size=30
+        ),
+        alpha=st.sampled_from([1e-3, 0.1, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_no_row_is_bounded_above_its_distance(
+        self, seed, kind, n, m, scale, injected, alpha
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix(kind, n, rng)
+        rows = rng.dirichlet(np.full(n, alpha), size=m + 1) * scale
+        for r, c, value in injected:
+            rows[r % (m + 1), c % n] = value
+        q, rows = rows[0], rows[1:]
+        rows[rng.integers(0, m)] = 0.0  # a zero row
+        rows[rng.integers(0, m)] = q  # the query itself: d = 0
+        rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
+        bound, mu = _bound(matrix, q, rows)
+        assert np.isfinite(bound).all()  # nothing here leaves float32 range
+        assert 0.0 <= mu <= _lambda_min(matrix)
+
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
+        n=st.sampled_from([2, 3, 8, 27, 64, 100]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mu_is_certified(self, seed, kind, n) -> None:
+        matrix = _matrix(kind, n, np.random.default_rng(seed))
+        lam = _lambda_min(matrix)
+        mu = gram.lambda_min_floor(matrix)
+        assert 0.0 <= mu <= lam
+        if kind == "hafner":  # well-conditioned: the estimate is halved, not lost
+            assert mu >= lam / 4
+
+    def test_the_qfd_factor_spares_a_factorization(self, monkeypatch) -> None:
+        matrix = _matrix("hafner", 27, np.random.default_rng(4))
+        kernel = resolve_kernel(QuadraticFormDistance(matrix))
+        assert kernel._factor is not None
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        assert 0.0 < kernel.mu <= _lambda_min(matrix)
+        assert len(calls) == 1 and kernel._factor is None  # the certificate alone
+        copy = pickle.loads(pickle.dumps(kernel))
+        assert copy._filter_operands is None  # mu is rebuilt, not shipped
+        assert copy.mu == kernel.mu and len(calls) == 3
+
+    def test_the_factor_is_neither_pickled_nor_held_twice(self) -> None:
+        matrix = _matrix("hafner", 64, np.random.default_rng(5))
+        qfd = QuadraticFormDistance(matrix)
+        assert np.array_equal(qfd.cholesky_factor, np.linalg.cholesky(matrix))
+        payload = pickle.dumps(qfd)
+        assert len(payload) < matrix.nbytes + 1024
+        assert pickle.loads(payload).cholesky_factor is None
+        qmap = QMap(qfd)  # the transform's B is the same factor: one copy
+        assert qfd.cholesky_factor is qmap.matrix
+
+    def test_a_failed_certificate_gives_zero(self, monkeypatch) -> None:
+        matrix = _matrix("hafner", 27, np.random.default_rng(6))
+        lam = _lambda_min(matrix)
+        monkeypatch.setattr(gram, "_lambda_min_estimate", lambda factor, sym: 4 * lam)
+        assert gram.lambda_min_floor(matrix) == 0.0
+        rows = np.random.default_rng(6).dirichlet(np.ones(27), size=20)
+        bound, mu = _bound(matrix, rows[0], rows[1:])
+        assert mu == 0.0 and (bound <= 0.0).all()  # prunes nothing
+
+    def test_an_indefinite_matrix_gives_zero(self) -> None:
+        matrix = _matrix("hafner", 27, np.random.default_rng(8))
+        matrix[0, 0] = -1.0
+        assert gram.lambda_min_floor(matrix) == 0.0
+
+    @given(seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_beyond_float32_range_are_kept(self, seed, n) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix("hafner", n, rng)
+        rows = rng.dirichlet(np.ones(n), size=9)
+        q, rows = rows[0], rows[1:]
+        huge = rng.choice(8, size=3, replace=False)
+        rows[huge[0], 0] = 1e39
+        rows[huge[1], n - 1] = -3.5e38
+        rows[huge[2]] = 1e300
+        bound, _ = _bound(matrix, q, rows)
+        assert (bound[huge] == -np.inf).all()
+        assert np.isfinite(np.delete(bound, huge)).all()
+
+    def test_a_query_beyond_float32_range_keeps_every_row(self) -> None:
+        rng = np.random.default_rng(5)
+        matrix = _matrix("hafner", 8, rng)
+        rows = rng.dirichlet(np.ones(8), size=6)
+        q = rows[0].copy()
+        q[3] = 2 * F32_MAX
+        bound, _ = _bound(matrix, q, rows)
+        assert (bound == -np.inf).all()
+
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "scaled", "skewed"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_float32_stores_unflushed_rows(self, seed, kind) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix(kind, 27, rng)
+        rows = rng.dirichlet(np.full(27, 1e-3), size=31)
+        rows[:, :3] = [3e-40, 1e-45, 2e-39]  # float32 subnormals, kept by the store
+        rows32 = rows.astype(np.float32)
+        assert np.count_nonzero(np.abs(rows32) < F32_TINY) > 31 * 3 - 31  # unflushed
+        _bound(matrix, rows[0], rows32, rows_exact=True)
+
+    def test_the_benchmark_corpus_at_512d(self) -> None:
+        w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
+        lam = _lambda_min(w.matrix)
+        for q in w.queries:
+            bound, mu = _bound(w.matrix, q, w.database)
+            assert lam / 4 <= mu <= lam
+            # O(n) per row, and still it rules out most rows at kNN's cut.
+            kth = np.partition(_d64(w.matrix, q, w.database), 9)[9]
+            assert np.count_nonzero(bound > kth) > 0.8 * bound.shape[0]
+
+    def test_norms_are_float64_sums_of_the_shadow(self, monkeypatch) -> None:
+        rows = np.random.default_rng(1).dirichlet(np.full(64, 1e-3), size=300)
+        shadow = gram.qfd_shadow(rows)
+        want = np.einsum("ij,ij->i", shadow.astype(np.float64), shadow.astype(np.float64))
+        assert np.allclose(gram.shadow_norms(shadow), want, rtol=1e-15, atol=0)
+        monkeypatch.setattr(gram, "_TILE_ROWS", 64)
+        assert np.allclose(gram.shadow_norms(shadow), want, rtol=1e-15, atol=0)
+        assert gram.shadow_norms(shadow).dtype == np.float64
