@@ -13,16 +13,18 @@ query (:func:`l2_one_to_many`).  The functions are pure array math — no
 counting, no validation; the charging semantics live in
 :class:`repro.mam.base.DistancePort`.
 
-The QFD sequential scan also runs the quadratic form in float32, over
-the upper triangle of ``A + A^T``, as a certified filter
-(:func:`qfd_filter` over a :func:`qfd_shadow`): each
-row's float32 value comes with a proven bound on its distance from the
-float64 value above, and the scan re-evaluates in float64 only the rows
-the bound cannot decide — what it returns is always the float64 form's.
-Before that pass, :func:`qfd_lower_bound` rules rows out in O(n) each:
-``mu ||v - q||^2`` with ``mu`` a certified lower bound on the smallest
-eigenvalue of ``A``'s symmetric part (:func:`lambda_min_floor`), less
-every rounding error, bounds the float64 form from below.
+The QFD sequential scan rules rows out before it evaluates them
+(paper Section 2.3.1's filter-and-refine): :func:`qfd_lower_bound`
+bounds the float64 form from below in O(n + k) per row, as
+``mu ||v - q||^2 + ||(v - q) W||^2`` less every rounding error.  ``W``
+(``n x k``, ``k = _SPECTRAL_RANK``) comes from approximate top
+eigenpairs of ``A``'s symmetric part, and :func:`spectral_floor`
+certifies ``(A + A^T) / 2 - W W^T - mu I`` positive semi-definite by one
+Cholesky factorization; ``||v - q||`` comes from a float32 copy of the
+rows (:func:`qfd_shadow`) and ``v W`` from rows projected once
+(:func:`qfd_project`).  The scan then evaluates in float64 only the rows
+the bound cannot rule out, so what it returns is always the float64
+form's.
 
 Cancellation guard (L2 matrix forms)
 ------------------------------------
@@ -53,10 +55,10 @@ __all__ = [
     "l2_row_norms",
     "qfd_one_to_many",
     "qfd_shadow",
-    "qfd_triangle",
-    "qfd_filter",
     "shadow_norms",
+    "qfd_project",
     "qfd_lower_bound",
+    "spectral_floor",
     "lambda_min_floor",
     "abs_sum_radius",
     "l2_one_to_many",
@@ -76,6 +78,9 @@ _TINY32 = float(np.finfo(np.float32).tiny)
 _TINY64 = float(np.finfo(np.float64).tiny)
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
+#: Factors on a certified bound's float64 terms that must be low / high
+#: (see :func:`qfd_lower_bound`).
+_LOW, _HIGH = 1.0 - 2.0**-40, 1.0 + 2.0**-40
 
 #: Floats in one tile's difference buffer of :func:`l2_one_to_many` (1 MB, L2-resident).
 _L2_TILE_FLOATS = 131072
@@ -115,22 +120,18 @@ _SPLIT_WORKERS = _split_workers()
 #: the unsplit product.
 _CHUNK_MACS = 1 << 25
 
-#: The same floor for :func:`qfd_filter`'s chunks, also in the full
-#: product's multiply-adds (``rows * n^2``): its float32 triangle does a
-#: fraction of the float64 work per row, in eight smaller gemms at 512-d.
-#: With two threads at 512-d the filter read 2.53 ms serial against 3.13
-#: split at 400 rows, 6.14 against 6.75 at 1 000, 10.75 against 12.19 at
-#: 2 000 and 25.81 against 19.29 at 4 000 (Xeon, 2 vCPUs, BLAS pinned to
-#: one thread), so a chunk holds at least 1 024 rows at 512-d.
-_FILTER_CHUNK_MACS = 1 << 28
+#: Columns of ``W``, the rank of :func:`spectral_floor`'s deflation: a
+#: ``scan512`` kNN query read 3.30 ms at rank 8, 2.79 at 16, 2.66 at 24,
+#: 2.67 at 32 and 2.65 at 48, and 32 beat 16 by 5-7 % in two more runs,
+#: for ~2 ms more on the first query (Xeon, 2 vCPUs, BLAS pinned).
+_SPECTRAL_RANK = 32
 
-
-#: Columns per block of the filter's upper-triangle product
-#: (:func:`qfd_triangle`): ``n // 64`` near-equal blocks, so 8 at 512-d
-#: (9/16 of the full product's multiply-adds) and one below 128-d (the
-#: full product).  At 512-d 4 and 8 blocks read alike and 16 lost (Xeon,
-#: 2 vCPUs, BLAS pinned to one thread).
-_TRIANGLE_COLS = 64
+#: Subspace iteration for ``W``: steps, and vectors carried beyond the
+#: rank.  The Nystrom form is certified however rough the subspace, so
+#: steps buy only pruning: 2-4 steps leave 78-79 ``scan512`` survivors at
+#: rank 16, 3-4 steps 63-65 at rank 32.
+_SUBSPACE_STEPS = 3
+_SUBSPACE_EXTRA = 8
 
 
 def row_tiles(n: int) -> list[slice]:
@@ -233,14 +234,12 @@ def _run_split(parts: list[slice], run: Callable[[slice], None]) -> None:
             job.result()
 
 
-def _split(rows: int, n: int, chunk_macs: int | None = None) -> list[slice]:
+def _split(rows: int, n: int) -> list[slice]:
     """Near-equal row chunks of one QFD tile, one per thread that runs it:
     a single chunk unless BLAS leaves cores idle and the tile holds two or
-    more chunks of *chunk_macs* (default ``_CHUNK_MACS``) multiply-adds
-    and of two or more rows (a one-row product is a matrix-vector call,
-    another BLAS kernel)."""
-    macs = _CHUNK_MACS if chunk_macs is None else chunk_macs
-    parts = min(_SPLIT_WORKERS, rows * n * n // macs, rows // 2)
+    more chunks of ``_CHUNK_MACS`` multiply-adds and of two or more rows
+    (a one-row product is a matrix-vector call, another BLAS kernel)."""
+    parts = min(_SPLIT_WORKERS, rows * n * n // _CHUNK_MACS, rows // 2)
     if parts < 2:
         return [slice(0, rows)]
     edges = np.linspace(0, rows, parts + 1).astype(int)
@@ -279,7 +278,8 @@ def abs_sum_radius(matrix: np.ndarray) -> float:
     ``||A||_2 <= || |A| ||_2 <= sqrt(||A||_1 ||A||_inf) <= R``, so
     ``|y A z| <= |y| |A| |z|^T <= R ||y|| ||z||`` for any vectors, whether
     or not ``A`` is symmetric (a QFD matrix need be only within 1e-9); the
-    one constant :func:`qfd_filter`'s bound needs from the matrix.
+    one constant :func:`qfd_lower_bound`'s error terms need from the
+    matrix.
     """
     n = matrix.shape[0]
     magnitudes = np.abs(matrix)
@@ -288,11 +288,12 @@ def abs_sum_radius(matrix: np.ndarray) -> float:
 
 
 def qfd_shadow(rows: np.ndarray) -> np.ndarray:
-    """The float32 "shadow" of float64 *rows* that :func:`qfd_filter` reads.
+    """The float32 "shadow" of float64 *rows* whose gemv gives
+    :func:`qfd_lower_bound` ``||v - q||``.
 
     Cast tile by tile and flushed of float32 subnormals, once, so no query
     pays the microcode assist on them; every entry is within
-    ``2^-24 |v_i| + tiny32`` of the row's (the bound's ``e`` term).
+    ``2^-24 |v_i| + tiny32`` of the row's (the bound's ``e_v`` term).
     """
     shadow = np.empty(rows.shape, dtype=np.float32)
     with np.errstate(over="ignore"):  # beyond float32 range: inf, re-evaluated
@@ -303,194 +304,10 @@ def qfd_shadow(rows: np.ndarray) -> np.ndarray:
     return shadow
 
 
-def qfd_triangle(matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The operands of :func:`qfd_filter`'s quadratic form: ``T^`` and its
-    column blocks.
-
-    ``T = triu(A + A^T, 1) + diag(A)`` has ``x T x^T = x A x^T`` for every
-    ``x``, with no symmetry assumed: the sum is formed in float64 from both
-    triangles, because a QFD matrix need be symmetric only within 1e-9.
-    ``T^`` is ``T`` cast to float32 (an entry beyond float32 range becomes
-    infinite, and no row certifies) and flushed of float32 subnormals.  The
-    blocks are ``T^[:J.stop, J]``, contiguous, for ``n // _TRIANGLE_COLS``
-    near-equal column blocks ``J`` (at least one); a block's shape is
-    ``(J.stop, |J|)``, which is all :func:`qfd_filter` needs of ``J``.
-    """
-    n = matrix.shape[0]
-    full = np.triu(matrix + matrix.T, 1)
-    np.fill_diagonal(full, np.diagonal(matrix))
-    with np.errstate(over="ignore"):
-        triangle = _flush_subnormals(full.astype(np.float32), inplace=True)
-    edges = np.linspace(0, n, max(1, n // _TRIANGLE_COLS) + 1).astype(int)
-    blocks = tuple(
-        np.ascontiguousarray(triangle[:stop, start:stop])
-        for start, stop in zip(edges[:-1], edges[1:])
-    )
-    return triangle, blocks
-
-
-def qfd_filter(
-    blocks: tuple[np.ndarray, ...],
-    radius: float,
-    q: np.ndarray,
-    shadow: np.ndarray,
-    *,
-    rows_exact: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified float32 squared QFDs: ``(s, delta)`` per row of *shadow*.
-
-    ``s`` is the float32 value of ``(v^ - q^) T^ (v^ - q^)^T`` over the
-    shadow rows ``v^`` (:func:`qfd_shadow`), the flushed float32 query
-    ``q^`` and the upper-triangle float32 matrix ``T^`` whose column
-    *blocks* :func:`qfd_triangle` makes, in the row tiles of
-    :func:`qfd_one_to_many` and chunks of at least ``_FILTER_CHUNK_MACS``:
-    per block ``J``, ``P[:, J] = x^[:, :J.stop]
-    @ T^[:J.stop, J]``, then the row-dot of ``P`` with ``x^`` (9/16 of the
-    full product's multiply-adds at 512-d, in float32: twice the
-    multiply-adds per cycle, half the bytes).  ``delta`` bounds
-    ``|s - d64|``, where ``d64`` is the squared distance **the float64
-    path computes** (:func:`qfd_one_to_many` before its clamp and square
-    root, the full difference form over ``A``) for the row ``v`` the
-    shadow stands for — not the exact value.  A row whose ``s`` or
-    ``delta`` is not finite is certified nothing: callers re-evaluate it.
-    *radius* is :func:`abs_sum_radius` of ``A``; ``rows_exact`` says the
-    shadow *is* the stored rows (a float32 store), so they carry no
-    rounding of their own.
-
-    The bound, with ``u = 2^-24``, ``w = 2^-53``, ``t`` / ``t64`` the two
-    dtypes' ``tiny``, ``gamma_k(u) = k u / (1 - k u)``, ``R = radius``,
-    ``x = v - q`` exact and ``x^`` the float32 difference::
-
-        delta = [T32 + T_in + T64] (1 + 2^-40) + 2^-50 |s|
-
-    * ``||x^||``: ``nu``, the float32 sum of squares, is within
-      ``gamma_n(u) ||x^||^2 + 2 n t`` of it in any summation order, so
-      ``||x^|| <= xi = sqrt((nu + 2 n t) / (1 - gamma_n(u)))``.
-    * ``T32`` — float32 arithmetic and ``T^``.  Each of the ``n`` inner
-      products ``p_j = sum_{i < J.stop} x^_i T^_ij`` (``j`` in block
-      ``J``; the zeros below the diagonal included) and the reduction
-      ``sum_j p_j x^_j`` has at most ``n`` terms, as in the full product,
-      so with or without FMA, blocked or not, the computed form is within
-      ``gamma_2n(u) |x^| |T^| |x^|^T`` of ``x^ T^ x^^T`` (Higham, Lemma
-      3.3).
-      ``T^`` is the float64 sum ``A_ij + A_ji`` rounded to float32, then
-      flushed: ``|T^ - T| <= (u + w + uw) |T| + t`` and
-      ``|T^| <= (1 + u)(1 + w) |T|``, entrywise, and ``|x| |T| |x|^T <=
-      |x| |A| |x|^T`` as ``|A_ij + A_ji| <= |A_ij| + |A_ji|``.  The
-      ``w`` terms total under ``3 w``, inside the ``u`` by which
-      ``gamma_{2n+2}(u)`` exceeds ``gamma_2n(u) (1 + u) + u``, and the
-      ``t`` terms total ``t sum_{i<=j} |x^_i| |x^_j| <= t ||x^||_1^2``.
-      With ``|y| |A| |y|^T <= R ||y||^2`` and ``||y||_1 <= sqrt(n) ||y||``:
-      ``gamma_{2n+2}(u) R xi^2 + n t xi^2``, the full product's terms.
-      Underflow (gradual or flushed to zero) adds at most ``t`` per
-      operation, at most doubled by the later additions — no more
-      operations than the full product's: ``4 n t + 8 n sqrt(n) t xi``.
-    * ``T_in`` — the inputs' rounding.  ``|v^_i - v_i| <= u |v_i| + t``
-      (cast, then flush), the same for ``q``, and the float32 subtraction
-      is within ``u |x^_i|`` (``t`` more if flushed), so with
-      ``||v|| <= ||q|| + ||x||`` and ``||x|| <= ||x^|| + e``::
-
-          e = (2u (||q|| + xi) + 4 sqrt(n) t) / (1 - u) >= ||x^ - x||
-
-      (``e = u (||q|| + xi) + 4 sqrt(n) t`` when ``rows_exact``).  With
-      ``X = xi + e >= ||x||``:
-      ``|x^ A x^^T - x A x^T| = |(x^ - x) A (x^ + x)^T| <= R e (2X + e)``.
-    * ``T64`` — the float64 path's own rounding.  Its difference is within
-      ``e64 = w X + sqrt(n) t64`` of ``x`` (a subnormal difference is
-      exact, then flushed), adding ``R e64 (2X + e64)``, and its gemm and
-      reduction ``gamma_2n(w) R X64^2 + 4 n t64 + 8 n sqrt(n) t64 X64``
-      with ``X64 = X + e64``.
-
-    Every term is a sum and product of non-negative float64 values, so
-    its computed value is low by a relative ``~1e-14`` at most; the
-    ``1 + 2^-40`` absorbs that, and ``2^-50 |s|`` the rounding of a
-    caller's ``s - delta`` and ``s + delta``.  The triangle inequality
-    in ``T_in`` spares the shadow a per-row norm.  The bound is loose by
-    orders of magnitude against the observed error; what it must be is
-    certain.
-    """
-    n = blocks[-1].shape[0]
-    m = shadow.shape[0]
-    q64 = _as64(q)
-    with np.errstate(over="ignore"):
-        q32 = _flush_subnormals(q64.astype(np.float32), inplace=True)
-    s = np.empty(m, dtype=np.float32)
-    nu = np.empty(m, dtype=np.float32)
-    for tile in row_tiles(m):
-        block, block_s, block_nu = shadow[tile], s[tile], nu[tile]
-        diff = np.empty(block.shape, dtype=np.float32)
-        prod = np.empty_like(diff)
-
-        def run(part: slice) -> None:
-            _qfd_rows_f32(
-                blocks, q32, block[part], diff[part], prod[part],
-                block_s[part], block_nu[part], flush=rows_exact,
-            )
-
-        _run_split(_split(block.shape[0], n, _FILTER_CHUNK_MACS), run)
-    s64 = s.astype(np.float64)
-    with np.errstate(all="ignore"):  # inf / nan rows: delta not finite
-        delta = _filter_bound(s64, nu, float(q64 @ q64), radius, n, rows_exact)
-    return s64, delta
-
-
-def _qfd_rows_f32(
-    blocks: tuple[np.ndarray, ...],
-    q32: np.ndarray,
-    rows32: np.ndarray,
-    diff: np.ndarray,
-    prod: np.ndarray,
-    s: np.ndarray,
-    nu: np.ndarray,
-    *,
-    flush: bool,
-) -> None:
-    """``s = (rows - q) T (rows - q)^T`` over the column *blocks* of
-    :func:`qfd_triangle` and ``nu = ||rows - q||^2`` in float32, in
-    buffers the caller owns (see :func:`_qfd_rows`): block ``J``'s
-    product lands in ``prod[:, J]``, and one row-dot with the difference
-    reduces them all.
-
-    A shadow is flushed once when it is built; stored float32 rows are
-    not (the store is read in place), so with ``flush`` the difference
-    is, here: 1.6 % of a float32 histogram store is subnormal, and the
-    product ran 2x slower on them.
-    """
-    with np.errstate(all="ignore"):  # rows beyond float32 range: inf / nan
-        np.subtract(rows32, q32, out=diff)
-        if flush:
-            masks = prod.reshape(-1).view(np.bool_)[: 2 * diff.size]
-            _flush_subnormals(diff, inplace=True, masks=masks.reshape(2, *diff.shape))
-        for block in blocks:
-            stop, width = block.shape
-            np.matmul(diff[:, :stop], block, out=prod[:, stop - width : stop])
-        np.einsum("ij,ij->i", prod, diff, out=s)
-        np.einsum("ij,ij->i", diff, diff, out=nu)
-
-
 def _gamma(k: float, u: float) -> float:
     """Higham's ``gamma_k = k u / (1 - k u)``: the relative error bound of
     ``k`` rounded operations in sequence."""
     return k * u / (1.0 - k * u)
-
-
-def _filter_bound(
-    s: np.ndarray, nu: np.ndarray, qq: float, radius: float, n: int, rows_exact: bool
-) -> np.ndarray:
-    """:func:`qfd_filter`'s ``delta``, term for term (see its docstring)."""
-    root_n = np.sqrt(n)
-    q_norm = _norm_up(qq, n)
-    xi = np.sqrt((nu.astype(np.float64) + 2 * n * _TINY32) / (1.0 - _gamma(n, _U32)))
-    if rows_exact:
-        e = _U32 * (q_norm + xi) + 4 * root_n * _TINY32
-    else:
-        e = (2 * _U32 * (q_norm + xi) + 4 * root_n * _TINY32) / (1.0 - _U32)
-    big_x = xi + e
-    t32 = (_gamma(2 * n + 2, _U32) * radius + n * _TINY32) * xi * xi
-    t32 += 4 * n * _TINY32 + 8 * n * root_n * _TINY32 * xi
-    t_in = radius * e * (2 * big_x + e)
-    t64 = _float64_error(big_x, radius, n)
-    return (t32 + t_in + t64) * (1.0 + 2.0**-40) + np.abs(s) * 2.0**-50
 
 
 def _norm_up(squares: float, n: int) -> float:
@@ -500,9 +317,19 @@ def _norm_up(squares: float, n: int) -> float:
 
 
 def _float64_error(big_x: np.ndarray, radius: float, n: int) -> np.ndarray:
-    """``T64``: how far the float64 path's squared distance can be from
-    ``x A x^T`` for any ``x`` with ``||x|| <= big_x`` (:func:`qfd_filter`'s
-    last term)."""
+    """``T64``: how far the float64 path's squared distance ``d64``
+    (:func:`qfd_one_to_many` before its clamp and square root) can be from
+    ``x A x^T`` for any ``x = v - q`` with ``||x|| <= X = big_x``.
+
+    With :func:`qfd_lower_bound`'s ``w``, ``t64`` and ``gamma_k`` and
+    ``R = radius``: the path's difference is within ``e64 = w X +
+    sqrt(n) t64`` of ``x`` (a subnormal difference is exact, then
+    flushed), which moves the form by at most ``R e64 (2X + e64)``; its
+    gemm and reduction add ``gamma_2n(w) R X64^2 + 4 n t64 + 8 n sqrt(n)
+    t64 X64`` with ``X64 = X + e64`` (Higham, Lemma 3.3: any summation
+    order, with or without FMA; underflow adds at most ``t64`` per
+    operation, at most doubled by the later additions).
+    """
     root_n = np.sqrt(n)
     e64 = _U64 * big_x + root_n * _TINY64
     x64 = big_x + e64
@@ -525,34 +352,70 @@ def shadow_norms(shadow: np.ndarray) -> np.ndarray:
     return out
 
 
+def qfd_project(weights: np.ndarray, shadow: np.ndarray) -> np.ndarray:
+    """``v^ W`` per float32 row of *shadow*, in float64 (``m x k``): the
+    projected rows :func:`qfd_lower_bound`'s rank-k term reads, made once
+    per database.
+
+    A float32 entry, subnormal or not, upcasts to a float64 normal or
+    zero, so no product meets a subnormal; the shadow is upcast through a
+    1 MB buffer (``_L2_TILE_FLOATS``), not whole.
+    """
+    m, n = shadow.shape
+    out = np.empty((m, weights.shape[1]), dtype=np.float64)
+    step = max(1, _L2_TILE_FLOATS // n)
+    buffer = np.empty((min(step, m), n), dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf rows: inf or nan, bound -inf
+        for start in range(0, m, step):
+            block = buffer[: min(step, m - start)]
+            np.copyto(block, shadow[start : start + step])
+            np.matmul(block, weights, out=out[start : start + block.shape[0]])
+    return out
+
+
 def qfd_lower_bound(
     mu: float,
     radius: float,
     q: np.ndarray,
-    shadow: np.ndarray,
+    shadow: np.ndarray | None,
     norms: np.ndarray,
     *,
+    weights: np.ndarray | None = None,
+    projected: np.ndarray | None = None,
     rows_exact: bool = False,
 ) -> np.ndarray:
-    """Certified lower bounds, in O(n) per row, on the squared QFDs the
-    float64 path computes: ``mu ||v - q||^2`` less every rounding error.
+    """Certified lower bounds, in O(n + k) per row, on the squared QFDs
+    the float64 path computes: ``mu ||v - q||^2 + ||(v - q) W||^2`` less
+    every rounding error.
 
-    *mu* is at most ``lambda_min((A + A^T) / 2)`` (:func:`lambda_min_floor`),
-    so ``x A x^T >= mu ||x||^2`` for ``x = v - q``.  ``||v - q||`` comes from
-    the Gram form over the shadow (:func:`qfd_shadow`): *norms* is
-    :func:`shadow_norms`, ``||q^||^2`` is summed in float64 and ``v^ . q^``
-    is one float32 gemv ``shadow @ q^``.  Like :func:`qfd_filter`'s
-    ``delta``, the result bounds ``d64`` — the value **the float64 path
-    computes** (:func:`qfd_one_to_many` before its clamp and square root)
-    for the row ``v`` the shadow stands for — not the exact one.  A row
-    whose bound is not finite gets ``-inf``: it is never ruled out.
-    *radius* and ``rows_exact`` are :func:`qfd_filter`'s.
+    :func:`spectral_floor` certifies ``(A + A^T) / 2 - W W^T - mu I``
+    positive semi-definite for its *weights* ``W`` (``n x k``) and *mu*,
+    so ``x A x^T >= mu ||x||^2 + ||x W||^2`` for ``x = v - q``.  Without
+    *weights*, or with ``k = 0``, the bound is the rank-0 one and *mu* is
+    at most ``lambda_min((A + A^T) / 2)`` (:func:`lambda_min_floor`).
+    ``||v - q||`` comes from the Gram form over the shadow
+    (:func:`qfd_shadow`): *norms* is :func:`shadow_norms`, ``||q^||^2`` is
+    summed in float64 and ``v^ . q^`` is one float32 gemv ``shadow @ q^``.
+    ``x W`` comes from *projected*, :func:`qfd_project` of the shadow,
+    less ``q W``.  The result bounds ``d64`` — the value **the float64
+    path computes** (:func:`qfd_one_to_many` before its clamp and square
+    root) for the row ``v`` the shadow stands for — not the exact one.
+    With ``mu = 0.0`` (nothing certified, no *weights*) every bound is at
+    most ``0``, below the path's clamped value.  Without *shadow* the
+    bound is the rank-k term alone, ``r^2 - T64(V' + Q)`` with ``V' =
+    (V + sqrt(n) t) / (1 - u) >= ||v||`` (``V`` when ``rows_exact``): O(k)
+    per row, no pass over the shadow, and still a bound as ``mu >= 0``.  A
+    row whose bound is not finite gets ``-inf``: it is never ruled out.
+    *radius* is :func:`abs_sum_radius`; ``rows_exact`` says the shadow
+    *is* the stored rows (a float32 store), so they carry no rounding of
+    their own.
 
-    The bound, with :func:`qfd_filter`'s ``u``, ``w``, ``t``, ``t64`` and
-    ``gamma_k``, ``S = norms + ||q^||^2`` and ``N = S - 2 (v^ . q^)``
-    evaluated in float64 from the gemv's float32 result::
+    The bound, with ``u = 2^-24``, ``w = 2^-53``, ``t`` / ``t64`` the two
+    dtypes' ``tiny``, ``gamma_k(u) = k u / (1 - k u)``, ``S = norms +
+    ||q^||^2`` and ``N = S - 2 (v^ . q^)`` evaluated in float64 from the
+    gemv's float32 result::
 
-        bound = mu l^2 - T64(X)
+        bound = mu l^2 - T64(X) + r^2
 
     * the cancellation: ``N`` is within ``E = gamma_{n+1}(u) S + 9 n t``
       of ``||v^ - q^||^2``.  The gemv is within ``gamma_n(u) |v^| |q^|^T
@@ -569,26 +432,50 @@ def qfd_lower_bound(
       when ``rows_exact``), and ``||q^ - q|| <= e_q = u ||q|| + sqrt(n) t``.
       With ``e = e_v + e_q``: ``l = sqrt(N - E) - e <= ||v - q|| <=
       sqrt(N + E) + e = X``.
-    * ``T64`` — the float64 path's own rounding over ``||x|| <= X``,
-      :func:`qfd_filter`'s last term: ``d64 >= x A x^T - T64(X) >=
-      mu l^2 - T64(X)``.
+    * ``T64`` — the float64 path's own rounding over ``||x|| <= X``
+      (:func:`_float64_error`): ``d64 >= x A x^T - T64(X)``.
+    * ``r <= ||x W||``: ``P_j``, the float64 product of the shadow row
+      with ``W``'s column ``W_j``, is within ``gamma_n(w) ||v^|| ||W_j||
+      + 4 n t64`` of ``v^ W_j`` (any summation order, underflow
+      included), so within ``(gamma_n(w) ||v^|| + e_v) ||W_j|| + 4 n
+      t64`` of ``v W_j``; ``q W_j``, from the query flushed of float64
+      subnormals, is within ``(gamma_n(w) ||q|| + sqrt(n) t64) ||W_j|| +
+      4 n t64`` of the exact one, and ``y = P - q W`` rounds by at most
+      ``w |y_j| / (1 - w)``.  With ``V >= ||v^||``, ``Q >= ||q||`` and
+      ``F >= ||W||_F``::
 
-    Every quantity that must be low (``sqrt(N - E)``, ``l``, ``mu l^2``)
-    is scaled by ``1 - 2^-40`` before anything is subtracted from it, and
-    every one that must be high (``E``, ``e``, ``sqrt(N + E)``, ``T64``) by
-    ``1 + 2^-40``: that absorbs the relative ``~1e-14`` by which their
-    float64 evaluation can miss, a subtraction's rounding included.
+          r = ||y|| (1 - 2w) - (gamma_n(w) (V + Q) + e_v + sqrt(n) t64) F
+              - 8 n sqrt(k) t64
+
+      clamped at ``0``; ``||y||^2``, a float64 sum of ``k`` squares, is
+      within ``gamma_k(w)`` of its value plus ``2 k t64`` of underflow.
+
+    Every quantity that must be low (``sqrt(N - E)``, ``l``, ``mu l^2``,
+    ``||y||``, ``r``, ``r^2``) is scaled by ``1 - 2^-40`` before anything
+    is subtracted from it, and every one that must be high (``E``, ``e``,
+    ``sqrt(N + E)``, ``T64``, ``V`` and ``r``'s error) by ``1 + 2^-40``:
+    that absorbs the relative ``~1e-14`` by which their float64
+    evaluation can miss, a subtraction's rounding included.
     """
-    n = shadow.shape[1]
     q64 = _as64(q)
-    with np.errstate(over="ignore"):
-        q32 = _flush_subnormals(q64.astype(np.float32), inplace=True)
-    q32_64 = q32.astype(np.float64)
+    qq = float(q64 @ q64)
     with np.errstate(all="ignore"):  # rows or a query beyond float32 range
-        dots = np.asarray(shadow @ q32).astype(np.float64)
-        bound = _lower_bound(
-            norms, dots, float(q32_64 @ q32_64), float(q64 @ q64), mu, radius, n, rows_exact
-        )
+        if shadow is None:
+            n = weights.shape[0]
+            v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64))) * _HIGH
+            if not rows_exact:
+                v_norm = (v_norm + np.sqrt(n) * _TINY32) / (1.0 - _U32) * _HIGH
+            bound = -_float64_error((v_norm + _norm_up(qq, n)) * _HIGH, radius, n) * _HIGH
+        else:
+            n = shadow.shape[1]
+            q32 = _flush_subnormals(q64.astype(np.float32), inplace=True)
+            q32_64 = q32.astype(np.float64)
+            dots = np.asarray(shadow @ q32).astype(np.float64)
+            bound = _lower_bound(
+                norms, dots, float(q32_64 @ q32_64), qq, mu, radius, n, rows_exact
+            )
+        if weights is not None and weights.shape[1]:
+            bound += _rank_term(weights, projected, q64, norms, qq, rows_exact)
         bound[~np.isfinite(bound)] = -np.inf
     return bound
 
@@ -603,8 +490,9 @@ def _lower_bound(
     n: int,
     rows_exact: bool,
 ) -> np.ndarray:
-    """:func:`qfd_lower_bound`'s bound, term for term (see its docstring)."""
-    low, high = 1.0 - 2.0**-40, 1.0 + 2.0**-40
+    """:func:`qfd_lower_bound`'s ``mu l^2 - T64(X)``, term for term (see its
+    docstring)."""
+    low, high = _LOW, _HIGH
     root_n = np.sqrt(n)
     total = norms + qq32
     gram_form = total - 2.0 * dots
@@ -619,9 +507,95 @@ def _lower_bound(
     return mu * floor * floor * low - _float64_error(big_x, radius, n) * high
 
 
+def _rank_term(
+    weights: np.ndarray,
+    projected: np.ndarray,
+    q: np.ndarray,
+    norms: np.ndarray,
+    qq: float,
+    rows_exact: bool,
+) -> np.ndarray:
+    """:func:`qfd_lower_bound`'s ``r^2``, term for term (see its docstring)."""
+    low, high = _LOW, _HIGH
+    n, k = weights.shape
+    root_n = np.sqrt(n)
+    y = projected - _flush_subnormals(q) @ weights
+    squares = np.einsum("ij,ij->i", y, y)
+    y_norm = np.sqrt(np.maximum(squares - 2 * k * _TINY64, 0.0) / (1.0 + _gamma(k, _U64)))
+    v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64))) * high
+    error = _gamma(n, _U64) * (v_norm + _norm_up(qq, n)) + root_n * _TINY64
+    if not rows_exact:
+        error = error + (_U32 * v_norm + 2 * root_n * _TINY32) / (1.0 - _U32)
+    f_norm = _norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k)
+    error = (error * f_norm + 8 * n * np.sqrt(k) * _TINY64) * high
+    r = np.maximum(y_norm * low * (1.0 - 2 * _U64) - error, 0.0) * low
+    return r * r * low
+
+
+def spectral_floor(
+    matrix: np.ndarray, factor: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """``(W, mu)``, :func:`qfd_lower_bound`'s operands: ``W`` (``n x k``)
+    and ``mu > 0`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
+    semi-definite, else the rank-0 ``(n x 0, lambda_min_floor(A))``.
+
+    ``W`` is the Nystrom form of ``A' = fl((A + A^T) / 2) - c I`` over its
+    top Ritz vectors, ``c = lambda^ / 2`` with :func:`lambda_min_floor`'s
+    estimate ``lambda^``: ``_SUBSPACE_STEPS`` steps of subspace iteration
+    on ``_SPECTRAL_RANK + _SUBSPACE_EXTRA`` vectors (``eigh`` takes ~39
+    ms at 512-d), then Rayleigh-Ritz; ``U`` holds the top
+    ``_SPECTRAL_RANK`` Ritz vectors whose value ``theta`` (of ``A'``)
+    exceeds ``c``, and ``W = A' U diag(theta)^(-1/2)``.  For exact
+    eigenvectors that is ``V diag(sqrt(lambda_i - c))``; for any ``U``,
+    ``W W^T = A' U (U^T A' U)^(-1) U^T A'`` and ``A' - W W^T`` is a Schur
+    complement, positive semi-definite when ``A'`` is, so
+    ``B = (A + A^T) / 2 - W W^T >= c I`` however rough the subspace.
+
+    The certificate is :func:`lambda_min_floor`'s, applied to ``B``:
+    ``np.linalg.cholesky`` must complete on ``H = fl(fl(A_sym) - fl(W
+    W^T)) - (c / 2) I``, and ``mu = c / 2`` less its margin.  Forming ``H``
+    now also costs the product, within ``gamma_k(w) |W| |W|^T`` (``<=
+    gamma_k(w) ||W||_F^2`` in the 2-norm) plus ``4 k t64`` of underflow per
+    entry, and the subtraction, within ``w (R_A + (1 + gamma_k(w))
+    ||W||_F^2)``: the forming term adds ``w R_A + (gamma_k(w) + 2w)
+    ||W||_F^2 + 4 n k t64``.  When it fails, ``W`` is empty and ``mu`` is
+    the rank-0 floor, never ``0.0`` while that one certifies.
+    """
+    estimate, sym = _estimate(matrix, factor)
+    radius = abs_sum_radius(matrix)
+    with np.errstate(all="ignore"):
+        weights = _deflation(sym, 0.5 * estimate) if estimate > 0.0 else sym[:, :0]
+    n, k = weights.shape
+    if k:
+        with np.errstate(all="ignore"):
+            deflated = sym - weights @ weights.T
+            np.fill_diagonal(deflated, np.diagonal(deflated) - 0.25 * estimate)
+        f_norm = _norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k)
+        forming = _U64 * radius + (_gamma(k, _U64) + 2 * _U64) * f_norm * f_norm
+        mu = _certified(deflated, 0.25 * estimate, radius, forming + 4 * n * k * _TINY64)
+        if mu > 0.0:
+            return weights, mu
+    return np.zeros((n, 0)), lambda_min_floor(matrix, factor)
+
+
+def _deflation(sym: np.ndarray, shift: float) -> np.ndarray:
+    """:func:`spectral_floor`'s ``W`` for ``A' = sym - shift I``."""
+    n = sym.shape[0]
+    rank = min(_SPECTRAL_RANK, n)
+    y = np.random.default_rng(0).standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
+    for _ in range(_SUBSPACE_STEPS):
+        y, _ = np.linalg.qr(sym @ y)
+    image = sym @ y - shift * y
+    theta, vectors = np.linalg.eigh(y.T @ image)
+    top, vectors = theta[::-1][:rank], vectors[:, ::-1][:, :rank]
+    keep = top > shift
+    return (image @ vectors[:, keep]) / np.sqrt(top[keep])
+
+
 def lambda_min_floor(matrix: np.ndarray, factor: np.ndarray | None = None) -> float:
     """``mu``, a certified lower bound on ``lambda_min((A + A^T) / 2)``, or
-    ``0.0`` when none above zero can be certified.
+    ``0.0`` when none above zero can be certified: the rank-0 floor
+    :func:`spectral_floor` falls back to.
 
     An estimate ``lambda^`` comes from three steps of block inverse
     iteration on *factor* — a Cholesky factor of (about) ``A``, such as the
@@ -645,32 +619,48 @@ def lambda_min_floor(matrix: np.ndarray, factor: np.ndarray | None = None) -> fl
         mu = lambda^ / 2 - g trace(H) / (1 - g) - w (R_A + max H_ii)
              - (2 n (n + 1 + max H_ii) + n) t64
 
-    rounded down.  Halving the estimate costs nothing: the scan's pruning
-    is flat from ``lambda_min`` down to ``lambda_min / 4``.  Given the
-    factor, ~9 ms at 512-d (one Cholesky, ~2 ms of solves, forming ``H``),
-    against 15 ms for ``np.linalg.eigvalsh``.
+    rounded down (:func:`_certified`).
     """
-    n = matrix.shape[0]
+    estimate, sym = _estimate(matrix, factor)
+    if not estimate > 0.0:
+        return 0.0
+    with np.errstate(all="ignore"):
+        sym[np.diag_indices_from(sym)] -= 0.5 * estimate
+    return _certified(sym, 0.5 * estimate, abs_sum_radius(matrix), 0.0)
+
+
+def _estimate(matrix: np.ndarray, factor: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """``(lambda^, fl((A + A^T) / 2))``, ``lambda^ = 0.0`` when no finite
+    positive estimate comes (see :func:`lambda_min_floor`)."""
     sym = (matrix + matrix.T) * 0.5
     try:
         with np.errstate(all="ignore"):
             if factor is None:
                 factor = np.linalg.cholesky(sym)
             estimate = _lambda_min_estimate(factor, sym)
-            if not (np.isfinite(estimate) and estimate > 0.0):
-                return 0.0
-            shifted = sym.copy()
-            np.fill_diagonal(shifted, np.diagonal(sym) - 0.5 * estimate)
+    except np.linalg.LinAlgError:
+        return 0.0, sym
+    return (estimate if np.isfinite(estimate) and estimate > 0.0 else 0.0), sym
+
+
+def _certified(shifted: np.ndarray, shift: float, radius: float, forming: float) -> float:
+    """*shift* less :func:`lambda_min_floor`'s margin, rounded down, if
+    ``np.linalg.cholesky`` completes on the float64 *shifted*; ``0.0`` if it
+    fails or the margin eats *shift*.  *forming* is what forming
+    *shifted* costs beyond ``w (R_A + max H_ii) + n t64``."""
+    try:
+        with np.errstate(all="ignore"):
             np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return 0.0
+    n = shifted.shape[0]
     g = _gamma(n + 3, _U64)
     diagonal = np.abs(np.diagonal(shifted))
     trace = float(diagonal.sum()) * (1.0 + _gamma(n, _U64))
     top = float(diagonal.max())
-    margin = g * trace / (1.0 - g) + _U64 * (abs_sum_radius(matrix) + top)
+    margin = g * trace / (1.0 - g) + _U64 * (radius + top) + forming
     margin += (2 * n * (n + 1 + top) + n) * _TINY64
-    mu = (0.5 * estimate - margin * (1.0 + 2.0**-40)) * (1.0 - 2.0**-40)
+    mu = (shift - margin * _HIGH) * _LOW
     return mu if mu > 0.0 else 0.0
 
 

@@ -10,15 +10,12 @@ small object interface the access-method layer can hold on to:
 ``row_norms(rows)``
     the per-row term ``vAv^T`` (``vv^T`` for L2), which no evaluation
     reads; it is kept for what it costs to compute;
-``filter(q, shadow)`` (QFD only)
-    the certified float32 squared distances over a float32 copy of the
-    rows (:func:`~repro.kernels.gram.qfd_shadow`), ``(s, delta)`` with
-    ``|s - d64| <= delta``, that the sequential scan filters with before
-    it evaluates in float64;
-``lower_bound(q, shadow, norms)`` (QFD only)
-    an O(n) certified lower bound on every row's ``d64``
-    (:func:`~repro.kernels.gram.qfd_lower_bound`), which decides which
-    rows the filter runs on at all.
+``project(shadow)`` / ``lower_bound(q, shadow, norms, projected)`` (QFD only)
+    the rows' float32 copy (:func:`~repro.kernels.gram.qfd_shadow`)
+    projected on the certified rank-k term's ``W``, and an O(n + k)
+    certified lower bound on every row's float64 squared distance from
+    them (:func:`~repro.kernels.gram.qfd_lower_bound`): the sequential
+    scan evaluates only the rows it cannot rule out.
 
 Every QFD evaluation is one arithmetic, the difference form of
 :func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row); the L2
@@ -35,6 +32,7 @@ are read in :func:`~repro.kernels.gram.row_tiles`.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -48,6 +46,10 @@ __all__ = [
     "L2QueryContext",
     "resolve_kernel",
 ]
+
+#: Serializes the build of a :class:`QFDKernel`'s bound operands, so the
+#: projected rows a scan makes and the ``W`` its queries read are one.
+_OPERANDS_LOCK = threading.Lock()
 
 
 class QFDQueryContext:
@@ -74,14 +76,14 @@ class QFDQueryContext:
 
 
 class QFDKernel:
-    """Batched evaluator for a static QFD matrix: the difference form, its
-    certified float32 filter over the upper triangle (:meth:`filter`) and
-    the O(n) bound that runs before it (:meth:`lower_bound`).
+    """Batched evaluator for a static QFD matrix: the difference form and
+    the certified O(n + k) bound the QFD scan prunes with
+    (:meth:`lower_bound`).
 
     *factor*, a Cholesky factor of the matrix (the one a
     :class:`~repro.core.qfd.QuadraticFormDistance` made for its
-    positive-definiteness check), spares :attr:`mu`'s estimate a
-    factorization; it is dropped once :attr:`mu` is made.
+    positive-definiteness check), spares the bound's estimate a
+    factorization; it is dropped once the bound's operands are made.
     """
 
     __slots__ = ("matrix", "_filter_operands", "_factor")
@@ -89,66 +91,69 @@ class QFDKernel:
     def __init__(self, matrix: np.ndarray, factor: np.ndarray | None = None) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._factor = factor
-        self._filter_operands: (
-            tuple[np.ndarray, tuple[np.ndarray, ...], float, float] | None
-        ) = None
+        self._filter_operands: tuple[np.ndarray, float, float] | None = None
 
     def __reduce__(self):
-        # The filter's operands (mu included) are rebuilt, not shipped to a worker.
+        # The bound's operands are rebuilt, not shipped to a worker.
         return (QFDKernel, (self.matrix,))
 
-    def _operands(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, float]:
-        """:attr:`triangle32`, its column blocks, :attr:`radius` and
-        :attr:`mu`, made by their first use — a query, not the build;
-        racing threads make the same values."""
-        factor = self._factor  # read first: the build drops it after publishing
+    def _operands(self) -> tuple[np.ndarray, float, float]:
+        """:attr:`weights`, :attr:`mu` and :attr:`radius`, made once by their
+        first use — a query, not the build."""
         operands = self._filter_operands
         if operands is None:
-            operands = (
-                *gram.qfd_triangle(self.matrix),
-                gram.abs_sum_radius(self.matrix),
-                gram.lambda_min_floor(self.matrix, factor),
-            )
-            self._filter_operands = operands
-            self._factor = None
+            with _OPERANDS_LOCK:
+                operands = self._filter_operands
+                if operands is None:
+                    operands = (
+                        *gram.spectral_floor(self.matrix, self._factor),
+                        gram.abs_sum_radius(self.matrix),
+                    )
+                    self._filter_operands = operands
+                    self._factor = None
         return operands
 
     @property
-    def triangle32(self) -> np.ndarray:
-        """``triu(A + A^T, 1) + diag(A)`` in float32, flushed of float32
-        subnormals (:func:`~repro.kernels.gram.qfd_triangle`)."""
+    def weights(self) -> np.ndarray:
+        """``W``, ``n x k`` (``k = 0``: only the rank-0 bound certifies)."""
         return self._operands()[0]
+
+    @property
+    def mu(self) -> float:
+        """``mu`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
+        semi-definite, or ``0.0`` (:func:`~repro.kernels.gram.spectral_floor`)."""
+        return self._operands()[1]
 
     @property
     def radius(self) -> float:
         """``R >= || |A| ||_2`` (:func:`~repro.kernels.gram.abs_sum_radius`)."""
         return self._operands()[2]
 
-    @property
-    def mu(self) -> float:
-        """A certified lower bound on the smallest eigenvalue of the
-        matrix's symmetric part, ``0.0`` when none above zero certifies
-        (:func:`~repro.kernels.gram.lambda_min_floor`)."""
-        return self._operands()[3]
-
-    def filter(
-        self, q: np.ndarray, shadow: np.ndarray, *, rows_exact: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(s, delta)`` per shadow row: the float32 squared distance and a
-        bound on its distance from the float64 path's
-        (:func:`~repro.kernels.gram.qfd_filter`)."""
-        _, blocks, radius, _ = self._operands()
-        return gram.qfd_filter(blocks, radius, q, shadow, rows_exact=rows_exact)
+    def project(self, shadow: np.ndarray) -> np.ndarray:
+        """``shadow @ W`` in float64 (:func:`~repro.kernels.gram.qfd_project`)."""
+        return gram.qfd_project(self.weights, shadow)
 
     def lower_bound(
-        self, q: np.ndarray, shadow: np.ndarray, norms: np.ndarray, *, rows_exact: bool = False
+        self,
+        q: np.ndarray,
+        shadow: np.ndarray | None,
+        norms: np.ndarray,
+        projected: np.ndarray | None = None,
+        *,
+        rows_exact: bool = False,
     ) -> np.ndarray:
-        """Per shadow row, a lower bound on the float64 path's squared
-        distance, ``-inf`` where none is certain
+        """Per row, a lower bound on the float64 path's squared distance,
+        ``-inf`` where none is certain
         (:func:`~repro.kernels.gram.qfd_lower_bound`); *norms* is
-        :func:`~repro.kernels.gram.shadow_norms` of *shadow*."""
-        _, _, radius, mu = self._operands()
-        return gram.qfd_lower_bound(mu, radius, q, shadow, norms, rows_exact=rows_exact)
+        :func:`~repro.kernels.gram.shadow_norms` of the shadow and
+        *projected* its :meth:`project`.  Without *projected* only
+        ``mu ||v - q||^2`` counts; without *shadow* only the rank-k term."""
+        weights, mu, radius = self._operands()
+        return gram.qfd_lower_bound(
+            mu, radius, q, shadow, norms,
+            weights=None if projected is None else weights, projected=projected,
+            rows_exact=rows_exact,
+        )
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)

@@ -9,12 +9,11 @@ that also can take advantage of the QMap model": under QFD each of the
 Two variants are provided:
 
 * :class:`SequentialFile` — in-memory rows (the default everywhere).
-  Under the QFD it scans through two certified filters (paper Section
-  2.3.1's filter-and-refine): an O(n) lower bound ``mu ||v - q||^2``
-  rules most rows out, float32 over a shadow copy of the rows decides
-  most of the rest, and float64 runs only where that error bound cannot
-  decide.  Answers, distances and charged counts are the full float64
-  scan's.
+  Under the QFD it scans through a certified filter (paper Section
+  2.3.1's filter-and-refine): an O(n + k) lower bound
+  ``mu ||v - q||^2 + ||(v - q) W||^2`` rules most rows out, and float64
+  runs only on the rest.  Answers, distances and charged counts are the
+  full float64 scan's.
 * :class:`DiskSequentialFile` — rows behind the paged storage substrate,
   used by the disk-cache ablation (bench E_A4).
 """
@@ -50,110 +49,88 @@ if TYPE_CHECKING:
 __all__ = ["SequentialFile", "DiskSequentialFile"]
 
 
-#: Fewest multiply-adds (``rows * n^2``) a float64 re-evaluation of the
-#: filter's undecided rows is given, padded with other rows of their tile:
+#: Fewest multiply-adds (``rows * n^2``) a float64 evaluation of the rows
+#: the bound keeps is given, padded with other rows of their tile:
 #: OpenBLAS takes products of at most ``10^6`` through its small-matrix
 #: path and one row through gemv, and both round differently from the
 #: gemm a full tile runs (at 512-d, 2- and 3-row products move the last
 #: ulp; 4 rows and up do not).  8 rows at 512-d, 512 at 64-d.
 _REFINE_MACS = 1 << 21
 
-#: A scan filters only databases of at least this many padded
-#: re-evaluations: 112 rows at 512-d, 7 168 at 64-d, never at 8-d.  Below
-#: it the bound and the float32 pass do not pay for themselves.  Filtered
-#: over plain kNN time (k = 10), in-process, alternated, three runs of
-#: seven rounds each (Xeon, 2 vCPUs, BLAS pinned to one thread): at 512-d
-#: 64 rows 1.30-1.53x, 96 rows 1.06-1.16x, 112 rows 0.80-0.99x, 128 rows
-#: 0.90-0.98x, 192 rows 0.59-0.66x, 256 rows 0.42-0.44x; at 64-d 2 048
-#: rows 1.27-1.35x, 3 072 rows 0.86-0.92x, 4 096 rows 0.70-0.77x, 6 144
-#: rows 0.54x, 8 192 rows 0.46-0.48x.  The floor is the least count of
-#: paddings at which neither loses.
-_FILTER_MIN_REFINES = 14
+#: A scan is bounded only over databases of at least this many padded
+#: evaluations: 72 rows at 512-d, 4 608 at 64-d, never at 8-d.  Below it
+#: the bound does not pay for itself.  Bounded over plain kNN time
+#: (k = 10), in-process, alternated, three runs of seven rounds each
+#: (Xeon, 2 vCPUs, BLAS pinned to one thread): at 512-d 64 rows
+#: 1.04-1.06x, 72 rows 0.87x, 96 rows 0.75-0.80x, 128 rows 0.62-0.67x,
+#: 192 rows 0.36-0.46x, 256 rows 0.28-0.29x; at 64-d 1 536 rows
+#: 1.15-1.23x, 2 048 rows 0.89-0.95x, 3 072 rows 0.52-0.67x, 4 096 rows
+#: 0.48-0.59x, 6 144 rows 0.38-0.39x, 8 192 rows 0.30-0.37x.  The floor
+#: is the least count of paddings at which neither loses.
+_FILTER_MIN_REFINES = 9
 
 #: ``1 + 2^-40`` on a squared threshold: a squared distance above it has a
 #: square root strictly above the threshold's, so no row left out of the
-#: re-evaluation can tie with one kept in.
+#: evaluation can tie with one kept in.
 _CUT_SLACK = 1.0 + 2.0**-40
 
-#: Serializes the lazy shadow build, so concurrent first queries (the
-#: thread executor) build one shadow and publish it once.
+#: Serializes the lazy build of the shadow, its norms and the projected
+#: rows, so concurrent first queries (the thread executor) build them once
+#: and publish them once.
 _SHADOW_LOCK = threading.Lock()
 
 
 def _refine_rows(dim: int) -> int:
-    """Rows one float64 re-evaluation is padded to (``_REFINE_MACS``)."""
+    """Rows one float64 evaluation is padded to (``_REFINE_MACS``)."""
     return max(2, -(-_REFINE_MACS // (dim * dim)))
 
 
 def _survivors(
-    kernel: QFDKernel,
+    port: DistancePort,
     query: np.ndarray,
-    shadow: np.ndarray,
-    norms: np.ndarray,
-    exact: bool,
+    data: np.ndarray,
+    bound: np.ndarray,
+    tighter: Callable[[np.ndarray], np.ndarray] | None,
     k: int | None,
     radius: float,
-) -> np.ndarray:
-    """Rows the O(n) lower bound cannot rule out, ascending.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows the lower bounds cannot rule out, ascending, and their
+    float64 distances; ``None`` when they rule out none.
 
-    Every row's float64 squared distance is at least its bound
-    (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound`; ``-inf`` where
-    none is certain).  Range keeps ``{bound <= r^2}``.  kNN first filters
-    the ``max(2k, _refine_rows(n))`` rows of smallest bound: ``H``, the
-    k-th smallest of their ``s + delta``, is at least the k-th distance,
-    so every row of the answer, ties included, has its bound at most
-    ``H`` and is kept.  Both cuts take ``_CUT_SLACK``.  With ``k`` seed
-    rows instead of ``2k``, one of them far from the query loosens ``H``:
-    on ``scan512`` (k = 10) a median 422 and at worst 3 485 of 4 000 rows
-    survived, against 395 and 424 with ``2k``, which is what the true
-    k-th distance as the cut keeps.
+    Every row's float64 squared distance is at least its *bound*, and at
+    least ``tighter(rows)`` for ascending *rows* (``-inf`` where nothing
+    is certain): the rank-k term alone, then the full bound on the rows
+    it keeps (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound`
+    without and with the shadow; *tighter* is ``None`` when *bound* is
+    the full one already).  Range keeps rows within ``r^2``.  kNN first
+    evaluates the seed, the ``max(2k, _refine_rows(n))`` rows of smallest
+    *bound*, through :func:`_refine`: ``D``, their k-th smallest distance,
+    is at least the k-th distance of the scan, so every row of the answer,
+    ties included, has both bounds at most ``D^2`` and is kept.  Both cuts
+    take ``_CUT_SLACK``.
     """
-    bound = kernel.lower_bound(query, shadow, norms, rows_exact=exact)
+    m = bound.shape[0]
+    seed = np.empty(0, dtype=np.intp)
     if k is None:
-        cut = radius * radius
+        cut = radius * radius * _CUT_SLACK
     else:
-        first = max(2 * k, _refine_rows(shadow.shape[1]))
-        if first >= bound.shape[0]:  # the seed is every row: the filter decides
-            return np.arange(bound.shape[0])
-        seed = np.argpartition(bound, first - 1)[:first]
-        _, upper = _bracket(*kernel.filter(query, shadow[seed], rows_exact=exact))
-        cut = _kth(upper, k)
-    return np.flatnonzero(bound <= cut * _CUT_SLACK)
-
-
-def _undecided(
-    s: np.ndarray, delta: np.ndarray, k: int | None, radius: float
-) -> np.ndarray:
-    """Rows the certified float32 values cannot rule out, ascending.
-
-    Every row's float64 squared distance lies in ``[s - delta, s +
-    delta]`` (a row whose bounds are not finite in ``[-inf, inf]``).  kNN
-    keeps ``{s - delta <= H}``, ``H`` the k-th smallest ``s + delta``: the
-    k rows under ``H`` are at most ``H`` away, so every row of the answer,
-    and every row tied with its k-th distance, is kept.  Range keeps
-    ``{s - delta <= r^2}``.
-    """
-    lower, upper = _bracket(s, delta)
-    cut = radius * radius if k is None else _kth(upper, k)
-    return np.flatnonzero(lower <= cut * _CUT_SLACK)
-
-
-def _bracket(s: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``[s - delta, s + delta]`` per row, ``[-inf, inf]`` for a row whose
-    bounds are not finite."""
-    with np.errstate(invalid="ignore"):
-        lower = s - delta
-        upper = s + delta
-    bad = ~(np.isfinite(lower) & np.isfinite(upper))
-    if bad.any():
-        lower[bad] = -np.inf
-        upper[bad] = np.inf
-    return lower, upper
-
-
-def _kth(upper: np.ndarray, k: int) -> float:
-    """The kNN cut: the k-th smallest upper bound, at least ``0``."""
-    return max(float(np.partition(upper, k - 1)[k - 1]), 0.0)
+        first = max(2 * k, _refine_rows(data.shape[1]))
+        if first >= m:  # the seed is every row
+            return None
+        seed = np.sort(np.argpartition(bound, first - 1)[:first])
+        near = _refine(port, query, data, seed)
+        cut = float(np.partition(near, k - 1)[k - 1]) ** 2 * _CUT_SLACK
+    rows = np.setdiff1d(np.flatnonzero(bound <= cut), seed, assume_unique=True)
+    if tighter is not None:
+        rows = rows[tighter(rows) <= cut]
+    if seed.shape[0] + rows.shape[0] == m:
+        return None
+    distances = _refine(port, query, data, rows)
+    if not seed.shape[0]:
+        return rows, distances
+    rows = np.concatenate([seed, rows])
+    order = np.argsort(rows)
+    return rows[order], np.concatenate([near, distances])[order]
 
 
 def _refine(
@@ -162,10 +139,10 @@ def _refine(
     """Uncharged ``port.compute_many`` over the ascending *rows* of *data*,
     with the floats a scan of every row gives them.
 
-    Per row tile of the scan: the undecided rows, padded with the tile's
-    first rows to ``_refine_rows`` so the product takes the tile's gemm
-    kernel — or the whole tile, when it is that short (a small tail tile
-    runs the scan's very call) or at least half undecided.
+    Per row tile of the scan: the rows, padded with the tile's first
+    rows when fewer than ``_refine_rows`` so the product takes the tile's
+    gemm kernel — or the whole tile, when it is that short (a small tail
+    tile runs the scan's very call) or at least half picked.
     """
     m, n = data.shape
     pad = _refine_rows(n)
@@ -179,6 +156,9 @@ def _refine(
         picked = rows[lo:hi]
         if stop - start <= pad or 2 * picked.shape[0] >= stop - start:
             out[lo:hi] = port.compute_many(query, data[start:stop])[picked - start]
+            continue
+        if picked.shape[0] >= pad:
+            out[lo:hi] = port.compute_many(query, data[picked])
             continue
         take = np.union1d(picked, np.arange(start, start + pad))
         out[lo:hi] = port.compute_many(query, data[take])[np.searchsorted(take, picked)]
@@ -194,14 +174,14 @@ class SequentialFile(AccessMethod):
 
     Under a QFD (the port's kernel is a
     :class:`~repro.kernels.kernels.QFDKernel`), a query bounds every row's
-    squared distance from below in O(n) (:func:`_survivors`), computes the
-    rows that bound cannot rule out in float32 over a float32 *shadow* of
-    the rows, with a proven error bound per row
-    (:func:`~repro.kernels.gram.qfd_filter`), and re-evaluates in float64,
-    uncharged, only the rows that bound cannot rule out.  It charges the
-    ``m`` rows a full scan charges, makes the same trace calls, and
-    returns the full scan's answers and distances bit for bit.  The shadow
-    and its row norms are built by the first filtered query (not at build
+    squared distance from below in O(n + k)
+    (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound`, over a float32
+    *shadow* of the rows, its row norms and the rows projected on ``W``)
+    and evaluates in float64, uncharged, only the rows that bound cannot
+    rule out (:func:`_survivors`).  It charges the ``m`` rows a full scan
+    charges, makes the same trace calls, and returns the full scan's
+    answers and distances bit for bit.  The shadow, its norms and the
+    projected rows are built by the first bounded query (not at build
     time), extended by inserts, and left out of snapshots and pickles;
     float32 (memory-mapped) rows are their own shadow.
     """
@@ -210,19 +190,28 @@ class SequentialFile(AccessMethod):
     #: own one-to-many, which reads a memory-mapped store tile by tile.
     supports_out_of_core = True
 
-    #: The float32 shadow of the rows (``None`` until the first filtered
+    #: The float32 shadow of the rows (``None`` until the first bounded
     #: query, and always for float32 rows, their own shadow), its float64
-    #: row norms ``||v^||^2`` (``None`` until the first filtered query),
-    #: and the grown buffers they are the filled prefixes of.
+    #: row norms ``||v^||^2`` and the rows projected on the kernel's ``W``
+    #: (``None`` until the first bounded query), and the grown buffers
+    #: they are the filled prefixes of.
     _shadow: "np.ndarray | None" = None
     _shadow_buffer: "np.ndarray | None" = None
+    _projected: "np.ndarray | None" = None
+    _projected_buffer: "np.ndarray | None" = None
     _norms: "np.ndarray | None" = None
     _norms_buffer: "np.ndarray | None" = None
 
+    _BOUND_ROWS = (
+        "_shadow", "_shadow_buffer", "_projected", "_projected_buffer",
+        "_norms", "_norms_buffer",
+    )
+
     def __getstate__(self) -> dict:
-        # A copy rebuilds its own shadow and norms on its first query.
+        # A copy rebuilds its own shadow, norms and projected rows on its
+        # first query.
         state = super().__getstate__()
-        for key in ("_shadow", "_shadow_buffer", "_norms", "_norms_buffer"):
+        for key in self._BOUND_ROWS:
             state.pop(key, None)
         return state
 
@@ -249,8 +238,8 @@ class SequentialFile(AccessMethod):
         self, query: np.ndarray, k: int | None, radius: float
     ) -> tuple[np.ndarray | None, np.ndarray]:
         """Every row's float64 distance, or under a QFD those of the rows
-        neither the lower bound nor the float32 filter rules out (none is
-        ruled out when *k* is every row or *radius* is infinite)."""
+        the lower bound does not rule out (none is ruled out when *k* is
+        every row or *radius* is infinite)."""
         data = self._data
         kernel = self._port.kernel
         everything = k == data.shape[0] if k is not None else radius == np.inf
@@ -259,21 +248,32 @@ class SequentialFile(AccessMethod):
             and not everything
             and data.shape[0] >= _FILTER_MIN_REFINES * _refine_rows(self.dim)
         ):
-            operands = self._shadow_rows()
+            operands = self._bound_rows(kernel)
             if operands is not None:
-                shadow, norms = operands
+                shadow, norms, projected = operands
                 exact = shadow is data
-                rows = _survivors(kernel, query, shadow, norms, exact, k, radius)
-                kept = shadow if rows.shape[0] == data.shape[0] else shadow[rows]
-                s, delta = kernel.filter(query, kept, rows_exact=exact)
-                rows = rows[_undecided(s, delta, k, radius)]
-                if rows.shape[0] < data.shape[0]:
-                    return rows, _refine(self._port, query, data, rows)
+                tighter = None
+                if kernel.weights.shape[1]:  # the rank-k term alone, then the full bound
+                    bound = kernel.lower_bound(query, None, norms, projected, rows_exact=exact)
+
+                    def tighter(rows: np.ndarray) -> np.ndarray:
+                        return kernel.lower_bound(
+                            query, shadow[rows], norms[rows], projected[rows], rows_exact=exact
+                        )
+
+                else:  # the rank-0 fallback: mu's bound is the only one
+                    bound = kernel.lower_bound(query, shadow, norms, rows_exact=exact)
+                kept = _survivors(self._port, query, data, bound, tighter, k, radius)
+                if kept is not None:
+                    return kept
         return None, self._port.compute_many(query, data)
 
-    def _shadow_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The shadow of the stored rows and its norms
-        (:func:`~repro.kernels.gram.shadow_norms`), built on first use."""
+    def _bound_rows(
+        self, kernel: QFDKernel
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The shadow of the stored rows, its norms
+        (:func:`~repro.kernels.gram.shadow_norms`) and the rows projected
+        on *kernel*'s ``W``, built on first use."""
         data = self._data
         norms = self._norms
         if norms is None:
@@ -285,14 +285,18 @@ class SequentialFile(AccessMethod):
                         shadow = gram.qfd_shadow(data)
                         self._shadow_buffer = shadow
                         self._shadow = shadow
+                    projected = kernel.project(shadow)
+                    self._projected_buffer = projected
+                    self._projected = projected
                     norms = gram.shadow_norms(shadow)
                     self._norms_buffer = norms
                     self._norms = norms  # published last: a reader checks it first
         shadow = data if data.dtype == np.float32 else self._shadow
+        projected = self._projected
         # Off only mid-insert (the rows are stored before the hook runs).
-        if shadow.shape[0] != data.shape[0] or norms.shape[0] != data.shape[0]:
+        if not shadow.shape[0] == projected.shape[0] == norms.shape[0] == data.shape[0]:
             return None
-        return shadow, norms
+        return shadow, norms, projected
 
     def _range_hits(
         self, query: np.ndarray, radius: float, trace: "QueryTrace"
@@ -322,9 +326,8 @@ class SequentialFile(AccessMethod):
     def _range_search_batch(
         self, queries: np.ndarray, radius: float, traces: "list[QueryTrace]"
     ) -> list[list[Neighbor]]:
-        """Batch scan: each query the single-query scan, the float32 filter
-        included, so the answers are bit-identical to looping
-        :meth:`range_search`."""
+        """Batch scan: each query the single-query scan, the bound included,
+        so the answers are bit-identical to looping :meth:`range_search`."""
         out: list[list[Neighbor]] = []
         for pos, trace in enumerate(traces):
             with activate_trace(trace):
@@ -334,18 +337,24 @@ class SequentialFile(AccessMethod):
         return out
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
-        """Appending the row is the entire build; a built shadow and its
-        norms are extended by the row's float32 copy and its norm, never
-        rebuilt (only float64 stores take inserts)."""
+        """Appending the row is the entire build; a built shadow, its norms
+        and the projected rows are extended by the row's float32 copy, its
+        norm and its projection, never rebuilt (only float64 stores take
+        inserts)."""
         if self._norms is None:
             return
         row = gram.qfd_shadow(vector[None, :])
         shadow = grown(self._shadow_buffer, index, 1)
         shadow[index : index + 1] = row
+        projected = grown(self._projected_buffer, index, 1)
+        projected[index : index + 1] = self._port.kernel.project(row)
         norms = grown(self._norms_buffer, index, 1)
         norms[index : index + 1] = gram.shadow_norms(row)
-        self._shadow_buffer, self._norms_buffer = shadow, norms
+        self._shadow_buffer, self._projected_buffer, self._norms_buffer = (
+            shadow, projected, norms,
+        )
         self._shadow = shadow[: index + 1]
+        self._projected = projected[: index + 1]
         self._norms = norms[: index + 1]
 
 
@@ -356,8 +365,8 @@ class DiskSequentialFile(AccessMethod):
     through its fixed-size LRU cache, so query cost decomposes into
     distance computations plus physical page reads — exactly the two
     components whose interplay Section 5.3 discusses.  It stays a plain
-    float64 scan of every page, without :class:`SequentialFile`'s float32
-    filter: what it measures is page I/O (E_A4), and a shadow in RAM would
+    float64 scan of every page, without :class:`SequentialFile`'s lower
+    bound: what it measures is page I/O (E_A4), and a shadow in RAM would
     answer without reading the pages.
 
     Parameters

@@ -1,38 +1,34 @@
-"""The certified float32 filter of the QFD scan (``gram.qfd_filter``).
+"""The certified lower bound of the QFD scan (``gram.qfd_lower_bound``).
 
-For every row the filter returns ``s``, the float32 squared QFD over the
-row's float32 shadow, and ``delta``, a proven bound on ``|s - d64|`` where
-``d64`` is the squared distance the float64 path computes.  A row whose
-``s`` or ``delta`` is not finite certifies nothing and is flagged for
-re-evaluation.  Pinned here:
+For every row the bound is ``mu ||v - q||^2 + ||(v - q) W||^2`` less every
+rounding error, ``||v - q||`` from the rows' float32 shadow and ``v W``
+from the rows projected once; ``gram.spectral_floor`` certifies
+``(A + A^T) / 2 - W W^T - mu I`` positive semi-definite.  It must never
+exceed ``d64``, the squared distance the float64 path computes; a row
+whose bound is not finite gets ``-inf`` and is kept.  Pinned here:
 
-* the bound holds on Hafner ``1 - D/d_max`` matrices, near-singular SPD
-  matrices, matrices scaled over 1e-6 ... 1e6 with negative
+* the rank-k bound holds on Hafner ``1 - D/d_max`` matrices, near-singular
+  SPD matrices, matrices scaled over 1e-6 ... 1e6 with negative
   off-diagonals, matrices symmetric only within ``is_symmetric``'s
   tolerance (and far from symmetric), rows with float32-subnormal
-  entries, zero and duplicate rows, and rows beyond float32 range
-  (always flagged), over one to four column blocks of the upper-triangle
-  product, uneven widths included;
-* an entry whose ``A_ij + A_ji`` overflows float32 flags the rows it
-  touches;
-* the 512-d plan does at most 0.6 n^2 multiply-adds per row;
-* a float32 store's rows are their own shadow (``rows_exact``);
-* the filter's row chunks give the unsplit call's bits;
-* on the benchmark corpus the bound is loose yet decides almost every row;
-* the O(n) lower bound ``mu ||v - q||^2 - errors`` that runs before the
-  filter never exceeds the float64 path's squared distance, over the same
-  matrices and rows (and a float32 store's unflushed rows), a row beyond
-  float32 range gets ``-inf``, and ``mu`` never exceeds ``eigvalsh``'s
-  smallest eigenvalue — ``0.0`` when the certificate fails.
+  entries, zero and duplicate rows, a float32 store's unflushed rows and
+  rows or queries beyond float32 range (always kept);
+* ``mu`` never exceeds ``eigvalsh(A_sym - W W^T)``'s smallest eigenvalue,
+  and a failed rank-k certificate gives exactly the rank-0 bound;
+* on the benchmark corpus the rank-k bound rules out >= 95 % of the rows
+  at kNN's cut;
+* the rank-0 bound ``mu ||v - q||^2 - errors`` it falls back to holds
+  over the same inputs, and ``mu`` never exceeds ``eigvalsh``'s smallest
+  eigenvalue — ``0.0`` when the certificate fails;
+* the shadow, its norms, the projected rows and the bound take the
+  untiled call's bits, and no caller array is written.
 """
 
 from __future__ import annotations
 
 import pickle
-from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,27 +48,32 @@ def _d64(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", diff @ matrix, diff)
 
 
-def _certify(
+def _spectral(
     matrix: np.ndarray, q: np.ndarray, rows: np.ndarray, *, rows_exact: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(s, delta, flagged)``, asserting ``|s - d64| <= delta`` on every
-    row that is not flagged."""
+) -> tuple[np.ndarray, QFDKernel]:
+    """``(bound, kernel)`` of the rank-k bound, asserting ``bound <= d64``
+    on every row — the rank-k term alone (no shadow) too — and ``mu <=
+    lambda_min(A_sym - W W^T)`` (unless ``mu`` is ``0.0``: nothing
+    certified, and every bound at most ``0``)."""
     kernel = QFDKernel(matrix)
     shadow = rows if rows_exact else gram.qfd_shadow(rows)
-    s, delta = kernel.filter(q, shadow, rows_exact=rows_exact)
-    flagged = ~(np.isfinite(s) & np.isfinite(delta))
+    norms, projected = gram.shadow_norms(shadow), kernel.project(shadow)
+    bound = kernel.lower_bound(q, shadow, norms, projected, rows_exact=rows_exact)
+    alone = kernel.lower_bound(q, None, norms, projected, rows_exact=rows_exact)
     want = _d64(matrix, q, rows)
-    kept = ~flagged
-    assert np.all(delta[kept] >= 0.0)
-    gap = np.abs(s[kept] - want[kept])
-    assert np.all(gap <= delta[kept]), float(np.max(gap / delta[kept]))
-    return s, delta, flagged
+    if kernel.mu == 0.0:
+        assert kernel.weights.shape[1] == 0
+        want = np.maximum(want, 0.0)  # the float64 path's clamp
+    for got in (bound, alone):
+        assert not np.isnan(got).any() and not (got == np.inf).any()
+        over = got > want
+        assert not over.any(), float(np.max(got[over] - want[over]))
+    assert kernel.mu == 0.0 or 0.0 < kernel.mu <= _deflated_min(matrix, kernel.weights)
+    return bound, kernel
 
 
-def _blocks(n: int, count: int):
-    """Patch the filter's column blocks to about *count* (2-4 for any
-    ``count > 1``, one for ``count == 1``) for kernels made inside."""
-    return mock.patch.object(gram, "_TRIANGLE_COLS", max(1, n // count))
+def _deflated_min(matrix: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((matrix + matrix.T) / 2 - weights @ weights.T)[0])
 
 
 def _matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,7 +107,6 @@ class TestTheBoundHolds:
         seed=st.integers(0, 100_000),
         kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
         n=st.sampled_from([3, 8, 27, 64]),
-        blocks=st.integers(1, 4),
         m=st.integers(1, 40),
         scale=st.sampled_from([1.0, 1e-20, 1e10]),
         injected=st.lists(
@@ -116,7 +116,7 @@ class TestTheBoundHolds:
     )
     @settings(max_examples=150, deadline=None)
     def test_every_row_is_certified_or_flagged(
-        self, seed, kind, n, blocks, m, scale, injected, alpha
+        self, seed, kind, n, m, scale, injected, alpha
     ) -> None:
         rng = np.random.default_rng(seed)
         matrix = _matrix(kind, n, rng)
@@ -127,15 +127,12 @@ class TestTheBoundHolds:
         rows[rng.integers(0, m)] = 0.0  # a zero row
         rows[rng.integers(0, m)] = q  # the query itself: d = 0
         rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
-        with _blocks(n, blocks):
-            _, _, flagged = _certify(matrix, q, rows)
-        assert not flagged.any()  # nothing here leaves float32 range
+        bound, _ = _spectral(matrix, q, rows)
+        assert np.isfinite(bound).all()  # nothing here leaves float32 range
 
-    @given(
-        seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]), blocks=st.integers(1, 4)
-    )
+    @given(seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]))
     @settings(max_examples=40, deadline=None)
-    def test_rows_beyond_float32_range_are_flagged(self, seed, n, blocks) -> None:
+    def test_rows_beyond_float32_range_are_flagged(self, seed, n) -> None:
         rng = np.random.default_rng(seed)
         matrix = _matrix("hafner", n, rng)
         rows = rng.dirichlet(np.ones(n), size=9)
@@ -144,9 +141,9 @@ class TestTheBoundHolds:
         rows[huge[0], 0] = 1e39
         rows[huge[1], n - 1] = -3.5e38
         rows[huge[2]] = 1e300
-        with _blocks(n, blocks):
-            _, _, flagged = _certify(matrix, q, rows)
-        assert flagged[huge].all()
+        bound, _ = _spectral(matrix, q, rows)
+        assert (bound[huge] == -np.inf).all()
+        assert np.isfinite(np.delete(bound, huge)).all()
 
     def test_a_query_beyond_float32_range_flags_every_row(self) -> None:
         rng = np.random.default_rng(5)
@@ -154,23 +151,22 @@ class TestTheBoundHolds:
         rows = rng.dirichlet(np.ones(8), size=6)
         q = rows[0].copy()
         q[3] = 2 * F32_MAX
-        _, _, flagged = _certify(matrix, q, rows)
-        assert flagged.all()
+        bound, _ = _spectral(matrix, q, rows)
+        assert (bound == -np.inf).all()
 
     @given(
         seed=st.integers(0, 100_000),
         kind=st.sampled_from(["hafner", "scaled", "skewed"]),
-        blocks=st.integers(1, 4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_float32_rows_are_their_own_shadow(self, seed, kind, blocks) -> None:
+    def test_float32_rows_are_their_own_shadow(self, seed, kind) -> None:
         rng = np.random.default_rng(seed)
         matrix = _matrix(kind, 27, rng)
         rows = rng.dirichlet(np.full(27, 1e-3), size=31)
         rows[:, :3] = [3e-40, 1e-45, 2e-39]  # float32 subnormals, kept by the store
         rows32 = rows.astype(np.float32)
-        with _blocks(27, blocks):
-            _certify(matrix, rows[0], rows32, rows_exact=True)
+        assert np.count_nonzero(np.abs(rows32) < F32_TINY) > 31 * 3 - 31  # unflushed
+        _spectral(matrix, rows[0], rows32, rows_exact=True)
 
     def test_the_skewed_kind_passes_is_symmetric(self) -> None:
         rng = np.random.default_rng(17)
@@ -178,85 +174,64 @@ class TestTheBoundHolds:
             matrix = _matrix("skewed", n, rng)
             assert is_symmetric(matrix) and not np.array_equal(matrix, matrix.T)
 
-    @given(seed=st.integers(0, 100_000), blocks=st.integers(1, 4))
+    @given(seed=st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)
-    def test_a_matrix_far_from_symmetric(self, seed, blocks) -> None:
-        # x T x^T = x A x^T for any A: the triangle sums both halves, and
-        # the radius bounds the columns' sums as well as the rows'.
+    def test_a_matrix_far_from_symmetric(self, seed) -> None:
+        # Only A_sym = (A + A^T) / 2 enters x A x^T, and the radius bounds
+        # the columns' sums as well as the rows'.
         rng = np.random.default_rng(seed)
-        matrix = _matrix("hafner", 27, rng) + rng.uniform(-1.0, 1.0, size=(27, 27))
-        matrix[:, 4] += 30.0  # one heavy column
+        skew = rng.uniform(-1.0, 1.0, size=(27, 27))
+        matrix = _matrix("hafner", 27, rng) + skew - skew.T
+        matrix[:, 4] += 30.0  # one heavy column, and its mirror row
+        matrix[4, :] -= 30.0
         rows = rng.dirichlet(np.full(27, 0.1), size=25)
-        with _blocks(27, blocks):
-            _, _, flagged = _certify(matrix, rows[0], rows[1:])
-        assert not flagged.any()
+        bound, kernel = _spectral(matrix, rows[0], rows[1:])
+        assert np.isfinite(bound).all() and kernel.weights.shape[1] > 0
 
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_an_overflowing_pair_sum_is_flagged(self, blocks) -> None:
-        # A_01 and A_10 are float32-finite; their sum, T_01, is not.
-        rng = np.random.default_rng(23)
-        matrix = _matrix("hafner", 8, rng)
-        matrix[0, 1] = matrix[1, 0] = 2e38
-        rows = rng.dirichlet(np.ones(8), size=12)
-        rows[3, :2] = 0.0  # a row the entry does not touch
-        q = rows[0].copy()
-        q[:2] = 0.0
-        with _blocks(8, blocks):
-            assert np.isinf(QFDKernel(matrix).triangle32[0, 1])
-            _, _, flagged = _certify(matrix, q, rows)
-        touched = (rows[:, 0] != 0.0) & (rows[:, 1] != 0.0)
-        assert touched.sum() == 11 and flagged[touched].all()
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
+        n=st.sampled_from([2, 3, 8, 27, 64, 100]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mu_is_certified_on_the_deflated_matrix(self, seed, kind, n) -> None:
+        matrix = _matrix(kind, n, np.random.default_rng(seed))
+        weights, mu = gram.spectral_floor(matrix)
+        assert weights.shape[0] == n and weights.shape[1] <= gram._SPECTRAL_RANK
+        assert mu == 0.0 or 0.0 < mu <= _deflated_min(matrix, weights)
+        if kind == "hafner":  # well-conditioned: the rank-k certificate holds
+            assert weights.shape[1] > 0 and mu > 0.0
+
+    def test_a_failed_rank_k_certificate_gives_the_rank_0_bound(self, monkeypatch) -> None:
+        matrix = _matrix("hafner", 64, np.random.default_rng(6))
+        deflation = gram._deflation
+        monkeypatch.setattr(gram, "_deflation", lambda sym, shift: 2.0 * deflation(sym, shift))
+        kernel = QFDKernel(matrix)
+        assert kernel.weights.shape == (64, 0)
+        assert kernel.mu == gram.lambda_min_floor(matrix) > 0.0  # not 0.0
+        rows = np.random.default_rng(6).dirichlet(np.full(64, 0.1), size=30)
+        shadow = gram.qfd_shadow(rows)
+        norms = gram.shadow_norms(shadow)
+        got = kernel.lower_bound(rows[0], shadow, norms, kernel.project(shadow))
+        want = gram.qfd_lower_bound(
+            gram.lambda_min_floor(matrix), gram.abs_sum_radius(matrix), rows[0], shadow, norms
+        )
+        assert np.array_equal(got, want)
+
+    def test_an_indefinite_matrix_certifies_nothing(self) -> None:
+        matrix = _matrix("hafner", 27, np.random.default_rng(8))
+        matrix[0, 0] = -1.0
+        weights, mu = gram.spectral_floor(matrix)
+        assert weights.shape == (27, 0) and mu == 0.0
 
     def test_the_benchmark_corpus_at_512d(self) -> None:
         w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
         for q in w.queries:
-            s, delta, flagged = _certify(w.matrix, q, w.database)
-            assert not flagged.any()
-            # Loose by orders of magnitude, and still decisive: the kNN
-            # cut of the scan leaves a few percent of the rows undecided.
-            upper = np.partition(s + delta, 9)[9]
-            assert np.count_nonzero(s - delta <= upper) < 0.05 * s.shape[0]
-
-
-class TestTheTriangle:
-    @pytest.mark.parametrize("n", [3, 8, 27, 64])
-    @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_patched_blocks_cover_the_triangle(self, n, count) -> None:
-        matrix = _matrix("skewed", n, np.random.default_rng(n))
-        with _blocks(n, count):
-            triangle, blocks = gram.qfd_triangle(matrix)
-        assert 2 <= len(blocks) <= 4
-        stops = [block.shape[0] for block in blocks]
-        widths = [block.shape[1] for block in blocks]
-        assert stops[-1] == n and sum(widths) == n
-        assert stops == list(np.cumsum(widths))
-        for block, stop, width in zip(blocks, stops, widths):
-            assert block.flags.c_contiguous
-            assert np.array_equal(block, triangle[:stop, stop - width : stop])
-
-    def test_widths_may_be_uneven(self) -> None:
-        with _blocks(27, 4):
-            _, blocks = gram.qfd_triangle(np.eye(27))
-        assert [block.shape[1] for block in blocks] == [6, 7, 7, 7]
-
-    def test_the_triangle_is_built_from_both_halves(self) -> None:
-        matrix = _matrix("skewed", 8, np.random.default_rng(2))
-        want = np.triu(matrix + matrix.T, 1) + np.diag(np.diagonal(matrix))
-        got = QFDKernel(matrix).triangle32
-        assert np.array_equal(got, want.astype(np.float32))
-        assert not np.any(np.tril(got, -1))
-
-    @pytest.mark.parametrize("n, count", [(64, 1), (127, 1), (128, 2), (512, 8)])
-    def test_block_count(self, n, count) -> None:
-        _, blocks = gram.qfd_triangle(np.eye(n))
-        assert len(blocks) == count
-
-    def test_the_512d_plan_does_a_fraction_of_the_full_product(self) -> None:
-        w = histogram_workload(20, 1, bins_per_channel=8, seed=3)
-        n = w.matrix.shape[0]
-        blocks = QFDKernel(w.matrix)._operands()[1]
-        macs_per_row = sum(block.size for block in blocks)
-        assert macs_per_row <= 0.6 * n * n
+            bound, kernel = _spectral(w.matrix, q, w.database)
+            assert kernel.weights.shape == (512, gram._SPECTRAL_RANK)
+            # O(n + k) per row, and it rules out almost every row at kNN's cut.
+            kth = np.partition(_d64(w.matrix, q, w.database), 9)[9]
+            assert np.count_nonzero(bound > kth) >= 0.95 * bound.shape[0]
 
 
 class TestTheKernel:
@@ -275,14 +250,17 @@ class TestTheKernel:
         assert QFDKernel(matrix).radius >= np.linalg.norm(matrix, 2)
 
     def test_matrix_and_shadow_are_flushed_float32(self) -> None:
-        matrix = np.eye(3) + np.array([[0, 1e-40, 0], [1e-40, 0, 0], [0, 0, 0]])
-        kernel = QFDKernel(matrix)
-        assert kernel.triangle32.dtype == np.float32
-        assert kernel.triangle32[0, 1] == 0.0 and kernel.triangle32[0, 0] == 1.0
+        # The shadow is float32, flushed of float32 subnormals, and the
+        # matrix's W projects it in float64, where none of it is subnormal.
         rows = np.array([[1e-40, -1e-42, F32_TINY, 0.5]])
         shadow = gram.qfd_shadow(rows)
         assert shadow.dtype == np.float32
         assert shadow.tolist() == [[0.0, 0.0, F32_TINY, 0.5]]
+        kernel = QFDKernel(_matrix("hafner", 4, np.random.default_rng(2)))
+        assert kernel.weights.shape[1] > 0 and kernel.weights.dtype == np.float64
+        projected = kernel.project(shadow)
+        assert projected.dtype == np.float64
+        assert np.array_equal(projected, shadow.astype(np.float64) @ kernel.weights)
 
     def test_flush_takes_the_arrays_own_tiny(self) -> None:
         x = np.array([1e-40, F32_TINY, -1e-39, 1e-300], dtype=np.float32)
@@ -295,36 +273,25 @@ class TestTheKernel:
         rows, q = w.database.copy(), w.queries[0].copy()
         kernel = QFDKernel(w.matrix)
         shadow = gram.qfd_shadow(rows)
-        before = rows.tobytes(), q.tobytes(), shadow.tobytes()
-        kernel.filter(q, shadow)
-        assert (rows.tobytes(), q.tobytes(), shadow.tobytes()) == before
-
-    @pytest.mark.parametrize("bins, m", [(8, 513), (4, 300)])
-    def test_chunks_give_the_unsplit_bits(self, monkeypatch, bins, m) -> None:
-        w = histogram_workload(m, 2, bins_per_channel=bins, seed=11)
-        kernel = QFDKernel(w.matrix)
-        shadow = gram.qfd_shadow(w.database)
-        want = kernel.filter(w.queries[0], shadow)
-        rows32 = w.database.astype(np.float32)
-        want_exact = kernel.filter(w.queries[0], rows32, rows_exact=True)
-        monkeypatch.setattr(gram, "_SPLIT_WORKERS", 4)
-        monkeypatch.setattr(gram, "_FILTER_CHUNK_MACS", 1 << 16)
-        assert len(gram._split(m, w.matrix.shape[0], gram._FILTER_CHUNK_MACS)) == 4
-        for got, ref in zip(kernel.filter(w.queries[0], shadow), want):
-            assert np.array_equal(got, ref)
-        got_exact = kernel.filter(w.queries[0], rows32, rows_exact=True)
-        for got, ref in zip(got_exact, want_exact):
-            assert np.array_equal(got, ref)
+        norms, projected = gram.shadow_norms(shadow), kernel.project(shadow)
+        operands = rows, q, shadow, norms, projected, kernel.weights
+        before = [x.tobytes() for x in operands]
+        kernel.lower_bound(q, shadow, norms, projected)
+        assert [x.tobytes() for x in operands] == before
 
     def test_tiles_give_the_untiled_bits(self, monkeypatch) -> None:
         w = histogram_workload(700, 2, bins_per_channel=4, seed=13)
         kernel = QFDKernel(w.matrix)
-        want_shadow = gram.qfd_shadow(w.database)
-        want = kernel.filter(w.queries[1], want_shadow)
+
+        def bound_of(rows):
+            shadow = gram.qfd_shadow(rows)
+            norms, projected = gram.shadow_norms(shadow), kernel.project(shadow)
+            bound = kernel.lower_bound(w.queries[1], shadow, norms, projected)
+            return shadow, norms, projected, bound
+
+        want = bound_of(w.database)
         monkeypatch.setattr(gram, "_TILE_ROWS", 256)
-        shadow = gram.qfd_shadow(w.database)
-        assert np.array_equal(shadow, want_shadow)
-        for got, ref in zip(kernel.filter(w.queries[1], shadow), want):
+        for got, ref in zip(bound_of(w.database), want):
             assert np.array_equal(got, ref)
 
 
@@ -335,15 +302,19 @@ def _lambda_min(matrix: np.ndarray) -> float:
 def _bound(
     matrix: np.ndarray, q: np.ndarray, rows: np.ndarray, *, rows_exact: bool = False
 ) -> tuple[np.ndarray, float]:
-    """``(bound, mu)``, asserting ``bound <= d64`` on every row."""
-    kernel = QFDKernel(matrix)
+    """``(bound, mu)`` of the rank-0 bound (what a failed rank-k
+    certificate leaves), asserting ``bound <= d64`` on every row."""
+    mu = gram.lambda_min_floor(matrix)
     shadow = rows if rows_exact else gram.qfd_shadow(rows)
-    bound = kernel.lower_bound(q, shadow, gram.shadow_norms(shadow), rows_exact=rows_exact)
+    bound = gram.qfd_lower_bound(
+        mu, gram.abs_sum_radius(matrix), q, shadow, gram.shadow_norms(shadow),
+        rows_exact=rows_exact,
+    )
     want = _d64(matrix, q, rows)
     assert not np.isnan(bound).any() and not (bound == np.inf).any()
     over = bound > want
     assert not over.any(), float(np.max(bound[over] - want[over]))
-    return bound, kernel.mu
+    return bound, mu
 
 
 class TestTheLowerBound:

@@ -1,17 +1,20 @@
-"""The QFD sequential scan's certified float32 filter against the plain scan.
+"""The QFD sequential scan's certified lower bound against the plain scan.
 
-``SequentialFile`` under a QFD first rules rows out by an O(n) lower
-bound (``mu ||v - q||^2`` less every rounding error), computes the rest in
-float32 over a shadow copy and re-evaluates in float64 only the rows the
-error bound cannot rule out.  Held here against the unfiltered scan
+``SequentialFile`` under a QFD rules rows out by an O(n + k) lower bound
+(``mu ||v - q||^2 + ||(v - q) W||^2`` less every rounding error),
+evaluates a seed of the rows of smallest bound in float64, cuts at the
+seed's k-th distance (``r`` for range) and evaluates in float64 only the
+rows whose bound is within the cut.  Held here against the unfiltered scan
 (``port.compute_many`` over every row, the filter switched off by raising
 its size floor): identical ``(index, distance)`` lists bit for bit,
 identical charged counts and an identical EXPLAIN event stream — for
 k = 1, k >= m, a tie at the k-th distance, range with r = 0 and r = inf,
 insert-then-query, the float32 memory-mapped twin, a snapshot round-trip,
-a thread-executor batch, a matrix whose ``mu`` prunes nothing and the
-512-d benchmark corpus, where the bound must rule out most rows.  The
-shadow and its norms are in neither a pickle nor a snapshot.
+a thread-executor batch, racing first queries, a matrix whose ``mu``
+prunes nothing, a failed rank-k certificate (the rank-0 bound) and the
+512-d benchmark corpus, where the bound must rule out >= 95 % of the
+rows.  The shadow, its norms and the projected rows are in neither a
+pickle nor a snapshot.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import histogram_workload
-from repro.kernels import gram
+from repro.kernels import QFDKernel, gram
 from repro.mam import sequential
 from repro.models import QFDModel, explain_query, load_built_index
 
@@ -34,7 +37,7 @@ M = 400
 
 @pytest.fixture(scope="module")
 def workload():
-    """512-d: the filter's size floor is 112 rows there."""
+    """512-d: the bound's size floor is 72 rows there."""
     w = histogram_workload(M, 12, bins_per_channel=8, seed=2011)
     data = w.database.copy()
     data[7] = data[3]  # duplicates: a tie at any k they reach
@@ -71,14 +74,15 @@ def _assert_same_scan(built, queries, unfiltered, **kind):
 
 
 def _spy_survivors(monkeypatch) -> list[tuple[int, int]]:
-    """``(survivors, rows)`` of every pruned scan from now on."""
+    """``(rows evaluated, rows)`` of every bounded scan from now on."""
     seen = []
     survivors = sequential._survivors
 
-    def spy(kernel, query, shadow, *args):
-        rows = survivors(kernel, query, shadow, *args)
-        seen.append((rows.shape[0], shadow.shape[0]))
-        return rows
+    def spy(port, query, data, *args):
+        kept = survivors(port, query, data, *args)
+        rows = data.shape[0]
+        seen.append((rows if kept is None else kept[0].shape[0], rows))
+        return kept
 
     monkeypatch.setattr(sequential, "_survivors", spy)
     return seen
@@ -98,8 +102,9 @@ class TestTheFilterIsTheScan:
         monkeypatch.setattr(sequential, "_refine", spy)
         seen = _spy_survivors(monkeypatch)
         built.knn_search(queries[0], 10)
-        assert len(calls) == 1 and 10 <= calls[0] < M // 4
-        assert seen[0][1] == M and 10 <= seen[0][0] < M // 2
+        # The seed (2k rows), then the rest of the rows within its cut.
+        assert len(calls) == 2 and calls[0] == 20 and sum(calls) < M // 4
+        assert seen == [(sum(calls), M)]
 
     @pytest.mark.parametrize("k", [1, 10, M, M + 5])
     def test_knn(self, workload, unfiltered, k) -> None:
@@ -134,10 +139,16 @@ class TestTheFilterIsTheScan:
         built.knn_search(queries[0], 5)  # builds the shadow
         for row in data[300:]:
             built.insert(row)
-        shadow = built.access_method._shadow
+        am = built.access_method
+        shadow = am._shadow
         assert shadow.shape == (M, data.shape[1])
         assert np.array_equal(shadow, gram.qfd_shadow(data))
-        assert np.array_equal(built.access_method._norms, gram.shadow_norms(shadow))
+        assert np.array_equal(am._norms, gram.shadow_norms(shadow))
+        # Products of other heights (one inserted row is a gemv) may move
+        # the last ulp; the bound holds for any order of the sums.
+        projected = am.distance.kernel.project(gram.qfd_shadow(data))
+        assert am._projected.shape == projected.shape
+        assert np.allclose(am._projected, projected, rtol=1e-12, atol=1e-15)
         _assert_same_scan(built, queries, unfiltered, k=10)
         _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
 
@@ -156,6 +167,8 @@ class TestTheFilterIsTheScan:
         assert mmap.access_method._shadow is None  # the rows are their own
         rows32 = mmap.access_method.database
         assert np.array_equal(mmap.access_method._norms, gram.shadow_norms(rows32))
+        kernel = mmap.access_method.distance.kernel
+        assert np.array_equal(mmap.access_method._projected, kernel.project(rows32))
 
     def test_snapshot_round_trip(self, workload, unfiltered, tmp_path) -> None:
         matrix, data, queries = workload
@@ -163,14 +176,18 @@ class TestTheFilterIsTheScan:
         before = built.save(tmp_path / "before.npz")
         built.knn_search(queries[0], 10)
         assert built.access_method._shadow is not None
+        assert built.access_method._projected is not None
         after = built.save(tmp_path / "after.npz")
         with zipfile.ZipFile(before) as a, zipfile.ZipFile(after) as b:
             assert a.namelist() == b.namelist()
-            assert not any("shadow" in name or "norms" in name for name in b.namelist())
+            assert not any(
+                word in name for name in b.namelist() for word in ("shadow", "norms", "projected")
+            )
         assert built.access_method.structural_state() == {}
         restored = load_built_index(after)
         assert restored.access_method._shadow is None
         assert restored.access_method._norms is None
+        assert restored.access_method._projected is None
         _assert_same_scan(restored, queries, unfiltered, k=10)
 
     def test_the_shadow_is_not_pickled(self, workload) -> None:
@@ -179,14 +196,17 @@ class TestTheFilterIsTheScan:
         cold = len(pickle.dumps(am))
         am.knn_search(queries[0], 3)
         assert am._shadow is not None and am._norms is not None
+        assert am._projected is not None
         payload = pickle.dumps(am)
-        assert b"_shadow" not in payload and b"_norms" not in payload
+        for key in (b"_shadow", b"_norms", b"_projected"):
+            assert key not in payload
         assert len(payload) < cold + 64  # the counter's totals, not the shadow
         copy = pickle.loads(payload)
-        assert "_shadow" not in vars(copy) and copy._shadow is None
-        assert "_norms" not in vars(copy) and copy._norms is None
+        for key in ("_shadow", "_norms", "_projected"):
+            assert key not in vars(copy) and getattr(copy, key) is None
         assert copy.knn_search(queries[1], 3) == am.knn_search(queries[1], 3)
         assert np.array_equal(copy._norms, am._norms)
+        assert np.array_equal(copy._projected, am._projected)
 
     def test_thread_executor_batch(self, workload, unfiltered) -> None:
         matrix, data, queries = workload
@@ -210,18 +230,90 @@ class TestTheFilterIsTheScan:
             ]
 
     def test_a_matrix_whose_mu_prunes_nothing(self, workload, unfiltered, monkeypatch) -> None:
-        # lambda_min 1e-8 of the largest: mu ||v - q||^2 is under every cut.
+        # lambda_min 1e-8 of the largest: mu ||v - q||^2 is under every cut,
+        # so with the rank-k term off (rank 0) every row is evaluated; with
+        # it, the top eigenvalues rule rows out again.
         _, data, queries = workload
         n = data.shape[1]
         basis, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((n, n)))
         matrix = (basis * np.logspace(-8, 0, n)) @ basis.T
         matrix = (matrix + matrix.T) / 2
-        built = QFDModel(matrix).build_index("sequential", data)
-        seen = _spy_survivors(monkeypatch)
-        _assert_same_scan(built, queries[:4], unfiltered, k=10)
-        _assert_same_scan(built, queries[:4], unfiltered, radius=0.05)
-        assert 0.0 < built.access_method.distance.kernel.mu < 1e-8
-        assert seen and all(kept == rows == M for kept, rows in seen)
+        for rank in (0, gram._SPECTRAL_RANK):
+            with pytest.MonkeyPatch.context() as patch:  # outlives `unfiltered`
+                patch.setattr(gram, "_SPECTRAL_RANK", rank)
+                seen = _spy_survivors(patch)
+                built = QFDModel(matrix).build_index("sequential", data)
+                _assert_same_scan(built, queries[:4], unfiltered, k=10)
+                _assert_same_scan(built, queries[:4], unfiltered, radius=0.05)
+            kernel = built.access_method.distance.kernel
+            assert 0.0 < kernel.mu < 1e-8 and kernel.weights.shape == (n, rank)
+            assert len(seen) == 8 and all(rows == M for _, rows in seen)
+            if rank == 0:
+                assert all(kept == M for kept, _ in seen)
+            else:
+                assert any(kept < M // 2 for kept, _ in seen)
+
+    def test_a_failed_rank_k_certificate_falls_back_to_mu(
+        self, workload, unfiltered, monkeypatch
+    ) -> None:
+        # W doubled: the deflated matrix is indefinite and its certificate
+        # fails, so the scan runs on the rank-0 bound, mu = lambda_min_floor.
+        matrix, data, queries = workload
+        deflation = gram._deflation
+        with pytest.MonkeyPatch.context() as patch:  # outlives `unfiltered`
+            patch.setattr(gram, "_deflation", lambda sym, shift: 2.0 * deflation(sym, shift))
+            seen = _spy_survivors(patch)
+            built = QFDModel(matrix).build_index("sequential", data)
+            _assert_same_scan(built, queries, unfiltered, k=10)
+            _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
+        kernel = built.access_method.distance.kernel
+        assert kernel.weights.shape == (data.shape[1], 0)
+        assert built.access_method._projected.shape == (M, 0)
+        assert kernel.mu == gram.lambda_min_floor(matrix) > 0.0
+        assert all(kept < M // 2 for kept, _ in seen[: len(queries)])
+
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_the_cut_keeps_what_any_lower_bound_allows(self, workload, k) -> None:
+        # Squared distances scaled by random factors in [0, 1) are lower
+        # bounds that order the rows unlike the distances, so the seed
+        # misses answer rows and the cut alone must keep them; the squared
+        # form before its root is the tightest bound, which only the cut's
+        # slack keeps where the root rounds down.
+        matrix, data, queries = workload
+        port = QFDModel(matrix).build_index("sequential", data).access_method.distance
+        rng = np.random.default_rng(k)
+        for q in queries:
+            exact = port.compute_many(q, data)
+            kth = np.partition(exact, k - 1)[k - 1]
+            diff = gram._flush_subnormals(data - q)
+            squared = np.einsum("ij,ij->i", diff @ matrix, diff)
+            for bound in (squared, exact * exact * rng.uniform(0.0, 1.0, M)):
+                for tighter in (None, lambda rows: bound[rows]):
+                    kept = sequential._survivors(port, q, data, bound, tighter, k, np.inf)
+                    rows, distances = kept if kept is not None else (np.arange(M), exact)
+                    assert np.all(np.diff(rows) > 0)
+                    assert np.array_equal(distances, exact[rows])
+                    assert set(np.flatnonzero(exact <= kth)) <= set(rows.tolist())
+
+    def test_a_tie_the_seed_splits(self, workload) -> None:
+        # Rows 3, 7 and 250 are equal.  Only row 3 enters the seed (its bound
+        # halved, the rest of the seed far rows at -inf), so the cut is its
+        # distance squared; rows 7 and 250, bounded by their exact squared
+        # form, stay only through the cut's slack where the root rounded down.
+        matrix, data, _ = workload
+        port = QFDModel(matrix).build_index("sequential", data).access_method.distance
+        needed = 0
+        for t in np.linspace(1e-4, 1e-2, 40):
+            near = data[3] + t * (data[11] - data[3])
+            exact = port.compute_many(near, data)
+            diff = gram._flush_subnormals(data - near)
+            bound = np.einsum("ij,ij->i", diff @ matrix, diff)
+            needed += exact[3] * exact[3] < bound[7]
+            bound[3] *= 0.5
+            bound[np.argsort(exact)[-sequential._refine_rows(data.shape[1]) + 1 :]] = -np.inf
+            rows, _ = sequential._survivors(port, near, data, bound, None, 1, np.inf)
+            assert {3, 7, 250} <= set(rows.tolist())
+        assert needed
 
     def test_the_512d_benchmark_corpus(self, unfiltered, monkeypatch) -> None:
         # The bound must rule out most rows, or the cut has silently switched off.
@@ -230,25 +322,35 @@ class TestTheFilterIsTheScan:
         seen = _spy_survivors(monkeypatch)
         _assert_same_scan(built, w.queries, unfiltered, k=10)
         assert len(seen) == len(w.queries)
-        assert all(kept <= 0.2 * rows for kept, rows in seen), seen
+        assert np.median([kept / rows for kept, rows in seen]) <= 0.05, seen
 
     def test_racing_first_queries_build_one_shadow(
         self, workload, unfiltered, monkeypatch
     ) -> None:
-        # More threads than cores, switching every microsecond: the shadow
-        # and its norms are built once, and every racing query gets the
-        # unfiltered scan's answer.
+        # More threads than cores, switching every microsecond: the shadow,
+        # its norms, the projected rows and the kernel's W are built once,
+        # and every racing query gets the unfiltered scan's answer.
         matrix, data, queries = workload
         built = QFDModel(matrix).build_index("sequential", data)
         am = built.access_method
-        builds = []
-        shadow_of = gram.qfd_shadow
+        builds, projections, floors = [], [], []
+        shadow_of, project, floor = gram.qfd_shadow, QFDKernel.project, gram.spectral_floor
 
         def counted(rows):
             builds.append(rows.shape[0])
             return shadow_of(rows)
 
+        def counted_project(kernel, rows):
+            projections.append(rows.shape[0])
+            return project(kernel, rows)
+
+        def counted_floor(*args):
+            floors.append(1)
+            return floor(*args)
+
         monkeypatch.setattr(gram, "qfd_shadow", counted)
+        monkeypatch.setattr(QFDKernel, "project", counted_project)
+        monkeypatch.setattr(gram, "spectral_floor", counted_floor)
         barrier = threading.Barrier(6, timeout=60)
         answers: dict[int, list] = {}
 
@@ -267,11 +369,13 @@ class TestTheFilterIsTheScan:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert builds == [M]
+        assert builds == [M] and projections == [M] and floors == [1]
         monkeypatch.undo()
-        shadow, norms = am._shadow, am._norms
+        shadow, norms, projected = am._shadow, am._norms, am._projected
         assert am._shadow_buffer is shadow and am._norms_buffer is norms
+        assert am._projected_buffer is projected
         assert np.array_equal(norms, gram.shadow_norms(gram.qfd_shadow(data)))
+        assert np.array_equal(projected, am.distance.kernel.project(shadow))
         fresh = QFDModel(matrix).build_index("sequential", data)
         with unfiltered:
             assert [answers[pos] for pos in range(6)] == [
