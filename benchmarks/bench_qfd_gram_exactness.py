@@ -94,7 +94,7 @@ class _GramContext:
         self._kernel.rechecks += int(suspect.size)
         return np.sqrt(np.maximum(sq, 0.0))
 
-    def one(self, row: np.ndarray, norm=None) -> float:
+    def one(self, row: np.ndarray) -> float:
         row = np.asarray(row, dtype=np.float64)
         norm = self._kernel.norm_of[row.tobytes()]
         sq = self.q_norm + norm - 2.0 * float(row @ self.q_a)
@@ -115,7 +115,7 @@ class _DiffContext:
     def many(self, rows: np.ndarray, norms=None) -> np.ndarray:
         return self._qfd.one_to_many(self.query, rows)
 
-    def one(self, row: np.ndarray, norm=None) -> float:
+    def one(self, row: np.ndarray) -> float:
         return float(self.many(np.asarray(row)[None, :])[0])
 
 

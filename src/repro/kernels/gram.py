@@ -41,13 +41,7 @@ recheck changes only values that were pure noise.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
-
 import numpy as np
-
-from ._pool import pool_size
 
 __all__ = [
     "RECHECK_REL",
@@ -94,32 +88,6 @@ _L2_TILE_FLOATS = 131072
 _TILE_ROWS = 8192
 
 
-def _split_workers() -> int:
-    """Threads one QFD tile may be split across: the cores BLAS leaves idle.
-
-    Only a BLAS thread count the environment declares leaves any; with
-    none declared, BLAS threads every product over all cores itself.
-    """
-    declared = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        blas_threads = int(declared or 0)
-    except ValueError:
-        return 1
-    return pool_size(blas_threads) if blas_threads > 0 else 1
-
-
-_SPLIT_WORKERS = _split_workers()
-
-#: Fewest multiply-adds (``rows * n^2``) one chunk of a split QFD tile
-#: gets; a tile splits only into two or more such chunks.  Set where the
-#: split stops losing: with two threads at 512-d, 128 rows read 2.7 ms
-#: serial against 5.6 ms split, 256 rows 4.6 against 4.5, 1 024 rows 20.8
-#: against 13.2 (Xeon, 2 vCPUs, BLAS pinned to one thread).  Far above
-#: OpenBLAS's small-matrix path (``M * N * K <= 1e6``), so every chunk runs
-#: the gemm kernel the whole tile runs and each row keeps the floats of
-#: the unsplit product.
-_CHUNK_MACS = 1 << 25
-
 #: Columns of ``W``, the rank of :func:`spectral_floor`'s deflation: a
 #: ``scan512`` kNN query read 3.30 ms at rank 8, 2.79 at 16, 2.66 at 24,
 #: 2.67 at 32 and 2.65 at 48, and 32 beat 16 by 5-7 % in two more runs,
@@ -139,9 +107,7 @@ def row_tiles(n: int) -> list[slice]:
     return [slice(start, start + _TILE_ROWS) for start in range(0, n, _TILE_ROWS)]
 
 
-def _flush_subnormals(
-    x: np.ndarray, *, inplace: bool = False, masks: np.ndarray | None = None
-) -> np.ndarray:
+def _flush_subnormals(x: np.ndarray, *, inplace: bool = False) -> np.ndarray:
     """*x* with its subnormals set to ``0.0``, ahead of a BLAS product.
 
     Subnormal means below the ``tiny`` of *x*'s own dtype (float64 or
@@ -150,13 +116,12 @@ def _flush_subnormals(
     of them and run a gemm 2.5-5x slower for it.  Call once per raw
     operand and reuse the result.  ``inplace`` is only for arrays the
     caller allocated itself; otherwise *x* is copied, and only when it has
-    a subnormal.  ``masks`` is a ``(2, *x.shape)`` boolean work buffer
-    the caller owns (else one is allocated).  Results of the float64
-    kernels do not move by a bit (``docs/architecture.md``).
+    a subnormal.  Results of the float64 kernels do not move by a bit
+    (``docs/architecture.md``).
     """
     tiny = np.finfo(x.dtype).tiny
-    mask = np.not_equal(x, 0.0, out=None if masks is None else masks[0])
-    spare = np.less(x, tiny, out=None if masks is None else masks[1])
+    mask = np.not_equal(x, 0.0)
+    spare = np.less(x, tiny)
     mask &= spare
     mask &= np.greater(x, -tiny, out=spare)
     if not inplace:
@@ -201,75 +166,19 @@ def qfd_one_to_many(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.n
     paper's cost, merely amortized through BLAS.  The differences are
     flushed of subnormals before the product; a float32 tile upcasts to
     the floats of its float64 copy.  No cancellation: ``v == q`` gives
-    exactly ``0``.  A large tile runs as near-equal row chunks on a
-    per-call pool when BLAS leaves cores idle (:func:`_split`); each row
-    keeps its floats, and no thread outlives the call.
+    exactly ``0``.
     """
     q = _as64(q)
-    m, n = rows.shape
-    out = np.empty(m, dtype=np.float64)
-    for tile in row_tiles(m):
-        block, block_out = rows[tile], out[tile]
-        diff = np.empty(block.shape, dtype=np.float64)
-        prod = np.empty_like(diff)
-
-        def run(part: slice) -> None:
-            _qfd_rows(matrix, q, block[part], diff[part], prod[part], block_out[part])
-
-        _run_split(_split(block.shape[0], n), run)
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    for tile in row_tiles(rows.shape[0]):
+        diff = np.empty(rows[tile].shape, dtype=np.float64)
+        np.copyto(diff, rows[tile])  # a float32 tile upcasts without a cast buffer
+        np.subtract(diff, q, out=diff)
+        _flush_subnormals(diff, inplace=True)
+        block = out[tile]
+        np.einsum("ij,ij->i", diff @ matrix, diff, out=block)
+        np.sqrt(np.maximum(block, 0.0, out=block), out=block)
     return out
-
-
-def _run_split(parts: list[slice], run: Callable[[slice], None]) -> None:
-    """``run(part)`` for every chunk in *parts* (:func:`_split`), the
-    calling thread taking the first and a per-call pool the rest; no
-    thread outlives it."""
-    if len(parts) == 1:
-        run(parts[0])
-        return
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        pending = [pool.submit(run, part) for part in parts[1:]]
-        run(parts[0])
-        for job in pending:
-            job.result()
-
-
-def _split(rows: int, n: int) -> list[slice]:
-    """Near-equal row chunks of one QFD tile, one per thread that runs it:
-    a single chunk unless BLAS leaves cores idle and the tile holds two or
-    more chunks of ``_CHUNK_MACS`` multiply-adds and of two or more rows
-    (a one-row product is a matrix-vector call, another BLAS kernel)."""
-    parts = min(_SPLIT_WORKERS, rows * n * n // _CHUNK_MACS, rows // 2)
-    if parts < 2:
-        return [slice(0, rows)]
-    edges = np.linspace(0, rows, parts + 1).astype(int)
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _qfd_rows(
-    matrix: np.ndarray,
-    q: np.ndarray,
-    rows: np.ndarray,
-    diff: np.ndarray,
-    prod: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """``out = sqrt((rows - q) A (rows - q)^T)`` in buffers the caller owns.
-
-    Allocates nothing of the rows' size, so it may run on a pool thread:
-    glibc keeps what a thread frees in that thread's own arena.  Until the
-    product lands in *prod*, its bytes hold the subnormal masks.  The
-    subtract and flush run on the chunk's thread too: at 4 000 x 512 with
-    two threads that reads 52 ms a call against 63 ms with both on the
-    calling thread (Xeon, 2 vCPUs, BLAS pinned to one thread).
-    """
-    np.copyto(diff, rows)  # a float32 tile upcasts without a cast buffer
-    np.subtract(diff, q, out=diff)
-    masks = prod.reshape(-1).view(np.bool_)[: 2 * diff.size].reshape(2, *diff.shape)
-    _flush_subnormals(diff, inplace=True, masks=masks)
-    np.matmul(diff, matrix, out=prod)
-    np.einsum("ij,ij->i", prod, diff, out=out)
-    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
 def abs_sum_radius(matrix: np.ndarray) -> float:
@@ -726,11 +635,10 @@ def qfd_pairwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_pairwise(rows: np.ndarray, *, row_norms: np.ndarray | None = None) -> np.ndarray:
+def l2_pairwise(rows: np.ndarray) -> np.ndarray:
     """Pairwise L2 distance matrix via the Gram expansion (+ recheck)."""
     rows = _as64(rows)
-    if row_norms is None:
-        row_norms = l2_row_norms(rows)
+    row_norms = l2_row_norms(rows)
     cross = rows @ rows.T
     sq = row_norms[:, None] + row_norms[None, :] - (cross + cross.T)
     np.fill_diagonal(sq, 0.0)
@@ -745,20 +653,12 @@ def l2_pairwise(rows: np.ndarray, *, row_norms: np.ndarray | None = None) -> np.
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def l2_cross(
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
-    *,
-    norms_a: np.ndarray | None = None,
-    norms_b: np.ndarray | None = None,
-) -> np.ndarray:
+def l2_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """``(a, b)`` L2 distance matrix between two row batches."""
     rows_a = _as64(rows_a)
     rows_b = _as64(rows_b)
-    if norms_a is None:
-        norms_a = l2_row_norms(rows_a)
-    if norms_b is None:
-        norms_b = l2_row_norms(rows_b)
+    norms_a = l2_row_norms(rows_a)
+    norms_b = l2_row_norms(rows_b)
     sq = norms_a[:, None] + norms_b[None, :] - 2.0 * (rows_a @ rows_b.T)
     suspect = sq <= RECHECK_REL * (norms_a[:, None] + norms_b[None, :])
     ii, jj = np.nonzero(suspect)

@@ -70,7 +70,7 @@ class QFDQueryContext:
         """Distances from the bound query to every row (*norms* is unused)."""
         return gram.qfd_one_to_many(self._matrix, self.query, rows)
 
-    def one(self, row: np.ndarray, norm: float | None = None) -> float:
+    def one(self, row: np.ndarray) -> float:
         """Distance from the bound query to a single row."""
         return float(self.many(np.asarray(row)[None, :])[0])
 
@@ -193,7 +193,7 @@ class L2QueryContext:
     def many(self, rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
         return gram.l2_one_to_many(self.query, rows)
 
-    def one(self, row: np.ndarray, norm: float | None = None) -> float:
+    def one(self, row: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(row, dtype=np.float64) - self.query))
 
 
@@ -208,25 +208,14 @@ class L2Kernel:
     def bind(self, query: np.ndarray) -> L2QueryContext:
         return L2QueryContext(query)
 
-    def one_to_many(
-        self, q: np.ndarray, rows: np.ndarray, *, row_norms: np.ndarray | None = None
-    ) -> np.ndarray:
+    def one_to_many(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return gram.l2_one_to_many(q, rows)
 
-    def pairwise(
-        self, rows: np.ndarray, *, row_norms: np.ndarray | None = None
-    ) -> np.ndarray:
-        return gram.l2_pairwise(rows, row_norms=row_norms)
+    def pairwise(self, rows: np.ndarray) -> np.ndarray:
+        return gram.l2_pairwise(rows)
 
-    def cross(
-        self,
-        rows_a: np.ndarray,
-        rows_b: np.ndarray,
-        *,
-        norms_a: np.ndarray | None = None,
-        norms_b: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return gram.l2_cross(rows_a, rows_b, norms_a=norms_a, norms_b=norms_b)
+    def cross(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        return gram.l2_cross(rows_a, rows_b)
 
 
 def resolve_kernel(func: Callable) -> QFDKernel | L2Kernel | None:

@@ -69,7 +69,6 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from ..exceptions import StorageError
-from ..kernels._pool import pool_size
 from ._paths import normalize_npz_path
 
 __all__ = [
@@ -98,8 +97,19 @@ _BLOCK_BYTES = 1 << 20
 _PLAIN, _SHUFFLED = "npy", "shuffled"
 _MAGIC = {_PLAIN: b"\x93NUMPY", _SHUFFLED: b"\x93PLANE"}
 
+
+def _pool_size() -> int:
+    """Threads a codec pool may start: the CPUs this process may run on,
+    capped at 4."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
 #: Threads that deflate / inflate blocks (zlib releases the GIL).
-_POOL_SIZE = pool_size()
+_POOL_SIZE = _pool_size()
 #: What a pool thread hands zlib at a time.  Its output goes straight into
 #: memory the calling thread allocated: glibc keeps what a thread frees in
 #: that thread's own arena, so a pool thread's large buffers would stay

@@ -16,18 +16,10 @@ upcasts float32 rows (a memory-mapped store) one tile at a time.  Pinned:
   leave no one-row tile;
 * with the tile constant patched small, model answers and charged counts
   do not move, and a float32 scan never holds an ``m x n`` float64 copy.
-
-A large QFD tile also runs as row chunks on a per-call thread pool when
-BLAS leaves cores idle (``gram._split``; the worker count and the chunk floor
-are patched here).  Pinned: every chunk count gives the single chunk's
-floats, model answers and charges; no thread outlives the call; the
-threads allocate nothing of the rows' size; and a forking executor runs
-cleanly after a split.
 """
 
 from __future__ import annotations
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -40,7 +32,6 @@ from repro.core.qfd import QuadraticFormDistance
 from repro.datasets import clustered_histograms
 from repro.distances import euclidean_one_to_many
 from repro.kernels import L2Kernel, QFDKernel, gram, row_tiles
-from repro.kernels._pool import pool_size
 from repro.models import QFDModel, QMapModel
 
 from .helpers import assert_same_neighbors
@@ -187,160 +178,6 @@ class TestBlockSizeInvariance:
             ]:
                 assert f32.dtype == np.float64
                 assert np.array_equal(f32, f64)
-
-
-def _split_at(monkeypatch, workers: int, macs: int = 1 << 20) -> None:
-    """Split QFD tiles over *workers* threads into chunks of *macs*
-    multiply-adds or more (``2**20``: just above OpenBLAS's small-matrix
-    path at 512-d)."""
-    monkeypatch.setattr(gram, "_SPLIT_WORKERS", workers)
-    monkeypatch.setattr(gram, "_CHUNK_MACS", macs)
-
-
-def _subnormal_rows(m: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram rows with float64 subnormals (the flush path) and a query."""
-    rng = np.random.default_rng(seed)
-    rows = rng.dirichlet(np.full(n, 1e-3), size=m)
-    return rows, rng.dirichlet(np.full(n, 1e-3))
-
-
-class TestTileSplit:
-    """A QFD tile split across threads gives the one chunk's floats."""
-
-    def test_split_rule(self, monkeypatch) -> None:
-        assert gram._CHUNK_MACS == 1 << 25
-        monkeypatch.setattr(gram, "_SPLIT_WORKERS", 2)
-        assert gram._split(4000, 512) == [slice(0, 2000), slice(2000, 4000)]
-        assert gram._split(256, 512) == [slice(0, 128), slice(128, 256)]  # two 2^25 chunks
-        assert gram._split(255, 512) == [slice(0, 255)]  # 255 * 512^2 < 2 * 2^25
-        assert gram._split(16, 64) == [slice(0, 16)]  # a 16-entry M-tree block
-        assert gram._split(8192, 64) == [slice(0, 8192)]  # a whole 64-d tile: 2^25
-        assert gram._split(8192, 8) == [slice(0, 8192)]
-        for n in (4096, 8192, 16384):  # one row is never split, however wide
-            assert gram._split(1, n) == [slice(0, 1)]
-        assert gram._split(2, 8192) == [slice(0, 2)]  # chunks of two rows or more
-        assert gram._split(4, 8192) == [slice(0, 2), slice(2, 4)]
-        monkeypatch.setattr(gram, "_SPLIT_WORKERS", 4)
-        assert [p.stop - p.start for p in gram._split(513, 512)] == [128, 128, 128, 129]
-        assert len(gram._split(512, 512)) == 4
-        assert len(gram._split(384, 512)) == 3
-        monkeypatch.setattr(gram, "_SPLIT_WORKERS", 1)
-        assert gram._split(4000, 512) == [slice(0, 4000)]
-
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_one_and_few_rows_run_unsplit(self, workers, monkeypatch) -> None:
-        """The query context's one row, a pairwise matrix's last rows: a
-        tile too short to split runs whole, with the serial floats."""
-        rows, q = _subnormal_rows(9, 64, seed=workers)
-        matrix = random_spd_matrix(64, condition=10.0, rng=np.random.default_rng(workers))
-        want = [gram.qfd_one_to_many(matrix, q, rows[:count]) for count in (1, 2, 3)]
-        want_pairwise = gram.qfd_pairwise(matrix, rows)
-        _split_at(monkeypatch, workers, macs=1)
-        for count, expected in zip((1, 2, 3), want):
-            assert gram._split(count, 64) == [slice(0, count)]
-            assert np.array_equal(gram.qfd_one_to_many(matrix, q, rows[:count]), expected)
-        assert np.array_equal(gram.qfd_pairwise(matrix, rows), want_pairwise)
-
-    def test_workers_are_the_cores_blas_leaves_idle(self, monkeypatch) -> None:
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        assert gram._split_workers() == 1  # BLAS threads every core itself
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert gram._split_workers() == pool_size(1)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # wins over OMP
-        assert gram._split_workers() == pool_size(2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "auto")
-        assert gram._split_workers() == 1
-
-    @pytest.mark.parametrize("n, m", [(512, 37), (512, 129), (64, 1031)])
-    def test_every_chunk_count_gives_the_serial_floats(self, n, m, monkeypatch) -> None:
-        rows, q = _subnormal_rows(m, n, seed=n + m)
-        matrix = random_spd_matrix(n, condition=50.0, rng=np.random.default_rng(n))
-        results = []
-        for workers in (1, 2, 3, 4):
-            _split_at(monkeypatch, workers)
-            assert len(gram._split(m, n)) == workers
-            results += [
-                gram.qfd_one_to_many(matrix, q, rows),
-                gram.qfd_one_to_many(matrix, q, rows.astype(np.float32)),
-            ]
-        _all_equal(results[0::2])
-        _all_equal(results[1::2])
-        assert np.array_equal(
-            results[1], gram.qfd_one_to_many(matrix, q, rows.astype(np.float32).astype(np.float64))
-        )
-
-    @pytest.mark.parametrize("method, kwargs", [("sequential", {}), ("pivot-table", {"n_pivots": 6})])
-    def test_models_answer_and_charge_alike(self, method, kwargs, monkeypatch) -> None:
-        from repro.color import rgb_bin_prototypes
-        from repro.core import prototype_similarity_matrix
-
-        model = QFDModel(prototype_similarity_matrix(rgb_bin_prototypes(2)).matrix)
-        data, queries = _clustered(61, 3), _clustered(5, 4)
-        runs = []
-        for workers in (1, 2, 3, 4):
-            _split_at(monkeypatch, workers, macs=1)  # every call of >= 4 rows splits
-            rng = {"rng": np.random.default_rng(1)} if method != "sequential" else {}
-            built = model.build_index(method, data, **kwargs, **rng)
-            built.reset_query_costs()
-            answers = [built.knn_search(q, 7) for q in queries]
-            answers += [built.range_search(q, 0.2) for q in queries]
-            runs.append((built.build_costs.distance_computations, answers, built.query_costs()))
-        build_one, answers_one, costs_one = runs[0]
-        for build, answers, costs in runs[1:]:
-            assert build == build_one
-            assert costs.distance_computations == costs_one.distance_computations
-            for got, want in zip(answers, answers_one):
-                assert_same_neighbors(got, want, tol=0.0)
-
-    def test_no_thread_outlives_the_call(self, monkeypatch) -> None:
-        rows, q = _subnormal_rows(257, 512, seed=5)
-        matrix = random_spd_matrix(512, condition=10.0, rng=np.random.default_rng(5))
-        _split_at(monkeypatch, 4)
-        before = threading.active_count()
-        gram.qfd_one_to_many(matrix, q, rows)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_threads_allocate_nothing_of_the_rows_size(self, dtype, monkeypatch) -> None:
-        """The caller allocates every buffer (glibc keeps what a thread
-        frees in that thread's arena).  A split call may exceed the serial
-        peak only by the pool's own bookkeeping and numpy's 64 KiB cast
-        buffer per thread -- far below one chunk's 1 MB difference block."""
-        rows, q = _subnormal_rows(1001, 512, seed=6)
-        rows = rows.astype(dtype)
-        matrix = random_spd_matrix(512, condition=10.0, rng=np.random.default_rng(6))
-        peaks = {}
-        for workers in (1, 2, 4):
-            _split_at(monkeypatch, workers)
-            gram.qfd_one_to_many(matrix, q, rows)  # warm-up
-            tracemalloc.start()
-            gram.qfd_one_to_many(matrix, q, rows)
-            peaks[workers] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        for workers in (2, 4):
-            assert peaks[workers] <= peaks[1] + (workers - 1) * 128 * 1024
-
-    def test_a_forking_executor_runs_after_a_split(self, monkeypatch) -> None:
-        """Fork safety: a process-executor batch right after a split scan
-        completes with the serial batch's answers and charges."""
-        from repro.color import rgb_bin_prototypes
-        from repro.core import prototype_similarity_matrix
-
-        model = QFDModel(prototype_similarity_matrix(rgb_bin_prototypes(2)).matrix)
-        data, queries = _clustered(200, 5), _clustered(6, 6)
-        built = model.build_index("sequential", data)
-        built.reset_query_costs()
-        expected = built.knn_search_batch(queries, 5, executor="serial")
-        serial_costs = built.query_costs().distance_computations
-        _split_at(monkeypatch, 2, macs=1)
-        assert len(gram._split(200, 8)) == 2
-        built.knn_search(queries[0], 5)  # a split scan in this process
-        built.reset_query_costs()
-        got = built.knn_search_batch(queries, 5, executor="process", workers=2)
-        assert built.query_costs().distance_computations == serial_costs
-        for answer, want in zip(got, expected):
-            assert_same_neighbors(answer, want, tol=0.0)
 
 
 class TestBlockInvarianceProperty:

@@ -218,6 +218,9 @@ class TestEdgeCases:
         heap = rows.astype(np.float64)
         assert np.array_equal(gram.qfd_row_norms(matrix, rows), _ref_row_norms(matrix, rows))
         assert np.array_equal(
+            gram.qfd_one_to_many(matrix, q, rows), gram.qfd_one_to_many(matrix, q, heap)
+        )
+        assert np.array_equal(
             QFDKernel(matrix).bind(q).many(rows), _ref_one_to_many(matrix, q, heap)
         )
         assert np.array_equal(
