@@ -180,6 +180,33 @@ class TestBlockSizeInvariance:
                 assert np.array_equal(f32, f64)
 
 
+class TestTileSplit:
+    """A QFD scan split into row tiles gives the one tile's floats."""
+
+    @pytest.mark.parametrize("n, m", [(512, 37), (512, 129), (64, 1031)])
+    def test_every_chunk_count_gives_the_serial_floats(self, n, m, monkeypatch) -> None:
+        """Histogram rows with float64 subnormals (the flush path), split into
+        one to four tiles of two rows or more, at 512-d and 64-d."""
+        rng = np.random.default_rng(n + m)
+        rows = rng.dirichlet(np.full(n, 1e-3), size=m)
+        q = rng.dirichlet(np.full(n, 1e-3))
+        matrix = random_spd_matrix(n, condition=50.0, rng=np.random.default_rng(n))
+        results = []
+        for chunks in (1, 2, 3, 4):
+            monkeypatch.setattr(gram, "_TILE_ROWS", -(-m // chunks))
+            tiles = row_tiles(m)
+            assert len(tiles) == chunks and min(len(range(m)[t]) for t in tiles) > 1
+            results += [
+                gram.qfd_one_to_many(matrix, q, rows),
+                gram.qfd_one_to_many(matrix, q, rows.astype(np.float32)),
+            ]
+        _all_equal(results[0::2])
+        _all_equal(results[1::2])
+        assert np.array_equal(
+            results[1], gram.qfd_one_to_many(matrix, q, rows.astype(np.float32).astype(np.float64))
+        )
+
+
 class TestBlockInvarianceProperty:
     @given(
         seed=st.integers(0, 10_000),
