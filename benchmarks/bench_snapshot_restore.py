@@ -8,14 +8,19 @@ For each registered access method, in both models, this bench:
 3. restores it with ``load_index`` and records the restore's distance
    evaluations (asserted **zero** — the entire point of structural
    snapshots) and wall time;
-4. runs the workload's kNN queries against both copies and asserts the
+4. restores it once more under :mod:`tracemalloc` and records the
+   restore's allocation peak and the memory the restored index keeps
+   (MB over the pre-restore baseline) — a restore that decodes a member
+   and then copies it peaks well above what it keeps;
+5. runs the workload's kNN queries against both copies and asserts the
    answers are bit-identical.
 
 The QFD model covers every MAM; the QMap model additionally covers the
 SAMs (R-tree, X-tree, VA-file), which only exist behind the Euclidean
-transform.  The full run writes ``BENCH_snapshot.json`` at the repository
-root; ``--smoke`` runs a tiny grid without writing, as a CI liveness
-check.
+transform.  The full run (m = 8 000, so that a paged M-tree's page image
+outweighs the snapshot reader's blocks in flight) writes
+``BENCH_snapshot.json`` at the repository root; ``--smoke`` runs a tiny
+grid without writing, as a CI liveness check.
 
 Usage::
 
@@ -25,9 +30,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from _common import write_report
@@ -65,6 +72,22 @@ MAM_METHODS = (
 SAM_METHODS = ("rtree", "xtree", "vafile")
 
 
+def traced_restore(model, saved: str) -> tuple[float, float]:
+    """The allocation peak and the retained size of one restore, in MB over
+    the allocations live before it (the retained size is read while the
+    restored index is still alive)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        restored = model.load_index(saved)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del restored
+    return (peak - baseline) / 1e6, (retained - baseline) / 1e6
+
+
 def run_method(model, method: str, workload, k: int, tmpdir: str) -> dict:
     """Build, save, restore and cross-check one (model, method) pair."""
     kwargs = METHOD_KWARGS.get(method, {})
@@ -85,6 +108,8 @@ def run_method(model, method: str, workload, k: int, tmpdir: str) -> dict:
     assert restore.transforms == 0, (
         f"{model.name}/{method}: restore paid {restore.transforms} transforms"
     )
+
+    peak_mb, retained_mb = traced_restore(model, saved)
 
     for q in workload.queries:
         got = [(n.index, n.distance) for n in restored.knn_search(q, k)]
@@ -108,6 +133,8 @@ def run_method(model, method: str, workload, k: int, tmpdir: str) -> dict:
             "distance_computations": restore.distance_computations,
             "transforms": restore.transforms,
             "seconds": restore.seconds,
+            "peak_mb": peak_mb,
+            "retained_mb": retained_mb,
         },
         "restore_speedup": build.seconds / restore.seconds
         if restore.seconds > 0
@@ -135,7 +162,7 @@ def main() -> None:
         mams: tuple[str, ...] = ("pivot-table", "mtree")
         sams: tuple[str, ...] = ("vafile",)
     else:
-        m, n_queries, bins, k = 1000, 10, 4, 10
+        m, n_queries, bins, k = 8000, 10, 4, 10
         mams, sams = MAM_METHODS, SAM_METHODS
 
     workload = histogram_workload(m, n_queries, bins_per_channel=bins, seed=2011)
@@ -155,7 +182,8 @@ def main() -> None:
     }
     header = (
         f"{'model':>6} {'method':>16} {'build-evals':>12} {'build-s':>9} "
-        f"{'restore-evals':>13} {'restore-s':>10} {'speedup':>8}"
+        f"{'restore-evals':>13} {'restore-s':>10} {'speedup':>8} "
+        f"{'peak-MB':>8} {'kept-MB':>8}"
     )
     print(header)
     print("-" * len(header))
@@ -176,7 +204,9 @@ def main() -> None:
                 f"{entry['build']['seconds']:>9.3f} "
                 f"{entry['restore']['distance_computations']:>13} "
                 f"{entry['restore']['seconds']:>10.4f} "
-                f"{entry['restore_speedup']:>7.1f}x"
+                f"{entry['restore_speedup']:>7.1f}x "
+                f"{entry['restore']['peak_mb']:>8.2f} "
+                f"{entry['restore']['retained_mb']:>8.2f}"
             )
     report["metrics"] = metrics_block(registry)
 

@@ -66,7 +66,10 @@ class PagedMTree(MTreeSearchMixin, AccessMethod):
     cache_pages:
         LRU node-cache capacity (the paper's "fixed-size disk cache").
     path:
-        Optional real file for the pages (in-memory by default).
+        Optional real file for the pages.  By default they are the rows of
+        one in-memory page array; a restored snapshot's page image becomes
+        that array without a copy, and is copied only by the first write
+        (an insert), never written in place.
     split_policy, rng:
         Promotion policy of every split, and the randomness it draws on.
     bulk_load:
@@ -186,7 +189,7 @@ class PagedMTree(MTreeSearchMixin, AccessMethod):
     def structural_state(self) -> dict[str, np.ndarray]:
         # The page image *is* the structure: every page verbatim, read past
         # the LRU cache so saving does not disturb the hit/fault statistics
-        # the benchmarks report.
+        # the benchmarks report (in memory, a read-only view of the pages).
         state = {
             "pages": self._file.image(),
             "root_page": np.int64(self._root_page),
@@ -206,7 +209,8 @@ class PagedMTree(MTreeSearchMixin, AccessMethod):
         super()._restore_state(state)
         self._set_params(capacity, policy, error=StorageError)
         self._open_pages(cache_pages)
-        # Refuses pages that are not this capacity's and dimension's size.
+        # Adopts the pages without a copy; refuses pages that are not this
+        # capacity's and dimension's size.
         self._file.load_image(pages)
         if not 0 <= root_page < self._file.n_pages:
             raise StorageError(

@@ -149,16 +149,20 @@ class LRUPageCache:
         """
         out = []
         with self._lock:
-            pages, stats = self._pages, self._stats
+            pages, stats, capacity = self._pages, self._stats, self._capacity
+            read = self._backing.read_page
             for page_id in page_ids:
                 data = pages.get(page_id)
                 if data is not None:
                     stats.hits += 1
                     pages.move_to_end(page_id)
                 else:
+                    # A fault appends the page as the most recent and
+                    # overflows the cache by at most the one page.
                     stats.faults += 1
-                    data = self._backing.read_page(page_id)
-                    self._insert(page_id, data)
+                    data = pages[page_id] = read(page_id)
+                    if len(pages) > capacity:
+                        pages.popitem(last=False)
                 out.append(data)
         return out
 
