@@ -43,6 +43,11 @@ from __future__ import annotations
 
 import numpy as np
 
+try:  # numpy's einsum is this C function behind a Python dispatcher
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+
 __all__ = [
     "RECHECK_REL",
     "qfd_row_norms",
@@ -603,11 +608,12 @@ def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Past one tile (``_L2_TILE_FLOATS`` worth of rows) rows stream through
     one reused buffer — same floats, no ``m x n`` temporary.
     """
-    if rows.size <= _L2_TILE_FLOATS:  # a node, a refinement block: the one-shot form
-        diff = _as64(rows) - _as64(q)
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    step = max(1, _L2_TILE_FLOATS // rows.shape[1])
     q = _as64(q)
+    if rows.size <= _L2_TILE_FLOATS:  # a node, a refinement block: the one-shot form
+        diff = rows - q  # a float64 q upcasts any other rows exactly
+        out = _einsum("ij,ij->i", diff, diff)
+        return np.sqrt(out, out=out)
+    step = max(1, _L2_TILE_FLOATS // rows.shape[1])
     n = rows.shape[0]
     out = np.empty(n, dtype=np.float64)
     buffer = np.empty((min(step, n), rows.shape[1]), dtype=np.float64)
@@ -636,21 +642,31 @@ def qfd_pairwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def l2_pairwise(rows: np.ndarray) -> np.ndarray:
-    """Pairwise L2 distance matrix via the Gram expansion (+ recheck)."""
+    """Pairwise L2 distance matrix via the Gram expansion (+ recheck).
+
+    ``(|u|^2 + |v|^2) - (uv^T + vu^T)``, the norm sum reused for the
+    recheck threshold, every step in place: a split's 17-row matrix is a
+    dozen numpy calls.
+    """
     rows = _as64(rows)
-    row_norms = l2_row_norms(rows)
-    cross = rows @ rows.T
-    sq = row_norms[:, None] + row_norms[None, :] - (cross + cross.T)
-    np.fill_diagonal(sq, 0.0)
-    suspect = sq <= RECHECK_REL * (row_norms[:, None] + row_norms[None, :])
-    np.fill_diagonal(suspect, False)
-    ii, jj = np.nonzero(np.triu(suspect, 1))
-    if ii.size:
+    diagonal = slice(None, None, rows.shape[0] + 1)  # of the flattened matrix
+    row_norms = _einsum("ij,ij->i", rows, rows)
+    norm_sums = np.add.outer(row_norms, row_norms)
+    sq = rows @ rows.T
+    sq += sq.T  # numpy buffers the overlapping operand
+    np.subtract(norm_sums, sq, out=sq)
+    sq.ravel()[diagonal] = 0.0
+    norm_sums *= RECHECK_REL
+    suspect = np.less_equal(sq, norm_sums)
+    suspect.ravel()[diagonal] = False
+    if suspect.any():
+        ii, jj = np.nonzero(np.triu(suspect, 1))
         diff = rows[ii] - rows[jj]
-        exact = np.einsum("ij,ij->i", diff, diff)
+        exact = _einsum("ij,ij->i", diff, diff)
         sq[ii, jj] = exact
         sq[jj, ii] = exact
-    return np.sqrt(np.maximum(sq, 0.0))
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def l2_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:

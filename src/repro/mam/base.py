@@ -386,11 +386,12 @@ class BoundQuery:
         return self._query
 
     def compute_many(self, rows: np.ndarray) -> np.ndarray:
-        """Physically evaluate query-to-rows distances without charging."""
-        if rows.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
-        if self._ctx is not None:
-            return self._ctx.many(rows)
+        """Physically evaluate query-to-rows distances without charging:
+        the kernel context's one call (no rows give no distances there as
+        in the port's form).  A traversal binds it once per query."""
+        ctx = self._ctx
+        if ctx is not None:
+            return ctx.many(rows)
         return self._port.compute_many(self._query, rows)
 
     def many(self, rows: np.ndarray, *, charge: str | None = "rows") -> np.ndarray:

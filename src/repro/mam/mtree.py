@@ -76,7 +76,7 @@ class _Node:
     per-entry fields are views of the filled ones.  The write path makes
     its nodes (:meth:`empty`, :meth:`take`) with room for ``capacity + 1``, so
     an insert is a few scalar stores; a restored, bulk-built or
-    page-decoded node arrives exactly full and its first :meth:`append`
+    page-decoded node arrives exactly full and its first :meth:`splice`
     moves it to slots of twice the size.
 
     Attributes
@@ -93,10 +93,12 @@ class _Node:
         Per-entry child reference — a :class:`_Node` in RAM, a page id on
         disk; empty for a leaf.
     rows:
-        ``(n, dim)`` entry vectors when the node carries its own copy (a
-        deserialized page); ``None`` when they are gathered from the
-        database as ``data[index]``, which is what keeps a memory-mapped
-        store off the heap.
+        ``(n, dim)`` entry vectors when the node carries its own copy, bit
+        for bit ``data[index]``: every deserialized page, and every internal
+        node of an in-memory tree (the insert descent evaluates them without
+        a gather).  ``None`` when they are gathered from the database as
+        ``data[index]``: an in-memory leaf, and every node over a
+        memory-mapped database, which is what keeps that store off the heap.
     """
 
     __slots__ = (
@@ -146,56 +148,52 @@ class _Node:
     def __len__(self) -> int:
         return self.index.shape[0]
 
-    def append(
-        self,
-        index: int,
-        radius: float,
-        dist_to_parent: float,
-        child: object = None,
-        row: np.ndarray | None = None,
-    ) -> None:
-        """Add one entry at the end, in place (a node without a free slot
-        moves to bigger slots first)."""
+    def splice(self, pos: int | None, entries: list[tuple]) -> None:
+        """Drop the entry at *pos* (none for ``None``), keeping the others in
+        order, and append *entries* — ``(index, radius, dist_to_parent,
+        child, row)`` tuples — in place (a node without the free slots moves
+        to bigger ones first)."""
         n = self.index.shape[0]
-        if n == self._slots[0].shape[0]:
+        kept = n if pos is None else n - 1
+        if kept + len(entries) > self._slots[0].shape[0]:
             self._slots = tuple(
-                None if held is None else grown(held, n, 1) for held in self._slots
+                None if held is None else grown(held, n, len(entries)) for held in self._slots
             )
-        slots = self._slots
-        slots[0][n] = index
-        slots[1][n] = radius
-        slots[2][n] = dist_to_parent
-        if slots[3] is not None:
-            slots[3][n] = row
-        if not self.is_leaf:
-            self.children.append(child)
-        self._fill(n + 1)
-
-    def remove(self, pos: int) -> None:
-        """Drop the entry at *pos*, keeping the others in order."""
-        n = self.index.shape[0]
-        for held in self._slots:
-            if held is not None:
-                held[pos : n - 1] = held[pos + 1 : n]
-        del self.children[pos]
-        self._fill(n - 1)
+        if pos is not None:
+            for held in self._slots:
+                if held is not None:
+                    held[pos:kept] = held[pos + 1 : n]
+            del self.children[pos]
+        index, radius, dist_to_parent, rows = self._slots
+        for at, (entry, cover, to_parent, child, row) in enumerate(entries, kept):
+            index[at] = entry
+            radius[at] = cover
+            dist_to_parent[at] = to_parent
+            if rows is not None:
+                rows[at] = row
+            if not self.is_leaf:
+                self.children.append(child)
+        self._fill(kept + len(entries))
 
     def take(self, members: np.ndarray, dist_to_parent: np.ndarray, room: int) -> "_Node":
-        """A node of the entries at *members*, with new parent distances,
-        in at least *room* slots."""
-        taken = members.shape[0]
-
-        def slots(values: np.ndarray) -> np.ndarray:
-            return grown(values, taken, room - taken)
-
+        """A node of the entries at *members*, their parent distances now
+        *dist_to_parent* (one per entry of this node), in *room* slots."""
+        # *members* are positions of this node: "clip" never moves one, and
+        # unlike "raise" it writes the slots without a buffer.
+        taken = slice(members.shape[0])
+        slots = [np.empty(room, np.intp), np.empty(room), np.empty(room), None]
+        for source, slot in zip((self.index, self.radius, dist_to_parent), slots):
+            source.take(members, out=slot[taken], mode="clip")
+        if self.rows is not None:
+            slots[3] = np.empty((room, self.rows.shape[1]))
+            self.rows.take(members, axis=0, out=slots[3][taken], mode="clip")
+        children = self.children
         return _Node(
             self.is_leaf,
-            slots(self.index[members]),
-            slots(self.radius[members]),
-            slots(dist_to_parent),
-            [self.children[pos] for pos in members.tolist()] if self.children else [],
-            None if self.rows is None else slots(self.rows[members]),
-            taken,
+            *slots[:3],
+            [children[pos] for pos in members.tolist()] if children else [],
+            slots[3],
+            taken.stop,
         )
 
 
@@ -251,12 +249,18 @@ def min_max_radius_pair(
     """mM_RAD promotion: which candidate pair ``(first[i], second[i])``
     minimizes the larger of the two covering radii its hyperplane partition
     would produce (the earliest on ties), reading all distances from the
-    precomputed *pairwise* matrix."""
-    to_first, to_second = pairwise[first], pairwise[second]  # one row per pair
-    closer_to_first = to_first <= to_second
-    radius1 = np.where(closer_to_first, to_first + subtree_radii, 0.0).max(axis=1)
-    radius2 = np.where(closer_to_first, 0.0, to_second + subtree_radii).max(axis=1)
-    return int(np.argmin(np.maximum(radius1, radius2)))
+    precomputed *pairwise* matrix.
+
+    Every entry joins the nearer candidate, so the larger radius is the
+    largest ``min(d1, d2) + r`` over the node: the very sums the two radii
+    take their maxima of, and so the same floats (rounding is monotone, so
+    ``min(d1 + r, d2 + r)`` is that sum).  One column per pair: numpy
+    reduces across rows far faster than along 17-float ones.
+    """
+    reach = pairwise.T + subtree_radii[:, None]  # [entry, candidate]
+    scores = reach.take(first, axis=1)
+    np.minimum(scores, reach.take(second, axis=1), out=scores)
+    return int(scores.max(axis=0).argmin())
 
 
 def partition(
@@ -272,12 +276,15 @@ def partition(
     d1, d2 = pairwise[first], pairwise[second]
     to_first = d1 <= d2
     to_first[first], to_first[second] = True, False
-    group1, group2 = np.flatnonzero(to_first), np.flatnonzero(~to_first)
-    node1 = node.take(group1, d1[group1], room)
-    node2 = node.take(group2, d2[group2], room)
-    radius1 = float((node1.dist_to_parent + node1.radius).max(initial=0.0))
-    radius2 = float((node2.dist_to_parent + node2.radius).max(initial=0.0))
-    return node1, node2, radius1, radius2
+    # An entry's distance to the object it joins: the nearer one (the
+    # diagonal's zeros make it so for the two promoted entries too).
+    near = np.minimum(d1, d2)
+    reach = near + node.radius
+    nodes, radii = [], []
+    for side in (to_first, ~to_first):
+        nodes.append(node.take(side.nonzero()[0], near, room))
+        radii.append(float(reach.max(where=side, initial=0.0)))
+    return nodes[0], nodes[1], radii[0], radii[1]
 
 
 class MTreeSearchMixin(NodeBatchedSearchMixin):
@@ -346,6 +353,12 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         """
         data = self._data
         return data.view(np.ndarray) if isinstance(data, np.memmap) else data
+
+    def _routing_dim(self) -> int | None:
+        """Row width of the routing rows an internal node keeps, or ``None``
+        over a memory-mapped database, whose rows stay off the heap (the
+        test :meth:`_plain_rows` makes)."""
+        return None if isinstance(self._data, np.memmap) else self.dim
 
     def _evaluate(self, bound: BoundQuery, heads: list, done: dict) -> None:
         """Open and evaluate the nodes of *heads* — ``(ref, d(query, routing
@@ -542,15 +555,19 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         descend, append to the leaf, split overflowing nodes upward.
 
         The descent is charged once, as the batched rows its per-level
-        one-to-many calls amount to.
+        one-to-many calls amount to: one kernel call per level, over the
+        routing rows the internal node keeps (gathered only where it keeps
+        none).
         """
-        bound = self._port.bind_query(vector)
+        many = self._port.bind_query(vector).compute_many
+        data = self._plain_rows()
         path: list[tuple[object, int]] = []  # (node ref, chosen routing position)
         ref, node = None, self._load(None)
         descent = 0.0
         evaluated = 0
         while not node.is_leaf:
-            dists = bound.compute_many(self._entry_rows(node)).tolist()
+            rows = node.rows
+            dists = many(data[node.index] if rows is None else rows).tolist()
             evaluated += len(dists)
             radii = node.radius.tolist()
             pos = choose_subtree(dists, radii)
@@ -562,7 +579,7 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
             ref = node.children[pos]
             node = self._load(ref)
         self._port.charge(rows=evaluated)
-        node.append(index, 0.0, descent, row=vector)
+        node.splice(None, [(index, 0.0, descent, None, vector)])
         if len(node) <= self._capacity:
             self._write_node(ref, node)
         else:
@@ -583,12 +600,9 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
         if path:
             parent_ref, pos = path[-1]
             parent = self._load(parent_ref)
-            parent.remove(pos)
         else:
-            parent_ref = self._alloc()  # a new root, two entries
-            parent = _Node.empty(
-                False, room, None if node.rows is None else node.rows.shape[1]
-            )
+            parent_ref, pos = self._alloc(), None  # a new root, two entries
+            parent = _Node.empty(False, room, self._routing_dim())
         grandparent = None
         if len(path) >= 2:
             above_ref, above_pos = path[-2]
@@ -597,10 +611,13 @@ class MTreeSearchMixin(NodeBatchedSearchMixin):
             )
         # Routing entries keep the promoted object's database index: a
         # snapshot stores indices and recovers the rows from the database.
+        entries = []
         for promoted, radius, child in ((first, radius1, child1), (second, radius2, child2)):
             row = self._entry_rows(node, promoted)
             to_parent = 0.0 if grandparent is None else grandparent.one(row)
-            parent.append(int(node.index[promoted]), radius, to_parent, child, row)
+            entries.append((int(node.index[promoted]), radius, to_parent, child, row))
+        # The split entry goes; the two promoted ones join at the end.
+        parent.splice(pos, entries)
         if len(parent) > self._capacity:
             self._split(parent_ref, parent, path[:-1])
         elif path:
@@ -775,7 +792,8 @@ class MTree(MTreeSearchMixin, AccessMethod):
         Randomness for the random split policy and promotion sampling.
     """
 
-    #: Nodes hold database *indices*; bulk loads, inserts and queries
+    #: Nodes hold database *indices* (over a heap database, internal
+    #: nodes also their routing rows); bulk loads, inserts and queries
     #: gather rows per node / per seed set / per cross chunk, so a
     #: memory-mapped database is never materialized on the heap.
     supports_out_of_core = True
@@ -876,7 +894,7 @@ class MTree(MTreeSearchMixin, AccessMethod):
         """
         n = int(indices.shape[0])
         data = self._plain_rows()
-        if n <= self._capacity:
+        if n <= self._capacity:  # a leaf: its rows are gathered, not kept
             medoid, dists = self._medoid_distances(data[indices])
             # Copies: a slice of *indices* or a row of the medoid matrix
             # would pin its whole parent array for the tree's lifetime.
@@ -913,8 +931,12 @@ class MTree(MTreeSearchMixin, AccessMethod):
             return built[0]
         index = np.array([routing for _, _, routing in built], np.intp)
         radius = np.array([cover for _, cover, _ in built])
-        medoid, dists = self._medoid_distances(data[index])
-        node = _Node(False, index, radius, np.array(dists), [child for child, _, _ in built])
+        rows = data[index]
+        medoid, dists = self._medoid_distances(rows)
+        node = _Node(
+            False, index, radius, np.array(dists), [child for child, _, _ in built],
+            None if self._routing_dim() is None else rows,
+        )
         return node, float((dists + radius).max(initial=0.0)), int(index[medoid])
 
     # ------------------------------------------------------------------
@@ -1009,16 +1031,15 @@ class MTree(MTreeSearchMixin, AccessMethod):
             )
 
         offsets = np.concatenate(([0], np.cumsum(entry_count))).tolist()
-        nodes = [
-            _Node(
-                bool(is_leaf[nid]),
-                entry_index[lo:hi].astype(np.intp),
-                entry_radius[lo:hi].copy(),
-                entry_dtp[lo:hi].copy(),
-                [],
-            )
-            for nid, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
-        ]
+        data = None if self._routing_dim() is None else self._plain_rows()
+        nodes = []
+        for nid, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            index = entry_index[lo:hi].astype(np.intp)
+            leaf = bool(is_leaf[nid])
+            nodes.append(_Node(
+                leaf, index, entry_radius[lo:hi].copy(), entry_dtp[lo:hi].copy(), [],
+                None if leaf or data is None else data[index],
+            ))
         child_seen = np.zeros(n_nodes, dtype=bool)
         for nid, node in enumerate(nodes):
             links = entry_child[offsets[nid] : offsets[nid + 1]]

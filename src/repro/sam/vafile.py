@@ -36,6 +36,11 @@ from ._minkowski import minkowski_port, validate_order
 __all__ = ["VAFile"]
 
 
+#: Cells per block of :meth:`VAFile._cell_walls`' gather: its index and
+#: gathered temporaries stay at 512 KB each, whatever the table's size.
+_WALL_BLOCK = 65536
+
+
 class VAFile(AccessMethod):
     """Vector approximation file for Minkowski queries.
 
@@ -74,11 +79,7 @@ class VAFile(AccessMethod):
         self._boundaries[0] -= 1e-12
         self._boundaries[-1] += 1e-12
         self._approx = self._quantize(self._data)
-        # The per-object cell walls are static — precompute them once so a
-        # query only pays the gap arithmetic, not the gather.
-        cells_idx = self._approx.astype(np.int64)
-        self._cell_lower = np.take_along_axis(self._boundaries, cells_idx, axis=0)
-        self._cell_upper = np.take_along_axis(self._boundaries, cells_idx + 1, axis=0)
+        self._cell_lower, self._cell_upper = self._cell_walls(self._approx)
 
     @property
     def bits(self) -> int:
@@ -134,12 +135,12 @@ class VAFile(AccessMethod):
             raise StorageError(
                 "VA-file snapshot: approximation cell out of range"
             )
+        # Adopted, not copied: nothing writes either in place (an insert
+        # stacks new arrays), so the snapshot's arrays stay as decoded.
         self._bits = bits
-        self._boundaries = boundaries.copy()
-        self._approx = approx.copy()
-        cells_idx = self._approx.astype(np.int64)
-        self._cell_lower = np.take_along_axis(self._boundaries, cells_idx, axis=0)
-        self._cell_upper = np.take_along_axis(self._boundaries, cells_idx + 1, axis=0)
+        self._boundaries = boundaries
+        self._approx = approx
+        self._cell_lower, self._cell_upper = self._cell_walls(approx)
 
     def _verify_state_probe(self) -> None:
         # Re-quantizing the first row with the stored grid must reproduce
@@ -156,6 +157,24 @@ class VAFile(AccessMethod):
     def approximation_bytes(self) -> int:
         """Size of the approximation table in bytes (the VA-file's claim)."""
         return self._approx.size * self._approx.itemsize
+
+    def _cell_walls(self, approx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per object and axis, the lower and the upper wall of its cell.
+
+        The walls are static, so a query pays only the gap arithmetic, not
+        the gather.  Gathered in blocks of rows, the upper wall from the
+        edges shifted by one rather than from ``cell + 1``: the temporaries
+        are one block's, never an int64 copy of the whole table.
+        """
+        lower = np.empty(approx.shape)
+        upper = np.empty(approx.shape)
+        step = max(1, _WALL_BLOCK // approx.shape[1])
+        for start in range(0, approx.shape[0], step):
+            block = slice(start, start + step)
+            cells = approx[block].astype(np.intp)
+            lower[block] = np.take_along_axis(self._boundaries[:-1], cells, axis=0)
+            upper[block] = np.take_along_axis(self._boundaries[1:], cells, axis=0)
+        return lower, upper
 
     def _quantize(self, rows: np.ndarray) -> np.ndarray:
         cells = 2**self._bits
@@ -177,14 +196,10 @@ class VAFile(AccessMethod):
         drifting data merely loosens the outermost cells.
         """
         approx = self._quantize(vector.reshape(1, -1))
-        cells_idx = approx.astype(np.int64)
+        lower, upper = self._cell_walls(approx)
         self._approx = np.vstack([self._approx, approx])
-        self._cell_lower = np.vstack(
-            [self._cell_lower, np.take_along_axis(self._boundaries, cells_idx, axis=0)]
-        )
-        self._cell_upper = np.vstack(
-            [self._cell_upper, np.take_along_axis(self._boundaries, cells_idx + 1, axis=0)]
-        )
+        self._cell_lower = np.vstack([self._cell_lower, lower])
+        self._cell_upper = np.vstack([self._cell_upper, upper])
 
     def _bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-object lower and upper bounds on d(query, object)."""

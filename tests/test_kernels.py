@@ -424,3 +424,52 @@ class TestCountingDistanceThreadSafety:
         assert not bad
         assert counter.stats.calls == 8000 and counter.stats.batch_rows == 8000
         assert counter.count == 16000
+
+
+def _l2_pairwise_before(rows: np.ndarray) -> np.ndarray:
+    """``l2_pairwise`` as it stood before its in-place form, verbatim."""
+    rows = np.asarray(rows, dtype=np.float64)
+    row_norms = np.einsum("ij,ij->i", rows, rows)
+    cross = rows @ rows.T
+    sq = row_norms[:, None] + row_norms[None, :] - (cross + cross.T)
+    np.fill_diagonal(sq, 0.0)
+    suspect = sq <= 1e-12 * (row_norms[:, None] + row_norms[None, :])
+    np.fill_diagonal(suspect, False)
+    ii, jj = np.nonzero(np.triu(suspect, 1))
+    if ii.size:
+        diff = rows[ii] - rows[jj]
+        exact = np.einsum("ij,ij->i", diff, diff)
+        sq[ii, jj] = exact
+        sq[jj, ii] = exact
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+class TestL2PairwiseFloats:
+    """The split's pairwise matrix keeps its floats bit for bit (its
+    arithmetic is the Gram form's, whose error budget is owned elsewhere):
+    every size a node split meets, float32 rows, and duplicates, which take
+    the exact recheck."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 17, 33])
+    def test_random_rows(self, n) -> None:
+        rng = np.random.default_rng(n)
+        for dim in (4, 64):
+            rows = rng.dirichlet(np.full(dim, 0.05), size=n)
+            assert np.array_equal(l2_pairwise(rows), _l2_pairwise_before(rows))
+            rows32 = rows.astype(np.float32)
+            assert np.array_equal(l2_pairwise(rows32), _l2_pairwise_before(rows32))
+
+    def test_duplicates_take_the_recheck(self) -> None:
+        rng = np.random.default_rng(3)
+        rows = rng.random((17, 64))
+        rows[[4, 9, 16]] = rows[2]  # exact duplicates: Gram noise, rechecked to 0
+        rows[11] = rows[5] * (1 + 1e-9)  # a near-duplicate below the threshold
+        norms = np.einsum("ij,ij->i", rows, rows)
+        gram_sq = norms[:, None] + norms[None, :] - 2.0 * (rows @ rows.T)
+        # Every duplicate pair and the near one fall under the recheck.
+        assert (gram_sq[2, [4, 9, 16]] <= 1e-12 * 2 * norms[2]).all()
+        assert gram_sq[5, 11] <= 1e-12 * (norms[5] + norms[11])
+        got = l2_pairwise(rows)
+        assert np.array_equal(got, _l2_pairwise_before(rows))
+        assert (got[2, [4, 9, 16]] == 0.0).all() and (got[[4, 9, 16], 2] == 0.0).all()
+        assert np.array_equal(got, got.T) and (np.diagonal(got) == 0.0).all()

@@ -334,3 +334,64 @@ class TestWritePath:
             each.validate_invariants()
             state, want = each.structural_state(), tree.structural_state()
             assert all(np.array_equal(state[key], want[key]) for key in want)
+
+
+class TestRoutingRows:
+    """An in-memory tree's internal nodes keep their routing rows — what the
+    insert descent evaluates without a gather — bit for bit ``data[index]``;
+    leaves, and every node over a memory-mapped store, keep none."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return clustered_histograms(1500, 16, themes=10, rng=np.random.default_rng(17))
+
+    @staticmethod
+    def assert_routing_rows(tree: MTree) -> int:
+        internal = 0
+        for node in tree._preorder():
+            if node.is_leaf:
+                assert node.rows is None
+                continue
+            internal += 1
+            assert node.rows is not None and node.rows.dtype == np.float64
+            assert np.array_equal(node.rows, tree.database[node.index])
+            assert np.shares_memory(node.rows, node._slots[3])
+        return internal
+
+    def test_every_build_and_restore_keeps_them(self, rows) -> None:
+        inserted = MTree(rows[:1000], euclidean, capacity=6)
+        bulk = MTree(rows[:1000], euclidean, capacity=6, bulk_load=True)
+        restored = MTree.from_state(rows[:1000], euclidean, inserted.structural_state())
+        for tree in (inserted, bulk, restored):
+            assert self.assert_routing_rows(tree) > 10
+            for row in rows[1000:1300]:
+                tree.insert(row)
+            self.assert_routing_rows(tree)
+            twin = pickle.loads(pickle.dumps(tree))
+            self.assert_routing_rows(twin)
+            for row in rows[1300:]:
+                twin.insert(row)
+            self.assert_routing_rows(twin)
+            twin.validate_invariants()
+        # The restored tree grew exactly as the one it was restored from.
+        want = inserted.structural_state()
+        got = restored.structural_state()
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+
+    @pytest.mark.parametrize("bulk_load", [False, True])
+    def test_a_memory_mapped_store_keeps_none(self, rows, tmp_path, bulk_load) -> None:
+        path = tmp_path / "rows.bin"
+        rows.astype(np.float32).tofile(path)
+        mapped = np.memmap(path, dtype=np.float32, mode="r", shape=rows.shape)
+        tree = MTree(mapped, euclidean, capacity=6, bulk_load=bulk_load)
+        restored = MTree.from_state(mapped, euclidean, tree.structural_state())
+        for each in (tree, restored):
+            assert isinstance(each.database, np.memmap)
+            assert each.height() >= 3
+            assert all(node.rows is None for node in each._preorder())
+        heap = MTree(
+            rows.astype(np.float32).astype(np.float64), euclidean, capacity=6,
+            bulk_load=bulk_load,
+        )
+        state, want = tree.structural_state(), heap.structural_state()
+        assert all(np.array_equal(state[key], want[key]) for key in want)
