@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._typing import ArrayLike, Matrix, Vector, as_vector, as_vector_batch
+from ..distances.minkowski import euclidean
 from ..kernels.cholesky_cache import cached_cholesky
 from ..kernels.gram import _flush_subnormals
 from .qfd import QuadraticFormDistance
@@ -47,7 +48,7 @@ class QMap:
     >>> a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
     >>> qmap = QMap(a)
     >>> u, v = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-    >>> l2 = np.linalg.norm(qmap.transform(u) - qmap.transform(v))
+    >>> l2 = qmap.euclidean(qmap.transform(u), qmap.transform(v))
     >>> bool(np.isclose(l2, qmap.qfd(u, v)))
     True
     """
@@ -125,7 +126,7 @@ class QMap:
         """L2 distance in the target space (equals the source-space QFD)."""
         a = as_vector(u_prime, self.dim, name="u_prime")
         b = as_vector(v_prime, self.dim, name="v_prime")
-        return float(np.linalg.norm(a - b))
+        return euclidean(a, b)
 
     def distance_via_map(self, u: ArrayLike, v: ArrayLike) -> float:
         """QFD computed the QMap way: transform both vectors, then L2.

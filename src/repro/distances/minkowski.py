@@ -50,10 +50,14 @@ def manhattan(u: ArrayLike, v: ArrayLike) -> float:
 
 
 def euclidean(u: ArrayLike, v: ArrayLike) -> float:
-    """L2 (Euclidean) distance — the target space of the QMap model."""
+    """L2 (Euclidean) distance — the target space of the QMap model.
+
+    The floats of :func:`~repro.kernels.gram.l2_one_to_many`, which every
+    batched and per-query L2 evaluation gives too.
+    """
     a = as_vector(u, name="u")
     b = as_vector(v, a.shape[0], name="v")
-    return float(np.linalg.norm(a - b))
+    return float(l2_one_to_many(a, b[None, :])[0])
 
 
 def chessboard(u: ArrayLike, v: ArrayLike) -> float:

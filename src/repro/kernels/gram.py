@@ -6,11 +6,10 @@ The QFD has one arithmetic, the difference form of paper Section 1.2,
 
 O(n^2) per pair however it is batched (:func:`qfd_one_to_many`, and
 :func:`qfd_pairwise` built from it).  Only after QMap is a distance O(n);
-the Euclidean functions here use the Gram expansion
-``|u - v|^2 = uu^T + vv^T - 2 uv^T`` for their matrix forms
-(:func:`l2_pairwise`, :func:`l2_cross`) and the difference form for one
-query (:func:`l2_one_to_many`).  The functions are pure array math — no
-counting, no validation; the charging semantics live in
+the Euclidean distance has one arithmetic too, the difference form of
+:func:`l2_one_to_many` (``v - q``, a row-wise ``einsum``, ``sqrt``), which
+the L2 kernel's matrices repeat row for row.  The functions are pure array
+math — no counting, no validation; the charging semantics live in
 :class:`repro.mam.base.DistancePort`.
 
 The QFD sequential scan rules rows out before it evaluates them
@@ -25,18 +24,6 @@ rows (:func:`qfd_shadow`) and ``v W`` from rows projected once
 (:func:`qfd_project`).  The scan then evaluates in float64 only the rows
 the bound cannot rule out, so what it returns is always the float64
 form's.
-
-Cancellation guard (L2 matrix forms)
-------------------------------------
-The expansion subtracts numbers of size ``uu^T + vv^T`` to produce a
-result that can be arbitrarily small, so tiny distances lose all their
-significant digits (``u == v`` comes out as ``±O(eps * scale)`` instead of
-exactly ``0``).  :func:`l2_pairwise` and :func:`l2_cross` therefore
-*recheck* suspiciously small squared distances — anything below
-``RECHECK_REL * (uu^T + vv^T)`` — with the exact difference form.  The
-threshold is orders of magnitude above the expansion's rounding error and
-orders of magnitude below any distance the expansion can resolve, so the
-recheck changes only values that were pure noise.
 """
 
 from __future__ import annotations
@@ -49,7 +36,6 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as _einsum
 
 __all__ = [
-    "RECHECK_REL",
     "qfd_row_norms",
     "l2_row_norms",
     "qfd_one_to_many",
@@ -62,16 +48,8 @@ __all__ = [
     "abs_sum_radius",
     "l2_one_to_many",
     "qfd_pairwise",
-    "l2_pairwise",
-    "l2_cross",
     "row_tiles",
 ]
-
-#: Relative threshold under which a Gram-expanded squared L2 distance is
-#: indistinguishable from cancellation noise and is recomputed exactly.
-#: The expansion's error is O(eps * scale) ~ 1e-14 * scale; true squared
-#: distances the caller can ever act on are far above 1e-12 * scale.
-RECHECK_REL = 1e-12
 
 _TINY32 = float(np.finfo(np.float32).tiny)
 _TINY64 = float(np.finfo(np.float64).tiny)
@@ -81,7 +59,8 @@ _U64 = 2.0**-53  # unit roundoff of float64
 #: (see :func:`qfd_lower_bound`).
 _LOW, _HIGH = 1.0 - 2.0**-40, 1.0 + 2.0**-40
 
-#: Floats in one tile's difference buffer of :func:`l2_one_to_many` (1 MB, L2-resident).
+#: Floats in one tile's difference buffer of :func:`l2_one_to_many` and of
+#: ``L2Kernel.cross``'s row blocks (1 MB, L2-resident).
 _L2_TILE_FLOATS = 131072
 
 #: Rows per tile of a database-sized operand: 8192 x 512 d x 8 B = 32 MB of
@@ -600,13 +579,15 @@ def _lambda_min_estimate(factor: np.ndarray, sym: np.ndarray) -> float:
 
 
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """L2 distances from *q* to every row — difference-based on purpose.
+    """L2 distances from *q* to every row: ``sqrt((v - q)(v - q)^T)``.
 
-    For a single query the diff form is already one fused pass and, unlike
-    the Gram form, exact near zero; the QMap-space query path uses it so
-    mapped-space results stay bit-identical to a plain Euclidean scan.
-    Past one tile (``_L2_TILE_FLOATS`` worth of rows) rows stream through
-    one reused buffer — same floats, no ``m x n`` temporary.
+    The Euclidean distance's one arithmetic: the scalar
+    :func:`repro.distances.minkowski.euclidean`, both query contexts'
+    calls and the L2 kernel's ``cross`` / ``pairwise`` rows all give its
+    floats, so a QMap-space index reports what a plain scan does.  ``v ==
+    q`` gives exactly ``0``.  Past one tile (``_L2_TILE_FLOATS`` worth of
+    rows) rows stream through one reused buffer — same floats, no ``m x
+    n`` temporary.
     """
     q = _as64(q)
     if rows.size <= _L2_TILE_FLOATS:  # a node, a refinement block: the one-shot form
@@ -639,46 +620,3 @@ def qfd_pairwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out[i, i + 1 :] = d
         out[i + 1 :, i] = d
     return out
-
-
-def l2_pairwise(rows: np.ndarray) -> np.ndarray:
-    """Pairwise L2 distance matrix via the Gram expansion (+ recheck).
-
-    ``(|u|^2 + |v|^2) - (uv^T + vu^T)``, the norm sum reused for the
-    recheck threshold, every step in place: a split's 17-row matrix is a
-    dozen numpy calls.
-    """
-    rows = _as64(rows)
-    diagonal = slice(None, None, rows.shape[0] + 1)  # of the flattened matrix
-    row_norms = _einsum("ij,ij->i", rows, rows)
-    norm_sums = np.add.outer(row_norms, row_norms)
-    sq = rows @ rows.T
-    sq += sq.T  # numpy buffers the overlapping operand
-    np.subtract(norm_sums, sq, out=sq)
-    sq.ravel()[diagonal] = 0.0
-    norm_sums *= RECHECK_REL
-    suspect = np.less_equal(sq, norm_sums)
-    suspect.ravel()[diagonal] = False
-    if suspect.any():
-        ii, jj = np.nonzero(np.triu(suspect, 1))
-        diff = rows[ii] - rows[jj]
-        exact = _einsum("ij,ij->i", diff, diff)
-        sq[ii, jj] = exact
-        sq[jj, ii] = exact
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq, out=sq)
-
-
-def l2_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """``(a, b)`` L2 distance matrix between two row batches."""
-    rows_a = _as64(rows_a)
-    rows_b = _as64(rows_b)
-    norms_a = l2_row_norms(rows_a)
-    norms_b = l2_row_norms(rows_b)
-    sq = norms_a[:, None] + norms_b[None, :] - 2.0 * (rows_a @ rows_b.T)
-    suspect = sq <= RECHECK_REL * (norms_a[:, None] + norms_b[None, :])
-    ii, jj = np.nonzero(suspect)
-    if ii.size:
-        diff = rows_a[ii] - rows_b[jj]
-        sq[ii, jj] = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(np.maximum(sq, 0.0))

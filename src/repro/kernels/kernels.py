@@ -18,11 +18,12 @@ small object interface the access-method layer can hold on to:
     scan evaluates only the rows it cannot rule out.
 
 Every QFD evaluation is one arithmetic, the difference form of
-:func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row); the L2
-kernel is what QMap buys, O(n) per row.  :func:`resolve_kernel` maps a
-scalar distance function to its kernel, or ``None`` when no batched form
-is known (the caller then falls back to the function's own vectorized
-form or a plain loop).
+:func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row), and every
+L2 evaluation is that of :func:`~repro.kernels.gram.l2_one_to_many`, what
+QMap buys: O(n) per row.  :func:`resolve_kernel` maps a scalar distance
+function to its kernel, or ``None`` when no batched form is known (the
+caller then falls back to the function's own vectorized form or a plain
+loop).
 
 There is one arithmetic per kernel, whatever the rows' store: float32 rows
 (a memory-mapped database) are upcast to float64 before any product, so
@@ -177,12 +178,12 @@ class QFDKernel:
 
 
 class L2QueryContext:
-    """Per-query context for L2 — difference-based by design.
+    """A query bound to the Euclidean distance.
 
-    The diff form is exact near zero and bit-identical to
-    :func:`repro.distances.minkowski.euclidean_one_to_many`, which keeps the
-    QMap model's mapped-space results exactly equal to a plain scan; the
-    Gram form for L2 is exposed only through the kernel's batch methods.
+    Every distance, one row or many, is
+    :func:`~repro.kernels.gram.l2_one_to_many`: the floats of the scalar
+    :func:`repro.distances.minkowski.euclidean` and of the kernel's
+    matrices, so the QMap model's mapped-space results equal a plain scan's.
     """
 
     __slots__ = ("query",)
@@ -194,7 +195,7 @@ class L2QueryContext:
         return gram.l2_one_to_many(self.query, rows)
 
     def one(self, row: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(row, dtype=np.float64) - self.query))
+        return float(self.many(np.asarray(row)[None, :])[0])
 
 
 class L2Kernel:
@@ -212,10 +213,28 @@ class L2Kernel:
         return gram.l2_one_to_many(q, rows)
 
     def pairwise(self, rows: np.ndarray) -> np.ndarray:
-        return gram.l2_pairwise(rows)
+        """:meth:`cross` of *rows* with themselves: exactly symmetric, with
+        a zero diagonal (``(u - v)^2`` and ``(v - u)^2`` are one float)."""
+        return self.cross(rows, rows)
 
     def cross(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-        return gram.l2_cross(rows_a, rows_b)
+        """``(a, b)`` distance matrix whose row ``i`` is, bit for bit,
+        :meth:`one_to_many` of ``a[i]``: blocks of *a*'s rows broadcast
+        against *rows_b*, ``_L2_TILE_FLOATS`` differences at a time, then
+        the same row-wise ``einsum`` and ``sqrt``.  A *rows_b* past one tile
+        (a database-sized operand) streams through one call per row."""
+        m, n = rows_b.shape
+        out = np.empty((rows_a.shape[0], m), dtype=np.float64)
+        step = gram._L2_TILE_FLOATS // max(m * n, 1)
+        if not step:
+            for i, row in enumerate(rows_a):
+                out[i] = gram.l2_one_to_many(row, rows_b)
+            return out
+        rows_a = np.asarray(rows_a, dtype=np.float64)
+        for start in range(0, rows_a.shape[0], step):
+            diff = (rows_a[start : start + step, None] - rows_b).reshape(-1, n)
+            gram._einsum("ij,ij->i", diff, diff, out=out[start : start + step].reshape(-1))
+        return np.sqrt(out, out=out)
 
 
 def resolve_kernel(func: Callable) -> QFDKernel | L2Kernel | None:

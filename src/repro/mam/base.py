@@ -123,14 +123,20 @@ def grown(buffer: np.ndarray, used: int, extra: int, axis: int = 0) -> np.ndarra
 #: distances against build-stored bounds (covering radii, parent
 #: distances, vantage medians, GNAT ranges).  Those bounds are frequently
 #: *exactly tight* — a covering radius IS some member's build-time
-#: distance — and under QMap the build's Gram-form L2 matrices agree with
-#: the query's difference form only to the last few ulps, so a self-query
-#: (or an exact duplicate) would otherwise prune the very subtree holding
-#: its zero-distance match.  (The QFD model runs one arithmetic on both
-#: sides.)  Slack only ever admits a subtree, never excludes one,
-#: so results stay exact; at 1e-12 relative it changes which nodes are
-#: visited only at bitwise-boundary coincidences, where the pre-kernel
-#: scalar arithmetic visited the node too.
+#: distance — and every stored distance is the float the query's own
+#: arithmetic gives for its pair (one difference form per metric).  The
+#: triangle inequality a prune applies holds for exact distances, though,
+#: not for their floats: each evaluated distance is within ``gamma_n``
+#: (``~ n eps``, ``n`` the dimension) of its exact value, and the bound's
+#: sum or difference rounds once more, so a self-query, an exact
+#: duplicate or a query on the line through a routing object and its
+#: farthest member would otherwise prune the subtree holding its match.
+#: Under the QFD a short call's last bits drift besides (ROADMAP item
+#: 2(b)).  ``1e-12`` exceeds ``gamma_n`` for every ``n`` below ~9 000;
+#: the term-by-term derivation is still open (ROADMAP item 1(c)).
+#: Slack only ever admits a subtree, never excludes one, so results stay
+#: exact; it changes which nodes are visited only at bitwise-boundary
+#: coincidences.
 PRUNE_SLACK_REL = 1e-12
 
 

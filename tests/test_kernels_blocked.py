@@ -134,12 +134,20 @@ class TestBlockSizeInvariance:
             + _tiled(monkeypatch, lambda: QFDKernel(matrix).cross(others, heap))
         )
 
-    def test_l2_cross(self, setup) -> None:
+    def test_l2_cross(self, setup, monkeypatch) -> None:
+        """Blocks of 11, 3 and 1 rows of *others*, and one streamed
+        ``l2_one_to_many`` call per row once *rows* outgrow a tile: every
+        row is that call's floats."""
         _, rows, others, _ = setup
-        _all_equal([
-            gram.l2_cross(others, rows),
-            gram.l2_cross(others.astype(np.float64), rows.astype(np.float64)),
-        ])
+        expected = np.stack([gram.l2_one_to_many(row, rows) for row in others])
+        results = [expected]
+        for tile in (11 * N, 3 * N, N, 7):
+            monkeypatch.setattr(gram, "_L2_TILE_FLOATS", tile * DIM)
+            results += [
+                L2Kernel().cross(others, rows),
+                L2Kernel().cross(others.astype(np.float64), rows.astype(np.float64)),
+            ]
+        _all_equal(results)
 
     def test_qfd_pairwise(self, setup) -> None:
         matrix, rows, _, _ = setup
@@ -151,7 +159,7 @@ class TestBlockSizeInvariance:
 
     def test_l2_pairwise(self, setup) -> None:
         _, rows, _, _ = setup
-        results = [gram.l2_pairwise(rows), gram.l2_pairwise(rows.astype(np.float64))]
+        results = [L2Kernel().pairwise(rows), L2Kernel().pairwise(rows.astype(np.float64))]
         _all_equal(results)
         assert np.array_equal(results[0], results[0].T)
 
@@ -315,14 +323,14 @@ class TestGramFloat32Accumulation:
             (gram.qfd_one_to_many(matrix, q, rows), gram.qfd_one_to_many(matrix, q, heap)),
             (gram.l2_one_to_many(q, rows), gram.l2_one_to_many(q, heap)),
             (gram.qfd_pairwise(matrix, rows), gram.qfd_pairwise(matrix, heap)),
-            (gram.l2_pairwise(rows), gram.l2_pairwise(heap)),
+            (L2Kernel().pairwise(rows), L2Kernel().pairwise(heap)),
             (
                 QFDKernel(matrix).cross(others, rows),
                 QFDKernel(matrix).cross(others.astype(np.float64), heap),
             ),
             (
-                gram.l2_cross(others, rows),
-                gram.l2_cross(others.astype(np.float64), heap),
+                L2Kernel().cross(others, rows),
+                L2Kernel().cross(others.astype(np.float64), heap),
             ),
         ]
         for got, expected in pairs:

@@ -114,8 +114,9 @@ class TestTiesAndSelfQueries:
             assert all(n.distance <= 1e-7 for n in nearest)
             # k cuts through the next group of four duplicates.  Which two
             # of them are reported may differ from the scan's under the QFD
-            # kernel (its Gram form rounds equal rows differently from one
-            # batch shape to another), but they are the same object.
+            # kernel (a one- to three-row call is a matrix-vector product,
+            # whose floats differ from a larger call's: ROADMAP item 2(b)),
+            # but they are the same object.
             for got, want in zip(index.knn_search(q, 6), scan.knn_search(q, 6)):
                 assert np.array_equal(data[got.index], data[want.index])
                 assert got.distance == pytest.approx(want.distance, abs=1e-8)
