@@ -24,9 +24,19 @@ rows (:func:`qfd_shadow`) and ``v W`` from rows projected once
 (:func:`qfd_project`).  The scan then evaluates in float64 only the rows
 the bound cannot rule out, so what it returns is always the float64
 form's.
+
+The QMap refines do the same in mapped space with one certified L2
+projection bound (:func:`l2_lower_bound`): ``W`` an orthonormal PCA basis
+of the rows (:func:`l2_basis`), proven ``||W||_2 <= 1``
+(:func:`l2_basis_certified`), so ``||(v - q) W||`` less the rank-k term's
+rounding and the L2 path's own bounds the :func:`l2_one_to_many` float
+from below.
 """
 
 from __future__ import annotations
+
+from math import sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +57,10 @@ __all__ = [
     "lambda_min_floor",
     "abs_sum_radius",
     "l2_one_to_many",
+    "l2_basis",
+    "l2_basis_certified",
+    "l2_project",
+    "l2_lower_bound",
     "qfd_pairwise",
     "row_tiles",
 ]
@@ -84,6 +98,15 @@ _SPECTRAL_RANK = 32
 #: rank 16, 3-4 steps 63-65 at rank 32.
 _SUBSPACE_STEPS = 3
 _SUBSPACE_EXTRA = 8
+
+#: Columns of :func:`l2_basis`'s ``W`` and rows of the sample it is fitted
+#: to (see the measurements in ``EXPERIMENTS.md``, E_A11).
+_PROJECTION_RANK = 32
+_PROJECTION_SAMPLE = 512
+
+#: Scale on an orthonormal basis, so that ``||W||_2 <= 1`` certifies
+#: despite the ~1e-15 by which ``fl(W^T W)`` misses ``I``.
+_SHRINK = 1.0 - 2.0**-30
 
 
 def row_tiles(n: int) -> list[slice]:
@@ -416,13 +439,29 @@ def _rank_term(
     squares = np.einsum("ij,ij->i", y, y)
     y_norm = np.sqrt(np.maximum(squares - 2 * k * _TINY64, 0.0) / (1.0 + _gamma(k, _U64)))
     v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64))) * high
-    error = _gamma(n, _U64) * (v_norm + _norm_up(qq, n)) + root_n * _TINY64
+    row_error = 0.0
     if not rows_exact:
-        error = error + (_U32 * v_norm + 2 * root_n * _TINY32) / (1.0 - _U32)
+        row_error = (_U32 * v_norm + 2 * root_n * _TINY32) / (1.0 - _U32)
     f_norm = _norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k)
-    error = (error * f_norm + 8 * n * np.sqrt(k) * _TINY64) * high
+    error = _rank_error(v_norm, _norm_up(qq, n), row_error, f_norm, n, k)
     r = np.maximum(y_norm * low * (1.0 - 2 * _U64) - error, 0.0) * low
     return r * r * low
+
+
+def _rank_error(
+    v_norm: "float | np.ndarray",
+    q_norm: float,
+    row_error: "float | np.ndarray",
+    f_norm: float,
+    n: int,
+    k: int,
+) -> "float | np.ndarray":
+    """How far ``||y||`` (``1 - 2w`` low) can exceed ``||(v - q) W||``:
+    :func:`_rank_term`'s error terms (see :func:`qfd_lower_bound`), rounded
+    up, for ``V = v_norm``, ``Q = q_norm``, ``e_v = row_error`` and ``F =
+    f_norm``; :func:`l2_lower_bound` reads them too."""
+    error = _gamma(n, _U64) * (v_norm + q_norm) + np.sqrt(n) * _TINY64 + row_error
+    return (error * f_norm + 8 * n * np.sqrt(k) * _TINY64) * _HIGH
 
 
 def spectral_floor(
@@ -475,14 +514,26 @@ def _deflation(sym: np.ndarray, shift: float) -> np.ndarray:
     """:func:`spectral_floor`'s ``W`` for ``A' = sym - shift I``."""
     n = sym.shape[0]
     rank = min(_SPECTRAL_RANK, n)
-    y = np.random.default_rng(0).standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
-    for _ in range(_SUBSPACE_STEPS):
-        y, _ = np.linalg.qr(sym @ y)
-    image = sym @ y - shift * y
-    theta, vectors = np.linalg.eigh(y.T @ image)
-    top, vectors = theta[::-1][:rank], vectors[:, ::-1][:, :rank]
+    start = np.random.default_rng(0).standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
+    _, image, top, vectors = _ritz_basis(lambda y: sym @ y, start, rank, shift)
     keep = top > shift
     return (image @ vectors[:, keep]) / np.sqrt(top[keep])
+
+
+def _ritz_basis(
+    apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, rank: int, shift: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(Y, A Y - shift Y, theta, U)``: ``_SUBSPACE_STEPS`` steps of
+    subspace iteration from *start* under the symmetric ``A`` that *apply*
+    multiplies by, then Rayleigh-Ritz; ``theta`` and ``U`` are the *rank*
+    largest eigenpairs of ``Y^T (A Y - shift Y)``, descending, so ``Y U``
+    spans the dominant subspace found."""
+    y = start
+    for _ in range(_SUBSPACE_STEPS):
+        y, _ = np.linalg.qr(apply(y))
+    image = apply(y) - shift * y
+    theta, vectors = np.linalg.eigh(y.T @ image)
+    return y, image, theta[::-1][:rank], vectors[:, ::-1][:, :rank]
 
 
 def lambda_min_floor(matrix: np.ndarray, factor: np.ndarray | None = None) -> float:
@@ -603,6 +654,123 @@ def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         diff = np.subtract(block, q, out=buffer[: block.shape[0]])
         np.einsum("ij,ij->i", diff, diff, out=out[start : start + step])
     return np.sqrt(out, out=out)
+
+
+def l2_basis(rows: np.ndarray) -> np.ndarray:
+    """``W``, an orthonormal rank-``k`` PCA basis of *rows* scaled by
+    ``_SHRINK``, certified ``||W||_2 <= 1`` (:func:`l2_basis_certified`), or
+    ``n x 0`` when it is not: :func:`l2_lower_bound`'s basis.
+
+    Fitted to a seeded sample of ``_PROJECTION_SAMPLE`` rows, centered, by
+    ``_SUBSPACE_STEPS`` steps of subspace iteration on ``_PROJECTION_RANK +
+    _SUBSPACE_EXTRA`` vectors and Rayleigh-Ritz (:func:`_ritz_basis`, as
+    :func:`_deflation` does; a full SVD of 1 024 rows takes ~145 ms at
+    512-d).  The certificate holds however rough the subspace, so the fit
+    buys only pruning; the same rows give the same ``W``.
+    """
+    m, n = rows.shape
+    rng = np.random.default_rng(0)
+    pick = np.sort(rng.choice(m, size=min(m, _PROJECTION_SAMPLE), replace=False))
+    sample = np.array(rows[pick], dtype=np.float64)
+    rank = min(_PROJECTION_RANK, n)
+    try:
+        with np.errstate(all="ignore"):
+            sample -= sample.mean(axis=0)
+            _flush_subnormals(sample, inplace=True)
+            start = rng.standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
+            y, _, _, vectors = _ritz_basis(lambda y: sample.T @ (sample @ y), start, rank)
+            basis = (y @ vectors) * _SHRINK
+    except np.linalg.LinAlgError:  # non-finite rows
+        return np.zeros((n, 0))
+    return basis if l2_basis_certified(basis) else basis[:, :0]
+
+
+def l2_basis_certified(basis: np.ndarray) -> bool:
+    """Whether ``||W||_2 <= 1`` is proven for *basis* ``W`` (``n x k``, ``k
+    >= 1``, finite), by Gershgorin's theorem on ``W^T W``.
+
+    ``G = fl(W^T W)`` is within ``gamma_n(w) |W^T| |W| + 4 n t64`` of ``W^T
+    W`` (any summation order, underflow included), and ``(|W^T| |W|)_ij <=
+    c_i c_j`` with ``c_j >= ||W_j||`` from ``G_jj`` rounded up
+    (:func:`_norm_up`).  So ``||W||_2^2 = lambda_max(W^T W) <= max_i (sum_j
+    |G_ij| + gamma_n(w) c_i sum_j c_j + 4 n k t64)``; the two sums of ``k``
+    terms are taken ``gamma_k(w)`` high and the whole ``1 + 2^-40`` high.
+    An orthonormal ``W`` passes once scaled by ``_SHRINK``.
+    """
+    n, k = basis.shape
+    if not k:
+        return False
+    with np.errstate(all="ignore"):
+        gram_matrix = basis.T @ basis
+        columns = _norm_up(np.diagonal(gram_matrix) + 4 * n * _TINY64, n)
+        spread = _gamma(n, _U64) * columns * columns.sum() + 4 * n * k * _TINY64
+        rows_sum = np.abs(gram_matrix).sum(axis=1) + spread
+        bound = rows_sum * (1.0 + _gamma(k + 1, _U64)) * _HIGH
+    return bool(np.all(bound <= 1.0))
+
+
+def l2_project(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(P, V)``: the float64 ``v W`` of every row (``m x k``), and ``V >=
+    ||v||`` for every row — the operands :func:`l2_lower_bound` reads.
+    Float32 rows upcast exactly, in :func:`row_tiles`.  A non-finite row
+    makes ``V``, and every cut, not finite."""
+    m, n = rows.shape
+    projected = np.empty((m, basis.shape[1]), dtype=np.float64)
+    largest = 0.0
+    with np.errstate(all="ignore"):
+        for tile in row_tiles(m):
+            block = _as64(rows[tile])
+            np.matmul(block, basis, out=projected[tile])
+            largest = np.maximum(largest, np.einsum("ij,ij->i", block, block).max())
+        return projected, float(_norm_up(largest, n))
+
+
+def l2_lower_bound(
+    basis: np.ndarray, projected: np.ndarray, v_norm: float, q: np.ndarray
+) -> tuple[np.ndarray, Callable[[float], float]]:
+    """``(squares, cut)``: per row, ``||P - q W||^2`` in float64, and the
+    function of a radius ``R`` whose value ``S`` no row exceeds unless the
+    float :func:`l2_one_to_many` returns for *q* and that row is above
+    ``R``.  A row with ``squares > cut(R)`` cannot be within ``R``.
+
+    *basis* is a ``W`` certified by :func:`l2_basis_certified`, and
+    *projected* / *v_norm* are the rows' ``(P, V)`` (:func:`l2_project`).
+    With ``x = v - q`` and ``y`` the float ``P - q W``:
+
+    * ``||y|| >= sqrt((squares - 2 k t64) / (1 + gamma_k(w)))``, and
+      ``||x W|| >= ||y|| (1 - 2w) - E`` with ``E`` the rank-k term's error
+      (:func:`_rank_error`; ``e_v = 0``, the rows being exact, one ``V``
+      for every row, and ``F = sqrt(k) (1 + 2^-40) >= ||W||_F`` since
+      ``||W||_F^2 <= k ||W||_2^2 <= k``);
+    * ``||x|| >= ||x W||``, as ``||W||_2 <= 1``;
+    * the float path (``v - q``, squares, a sum of ``n`` of them in any
+      order, ``sqrt``) gives ``d >= sqrt(||x||^2 (1 - gamma_{n+2}(w)) - n
+      t64) (1 - w)``: a rounded difference is within ``w`` of ``x_i``
+      (exact when subnormal), a square within ``w`` plus at most ``t64``
+      of underflow, a sum of non-negative terms within ``gamma_{n-1}(w)``.
+
+    So ``d > R`` once ``||x|| > X = sqrt(((R / (1 - w))^2 + n t64) / (1 -
+    gamma_{n+2}(w)))``, once ``||y|| > Y = (X + E) / (1 - 2w)``, once
+    ``squares > S = Y^2 (1 + gamma_k(w)) + 2 k t64``; every step of ``S``
+    is taken ``1 + 2^-40`` high.  ``R = inf`` gives ``S = inf``.  The query
+    is not flushed: a product with a subnormal only underflows, within
+    the ``4 n t64`` the error already counts.
+    """
+    n, k = basis.shape
+    q = _as64(q)
+    error = float(_rank_error(v_norm, _norm_up(float(q @ q), n), 0.0, sqrt(k) * _HIGH, n, k))
+    x_slack, y_low = n * _TINY64, (1.0 - 2 * _U64) * _LOW
+    x_low, s_high = (1.0 - _gamma(n + 2, _U64)) * _LOW, (1.0 + _gamma(k, _U64)) * _HIGH
+
+    def cut(radius: float) -> float:  # Python floats: called once per block
+        big_r = radius / (1.0 - _U64) * _HIGH
+        big_x = sqrt((big_r * big_r * _HIGH + x_slack) / x_low) * _HIGH
+        big_y = (big_x + error) / y_low * _HIGH
+        return big_y * big_y * s_high + 2 * k * _TINY64
+
+    with np.errstate(all="ignore"):
+        y = projected - q @ basis
+        return _einsum("ij,ij->i", y, y), cut
 
 
 def qfd_pairwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

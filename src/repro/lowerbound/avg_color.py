@@ -106,7 +106,7 @@ class ProjectionBound:
         """L2 in the projected space — a lower bound on the true QFD."""
         a = as_vector(u_reduced, self.k, name="u_reduced")
         b = as_vector(v_reduced, self.k, name="v_reduced")
-        return float(np.linalg.norm(a - b))
+        return float(l2_one_to_many(a, b[None, :])[0])
 
     def lower_bound_one_to_many(self, q_reduced: ArrayLike, batch_reduced: ArrayLike) -> Vector:
         """Vectorized projected-space L2 from one query to many rows."""

@@ -91,7 +91,7 @@ class SVDReduction:
         """L2 in the reduced space — a lower bound on the true QFD."""
         a = as_vector(u_reduced, self._k, name="u_reduced")
         b = as_vector(v_reduced, self._k, name="v_reduced")
-        return float(np.linalg.norm(a - b))
+        return float(l2_one_to_many(a, b[None, :])[0])
 
     def lower_bound_one_to_many(self, q_reduced: ArrayLike, batch_reduced: ArrayLike) -> Vector:
         """Vectorized reduced-space L2 from one query row to many rows."""

@@ -45,6 +45,7 @@ __all__ = [
     "NodeBatchedSearchMixin",
     "PRUNE_SLACK_REL",
     "prune_slack",
+    "bound_limit",
     "neighbors_from_distances",
     "state_array",
     "state_int",
@@ -151,6 +152,18 @@ def prune_slack(*terms: "float | np.ndarray") -> "float | np.ndarray":
     for t in terms:
         total += abs(t)
     return PRUNE_SLACK_REL * total
+
+
+def bound_limit(radius: float, beta: float, alpha: float = 1.0) -> float:
+    """What a pivot lower bound is compared with: *radius* plus its
+    rounding margin ``PRUNE_SLACK_REL (alpha radius + beta)``.
+
+    The pivot table and the M-index bound ``d(q, o)`` by pivot terms from
+    float distances; *alpha* and *beta* are the margin those terms need
+    (derived in :meth:`~repro.mam.pivot_table.PivotTable.bound_limit`):
+    ``alpha = 1``, ``beta = 2 d(q, p)`` for a triangle term.
+    """
+    return radius + PRUNE_SLACK_REL * (alpha * radius + beta)
 
 
 @dataclass(frozen=True, order=True)

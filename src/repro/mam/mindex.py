@@ -14,6 +14,11 @@ A range query ``(q, r)`` visits, per cluster ``i``, only the key interval
 interval candidates with the pivot-table L∞ lower bound before any exact
 distance is paid.  kNN runs the classic iterative strategy: range queries
 with a growing radius until the kth neighbor is provably inside.
+
+Both tests compare with the radius plus a rounding margin, as the pivot
+table's do (:func:`~repro.mam.base.bound_limit`): an
+object ``o`` with ``d(q, o) <= r`` has ``|d(q, p) - d(o, p)| <= r +
+PRUNE_SLACK_REL (r + 2 d(q, p))`` for every pivot, the floats included.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .base import (
     DistancePort,
     Neighbor,
     NodeBatchedSearchMixin,
+    bound_limit,
     grown,
     state_array,
     state_float,
@@ -181,13 +187,16 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
         """Interval-scan + pivot-filter candidates for a range query."""
         detailed = trace.events is not None
         out: list[np.ndarray] = []
+        # The LAESA filter's margin, at the largest pivot term.
+        limit = bound_limit(radius, 2.0 * float(query_vector.max()))
         for cluster in range(self.n_pivots):
             keys = self._cluster_keys[cluster]
             if keys.size == 0:
                 continue
             center = query_vector[cluster]
-            lo = np.searchsorted(keys, center - radius, side="left")
-            hi = np.searchsorted(keys, center + radius, side="right")
+            reach = bound_limit(radius, 2.0 * center)
+            lo = np.searchsorted(keys, center - reach, side="left")
+            hi = np.searchsorted(keys, center + reach, side="right")
             if lo >= hi:
                 # The whole cluster interval misses the query ring.
                 if detailed:
@@ -195,7 +204,7 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
                     # nearest cluster key — how far the interval missed.
                     gap = float(np.min(np.abs(keys - center)))
                     trace.lb_check(
-                        parent_tok, gap, radius, pruned=True, label="cluster-interval"
+                        parent_tok, gap, reach, pruned=True, label="cluster-interval"
                     )
                 trace.prune(parent_tok, 1, "cluster-interval")
                 continue
@@ -203,11 +212,11 @@ class MIndex(NodeBatchedSearchMixin, AccessMethod):
             members = self._cluster_members[cluster][lo:hi]
             # LAESA filter over the full pivot table.
             lb = np.max(np.abs(self._table[members] - query_vector), axis=1)
-            survivors = members[lb <= radius]
+            survivors = members[lb <= limit]
             trace.filter(int(members.size), int(survivors.size))
             if tok >= 0:
                 for val in lb:
-                    trace.lb_check(tok, float(val), radius, pruned=val > radius, label="laesa")
+                    trace.lb_check(tok, float(val), limit, pruned=val > limit, label="laesa")
             out.append(survivors)
         if not out:
             return np.empty(0, dtype=np.int64)

@@ -37,6 +37,18 @@ pointwise maximum of both bounds, and ``bound="triangle"`` (default)
 keeps the classic LAESA behaviour bit-for-bit.  Query-time charging is
 identical in every mode: ``p`` pivot distances plus one evaluation per
 verified candidate.
+
+Every bound is compared with the radius plus a rounding margin
+(:meth:`PivotTable.bound_limit`): the inequalities hold for exact
+distances, the table and the query vector hold floats.
+
+Under the QMap model (an L2 port) and from
+:data:`~repro.mam.projection.PIVOT_FLOOR` (4 000 rows of 256 dimensions),
+the refine runs behind a second, certified bound: the rows projected on
+an orthonormal PCA basis (:class:`~repro.mam.projection.ProjectionFilter`).  A candidate is still
+charged and stop-tested in the LAESA order, but evaluated in float64 only
+when its projection bound is within the current radius — one above it
+cannot be offered, since the radius only shrinks.
 """
 
 from __future__ import annotations
@@ -51,8 +63,18 @@ from ..engine.trace import current_trace
 from ..exceptions import DimensionMismatchError, QueryError, StorageError
 from ..kernels.ptolemaic import ptolemaic_bounds, valid_pivot_pairs
 from ..obs.events import ROOT
-from .base import AccessMethod, DistancePort, Neighbor, _KnnHeap, grown, state_array, state_str
+from .base import (
+    AccessMethod,
+    DistancePort,
+    Neighbor,
+    _KnnHeap,
+    bound_limit,
+    grown,
+    state_array,
+    state_str,
+)
 from .pivots import select_pivot_columns
+from .projection import PIVOT_FLOOR, ProjectionFilter
 
 if TYPE_CHECKING:
     from ..engine.trace import QueryTrace
@@ -99,7 +121,9 @@ class PivotTable(AccessMethod):
     distances — each O(n^2) in the QFD model and O(n) in the QMap model.
     The non-triangle modes additionally charge ``p (p-1) / 2`` build
     distances for the pivot-pair matrix; query-time charging is the same
-    in every mode.
+    in every mode.  Under an L2 port, from the projection filter's floor,
+    the build also fits the filter's basis (no distance evaluations); the
+    snapshot keeps it, and a restore re-certifies it.
     """
 
     #: Every database touch is a ``port.many`` over the stored rows or a
@@ -157,6 +181,7 @@ class PivotTable(AccessMethod):
             self._pivot_pair = self._port.pairwise(self._pivot_rows)
             self._pairs = valid_pivot_pairs(self._pivot_pair)
             self._guard_ptolemaic()
+        self._projection = ProjectionFilter.over(self._port, self._data, PIVOT_FLOOR)
 
     def _guard_ptolemaic(self) -> None:
         """Build-time guard: refuse Ptolemaic bounds for a metric that
@@ -186,6 +211,8 @@ class PivotTable(AccessMethod):
         }
         if self._pivot_pair is not None:
             state["pivot_pair"] = self._pivot_pair.copy()
+        if self._projection is not None:
+            state["basis"] = self._projection.basis.copy()
         return state
 
     def _restore_state(self, state: dict[str, np.ndarray]) -> None:
@@ -216,6 +243,8 @@ class PivotTable(AccessMethod):
                 raise QueryError(
                     f"pivot-pair matrix shape {pair.shape} does not match ({p}, {p})"
                 )
+        # Derived state, never trusted: re-certified, else rebuilt.
+        basis = state.pop("basis", None)
         super()._restore_state(state)
         self._pivot_indices = pivot_list
         self._pivot_rows = self._data[pivot_list]
@@ -223,6 +252,7 @@ class PivotTable(AccessMethod):
         self._bound = bound
         self._pivot_pair = pair.copy() if pair is not None else None
         self._pairs = valid_pivot_pairs(pair) if pair is not None else None
+        self._projection = ProjectionFilter.over(self._port, self._data, PIVOT_FLOOR, basis)
 
     def _verify_state_probe(self) -> None:
         # A sampled bound re-evaluation: entry (0, 0) of the table is
@@ -380,18 +410,58 @@ class PivotTable(AccessMethod):
             ("pivot-best", lb),
         ]
 
+    def _limit_terms(self, query_vector: np.ndarray) -> tuple[float, float]:
+        """``(alpha, beta)`` of :meth:`bound_limit` for this query."""
+        alpha, beta = 1.0, 0.0
+        if self._bound != "ptolemaic":
+            beta = 2.0 * float(query_vector.max())
+        if self._bound != "triangle" and self._pairs[0].size:
+            a, c = query_vector[self._pairs[0]], query_vector[self._pairs[1]]
+            e = self._pivot_pair[self._pairs]
+            alpha = 1.0 + float(((a + c) / e).max())
+            beta = max(beta, float((2.0 * a * c / e).max()))
+        return alpha, beta
+
+    def bound_limit(self, query_vector: np.ndarray, radius: float) -> float:
+        """What a bound is compared with: *radius* plus its rounding margin,
+        ``PRUNE_SLACK_REL (alpha radius + beta)``
+        (:func:`~repro.mam.base.bound_limit`, the M-index's too).
+
+        Every object ``o`` with ``d(q, o) <= r`` — the floats — has every
+        term of its bound within this limit.  Let ``eps`` bound the relative
+        error of a float distance against the exact distance of the stored
+        vectors (``gamma_{n+2}`` for the L2 difference form), so that the
+        exact ``D(q, o) <= r (1 + 2 eps)``.  A triangle term ``|d(q, p) -
+        d(o, p)|`` is then within ``eps (d(q, p) + d(o, p)) <= eps (2 d(q,
+        p) + r)`` of its exact value, which is at most ``D(q, o)``: the
+        margin is ``3 eps (r + 2 max_p d(q, p))`` with the subtraction's
+        rounding.  A Ptolemaic term ``|a b' - c b''| / e`` (``a = d(q,
+        p1)``, ``c = d(q, p2)``, ``b' = d(o, p2) <= c + r``, ``b'' = d(o,
+        p1) <= a + r``, ``e = d(p1, p2)``) is within ``(2 eps + 3 w) (a b'
+        + c b'') / e`` of its exact value, at most ``D(q, o)`` by Ptolemy's
+        inequality: the margin is ``3 eps (r (1 + (a + c) / e) + 2 a c /
+        e)``, maximized over the pivot pairs; ``best`` takes the larger of
+        both.  ``PRUNE_SLACK_REL >= 3 eps`` (with ``eps = gamma_{n+2}``: up
+        to ``n`` of about 3 000), and the limit's own evaluation rounds by
+        less than the margin's ``3 eps`` leaves over.
+        """
+        alpha, beta = self._limit_terms(query_vector)
+        return bound_limit(radius, beta, alpha)
+
     def _filter(
         self, query_vector: np.ndarray, radius: float, trace: "QueryTrace | None"
     ) -> np.ndarray:
-        """Indices of the objects whose bound is within *radius*, ascending."""
+        """Indices of the objects whose bound is within the *radius*'s
+        :meth:`bound_limit`, ascending."""
+        limit = self.bound_limit(query_vector, radius)
         head, partial = self._first_stage(query_vector, trace)
-        survivors = np.flatnonzero(partial <= radius)
+        survivors = np.flatnonzero(partial <= limit)
         if trace is not None and trace.events is not None:
             tok = trace.visit(ROOT, "pivot-filter", count=0)
             for label, bounds in self._bound_views(query_vector, partial):
                 for val in bounds:
-                    trace.lb_check(tok, float(val), radius, pruned=val > radius, label=label)
-        return survivors[self._finish(query_vector, head, survivors, partial) <= radius]
+                    trace.lb_check(tok, float(val), limit, pruned=val > limit, label=label)
+        return survivors[self._finish(query_vector, head, survivors, partial) <= limit]
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         trace = current_trace()
@@ -407,7 +477,14 @@ class PivotTable(AccessMethod):
         if candidates.size == 0:
             return []
         tok = trace.visit(ROOT, "refine", count=0)
-        distances = self._port.many(query, self._data[candidates], trace)
+        if self._projection is None or tok >= 0:
+            distances = self._port.many(query, self._data[candidates], trace)
+        else:
+            self._port.charge(rows=int(candidates.size), trace=trace)
+            distances = np.full(candidates.size, np.inf)
+            squares, cut = self._projection.bound(query, candidates, self._data)
+            near = np.flatnonzero(~(squares > cut(radius)))
+            distances[near] = self._port.compute_many(query, self._data[candidates[near]])
         within = distances <= radius
         if tok >= 0:
             for dist, idx in zip(distances, candidates):
@@ -440,8 +517,13 @@ class PivotTable(AccessMethod):
           stop are never charged — the port is charged ``refined`` scalar
           calls once, what the per-candidate loop used to charge.
 
-        Under EXPLAIN each stop test reports every bound view of its
-        object, the comparison bounds alongside the operative one.
+        "Within the radius" is within its :meth:`bound_limit`.  Past the
+        first ``k``, a block evaluates in float64 only the rows whose
+        projection bound is within the radius the block starts with; the
+        others are stop-tested and charged as evaluated, and cannot be
+        offered.  Under EXPLAIN each stop test reports every bound view of
+        its object, the comparison bounds alongside the operative one, and
+        every row is evaluated.
         """
         trace = current_trace()
         qv = self._query_vector(query, trace)
@@ -456,38 +538,66 @@ class PivotTable(AccessMethod):
         order, lb = order[by_bound], lb[by_bound]
         evaluate, data = self._port.bind_query(query).compute_many, self._data
         heap = _KnnHeap(k)
-        radius = heap.radius
+        radius = limit = heap.radius
+        alpha, beta = self._limit_terms(qv)
         tok = trace.visit(ROOT, "refine", count=0)
+        projection = self._projection if tok < 0 else None
         start = refined = 0
         size = k  # the unconditional first k; then k, 2k, 4k, ...
         stopped = False
         while not stopped:
-            stop = min(start + size, int(lb.searchsorted(radius, "right")))
+            stop = min(start + size, int(lb.searchsorted(limit, "right")))
             if stop <= start:
                 break
-            block = order[start:stop]
-            distances = evaluate(data[block]).tolist()
-            for idx, value, dist in zip(block.tolist(), lb[start:stop].tolist(), distances):
-                stopped = value > radius
-                if tok >= 0:
-                    self._trace_stop_test(trace, tok, views, idx, radius)
-                if stopped:
-                    break
-                if tok >= 0:
+            block, bounds = order[start:stop], lb[start:stop]
+            if tok >= 0:
+                distances = evaluate(data[block]).tolist()
+                for idx, value, dist in zip(block.tolist(), bounds.tolist(), distances):
+                    stopped = value > limit
+                    self._trace_stop_test(trace, tok, views, idx, limit)
+                    if stopped:
+                        break
                     trace.verify(tok, idx, dist)
-                if dist <= radius:
-                    radius = heap.offer(dist, idx)
-                refined += 1
+                    if dist <= radius:
+                        radius = heap.offer(dist, idx)
+                        limit = bound_limit(radius, beta, alpha)
+                    refined += 1
+            else:
+                # The same loop over the rows it evaluates: the rows between
+                # two of them meet one limit, so the first of those above it
+                # is a searchsorted away.
+                positions = range(block.size)
+                if start and projection is not None:
+                    positions = np.flatnonzero(~(floor[start - k : stop - k] > cut(radius)))
+                    distances = evaluate(data[block[positions]]).tolist() if positions.size else ()
+                    positions = positions.tolist()
+                else:
+                    distances = evaluate(data[block]).tolist()
+                values = bounds.tolist()
+                done = 0
+                for pos, dist in zip(positions, distances):
+                    if values[pos] > limit:
+                        break
+                    done = pos + 1
+                    if dist <= radius:
+                        radius = heap.offer(dist, int(block[pos]))
+                        limit = bound_limit(radius, beta, alpha)
+                passed = max(done, int(bounds.searchsorted(limit, "right")))
+                stopped = passed < block.size
+                refined += passed
             if start == 0:
                 # No later radius exceeds this one (r0), so the loop cannot
                 # get past the objects the first stage leaves within it:
                 # finish those too and put the order's tail in order.
-                later = np.flatnonzero(partial <= radius)
+                later = np.flatnonzero(partial <= limit)
                 later = later[partial[later] > cap]
                 order = np.concatenate([order, later])
                 lb = np.concatenate([lb, self._finish(qv, head, later, partial)])
                 by_bound = k + np.lexsort((order[k:], lb[k:]))
                 order[k:], lb[k:] = order[by_bound], lb[by_bound]
+                if projection is not None:  # as far as the loop can reach
+                    reach = int(lb.searchsorted(limit, "right"))
+                    floor, cut = projection.bound(query, order[k:reach], data)
             start = stop
             size = start
         if tok >= 0 and not stopped and refined < partial.size:
@@ -502,18 +612,18 @@ class PivotTable(AccessMethod):
                 left[order] = False
                 left = np.flatnonzero(left)
                 ended_on = left[np.argmin(partial[left])]
-            self._trace_stop_test(trace, tok, views, int(ended_on), radius)
+            self._trace_stop_test(trace, tok, views, int(ended_on), limit)
         self._port.charge(calls=refined, trace=trace)
         trace.filter(self.size, refined)
         trace.refine(refined)
         return heap.neighbors()
 
     @staticmethod
-    def _trace_stop_test(trace: "QueryTrace", tok: int, views, idx: int, radius: float) -> None:
+    def _trace_stop_test(trace: "QueryTrace", tok: int, views, idx: int, limit: float) -> None:
         """EXPLAIN detail of one stop test: every bound view of object *idx*."""
         for label, bounds in views:
             value = float(bounds[idx])
-            trace.lb_check(tok, value, radius, pruned=value > radius, label=label)
+            trace.lb_check(tok, value, limit, pruned=value > limit, label=label)
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
         """Compute the new object's pivot distances: one more table column.
@@ -524,6 +634,8 @@ class PivotTable(AccessMethod):
         column = self._port.many(vector, self._pivot_rows)
         self._rows = grown(self._rows, index, 1, axis=1)
         self._rows[:, index] = column
+        if self._projection is not None:
+            self._projection.append(index)
 
     def candidates_for_radius(self, query: ArrayLike, radius: float) -> int:
         """Number ``x`` of non-filtered objects for a range query.

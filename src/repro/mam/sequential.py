@@ -12,8 +12,10 @@ Two variants are provided:
   Under the QFD it scans through a certified filter (paper Section
   2.3.1's filter-and-refine): an O(n + k) lower bound
   ``mu ||v - q||^2 + ||(v - q) W||^2`` rules most rows out, and float64
-  runs only on the rest.  Answers, distances and charged counts are the
-  full float64 scan's.
+  runs only on the rest.  Under L2 (the QMap model) the filter is the
+  pivot table's projection bound ``||(v - q) W||``, O(k) per row
+  (:class:`~repro.mam.projection.ProjectionFilter`).  Answers, distances
+  and charged counts are the full float64 scan's.
 * :class:`DiskSequentialFile` — rows behind the paged storage substrate,
   used by the disk-cache ablation (bench E_A4).
 """
@@ -28,7 +30,7 @@ import numpy as np
 from .._typing import ArrayLike
 from ..engine.trace import activate_trace, current_trace
 from ..kernels import gram
-from ..kernels.kernels import QFDKernel
+from ..kernels.kernels import L2Kernel, QFDKernel
 from ..obs.events import ROOT
 from ..storage.vector_store import VectorStore
 from .base import (
@@ -42,6 +44,7 @@ from .base import (
     state_int,
     state_str,
 )
+from .projection import SCAN_FLOOR, ProjectionFilter
 
 if TYPE_CHECKING:
     from ..engine.trace import QueryTrace
@@ -85,6 +88,11 @@ def _refine_rows(dim: int) -> int:
     return max(2, -(-_REFINE_MACS // (dim * dim)))
 
 
+def _squared_cut(distance: float) -> float:
+    """The QFD bound's cut for a distance: its square, ``_CUT_SLACK`` high."""
+    return distance * distance * _CUT_SLACK
+
+
 def _survivors(
     port: DistancePort,
     query: np.ndarray,
@@ -93,39 +101,58 @@ def _survivors(
     tighter: Callable[[np.ndarray], np.ndarray] | None,
     k: int | None,
     radius: float,
+    cut_for: Callable[[float], float] = _squared_cut,
+    padded: bool = True,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows the lower bounds cannot rule out, ascending, and their
-    float64 distances; ``None`` when they rule out none.
+    """The rows the bounds cannot rule out, ascending, and their float64
+    distances; ``None`` when they rule out none.
 
-    Every row's float64 squared distance is at least its *bound*, and at
-    least ``tighter(rows)`` for ascending *rows* (``-inf`` where nothing
-    is certain): the rank-k term alone, then the full bound on the rows
-    it keeps (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound`
-    without and with the shadow; *tighter* is ``None`` when *bound* is
-    the full one already).  Range keeps rows within ``r^2``.  kNN first
-    evaluates the seed, the ``max(2k, _refine_rows(n))`` rows of smallest
-    *bound*, through :func:`_refine`: ``D``, their k-th smallest distance,
-    is at least the k-th distance of the scan, so every row of the answer,
-    ties included, has both bounds at most ``D^2`` and is kept.  Both cuts
-    take ``_CUT_SLACK``.
+    A row whose *bound* exceeds ``cut_for(d)`` is farther than ``d``, and
+    so is one whose ``tighter(rows)`` does, for ascending *rows*.  Under
+    the QFD the bounds are squared distances less every rounding error
+    (``-inf`` where nothing is certain): the rank-k term alone, then the
+    full bound on the rows it keeps
+    (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound` without and with
+    the shadow; *tighter* is ``None`` when *bound* is the full one
+    already), and the cut is ``d^2`` taken ``_CUT_SLACK`` high.  Under L2
+    the bound is the projection's and ``cut_for`` its own
+    (:meth:`~repro.mam.projection.ProjectionFilter.bound`).  Range keeps
+    rows within ``cut_for(r)``.  kNN first evaluates the seed, the
+    ``max(2k, _refine_rows(n))`` rows of smallest *bound* (``2k`` when not
+    *padded*): ``D``, their k-th smallest distance, is at least the k-th
+    distance of the scan, so every row of the answer, ties included, is
+    within ``cut_for(D)`` and is kept.  Rows are evaluated through
+    :func:`_refine` when *padded*, else by one ``port.compute_many`` (an
+    L2 float does not depend on the rows its call holds).
     """
     m = bound.shape[0]
+    if padded:
+        first = max(2 * k, _refine_rows(data.shape[1])) if k is not None else 0
+
+        def evaluate(rows: np.ndarray) -> np.ndarray:
+            return _refine(port, query, data, rows)
+
+    else:
+        first = 2 * k if k is not None else 0
+
+        def evaluate(rows: np.ndarray) -> np.ndarray:
+            return port.compute_many(query, data[rows])
+
     seed = np.empty(0, dtype=np.intp)
     if k is None:
-        cut = radius * radius * _CUT_SLACK
+        cut = cut_for(radius)
     else:
-        first = max(2 * k, _refine_rows(data.shape[1]))
         if first >= m:  # the seed is every row
             return None
         seed = np.sort(np.argpartition(bound, first - 1)[:first])
-        near = _refine(port, query, data, seed)
-        cut = float(np.partition(near, k - 1)[k - 1]) ** 2 * _CUT_SLACK
-    rows = np.setdiff1d(np.flatnonzero(bound <= cut), seed, assume_unique=True)
+        near = evaluate(seed)
+        cut = cut_for(float(np.partition(near, k - 1)[k - 1]))
+    rows = np.setdiff1d(np.flatnonzero(~(bound > cut)), seed, assume_unique=True)
     if tighter is not None:
         rows = rows[tighter(rows) <= cut]
     if seed.shape[0] + rows.shape[0] == m:
         return None
-    distances = _refine(port, query, data, rows)
+    distances = evaluate(rows)
     if not seed.shape[0]:
         return rows, distances
     rows = np.concatenate([seed, rows])
@@ -201,10 +228,13 @@ class SequentialFile(AccessMethod):
     _projected_buffer: "np.ndarray | None" = None
     _norms: "np.ndarray | None" = None
     _norms_buffer: "np.ndarray | None" = None
+    #: Under L2: the projection filter (``None`` until the first bounded
+    #: query, ``False`` where it is off).
+    _projection: "ProjectionFilter | bool | None" = None
 
     _BOUND_ROWS = (
         "_shadow", "_shadow_buffer", "_projected", "_projected_buffer",
-        "_norms", "_norms_buffer",
+        "_norms", "_norms_buffer", "_projection",
     )
 
     def __getstate__(self) -> dict:
@@ -266,7 +296,28 @@ class SequentialFile(AccessMethod):
                 kept = _survivors(self._port, query, data, bound, tighter, k, radius)
                 if kept is not None:
                     return kept
+        elif isinstance(kernel, L2Kernel) and not everything:
+            projection = self._projection_filter()
+            if projection is not None and projection.size == data.shape[0]:
+                squares, cut = projection.bound(query, slice(0, data.shape[0]), data)
+                kept = _survivors(
+                    self._port, query, data, squares, None, k, radius, cut, padded=False
+                )
+                if kept is not None:
+                    return kept
         return None, self._port.compute_many(query, data)
+
+    def _projection_filter(self) -> ProjectionFilter | None:
+        """The L2 projection filter over the stored rows, built on first
+        use (``False`` once found off)."""
+        projection = self._projection
+        if projection is None:
+            with _SHADOW_LOCK:
+                projection = self._projection
+                if projection is None:
+                    projection = ProjectionFilter.over(self._port, self._data, SCAN_FLOOR) or False
+                    self._projection = projection
+        return projection or None
 
     def _bound_rows(
         self, kernel: QFDKernel
@@ -340,7 +391,13 @@ class SequentialFile(AccessMethod):
         """Appending the row is the entire build; a built shadow, its norms
         and the projected rows are extended by the row's float32 copy, its
         norm and its projection, never rebuilt (only float64 stores take
-        inserts)."""
+        inserts).  So is a built projection filter; one found off is
+        decided again at the next query."""
+        if self._projection is not None:
+            if self._projection:
+                self._projection.append(index)
+            else:
+                self._projection = None
         if self._norms is None:
             return
         row = gram.qfd_shadow(vector[None, :])

@@ -27,6 +27,7 @@ from ..mam.base import (
     DistancePort,
     Neighbor,
     _KnnHeap,
+    grown,
     state_array,
     state_float,
     state_int,
@@ -39,6 +40,9 @@ __all__ = ["VAFile"]
 #: Cells per block of :meth:`VAFile._cell_walls`' gather: its index and
 #: gathered temporaries stay at 512 KB each, whatever the table's size.
 _WALL_BLOCK = 65536
+
+#: The per-object arrays an insert appends a row to.
+_PER_OBJECT = ("_approx", "_cell_lower", "_cell_upper")
 
 
 class VAFile(AccessMethod):
@@ -80,6 +84,7 @@ class VAFile(AccessMethod):
         self._boundaries[-1] += 1e-12
         self._approx = self._quantize(self._data)
         self._cell_lower, self._cell_upper = self._cell_walls(self._approx)
+        self._buffers: dict[str, np.ndarray] = {}  # once inserts start
 
     @property
     def bits(self) -> int:
@@ -135,12 +140,17 @@ class VAFile(AccessMethod):
             raise StorageError(
                 "VA-file snapshot: approximation cell out of range"
             )
-        # Adopted, not copied: nothing writes either in place (an insert
-        # stacks new arrays), so the snapshot's arrays stay as decoded.
+        # Adopted, not copied: an insert writes only into grown copies,
+        # so the snapshot's arrays stay as decoded.
         self._bits = bits
         self._boundaries = boundaries
         self._approx = approx
         self._cell_lower, self._cell_upper = self._cell_walls(approx)
+        self._buffers = {}
+
+    def __getstate__(self) -> dict:
+        # A copy regrows its own spare capacity on its next insert.
+        return {**super().__getstate__(), "_buffers": {}}
 
     def _verify_state_probe(self) -> None:
         # Re-quantizing the first row with the stored grid must reproduce
@@ -197,9 +207,13 @@ class VAFile(AccessMethod):
         """
         approx = self._quantize(vector.reshape(1, -1))
         lower, upper = self._cell_walls(approx)
-        self._approx = np.vstack([self._approx, approx])
-        self._cell_lower = np.vstack([self._cell_lower, lower])
-        self._cell_upper = np.vstack([self._cell_upper, upper])
+        # Each array is the filled prefix of a buffer that doubles when
+        # full: amortized O(n) per insert, not a copy of all m rows.
+        for name, row in zip(_PER_OBJECT, (approx, lower, upper)):
+            buffer = grown(self._buffers.get(name, getattr(self, name)), index, 1)
+            buffer[index] = row[0]
+            self._buffers[name] = buffer
+            setattr(self, name, buffer[: index + 1])
 
     def _bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-object lower and upper bounds on d(query, object)."""

@@ -6,7 +6,10 @@ candidates in blocks.  This module *is* the algorithm those shortcuts must
 reproduce, written the slow way: the full lower bound of every object from
 the public ``table`` (one pivot, one pivot pair at a time), one stable sort
 by ``(bound, index)``, one distance evaluation per visited object, stop at
-the first bound above the current ``k``-th distance.  It never looks ahead,
+the first bound above the current ``k``-th distance — "above" meaning
+beyond that distance plus its rounding margin, written out here from the
+public ``table`` (:func:`limit`) rather than read from the index.  It
+never looks ahead,
 so what it counts is what a query may charge; tests compare its answers,
 its charges and its filter / refine counts with the library's.
 """
@@ -18,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.mam.base import Neighbor
+from repro.mam.base import PRUNE_SLACK_REL, Neighbor
 
 
 class Spent(NamedTuple):
@@ -64,6 +67,29 @@ def lower_bounds(table, qv: np.ndarray) -> np.ndarray:
     return lb
 
 
+def limit(table, qv: np.ndarray, radius: float) -> float:
+    """What a bound is compared with: *radius* plus its rounding margin
+    ``PRUNE_SLACK_REL (alpha radius + beta)``, the largest ``alpha`` and
+    ``beta`` over the terms the bound mode takes — ``1`` and ``2 d(q, p)``
+    for a pivot, ``1 + (a + c) / e`` and ``2 a c / e`` for a pivot pair
+    (``a``, ``c`` its query distances, ``e`` its own).  Each is the float
+    the library computes (adding one is monotone, so it commutes with
+    ``max``)."""
+    alpha, beta = 1.0, 0.0
+    p = qv.shape[0]
+    if table.bound != "ptolemaic":
+        beta = max(2.0 * float(qv[j]) for j in range(p))
+    if table.bound != "triangle":
+        pair = table.pivot_pair_matrix
+        for i in range(p):
+            for j in range(i + 1, p):
+                if pair[i, j] > 0.0:
+                    a, c, e = float(qv[i]), float(qv[j]), float(pair[i, j])
+                    alpha = max(alpha, 1.0 + (a + c) / e)
+                    beta = max(beta, 2.0 * a * c / e)
+    return radius + PRUNE_SLACK_REL * (alpha * radius + beta)
+
+
 def _distance(table, query, index: int) -> float:
     rows = table.database[index : index + 1]
     return float(table.distance.compute_many(np.asarray(query, dtype=np.float64), rows)[0])
@@ -78,7 +104,7 @@ def reference_knn(table, query, k: int):
     best: list[tuple[float, int]] = []  # max-heap of (-distance, -index)
     refined = 0
     for index in np.lexsort((np.arange(m), lb)).tolist():
-        if len(best) == k and lb[index] > -best[0][0]:
+        if len(best) == k and lb[index] > limit(table, qv, -best[0][0]):
             break
         dist = _distance(table, query, index)
         refined += 1
@@ -93,7 +119,8 @@ def reference_knn(table, query, k: int):
 
 def reference_candidates(table, query, radius: float) -> int:
     """The number ``x`` of objects a range query cannot filter out."""
-    return int(np.count_nonzero(lower_bounds(table, query_vector(table, query)) <= radius))
+    qv = query_vector(table, query)
+    return int(np.count_nonzero(lower_bounds(table, qv) <= limit(table, qv, radius)))
 
 
 def reference_range(table, query, radius: float):
@@ -101,7 +128,7 @@ def reference_range(table, query, radius: float):
     qv = query_vector(table, query)
     lb = lower_bounds(table, qv)
     out = []
-    candidates = np.flatnonzero(lb <= radius).tolist()
+    candidates = np.flatnonzero(lb <= limit(table, qv, radius)).tolist()
     for index in candidates:
         dist = _distance(table, query, index)
         if dist <= radius:

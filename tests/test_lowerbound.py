@@ -172,3 +172,23 @@ class TestFilterRefineScan:
         fr = FilterRefineScan(data, average_color_bound(qfd, rgb_bin_prototypes(4)))
         q = data[5]
         assert_same_neighbors(fr.knn_search(q, 5), scan.knn_search(q, 5), tol=1e-7)
+
+
+class TestOneFloat:
+    """A baseline's scalar bound is its batched bound's float, row for row
+    (``np.linalg.norm`` differed on 359 of 2 000 rows)."""
+
+    @pytest.mark.parametrize("k", [3, 8, 32])
+    def test_svd_scalar_equals_batched(self, qfd, data, k) -> None:
+        red = SVDReduction(qfd, k)
+        mapped = red.transform_batch(data)
+        for q in mapped[:8]:
+            batched = red.lower_bound_one_to_many(q, mapped)
+            assert [red.lower_bound(q, row) for row in mapped] == batched.tolist()
+
+    def test_average_color_scalar_equals_batched(self, qfd, data) -> None:
+        bound = average_color_bound(qfd, rgb_bin_prototypes(4))
+        mapped = bound.transform_batch(data)
+        for q in mapped[:8]:
+            batched = bound.lower_bound_one_to_many(q, mapped)
+            assert [bound.lower_bound(q, row) for row in mapped] == batched.tolist()

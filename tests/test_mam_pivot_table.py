@@ -10,9 +10,10 @@ from repro.datasets import clustered_histograms, histogram_workload
 from repro.distances import CountingDistance, euclidean, euclidean_one_to_many
 from repro.engine.trace import query_trace
 from repro.exceptions import QueryError
-from repro.mam import PIVOT_METHODS, PivotTable, SequentialFile, select_pivots
+from repro.mam import PIVOT_METHODS, PivotTable, SequentialFile, pivot_table, select_pivots
 from repro.mam.base import DistancePort
 from repro.mam.pivot_table import _HEAD_PIVOTS
+from repro.mam.projection import SCAN_FLOOR
 
 from .helpers import SpyPort, assert_same_neighbors, run_together
 from .pivot_reference import lower_bounds, query_vector
@@ -327,8 +328,10 @@ class TestStagedFilterPhysicalWork:
         return qmap.transform_batch(workload.database), qmap.transform_batch(workload.queries)
 
     @pytest.fixture()
-    def table(self, mapped):
+    def table(self, mapped, monkeypatch):
         port = SpyPort(_l2_counter())
+        # The projection filter on at M rows, below the pivot table's floor.
+        monkeypatch.setattr(pivot_table, "PIVOT_FLOOR", SCAN_FLOOR)
         return PivotTable(mapped[0], port, n_pivots=self.P, rng=np.random.default_rng(3))
 
     def test_bound_kernels_touch_the_head_rows_and_the_survivors_columns(
@@ -362,7 +365,8 @@ class TestStagedFilterPhysicalWork:
             allowed += head * m + (p - head) * survivors
         assert touched <= allowed < 0.5 * len(mapped[1]) * p * m  # the parent: p m per query
 
-    def test_refinement_rows_binds_and_charges(self, table, mapped) -> None:
+    def _refinement_rows(self, table, mapped) -> tuple[int, int]:
+        """``(physical, charged)`` refinement rows over the queries."""
         port = table.distance
         physical = charged = 0
         for query in mapped[1]:
@@ -378,7 +382,18 @@ class TestStagedFilterPhysicalWork:
             assert port.sizes[0] == self.P
             physical += sum(port.sizes[1:])
             charged += trace.candidates
-        assert charged <= physical <= 1.1 * charged  # the parent: 1.29 x
+        return physical, charged
+
+    def test_refinement_rows_binds_and_charges(self, table, mapped, monkeypatch) -> None:
+        # The LAESA blocks alone: hardly a row evaluated that is not charged.
+        monkeypatch.setattr(table, "_projection", None)
+        physical, charged = self._refinement_rows(table, mapped)
+        assert charged <= physical <= 1.1 * charged  # the blocks' parent: 1.29 x
+        monkeypatch.undo()
+        # Behind the projection filter the same charges, far fewer rows.
+        assert table._projection is not None
+        filtered, same = self._refinement_rows(table, mapped)
+        assert same == charged and filtered < 0.6 * charged
 
     def test_queries_leave_no_state_on_the_index(self, table, mapped) -> None:
         def state():

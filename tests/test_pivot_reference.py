@@ -21,7 +21,14 @@ from repro.engine.trace import query_trace
 from repro.mam import BOUND_MODES, PivotTable
 from repro.models import QFDModel, QMapModel
 
-from .pivot_reference import Spent, reference_candidates, reference_knn, reference_range
+from .pivot_reference import (
+    Spent,
+    limit,
+    query_vector,
+    reference_candidates,
+    reference_knn,
+    reference_range,
+)
 
 DIM = 5
 
@@ -45,6 +52,10 @@ def l2_table(rows, p, bound, *, build_on=None) -> PivotTable:
 
 def check_against_reference(table, query, k: int, radius: float) -> None:
     counter = table.distance.counter
+    qv = query_vector(table, query)
+    for r in (0.0, radius, 2.5 * radius + 1.0):
+        # The margin the index compares with is the one written out by hand.
+        assert table.bound_limit(qv, r) == limit(table, qv, r)
     with query_trace("knn", k) as trace:
         got = table.knn_search(query, k)
     expected, spent = reference_knn(table, query, k)

@@ -13,10 +13,10 @@ the ones its query computes are one arithmetic
 Workload: the ``tree64`` corpus (64-d histograms, seed 2011) at m = 5 000,
 200 evenly spaced database rows as queries.
 
-The pivot table and the M-index still miss the query's own row at ``d1``:
-they compare their triangle bound ``|d(q, p) - d(o, p)|`` with the radius
-without a rounding margin (ROADMAP item 1(c)), so those cells are strict
-expected failures.
+The pivot table and the M-index compare their triangle bound ``|d(q, p) -
+d(o, p)|`` with the radius plus a derived rounding margin
+(:meth:`repro.mam.pivot_table.PivotTable.bound_limit`); without it they
+missed the query's own row at ``d1`` on 45 of the 200 queries.
 
 :class:`TestRouterMemberLine` is the M-tree's sharpest case: a query on the
 line from a routing object ``p`` through the member ``o`` at its covering
@@ -39,19 +39,7 @@ from repro.models import QMapModel
 M = 5000
 N_QUERIES = 200
 
-MARGINLESS = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(c): the triangle bound is compared with r without a rounding margin",
-)
-METHODS = [
-    "mtree",
-    "paged-mtree",
-    "vptree",
-    "sat",
-    "gnat",
-    pytest.param("pivot-table", marks=MARGINLESS),
-    pytest.param("mindex", marks=MARGINLESS),
-]
+METHODS = ["mtree", "paged-mtree", "vptree", "sat", "gnat", "pivot-table", "mindex"]
 
 
 def _pairs(neighbors) -> list[tuple[int, float]]:

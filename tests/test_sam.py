@@ -135,6 +135,29 @@ class TestVAFile:
         va = VAFile(rows, bits=2)
         assert len(va.knn_search(rows[0], 6)) == 6
 
+    def test_inserts_append_into_doubling_buffers(self, data, scan) -> None:
+        """Inserted rows leave the arrays a build over the same grid makes,
+        re-allocated only when the capacity doubles, and the arrays a
+        restore adopted untouched."""
+        va = VAFile(data[:100], bits=4)
+        restored = VAFile.from_state(data[:100], None, va.structural_state())
+        adopted = restored._approx
+        before = adopted.copy()
+        for index in (va, restored):
+            buffers = set()
+            for row in data[100:]:
+                index.insert(row)
+                buffers.add(id(index._buffers["_approx"]))
+            assert len(buffers) <= 3  # 100 -> 200 -> 400 rows of capacity
+            approx = index._quantize(index.database)
+            assert np.array_equal(index._approx, approx)
+            lower, upper = index._cell_walls(approx)
+            assert np.array_equal(index._cell_lower, lower)
+            assert np.array_equal(index._cell_upper, upper)
+            for q in data[:4]:
+                assert_same_neighbors(index.knn_search(q, 7), scan.knn_search(q, 7))
+        assert np.array_equal(adopted, before)
+
 
 def test_a_vafile_restore_allocates_no_full_size_temporaries(tmp_path, monkeypatch) -> None:
     """Memory guard: a restore's allocation peak stays within 1.3x of what
