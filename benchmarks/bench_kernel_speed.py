@@ -21,15 +21,16 @@ assist.  A second table therefore times each QFD entry point on the raw
 histogram rows and on the same rows with the subnormals zeroed, interleaved
 in one process, and reports ``subnormal_penalty_ratio = raw / flushed``.
 Entry points that flush their operand themselves (the QFD kernels, the
-QMap transform, the QFD sequential scan — its certified lower bound,
-then float64 over the rows it keeps — over a heap shadow or a float32
-store's own rows, and the lower bound over a heap shadow, whose gemv
-reads the shadow flushed once and whose projected rows were flushed
-before their product) are marked ``fixed`` and must read ~1; the others
-are measured and left (see ``docs/architecture.md``, *Subnormal
-operands*) — the lower bound over a float32 store's own rows among
-them: its gemv reads the store's subnormals in place, which the whole
-f32-mmap scan entry absorbs.
+QMap transform, the QFD sequential scan — its certified rank-k bound,
+the intervals of the rows mapped by the Cholesky factor, then float64 over
+the rows that can answer — over heap rows or a float32 store's own rows,
+and the scan's parts: the projection and the map, which flush each block
+of rows before its product, the bound over the projected rows and the
+interval over the float32 mapped rows) are marked ``fixed`` and must read
+~1; the others are measured and left (see ``docs/architecture.md``,
+*Subnormal operands*) — the projection of a float32 store's own rows
+among them: its upcast reads the store's float32 subnormals in place,
+which the whole f32-mmap scan entry absorbs.
 A last line times the one difference-form L2 one-to-many over a
 database-sized batch: ns per row and the peak bytes it allocates.
 
@@ -202,17 +203,15 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     qfd = QuadraticFormDistance(matrix)
     qmap = QMap(matrix)
     kernel = QFDKernel(matrix)
-    # The filtered QFD scan: the bound over the shadow and projected rows
-    # its warm-up query builds (a float32 store is its own shadow), then
-    # float64 over the rows the bound keeps.
+    # The filtered QFD scan: the rank-k bound over the rows projected by its
+    # warm-up query, the intervals of the rows mapped so far, then float64
+    # over the rows that can answer; and those stages on their own.
     store_dir = tempfile.TemporaryDirectory()
     for label, operands in (("raw", raw), ("clean", clean)):
         operands["ctx"] = kernel.bind(operands["q"])
-        operands["shadow"] = gram.qfd_shadow(operands["rows"])
-        operands["norms"] = gram.shadow_norms(operands["shadow"])
-        operands["norms32"] = gram.shadow_norms(operands["rows32"])
-        operands["projected"] = kernel.project(operands["shadow"])
-        operands["projected32"] = kernel.project(operands["rows32"])
+        operands["projected"] = kernel.project(operands["rows"])
+        operands["norms"] = operands["projected"][1]
+        operands["mapped"], operands["errors"] = kernel.map(operands["rows"], operands["norms"])
         port = DistancePort(CountingDistance(qfd, one_to_many=qfd.one_to_many))
         stored = np.memmap(
             Path(store_dir.name) / label, dtype=np.float32, mode="w+",
@@ -251,12 +250,16 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: qmap.transform(d["q"])),
         ("QuadraticFormDistance.one_to_many, f32", False, f"{m}x{qfd.dim}",
          lambda d: qfd.one_to_many(d["q"], d["rows32"])),
+        ("QFDKernel.project", True, f"{m}x{qfd.dim}",
+         lambda d: kernel.project(d["rows"])),
+        ("QFDKernel.project, f32 store", False, f"{m}x{qfd.dim}",
+         lambda d: kernel.project(d["rows32"])),
         ("QFDKernel.lower_bound", True, f"{m}x{qfd.dim}",
-         lambda d: kernel.lower_bound(d["q"], d["shadow"], d["norms"], d["projected"])),
-        ("QFDKernel.lower_bound, f32 store", False, f"{m}x{qfd.dim}",
-         lambda d: kernel.lower_bound(
-             d["q"], d["rows32"], d["norms32"], d["projected32"], rows_exact=True
-         )),
+         lambda d: kernel.lower_bound(d["q"], *d["projected"])),
+        ("QFDKernel.map", True, f"{m}x{qfd.dim}",
+         lambda d: kernel.map(d["rows"], d["norms"])),
+        ("QFDKernel.interval", True, f"{m}x{qfd.dim}",
+         lambda d: kernel.interval(d["q"])(d["mapped"], d["errors"], d["norms"])),
         ("SequentialFile.knn_search (filtered)", True, f"{m}x{qfd.dim}",
          lambda d: d["scan"].knn_search(d["q"], 10)),
         ("SequentialFile.knn_search, f32 mmap", True, f"{m}x{qfd.dim}",

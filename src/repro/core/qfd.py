@@ -65,9 +65,9 @@ class QuadraticFormDistance:
     @property
     def cholesky_factor(self) -> Matrix | None:
         """The Cholesky factor the positive-definiteness check made (``None``
-        in an unpickled copy), kept so a scan's kernel can estimate the
-        matrix's smallest eigenvalue without factoring it again
-        (:func:`~repro.kernels.gram.lambda_min_floor`)."""
+        in an unpickled copy), kept so a scan's kernel maps rows by it and
+        estimates the matrix's smallest eigenvalue without factoring it
+        again (:class:`~repro.kernels.kernels.QFDKernel`)."""
         return self._factor
 
     @property

@@ -13,17 +13,18 @@ math — no counting, no validation; the charging semantics live in
 :class:`repro.mam.base.DistancePort`.
 
 The QFD sequential scan rules rows out before it evaluates them
-(paper Section 2.3.1's filter-and-refine): :func:`qfd_lower_bound`
-bounds the float64 form from below in O(n + k) per row, as
-``mu ||v - q||^2 + ||(v - q) W||^2`` less every rounding error.  ``W``
-(``n x k``, ``k = _SPECTRAL_RANK``) comes from approximate top
-eigenpairs of ``A``'s symmetric part, and :func:`spectral_floor`
-certifies ``(A + A^T) / 2 - W W^T - mu I`` positive semi-definite by one
-Cholesky factorization; ``||v - q||`` comes from a float32 copy of the
-rows (:func:`qfd_shadow`) and ``v W`` from rows projected once
-(:func:`qfd_project`).  The scan then evaluates in float64 only the rows
-the bound cannot rule out, so what it returns is always the float64
-form's.
+(paper Section 2.3.1's filter-and-refine), in two certified stages.
+First :func:`qfd_lower_bound` bounds the float64 form from below in O(k)
+per row, as ``||(v - q) W||^2`` less every rounding error: ``W``
+(``n x k``, ``k = _SPECTRAL_RANK``) comes from approximate top eigenpairs
+of ``A``'s symmetric part, :func:`spectral_floor` certifies
+``(A + A^T) / 2 - W W^T`` positive semi-definite by one Cholesky
+factorization, and the rows are projected once (:func:`qfd_project`).
+Then :func:`qfd_interval` brackets the float64 form of the rows that bound
+keeps, in O(n) per row, from the rows mapped by the QFD's own Cholesky
+factor and stored as float32 (:func:`qfd_map`: paper Section 3's QMap).
+The scan evaluates in float64 only the rows whose interval can reach the
+answer, so what it returns is always the float64 form's.
 
 The QMap refines do the same in mapped space with one certified L2
 projection bound (:func:`l2_lower_bound`): ``W`` an orthonormal PCA basis
@@ -49,12 +50,12 @@ __all__ = [
     "qfd_row_norms",
     "l2_row_norms",
     "qfd_one_to_many",
-    "qfd_shadow",
-    "shadow_norms",
     "qfd_project",
     "qfd_lower_bound",
+    "qfd_factor_terms",
+    "qfd_map",
+    "qfd_interval",
     "spectral_floor",
-    "lambda_min_floor",
     "abs_sum_radius",
     "l2_one_to_many",
     "l2_basis",
@@ -203,23 +204,6 @@ def abs_sum_radius(matrix: np.ndarray) -> float:
     return float(largest) * (1.0 + _gamma(n + 1, _U64))
 
 
-def qfd_shadow(rows: np.ndarray) -> np.ndarray:
-    """The float32 "shadow" of float64 *rows* whose gemv gives
-    :func:`qfd_lower_bound` ``||v - q||``.
-
-    Cast tile by tile and flushed of float32 subnormals, once, so no query
-    pays the microcode assist on them; every entry is within
-    ``2^-24 |v_i| + tiny32`` of the row's (the bound's ``e_v`` term).
-    """
-    shadow = np.empty(rows.shape, dtype=np.float32)
-    with np.errstate(over="ignore"):  # beyond float32 range: inf, re-evaluated
-        for tile in row_tiles(rows.shape[0]):
-            block = shadow[tile]
-            np.copyto(block, rows[tile], casting="same_kind")
-            _flush_subnormals(block, inplace=True)
-    return shadow
-
-
 def _gamma(k: float, u: float) -> float:
     """Higham's ``gamma_k = k u / (1 - k u)``: the relative error bound of
     ``k`` rounded operations in sequence."""
@@ -253,199 +237,216 @@ def _float64_error(big_x: np.ndarray, radius: float, n: int) -> np.ndarray:
     return t64 + 4 * n * _TINY64 + 8 * n * root_n * _TINY64 * x64
 
 
-def shadow_norms(shadow: np.ndarray) -> np.ndarray:
-    """``||v^||^2`` per float32 row of *shadow*, summed in float64.
-
-    A float32 entry's square is exact in float64 (48 significant bits, and
-    even a float32 subnormal's square is a float64 normal), so each value
-    is within ``gamma_n(w) ||v^||^2`` of the exact one, in any summation
-    order.  :func:`qfd_lower_bound` reads it.
-    """
-    out = np.empty(shadow.shape[0], dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf rows: inf
-        for tile in row_tiles(shadow.shape[0]):
-            np.einsum("ij,ij->i", shadow[tile], shadow[tile], dtype=np.float64, out=out[tile])
-    return out
-
-
-def qfd_project(weights: np.ndarray, shadow: np.ndarray) -> np.ndarray:
-    """``v^ W`` per float32 row of *shadow*, in float64 (``m x k``): the
-    projected rows :func:`qfd_lower_bound`'s rank-k term reads, made once
-    per database.
-
-    A float32 entry, subnormal or not, upcasts to a float64 normal or
-    zero, so no product meets a subnormal; the shadow is upcast through a
-    1 MB buffer (``_L2_TILE_FLOATS``), not whole.
-    """
-    m, n = shadow.shape
-    out = np.empty((m, weights.shape[1]), dtype=np.float64)
+def _float_blocks(rows: np.ndarray):
+    """``(part, block)``: the rows ``part`` of *rows* upcast to float64 and
+    flushed of subnormals, through one ``_L2_TILE_FLOATS`` buffer."""
+    m, n = rows.shape
     step = max(1, _L2_TILE_FLOATS // n)
     buffer = np.empty((min(step, m), n), dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # inf rows: inf or nan, bound -inf
-        for start in range(0, m, step):
-            block = buffer[: min(step, m - start)]
-            np.copyto(block, shadow[start : start + step])
-            np.matmul(block, weights, out=out[start : start + block.shape[0]])
-    return out
+    for start in range(0, m, step):
+        block = buffer[: min(step, m - start)]
+        np.copyto(block, rows[start : start + step])
+        yield slice(start, start + block.shape[0]), _flush_subnormals(block, inplace=True)
+
+
+def qfd_project(weights: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(P, V, S)``, :func:`qfd_lower_bound`'s per-row operands, made once
+    per row: ``P = v' W`` in float64, ``v'`` the row flushed of subnormals;
+    ``V >= ||v||``, :func:`_norm_up` of the float64 sum of ``v'``'s squares
+    over ``2 n`` entries (``n t64`` more for the flushed ones, each below
+    ``t64`` squared); and ``S``, the float64 sum of ``P``'s squares."""
+    m = rows.shape[0]
+    projected = np.empty((m, weights.shape[1]), dtype=np.float64)
+    squares = np.empty(m, dtype=np.float64)
+    with np.errstate(all="ignore"):  # a non-finite row: a bound of -inf
+        for part, block in _float_blocks(rows):
+            np.matmul(block, weights, out=projected[part])
+            np.einsum("ij,ij->i", block, block, out=squares[part])
+        v_norm = _norm_up(squares, 2 * rows.shape[1])
+        return projected, v_norm, np.einsum("ij,ij->i", projected, projected)
 
 
 def qfd_lower_bound(
-    mu: float,
-    radius: float,
-    q: np.ndarray,
-    shadow: np.ndarray | None,
-    norms: np.ndarray,
-    *,
-    weights: np.ndarray | None = None,
-    projected: np.ndarray | None = None,
-    rows_exact: bool = False,
+    radius: float, q: np.ndarray, weights: np.ndarray,
+    projected: np.ndarray, v_norm: np.ndarray, p_squares: np.ndarray,
 ) -> np.ndarray:
-    """Certified lower bounds, in O(n + k) per row, on the squared QFDs
-    the float64 path computes: ``mu ||v - q||^2 + ||(v - q) W||^2`` less
-    every rounding error.
+    """Certified lower bounds, in O(k) per row, on the squared QFDs the
+    float64 path computes: ``||(v - q) W||^2`` less every rounding error,
+    ``-inf`` where none is certain.
 
-    :func:`spectral_floor` certifies ``(A + A^T) / 2 - W W^T - mu I``
-    positive semi-definite for its *weights* ``W`` (``n x k``) and *mu*,
-    so ``x A x^T >= mu ||x||^2 + ||x W||^2`` for ``x = v - q``.  Without
-    *weights*, or with ``k = 0``, the bound is the rank-0 one and *mu* is
-    at most ``lambda_min((A + A^T) / 2)`` (:func:`lambda_min_floor`).
-    ``||v - q||`` comes from the Gram form over the shadow
-    (:func:`qfd_shadow`): *norms* is :func:`shadow_norms`, ``||q^||^2`` is
-    summed in float64 and ``v^ . q^`` is one float32 gemv ``shadow @ q^``.
-    ``x W`` comes from *projected*, :func:`qfd_project` of the shadow,
-    less ``q W``.  The result bounds ``d64`` — the value **the float64
-    path computes** (:func:`qfd_one_to_many` before its clamp and square
-    root) for the row ``v`` the shadow stands for — not the exact one.
-    With ``mu = 0.0`` (nothing certified, no *weights*) every bound is at
-    most ``0``, below the path's clamped value.  Without *shadow* the
-    bound is the rank-k term alone, ``r^2 - T64(V' + Q)`` with ``V' =
-    (V + sqrt(n) t) / (1 - u) >= ||v||`` (``V`` when ``rows_exact``): O(k)
-    per row, no pass over the shadow, and still a bound as ``mu >= 0``.  A
-    row whose bound is not finite gets ``-inf``: it is never ruled out.
-    *radius* is :func:`abs_sum_radius`; ``rows_exact`` says the shadow
-    *is* the stored rows (a float32 store), so they carry no rounding of
-    their own.
+    :func:`spectral_floor` certifies ``(A + A^T) / 2 - W W^T`` positive
+    semi-definite for its *weights* ``W`` (``n x k``), so ``x A x^T >=
+    ||x W||^2`` for ``x = v - q``.  The rows' ``(P, V, S)`` come from
+    :func:`qfd_project`, so a query pays one gemv ``P g`` and a few passes
+    over ``m`` values; *radius* is :func:`abs_sum_radius`.  The result
+    bounds ``d64``, the value **the float64 path computes**
+    (:func:`qfd_one_to_many` before its clamp and square root).  With ``w
+    = 2^-53``, ``t64`` float64's ``tiny``, ``gamma_j = j w / (1 - j w)`` and
+    ``Q >= ||q||``, ``bound = r^2 - T64(V + Q)``:
 
-    The bound, with ``u = 2^-24``, ``w = 2^-53``, ``t`` / ``t64`` the two
-    dtypes' ``tiny``, ``gamma_k(u) = k u / (1 - k u)``, ``S = norms +
-    ||q^||^2`` and ``N = S - 2 (v^ . q^)`` evaluated in float64 from the
-    gemv's float32 result::
+    * ``T64``, the float64 path's own rounding over ``||x|| <= V + Q``
+      (:func:`_float64_error`): ``d64 >= x A x^T - T64``.
+    * ``P_j``, the float64 ``v' W_j``, is within ``gamma_n ||v'|| ||W_j|| +
+      4 n t64`` of it (any summation order, underflow included), ``v'``
+      within ``sqrt(n) t64`` of ``v``; ``g``, the float ``q' W`` of the
+      flushed query, likewise.  So with ``F >= ||W||_F``, ``||P - g||`` is
+      within ``E = (gamma_n (V + Q) + 2 sqrt(n) t64) F + 8 n sqrt(k) t64``
+      of ``||x W||`` (:func:`_rank_error`).
+    * ``c = S - 2 P g + G - (a S + b)`` in float64, ``G`` the float
+      ``||g||^2``, ``a = 4 gamma_{k+6} / (1 - gamma_k)``, ``b = a (G + 2 k
+      t64) + 6 k t64``: the sums of ``k`` products are within ``gamma_k`` of
+      their terms' magnitudes plus ``2 k t64``, and the six further
+      operations each within ``w`` of a partial result under ``2 (||P||^2 +
+      ||g||^2)``, so ``c <= ||P - g||^2`` and ``r = sqrt(c) - E``, each
+      clamped at 0.
 
-        bound = mu l^2 - T64(X) + r^2
-
-    * the cancellation: ``N`` is within ``E = gamma_{n+1}(u) S + 9 n t``
-      of ``||v^ - q^||^2``.  The gemv is within ``gamma_n(u) |v^| |q^|^T
-      <= gamma_n(u) S / 2`` of ``v^ . q^`` in any summation order, with or
-      without FMA, plus at most ``t`` per product that underflows and per
-      addition, doubled by later additions: ``4 n t``.  ``S``'s two sums
-      are within ``gamma_n(w)`` of their squares' (:func:`shadow_norms`),
-      and the two float64 operations forming ``N`` within ``w`` of
-      operands under ``2 S``: those ``w`` terms total far below the ``u S``
-      by which ``gamma_{n+1}(u) S`` exceeds ``gamma_n(u) S``.
-    * the inputs' rounding: ``|v^_i - v_i| <= u |v_i| + t`` (cast, then
-      flush), so with ``|v_i| <= |v^_i| / (1 - u) + t``,
-      ``||v^ - v|| <= e_v = (u ||v^|| + 2 sqrt(n) t) / (1 - u)`` (``0``
-      when ``rows_exact``), and ``||q^ - q|| <= e_q = u ||q|| + sqrt(n) t``.
-      With ``e = e_v + e_q``: ``l = sqrt(N - E) - e <= ||v - q|| <=
-      sqrt(N + E) + e = X``.
-    * ``T64`` — the float64 path's own rounding over ``||x|| <= X``
-      (:func:`_float64_error`): ``d64 >= x A x^T - T64(X)``.
-    * ``r <= ||x W||``: ``P_j``, the float64 product of the shadow row
-      with ``W``'s column ``W_j``, is within ``gamma_n(w) ||v^|| ||W_j||
-      + 4 n t64`` of ``v^ W_j`` (any summation order, underflow
-      included), so within ``(gamma_n(w) ||v^|| + e_v) ||W_j|| + 4 n
-      t64`` of ``v W_j``; ``q W_j``, from the query flushed of float64
-      subnormals, is within ``(gamma_n(w) ||q|| + sqrt(n) t64) ||W_j|| +
-      4 n t64`` of the exact one, and ``y = P - q W`` rounds by at most
-      ``w |y_j| / (1 - w)``.  With ``V >= ||v^||``, ``Q >= ||q||`` and
-      ``F >= ||W||_F``::
-
-          r = ||y|| (1 - 2w) - (gamma_n(w) (V + Q) + e_v + sqrt(n) t64) F
-              - 8 n sqrt(k) t64
-
-      clamped at ``0``; ``||y||^2``, a float64 sum of ``k`` squares, is
-      within ``gamma_k(w)`` of its value plus ``2 k t64`` of underflow.
-
-    Every quantity that must be low (``sqrt(N - E)``, ``l``, ``mu l^2``,
-    ``||y||``, ``r``, ``r^2``) is scaled by ``1 - 2^-40`` before anything
-    is subtracted from it, and every one that must be high (``E``, ``e``,
-    ``sqrt(N + E)``, ``T64``, ``V`` and ``r``'s error) by ``1 + 2^-40``:
-    that absorbs the relative ``~1e-14`` by which their float64
-    evaluation can miss, a subtraction's rounding included.
+    Every quantity that must be low is scaled by ``1 - 2^-40`` before
+    anything is subtracted from it, and every one that must be high by ``1
+    + 2^-40``: that absorbs the relative ``~1e-14`` by which their float64
+    evaluation can miss.  At ``k = 0`` the bound is ``-T64 <= 0``.
     """
     q64 = _as64(q)
-    qq = float(q64 @ q64)
-    with np.errstate(all="ignore"):  # rows or a query beyond float32 range
-        if shadow is None:
-            n = weights.shape[0]
-            v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64))) * _HIGH
-            if not rows_exact:
-                v_norm = (v_norm + np.sqrt(n) * _TINY32) / (1.0 - _U32) * _HIGH
-            bound = -_float64_error((v_norm + _norm_up(qq, n)) * _HIGH, radius, n) * _HIGH
-        else:
-            n = shadow.shape[1]
-            q32 = _flush_subnormals(q64.astype(np.float32), inplace=True)
-            q32_64 = q32.astype(np.float64)
-            dots = np.asarray(shadow @ q32).astype(np.float64)
-            bound = _lower_bound(
-                norms, dots, float(q32_64 @ q32_64), qq, mu, radius, n, rows_exact
-            )
-        if weights is not None and weights.shape[1]:
-            bound += _rank_term(weights, projected, q64, norms, qq, rows_exact)
+    n, k = weights.shape
+    q_norm = _norm_up(float(q64 @ q64), n)
+    with np.errstate(all="ignore"):  # rows or a query beyond float64 range
+        bound = -_float64_error((v_norm + q_norm) * _HIGH, radius, n) * _HIGH
+        if k:
+            bound += _rank_term(weights, projected, q64, v_norm, p_squares, q_norm)
         bound[~np.isfinite(bound)] = -np.inf
     return bound
 
 
-def _lower_bound(
-    norms: np.ndarray,
-    dots: np.ndarray,
-    qq32: float,
-    qq: float,
-    mu: float,
-    radius: float,
-    n: int,
-    rows_exact: bool,
-) -> np.ndarray:
-    """:func:`qfd_lower_bound`'s ``mu l^2 - T64(X)``, term for term (see its
-    docstring)."""
-    low, high = _LOW, _HIGH
-    root_n = np.sqrt(n)
-    total = norms + qq32
-    gram_form = total - 2.0 * dots
-    slack = (_gamma(n + 1, _U32) * total + 9 * n * _TINY32) * high
-    e = _U32 * _norm_up(qq, n) + root_n * _TINY32
-    if not rows_exact:
-        v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64)))
-        e = e + (_U32 * v_norm + 2 * root_n * _TINY32) / (1.0 - _U32)
-    e = e * high
-    floor = np.maximum(np.sqrt(np.maximum(gram_form - slack, 0.0)) * low - e, 0.0) * low
-    big_x = np.sqrt(gram_form + slack) * high + e
-    return mu * floor * floor * low - _float64_error(big_x, radius, n) * high
-
-
 def _rank_term(
-    weights: np.ndarray,
-    projected: np.ndarray,
-    q: np.ndarray,
-    norms: np.ndarray,
-    qq: float,
-    rows_exact: bool,
+    weights: np.ndarray, projected: np.ndarray, q: np.ndarray,
+    v_norm: np.ndarray, p_squares: np.ndarray, q_norm: float,
 ) -> np.ndarray:
     """:func:`qfd_lower_bound`'s ``r^2``, term for term (see its docstring)."""
-    low, high = _LOW, _HIGH
+    low = _LOW
     n, k = weights.shape
-    root_n = np.sqrt(n)
-    y = projected - _flush_subnormals(q) @ weights
-    squares = np.einsum("ij,ij->i", y, y)
-    y_norm = np.sqrt(np.maximum(squares - 2 * k * _TINY64, 0.0) / (1.0 + _gamma(k, _U64)))
-    v_norm = np.sqrt(norms * (1.0 + _gamma(2 * n, _U64))) * high
-    row_error = 0.0
-    if not rows_exact:
-        row_error = (_U32 * v_norm + 2 * root_n * _TINY32) / (1.0 - _U32)
+    g = _flush_subnormals(q) @ weights
+    g_squares = float(g @ g)
+    a = 4 * _gamma(k + 6, _U64) / (1.0 - _gamma(k, _U64)) * _HIGH
+    b = (a * (g_squares + 2 * k * _TINY64) + 6 * k * _TINY64) * _HIGH
+    gram_form = projected @ (-2.0 * g)
+    gram_form += p_squares
+    gram_form += g_squares - b
+    gram_form -= a * p_squares
     f_norm = _norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k)
-    error = _rank_error(v_norm, _norm_up(qq, n), row_error, f_norm, n, k)
-    r = np.maximum(y_norm * low * (1.0 - 2 * _U64) - error, 0.0) * low
+    error = _rank_error(v_norm, q_norm, np.sqrt(n) * _TINY64, f_norm, n, k)
+    r = np.maximum(np.sqrt(np.maximum(gram_form, 0.0)) * low - error, 0.0) * low
     return r * r * low
+
+
+def qfd_factor_terms(matrix: np.ndarray, factor: np.ndarray) -> tuple[float, float]:
+    """``(F, K)`` of the QFD's Cholesky *factor* ``G`` (``np.linalg.cholesky``
+    of *matrix*, which reads one triangle ``S``): ``F >= ||G||_F`` and ``K``
+    with ``|x G G^T x^T - x A x^T| <= K ||x||^2``.
+
+    ``G G^T = S + dS`` with ``|dS| <= gamma_{n+3}(w) |G| |G^T|`` (Higham,
+    Theorem 10.3, with :func:`_certified`'s ``n + 3``), so ``||dS||_2 <=
+    gamma_{n+3}(w) F^2``, plus :func:`_certified`'s ``2 n (n + 1 + max
+    A_ii) t64`` of underflow.  ``S`` differs from ``(A + A^T) / 2``, whose
+    form is ``A``'s, by ``+-(A_ij - A_ji) / 2`` off the diagonal: the
+    asymmetry (within ``is_symmetric``'s 1e-9 for a QFD), at most its
+    largest absolute row sum in the 2-norm.  O(n^2) once per kernel, on the
+    distance's own factor: no second O(n^3) runs on restart.
+    """
+    n = matrix.shape[0]
+    f_norm = _norm_up(float(np.einsum("ij,ij->", factor, factor)), n * n)
+    skew = float(np.abs(matrix - matrix.T).sum(axis=1).max()) * 0.5 * (1.0 + _gamma(n + 1, _U64))
+    top = float(np.abs(np.diagonal(matrix)).max())
+    backward = _gamma(n + 3, _U64) * f_norm * f_norm + 2 * n * (n + 1 + top) * _TINY64
+    return f_norm, (skew + backward) * _HIGH
+
+
+def qfd_map(
+    factor: np.ndarray, f_norm: float, rows: np.ndarray, v_norm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, e)``: the *rows* mapped by the QFD's Cholesky *factor* ``G``
+    (paper Section 3's QMap transform ``v G``) stored as float32, and per
+    row ``e >= ||M - v G||``; *v_norm* is ``V >= ||v||``
+    (:func:`qfd_project`) and *f_norm* ``F >= ||G||_F``.
+
+    The rows are flushed of subnormals first, as :func:`qfd_one_to_many`
+    flushes its differences, moving ``v G`` by at most ``sqrt(n) t64 F``.
+    The float64 ``s = fl(v' G)`` is within ``gamma_n(w) V F + 4 n sqrt(n)
+    t64`` of ``v' G`` (``|| |v'| |G| || <= V F``), and its float32 store
+    within ``u |s_j| + t32`` per entry (``u = 2^-24``, ``t32`` float32's
+    ``tiny``): ``u (||M|| + sqrt(n) t32) / (1 - u) + sqrt(n) t32`` in norm.
+    ``e`` is their sum, ``1 + 2^-40`` high.  An entry beyond float32 range
+    is stored as ``inf``: its row's interval is unbounded.
+    """
+    m, n = rows.shape
+    root_n = sqrt(n)
+    mapped = np.empty((m, n), dtype=np.float32)
+    with np.errstate(all="ignore"):
+        for part, block in _float_blocks(rows):
+            np.copyto(mapped[part], block @ factor, casting="same_kind")
+        s_norm = _norm_up(np.einsum("ij,ij->i", mapped, mapped, dtype=np.float64), n)
+        error = (
+            _U32 * (s_norm + root_n * _TINY32) / (1.0 - _U32) + root_n * _TINY32
+            + (_gamma(n, _U64) * v_norm + root_n * _TINY64) * f_norm + 4 * n * root_n * _TINY64
+        )
+        return mapped, error * _HIGH
+
+
+def qfd_interval(
+    factor: np.ndarray, f_norm: float, form: float, radius: float, q: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``(M, e, V) -> (lo, hi)``: per mapped row (:func:`qfd_map`), in
+    O(n), ``lo <= d64 <= hi`` for the squared distance from *q* **the
+    float64 path computes** (:func:`qfd_one_to_many` before its clamp and
+    square root), or ``(-inf, inf)`` where nothing is certain.
+
+    *f_norm* and *form* are :func:`qfd_factor_terms`' ``F`` and ``K``,
+    *radius* is :func:`abs_sum_radius`.  With ``x = v - q``, ``w = 2^-53``,
+    ``t64`` float64's ``tiny``, ``gamma_j = j w / (1 - j w)``, ``Q >=
+    ||q||`` and ``X = V + Q >= ||x||``:
+
+    * the query map ``g = fl(q' G)`` of the flushed query is within ``e_q =
+      (gamma_n Q + sqrt(n) t64) F + 4 n sqrt(n) t64`` of ``q G``, as
+      :func:`qfd_map`'s product is: ``||(M - g) - x G|| <= e + e_q``.
+    * ``fl(M - g)`` is within ``w`` of each entry (exact where subnormal),
+      and ``c``, the float64 sum of its squares, within ``gamma_n`` of
+      theirs plus ``2 n t64``: ``||M - g||`` lies in ``[sqrt((c - 2 n t64)
+      / (1 + gamma_n)) (1 - w), sqrt((c + 2 n t64) / (1 - gamma_n)) / (1 -
+      w)]``, and ``||x G||`` in that interval widened by ``e + e_q``,
+      ``[z_lo, z_hi]`` (``z_lo`` clamped at 0).
+    * the factor: ``|x G G^T x^T - x A x^T| <= K X^2``, the Cholesky
+      backward error and the matrix's asymmetry.
+    * the float64 path: ``|d64 - x A x^T| <= T64(X)`` (:func:`_float64_error`).
+
+    So ``lo = z_lo^2 - K X^2 - T64(X)`` and ``hi = z_hi^2 + K X^2 +
+    T64(X)``, each quantity ``1 -+ 2^-40`` low or high as in
+    :func:`qfd_lower_bound`.  The O(n^2) query map is made here, once.
+    """
+    n = factor.shape[0]
+    root_n = sqrt(n)
+    q64 = _as64(q)
+    with np.errstate(all="ignore"):
+        g = _flush_subnormals(q64) @ factor
+        q_norm = _norm_up(float(q64 @ q64), n)
+    q_error = (_gamma(n, _U64) * q_norm + root_n * _TINY64) * f_norm + 4 * n * root_n * _TINY64
+    underflow = 2 * n * _TINY64
+    low = (1.0 - _U64) / sqrt(1.0 + _gamma(n, _U64)) * _LOW
+    high = _HIGH / ((1.0 - _U64) * sqrt(1.0 - _gamma(n, _U64)))
+
+    def interval(mapped: np.ndarray, error: np.ndarray, v_norm: np.ndarray) -> tuple:
+        with np.errstate(all="ignore"):
+            y = mapped - g
+            squares = np.einsum("ij,ij->i", y, y)
+            e = (error + q_error) * _HIGH
+            z_lo = np.maximum(np.sqrt(np.maximum(squares - underflow, 0.0)) * low - e, 0.0) * _LOW
+            z_hi = (np.sqrt(squares + underflow) * high + e) * _HIGH
+            big_x = (v_norm + q_norm) * _HIGH
+            spread = (form * big_x * big_x + _float64_error(big_x, radius, n)) * _HIGH
+            lo = z_lo * z_lo * _LOW - spread
+            hi = z_hi * z_hi * _HIGH + spread
+            unknown = ~(np.isfinite(lo) & np.isfinite(hi))
+        lo[unknown], hi[unknown] = -np.inf, np.inf
+        return lo, hi
+
+    return interval
 
 
 def _rank_error(
@@ -456,10 +457,10 @@ def _rank_error(
     n: int,
     k: int,
 ) -> "float | np.ndarray":
-    """How far ``||y||`` (``1 - 2w`` low) can exceed ``||(v - q) W||``:
-    :func:`_rank_term`'s error terms (see :func:`qfd_lower_bound`), rounded
-    up, for ``V = v_norm``, ``Q = q_norm``, ``e_v = row_error`` and ``F =
-    f_norm``; :func:`l2_lower_bound` reads them too."""
+    """How far ``||P - g||``, ``g`` the float ``q W``, is from ``||(v - q) W||``:
+    :func:`qfd_lower_bound`'s ``E``, rounded up, for ``V = v_norm``, ``Q =
+    q_norm``, the rows' own error ``row_error`` and ``F = f_norm``;
+    :func:`l2_lower_bound` reads it too."""
     error = _gamma(n, _U64) * (v_norm + q_norm) + np.sqrt(n) * _TINY64 + row_error
     return (error * f_norm + 8 * n * np.sqrt(k) * _TINY64) * _HIGH
 
@@ -467,31 +468,29 @@ def _rank_error(
 def spectral_floor(
     matrix: np.ndarray, factor: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """``(W, mu)``, :func:`qfd_lower_bound`'s operands: ``W`` (``n x k``)
-    and ``mu > 0`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
-    semi-definite, else the rank-0 ``(n x 0, lambda_min_floor(A))``.
+    """``(W, mu)``: :func:`qfd_lower_bound`'s ``W`` (``n x k``) and ``mu >
+    0`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
+    semi-definite, else ``(n x 0, 0.0)``: no rank-k bound.
 
     ``W`` is the Nystrom form of ``A' = fl((A + A^T) / 2) - c I`` over its
-    top Ritz vectors, ``c = lambda^ / 2`` with :func:`lambda_min_floor`'s
-    estimate ``lambda^``: ``_SUBSPACE_STEPS`` steps of subspace iteration
-    on ``_SPECTRAL_RANK + _SUBSPACE_EXTRA`` vectors (``eigh`` takes ~39
-    ms at 512-d), then Rayleigh-Ritz; ``U`` holds the top
-    ``_SPECTRAL_RANK`` Ritz vectors whose value ``theta`` (of ``A'``)
+    top Ritz vectors, ``c = lambda^ / 2`` with ``lambda^`` an estimate of
+    ``lambda_min(A_sym)`` (:func:`_estimate`): ``_SUBSPACE_STEPS`` steps of
+    subspace iteration on ``_SPECTRAL_RANK + _SUBSPACE_EXTRA`` vectors
+    (``eigh`` takes ~39 ms at 512-d), then Rayleigh-Ritz; ``U`` holds the
+    top ``_SPECTRAL_RANK`` Ritz vectors whose value ``theta`` (of ``A'``)
     exceeds ``c``, and ``W = A' U diag(theta)^(-1/2)``.  For exact
     eigenvectors that is ``V diag(sqrt(lambda_i - c))``; for any ``U``,
     ``W W^T = A' U (U^T A' U)^(-1) U^T A'`` and ``A' - W W^T`` is a Schur
     complement, positive semi-definite when ``A'`` is, so
     ``B = (A + A^T) / 2 - W W^T >= c I`` however rough the subspace.
 
-    The certificate is :func:`lambda_min_floor`'s, applied to ``B``:
+    The certificate is :func:`_certified`'s, applied to ``B``:
     ``np.linalg.cholesky`` must complete on ``H = fl(fl(A_sym) - fl(W
     W^T)) - (c / 2) I``, and ``mu = c / 2`` less its margin.  Forming ``H``
-    now also costs the product, within ``gamma_k(w) |W| |W|^T`` (``<=
-    gamma_k(w) ||W||_F^2`` in the 2-norm) plus ``4 k t64`` of underflow per
-    entry, and the subtraction, within ``w (R_A + (1 + gamma_k(w))
-    ||W||_F^2)``: the forming term adds ``w R_A + (gamma_k(w) + 2w)
-    ||W||_F^2 + 4 n k t64``.  When it fails, ``W`` is empty and ``mu`` is
-    the rank-0 floor, never ``0.0`` while that one certifies.
+    costs the product, within ``gamma_k(w) |W| |W|^T`` (``<= gamma_k(w)
+    ||W||_F^2`` in the 2-norm) plus ``4 k t64`` of underflow per entry, and
+    the subtraction, within ``w (R_A + (1 + gamma_k(w)) ||W||_F^2)``: the
+    forming term is ``w R_A + (gamma_k(w) + 2w) ||W||_F^2 + 4 n k t64``.
     """
     estimate, sym = _estimate(matrix, factor)
     radius = abs_sum_radius(matrix)
@@ -507,7 +506,7 @@ def spectral_floor(
         mu = _certified(deflated, 0.25 * estimate, radius, forming + 4 * n * k * _TINY64)
         if mu > 0.0:
             return weights, mu
-    return np.zeros((n, 0)), lambda_min_floor(matrix, factor)
+    return sym[:, :0], 0.0
 
 
 def _deflation(sym: np.ndarray, shift: float) -> np.ndarray:
@@ -536,46 +535,15 @@ def _ritz_basis(
     return y, image, theta[::-1][:rank], vectors[:, ::-1][:, :rank]
 
 
-def lambda_min_floor(matrix: np.ndarray, factor: np.ndarray | None = None) -> float:
-    """``mu``, a certified lower bound on ``lambda_min((A + A^T) / 2)``, or
-    ``0.0`` when none above zero can be certified: the rank-0 floor
-    :func:`spectral_floor` falls back to.
-
-    An estimate ``lambda^`` comes from three steps of block inverse
-    iteration on *factor* — a Cholesky factor of (about) ``A``, such as the
-    one a :class:`~repro.core.qfd.QuadraticFormDistance` makes for its
-    positive-definiteness check; factored here when not given — and a
-    Rayleigh-Ritz value over the four vectors.  It is only a guess.  The
-    certificate is that ``np.linalg.cholesky`` completes on the float64
-    ``H = fl((A + A^T) / 2) - (lambda^ / 2) I``: then ``H + dH = R^T R`` is
-    positive semi-definite for some ``|dH| <= g |R^T| |R|`` (Demmel;
-    Higham, Theorem 10.7: ``g = gamma_{n+1}(w)`` for any order of the
-    inner products, so blocked LAPACK and FMA too; ``g = gamma_{n+3}(w)``
-    here, for a kernel that multiplies by a rounded reciprocal of the
-    pivot instead of dividing), so ``lambda_min(H) >= -||dH||_2 >=
-    -g ||R||_F^2 >= -g trace(H) / (1 - g)``.  Underflow adds at most
-    ``t64`` per product and ``t64 r_jj`` per division to an entry of
-    ``dH``: ``n (n + 1 + max H_ii) t64`` in the 2-norm, taken twice.
-    Forming ``H`` is within ``w (R_A + max H_ii) + n t64`` of ``(A + A^T)
-    / 2 - (lambda^ / 2) I`` in the 2-norm (``R_A`` the
-    :func:`abs_sum_radius`), so
-
-        mu = lambda^ / 2 - g trace(H) / (1 - g) - w (R_A + max H_ii)
-             - (2 n (n + 1 + max H_ii) + n) t64
-
-    rounded down (:func:`_certified`).
-    """
-    estimate, sym = _estimate(matrix, factor)
-    if not estimate > 0.0:
-        return 0.0
-    with np.errstate(all="ignore"):
-        sym[np.diag_indices_from(sym)] -= 0.5 * estimate
-    return _certified(sym, 0.5 * estimate, abs_sum_radius(matrix), 0.0)
-
-
 def _estimate(matrix: np.ndarray, factor: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """``(lambda^, fl((A + A^T) / 2))``, ``lambda^ = 0.0`` when no finite
-    positive estimate comes (see :func:`lambda_min_floor`)."""
+    """``(lambda^, fl((A + A^T) / 2))``: ``lambda^``, about ``lambda_min(A_sym)``,
+    from three steps of block inverse iteration on *factor* (a Cholesky
+    factor of about ``A``, such as the one a
+    :class:`~repro.core.qfd.QuadraticFormDistance` makes for its
+    positive-definiteness check; factored here when not given) and a
+    Rayleigh-Ritz value over the four vectors, or ``0.0`` when no finite
+    positive one comes.  It is only a guess: :func:`_certified` proves
+    what is built on it."""
     sym = (matrix + matrix.T) * 0.5
     try:
         with np.errstate(all="ignore"):
@@ -588,10 +556,26 @@ def _estimate(matrix: np.ndarray, factor: np.ndarray | None) -> tuple[float, np.
 
 
 def _certified(shifted: np.ndarray, shift: float, radius: float, forming: float) -> float:
-    """*shift* less :func:`lambda_min_floor`'s margin, rounded down, if
-    ``np.linalg.cholesky`` completes on the float64 *shifted*; ``0.0`` if it
-    fails or the margin eats *shift*.  *forming* is what forming
-    *shifted* costs beyond ``w (R_A + max H_ii) + n t64``."""
+    """``mu``, *shift* less a margin, rounded down, with ``S - mu I``
+    certified positive semi-definite for the matrix ``S`` whose float64
+    ``S - shift I`` is ``H`` = *shifted*, if ``np.linalg.cholesky``
+    completes on ``H``; ``0.0`` if it fails or the margin eats *shift*.
+
+    Completion means ``H + dH = R^T R`` is positive semi-definite for some
+    ``|dH| <= g |R^T| |R|`` (Demmel; Higham, Theorem 10.7: ``g =
+    gamma_{n+1}(w)`` for any order of the inner products, so blocked LAPACK
+    and FMA too; ``g = gamma_{n+3}(w)`` here, for a kernel that multiplies
+    by a rounded reciprocal of the pivot instead of dividing), so
+    ``lambda_min(H) >= -||dH||_2 >= -g ||R||_F^2 >= -g trace(H) / (1 -
+    g)``.  Underflow adds at most ``t64`` per product and ``t64 r_jj`` per
+    division to an entry of ``dH``: ``n (n + 1 + max H_ii) t64`` in the
+    2-norm, taken twice.  Forming ``H`` is within ``w (R_A + max H_ii) + n
+    t64`` of the exact shifted matrix in the 2-norm (``R_A`` =
+    *radius*, :func:`abs_sum_radius`), plus *forming*, so
+
+        mu = shift - g trace(H) / (1 - g) - w (R_A + max H_ii)
+             - forming - (2 n (n + 1 + max H_ii) + n) t64
+    """
     try:
         with np.errstate(all="ignore"):
             np.linalg.cholesky(shifted)

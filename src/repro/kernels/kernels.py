@@ -10,12 +10,13 @@ small object interface the access-method layer can hold on to:
 ``row_norms(rows)``
     the per-row term ``vAv^T`` (``vv^T`` for L2), which no evaluation
     reads; it is kept for what it costs to compute;
-``project(shadow)`` / ``lower_bound(q, shadow, norms, projected)`` (QFD only)
-    the rows' float32 copy (:func:`~repro.kernels.gram.qfd_shadow`)
-    projected on the certified rank-k term's ``W``, and an O(n + k)
-    certified lower bound on every row's float64 squared distance from
-    them (:func:`~repro.kernels.gram.qfd_lower_bound`): the sequential
-    scan evaluates only the rows it cannot rule out.
+``project`` / ``lower_bound`` / ``map`` / ``interval`` (QFD only)
+    the two certified stages of the sequential scan: an O(k) lower bound
+    on every row's float64 squared distance from the rows projected on the
+    rank-k term's ``W`` (:func:`~repro.kernels.gram.qfd_lower_bound`),
+    then an O(n) interval around it from the rows mapped by the Cholesky
+    factor (:func:`~repro.kernels.gram.qfd_interval`); the scan evaluates
+    only the rows neither rules out.
 
 Every QFD evaluation is one arithmetic, the difference form of
 :func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row), and every
@@ -48,8 +49,9 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Serializes the build of a :class:`QFDKernel`'s bound operands, so the
-#: projected rows a scan makes and the ``W`` its queries read are one.
+#: Serializes the build of a :class:`QFDKernel`'s filter operands, so the
+#: rows a scan projects and maps and the ``W`` and factor its queries read
+#: are one.
 _OPERANDS_LOCK = threading.Lock()
 
 
@@ -78,13 +80,14 @@ class QFDQueryContext:
 
 class QFDKernel:
     """Batched evaluator for a static QFD matrix: the difference form and
-    the certified O(n + k) bound the QFD scan prunes with
-    (:meth:`lower_bound`).
+    the QFD scan's two certified stages, the O(k) rank-k bound
+    (:meth:`project`, :meth:`lower_bound`) and the O(n) interval over rows
+    mapped by the Cholesky factor (:meth:`map`, :meth:`interval`).
 
-    *factor*, a Cholesky factor of the matrix (the one a
+    *factor*, ``np.linalg.cholesky`` of the matrix (the one a
     :class:`~repro.core.qfd.QuadraticFormDistance` made for its
-    positive-definiteness check), spares the bound's estimate a
-    factorization; it is dropped once the bound's operands are made.
+    positive-definiteness check), is the map's ``G``; without it the
+    kernel factors the matrix on first use.
     """
 
     __slots__ = ("matrix", "_filter_operands", "_factor")
@@ -92,69 +95,66 @@ class QFDKernel:
     def __init__(self, matrix: np.ndarray, factor: np.ndarray | None = None) -> None:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._factor = factor
-        self._filter_operands: tuple[np.ndarray, float, float] | None = None
+        self._filter_operands: tuple | None = None
 
     def __reduce__(self):
-        # The bound's operands are rebuilt, not shipped to a worker.
+        # The filter's operands and the factor are rebuilt, not shipped.
         return (QFDKernel, (self.matrix,))
 
-    def _operands(self) -> tuple[np.ndarray, float, float]:
-        """:attr:`weights`, :attr:`mu` and :attr:`radius`, made once by their
+    def _operands(self) -> tuple:
+        """:attr:`weights`, :attr:`radius`, :attr:`factor` and its
+        :func:`~repro.kernels.gram.qfd_factor_terms`, made once by their
         first use — a query, not the build."""
         operands = self._filter_operands
         if operands is None:
             with _OPERANDS_LOCK:
                 operands = self._filter_operands
                 if operands is None:
-                    operands = (
-                        *gram.spectral_floor(self.matrix, self._factor),
-                        gram.abs_sum_radius(self.matrix),
-                    )
+                    factor = self._factor
+                    try:
+                        factor = np.linalg.cholesky(self.matrix) if factor is None else factor
+                        terms = gram.qfd_factor_terms(self.matrix, factor)
+                    except np.linalg.LinAlgError:  # not positive definite: no map
+                        factor, terms = None, (None, None)
+                    weights, _ = gram.spectral_floor(self.matrix, factor)
+                    operands = (weights, gram.abs_sum_radius(self.matrix), factor, *terms)
                     self._filter_operands = operands
-                    self._factor = None
         return operands
 
     @property
     def weights(self) -> np.ndarray:
-        """``W``, ``n x k`` (``k = 0``: only the rank-0 bound certifies)."""
+        """``W``, ``n x k`` (``k = 0``: no rank-k term certifies)."""
         return self._operands()[0]
-
-    @property
-    def mu(self) -> float:
-        """``mu`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
-        semi-definite, or ``0.0`` (:func:`~repro.kernels.gram.spectral_floor`)."""
-        return self._operands()[1]
 
     @property
     def radius(self) -> float:
         """``R >= || |A| ||_2`` (:func:`~repro.kernels.gram.abs_sum_radius`)."""
+        return self._operands()[1]
+
+    @property
+    def factor(self) -> np.ndarray | None:
+        """``G``, the rows' map, or ``None`` for a matrix without one."""
         return self._operands()[2]
 
-    def project(self, shadow: np.ndarray) -> np.ndarray:
-        """``shadow @ W`` in float64 (:func:`~repro.kernels.gram.qfd_project`)."""
-        return gram.qfd_project(self.weights, shadow)
+    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`~repro.kernels.gram.qfd_project` on ``W``."""
+        return gram.qfd_project(self.weights, rows)
 
-    def lower_bound(
-        self,
-        q: np.ndarray,
-        shadow: np.ndarray | None,
-        norms: np.ndarray,
-        projected: np.ndarray | None = None,
-        *,
-        rows_exact: bool = False,
-    ) -> np.ndarray:
-        """Per row, a lower bound on the float64 path's squared distance,
-        ``-inf`` where none is certain
-        (:func:`~repro.kernels.gram.qfd_lower_bound`); *norms* is
-        :func:`~repro.kernels.gram.shadow_norms` of the shadow and
-        *projected* its :meth:`project`.  Without *projected* only
-        ``mu ||v - q||^2`` counts; without *shadow* only the rank-k term."""
-        weights, mu, radius = self._operands()
-        return gram.qfd_lower_bound(
-            mu, radius, q, shadow, norms,
-            weights=None if projected is None else weights, projected=projected,
-            rows_exact=rows_exact,
-        )
+    def lower_bound(self, q: np.ndarray, *projected: np.ndarray) -> np.ndarray:
+        """:func:`~repro.kernels.gram.qfd_lower_bound` of the rows'
+        :meth:`project`."""
+        weights, radius = self._operands()[:2]
+        return gram.qfd_lower_bound(radius, q, weights, *projected)
+
+    def map(self, rows: np.ndarray, v_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.kernels.gram.qfd_map` by :attr:`factor`."""
+        _, _, factor, f_norm, _ = self._operands()
+        return gram.qfd_map(factor, f_norm, rows, v_norm)
+
+    def interval(self, q: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+        """:func:`~repro.kernels.gram.qfd_interval` around *q*'s distances."""
+        _, radius, factor, f_norm, form = self._operands()
+        return gram.qfd_interval(factor, f_norm, form, radius, q)
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)

@@ -10,9 +10,10 @@ Two variants are provided:
 
 * :class:`SequentialFile` — in-memory rows (the default everywhere).
   Under the QFD it scans through a certified filter (paper Section
-  2.3.1's filter-and-refine): an O(n + k) lower bound
-  ``mu ||v - q||^2 + ||(v - q) W||^2`` rules most rows out, and float64
-  runs only on the rest.  Under L2 (the QMap model) the filter is the
+  2.3.1's filter-and-refine): an O(k) lower bound ``||(v - q) W||^2``
+  rules most rows out, an O(n) interval from the rows mapped by the
+  QFD's Cholesky factor (the QMap image, float32) brackets the rest, and
+  float64 runs only on the rows that can answer.  Under L2 (the QMap model) the filter is the
   pivot table's projection bound ``||(v - q) W||``, O(k) per row
   (:class:`~repro.mam.projection.ProjectionFilter`).  Answers, distances
   and charged counts are the full float64 scan's.
@@ -23,6 +24,8 @@ Two variants are provided:
 from __future__ import annotations
 
 import threading
+from functools import partial
+from math import sqrt
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -77,10 +80,10 @@ _FILTER_MIN_REFINES = 9
 #: evaluation can tie with one kept in.
 _CUT_SLACK = 1.0 + 2.0**-40
 
-#: Serializes the lazy build of the shadow, its norms and the projected
-#: rows, so concurrent first queries (the thread executor) build them once
-#: and publish them once.
-_SHADOW_LOCK = threading.Lock()
+#: Serializes the lazy build of the QFD scan's rows and of the projection
+#: filter, and the mapping of rows a query reaches first, so concurrent
+#: queries (the thread executor) build, map and publish each once.
+_ROWS_LOCK = threading.Lock()
 
 
 def _refine_rows(dim: int) -> int:
@@ -93,71 +96,83 @@ def _squared_cut(distance: float) -> float:
     return distance * distance * _CUT_SLACK
 
 
+def _reach(upper: np.ndarray, k: int) -> float:
+    """A distance no less than the k-th smallest of rows whose squared
+    float64 distances are at most *upper*: the root of the k-th smallest,
+    which the correctly rounded root keeps in order."""
+    return sqrt(max(float(np.partition(upper, k - 1)[k - 1]), 0.0))
+
+
 def _survivors(
-    port: DistancePort,
-    query: np.ndarray,
-    data: np.ndarray,
-    bound: np.ndarray,
-    tighter: Callable[[np.ndarray], np.ndarray] | None,
-    k: int | None,
-    radius: float,
-    cut_for: Callable[[float], float] = _squared_cut,
-    padded: bool = True,
+    port: DistancePort, query: np.ndarray, data: np.ndarray, bound: np.ndarray,
+    k: int | None, radius: float, cut_for: Callable[[float], float],
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows the bounds cannot rule out, ascending, and their float64
-    distances; ``None`` when they rule out none.
+    """Under L2: the rows the projection bound cannot rule out, ascending,
+    and their float64 distances; ``None`` when it rules out none.
 
-    A row whose *bound* exceeds ``cut_for(d)`` is farther than ``d``, and
-    so is one whose ``tighter(rows)`` does, for ascending *rows*.  Under
-    the QFD the bounds are squared distances less every rounding error
-    (``-inf`` where nothing is certain): the rank-k term alone, then the
-    full bound on the rows it keeps
-    (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound` without and with
-    the shadow; *tighter* is ``None`` when *bound* is the full one
-    already), and the cut is ``d^2`` taken ``_CUT_SLACK`` high.  Under L2
-    the bound is the projection's and ``cut_for`` its own
+    A row whose *bound* exceeds ``cut_for(d)`` is farther than ``d``
     (:meth:`~repro.mam.projection.ProjectionFilter.bound`).  Range keeps
-    rows within ``cut_for(r)``.  kNN first evaluates the seed, the
-    ``max(2k, _refine_rows(n))`` rows of smallest *bound* (``2k`` when not
-    *padded*): ``D``, their k-th smallest distance, is at least the k-th
-    distance of the scan, so every row of the answer, ties included, is
-    within ``cut_for(D)`` and is kept.  Rows are evaluated through
-    :func:`_refine` when *padded*, else by one ``port.compute_many`` (an
-    L2 float does not depend on the rows its call holds).
+    rows within ``cut_for(r)``.  kNN first evaluates the seed, the ``2k``
+    rows of smallest *bound*: ``D``, their k-th smallest distance, is at
+    least the scan's k-th distance, so every row of the answer, ties
+    included, is within ``cut_for(D)``.  Rows are evaluated by one
+    ``port.compute_many`` (an L2 float does not depend on the rows its call
+    holds).
     """
-    m = bound.shape[0]
-    if padded:
-        first = max(2 * k, _refine_rows(data.shape[1])) if k is not None else 0
-
-        def evaluate(rows: np.ndarray) -> np.ndarray:
-            return _refine(port, query, data, rows)
-
-    else:
-        first = 2 * k if k is not None else 0
-
-        def evaluate(rows: np.ndarray) -> np.ndarray:
-            return port.compute_many(query, data[rows])
-
+    m = data.shape[0]
     seed = np.empty(0, dtype=np.intp)
     if k is None:
         cut = cut_for(radius)
     else:
-        if first >= m:  # the seed is every row
+        if 2 * k >= m:  # the seed is every row
             return None
-        seed = np.sort(np.argpartition(bound, first - 1)[:first])
-        near = evaluate(seed)
+        seed = np.sort(np.argpartition(bound, 2 * k - 1)[: 2 * k])
+        near = port.compute_many(query, data[seed])
         cut = cut_for(float(np.partition(near, k - 1)[k - 1]))
     rows = np.setdiff1d(np.flatnonzero(~(bound > cut)), seed, assume_unique=True)
-    if tighter is not None:
-        rows = rows[tighter(rows) <= cut]
     if seed.shape[0] + rows.shape[0] == m:
         return None
-    distances = evaluate(rows)
+    distances = port.compute_many(query, data[rows])
     if not seed.shape[0]:
         return rows, distances
     rows = np.concatenate([seed, rows])
     order = np.argsort(rows)
     return rows[order], np.concatenate([near, distances])[order]
+
+
+def _mapped_survivors(
+    port: DistancePort, query: np.ndarray, data: np.ndarray, bound: np.ndarray | None,
+    interval: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    k: int | None, radius: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Under the QFD: the rows neither stage rules out, ascending, and their
+    float64 distances (:func:`_refine`); ``None`` when they rule out none.
+
+    *bound* is the rank-k term on the squared distance ``d64`` (``None`` at
+    rank 0: every row is a candidate and the seed), and ``interval(rows)``
+    gives ``lo <= d64 <= hi`` (:class:`_QFDRows`).  Range keeps rows within
+    ``_squared_cut(r)``.  kNN's cut is :func:`_reach` of the ``hi`` of the
+    seed, the ``2k`` rows of smallest *bound*: at least the scan's k-th
+    distance.  The candidates are the rows whose bound is within it; their
+    ``hi`` can only lower it (the seed's k rows are among them), and the
+    candidates whose ``lo`` is within the final cut are evaluated.
+    """
+    m = data.shape[0]
+    cut = _squared_cut(radius)
+    if k is not None and 2 * k >= m:  # the seed is every row
+        return None
+    if bound is None:  # rank 0: every row is the seed and a candidate
+        rows = np.arange(m)
+    else:
+        if k is not None:
+            seed = np.argpartition(bound, 2 * k - 1)[: 2 * k]
+            cut = _squared_cut(_reach(interval(seed)[1], k))
+        rows = np.flatnonzero(~(bound > cut))
+    low, high = interval(rows)
+    if k is not None:
+        cut = min(cut, _squared_cut(_reach(high, k)))
+    rows = rows[~(low > cut)]
+    return None if rows.shape[0] == m else (rows, _refine(port, query, data, rows))
 
 
 def _refine(
@@ -192,6 +207,61 @@ def _refine(
     return out
 
 
+class _QFDRows:
+    """What the QFD scan keeps of its rows, outside snapshots and pickles.
+
+    Every row's :meth:`~repro.kernels.kernels.QFDKernel.project`, the first
+    stage's operands, made by the first bounded query and extended by
+    inserts; and the rows mapped by the QFD's Cholesky factor, float32, with
+    their map errors (:meth:`~repro.kernels.kernels.QFDKernel.map`), each
+    mapped the first time a query needs its interval into an append-only
+    buffer with a slot per row: ``4 n + 8`` bytes per row reached.
+    """
+
+    __slots__ = ("size", "_projected", "_norms", "_squares", "_mapped", "_errors", "_done")
+
+    def __init__(self, kernel: QFDKernel, data: np.ndarray) -> None:
+        m, n = data.shape
+        self.size = m
+        self._projected, self._norms, self._squares = kernel.project(data)
+        self._mapped = np.empty((m, n), dtype=np.float32)
+        self._errors = np.empty(m, dtype=np.float64)
+        self._done = np.zeros(m, dtype=bool)
+
+    def append(self, kernel: QFDKernel, index: int, row: np.ndarray) -> None:
+        """Cover the row stored at *index*: projected now, mapped on demand."""
+        # Every buffer grows a slot; the first three take the row's projection.
+        buffers = [grown(getattr(self, key), index, 1) for key in self.__slots__[1:]]
+        for key, buffer in zip(self.__slots__[1:], buffers):
+            setattr(self, key, buffer)
+        for buffer, value in zip(buffers, kernel.project(row[None, :])):
+            buffer[index] = value[0]
+        self._done[index] = False
+        self.size = index + 1
+
+    def bound(self, kernel: QFDKernel, query: np.ndarray) -> np.ndarray | None:
+        """The rank-k bound of every row, ``None`` at rank 0."""
+        if not kernel.weights.shape[1]:
+            return None
+        size = self.size
+        operands = (self._projected[:size], self._norms[:size], self._squares[:size])
+        return kernel.lower_bound(query, *operands)
+
+    def intervals(
+        self, kernel: QFDKernel, interval: Callable[..., tuple], data: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """*interval* over the *rows* of *data*, mapping the rows no query
+        reached first; a row's slots are filled before it is marked done."""
+        missing = rows[~self._done[rows]]
+        if missing.size:
+            with _ROWS_LOCK:
+                missing = missing[~self._done[missing]]
+                mapped, errors = kernel.map(data[missing], self._norms[missing])
+                self._mapped[missing], self._errors[missing] = mapped, errors
+                self._done[missing] = True
+        return interval(self._mapped[rows], self._errors[rows], self._norms[rows])
+
+
 class SequentialFile(AccessMethod):
     """Flat in-memory sequential scan.
 
@@ -201,45 +271,32 @@ class SequentialFile(AccessMethod):
 
     Under a QFD (the port's kernel is a
     :class:`~repro.kernels.kernels.QFDKernel`), a query bounds every row's
-    squared distance from below in O(n + k)
-    (:meth:`~repro.kernels.kernels.QFDKernel.lower_bound`, over a float32
-    *shadow* of the rows, its row norms and the rows projected on ``W``)
-    and evaluates in float64, uncharged, only the rows that bound cannot
-    rule out (:func:`_survivors`).  It charges the ``m`` rows a full scan
-    charges, makes the same trace calls, and returns the full scan's
-    answers and distances bit for bit.  The shadow, its norms and the
-    projected rows are built by the first bounded query (not at build
-    time), extended by inserts, and left out of snapshots and pickles;
-    float32 (memory-mapped) rows are their own shadow.
+    squared distance from below in O(k) from the rows projected on ``W``,
+    brackets the rows that bound keeps in O(n) from the rows mapped by the
+    QFD's Cholesky factor, and evaluates in float64, uncharged, only the
+    rows whose interval can reach the answer (:func:`_mapped_survivors`).  It
+    charges the ``m`` rows a full scan charges, makes the same trace calls,
+    and returns the full scan's answers and distances bit for bit.  The
+    projected rows are made by the first bounded query (not at build
+    time), a row is mapped by the first query that needs its interval,
+    inserts extend both, and neither is in a snapshot or a pickle
+    (:class:`_QFDRows`).
     """
 
     #: A scan is one ``port.many`` over the database rows: the distance's
     #: own one-to-many, which reads a memory-mapped store tile by tile.
     supports_out_of_core = True
 
-    #: The float32 shadow of the rows (``None`` until the first bounded
-    #: query, and always for float32 rows, their own shadow), its float64
-    #: row norms ``||v^||^2`` and the rows projected on the kernel's ``W``
-    #: (``None`` until the first bounded query), and the grown buffers
-    #: they are the filled prefixes of.
-    _shadow: "np.ndarray | None" = None
-    _shadow_buffer: "np.ndarray | None" = None
-    _projected: "np.ndarray | None" = None
-    _projected_buffer: "np.ndarray | None" = None
-    _norms: "np.ndarray | None" = None
-    _norms_buffer: "np.ndarray | None" = None
-    #: Under L2: the projection filter (``None`` until the first bounded
-    #: query, ``False`` where it is off).
+    #: Under a QFD: the projected and mapped rows (``None`` until the first
+    #: bounded query).  Under L2: the projection filter (``None`` until the
+    #: first bounded query, ``False`` where it is off).
+    _qfd_rows: "_QFDRows | None" = None
     _projection: "ProjectionFilter | bool | None" = None
 
-    _BOUND_ROWS = (
-        "_shadow", "_shadow_buffer", "_projected", "_projected_buffer",
-        "_norms", "_norms_buffer", "_projection",
-    )
+    _BOUND_ROWS = ("_qfd_rows", "_projection")
 
     def __getstate__(self) -> dict:
-        # A copy rebuilds its own shadow, norms and projected rows on its
-        # first query.
+        # A copy projects and maps its own rows from its first query on.
         state = super().__getstate__()
         for key in self._BOUND_ROWS:
             state.pop(key, None)
@@ -267,9 +324,9 @@ class SequentialFile(AccessMethod):
     def _distances(
         self, query: np.ndarray, k: int | None, radius: float
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Every row's float64 distance, or under a QFD those of the rows
-        the lower bound does not rule out (none is ruled out when *k* is
-        every row or *radius* is infinite)."""
+        """Every row's float64 distance, or those of the rows the bounds do
+        not rule out (none is ruled out when *k* is every row or *radius*
+        is infinite)."""
         data = self._data
         kernel = self._port.kernel
         everything = k == data.shape[0] if k is not None else radius == np.inf
@@ -278,31 +335,18 @@ class SequentialFile(AccessMethod):
             and not everything
             and data.shape[0] >= _FILTER_MIN_REFINES * _refine_rows(self.dim)
         ):
-            operands = self._bound_rows(kernel)
-            if operands is not None:
-                shadow, norms, projected = operands
-                exact = shadow is data
-                tighter = None
-                if kernel.weights.shape[1]:  # the rank-k term alone, then the full bound
-                    bound = kernel.lower_bound(query, None, norms, projected, rows_exact=exact)
-
-                    def tighter(rows: np.ndarray) -> np.ndarray:
-                        return kernel.lower_bound(
-                            query, shadow[rows], norms[rows], projected[rows], rows_exact=exact
-                        )
-
-                else:  # the rank-0 fallback: mu's bound is the only one
-                    bound = kernel.lower_bound(query, shadow, norms, rows_exact=exact)
-                kept = _survivors(self._port, query, data, bound, tighter, k, radius)
+            rows = self._mapped_rows(kernel)
+            if rows is not None:
+                intervals = partial(rows.intervals, kernel, kernel.interval(query), data)
+                bound = rows.bound(kernel, query)
+                kept = _mapped_survivors(self._port, query, data, bound, intervals, k, radius)
                 if kept is not None:
                     return kept
         elif isinstance(kernel, L2Kernel) and not everything:
             projection = self._projection_filter()
             if projection is not None and projection.size == data.shape[0]:
                 squares, cut = projection.bound(query, slice(0, data.shape[0]), data)
-                kept = _survivors(
-                    self._port, query, data, squares, None, k, radius, cut, padded=False
-                )
+                kept = _survivors(self._port, query, data, squares, k, radius, cut)
                 if kept is not None:
                     return kept
         return None, self._port.compute_many(query, data)
@@ -312,42 +356,27 @@ class SequentialFile(AccessMethod):
         use (``False`` once found off)."""
         projection = self._projection
         if projection is None:
-            with _SHADOW_LOCK:
+            with _ROWS_LOCK:
                 projection = self._projection
                 if projection is None:
                     projection = ProjectionFilter.over(self._port, self._data, SCAN_FLOOR) or False
                     self._projection = projection
         return projection or None
 
-    def _bound_rows(
-        self, kernel: QFDKernel
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The shadow of the stored rows, its norms
-        (:func:`~repro.kernels.gram.shadow_norms`) and the rows projected
-        on *kernel*'s ``W``, built on first use."""
-        data = self._data
-        norms = self._norms
-        if norms is None:
-            with _SHADOW_LOCK:
-                norms = self._norms
-                if norms is None:
-                    shadow = data
-                    if data.dtype != np.float32:
-                        shadow = gram.qfd_shadow(data)
-                        self._shadow_buffer = shadow
-                        self._shadow = shadow
-                    projected = kernel.project(shadow)
-                    self._projected_buffer = projected
-                    self._projected = projected
-                    norms = gram.shadow_norms(shadow)
-                    self._norms_buffer = norms
-                    self._norms = norms  # published last: a reader checks it first
-        shadow = data if data.dtype == np.float32 else self._shadow
-        projected = self._projected
-        # Off only mid-insert (the rows are stored before the hook runs).
-        if not shadow.shape[0] == projected.shape[0] == norms.shape[0] == data.shape[0]:
-            return None
-        return shadow, norms, projected
+    def _mapped_rows(self, kernel: QFDKernel) -> "_QFDRows | None":
+        """The QFD scan's rows (:class:`_QFDRows`), built on first use;
+        ``None`` for a matrix without a Cholesky factor, or mid-insert (the
+        rows are stored before the hook runs)."""
+        rows = self._qfd_rows
+        if rows is None:
+            if kernel.factor is None:
+                return None
+            with _ROWS_LOCK:
+                rows = self._qfd_rows
+                if rows is None:
+                    rows = _QFDRows(kernel, self._data)
+                    self._qfd_rows = rows
+        return rows if rows.size == self._data.shape[0] else None
 
     def _range_hits(
         self, query: np.ndarray, radius: float, trace: "QueryTrace"
@@ -388,31 +417,17 @@ class SequentialFile(AccessMethod):
         return out
 
     def _register_insert(self, index: int, vector: np.ndarray) -> None:
-        """Appending the row is the entire build; a built shadow, its norms
-        and the projected rows are extended by the row's float32 copy, its
-        norm and its projection, never rebuilt (only float64 stores take
-        inserts).  So is a built projection filter; one found off is
-        decided again at the next query."""
+        """Appending the row is the entire build; built QFD rows and a built
+        projection filter are extended by it, never rebuilt (only float64
+        stores take inserts).  A projection filter found off is decided
+        again at the next query."""
         if self._projection is not None:
             if self._projection:
                 self._projection.append(index)
             else:
                 self._projection = None
-        if self._norms is None:
-            return
-        row = gram.qfd_shadow(vector[None, :])
-        shadow = grown(self._shadow_buffer, index, 1)
-        shadow[index : index + 1] = row
-        projected = grown(self._projected_buffer, index, 1)
-        projected[index : index + 1] = self._port.kernel.project(row)
-        norms = grown(self._norms_buffer, index, 1)
-        norms[index : index + 1] = gram.shadow_norms(row)
-        self._shadow_buffer, self._projected_buffer, self._norms_buffer = (
-            shadow, projected, norms,
-        )
-        self._shadow = shadow[: index + 1]
-        self._projected = projected[: index + 1]
-        self._norms = norms[: index + 1]
+        if self._qfd_rows is not None:
+            self._qfd_rows.append(self._port.kernel, index, vector)
 
 
 class DiskSequentialFile(AccessMethod):
@@ -423,8 +438,8 @@ class DiskSequentialFile(AccessMethod):
     distance computations plus physical page reads — exactly the two
     components whose interplay Section 5.3 discusses.  It stays a plain
     float64 scan of every page, without :class:`SequentialFile`'s lower
-    bound: what it measures is page I/O (E_A4), and a shadow in RAM would
-    answer without reading the pages.
+    bound: what it measures is page I/O (E_A4), and rows kept in RAM
+    would answer without reading the pages.
 
     Parameters
     ----------

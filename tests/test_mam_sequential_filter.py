@@ -1,20 +1,25 @@
-"""The QFD sequential scan's certified lower bound against the plain scan.
+"""The QFD sequential scan's certified filter against the plain scan.
 
-``SequentialFile`` under a QFD rules rows out by an O(n + k) lower bound
-(``mu ||v - q||^2 + ||(v - q) W||^2`` less every rounding error),
-evaluates a seed of the rows of smallest bound in float64, cuts at the
-seed's k-th distance (``r`` for range) and evaluates in float64 only the
-rows whose bound is within the cut.  Held here against the unfiltered scan
-(``port.compute_many`` over every row, the filter switched off by raising
-its size floor): identical ``(index, distance)`` lists bit for bit,
-identical charged counts and an identical EXPLAIN event stream — for
+``SequentialFile`` under a QFD bounds every row from below by the O(k)
+rank-k term ``||(v - q) W||^2`` less every rounding error, reads the
+certified intervals ``[lo, hi]`` around the float64 squared distance of a
+seed of the rows of smallest bound (from the rows mapped by the QFD's
+Cholesky factor, float32, each mapped the first time a query reaches it),
+cuts at the seed's k-th ``hi`` (``r`` for range), narrows that cut by the
+``hi`` of the rows whose bound is within it, and evaluates in float64 only
+those whose ``lo`` is within the cut.  Held here against the unfiltered
+scan (``port.compute_many`` over every row, the filter switched off by
+raising its size floor): identical ``(index, distance)`` lists bit for
+bit, identical charged counts and an identical EXPLAIN event stream — for
 k = 1, k >= m, a tie at the k-th distance, range with r = 0 and r = inf,
 insert-then-query, the float32 memory-mapped twin, a snapshot round-trip,
-a thread-executor batch, racing first queries, a matrix whose ``mu``
-prunes nothing, a failed rank-k certificate (the rank-0 bound) and the
-512-d benchmark corpus, where the bound must rule out >= 95 % of the
-rows.  The shadow, its norms and the projected rows are in neither a
-pickle nor a snapshot.
+a thread-executor batch, racing first queries (which map each row once),
+queries by example at the scan's own ``d1`` and ``d10``, a near-singular
+matrix, a failed rank-k certificate (the mapped stage over every row) and
+the 512-d benchmark corpus, where the median query evaluates at most 2k
+rows in float64.  The projected and mapped rows are in neither a pickle
+nor a snapshot, and the cached first-stage operands give the bound the
+uncached formula gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ def _assert_same_scan(built, queries, unfiltered, **kind):
 def _spy_survivors(monkeypatch) -> list[tuple[int, int]]:
     """``(rows evaluated, rows)`` of every bounded scan from now on."""
     seen = []
-    survivors = sequential._survivors
+    survivors = sequential._mapped_survivors
 
     def spy(port, query, data, *args):
         kept = survivors(port, query, data, *args)
@@ -84,7 +89,7 @@ def _spy_survivors(monkeypatch) -> list[tuple[int, int]]:
         seen.append((rows if kept is None else kept[0].shape[0], rows))
         return kept
 
-    monkeypatch.setattr(sequential, "_survivors", spy)
+    monkeypatch.setattr(sequential, "_mapped_survivors", spy)
     return seen
 
 
@@ -102,9 +107,11 @@ class TestTheFilterIsTheScan:
         monkeypatch.setattr(sequential, "_refine", spy)
         seen = _spy_survivors(monkeypatch)
         built.knn_search(queries[0], 10)
-        # The seed (2k rows), then the rest of the rows within its cut.
-        assert len(calls) == 2 and calls[0] == 20 and sum(calls) < M // 4
-        assert seen == [(sum(calls), M)]
+        # One float64 evaluation, of the rows whose interval can answer.
+        assert len(calls) == 1 and 10 <= calls[0] <= 20
+        assert seen == [(calls[0], M)]
+        mapped = built.access_method._qfd_rows._done
+        assert 20 <= np.count_nonzero(mapped) < M // 2  # the seed and the candidates
 
     @pytest.mark.parametrize("k", [1, 10, M, M + 5])
     def test_knn(self, workload, unfiltered, k) -> None:
@@ -133,24 +140,41 @@ class TestTheFilterIsTheScan:
         if radius == np.inf:
             assert all(len(answer) == M for answer, _, _ in results)
 
+    def test_queries_by_example(self, workload, unfiltered) -> None:
+        # Database rows as queries, at the unfiltered scan's own d1 (0: the
+        # row itself and its duplicates) and d10: (index, distance) pairs
+        # compared exactly, kNN and range.
+        matrix, data, _ = workload
+        built = QFDModel(matrix).build_index("sequential", data)
+        plain = QFDModel(matrix).build_index("sequential", data)
+        for row in (3, 7, 11, 120, 399):
+            query = data[row]
+            with unfiltered:
+                want = plain.knn_search(query, 10)
+                radii = (want[0].distance, want[-1].distance)
+                ranged = [plain.range_search(query, r) for r in radii]
+            assert (want[0].distance, want[0].index) == (0.0, 3 if row in (3, 7) else row)
+            assert built.knn_search(query, 10) == want
+            assert [built.range_search(query, r) for r in radii] == ranged
+
     def test_insert_then_query(self, workload, unfiltered) -> None:
         matrix, data, queries = workload
         built = QFDModel(matrix).build_index("sequential", data[:300])
-        built.knn_search(queries[0], 5)  # builds the shadow
+        built.knn_search(queries[0], 5)  # projects the rows, maps some
         for row in data[300:]:
             built.insert(row)
-        am = built.access_method
-        shadow = am._shadow
-        assert shadow.shape == (M, data.shape[1])
-        assert np.array_equal(shadow, gram.qfd_shadow(data))
-        assert np.array_equal(am._norms, gram.shadow_norms(shadow))
+        rows = built.access_method._qfd_rows
+        assert rows.size == M and not rows._done[300:M].any()
+        kernel = built.access_method.distance.kernel
         # Products of other heights (one inserted row is a gemv) may move
         # the last ulp; the bound holds for any order of the sums.
-        projected = am.distance.kernel.project(gram.qfd_shadow(data))
-        assert am._projected.shape == projected.shape
-        assert np.allclose(am._projected, projected, rtol=1e-12, atol=1e-15)
+        projected, norms, squares = kernel.project(data)
+        assert np.allclose(rows._projected[:M], projected, rtol=1e-12, atol=1e-15)
+        assert np.allclose(rows._squares[:M], squares, rtol=1e-12, atol=0)
+        assert np.array_equal(rows._norms[:M], norms)  # a row's own sum
         _assert_same_scan(built, queries, unfiltered, k=10)
         _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
+        assert rows._done[300:M].any()  # inserted rows are mapped on demand
 
     def test_float32_mmap_twin(self, workload, unfiltered, tmp_path) -> None:
         matrix, data, queries = workload
@@ -164,49 +188,63 @@ class TestTheFilterIsTheScan:
             heap_runs = _assert_same_scan(heap, queries, unfiltered, **kind)
             mmap_runs = _assert_same_scan(mmap, queries, unfiltered, **kind)
             assert heap_runs == mmap_runs
-        assert mmap.access_method._shadow is None  # the rows are their own
         rows32 = mmap.access_method.database
-        assert np.array_equal(mmap.access_method._norms, gram.shadow_norms(rows32))
         kernel = mmap.access_method.distance.kernel
-        assert np.array_equal(mmap.access_method._projected, kernel.project(rows32))
+        rows = mmap.access_method._qfd_rows
+        projected, norms, squares = kernel.project(rows32)
+        assert np.array_equal(rows._projected, projected)
+        assert np.array_equal(rows._norms, norms)
+        assert np.array_equal(rows._squares, squares)
+        done = np.flatnonzero(rows._done)
+        assert np.array_equal(rows._mapped[done], kernel.map(rows32[done], norms[done])[0])
 
     def test_snapshot_round_trip(self, workload, unfiltered, tmp_path) -> None:
         matrix, data, queries = workload
         built = QFDModel(matrix).build_index("sequential", data)
         before = built.save(tmp_path / "before.npz")
         built.knn_search(queries[0], 10)
-        assert built.access_method._shadow is not None
-        assert built.access_method._projected is not None
+        assert built.access_method._qfd_rows._done.any()
         after = built.save(tmp_path / "after.npz")
         with zipfile.ZipFile(before) as a, zipfile.ZipFile(after) as b:
             assert a.namelist() == b.namelist()
             assert not any(
-                word in name for name in b.namelist() for word in ("shadow", "norms", "projected")
+                word in name for name in b.namelist() for word in ("mapped", "projected")
             )
         assert built.access_method.structural_state() == {}
         restored = load_built_index(after)
-        assert restored.access_method._shadow is None
-        assert restored.access_method._norms is None
-        assert restored.access_method._projected is None
+        assert restored.access_method._qfd_rows is None
         _assert_same_scan(restored, queries, unfiltered, k=10)
 
-    def test_the_shadow_is_not_pickled(self, workload) -> None:
+    def test_the_mapped_rows_are_not_pickled(self, workload) -> None:
         matrix, data, queries = workload
         am = QFDModel(matrix).build_index("sequential", data).access_method
         cold = len(pickle.dumps(am))
         am.knn_search(queries[0], 3)
-        assert am._shadow is not None and am._norms is not None
-        assert am._projected is not None
+        assert am._qfd_rows is not None and am._qfd_rows._done.any()
         payload = pickle.dumps(am)
-        for key in (b"_shadow", b"_norms", b"_projected"):
+        for key in (b"_qfd_rows", b"_QFDRows", b"_mapped", b"_projected"):
             assert key not in payload
-        assert len(payload) < cold + 64  # the counter's totals, not the shadow
+        assert len(payload) < cold + 64  # the counter's totals, not the rows
         copy = pickle.loads(payload)
-        for key in ("_shadow", "_norms", "_projected"):
-            assert key not in vars(copy) and getattr(copy, key) is None
+        assert "_qfd_rows" not in vars(copy) and copy._qfd_rows is None
         assert copy.knn_search(queries[1], 3) == am.knn_search(queries[1], 3)
-        assert np.array_equal(copy._norms, am._norms)
-        assert np.array_equal(copy._projected, am._projected)
+        assert np.array_equal(copy._qfd_rows._projected, am._qfd_rows._projected)
+        assert np.array_equal(copy._qfd_rows._norms, am._qfd_rows._norms)
+
+    def test_the_first_stage_cache_is_the_formula(self, workload) -> None:
+        # The projected rows and their norm bounds are made once; the bound
+        # they give is, bit for bit, the one recomputed from the rows.
+        matrix, data, queries = workload
+        am = QFDModel(matrix).build_index("sequential", data).access_method
+        am.knn_search(queries[0], 10)
+        kernel, rows = am.distance.kernel, am._qfd_rows
+        for q in queries:
+            cached = rows.bound(kernel, q)
+            fresh = gram.qfd_lower_bound(kernel.radius, q, kernel.weights, *kernel.project(data))
+            assert np.array_equal(cached, fresh)
+            flushed = gram._flush_subnormals(data)
+            squares = np.einsum("ij,ij->i", flushed, flushed)
+            assert np.array_equal(rows._norms, gram._norm_up(squares, 2 * data.shape[1]))
 
     def test_thread_executor_batch(self, workload, unfiltered) -> None:
         matrix, data, queries = workload
@@ -230,9 +268,10 @@ class TestTheFilterIsTheScan:
             ]
 
     def test_a_matrix_whose_mu_prunes_nothing(self, workload, unfiltered, monkeypatch) -> None:
-        # lambda_min 1e-8 of the largest: mu ||v - q||^2 is under every cut,
-        # so with the rank-k term off (rank 0) every row is evaluated; with
-        # it, the top eigenvalues rule rows out again.
+        # lambda_min 1e-8 of the largest, so mu ||v - q||^2 would be under
+        # every cut.  At rank 0 (no rank-k term) every row is a candidate
+        # and mapped, and the intervals still leave a few; with the rank-k
+        # term the top eigenvalues rule rows out first.
         _, data, queries = workload
         n = data.shape[1]
         basis, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((n, n)))
@@ -246,18 +285,18 @@ class TestTheFilterIsTheScan:
                 _assert_same_scan(built, queries[:4], unfiltered, k=10)
                 _assert_same_scan(built, queries[:4], unfiltered, radius=0.05)
             kernel = built.access_method.distance.kernel
-            assert 0.0 < kernel.mu < 1e-8 and kernel.weights.shape == (n, rank)
+            assert kernel.weights.shape == (n, rank)
             assert len(seen) == 8 and all(rows == M for _, rows in seen)
-            if rank == 0:
-                assert all(kept == M for kept, _ in seen)
-            else:
-                assert any(kept < M // 2 for kept, _ in seen)
+            mapped = np.count_nonzero(built.access_method._qfd_rows._done)
+            assert mapped == M if rank == 0 else mapped < M
+            assert all(kept < M // 4 for kept, _ in seen[:4])
 
-    def test_a_failed_rank_k_certificate_falls_back_to_mu(
+    def test_a_failed_rank_k_certificate_runs_the_mapped_stage(
         self, workload, unfiltered, monkeypatch
     ) -> None:
         # W doubled: the deflated matrix is indefinite and its certificate
-        # fails, so the scan runs on the rank-0 bound, mu = lambda_min_floor.
+        # fails, so there is no rank-k term: every row is a candidate, the
+        # first query maps them all, and the intervals pick the rows.
         matrix, data, queries = workload
         deflation = gram._deflation
         with pytest.MonkeyPatch.context() as patch:  # outlives `unfiltered`
@@ -267,18 +306,18 @@ class TestTheFilterIsTheScan:
             _assert_same_scan(built, queries, unfiltered, k=10)
             _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
         kernel = built.access_method.distance.kernel
+        rows = built.access_method._qfd_rows
         assert kernel.weights.shape == (data.shape[1], 0)
-        assert built.access_method._projected.shape == (M, 0)
-        assert kernel.mu == gram.lambda_min_floor(matrix) > 0.0
-        assert all(kept < M // 2 for kept, _ in seen[: len(queries)])
+        assert rows._projected.shape == (M, 0) and rows._done.all()
+        assert all(kept <= 20 for kept, _ in seen[: len(queries)])
 
     @pytest.mark.parametrize("k", [1, 10, 50])
     def test_the_cut_keeps_what_any_lower_bound_allows(self, workload, k) -> None:
         # Squared distances scaled by random factors in [0, 1) are lower
         # bounds that order the rows unlike the distances, so the seed
-        # misses answer rows and the cut alone must keep them; the squared
-        # form before its root is the tightest bound, which only the cut's
-        # slack keeps where the root rounds down.
+        # misses answer rows and the cut alone must keep them; intervals
+        # equal to the squared form before its root are the tightest, which
+        # only the cut's slack keeps where the root rounds down.
         matrix, data, queries = workload
         port = QFDModel(matrix).build_index("sequential", data).access_method.distance
         rng = np.random.default_rng(k)
@@ -287,9 +326,13 @@ class TestTheFilterIsTheScan:
             kth = np.partition(exact, k - 1)[k - 1]
             diff = gram._flush_subnormals(data - q)
             squared = np.einsum("ij,ij->i", diff @ matrix, diff)
+            loose = (squared * rng.uniform(0.5, 1.0, M), squared * rng.uniform(1.0, 2.0, M))
             for bound in (squared, exact * exact * rng.uniform(0.0, 1.0, M)):
-                for tighter in (None, lambda rows: bound[rows]):
-                    kept = sequential._survivors(port, q, data, bound, tighter, k, np.inf)
+                for lo, hi in ((squared, squared), loose):
+                    def interval(rows, lo=lo, hi=hi):
+                        return lo[rows], hi[rows]
+
+                    kept = sequential._mapped_survivors(port, q, data, bound, interval, k, np.inf)
                     rows, distances = kept if kept is not None else (np.arange(M), exact)
                     assert np.all(np.diff(rows) > 0)
                     assert np.array_equal(distances, exact[rows])
@@ -297,9 +340,10 @@ class TestTheFilterIsTheScan:
 
     def test_a_tie_the_seed_splits(self, workload) -> None:
         # Rows 3, 7 and 250 are equal.  Only row 3 enters the seed (its bound
-        # halved, the rest of the seed far rows at -inf), so the cut is its
-        # distance squared; rows 7 and 250, bounded by their exact squared
-        # form, stay only through the cut's slack where the root rounded down.
+        # -inf, the rest of the seed a far row), so the cut is its distance
+        # squared; rows 7 and 250, bounded and bracketed by their exact
+        # squared form, stay only through the cut's slack where the root
+        # rounded down.
         matrix, data, _ = workload
         port = QFDModel(matrix).build_index("sequential", data).access_method.distance
         needed = 0
@@ -307,49 +351,56 @@ class TestTheFilterIsTheScan:
             near = data[3] + t * (data[11] - data[3])
             exact = port.compute_many(near, data)
             diff = gram._flush_subnormals(data - near)
-            bound = np.einsum("ij,ij->i", diff @ matrix, diff)
-            needed += exact[3] * exact[3] < bound[7]
-            bound[3] *= 0.5
-            bound[np.argsort(exact)[-sequential._refine_rows(data.shape[1]) + 1 :]] = -np.inf
-            rows, _ = sequential._survivors(port, near, data, bound, None, 1, np.inf)
+            squared = np.einsum("ij,ij->i", diff @ matrix, diff)
+            needed += exact[3] * exact[3] < squared[7]
+            bound = squared.copy()
+            bound[3] = -np.inf
+            bound[np.argmax(exact)] = -np.inf
+
+            def interval(rows, squared=squared):
+                return squared[rows], squared[rows]
+
+            rows, _ = sequential._mapped_survivors(port, near, data, bound, interval, 1, np.inf)
             assert {3, 7, 250} <= set(rows.tolist())
         assert needed
 
     def test_the_512d_benchmark_corpus(self, unfiltered, monkeypatch) -> None:
-        # The bound must rule out most rows, or the cut has silently switched off.
-        w = histogram_workload(4000, 10, bins_per_channel=8, seed=2011)
+        # The mechanism: the median query evaluates at most 2k rows in
+        # float64 (the seed-and-mu chain evaluated about 59).
+        w = histogram_workload(4000, 20, bins_per_channel=8, seed=2011)
         built = QFDModel(w.matrix).build_index("sequential", w.database)
         seen = _spy_survivors(monkeypatch)
         _assert_same_scan(built, w.queries, unfiltered, k=10)
         assert len(seen) == len(w.queries)
-        assert np.median([kept / rows for kept, rows in seen]) <= 0.05, seen
+        assert np.median([kept for kept, _ in seen]) <= 20, seen
 
-    def test_racing_first_queries_build_one_shadow(
+    def test_racing_first_queries_map_each_row_once(
         self, workload, unfiltered, monkeypatch
     ) -> None:
-        # More threads than cores, switching every microsecond: the shadow,
-        # its norms, the projected rows and the kernel's W are built once,
-        # and every racing query gets the unfiltered scan's answer.
+        # More threads than cores, switching every microsecond: the
+        # projected rows and the kernel's W are built once, every row a
+        # query reaches is mapped once, and every racing query gets the
+        # unfiltered scan's answer.
         matrix, data, queries = workload
         built = QFDModel(matrix).build_index("sequential", data)
         am = built.access_method
-        builds, projections, floors = [], [], []
-        shadow_of, project, floor = gram.qfd_shadow, QFDKernel.project, gram.spectral_floor
-
-        def counted(rows):
-            builds.append(rows.shape[0])
-            return shadow_of(rows)
+        projections, mapped, floors = [], [], []
+        project, map_rows, floor = QFDKernel.project, QFDKernel.map, gram.spectral_floor
 
         def counted_project(kernel, rows):
             projections.append(rows.shape[0])
             return project(kernel, rows)
 
+        def counted_map(kernel, rows, norms):
+            mapped.append(rows.shape[0])
+            return map_rows(kernel, rows, norms)
+
         def counted_floor(*args):
             floors.append(1)
             return floor(*args)
 
-        monkeypatch.setattr(gram, "qfd_shadow", counted)
         monkeypatch.setattr(QFDKernel, "project", counted_project)
+        monkeypatch.setattr(QFDKernel, "map", counted_map)
         monkeypatch.setattr(gram, "spectral_floor", counted_floor)
         barrier = threading.Barrier(6, timeout=60)
         answers: dict[int, list] = {}
@@ -369,13 +420,16 @@ class TestTheFilterIsTheScan:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert builds == [M] and projections == [M] and floors == [1]
+        rows = am._qfd_rows
+        assert projections == [M] and floors == [1]
+        assert sum(mapped) == np.count_nonzero(rows._done) > 0  # each row once
         monkeypatch.undo()
-        shadow, norms, projected = am._shadow, am._norms, am._projected
-        assert am._shadow_buffer is shadow and am._norms_buffer is norms
-        assert am._projected_buffer is projected
-        assert np.array_equal(norms, gram.shadow_norms(gram.qfd_shadow(data)))
-        assert np.array_equal(projected, am.distance.kernel.project(shadow))
+        kernel = am.distance.kernel
+        assert np.array_equal(rows._projected, kernel.project(data)[0])
+        done = np.flatnonzero(rows._done)
+        want_mapped, want_errors = kernel.map(data[done], rows._norms[done])
+        assert np.allclose(rows._mapped[done], want_mapped, rtol=1e-6, atol=0)
+        assert np.allclose(rows._errors[done], want_errors, rtol=1e-6, atol=0)
         fresh = QFDModel(matrix).build_index("sequential", data)
         with unfiltered:
             assert [answers[pos] for pos in range(6)] == [
