@@ -21,12 +21,13 @@ assist.  A second table therefore times each QFD entry point on the raw
 histogram rows and on the same rows with the subnormals zeroed, interleaved
 in one process, and reports ``subnormal_penalty_ratio = raw / flushed``.
 Entry points that flush their operand themselves (the QFD kernels, the
-QMap transform, the QFD sequential scan — its certified rank-k bound,
-the intervals of the rows mapped by the Cholesky factor, then float64 over
-the rows that can answer — over heap rows or a float32 store's own rows,
-and the scan's parts: the projection and the map, which flush each block
-of rows before its product, the bound over the projected rows and the
-interval over the float32 mapped rows) are marked ``fixed`` and must read
+QMap transform, the QFD sequential scan — its certified rank-k stage,
+the mapped stage over the rows mapped by the Cholesky factor, then float64
+over the rows that can answer — over heap rows or a float32 store's own
+rows, and the scan's parts: the projection and the map, which flush each
+block of rows before its product, the query product of ``QFDKernel.stages``
+and each stage's sums and cut over the projected or the float32 mapped
+rows) are marked ``fixed`` and must read
 ~1; the others are measured and left (see ``docs/architecture.md``,
 *Subnormal operands*) — the projection of a float32 store's own rows
 among them: its upcast reads the store's float32 subnormals in place,
@@ -203,15 +204,17 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     qfd = QuadraticFormDistance(matrix)
     qmap = QMap(matrix)
     kernel = QFDKernel(matrix)
-    # The filtered QFD scan: the rank-k bound over the rows projected by its
-    # warm-up query, the intervals of the rows mapped so far, then float64
-    # over the rows that can answer; and those stages on their own.
+    # The filtered QFD scan: the rank-k stage over the rows projected by its
+    # warm-up query, the mapped stage over the rows mapped so far, then
+    # float64 over the rows that can answer; and those stages on their own
+    # (the query product, each stage's per-row sums and its cut).
     store_dir = tempfile.TemporaryDirectory()
     for label, operands in (("raw", raw), ("clean", clean)):
         operands["ctx"] = kernel.bind(operands["q"])
-        operands["projected"] = kernel.project(operands["rows"])
-        operands["norms"] = operands["projected"][1]
-        operands["mapped"], operands["errors"] = kernel.map(operands["rows"], operands["norms"])
+        operands["projected"], operands["squares"], v_norm = kernel.project(operands["rows"])
+        operands["mapped"], operands["m_error"] = kernel.map(operands["rows"])
+        operands["v_norm"] = v_norm
+        operands["rank"], operands["mapped_stage"] = kernel.stages(operands["q"], v_norm)
         port = DistancePort(CountingDistance(qfd, one_to_many=qfd.one_to_many))
         stored = np.memmap(
             Path(store_dir.name) / label, dtype=np.float32, mode="w+",
@@ -254,12 +257,14 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: kernel.project(d["rows"])),
         ("QFDKernel.project, f32 store", False, f"{m}x{qfd.dim}",
          lambda d: kernel.project(d["rows32"])),
-        ("QFDKernel.lower_bound", True, f"{m}x{qfd.dim}",
-         lambda d: kernel.lower_bound(d["q"], *d["projected"])),
+        ("QFDKernel.stages (query product)", True, f"1x{qfd.dim}",
+         lambda d: kernel.stages(d["q"], d["v_norm"])),
+        ("QFDKernel.stages: rank", True, f"{m}x{qfd.dim}",
+         lambda d: d["rank"](d["projected"], d["squares"])[1](0.01)),
         ("QFDKernel.map", True, f"{m}x{qfd.dim}",
-         lambda d: kernel.map(d["rows"], d["norms"])),
-        ("QFDKernel.interval", True, f"{m}x{qfd.dim}",
-         lambda d: kernel.interval(d["q"])(d["mapped"], d["errors"], d["norms"])),
+         lambda d: kernel.map(d["rows"])),
+        ("QFDKernel.stages: mapped", True, f"{m}x{qfd.dim}",
+         lambda d: d["mapped_stage"](d["mapped"], d["m_error"])[1](0.01)),
         ("SequentialFile.knn_search (filtered)", True, f"{m}x{qfd.dim}",
          lambda d: d["scan"].knn_search(d["q"], 10)),
         ("SequentialFile.knn_search, f32 mmap", True, f"{m}x{qfd.dim}",

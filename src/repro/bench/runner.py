@@ -110,8 +110,10 @@ def compare_models(
     qmap_model = QMapModel(workload.matrix)
     qfd_index = qfd_model.build_index(method, workload.database, **kwargs)
     qmap_index = qmap_model.build_index(method, workload.database, **kwargs)
-    for index in (qfd_index, qmap_index):  # untimed warm-up; the next call resets costs
-        measure_queries(index, workload.queries[:1], mode=mode, k=k, radius=radius)
+    # One untimed pass over the timed queries, so the rows each query
+    # reaches are already mapped or projected; the next call resets costs.
+    for index in (qfd_index, qmap_index):
+        measure_queries(index, workload.queries, mode=mode, k=k, radius=radius)
     qfd_query = measure_queries(qfd_index, workload.queries, mode=mode, k=k, radius=radius)
     qmap_query = measure_queries(qmap_index, workload.queries, mode=mode, k=k, radius=radius)
     return ModelComparison(

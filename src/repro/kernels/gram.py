@@ -13,18 +13,19 @@ math — no counting, no validation; the charging semantics live in
 :class:`repro.mam.base.DistancePort`.
 
 The QFD sequential scan rules rows out before it evaluates them
-(paper Section 2.3.1's filter-and-refine), in two certified stages.
-First :func:`qfd_lower_bound` bounds the float64 form from below in O(k)
-per row, as ``||(v - q) W||^2`` less every rounding error: ``W``
-(``n x k``, ``k = _SPECTRAL_RANK``) comes from approximate top eigenpairs
-of ``A``'s symmetric part, :func:`spectral_floor` certifies
-``(A + A^T) / 2 - W W^T`` positive semi-definite by one Cholesky
-factorization, and the rows are projected once (:func:`qfd_project`).
-Then :func:`qfd_interval` brackets the float64 form of the rows that bound
-keeps, in O(n) per row, from the rows mapped by the QFD's own Cholesky
-factor and stored as float32 (:func:`qfd_map`: paper Section 3's QMap).
-The scan evaluates in float64 only the rows whose interval can reach the
-answer, so what it returns is always the float64 form's.
+(paper Section 2.3.1's filter-and-refine), in two certified stages
+(:func:`qfd_stages`), each a raw per-row sum tested against a cut that
+depends on the query alone.  First the rows projected once on ``W``
+(:func:`qfd_project`; ``n x k``, ``k = _SPECTRAL_RANK``, approximate top
+eigenpairs of ``A``'s symmetric part, with :func:`spectral_floor`
+certifying ``(A + A^T) / 2 - W W^T`` positive semi-definite) give
+``||P - q W||^2`` in O(k) per row, whose cut bounds ``||(v - q) W||^2 <=
+x A x^T``.  Then the rows that cut keeps, mapped by the QFD's own
+Cholesky factor and stored as float32 (:func:`qfd_map`: paper Section 3's
+QMap), give ``||M - q G||^2`` in O(n) per row, bracketing the float64
+form.  The cuts' error terms read one norm bound per index, so a query
+evaluates them once; the scan evaluates in float64 only the rows no cut
+rules out, so what it returns is always the float64 form's.
 
 The QMap refines do the same in mapped space with one certified L2
 projection bound (:func:`l2_lower_bound`): ``W`` an orthonormal PCA basis
@@ -51,10 +52,9 @@ __all__ = [
     "l2_row_norms",
     "qfd_one_to_many",
     "qfd_project",
-    "qfd_lower_bound",
     "qfd_factor_terms",
     "qfd_map",
-    "qfd_interval",
+    "qfd_stages",
     "spectral_floor",
     "abs_sum_radius",
     "l2_one_to_many",
@@ -71,7 +71,7 @@ _TINY64 = float(np.finfo(np.float64).tiny)
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 #: Factors on a certified bound's float64 terms that must be low / high
-#: (see :func:`qfd_lower_bound`).
+#: (see :func:`qfd_stages`).
 _LOW, _HIGH = 1.0 - 2.0**-40, 1.0 + 2.0**-40
 
 #: Floats in one tile's difference buffer of :func:`l2_one_to_many` and of
@@ -195,8 +195,7 @@ def abs_sum_radius(matrix: np.ndarray) -> float:
     ``||A||_2 <= || |A| ||_2 <= sqrt(||A||_1 ||A||_inf) <= R``, so
     ``|y A z| <= |y| |A| |z|^T <= R ||y|| ||z||`` for any vectors, whether
     or not ``A`` is symmetric (a QFD matrix need be only within 1e-9); the
-    one constant :func:`qfd_lower_bound`'s error terms need from the
-    matrix.
+    one constant :func:`qfd_stages`' error terms need from the matrix.
     """
     n = matrix.shape[0]
     magnitudes = np.abs(matrix)
@@ -221,8 +220,8 @@ def _float64_error(big_x: np.ndarray, radius: float, n: int) -> np.ndarray:
     (:func:`qfd_one_to_many` before its clamp and square root) can be from
     ``x A x^T`` for any ``x = v - q`` with ``||x|| <= X = big_x``.
 
-    With :func:`qfd_lower_bound`'s ``w``, ``t64`` and ``gamma_k`` and
-    ``R = radius``: the path's difference is within ``e64 = w X +
+    With :func:`qfd_stages`' ``w``, ``t64`` and ``gamma_k`` and ``R =
+    radius``: the path's difference is within ``e64 = w X +
     sqrt(n) t64`` of ``x`` (a subnormal difference is exact, then
     flushed), which moves the form by at most ``R e64 (2X + e64)``; its
     gemm and reduction add ``gamma_2n(w) R X64^2 + 4 n t64 + 8 n sqrt(n)
@@ -249,92 +248,23 @@ def _float_blocks(rows: np.ndarray):
         yield slice(start, start + block.shape[0]), _flush_subnormals(block, inplace=True)
 
 
-def qfd_project(weights: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(P, V, S)``, :func:`qfd_lower_bound`'s per-row operands, made once
-    per row: ``P = v' W`` in float64, ``v'`` the row flushed of subnormals;
-    ``V >= ||v||``, :func:`_norm_up` of the float64 sum of ``v'``'s squares
-    over ``2 n`` entries (``n t64`` more for the flushed ones, each below
-    ``t64`` squared); and ``S``, the float64 sum of ``P``'s squares."""
+def qfd_project(weights: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(P, S, V)``, the rank-k stage's operands (:func:`qfd_stages`), made
+    once per row: ``P = v' W`` in float64, ``v'`` the row flushed of
+    subnormals; ``S``, the float64 sum of ``P``'s squares; and ``V >=
+    ||v||`` for every row, :func:`_norm_up` of the largest float64 sum of a
+    ``v'``'s squares over ``2 n`` entries (``n t64`` more for the flushed
+    ones, each below ``t64`` squared).  A non-finite row makes ``V`` not
+    finite."""
     m = rows.shape[0]
     projected = np.empty((m, weights.shape[1]), dtype=np.float64)
     squares = np.empty(m, dtype=np.float64)
-    with np.errstate(all="ignore"):  # a non-finite row: a bound of -inf
+    with np.errstate(all="ignore"):
         for part, block in _float_blocks(rows):
             np.matmul(block, weights, out=projected[part])
             np.einsum("ij,ij->i", block, block, out=squares[part])
-        v_norm = _norm_up(squares, 2 * rows.shape[1])
-        return projected, v_norm, np.einsum("ij,ij->i", projected, projected)
-
-
-def qfd_lower_bound(
-    radius: float, q: np.ndarray, weights: np.ndarray,
-    projected: np.ndarray, v_norm: np.ndarray, p_squares: np.ndarray,
-) -> np.ndarray:
-    """Certified lower bounds, in O(k) per row, on the squared QFDs the
-    float64 path computes: ``||(v - q) W||^2`` less every rounding error,
-    ``-inf`` where none is certain.
-
-    :func:`spectral_floor` certifies ``(A + A^T) / 2 - W W^T`` positive
-    semi-definite for its *weights* ``W`` (``n x k``), so ``x A x^T >=
-    ||x W||^2`` for ``x = v - q``.  The rows' ``(P, V, S)`` come from
-    :func:`qfd_project`, so a query pays one gemv ``P g`` and a few passes
-    over ``m`` values; *radius* is :func:`abs_sum_radius`.  The result
-    bounds ``d64``, the value **the float64 path computes**
-    (:func:`qfd_one_to_many` before its clamp and square root).  With ``w
-    = 2^-53``, ``t64`` float64's ``tiny``, ``gamma_j = j w / (1 - j w)`` and
-    ``Q >= ||q||``, ``bound = r^2 - T64(V + Q)``:
-
-    * ``T64``, the float64 path's own rounding over ``||x|| <= V + Q``
-      (:func:`_float64_error`): ``d64 >= x A x^T - T64``.
-    * ``P_j``, the float64 ``v' W_j``, is within ``gamma_n ||v'|| ||W_j|| +
-      4 n t64`` of it (any summation order, underflow included), ``v'``
-      within ``sqrt(n) t64`` of ``v``; ``g``, the float ``q' W`` of the
-      flushed query, likewise.  So with ``F >= ||W||_F``, ``||P - g||`` is
-      within ``E = (gamma_n (V + Q) + 2 sqrt(n) t64) F + 8 n sqrt(k) t64``
-      of ``||x W||`` (:func:`_rank_error`).
-    * ``c = S - 2 P g + G - (a S + b)`` in float64, ``G`` the float
-      ``||g||^2``, ``a = 4 gamma_{k+6} / (1 - gamma_k)``, ``b = a (G + 2 k
-      t64) + 6 k t64``: the sums of ``k`` products are within ``gamma_k`` of
-      their terms' magnitudes plus ``2 k t64``, and the six further
-      operations each within ``w`` of a partial result under ``2 (||P||^2 +
-      ||g||^2)``, so ``c <= ||P - g||^2`` and ``r = sqrt(c) - E``, each
-      clamped at 0.
-
-    Every quantity that must be low is scaled by ``1 - 2^-40`` before
-    anything is subtracted from it, and every one that must be high by ``1
-    + 2^-40``: that absorbs the relative ``~1e-14`` by which their float64
-    evaluation can miss.  At ``k = 0`` the bound is ``-T64 <= 0``.
-    """
-    q64 = _as64(q)
-    n, k = weights.shape
-    q_norm = _norm_up(float(q64 @ q64), n)
-    with np.errstate(all="ignore"):  # rows or a query beyond float64 range
-        bound = -_float64_error((v_norm + q_norm) * _HIGH, radius, n) * _HIGH
-        if k:
-            bound += _rank_term(weights, projected, q64, v_norm, p_squares, q_norm)
-        bound[~np.isfinite(bound)] = -np.inf
-    return bound
-
-
-def _rank_term(
-    weights: np.ndarray, projected: np.ndarray, q: np.ndarray,
-    v_norm: np.ndarray, p_squares: np.ndarray, q_norm: float,
-) -> np.ndarray:
-    """:func:`qfd_lower_bound`'s ``r^2``, term for term (see its docstring)."""
-    low = _LOW
-    n, k = weights.shape
-    g = _flush_subnormals(q) @ weights
-    g_squares = float(g @ g)
-    a = 4 * _gamma(k + 6, _U64) / (1.0 - _gamma(k, _U64)) * _HIGH
-    b = (a * (g_squares + 2 * k * _TINY64) + 6 * k * _TINY64) * _HIGH
-    gram_form = projected @ (-2.0 * g)
-    gram_form += p_squares
-    gram_form += g_squares - b
-    gram_form -= a * p_squares
-    f_norm = _norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k)
-    error = _rank_error(v_norm, q_norm, np.sqrt(n) * _TINY64, f_norm, n, k)
-    r = np.maximum(np.sqrt(np.maximum(gram_form, 0.0)) * low - error, 0.0) * low
-    return r * r * low
+        v_norm = float(_norm_up(squares.max(initial=0.0), 2 * rows.shape[1]))
+        return projected, np.einsum("ij,ij->i", projected, projected), v_norm
 
 
 def qfd_factor_terms(matrix: np.ndarray, factor: np.ndarray) -> tuple[float, float]:
@@ -359,116 +289,176 @@ def qfd_factor_terms(matrix: np.ndarray, factor: np.ndarray) -> tuple[float, flo
     return f_norm, (skew + backward) * _HIGH
 
 
-def qfd_map(
-    factor: np.ndarray, f_norm: float, rows: np.ndarray, v_norm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def qfd_map(factor: np.ndarray, f_norm: float, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """``(M, e)``: the *rows* mapped by the QFD's Cholesky *factor* ``G``
-    (paper Section 3's QMap transform ``v G``) stored as float32, and per
-    row ``e >= ||M - v G||``; *v_norm* is ``V >= ||v||``
-    (:func:`qfd_project`) and *f_norm* ``F >= ||G||_F``.
+    (paper Section 3's QMap transform ``v G``) stored as float32, and ``e >=
+    ||M - v G||`` for every row; *f_norm* is ``F >= ||G||_F``.
 
     The rows are flushed of subnormals first, as :func:`qfd_one_to_many`
-    flushes its differences, moving ``v G`` by at most ``sqrt(n) t64 F``.
-    The float64 ``s = fl(v' G)`` is within ``gamma_n(w) V F + 4 n sqrt(n)
-    t64`` of ``v' G`` (``|| |v'| |G| || <= V F``), and its float32 store
-    within ``u |s_j| + t32`` per entry (``u = 2^-24``, ``t32`` float32's
-    ``tiny``): ``u (||M|| + sqrt(n) t32) / (1 - u) + sqrt(n) t32`` in norm.
-    ``e`` is their sum, ``1 + 2^-40`` high.  An entry beyond float32 range
-    is stored as ``inf``: its row's interval is unbounded.
+    flushes its differences.  With ``V >= ||v||`` over these rows (as
+    :func:`qfd_project` makes it) the float64 ``s = fl(v' G)`` is within
+    :func:`_product_error` of ``v G``, and its float32 store within ``u
+    |s_j| + t32`` per entry (``u = 2^-24``, ``t32`` float32's ``tiny``): ``u
+    (||M|| + sqrt(n) t32) / (1 - u) + sqrt(n) t32`` in norm.  ``e`` is their
+    sum at the largest ``V`` and ``||M||``, ``1 + 2^-40`` high.  An entry
+    beyond float32 range is stored as ``inf``, and ``e`` is not finite.
     """
     m, n = rows.shape
     root_n = sqrt(n)
     mapped = np.empty((m, n), dtype=np.float32)
+    v_squares = 0.0
     with np.errstate(all="ignore"):
         for part, block in _float_blocks(rows):
             np.copyto(mapped[part], block @ factor, casting="same_kind")
-        s_norm = _norm_up(np.einsum("ij,ij->i", mapped, mapped, dtype=np.float64), n)
-        error = (
-            _U32 * (s_norm + root_n * _TINY32) / (1.0 - _U32) + root_n * _TINY32
-            + (_gamma(n, _U64) * v_norm + root_n * _TINY64) * f_norm + 4 * n * root_n * _TINY64
-        )
-        return mapped, error * _HIGH
+            v_squares = np.maximum(v_squares, _einsum("ij,ij->i", block, block).max())
+        m_squares = _einsum("ij,ij->i", mapped, mapped, dtype=np.float64).max(initial=0.0)
+        store = _U32 * (_norm_up(m_squares, n) + root_n * _TINY32) / (1.0 - _U32)
+        store += root_n * _TINY32
+        error = store + _product_error(_norm_up(v_squares, 2 * n), f_norm, n)
+        return mapped, float(error * _HIGH)
 
 
-def qfd_interval(
-    factor: np.ndarray, f_norm: float, form: float, radius: float, q: np.ndarray
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``(M, e, V) -> (lo, hi)``: per mapped row (:func:`qfd_map`), in
-    O(n), ``lo <= d64 <= hi`` for the squared distance from *q* **the
-    float64 path computes** (:func:`qfd_one_to_many` before its clamp and
-    square root), or ``(-inf, inf)`` where nothing is certain.
-
-    *f_norm* and *form* are :func:`qfd_factor_terms`' ``F`` and ``K``,
-    *radius* is :func:`abs_sum_radius`.  With ``x = v - q``, ``w = 2^-53``,
-    ``t64`` float64's ``tiny``, ``gamma_j = j w / (1 - j w)``, ``Q >=
-    ||q||`` and ``X = V + Q >= ||x||``:
-
-    * the query map ``g = fl(q' G)`` of the flushed query is within ``e_q =
-      (gamma_n Q + sqrt(n) t64) F + 4 n sqrt(n) t64`` of ``q G``, as
-      :func:`qfd_map`'s product is: ``||(M - g) - x G|| <= e + e_q``.
-    * ``fl(M - g)`` is within ``w`` of each entry (exact where subnormal),
-      and ``c``, the float64 sum of its squares, within ``gamma_n`` of
-      theirs plus ``2 n t64``: ``||M - g||`` lies in ``[sqrt((c - 2 n t64)
-      / (1 + gamma_n)) (1 - w), sqrt((c + 2 n t64) / (1 - gamma_n)) / (1 -
-      w)]``, and ``||x G||`` in that interval widened by ``e + e_q``,
-      ``[z_lo, z_hi]`` (``z_lo`` clamped at 0).
-    * the factor: ``|x G G^T x^T - x A x^T| <= K X^2``, the Cholesky
-      backward error and the matrix's asymmetry.
-    * the float64 path: ``|d64 - x A x^T| <= T64(X)`` (:func:`_float64_error`).
-
-    So ``lo = z_lo^2 - K X^2 - T64(X)`` and ``hi = z_hi^2 + K X^2 +
-    T64(X)``, each quantity ``1 -+ 2^-40`` low or high as in
-    :func:`qfd_lower_bound`.  The O(n^2) query map is made here, once.
-    """
-    n = factor.shape[0]
+def _product_error(norm: float, f_norm: float, n: int) -> float:
+    """How far ``fl(y' G)`` is from ``y G`` for ``||y|| <= norm``, ``y'`` the
+    vector flushed of subnormals and ``||G||_F <= f_norm``: ``(gamma_n(w)
+    norm + sqrt(n) t64) F + 4 n sqrt(n) t64`` (the flush moves ``y`` by
+    ``sqrt(n) t64``, the product's sums of ``n`` terms ``gamma_n`` of ``||
+    |y'| |G| || <= norm F`` plus ``4 n t64`` of underflow per entry)."""
     root_n = sqrt(n)
+    return (_gamma(n, _U64) * norm + root_n * _TINY64) * f_norm + 4 * n * root_n * _TINY64
+
+
+def _gram_error(k: int, g_squares: float) -> tuple[float, float]:
+    """``(a, b)`` with ``||P - g||^2 >= (c - b) / (1 + 2 a)`` for ``c =
+    fl(fl(fl(P (-2 g)) + S) + G)`` (see :func:`qfd_stages`), ``G`` =
+    *g_squares*, each ``1 + 2^-40`` high."""
+    gamma_k = _gamma(k, _U64)
+    a = 4 * _gamma(k + 6, _U64) / (1.0 - gamma_k) * _HIGH
+    return a, (a * (3 * g_squares + 6 * k * _TINY64) + 6 * k * _TINY64) * _HIGH
+
+
+def qfd_stages(
+    stacked: np.ndarray, k: int, radius: float, terms: tuple[float, float, float],
+    v_norm: float, q: np.ndarray,
+) -> tuple[Callable, Callable] | None:
+    """``(rank, mapped)``: the QFD scan's two certified stages for *q* over
+    rows of norm at most *v_norm* (:func:`qfd_project`'s ``V``), ``None``
+    when ``V`` or ``||q||`` is not finite.  Each tests a raw per-row sum
+    against a cut of a squared threshold ``R``: a row above ``cut(R)`` has
+    ``d64 > R``, ``d64`` the squared distance **the float64 path computes**
+    (:func:`qfd_one_to_many` before its clamp and root).  Every error term
+    is a scalar, evaluated once per query.
+
+    *stacked* is ``[W | G]``, ``A_sym - W W^T`` certified positive
+    semi-definite (:func:`spectral_floor`) and ``G`` the QFD's Cholesky
+    factor: one gemv of the flushed query gives ``g = q' W`` and ``g_G = q'
+    G``.  *radius* is :func:`abs_sum_radius`, *terms* ``(F_W >= ||W||_F, F,
+    K)`` (:func:`qfd_factor_terms`).  With ``w = 2^-53``, ``t64`` float64's
+    ``tiny``, ``gamma_j = j w / (1 - j w)``, ``Q >= ||q||`` and ``X = V + Q
+    >= ||x||``, ``x = v - q``: ``|d64 - x A x^T| <= T64(X)``
+    (:func:`_float64_error`), and
+
+    * ``rank(P, S) -> (c, cut)``, O(k) per row: ``c = S - 2 P g + G`` in
+      float64 (one gemv, two passes; ``G`` the float ``||g||^2``).  ``x A
+      x^T >= ||x W||^2``, and ``||P - g||`` is within ``E`` of ``||x W||``
+      (:func:`_rank_error`).  Three sums of ``k`` products (each within
+      ``gamma_k`` of its terms' magnitudes plus ``2 k t64``) and two
+      additions (each within ``w`` of a sum under ``2 (||P||^2 + ||g||^2)``)
+      put ``c`` within ``4 gamma_{k+6} (||P||^2 + ||g||^2) + 6 k t64`` of
+      ``||P - g||^2``; with ``||P||^2 <= 2 ||P - g||^2 + 2 ||g||^2`` and
+      ``||g||^2 <= (G + 2 k t64) / (1 - gamma_k)``, ``||P - g||^2 >= (c - b)
+      / (1 + 2 a)`` (:func:`_gram_error`).  So ``c > cut(R) = (E + sqrt(R
+      + T64))^2 (1 + 2 a) + b`` gives ``||x W||^2 > R + T64``.
+    * ``mapped(M, e) -> (s, lo_cut, hi)``, O(n) per row (``None`` when *e*
+      is not finite): ``s = ||M - g_G||^2`` in float64 over rows mapped by
+      :func:`qfd_map` within *e*.  ``g_G`` is within ``e_q`` of ``q G``
+      (:func:`_product_error`), ``fl(M - g_G)`` within ``w`` per entry and
+      ``s`` within ``gamma_n`` of its squares plus ``2 n t64``, so ``||x G||``
+      lies in ``[sqrt((s - 2 n t64) / (1 + gamma_n)) (1 - w) - e - e_q,
+      sqrt((s + 2 n t64) / (1 - gamma_n)) / (1 - w) + e + e_q]``, and ``|x G
+      G^T x^T - x A x^T| <= K X^2``.  With ``D = K X^2 + T64``, ``hi(s)`` is
+      the upper end squared plus ``D``, and ``s > lo_cut(R) = ((sqrt(R + D)
+      + e + e_q) sqrt(1 + gamma_n) / (1 - w))^2 + 2 n t64`` puts the lower
+      end squared above ``R + D``.
+
+    Every quantity that must be low is scaled by ``1 - 2^-40`` and every
+    one that must be high by ``1 + 2^-40``, absorbing their own float64
+    rounding.  ``hi`` and the cuts are non-decreasing, so ``hi`` of the
+    k-th smallest ``s`` is the k-th smallest ``hi``.
+    """
+    n = stacked.shape[0]
     q64 = _as64(q)
+    w_norm, f_norm, form = terms
     with np.errstate(all="ignore"):
-        g = _flush_subnormals(q64) @ factor
-        q_norm = _norm_up(float(q64 @ q64), n)
-    q_error = (_gamma(n, _U64) * q_norm + root_n * _TINY64) * f_norm + 4 * n * root_n * _TINY64
+        q_norm = float(_norm_up(float(q64 @ q64), n))
+        if not np.isfinite(v_norm + q_norm):
+            return None
+        query_map = _flush_subnormals(q64) @ stacked
+    g, g_map = query_map[:k], query_map[k:]
+    g_squares = float(g @ g)
+    big_x = (v_norm + q_norm) * _HIGH
+    spread = _float64_error(big_x, radius, n) * _HIGH
+    a, b = _gram_error(k, g_squares)
+    rank_error = _rank_error(v_norm, q_norm, sqrt(n) * _TINY64, w_norm, n, k)
+    form_spread = (form * big_x * big_x + spread) * _HIGH
+    q_error = _product_error(q_norm, f_norm, n)
     underflow = 2 * n * _TINY64
     low = (1.0 - _U64) / sqrt(1.0 + _gamma(n, _U64)) * _LOW
     high = _HIGH / ((1.0 - _U64) * sqrt(1.0 - _gamma(n, _U64)))
 
-    def interval(mapped: np.ndarray, error: np.ndarray, v_norm: np.ndarray) -> tuple:
-        with np.errstate(all="ignore"):
-            y = mapped - g
-            squares = np.einsum("ij,ij->i", y, y)
-            e = (error + q_error) * _HIGH
-            z_lo = np.maximum(np.sqrt(np.maximum(squares - underflow, 0.0)) * low - e, 0.0) * _LOW
-            z_hi = (np.sqrt(squares + underflow) * high + e) * _HIGH
-            big_x = (v_norm + q_norm) * _HIGH
-            spread = (form * big_x * big_x + _float64_error(big_x, radius, n)) * _HIGH
-            lo = z_lo * z_lo * _LOW - spread
-            hi = z_hi * z_hi * _HIGH + spread
-            unknown = ~(np.isfinite(lo) & np.isfinite(hi))
-        lo[unknown], hi[unknown] = -np.inf, np.inf
-        return lo, hi
+    def rank_cut(r: float) -> float:  # Python floats: called a few times per query
+        y = (rank_error + sqrt((r + spread) * _HIGH) * _HIGH) * _HIGH
+        return (y * y * (1.0 + 2 * a) * _HIGH + b) * _HIGH
 
-    return interval
+    def rank(projected: np.ndarray, p_squares: np.ndarray) -> tuple[np.ndarray, Callable]:
+        with np.errstate(all="ignore"):
+            c = projected @ (-2.0 * g)
+            c += p_squares
+            c += g_squares
+        return c, rank_cut
+
+    def mapped(rows: np.ndarray, m_error: float) -> tuple[np.ndarray, Callable, Callable] | None:
+        if not np.isfinite(m_error):
+            return None
+        e = (m_error + q_error) * _HIGH
+
+        def lo_cut(r: float) -> float:
+            z = (sqrt((r + form_spread) * _HIGH) * _HIGH + e) / low * _HIGH
+            return (z * z * _HIGH + underflow) * _HIGH
+
+        def hi(s: float) -> float:
+            z = (sqrt(s + underflow) * high + e) * _HIGH
+            return (z * z * _HIGH + form_spread) * _HIGH
+
+        with np.errstate(all="ignore"):
+            y = rows - g_map
+            return _einsum("ij,ij->i", y, y), lo_cut, hi
+
+    return rank, mapped
 
 
 def _rank_error(
-    v_norm: "float | np.ndarray",
-    q_norm: float,
-    row_error: "float | np.ndarray",
-    f_norm: float,
-    n: int,
-    k: int,
-) -> "float | np.ndarray":
-    """How far ``||P - g||``, ``g`` the float ``q W``, is from ``||(v - q) W||``:
-    :func:`qfd_lower_bound`'s ``E``, rounded up, for ``V = v_norm``, ``Q =
-    q_norm``, the rows' own error ``row_error`` and ``F = f_norm``;
-    :func:`l2_lower_bound` reads it too."""
-    error = _gamma(n, _U64) * (v_norm + q_norm) + np.sqrt(n) * _TINY64 + row_error
-    return (error * f_norm + 8 * n * np.sqrt(k) * _TINY64) * _HIGH
+    v_norm: float, q_norm: float, row_error: float, f_norm: float, n: int, k: int
+) -> float:
+    """``E``, how far ``||P - g||`` is from ``||(v - q) W||``, rounded up, for
+    ``||v|| <= V = v_norm``, ``||q|| <= Q = q_norm``, rows within
+    ``row_error`` of the exact ones and ``||W||_F <= F = f_norm``.
+
+    ``P_j``, the float64 ``v W_j``, is within ``gamma_n ||v|| ||W_j|| + 4 n
+    t64`` of it (any summation order, underflow included), and ``g``, the
+    float ``q' W`` of the query flushed of subnormals (``sqrt(n) t64`` from
+    ``q``), likewise, so ``E = (gamma_n (V + Q) + sqrt(n) t64 + row_error) F
+    + 8 n sqrt(k) t64``.  :func:`qfd_stages` reads it with
+    ``row_error = sqrt(n) t64`` for the flushed rows and query,
+    :func:`l2_lower_bound` with 0."""
+    error = _gamma(n, _U64) * (v_norm + q_norm) + sqrt(n) * _TINY64 + row_error
+    return (error * f_norm + 8 * n * sqrt(k) * _TINY64) * _HIGH
 
 
 def spectral_floor(
     matrix: np.ndarray, factor: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """``(W, mu)``: :func:`qfd_lower_bound`'s ``W`` (``n x k``) and ``mu >
+    """``(W, mu)``: :func:`qfd_stages`' ``W`` (``n x k``) and ``mu >
     0`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
     semi-definite, else ``(n x 0, 0.0)``: no rank-k bound.
 

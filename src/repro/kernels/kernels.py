@@ -10,13 +10,12 @@ small object interface the access-method layer can hold on to:
 ``row_norms(rows)``
     the per-row term ``vAv^T`` (``vv^T`` for L2), which no evaluation
     reads; it is kept for what it costs to compute;
-``project`` / ``lower_bound`` / ``map`` / ``interval`` (QFD only)
-    the two certified stages of the sequential scan: an O(k) lower bound
-    on every row's float64 squared distance from the rows projected on the
-    rank-k term's ``W`` (:func:`~repro.kernels.gram.qfd_lower_bound`),
-    then an O(n) interval around it from the rows mapped by the Cholesky
-    factor (:func:`~repro.kernels.gram.qfd_interval`); the scan evaluates
-    only the rows neither rules out.
+``project`` / ``map`` / ``stages`` (QFD only)
+    the two certified stages of the sequential scan
+    (:func:`~repro.kernels.gram.qfd_stages`): an O(k) sum per row from the
+    rows projected on the rank-k term's ``W``, then an O(n) sum per row
+    from the rows mapped by the Cholesky factor, each tested against a cut
+    of the query's; the scan evaluates only the rows neither rules out.
 
 Every QFD evaluation is one arithmetic, the difference form of
 :func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row), and every
@@ -80,9 +79,9 @@ class QFDQueryContext:
 
 class QFDKernel:
     """Batched evaluator for a static QFD matrix: the difference form and
-    the QFD scan's two certified stages, the O(k) rank-k bound
-    (:meth:`project`, :meth:`lower_bound`) and the O(n) interval over rows
-    mapped by the Cholesky factor (:meth:`map`, :meth:`interval`).
+    the QFD scan's two certified stages (:meth:`stages`) over the rows
+    projected on the rank-k term (:meth:`project`) and the rows mapped by
+    the Cholesky factor (:meth:`map`).
 
     *factor*, ``np.linalg.cholesky`` of the matrix (the one a
     :class:`~repro.core.qfd.QuadraticFormDistance` made for its
@@ -102,22 +101,27 @@ class QFDKernel:
         return (QFDKernel, (self.matrix,))
 
     def _operands(self) -> tuple:
-        """:attr:`weights`, :attr:`radius`, :attr:`factor` and its
-        :func:`~repro.kernels.gram.qfd_factor_terms`, made once by their
+        """:attr:`weights`, :attr:`radius`, :attr:`factor`, ``[W | G]`` and
+        the stages' norm terms (``F_W >= ||W||_F`` and
+        :func:`~repro.kernels.gram.qfd_factor_terms`), made once by their
         first use — a query, not the build."""
         operands = self._filter_operands
         if operands is None:
             with _OPERANDS_LOCK:
                 operands = self._filter_operands
                 if operands is None:
-                    factor = self._factor
+                    factor, stacked, terms = self._factor, None, None
                     try:
                         factor = np.linalg.cholesky(self.matrix) if factor is None else factor
-                        terms = gram.qfd_factor_terms(self.matrix, factor)
                     except np.linalg.LinAlgError:  # not positive definite: no map
-                        factor, terms = None, (None, None)
+                        factor = None
                     weights, _ = gram.spectral_floor(self.matrix, factor)
-                    operands = (weights, gram.abs_sum_radius(self.matrix), factor, *terms)
+                    if factor is not None:
+                        stacked = np.hstack([weights, factor])
+                        squares = float(np.einsum("ij,ij->", weights, weights))
+                        w_norm = float(gram._norm_up(squares, weights.size))
+                        terms = (w_norm, *gram.qfd_factor_terms(self.matrix, factor))
+                    operands = (weights, gram.abs_sum_radius(self.matrix), factor, stacked, terms)
                     self._filter_operands = operands
         return operands
 
@@ -136,25 +140,20 @@ class QFDKernel:
         """``G``, the rows' map, or ``None`` for a matrix without one."""
         return self._operands()[2]
 
-    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """:func:`~repro.kernels.gram.qfd_project` on ``W``."""
         return gram.qfd_project(self.weights, rows)
 
-    def lower_bound(self, q: np.ndarray, *projected: np.ndarray) -> np.ndarray:
-        """:func:`~repro.kernels.gram.qfd_lower_bound` of the rows'
-        :meth:`project`."""
-        weights, radius = self._operands()[:2]
-        return gram.qfd_lower_bound(radius, q, weights, *projected)
-
-    def map(self, rows: np.ndarray, v_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def map(self, rows: np.ndarray) -> tuple[np.ndarray, float]:
         """:func:`~repro.kernels.gram.qfd_map` by :attr:`factor`."""
-        _, _, factor, f_norm, _ = self._operands()
-        return gram.qfd_map(factor, f_norm, rows, v_norm)
+        _, _, factor, _, terms = self._operands()
+        return gram.qfd_map(factor, terms[1], rows)
 
-    def interval(self, q: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-        """:func:`~repro.kernels.gram.qfd_interval` around *q*'s distances."""
-        _, radius, factor, f_norm, form = self._operands()
-        return gram.qfd_interval(factor, f_norm, form, radius, q)
+    def stages(self, q: np.ndarray, v_norm: float) -> tuple[Callable, Callable] | None:
+        """:func:`~repro.kernels.gram.qfd_stages` of *q* over rows of norm at
+        most *v_norm* (the kernel must have a :attr:`factor`)."""
+        weights, radius, _, stacked, terms = self._operands()
+        return gram.qfd_stages(stacked, weights.shape[1], radius, terms, v_norm, q)
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)

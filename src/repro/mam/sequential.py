@@ -24,7 +24,6 @@ Two variants are provided:
 from __future__ import annotations
 
 import threading
-from functools import partial
 from math import sqrt
 from typing import TYPE_CHECKING, Callable
 
@@ -96,11 +95,12 @@ def _squared_cut(distance: float) -> float:
     return distance * distance * _CUT_SLACK
 
 
-def _reach(upper: np.ndarray, k: int) -> float:
+def _reach(hi: Callable[[float], float], squares: np.ndarray, k: int) -> float:
     """A distance no less than the k-th smallest of rows whose squared
-    float64 distances are at most *upper*: the root of the k-th smallest,
-    which the correctly rounded root keeps in order."""
-    return sqrt(max(float(np.partition(upper, k - 1)[k - 1]), 0.0))
+    float64 distances are at most ``hi`` of their *squares*: the root of
+    ``hi`` of the k-th smallest (``hi`` is non-decreasing), which the
+    correctly rounded root keeps in order."""
+    return sqrt(max(hi(float(np.partition(squares, k - 1)[k - 1])), 0.0))
 
 
 def _survivors(
@@ -141,37 +141,52 @@ def _survivors(
 
 
 def _mapped_survivors(
-    port: DistancePort, query: np.ndarray, data: np.ndarray, bound: np.ndarray | None,
-    interval: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    k: int | None, radius: float,
+    port: DistancePort, query: np.ndarray, data: np.ndarray,
+    bound: tuple[np.ndarray, Callable[[float], float]] | None,
+    squares: Callable[[np.ndarray], tuple | None], k: int | None, radius: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Under the QFD: the rows neither stage rules out, ascending, and their
     float64 distances (:func:`_refine`); ``None`` when they rule out none.
 
-    *bound* is the rank-k term on the squared distance ``d64`` (``None`` at
-    rank 0: every row is a candidate and the seed), and ``interval(rows)``
-    gives ``lo <= d64 <= hi`` (:class:`_QFDRows`).  Range keeps rows within
-    ``_squared_cut(r)``.  kNN's cut is :func:`_reach` of the ``hi`` of the
-    seed, the ``2k`` rows of smallest *bound*: at least the scan's k-th
-    distance.  The candidates are the rows whose bound is within it; their
-    ``hi`` can only lower it (the seed's k rows are among them), and the
-    candidates whose ``lo`` is within the final cut are evaluated.
+    *bound* is the rank-k stage's ``(c, cut)`` (``None`` at rank 0: every
+    row is a candidate and the seed), and ``squares(rows)`` the mapped
+    stage's ``(s, lo_cut, hi)`` over *rows*, or ``None`` when nothing is
+    certain (:func:`~repro.kernels.gram.qfd_stages`): a row whose ``c``
+    exceeds ``cut(R)``, or whose ``s`` exceeds ``lo_cut(R)``, has a squared
+    float64 distance above ``R``, and ``hi(s)`` is at least it.  Range
+    keeps rows within ``_squared_cut(r)``.  kNN's cut is :func:`_reach` of
+    the seed, the ``2k`` rows of smallest ``c``: at least the scan's k-th
+    distance.  The candidates are the rows whose ``c`` is within it; with
+    the seed's squares reused, their ``hi`` can only lower it, and the rows
+    whose ``s`` is within the final cut are evaluated.
     """
     m = data.shape[0]
     cut = _squared_cut(radius)
     if k is not None and 2 * k >= m:  # the seed is every row
         return None
+    seed, near = np.empty(0, dtype=np.intp), np.empty(0)
     if bound is None:  # rank 0: every row is the seed and a candidate
         rows = np.arange(m)
     else:
+        c, rank_cut = bound
         if k is not None:
-            seed = np.argpartition(bound, 2 * k - 1)[: 2 * k]
-            cut = _squared_cut(_reach(interval(seed)[1], k))
-        rows = np.flatnonzero(~(bound > cut))
-    low, high = interval(rows)
+            seed = np.argpartition(c, 2 * k - 1)[: 2 * k]
+            mapped = squares(seed)
+            if mapped is None:
+                return None
+            near, _, hi = mapped
+            cut = _squared_cut(_reach(hi, near, k))
+        within = ~(c > rank_cut(cut))
+        within[seed] = False
+        rows = np.flatnonzero(within)
+    mapped = squares(rows)
+    if mapped is None:
+        return None
+    s, lo_cut, hi = mapped
+    rows, s = np.concatenate([seed, rows]), np.concatenate([near, s])
     if k is not None:
-        cut = min(cut, _squared_cut(_reach(high, k)))
-    rows = rows[~(low > cut)]
+        cut = min(cut, _squared_cut(_reach(hi, s, k)))
+    rows = np.sort(rows[~(s > lo_cut(cut))])
     return None if rows.shape[0] == m else (rows, _refine(port, query, data, rows))
 
 
@@ -210,56 +225,64 @@ def _refine(
 class _QFDRows:
     """What the QFD scan keeps of its rows, outside snapshots and pickles.
 
-    Every row's :meth:`~repro.kernels.kernels.QFDKernel.project`, the first
-    stage's operands, made by the first bounded query and extended by
-    inserts; and the rows mapped by the QFD's Cholesky factor, float32, with
-    their map errors (:meth:`~repro.kernels.kernels.QFDKernel.map`), each
-    mapped the first time a query needs its interval into an append-only
-    buffer with a slot per row: ``4 n + 8`` bytes per row reached.
+    Every row's :meth:`~repro.kernels.kernels.QFDKernel.project` (``P`` and
+    ``S``), the rank-k stage's operands, made by the first bounded query and
+    extended by inserts, with ``V``, one bound on every row's norm; and the
+    rows mapped by the QFD's Cholesky factor, float32
+    (:meth:`~repro.kernels.kernels.QFDKernel.map`), each mapped the first
+    time a query needs its sum into an append-only buffer with a slot per
+    row (``4 n`` bytes per row reached), with ``e``, one bound on every
+    mapped row's error.  Both bounds are running maxima, raised under
+    ``_ROWS_LOCK`` before a row they cover is counted or marked mapped.
     """
 
-    __slots__ = ("size", "_projected", "_norms", "_squares", "_mapped", "_errors", "_done")
+    __slots__ = ("size", "v_norm", "m_error", "_projected", "_squares", "_mapped", "_done")
 
     def __init__(self, kernel: QFDKernel, data: np.ndarray) -> None:
         m, n = data.shape
-        self.size = m
-        self._projected, self._norms, self._squares = kernel.project(data)
+        self._projected, self._squares, self.v_norm = kernel.project(data)
         self._mapped = np.empty((m, n), dtype=np.float32)
-        self._errors = np.empty(m, dtype=np.float64)
         self._done = np.zeros(m, dtype=bool)
+        self.m_error = 0.0
+        self.size = m
 
     def append(self, kernel: QFDKernel, index: int, row: np.ndarray) -> None:
         """Cover the row stored at *index*: projected now, mapped on demand."""
-        # Every buffer grows a slot; the first three take the row's projection.
-        buffers = [grown(getattr(self, key), index, 1) for key in self.__slots__[1:]]
-        for key, buffer in zip(self.__slots__[1:], buffers):
-            setattr(self, key, buffer)
-        for buffer, value in zip(buffers, kernel.project(row[None, :])):
-            buffer[index] = value[0]
-        self._done[index] = False
-        self.size = index + 1
+        projected, squares, v_norm = kernel.project(row[None, :])
+        with _ROWS_LOCK:
+            for key in self.__slots__[3:]:
+                setattr(self, key, grown(getattr(self, key), index, 1))
+            self._projected[index], self._squares[index] = projected[0], squares[0]
+            self._done[index] = False
+            self.v_norm = float(np.maximum(self.v_norm, v_norm))  # a NaN sticks
+            self.size = index + 1
 
-    def bound(self, kernel: QFDKernel, query: np.ndarray) -> np.ndarray | None:
-        """The rank-k bound of every row, ``None`` at rank 0."""
-        if not kernel.weights.shape[1]:
+    def stages(
+        self, kernel: QFDKernel, query: np.ndarray, data: np.ndarray
+    ) -> tuple[tuple | None, Callable[[np.ndarray], tuple | None]] | None:
+        """:func:`_mapped_survivors`' ``(bound, squares)`` for *query* over
+        *data* (``bound`` is ``None`` at rank 0), or ``None`` when no stage
+        is certain; ``squares`` maps the rows no query reached first."""
+        size = self.size  # before V: a row counted is covered
+        stages = kernel.stages(query, self.v_norm)
+        if stages is None:
             return None
-        size = self.size
-        operands = (self._projected[:size], self._norms[:size], self._squares[:size])
-        return kernel.lower_bound(query, *operands)
+        rank, mapped = stages
+        bound = None
+        if kernel.weights.shape[1]:
+            bound = rank(self._projected[:size], self._squares[:size])
 
-    def intervals(
-        self, kernel: QFDKernel, interval: Callable[..., tuple], data: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """*interval* over the *rows* of *data*, mapping the rows no query
-        reached first; a row's slots are filled before it is marked done."""
-        missing = rows[~self._done[rows]]
-        if missing.size:
-            with _ROWS_LOCK:
-                missing = missing[~self._done[missing]]
-                mapped, errors = kernel.map(data[missing], self._norms[missing])
-                self._mapped[missing], self._errors[missing] = mapped, errors
-                self._done[missing] = True
-        return interval(self._mapped[rows], self._errors[rows], self._norms[rows])
+        def squares(rows: np.ndarray) -> tuple | None:
+            missing = rows[~self._done[rows]]
+            if missing.size:
+                with _ROWS_LOCK:
+                    missing = missing[~self._done[missing]]
+                    self._mapped[missing], m_error = kernel.map(data[missing])
+                    self.m_error = float(np.maximum(self.m_error, m_error))
+                    self._done[missing] = True
+            return mapped(self._mapped[rows], self.m_error)
+
+        return bound, squares
 
 
 class SequentialFile(AccessMethod):
@@ -336,10 +359,9 @@ class SequentialFile(AccessMethod):
             and data.shape[0] >= _FILTER_MIN_REFINES * _refine_rows(self.dim)
         ):
             rows = self._mapped_rows(kernel)
-            if rows is not None:
-                intervals = partial(rows.intervals, kernel, kernel.interval(query), data)
-                bound = rows.bound(kernel, query)
-                kept = _mapped_survivors(self._port, query, data, bound, intervals, k, radius)
+            stages = None if rows is None else rows.stages(kernel, query, data)
+            if stages is not None:
+                kept = _mapped_survivors(self._port, query, data, *stages, k, radius)
                 if kept is not None:
                     return kept
         elif isinstance(kernel, L2Kernel) and not everything:

@@ -1,30 +1,33 @@
-"""The certified rank-k lower bound of the QFD scan (``gram.qfd_lower_bound``)
+"""The certified rank-k stage of the QFD scan (``gram.qfd_stages``' ``rank``)
 and the certificates behind both of its stages.
 
-For every row the first stage's bound is ``||(v - q) W||^2`` less every
-rounding error, from the rows projected once (``gram.qfd_project``);
+Per row the rank-k stage computes ``c = S - 2 P g + G``, the Gram form of
+``||P - q W||^2``, from the rows projected once (``gram.qfd_project``),
+and per query a cut: a row with ``c > cut(R)`` must have ``d64 > R``,
+``d64`` the squared distance the float64 path computes;
 ``gram.spectral_floor`` certifies ``(A + A^T) / 2 - W W^T - mu I``
-positive semi-definite.  It must never exceed ``d64``, the squared
-distance the float64 path computes; a row whose bound is not finite gets
-``-inf`` and is kept.  The second stage brackets ``d64`` from the rows
-mapped by the Cholesky factor and stored as float32 (``gram.qfd_interval``,
-held in ``test_kernels_qfd_mapped.py``).  Pinned here:
+positive semi-definite.  Every error term reads one norm bound for all
+rows, so a non-finite row leaves no stage at all.  The mapped stage
+tests ``s = ||M - q G||^2`` over the rows mapped by the Cholesky factor
+and stored as float32 (held in ``test_kernels_qfd_mapped.py``).  Pinned
+here:
 
-* the rank-k bound holds on Hafner ``1 - D/d_max`` matrices, near-singular
-  SPD matrices, matrices scaled over 1e-6 ... 1e6 with negative
-  off-diagonals, matrices symmetric only within ``is_symmetric``'s
-  tolerance (and far from symmetric), rows with float32 and float64
-  subnormal entries, zero and duplicate rows, a float32 store's unflushed
-  rows and rows beyond float32 range;
+* the rank-k cut is conservative (``c <= cut(d64)`` on every row) on
+  Hafner ``1 - D/d_max`` matrices, near-singular SPD matrices, matrices
+  scaled over 1e-6 ... 1e6 with negative off-diagonals, matrices
+  symmetric only within ``is_symmetric``'s tolerance (and far from
+  symmetric), rows with float32 and float64 subnormal entries, zero and
+  duplicate rows, a float32 store's unflushed rows and rows beyond float32
+  range;
 * ``mu`` never exceeds ``eigvalsh(A_sym - W W^T)``'s smallest eigenvalue,
   ``_certified``'s margin never exceeds the shifted matrix's, and a failed
-  certificate leaves no rank-k term: the bound is ``-T64 <= 0``;
-* on the benchmark corpus the rank-k bound rules out >= 95 % of the rows
-  at kNN's cut, and the intervals of the rows it keeps leave about k;
-* the interval holds on the same inputs in 2- to 64-d, and a row whose map
-  leaves float32 range is never ruled out;
-* the projected rows, their norm bounds and the bound take the untiled
-  call's bits, and no caller array is written.
+  certificate leaves no rank-k term: ``c`` is 0 and rules nothing out;
+* on the benchmark corpus the rank-k cut rules out >= 95 % of the rows at
+  kNN's cut, and the mapped stage leaves about k of the rows it keeps;
+* the mapped stage's cuts hold on the same inputs in 2- to 64-d, and a row
+  whose map leaves float32 range leaves no mapped stage;
+* the projected rows, their norm bound and ``c`` take the untiled call's
+  bits, and no caller array is written.
 """
 
 from __future__ import annotations
@@ -51,39 +54,52 @@ def _d64(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", diff @ matrix, diff)
 
 
+def _conservative(cut, sums: np.ndarray, want: np.ndarray) -> None:
+    """No row is ruled out at its own ``d64``: ``sums <= cut(max(d64, 0))``,
+    so for every ``R`` a row above ``cut(R)`` has ``d64 > R`` (the cut is
+    non-decreasing).  No sum is NaN."""
+    assert not np.isnan(sums).any()
+    over = [(s, cut(max(d, 0.0))) for s, d in zip(sums, want) if s > cut(max(d, 0.0))]
+    assert not over, over[:3]
+
+
 def _spectral(
     matrix: np.ndarray, q: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, QFDKernel]:
-    """``(bound, kernel)`` of the rank-k bound, asserting ``bound <= d64``
-    on every row and ``A_sym - W W^T`` positive semi-definite (or, with no
-    rank-k term, ``bound <= 0``, below the float64 path's clamp)."""
-    kernel = QFDKernel(matrix)
-    bound = kernel.lower_bound(q, *kernel.project(rows))
-    want = _d64(matrix, q, rows)
-    if kernel.weights.shape[1] == 0:
-        want = np.maximum(want, 0.0)  # the float64 path's clamp
-    else:
+) -> tuple[np.ndarray, object, QFDKernel]:
+    """``(c, cut, kernel)`` of the rank-k stage, asserting the cut
+    conservative on every row and ``A_sym - W W^T`` positive semi-definite
+    (with no rank-k term, ``c`` is 0).  The kernel is handed the factor of
+    ``A_sym``, so a matrix far from symmetric has stages too."""
+    kernel = QFDKernel(matrix, np.linalg.cholesky((matrix + matrix.T) / 2))
+    projected, squares, v_norm = kernel.project(rows)
+    rank, _ = kernel.stages(q, v_norm)
+    c, cut = rank(projected, squares)
+    if kernel.weights.shape[1]:
         assert _deflated_min(matrix, kernel.weights) > 0.0
-    assert not np.isnan(bound).any() and not (bound == np.inf).any()
-    over = bound > want
-    assert not over.any(), float(np.max(bound[over] - want[over]))
-    return bound, kernel
+    else:
+        assert (c == 0.0).all()
+    _conservative(cut, c, _d64(matrix, q, rows))
+    return c, cut, kernel
 
 
-def _intervals(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> tuple:
-    """``(lo, hi, d64)`` through the kernel a QFD's scan holds, asserting
-    ``lo <= d64 <= hi`` and no NaN on every row."""
+def _intervals(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> tuple | None:
+    """``(s, lo_cut, hi, d64)`` of the mapped stage through the kernel a
+    QFD's scan holds, asserting ``lo_cut`` conservative and ``hi(s) >=
+    d64`` on every row; ``None`` where no mapped stage is certain."""
     kernel = resolve_kernel(QuadraticFormDistance(matrix))
-    _, v_norm, _ = kernel.project(rows)
-    mapped, error = kernel.map(rows, v_norm)
-    assert mapped.dtype == np.float32 and error.shape == (rows.shape[0],)
-    lo, hi = kernel.interval(q)(mapped, error, v_norm)
+    _, _, v_norm = kernel.project(rows)
+    mapped, m_error = kernel.map(rows)
+    assert mapped.dtype == np.float32 and isinstance(m_error, float)
+    stages = kernel.stages(q, v_norm)
+    found = None if stages is None else stages[1](mapped, m_error)
+    if found is None:
+        return None
+    s, lo_cut, hi = found
     want = _d64(matrix, q, rows)
-    assert not np.isnan(lo).any() and not np.isnan(hi).any()
-    below, above = lo > want, hi < want
-    assert not below.any(), float(np.max(lo[below] - want[below]))
-    assert not above.any(), float(np.max(want[above] - hi[above]))
-    return lo, hi, want
+    _conservative(lo_cut, s, want)
+    under = [(hi(x), d) for x, d in zip(s, want) if not hi(x) >= d]
+    assert not under, under[:3]
+    return s, lo_cut, hi, want
 
 
 def _deflated_min(matrix: np.ndarray, weights: np.ndarray) -> float:
@@ -141,16 +157,16 @@ class TestTheBoundHolds:
         rows[rng.integers(0, m)] = 0.0  # a zero row
         rows[rng.integers(0, m)] = q  # the query itself: d = 0
         rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
-        bound, _ = _spectral(matrix, q, rows)
-        assert np.isfinite(bound).all()  # nothing here leaves float64 range
+        c, _, _ = _spectral(matrix, q, rows)
+        assert np.isfinite(c).all()  # nothing here leaves float64 range
 
     @given(seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]))
     @settings(max_examples=40, deadline=None)
     def test_rows_beyond_float32_range_are_flagged(self, seed, n) -> None:
-        # The rank-k bound reads float64 rows: it holds on rows beyond
-        # float32 range and flags (-inf) only a row whose norm overflows.
-        # The interval reads the float32 mapped rows: a row whose map
-        # leaves float32 range is flagged there, (-inf, inf).
+        # The rank-k stage reads float64 rows: its cut holds on rows beyond
+        # float32 range.  The mapped stage reads the float32 mapped rows: a
+        # row whose map leaves float32 range leaves none.  A row whose norm
+        # overflows leaves no stage at all.
         rng = np.random.default_rng(seed)
         matrix = _matrix("hafner", n, rng)
         rows = rng.dirichlet(np.ones(n), size=9)
@@ -158,12 +174,11 @@ class TestTheBoundHolds:
         huge = rng.choice(8, size=3, replace=False)
         rows[huge[0], 0] = 1e39
         rows[huge[1], n - 1] = -3.5e38
+        c, _, kernel = _spectral(matrix, q, rows)
+        assert np.isfinite(c).all()
+        assert _intervals(matrix, q, rows) is None
         rows[huge[2]] = 1e300
-        bound, _ = _spectral(matrix, q, rows)
-        assert bound[huge[2]] == -np.inf
-        assert np.isfinite(np.delete(bound, huge[2])).all()
-        lo, hi, _ = _intervals(matrix, q, rows)
-        assert lo[huge[0]] == lo[huge[2]] == -np.inf and hi[huge[0]] == hi[huge[2]] == np.inf
+        assert kernel.stages(q, kernel.project(rows)[2]) is None
 
     @given(
         seed=st.integers(0, 100_000),
@@ -179,7 +194,7 @@ class TestTheBoundHolds:
         rows[:, :3] = [3e-40, 1e-45, 2e-39]  # float32 subnormals, kept by the store
         rows32 = rows.astype(np.float32)
         assert np.count_nonzero(np.abs(rows32) < F32_TINY) > 31 * 3 - 31  # unflushed
-        _, kernel = _spectral(matrix, rows[0], rows32)
+        _, _, kernel = _spectral(matrix, rows[0], rows32)
         for got, want in zip(kernel.project(rows32), kernel.project(rows32.astype(np.float64))):
             assert np.array_equal(got, want)
 
@@ -200,8 +215,8 @@ class TestTheBoundHolds:
         matrix[:, 4] += 30.0  # one heavy column, and its mirror row
         matrix[4, :] -= 30.0
         rows = rng.dirichlet(np.full(27, 0.1), size=25)
-        bound, kernel = _spectral(matrix, rows[0], rows[1:])
-        assert np.isfinite(bound).all() and kernel.weights.shape[1] > 0
+        c, _, kernel = _spectral(matrix, rows[0], rows[1:])
+        assert np.isfinite(c).all() and kernel.weights.shape[1] > 0
 
     @given(
         seed=st.integers(0, 100_000),
@@ -219,21 +234,18 @@ class TestTheBoundHolds:
             assert weights.shape[1] > 0 and mu > 0.0
 
     def test_a_failed_rank_k_certificate_gives_the_rank_0_bound(self, monkeypatch) -> None:
-        # No rank-k term: the bound is -T64 <= 0, which rules nothing out
-        # (the scan then brackets every row by its interval).
+        # No rank-k term: every c is 0, under every cut, which rules nothing
+        # out (the scan then tests every row in the mapped stage).
         matrix = _matrix("hafner", 64, np.random.default_rng(6))
         deflation = gram._deflation
         monkeypatch.setattr(gram, "_deflation", lambda sym, shift: 2.0 * deflation(sym, shift))
         kernel = QFDKernel(matrix)
         assert kernel.weights.shape == (64, 0) and kernel.factor is not None
         rows = np.random.default_rng(6).dirichlet(np.full(64, 0.1), size=30)
-        projected, v_norm, squares = kernel.project(rows)
+        projected, squares, v_norm = kernel.project(rows)
         assert projected.shape == (30, 0)
-        got = kernel.lower_bound(rows[0], projected, v_norm, squares)
-        n = 64
-        q_norm = gram._norm_up(float(rows[0] @ rows[0]), n)
-        want = -gram._float64_error((v_norm + q_norm) * gram._HIGH, kernel.radius, n) * gram._HIGH
-        assert np.array_equal(got, want) and (got < 0.0).all()
+        c, cut = kernel.stages(rows[0], v_norm)[0](projected, squares)
+        assert np.array_equal(c, np.zeros(30)) and cut(0.0) > 0.0
 
     def test_an_indefinite_matrix_certifies_nothing(self) -> None:
         matrix = _matrix("hafner", 27, np.random.default_rng(8))
@@ -244,11 +256,11 @@ class TestTheBoundHolds:
     def test_the_benchmark_corpus_at_512d(self) -> None:
         w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
         for q in w.queries:
-            bound, kernel = _spectral(w.matrix, q, w.database)
+            c, cut, kernel = _spectral(w.matrix, q, w.database)
             assert kernel.weights.shape == (512, gram._SPECTRAL_RANK)
             # O(k) per row, and it rules out almost every row at kNN's cut.
             kth = np.partition(_d64(w.matrix, q, w.database), 9)[9]
-            assert np.count_nonzero(bound > kth) >= 0.95 * bound.shape[0]
+            assert np.count_nonzero(c > cut(kth)) >= 0.95 * c.shape[0]
 
 
 class TestTheKernel:
@@ -274,10 +286,10 @@ class TestTheKernel:
         flushed = np.array([[0.0, 0.0, F32_TINY, 0.5]])
         kernel = QFDKernel(_matrix("hafner", 4, np.random.default_rng(2)))
         assert kernel.weights.shape[1] > 0 and kernel.weights.dtype == np.float64
-        projected, v_norm, _ = kernel.project(rows)
+        projected, _, _ = kernel.project(rows)
         assert projected.dtype == np.float64
         assert np.array_equal(projected, flushed @ kernel.weights)
-        mapped, _ = kernel.map(rows, v_norm)
+        mapped, _ = kernel.map(rows)
         assert mapped.dtype == np.float32
         assert np.array_equal(mapped, (flushed @ kernel.factor).astype(np.float32))
 
@@ -291,13 +303,15 @@ class TestTheKernel:
         w = histogram_workload(300, 2, bins_per_channel=4, seed=7)
         rows, q = w.database.copy(), w.queries[0].copy()
         kernel = QFDKernel(w.matrix)
-        projected, v_norm, squares = kernel.project(rows)
-        mapped, error = kernel.map(rows, v_norm)
-        operands = rows, q, projected, v_norm, squares, mapped, error, kernel.weights, kernel.factor
+        projected, squares, v_norm = kernel.project(rows)
+        mapped, m_error = kernel.map(rows)
+        stacked = kernel._operands()[3]
+        operands = rows, q, projected, squares, mapped, kernel.weights, kernel.factor, stacked
         before = [x.tobytes() for x in operands]
-        kernel.lower_bound(q, projected, v_norm, squares)
-        kernel.interval(q)(mapped, error, v_norm)
-        kernel.map(rows, v_norm)
+        rank, mapped_stage = kernel.stages(q, v_norm)
+        rank(projected, squares)
+        mapped_stage(mapped, m_error)
+        kernel.map(rows)
         kernel.project(rows)
         assert [x.tobytes() for x in operands] == before
 
@@ -306,10 +320,12 @@ class TestTheKernel:
         kernel = QFDKernel(w.matrix)
 
         def bound_of(rows):
-            projected, v_norm, squares = kernel.project(rows)
-            bound = kernel.lower_bound(w.queries[1], projected, v_norm, squares)
-            mapped, error = kernel.map(rows, v_norm)
-            return projected, v_norm, squares, bound, mapped, error
+            projected, squares, v_norm = kernel.project(rows)
+            rank, mapped_stage = kernel.stages(w.queries[1], v_norm)
+            mapped, m_error = kernel.map(rows)
+            c, _ = rank(projected, squares)
+            s, _, _ = mapped_stage(mapped, m_error)
+            return projected, squares, v_norm, c, mapped, m_error, s
 
         want = bound_of(w.database)
         monkeypatch.setattr(gram, "_TILE_ROWS", 256)
@@ -337,8 +353,8 @@ class TestTheLowerBound:
     def test_no_row_is_bounded_above_its_distance(
         self, seed, kind, n, m, scale, injected, alpha
     ) -> None:
-        # Neither stage: the rank-k bound and the interval's lo stay at or
-        # under d64, and the interval's hi at or over it.
+        # Neither stage rules a row out at its own d64, and the mapped
+        # stage's hi stays at or over it.
         rng = np.random.default_rng(seed)
         matrix = _matrix(kind, n, rng)
         rows = rng.dirichlet(np.full(n, alpha), size=m + 1) * scale
@@ -349,8 +365,7 @@ class TestTheLowerBound:
         rows[rng.integers(0, m)] = q  # the query itself: d = 0
         rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
         _spectral(matrix, q, rows)
-        lo, hi, _ = _intervals(matrix, q, rows)
-        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert _intervals(matrix, q, rows) is not None
 
     @given(
         seed=st.integers(0, 100_000),
@@ -411,8 +426,8 @@ class TestTheLowerBound:
         weights, mu = gram.spectral_floor(matrix)
         assert weights.shape == (27, 0) and mu == 0.0
         rows = np.random.default_rng(6).dirichlet(np.ones(27), size=20)
-        bound, _ = _spectral(matrix, rows[0], rows[1:])
-        assert (bound <= 0.0).all()  # prunes nothing
+        c, cut, _ = _spectral(matrix, rows[0], rows[1:])
+        assert (c <= cut(0.0)).all()  # prunes nothing
 
     def test_an_indefinite_matrix_gives_zero(self) -> None:
         matrix = _matrix("hafner", 27, np.random.default_rng(8))
@@ -429,10 +444,12 @@ class TestTheLowerBound:
         q, rows = rows[0], rows[1:]
         huge = rng.choice(8, size=2, replace=False)
         rows[huge[0], 0] = 1e39  # G_00 = 1: maps to 1e39, beyond float32
-        rows[huge[1]] = 1e300
-        lo, hi, _ = _intervals(matrix, q, rows)
-        assert (lo[huge] == -np.inf).all() and (hi[huge] == np.inf).all()
-        assert np.isfinite(np.delete(lo, huge)).all()
+        assert _intervals(matrix, q, rows) is None  # no mapped stage
+        rows[huge[0], 0] = 1.0
+        assert _intervals(matrix, q, rows) is not None
+        rows[huge[1]] = 1e300  # no stage at all
+        kernel = QFDKernel(matrix)
+        assert kernel.stages(q, kernel.project(rows)[2]) is None
 
     @given(
         seed=st.integers(0, 100_000),
@@ -449,12 +466,12 @@ class TestTheLowerBound:
         _intervals(matrix, rows[0], rows32)
 
     def test_the_benchmark_corpus_at_512d(self) -> None:
-        # Both stages: of the rows the rank-k bound keeps at kNN's cut, the
-        # intervals leave about the k nearest.
+        # Both stages: of the rows the rank-k cut keeps at kNN's cut, the
+        # mapped stage leaves about the k nearest.
         w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
         for q in w.queries:
-            bound, _ = _spectral(w.matrix, q, w.database)
+            c, cut, _ = _spectral(w.matrix, q, w.database)
             kth = np.partition(_d64(w.matrix, q, w.database), 9)[9]
-            kept = np.flatnonzero(bound <= kth)
-            lo, _, _ = _intervals(w.matrix, q, w.database[kept])
-            assert np.count_nonzero(lo <= kth) <= 12 < kept.shape[0]
+            kept = np.flatnonzero(~(c > cut(kth)))
+            s, lo_cut, _, _ = _intervals(w.matrix, q, w.database[kept])
+            assert np.count_nonzero(~(s > lo_cut(kth))) <= 12 < kept.shape[0]

@@ -1,17 +1,20 @@
-"""The certified interval of the QFD scan's mapped rows (``gram.qfd_interval``).
+"""The certified mapped stage of the QFD scan (``gram.qfd_stages``' ``mapped``).
 
 A row ``v`` is mapped by the QFD's Cholesky factor ``G`` and stored as
-float32 (``gram.qfd_map``, the QMap image); ``qfd_interval`` then gives,
-in O(n) per row, ``[lo, hi]`` around ``d64`` — the squared distance the
+float32 (``gram.qfd_map``, the QMap image, with one error bound ``e`` for
+all rows); the mapped stage then gives, in O(n) per row, ``s = ||M - q
+G||^2`` and per query ``lo_cut`` and ``hi``: a row with ``s > lo_cut(R)``
+has ``d64 > R``, and ``hi(s) >= d64`` — ``d64`` the squared distance the
 float64 path computes (``qfd_one_to_many`` before its clamp and square
-root) — or ``(-inf, inf)`` where nothing is certain.  Pinned here:
+root).  Pinned here:
 
-* ``lo <= d64 <= hi`` over 8- and 64-d Hafner, near-singular, scaled and
-  asymmetric-within-1e-9 SPD matrices, the 512-d benchmark matrix, float32
-  and float64 rows, duplicates, ``v = q``, zero rows, float32 and float64
-  subnormal entries, and scales from 1e-150 to 1e150;
-* a row or query whose map leaves float32 or float64 range gets
-  ``(-inf, inf)``, never a NaN;
+* ``lo_cut`` conservative and ``hi(s) >= d64`` over 8- and 64-d Hafner,
+  near-singular, scaled and asymmetric-within-1e-9 SPD matrices, the 512-d
+  benchmark matrix, float32 and float64 rows, duplicates, ``v = q``, zero
+  rows, float32 and float64 subnormal entries, and scales from 1e-150 to
+  1e150;
+* a row or query whose map leaves float32 or float64 range leaves no
+  mapped stage (``None``), never a NaN;
 * ``K``, the factor term (``gram.qfd_factor_terms``), covers ``G G^T -
   A_sym`` as measured in extended precision, and ``F`` covers ``||G||_F``:
   a form error term without the Cholesky backward error fails here;
@@ -30,7 +33,7 @@ from repro.core import QuadraticFormDistance, is_symmetric
 from repro.datasets import histogram_workload
 from repro.kernels import gram, resolve_kernel
 
-from .test_kernels_f32_filter import SPECIAL, _intervals, _matrix
+from .test_kernels_f32_filter import SPECIAL, _d64, _intervals, _matrix, _spectral
 
 EXTENDED = np.finfo(np.longdouble).eps < 2.0**-60
 
@@ -63,9 +66,10 @@ class TestTheIntervalHolds:
         rows[rng.integers(0, m)] = rows[rng.integers(0, m)]  # a duplicate
         if float32 and scale <= 1e10:
             rows = rows.astype(np.float32)  # a float32 store, subnormals kept
-        lo, hi, want = _intervals(matrix, q, rows)
+        found = _intervals(matrix, q, rows)
         if scale == 1.0:  # nothing leaves float32 range: every row is bounded
-            assert np.isfinite(lo).all() and np.isfinite(hi).all()
+            assert found is not None
+        _spectral(matrix, q, rows)  # and the rank-k stage's cut, at every scale
 
     def test_the_skewed_kind_passes_is_symmetric(self) -> None:
         rng = np.random.default_rng(17)
@@ -79,32 +83,37 @@ class TestTheIntervalHolds:
         matrix = _matrix("hafner", 512, rng)
         rows = rng.dirichlet(np.full(512, 1e-3), size=40)
         rows[5] = rows[0]
-        lo, hi, want = _intervals(matrix, rows[0], rows)
-        assert lo[0] <= 0.0 <= hi[0] and want[0] == 0.0 and want[5] == 0.0
+        s, lo_cut, hi, want = _intervals(matrix, rows[0], rows)
+        assert s[0] <= lo_cut(0.0) and hi(s[0]) >= 0.0 and want[0] == want[5] == 0.0
+        c, cut, _ = _spectral(matrix, rows[0], rows)
+        assert c[0] <= cut(0.0) and c[5] <= cut(0.0)
 
     def test_rows_and_queries_beyond_float32_range_are_unbounded(self) -> None:
         rng = np.random.default_rng(5)
         matrix = _matrix("hafner", 8, rng)
         rows = rng.dirichlet(np.ones(8), size=6)
-        rows[2, 0] = 1e39  # maps beyond float32: stored as inf
-        rows[3] = 1e300  # beyond float64 in its norm
-        lo, hi, _ = _intervals(matrix, rows[0], rows)
-        assert (lo[[2, 3]] == -np.inf).all() and (hi[[2, 3]] == np.inf).all()
-        assert np.isfinite(np.delete(lo, [2, 3])).all()
+        assert _intervals(matrix, rows[0], rows) is not None
         q = rows[0].copy()
         q[3] = 1e300  # the query's norm overflows: nothing is certain
-        lo, hi, _ = _intervals(matrix, q, rows)
-        assert (lo == -np.inf).all() and (hi == np.inf).all()
+        assert _intervals(matrix, q, rows) is None
+        rows[2, 0] = 1e39  # maps beyond float32: stored as inf, e not finite
+        mapped, m_error = resolve_kernel(QuadraticFormDistance(matrix)).map(rows)
+        assert np.isinf(mapped[2]).any() and m_error == np.inf
+        assert _intervals(matrix, rows[0], rows) is None
+        rows[2, 0], rows[3] = 0.5, 1e300  # beyond float64 in its norm
+        assert _intervals(matrix, rows[0], rows) is None
 
     def test_the_benchmark_corpus_at_512d(self) -> None:
-        # O(n) per row, and tight: the rows an interval keeps within the
-        # 10th distance's cut are the 10 nearest, give or take a tie.
+        # O(n) per row, and tight: the rows the stage keeps within the
+        # 10th hi's cut are the 10 nearest, give or take a tie; every row is
+        # ruled out 1e-4 below its distance and hi is within 1e-4 above it.
         w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
         for q in w.queries:
-            lo, hi, want = _intervals(w.matrix, q, w.database)
-            kth = np.partition(hi, 9)[9]
-            assert np.count_nonzero(lo <= kth) <= 12
-            assert np.max((hi - lo) / np.maximum(want, 1e-300)) < 1e-4
+            s, lo_cut, hi, want = _intervals(w.matrix, q, w.database)
+            kth = hi(float(np.partition(s, 9)[9]))
+            assert np.count_nonzero(~(s > lo_cut(kth))) <= 12
+            assert all(x > lo_cut(d * (1 - 1e-4)) for x, d in zip(s, want))
+            assert all(hi(x) < d * (1 + 1e-4) for x, d in zip(s, want))
 
 
 class TestTheFactorTerms:
@@ -145,7 +154,123 @@ class TestTheFactorTerms:
     def test_the_map_is_the_qmap_transform_in_float32(self) -> None:
         w = histogram_workload(50, 1, bins_per_channel=4, seed=3)
         kernel = resolve_kernel(QuadraticFormDistance(w.matrix))
-        _, v_norm, _ = kernel.project(w.database)
-        mapped, _ = kernel.map(w.database, v_norm)
+        mapped, _ = kernel.map(w.database)
         flushed = gram._flush_subnormals(w.database)
         assert np.array_equal(mapped, (flushed @ kernel.factor).astype(np.float32))
+
+
+def _terms(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> dict | None:
+    """Every float both stages read for *q* over *rows*, and every error
+    term their cuts are made of, as ``gram.qfd_stages`` makes them."""
+    kernel = resolve_kernel(QuadraticFormDistance(matrix))
+    weights, radius, factor, stacked, (w_norm, f_norm, form) = kernel._operands()
+    projected, p_squares, v_norm = kernel.project(rows)
+    mapped, m_error = kernel.map(rows)
+    n, k = weights.shape
+    q_norm = float(gram._norm_up(float(q @ q), n))
+    if not np.isfinite(v_norm + q_norm + m_error):
+        return None
+    query_map = gram._flush_subnormals(q) @ stacked
+    g, g_map = query_map[:k], query_map[k:]
+    g_squares = float(g @ g)
+    big_x = (v_norm + q_norm) * gram._HIGH
+    spread = gram._float64_error(big_x, radius, n) * gram._HIGH
+    return {
+        "kernel": kernel, "n": n, "k": k, "factor": factor, "weights": weights,
+        "projected": projected, "p_squares": p_squares, "v_norm": v_norm,
+        "mapped": mapped, "m_error": m_error, "q_norm": q_norm, "g": g, "g_map": g_map,
+        "g_squares": g_squares, "spread": spread, "form": form,
+        "gram": gram._gram_error(k, g_squares),
+        "rank_error": gram._rank_error(v_norm, q_norm, np.sqrt(n) * gram._TINY64, w_norm, n, k),
+        "q_error": gram._product_error(q_norm, f_norm, n),
+        "v_error": gram._product_error(v_norm, f_norm, n),
+        "form_spread": (form * big_x * big_x + spread) * gram._HIGH,
+    }
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(x * x, axis=-1))
+
+
+class TestTheCutsAreDerived:
+    """Each error term of a cut covers the error it names, measured against
+    extended precision, and each cut is made of those terms as
+    ``gram.qfd_stages`` derives it: dropping a term fails here even where
+    its slack is too small for the end-to-end tests to see."""
+
+    @pytest.mark.skipif(not EXTENDED, reason="needs an extended-precision longdouble")
+    @given(
+        seed=st.integers(0, 100_000),
+        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
+        n=st.sampled_from([8, 64]),
+        scale=st.sampled_from([1e-160, 1e-150, 1e-20, 1.0, 1e10, 1e150]),
+        alpha=st.sampled_from([1e-3, 0.1, 1.0]),
+        zero_query=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_each_term_covers_its_error(self, seed, kind, n, scale, alpha, zero_query) -> None:
+        rng = np.random.default_rng(seed)
+        matrix = _matrix(kind, n, rng)
+        rows = rng.dirichlet(np.full(n, alpha), size=12) * scale
+        q = np.zeros(n) if zero_query else rows[0]
+        rows[1], rows[2], rows[3] = q, 0.0, rows[4]  # v = q, a zero row, a duplicate
+        t = _terms(matrix, q, rows)
+        if t is None:
+            return
+        wide, tiny = np.longdouble, gram._TINY64
+        x = rows.astype(wide) - q.astype(wide)
+        # T64: the float64 path against x A x^T.
+        form = np.einsum("ij,ij->i", x @ matrix.astype(wide), x)
+        assert (np.abs(_d64(matrix, q, rows) - form) <= t["spread"]).all()
+        # e_q and e: the query map and the rows' map, its product and store.
+        exact_map = rows.astype(wide) @ t["factor"].astype(wide)
+        q_map = q.astype(wide) @ t["factor"].astype(wide)
+        assert _norms(t["g_map"] - q_map) <= t["q_error"]
+        product = gram._flush_subnormals(rows) @ t["factor"]
+        assert (_norms(product - exact_map) <= t["v_error"]).all()
+        assert (_norms(t["mapped"] - exact_map) <= t["m_error"]).all()
+        # s: the float64 sum of squares of fl(M - g_G) brackets ||M - g_G||.
+        true = _norms(t["mapped"].astype(wide) - t["g_map"].astype(wide))
+        y = t["mapped"] - t["g_map"]
+        s = np.einsum("ij,ij->i", y, y)
+        gamma, w = gram._gamma(n, gram._U64), gram._U64
+        under = 2 * n * tiny
+        assert (np.sqrt(np.maximum(s - under, 0) / (1 + gamma)) * (1 - w) <= true).all()
+        assert (true <= np.sqrt((s + under) / (1 - gamma)) / (1 - w)).all()
+        if not t["k"]:
+            return
+        # E: ||P - g|| against ||x W||; a and b: the Gram form against ||P - g||^2.
+        weights = t["weights"].astype(wide)
+        gap = _norms(t["projected"].astype(wide) - t["g"].astype(wide))
+        assert (np.abs(gap - _norms(x @ weights)) <= t["rank_error"]).all()
+        c = t["projected"] @ (-2.0 * t["g"]) + t["p_squares"] + t["g_squares"]
+        a, b = t["gram"]
+        assert ((c.astype(wide) - b) / (1 + 2 * a) <= gap * gap).all()
+
+    def test_the_cuts_are_their_formulas(self) -> None:
+        w = histogram_workload(300, 3, bins_per_channel=4, seed=5)
+        high, low = gram._HIGH, gram._LOW
+        for q in (w.queries[0], np.zeros(w.dim), w.database[7]):
+            t = _terms(w.matrix, q, w.database)
+            rank, mapped = t["kernel"].stages(q, t["v_norm"])
+            c, cut = rank(t["projected"], t["p_squares"])
+            s, lo_cut, hi = mapped(t["mapped"], t["m_error"])
+            n, (a, b) = t["n"], t["gram"]
+            e = (t["m_error"] + t["q_error"]) * high
+            shrink = (1 - gram._U64) / np.sqrt(1 + gram._gamma(n, gram._U64)) * low
+            grow = high / ((1 - gram._U64) * np.sqrt(1 - gram._gamma(n, gram._U64)))
+            for r in (0.0, 1e-6, 0.01, 0.3, 4.0):
+                y = (t["rank_error"] + np.sqrt((r + t["spread"]) * high) * high) * high
+                assert cut(r) == (y * y * (1 + 2 * a) * high + b) * high
+                z = (np.sqrt((r + t["form_spread"]) * high) * high + e) / shrink * high
+                assert lo_cut(r) == (z * z * high + 2 * n * gram._TINY64) * high
+            for x in (0.0, float(s[3]), float(s.max())):
+                z = (np.sqrt(x + 2 * n * gram._TINY64) * grow + e) * high
+                assert hi(x) == (z * z * high + t["form_spread"]) * high
+        # The map's e: the float32 store's term and the product's, at the
+        # largest rows.
+        u, root_n = gram._U32, np.sqrt(n)
+        m_squares = np.einsum("ij,ij->i", t["mapped"], t["mapped"], dtype=np.float64)
+        m_norm = gram._norm_up(m_squares.max(), n)
+        store = u * (m_norm + root_n * gram._TINY32) / (1 - u) + root_n * gram._TINY32
+        assert t["m_error"] == float((store + t["v_error"]) * high)

@@ -1,25 +1,27 @@
 """The QFD sequential scan's certified filter against the plain scan.
 
-``SequentialFile`` under a QFD bounds every row from below by the O(k)
-rank-k term ``||(v - q) W||^2`` less every rounding error, reads the
-certified intervals ``[lo, hi]`` around the float64 squared distance of a
-seed of the rows of smallest bound (from the rows mapped by the QFD's
-Cholesky factor, float32, each mapped the first time a query reaches it),
-cuts at the seed's k-th ``hi`` (``r`` for range), narrows that cut by the
-``hi`` of the rows whose bound is within it, and evaluates in float64 only
-those whose ``lo`` is within the cut.  Held here against the unfiltered
+``SequentialFile`` under a QFD tests every row's O(k) sum ``c``, the Gram
+form of ``||(v - q) W||^2``, against the rank-k stage's cut; reads the
+mapped stage's O(n) sum ``s = ||M - q G||^2`` of a seed of the rows of
+smallest ``c`` (from the rows mapped by the QFD's Cholesky factor,
+float32, each mapped the first time a query reaches it); cuts at ``hi`` of
+the seed's k-th ``s`` (``r`` for range), narrows that cut by the rows
+whose ``c`` is within it, and evaluates in float64 only those whose ``s``
+is within the mapped stage's cut.  Held here against the unfiltered
 scan (``port.compute_many`` over every row, the filter switched off by
 raising its size floor): identical ``(index, distance)`` lists bit for
 bit, identical charged counts and an identical EXPLAIN event stream — for
 k = 1, k >= m, a tie at the k-th distance, range with r = 0 and r = inf,
-insert-then-query, the float32 memory-mapped twin, a snapshot round-trip,
-a thread-executor batch, racing first queries (which map each row once),
-queries by example at the scan's own ``d1`` and ``d10``, a near-singular
-matrix, a failed rank-k certificate (the mapped stage over every row) and
-the 512-d benchmark corpus, where the median query evaluates at most 2k
-rows in float64.  The projected and mapped rows are in neither a pickle
-nor a snapshot, and the cached first-stage operands give the bound the
-uncached formula gives, bit for bit.
+insert-then-query (an inserted row above the norm bound raises it), the
+float32 memory-mapped twin, a snapshot round-trip, a thread-executor
+batch, racing first queries (which map each row once), queries by example
+at the scan's own ``d1`` and ``d10``, a near-singular matrix, a failed
+rank-k certificate (the mapped stage over every row), non-finite and
+out-of-range rows (no stage) and the 512-d benchmark corpus, where the
+median query evaluates at most 2k rows in float64.  The projected and
+mapped rows are in neither a pickle nor a snapshot, and the cached
+first-stage operands give the sums the uncached formula gives, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -167,14 +169,31 @@ class TestTheFilterIsTheScan:
         assert rows.size == M and not rows._done[300:M].any()
         kernel = built.access_method.distance.kernel
         # Products of other heights (one inserted row is a gemv) may move
-        # the last ulp; the bound holds for any order of the sums.
-        projected, norms, squares = kernel.project(data)
+        # the last ulp; the stages hold for any order of the sums.
+        projected, squares, v_norm = kernel.project(data)
         assert np.allclose(rows._projected[:M], projected, rtol=1e-12, atol=1e-15)
         assert np.allclose(rows._squares[:M], squares, rtol=1e-12, atol=0)
-        assert np.array_equal(rows._norms[:M], norms)  # a row's own sum
+        assert rows.v_norm == v_norm  # the largest row's own sum
         _assert_same_scan(built, queries, unfiltered, k=10)
         _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
         assert rows._done[300:M].any()  # inserted rows are mapped on demand
+
+    def test_an_insert_above_the_norm_bound(self, workload, unfiltered) -> None:
+        # A row longer than every stored one raises V before it is counted,
+        # and the mapped stage's error bound when it is mapped.
+        matrix, data, queries = workload
+        built = QFDModel(matrix).build_index("sequential", data)
+        built.knn_search(queries[0], 10)
+        rows = built.access_method._qfd_rows
+        before, mapped_before = rows.v_norm, rows.m_error
+        far = 3.0 * data[int(np.argmax(np.einsum("ij,ij->i", data, data)))]
+        built.insert(far)
+        kernel = built.access_method.distance.kernel
+        assert rows.size == M + 1 and rows.v_norm > before
+        assert rows.v_norm == kernel.project(far[None, :])[2]
+        _assert_same_scan(built, np.vstack([queries, far]), unfiltered, k=10)
+        _assert_same_scan(built, [far, 0.5 * far], unfiltered, radius=0.05)
+        assert rows._done[M] and rows.m_error > mapped_before  # far answers itself
 
     def test_float32_mmap_twin(self, workload, unfiltered, tmp_path) -> None:
         matrix, data, queries = workload
@@ -191,12 +210,11 @@ class TestTheFilterIsTheScan:
         rows32 = mmap.access_method.database
         kernel = mmap.access_method.distance.kernel
         rows = mmap.access_method._qfd_rows
-        projected, norms, squares = kernel.project(rows32)
+        projected, squares, v_norm = kernel.project(rows32)
         assert np.array_equal(rows._projected, projected)
-        assert np.array_equal(rows._norms, norms)
-        assert np.array_equal(rows._squares, squares)
+        assert np.array_equal(rows._squares, squares) and rows.v_norm == v_norm
         done = np.flatnonzero(rows._done)
-        assert np.array_equal(rows._mapped[done], kernel.map(rows32[done], norms[done])[0])
+        assert np.array_equal(rows._mapped[done], kernel.map(rows32[done])[0])
 
     def test_snapshot_round_trip(self, workload, unfiltered, tmp_path) -> None:
         matrix, data, queries = workload
@@ -229,22 +247,25 @@ class TestTheFilterIsTheScan:
         assert "_qfd_rows" not in vars(copy) and copy._qfd_rows is None
         assert copy.knn_search(queries[1], 3) == am.knn_search(queries[1], 3)
         assert np.array_equal(copy._qfd_rows._projected, am._qfd_rows._projected)
-        assert np.array_equal(copy._qfd_rows._norms, am._qfd_rows._norms)
+        assert copy._qfd_rows.v_norm == am._qfd_rows.v_norm
 
     def test_the_first_stage_cache_is_the_formula(self, workload) -> None:
-        # The projected rows and their norm bounds are made once; the bound
-        # they give is, bit for bit, the one recomputed from the rows.
+        # The projected rows and their norm bound are made once; the sums
+        # and the cut they give are, bit for bit, those recomputed from the
+        # rows.
         matrix, data, queries = workload
         am = QFDModel(matrix).build_index("sequential", data).access_method
         am.knn_search(queries[0], 10)
         kernel, rows = am.distance.kernel, am._qfd_rows
+        flushed = gram._flush_subnormals(data)
+        squares = np.einsum("ij,ij->i", flushed, flushed)
+        assert rows.v_norm == gram._norm_up(squares.max(), 2 * data.shape[1])
         for q in queries:
-            cached = rows.bound(kernel, q)
-            fresh = gram.qfd_lower_bound(kernel.radius, q, kernel.weights, *kernel.project(data))
+            (cached, cached_cut), _ = rows.stages(kernel, q, data)
+            projected, p_squares, v_norm = kernel.project(data)
+            fresh, fresh_cut = kernel.stages(q, v_norm)[0](projected, p_squares)
             assert np.array_equal(cached, fresh)
-            flushed = gram._flush_subnormals(data)
-            squares = np.einsum("ij,ij->i", flushed, flushed)
-            assert np.array_equal(rows._norms, gram._norm_up(squares, 2 * data.shape[1]))
+            assert all(cached_cut(r) == fresh_cut(r) for r in (0.0, 0.01, 1.0))
 
     def test_thread_executor_batch(self, workload, unfiltered) -> None:
         matrix, data, queries = workload
@@ -311,13 +332,37 @@ class TestTheFilterIsTheScan:
         assert rows._projected.shape == (M, 0) and rows._done.all()
         assert all(kept <= 20 for kept, _ in seen[: len(queries)])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300, 1e39])
+    def test_a_non_finite_row_switches_the_stages_off(
+        self, workload, unfiltered, monkeypatch, value
+    ) -> None:
+        # One norm bound for every row: a NaN or infinite row, or one whose
+        # norm overflows, leaves no stage at all, and every query is the
+        # unbounded scan.  A finite row of 1e39 widens every cut past the
+        # other rows' distances: only that row itself is ruled out.
+        matrix, data, queries = workload
+        data = data.copy()
+        data[5, 0] = value
+        built = QFDModel(matrix).build_index("sequential", data)
+        seen = _spy_survivors(monkeypatch)
+        _assert_same_scan(built, queries[:4], unfiltered, k=10)
+        _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
+        rows = built.access_method._qfd_rows
+        if value == 1e39:
+            assert np.isfinite(rows.v_norm) and not rows._done[5]
+            assert seen and all(kept >= M - 1 for kept, _ in seen)
+        else:
+            assert not np.isfinite(rows.v_norm) and not seen
+
     @pytest.mark.parametrize("k", [1, 10, 50])
     def test_the_cut_keeps_what_any_lower_bound_allows(self, workload, k) -> None:
         # Squared distances scaled by random factors in [0, 1) are lower
         # bounds that order the rows unlike the distances, so the seed
-        # misses answer rows and the cut alone must keep them; intervals
+        # misses answer rows and the cut alone must keep them; mapped sums
         # equal to the squared form before its root are the tightest, which
-        # only the cut's slack keeps where the root rounds down.
+        # only the cut's slack keeps where the root rounds down.  Loose sums
+        # are the form scaled by factors in [0.5, 2]: lo_cut(R) = 2 R and
+        # hi(s) = 2 s.
         matrix, data, queries = workload
         port = QFDModel(matrix).build_index("sequential", data).access_method.distance
         rng = np.random.default_rng(k)
@@ -326,13 +371,14 @@ class TestTheFilterIsTheScan:
             kth = np.partition(exact, k - 1)[k - 1]
             diff = gram._flush_subnormals(data - q)
             squared = np.einsum("ij,ij->i", diff @ matrix, diff)
-            loose = (squared * rng.uniform(0.5, 1.0, M), squared * rng.uniform(1.0, 2.0, M))
-            for bound in (squared, exact * exact * rng.uniform(0.0, 1.0, M)):
-                for lo, hi in ((squared, squared), loose):
-                    def interval(rows, lo=lo, hi=hi):
-                        return lo[rows], hi[rows]
+            loose = squared * rng.uniform(0.5, 2.0, M)
+            for c in (squared, exact * exact * rng.uniform(0.0, 1.0, M)):
+                for s, scale in ((squared, 1.0), (loose, 2.0)):
+                    def squares(rows, s=s, scale=scale):
+                        return s[rows], lambda r: scale * r, lambda x: scale * x
 
-                    kept = sequential._mapped_survivors(port, q, data, bound, interval, k, np.inf)
+                    bound = (c, lambda r: r)
+                    kept = sequential._mapped_survivors(port, q, data, bound, squares, k, np.inf)
                     rows, distances = kept if kept is not None else (np.arange(M), exact)
                     assert np.all(np.diff(rows) > 0)
                     assert np.array_equal(distances, exact[rows])
@@ -353,14 +399,15 @@ class TestTheFilterIsTheScan:
             diff = gram._flush_subnormals(data - near)
             squared = np.einsum("ij,ij->i", diff @ matrix, diff)
             needed += exact[3] * exact[3] < squared[7]
-            bound = squared.copy()
-            bound[3] = -np.inf
-            bound[np.argmax(exact)] = -np.inf
+            c = squared.copy()
+            c[3] = -np.inf
+            c[np.argmax(exact)] = -np.inf
 
-            def interval(rows, squared=squared):
-                return squared[rows], squared[rows]
+            def squares(rows, squared=squared):
+                return squared[rows], lambda r: r, lambda x: x
 
-            rows, _ = sequential._mapped_survivors(port, near, data, bound, interval, 1, np.inf)
+            bound = (c, lambda r: r)
+            rows, _ = sequential._mapped_survivors(port, near, data, bound, squares, 1, np.inf)
             assert {3, 7, 250} <= set(rows.tolist())
         assert needed
 
@@ -391,9 +438,9 @@ class TestTheFilterIsTheScan:
             projections.append(rows.shape[0])
             return project(kernel, rows)
 
-        def counted_map(kernel, rows, norms):
+        def counted_map(kernel, rows):
             mapped.append(rows.shape[0])
-            return map_rows(kernel, rows, norms)
+            return map_rows(kernel, rows)
 
         def counted_floor(*args):
             floors.append(1)
@@ -427,9 +474,14 @@ class TestTheFilterIsTheScan:
         kernel = am.distance.kernel
         assert np.array_equal(rows._projected, kernel.project(data)[0])
         done = np.flatnonzero(rows._done)
-        want_mapped, want_errors = kernel.map(data[done], rows._norms[done])
+        want_mapped, want_error = kernel.map(data[done])
         assert np.allclose(rows._mapped[done], want_mapped, rtol=1e-6, atol=0)
-        assert np.allclose(rows._errors[done], want_errors, rtol=1e-6, atol=0)
+        # One bound over rows mapped in several calls (other gemm heights
+        # round M differently): it covers every stored row's error.
+        assert np.isclose(rows.m_error, want_error, rtol=1e-5, atol=0)
+        exact = data[done].astype(np.longdouble) @ kernel.factor.astype(np.longdouble)
+        error = np.sqrt(np.sum((rows._mapped[done] - exact) ** 2, axis=1))
+        assert float(error.max()) <= rows.m_error
         fresh = QFDModel(matrix).build_index("sequential", data)
         with unfiltered:
             assert [answers[pos] for pos in range(6)] == [
