@@ -24,8 +24,10 @@ Entry points that flush their operand themselves (the QFD kernels, the
 QMap transform, the QFD sequential scan — its certified rank-k stage,
 the mapped stage over the rows mapped by the Cholesky factor, then float64
 over the rows that can answer — over heap rows or a float32 store's own
-rows, and the scan's parts: the projection and the map, which flush each
-block of rows before its product, the query product of ``QFDKernel.stages``
+rows, and the scan's parts: the first query's fit of the rank-k operand
+``W = G V``, which flushes its sample before mapping it, the projection
+and the map, which flush each block of rows before its product, the
+query product of ``QFDKernel.stages``
 and each stage's sums and cut over the projected or the float32 mapped
 rows) are marked ``fixed`` and must read
 ~1; the others are measured and left (see ``docs/architecture.md``,
@@ -211,10 +213,13 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
     store_dir = tempfile.TemporaryDirectory()
     for label, operands in (("raw", raw), ("clean", clean)):
         operands["ctx"] = kernel.bind(operands["q"])
-        operands["projected"], operands["squares"], v_norm = kernel.project(operands["rows"])
+        fitted = operands["fitted"] = kernel.fit(operands["rows"])
+        projected = gram.qfd_project(fitted[1], operands["rows"])
+        operands["projected"], operands["squares"], v_norm = projected
         operands["mapped"], operands["m_error"] = kernel.map(operands["rows"])
         operands["v_norm"] = v_norm
-        operands["rank"], operands["mapped_stage"] = kernel.stages(operands["q"], v_norm)
+        stages = kernel.stages(operands["q"], fitted, v_norm)
+        operands["rank"], operands["mapped_stage"] = stages
         port = DistancePort(CountingDistance(qfd, one_to_many=qfd.one_to_many))
         stored = np.memmap(
             Path(store_dir.name) / label, dtype=np.float32, mode="w+",
@@ -253,12 +258,14 @@ def subnormal_penalty(bins_per_channel: int, m: int, repeats: int) -> dict:
          lambda d: qmap.transform(d["q"])),
         ("QuadraticFormDistance.one_to_many, f32", False, f"{m}x{qfd.dim}",
          lambda d: qfd.one_to_many(d["q"], d["rows32"])),
-        ("QFDKernel.project", True, f"{m}x{qfd.dim}",
-         lambda d: kernel.project(d["rows"])),
-        ("QFDKernel.project, f32 store", False, f"{m}x{qfd.dim}",
-         lambda d: kernel.project(d["rows32"])),
+        ("QFDKernel.fit (first query's W)", True, f"{m}x{qfd.dim}",
+         lambda d: kernel.fit(d["rows"])),
+        ("gram.qfd_project", True, f"{m}x{qfd.dim}",
+         lambda d: gram.qfd_project(d["fitted"][1], d["rows"])),
+        ("gram.qfd_project, f32 store", False, f"{m}x{qfd.dim}",
+         lambda d: gram.qfd_project(d["fitted"][1], d["rows32"])),
         ("QFDKernel.stages (query product)", True, f"1x{qfd.dim}",
-         lambda d: kernel.stages(d["q"], d["v_norm"])),
+         lambda d: kernel.stages(d["q"], d["fitted"], d["v_norm"])),
         ("QFDKernel.stages: rank", True, f"{m}x{qfd.dim}",
          lambda d: d["rank"](d["projected"], d["squares"])[1](0.01)),
         ("QFDKernel.map", True, f"{m}x{qfd.dim}",

@@ -66,8 +66,8 @@ class QuadraticFormDistance:
     def cholesky_factor(self) -> Matrix | None:
         """The Cholesky factor the positive-definiteness check made (``None``
         in an unpickled copy), kept so a scan's kernel maps rows by it and
-        estimates the matrix's smallest eigenvalue without factoring it
-        again (:class:`~repro.kernels.kernels.QFDKernel`)."""
+        fits its rank-k operand without factoring the matrix again
+        (:class:`~repro.kernels.kernels.QFDKernel`)."""
         return self._factor
 
     @property

@@ -15,17 +15,18 @@ math — no counting, no validation; the charging semantics live in
 The QFD sequential scan rules rows out before it evaluates them
 (paper Section 2.3.1's filter-and-refine), in two certified stages
 (:func:`qfd_stages`), each a raw per-row sum tested against a cut that
-depends on the query alone.  First the rows projected once on ``W``
-(:func:`qfd_project`; ``n x k``, ``k = _SPECTRAL_RANK``, approximate top
-eigenpairs of ``A``'s symmetric part, with :func:`spectral_floor`
-certifying ``(A + A^T) / 2 - W W^T`` positive semi-definite) give
-``||P - q W||^2`` in O(k) per row, whose cut bounds ``||(v - q) W||^2 <=
-x A x^T``.  Then the rows that cut keeps, mapped by the QFD's own
-Cholesky factor and stored as float32 (:func:`qfd_map`: paper Section 3's
-QMap), give ``||M - q G||^2`` in O(n) per row, bracketing the float64
-form.  The cuts' error terms read one norm bound per index, so a query
-evaluates them once; the scan evaluates in float64 only the rows no cut
-rules out, so what it returns is always the float64 form's.
+depends on the query alone.  Both read the QFD's own Cholesky factor
+``G`` (paper Section 3's QMap, ``x A x^T = ||x G||^2`` up to the factor's
+rounding).  First the rows projected once on ``W = fl(G V)``
+(:func:`qfd_weights`, :func:`qfd_project`; ``n x k``, ``V`` the L2
+filter's certified PCA basis fitted to the mapped rows) give ``||P - q
+W||^2`` in O(k) per row, whose cut bounds ``||(v - q) W|| <= ||(v - q)
+G|| + delta ||v - q||``.  Then the rows that cut keeps, mapped by ``G``
+and stored as float32 (:func:`qfd_map`), give ``||M - q G||^2`` in O(n)
+per row, bracketing the float64 form.  The cuts' error terms read one
+norm bound per index, so a query evaluates them once; the scan evaluates
+in float64 only the rows no cut rules out, so what it returns is always
+the float64 form's.
 
 The QMap refines do the same in mapped space with one certified L2
 projection bound (:func:`l2_lower_bound`): ``W`` an orthonormal PCA basis
@@ -51,11 +52,11 @@ __all__ = [
     "qfd_row_norms",
     "l2_row_norms",
     "qfd_one_to_many",
+    "qfd_weights",
     "qfd_project",
     "qfd_factor_terms",
     "qfd_map",
     "qfd_stages",
-    "spectral_floor",
     "abs_sum_radius",
     "l2_one_to_many",
     "l2_basis",
@@ -87,21 +88,15 @@ _L2_TILE_FLOATS = 131072
 _TILE_ROWS = 8192
 
 
-#: Columns of ``W``, the rank of :func:`spectral_floor`'s deflation: a
-#: ``scan512`` kNN query read 3.30 ms at rank 8, 2.79 at 16, 2.66 at 24,
-#: 2.67 at 32 and 2.65 at 48, and 32 beat 16 by 5-7 % in two more runs,
-#: for ~2 ms more on the first query (Xeon, 2 vCPUs, BLAS pinned).
-_SPECTRAL_RANK = 32
-
-#: Subspace iteration for ``W``: steps, and vectors carried beyond the
-#: rank.  The Nystrom form is certified however rough the subspace, so
-#: steps buy only pruning: 2-4 steps leave 78-79 ``scan512`` survivors at
-#: rank 16, 3-4 steps 63-65 at rank 32.
+#: Subspace iteration for :func:`l2_basis`: steps, and vectors carried
+#: beyond the rank.  The basis is certified however rough the subspace, so
+#: steps buy only pruning.
 _SUBSPACE_STEPS = 3
 _SUBSPACE_EXTRA = 8
 
 #: Columns of :func:`l2_basis`'s ``W`` and rows of the sample it is fitted
-#: to (see the measurements in ``EXPERIMENTS.md``, E_A11).
+#: to, for both models (see the measurements in ``EXPERIMENTS.md``, E_A11
+#: and E_A13).
 _PROJECTION_RANK = 32
 _PROJECTION_SAMPLE = 512
 
@@ -248,14 +243,40 @@ def _float_blocks(rows: np.ndarray):
         yield slice(start, start + block.shape[0]), _flush_subnormals(block, inplace=True)
 
 
+def qfd_weights(
+    factor: np.ndarray, f_norm: float, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """``(V, W, (F_W, delta))``: the rank-k stage's operand ``W = fl(G V)``
+    (:func:`qfd_stages`) for the QFD's Cholesky *factor* ``G`` (``||G||_F <=
+    f_norm``), ``F_W >= ||W||_F`` and ``delta >= ||W - G V||_F``.
+
+    ``V`` is :func:`l2_basis` of the sample it would pick from the *rows*
+    (same seed, ``_PROJECTION_SAMPLE`` rows), flushed of subnormals and
+    mapped by ``G`` in float64: the L2 filter's basis of the QMap image,
+    certified ``||V||_2 <= 1``, ``n x 0`` when refused (then so is ``W``).
+    Each column has ``||V_j|| <= 1``, so ``fl(G V_j)`` is within
+    :func:`_product_error` at norm 1 of ``G V_j``, and ``delta`` is
+    ``sqrt(k)`` times that.  The same rows and factor give the same ``W``,
+    bit for bit.
+    """
+    m, n = rows.shape
+    sample = _flush_subnormals(_as64(rows[_sample(m, np.random.default_rng(0))]), inplace=True)
+    with np.errstate(all="ignore"):
+        basis = l2_basis(sample @ factor)
+        weights = factor @ basis
+    k = basis.shape[1]
+    w_norm = float(_norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k))
+    return basis, weights, (w_norm, float(sqrt(k) * _product_error(1.0, f_norm, n) * _HIGH))
+
+
 def qfd_project(weights: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``(P, S, V)``, the rank-k stage's operands (:func:`qfd_stages`), made
-    once per row: ``P = v' W`` in float64, ``v'`` the row flushed of
-    subnormals; ``S``, the float64 sum of ``P``'s squares; and ``V >=
-    ||v||`` for every row, :func:`_norm_up` of the largest float64 sum of a
-    ``v'``'s squares over ``2 n`` entries (``n t64`` more for the flushed
-    ones, each below ``t64`` squared).  A non-finite row makes ``V`` not
-    finite."""
+    once per row: ``P = v' W`` in float64 (``W`` from :func:`qfd_weights`),
+    ``v'`` the row flushed of subnormals; ``S``, the float64 sum of ``P``'s
+    squares; and ``V >= ||v||`` for every row, :func:`_norm_up` of the
+    largest float64 sum of a ``v'``'s squares over ``2 n`` entries (``n
+    t64`` more for the flushed ones, each below ``t64`` squared).  A
+    non-finite row makes ``V`` not finite."""
     m = rows.shape[0]
     projected = np.empty((m, weights.shape[1]), dtype=np.float64)
     squares = np.empty(m, dtype=np.float64)
@@ -273,13 +294,15 @@ def qfd_factor_terms(matrix: np.ndarray, factor: np.ndarray) -> tuple[float, flo
     with ``|x G G^T x^T - x A x^T| <= K ||x||^2``.
 
     ``G G^T = S + dS`` with ``|dS| <= gamma_{n+3}(w) |G| |G^T|`` (Higham,
-    Theorem 10.3, with :func:`_certified`'s ``n + 3``), so ``||dS||_2 <=
-    gamma_{n+3}(w) F^2``, plus :func:`_certified`'s ``2 n (n + 1 + max
-    A_ii) t64`` of underflow.  ``S`` differs from ``(A + A^T) / 2``, whose
-    form is ``A``'s, by ``+-(A_ij - A_ji) / 2`` off the diagonal: the
-    asymmetry (within ``is_symmetric``'s 1e-9 for a QFD), at most its
-    largest absolute row sum in the 2-norm.  O(n^2) once per kernel, on the
-    distance's own factor: no second O(n^3) runs on restart.
+    Theorem 10.3, with ``n + 3`` for a kernel that multiplies by a rounded
+    reciprocal of the pivot instead of dividing), so ``||dS||_2 <=
+    gamma_{n+3}(w) F^2``, plus ``2 n (n + 1 + max A_ii) t64`` of underflow
+    (at most ``t64`` per product and ``t64 r_jj`` per division, taken
+    twice).  ``S`` differs from ``(A + A^T) / 2``, whose form is ``A``'s, by
+    ``+-(A_ij - A_ji) / 2`` off the diagonal: the asymmetry (within
+    ``is_symmetric``'s 1e-9 for a QFD), at most its largest absolute row sum
+    in the 2-norm.  O(n^2) once per kernel, on the distance's own factor: no
+    second O(n^3) runs on restart.
     """
     n = matrix.shape[0]
     f_norm = _norm_up(float(np.einsum("ij,ij->", factor, factor)), n * n)
@@ -338,8 +361,8 @@ def _gram_error(k: int, g_squares: float) -> tuple[float, float]:
 
 
 def qfd_stages(
-    stacked: np.ndarray, k: int, radius: float, terms: tuple[float, float, float],
-    v_norm: float, q: np.ndarray,
+    factor: np.ndarray, weights: np.ndarray, radius: float,
+    terms: tuple[float, float, float, float], v_norm: float, q: np.ndarray,
 ) -> tuple[Callable, Callable] | None:
     """``(rank, mapped)``: the QFD scan's two certified stages for *q* over
     rows of norm at most *v_norm* (:func:`qfd_project`'s ``V``), ``None``
@@ -349,65 +372,67 @@ def qfd_stages(
     (:func:`qfd_one_to_many` before its clamp and root).  Every error term
     is a scalar, evaluated once per query.
 
-    *stacked* is ``[W | G]``, ``A_sym - W W^T`` certified positive
-    semi-definite (:func:`spectral_floor`) and ``G`` the QFD's Cholesky
-    factor: one gemv of the flushed query gives ``g = q' W`` and ``g_G = q'
-    G``.  *radius* is :func:`abs_sum_radius`, *terms* ``(F_W >= ||W||_F, F,
-    K)`` (:func:`qfd_factor_terms`).  With ``w = 2^-53``, ``t64`` float64's
-    ``tiny``, ``gamma_j = j w / (1 - j w)``, ``Q >= ||q||`` and ``X = V + Q
-    >= ||x||``, ``x = v - q``: ``|d64 - x A x^T| <= T64(X)``
-    (:func:`_float64_error`), and
+    *factor* is the QFD's Cholesky factor ``G`` and *weights*
+    :func:`qfd_weights`' ``W = fl(G B)``, ``B`` its basis (``||B||_2 <=
+    1``): two gemvs of the flushed query give ``g_G = q' G`` and ``g = q'
+    W``.  *radius* is :func:`abs_sum_radius`, *terms* ``(F_W,
+    delta, F, K)`` (:func:`qfd_weights`, :func:`qfd_factor_terms`).  With ``w
+    = 2^-53``, ``t64`` float64's ``tiny``, ``gamma_j = j w / (1 - j w)``,
+    ``Q >= ||q||`` and ``X = V + Q >= ||x||``, ``x = v - q``: ``|d64 - x A
+    x^T| <= T64(X)`` (:func:`_float64_error`), ``|x G G^T x^T - x A x^T| <=
+    K X^2``, and with ``D = K X^2 + T64``:
 
     * ``rank(P, S) -> (c, cut)``, O(k) per row: ``c = S - 2 P g + G`` in
-      float64 (one gemv, two passes; ``G`` the float ``||g||^2``).  ``x A
-      x^T >= ||x W||^2``, and ``||P - g||`` is within ``E`` of ``||x W||``
+      float64 (one gemv, two passes; ``G`` the float ``||g||^2``).
+      ``||x W|| <= ||x G|| ||B||_2 + delta ||x|| <= sqrt(d64 + D) + delta
+      X``, and ``||P - g||`` is within ``E`` of ``||x W||``
       (:func:`_rank_error`).  Three sums of ``k`` products (each within
       ``gamma_k`` of its terms' magnitudes plus ``2 k t64``) and two
       additions (each within ``w`` of a sum under ``2 (||P||^2 + ||g||^2)``)
       put ``c`` within ``4 gamma_{k+6} (||P||^2 + ||g||^2) + 6 k t64`` of
       ``||P - g||^2``; with ``||P||^2 <= 2 ||P - g||^2 + 2 ||g||^2`` and
       ``||g||^2 <= (G + 2 k t64) / (1 - gamma_k)``, ``||P - g||^2 >= (c - b)
-      / (1 + 2 a)`` (:func:`_gram_error`).  So ``c > cut(R) = (E + sqrt(R
-      + T64))^2 (1 + 2 a) + b`` gives ``||x W||^2 > R + T64``.
+      / (1 + 2 a)`` (:func:`_gram_error`).  So ``c > cut(R) = (E + delta X
+      + sqrt(R + D))^2 (1 + 2 a) + b`` gives ``d64 > R``.
     * ``mapped(M, e) -> (s, lo_cut, hi)``, O(n) per row (``None`` when *e*
       is not finite): ``s = ||M - g_G||^2`` in float64 over rows mapped by
       :func:`qfd_map` within *e*.  ``g_G`` is within ``e_q`` of ``q G``
       (:func:`_product_error`), ``fl(M - g_G)`` within ``w`` per entry and
       ``s`` within ``gamma_n`` of its squares plus ``2 n t64``, so ``||x G||``
       lies in ``[sqrt((s - 2 n t64) / (1 + gamma_n)) (1 - w) - e - e_q,
-      sqrt((s + 2 n t64) / (1 - gamma_n)) / (1 - w) + e + e_q]``, and ``|x G
-      G^T x^T - x A x^T| <= K X^2``.  With ``D = K X^2 + T64``, ``hi(s)`` is
-      the upper end squared plus ``D``, and ``s > lo_cut(R) = ((sqrt(R + D)
-      + e + e_q) sqrt(1 + gamma_n) / (1 - w))^2 + 2 n t64`` puts the lower
-      end squared above ``R + D``.
+      sqrt((s + 2 n t64) / (1 - gamma_n)) / (1 - w) + e + e_q]``.  ``hi(s)``
+      is the upper end squared plus ``D``, and ``s > lo_cut(R) = ((sqrt(R +
+      D) + e + e_q) sqrt(1 + gamma_n) / (1 - w))^2 + 2 n t64`` puts the
+      lower end squared above ``R + D``.
 
     Every quantity that must be low is scaled by ``1 - 2^-40`` and every
     one that must be high by ``1 + 2^-40``, absorbing their own float64
     rounding.  ``hi`` and the cuts are non-decreasing, so ``hi`` of the
     k-th smallest ``s`` is the k-th smallest ``hi``.
     """
-    n = stacked.shape[0]
+    n, k = weights.shape
     q64 = _as64(q)
-    w_norm, f_norm, form = terms
+    w_norm, delta, f_norm, form = terms
     with np.errstate(all="ignore"):
         q_norm = float(_norm_up(float(q64 @ q64), n))
         if not np.isfinite(v_norm + q_norm):
             return None
-        query_map = _flush_subnormals(q64) @ stacked
-    g, g_map = query_map[:k], query_map[k:]
+        flushed = _flush_subnormals(q64)
+        g, g_map = flushed @ weights, flushed @ factor
     g_squares = float(g @ g)
     big_x = (v_norm + q_norm) * _HIGH
     spread = _float64_error(big_x, radius, n) * _HIGH
+    form_spread = (form * big_x * big_x + spread) * _HIGH
     a, b = _gram_error(k, g_squares)
     rank_error = _rank_error(v_norm, q_norm, sqrt(n) * _TINY64, w_norm, n, k)
-    form_spread = (form * big_x * big_x + spread) * _HIGH
+    rank_error = (rank_error + delta * big_x) * _HIGH
     q_error = _product_error(q_norm, f_norm, n)
     underflow = 2 * n * _TINY64
     low = (1.0 - _U64) / sqrt(1.0 + _gamma(n, _U64)) * _LOW
     high = _HIGH / ((1.0 - _U64) * sqrt(1.0 - _gamma(n, _U64)))
 
     def rank_cut(r: float) -> float:  # Python floats: called a few times per query
-        y = (rank_error + sqrt((r + spread) * _HIGH) * _HIGH) * _HIGH
+        y = (rank_error + sqrt((r + form_spread) * _HIGH) * _HIGH) * _HIGH
         return (y * y * (1.0 + 2 * a) * _HIGH + b) * _HIGH
 
     def rank(projected: np.ndarray, p_squares: np.ndarray) -> tuple[np.ndarray, Callable]:
@@ -455,154 +480,6 @@ def _rank_error(
     return (error * f_norm + 8 * n * sqrt(k) * _TINY64) * _HIGH
 
 
-def spectral_floor(
-    matrix: np.ndarray, factor: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """``(W, mu)``: :func:`qfd_stages`' ``W`` (``n x k``) and ``mu >
-    0`` with ``(A + A^T) / 2 - W W^T - mu I`` certified positive
-    semi-definite, else ``(n x 0, 0.0)``: no rank-k bound.
-
-    ``W`` is the Nystrom form of ``A' = fl((A + A^T) / 2) - c I`` over its
-    top Ritz vectors, ``c = lambda^ / 2`` with ``lambda^`` an estimate of
-    ``lambda_min(A_sym)`` (:func:`_estimate`): ``_SUBSPACE_STEPS`` steps of
-    subspace iteration on ``_SPECTRAL_RANK + _SUBSPACE_EXTRA`` vectors
-    (``eigh`` takes ~39 ms at 512-d), then Rayleigh-Ritz; ``U`` holds the
-    top ``_SPECTRAL_RANK`` Ritz vectors whose value ``theta`` (of ``A'``)
-    exceeds ``c``, and ``W = A' U diag(theta)^(-1/2)``.  For exact
-    eigenvectors that is ``V diag(sqrt(lambda_i - c))``; for any ``U``,
-    ``W W^T = A' U (U^T A' U)^(-1) U^T A'`` and ``A' - W W^T`` is a Schur
-    complement, positive semi-definite when ``A'`` is, so
-    ``B = (A + A^T) / 2 - W W^T >= c I`` however rough the subspace.
-
-    The certificate is :func:`_certified`'s, applied to ``B``:
-    ``np.linalg.cholesky`` must complete on ``H = fl(fl(A_sym) - fl(W
-    W^T)) - (c / 2) I``, and ``mu = c / 2`` less its margin.  Forming ``H``
-    costs the product, within ``gamma_k(w) |W| |W|^T`` (``<= gamma_k(w)
-    ||W||_F^2`` in the 2-norm) plus ``4 k t64`` of underflow per entry, and
-    the subtraction, within ``w (R_A + (1 + gamma_k(w)) ||W||_F^2)``: the
-    forming term is ``w R_A + (gamma_k(w) + 2w) ||W||_F^2 + 4 n k t64``.
-    """
-    estimate, sym = _estimate(matrix, factor)
-    radius = abs_sum_radius(matrix)
-    with np.errstate(all="ignore"):
-        weights = _deflation(sym, 0.5 * estimate) if estimate > 0.0 else sym[:, :0]
-    n, k = weights.shape
-    if k:
-        with np.errstate(all="ignore"):
-            deflated = sym - weights @ weights.T
-            np.fill_diagonal(deflated, np.diagonal(deflated) - 0.25 * estimate)
-        f_norm = _norm_up(float(np.einsum("ij,ij->", weights, weights)), n * k)
-        forming = _U64 * radius + (_gamma(k, _U64) + 2 * _U64) * f_norm * f_norm
-        mu = _certified(deflated, 0.25 * estimate, radius, forming + 4 * n * k * _TINY64)
-        if mu > 0.0:
-            return weights, mu
-    return sym[:, :0], 0.0
-
-
-def _deflation(sym: np.ndarray, shift: float) -> np.ndarray:
-    """:func:`spectral_floor`'s ``W`` for ``A' = sym - shift I``."""
-    n = sym.shape[0]
-    rank = min(_SPECTRAL_RANK, n)
-    start = np.random.default_rng(0).standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
-    _, image, top, vectors = _ritz_basis(lambda y: sym @ y, start, rank, shift)
-    keep = top > shift
-    return (image @ vectors[:, keep]) / np.sqrt(top[keep])
-
-
-def _ritz_basis(
-    apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, rank: int, shift: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(Y, A Y - shift Y, theta, U)``: ``_SUBSPACE_STEPS`` steps of
-    subspace iteration from *start* under the symmetric ``A`` that *apply*
-    multiplies by, then Rayleigh-Ritz; ``theta`` and ``U`` are the *rank*
-    largest eigenpairs of ``Y^T (A Y - shift Y)``, descending, so ``Y U``
-    spans the dominant subspace found."""
-    y = start
-    for _ in range(_SUBSPACE_STEPS):
-        y, _ = np.linalg.qr(apply(y))
-    image = apply(y) - shift * y
-    theta, vectors = np.linalg.eigh(y.T @ image)
-    return y, image, theta[::-1][:rank], vectors[:, ::-1][:, :rank]
-
-
-def _estimate(matrix: np.ndarray, factor: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """``(lambda^, fl((A + A^T) / 2))``: ``lambda^``, about ``lambda_min(A_sym)``,
-    from three steps of block inverse iteration on *factor* (a Cholesky
-    factor of about ``A``, such as the one a
-    :class:`~repro.core.qfd.QuadraticFormDistance` makes for its
-    positive-definiteness check; factored here when not given) and a
-    Rayleigh-Ritz value over the four vectors, or ``0.0`` when no finite
-    positive one comes.  It is only a guess: :func:`_certified` proves
-    what is built on it."""
-    sym = (matrix + matrix.T) * 0.5
-    try:
-        with np.errstate(all="ignore"):
-            if factor is None:
-                factor = np.linalg.cholesky(sym)
-            estimate = _lambda_min_estimate(factor, sym)
-    except np.linalg.LinAlgError:
-        return 0.0, sym
-    return (estimate if np.isfinite(estimate) and estimate > 0.0 else 0.0), sym
-
-
-def _certified(shifted: np.ndarray, shift: float, radius: float, forming: float) -> float:
-    """``mu``, *shift* less a margin, rounded down, with ``S - mu I``
-    certified positive semi-definite for the matrix ``S`` whose float64
-    ``S - shift I`` is ``H`` = *shifted*, if ``np.linalg.cholesky``
-    completes on ``H``; ``0.0`` if it fails or the margin eats *shift*.
-
-    Completion means ``H + dH = R^T R`` is positive semi-definite for some
-    ``|dH| <= g |R^T| |R|`` (Demmel; Higham, Theorem 10.7: ``g =
-    gamma_{n+1}(w)`` for any order of the inner products, so blocked LAPACK
-    and FMA too; ``g = gamma_{n+3}(w)`` here, for a kernel that multiplies
-    by a rounded reciprocal of the pivot instead of dividing), so
-    ``lambda_min(H) >= -||dH||_2 >= -g ||R||_F^2 >= -g trace(H) / (1 -
-    g)``.  Underflow adds at most ``t64`` per product and ``t64 r_jj`` per
-    division to an entry of ``dH``: ``n (n + 1 + max H_ii) t64`` in the
-    2-norm, taken twice.  Forming ``H`` is within ``w (R_A + max H_ii) + n
-    t64`` of the exact shifted matrix in the 2-norm (``R_A`` =
-    *radius*, :func:`abs_sum_radius`), plus *forming*, so
-
-        mu = shift - g trace(H) / (1 - g) - w (R_A + max H_ii)
-             - forming - (2 n (n + 1 + max H_ii) + n) t64
-    """
-    try:
-        with np.errstate(all="ignore"):
-            np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return 0.0
-    n = shifted.shape[0]
-    g = _gamma(n + 3, _U64)
-    diagonal = np.abs(np.diagonal(shifted))
-    trace = float(diagonal.sum()) * (1.0 + _gamma(n, _U64))
-    top = float(diagonal.max())
-    margin = g * trace / (1.0 - g) + _U64 * (radius + top) + forming
-    margin += (2 * n * (n + 1 + top) + n) * _TINY64
-    mu = (shift - margin * _HIGH) * _LOW
-    return mu if mu > 0.0 else 0.0
-
-
-def _lambda_min_estimate(factor: np.ndarray, sym: np.ndarray) -> float:
-    """About ``lambda_min(sym)``: three steps of inverse iteration through
-    ``factor factor^T ~ sym`` on four vectors, then the least Rayleigh-Ritz
-    value.  Each solve is blocked forward then back substitution over
-    the 32-wide diagonal blocks' inverses (numpy has no triangular solve,
-    and ``np.linalg.solve`` would factor the triangle again)."""
-    n = factor.shape[0]
-    edges = list(range(0, n, 32)) + [n]
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    inverses = [np.linalg.inv(factor[b, b]) for b in blocks]
-    y = np.random.default_rng(0).standard_normal((n, min(4, n)))
-    for _ in range(3):
-        z = np.empty_like(y)
-        for b, inverse in zip(blocks, inverses):
-            z[b] = inverse @ (y[b] - factor[b, : b.start] @ z[: b.start])
-        for b, inverse in zip(reversed(blocks), reversed(inverses)):
-            y[b] = inverse.T @ (z[b] - factor[b.stop :, b].T @ y[b.stop :])
-        y, _ = np.linalg.qr(y)
-    return float(np.linalg.eigvalsh(y.T @ sym @ y)[0])
-
-
 def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """L2 distances from *q* to every row: ``sqrt((v - q)(v - q)^T)``.
 
@@ -630,30 +507,37 @@ def l2_one_to_many(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _sample(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The ascending indices of :func:`l2_basis`' sample of *m* rows."""
+    return np.sort(rng.choice(m, size=min(m, _PROJECTION_SAMPLE), replace=False))
+
+
 def l2_basis(rows: np.ndarray) -> np.ndarray:
     """``W``, an orthonormal rank-``k`` PCA basis of *rows* scaled by
     ``_SHRINK``, certified ``||W||_2 <= 1`` (:func:`l2_basis_certified`), or
-    ``n x 0`` when it is not: :func:`l2_lower_bound`'s basis.
+    ``n x 0`` when it is not: :func:`l2_lower_bound`'s basis, and ``V`` of
+    :func:`qfd_weights`.
 
     Fitted to a seeded sample of ``_PROJECTION_SAMPLE`` rows, centered, by
     ``_SUBSPACE_STEPS`` steps of subspace iteration on ``_PROJECTION_RANK +
-    _SUBSPACE_EXTRA`` vectors and Rayleigh-Ritz (:func:`_ritz_basis`, as
-    :func:`_deflation` does; a full SVD of 1 024 rows takes ~145 ms at
-    512-d).  The certificate holds however rough the subspace, so the fit
-    buys only pruning; the same rows give the same ``W``.
+    _SUBSPACE_EXTRA`` vectors and Rayleigh-Ritz (a full SVD of 1 024 rows
+    takes ~145 ms at 512-d).  The certificate holds however rough the
+    subspace, so the fit buys only pruning; the same rows give the same
+    ``W``.
     """
     m, n = rows.shape
     rng = np.random.default_rng(0)
-    pick = np.sort(rng.choice(m, size=min(m, _PROJECTION_SAMPLE), replace=False))
-    sample = np.array(rows[pick], dtype=np.float64)
+    sample = np.array(rows[_sample(m, rng)], dtype=np.float64)
     rank = min(_PROJECTION_RANK, n)
     try:
         with np.errstate(all="ignore"):
             sample -= sample.mean(axis=0)
             _flush_subnormals(sample, inplace=True)
-            start = rng.standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
-            y, _, _, vectors = _ritz_basis(lambda y: sample.T @ (sample @ y), start, rank)
-            basis = (y @ vectors) * _SHRINK
+            y = rng.standard_normal((n, min(rank + _SUBSPACE_EXTRA, n)))
+            for _ in range(_SUBSPACE_STEPS):
+                y, _ = np.linalg.qr(sample.T @ (sample @ y))
+            _, vectors = np.linalg.eigh(y.T @ (sample.T @ (sample @ y)))
+            basis = (y @ vectors[:, ::-1][:, :rank]) * _SHRINK
     except np.linalg.LinAlgError:  # non-finite rows
         return np.zeros((n, 0))
     return basis if l2_basis_certified(basis) else basis[:, :0]

@@ -10,12 +10,13 @@ small object interface the access-method layer can hold on to:
 ``row_norms(rows)``
     the per-row term ``vAv^T`` (``vv^T`` for L2), which no evaluation
     reads; it is kept for what it costs to compute;
-``project`` / ``map`` / ``stages`` (QFD only)
+``fit`` / ``map`` / ``stages`` (QFD only)
     the two certified stages of the sequential scan
     (:func:`~repro.kernels.gram.qfd_stages`): an O(k) sum per row from the
-    rows projected on the rank-k term's ``W``, then an O(n) sum per row
-    from the rows mapped by the Cholesky factor, each tested against a cut
-    of the query's; the scan evaluates only the rows neither rules out.
+    rows projected on ``W = G V`` (``V`` the L2 filter's certified basis
+    fitted to the rows mapped by the Cholesky factor ``G``), then an O(n)
+    sum per row from the rows mapped by ``G``, each tested against a cut of
+    the query's; the scan evaluates only the rows neither rules out.
 
 Every QFD evaluation is one arithmetic, the difference form of
 :func:`~repro.kernels.gram.qfd_one_to_many` (O(n^2) per row), and every
@@ -49,8 +50,7 @@ __all__ = [
 ]
 
 #: Serializes the build of a :class:`QFDKernel`'s filter operands, so the
-#: rows a scan projects and maps and the ``W`` and factor its queries read
-#: are one.
+#: rows a scan maps and the factor its queries read are one.
 _OPERANDS_LOCK = threading.Lock()
 
 
@@ -80,7 +80,7 @@ class QFDQueryContext:
 class QFDKernel:
     """Batched evaluator for a static QFD matrix: the difference form and
     the QFD scan's two certified stages (:meth:`stages`) over the rows
-    projected on the rank-k term (:meth:`project`) and the rows mapped by
+    projected on the rank-k operand (:meth:`fit`) and the rows mapped by
     the Cholesky factor (:meth:`map`).
 
     *factor*, ``np.linalg.cholesky`` of the matrix (the one a
@@ -101,59 +101,55 @@ class QFDKernel:
         return (QFDKernel, (self.matrix,))
 
     def _operands(self) -> tuple:
-        """:attr:`weights`, :attr:`radius`, :attr:`factor`, ``[W | G]`` and
-        the stages' norm terms (``F_W >= ||W||_F`` and
-        :func:`~repro.kernels.gram.qfd_factor_terms`), made once by their
+        """:attr:`radius`, :attr:`factor` and its terms
+        (:func:`~repro.kernels.gram.qfd_factor_terms`), made once by their
         first use — a query, not the build."""
         operands = self._filter_operands
         if operands is None:
             with _OPERANDS_LOCK:
                 operands = self._filter_operands
                 if operands is None:
-                    factor, stacked, terms = self._factor, None, None
+                    factor, terms = self._factor, None
                     try:
                         factor = np.linalg.cholesky(self.matrix) if factor is None else factor
                     except np.linalg.LinAlgError:  # not positive definite: no map
                         factor = None
-                    weights, _ = gram.spectral_floor(self.matrix, factor)
                     if factor is not None:
-                        stacked = np.hstack([weights, factor])
-                        squares = float(np.einsum("ij,ij->", weights, weights))
-                        w_norm = float(gram._norm_up(squares, weights.size))
-                        terms = (w_norm, *gram.qfd_factor_terms(self.matrix, factor))
-                    operands = (weights, gram.abs_sum_radius(self.matrix), factor, stacked, terms)
+                        terms = gram.qfd_factor_terms(self.matrix, factor)
+                    operands = (gram.abs_sum_radius(self.matrix), factor, terms)
                     self._filter_operands = operands
         return operands
 
     @property
-    def weights(self) -> np.ndarray:
-        """``W``, ``n x k`` (``k = 0``: no rank-k term certifies)."""
-        return self._operands()[0]
-
-    @property
     def radius(self) -> float:
         """``R >= || |A| ||_2`` (:func:`~repro.kernels.gram.abs_sum_radius`)."""
-        return self._operands()[1]
+        return self._operands()[0]
 
     @property
     def factor(self) -> np.ndarray | None:
         """``G``, the rows' map, or ``None`` for a matrix without one."""
-        return self._operands()[2]
+        return self._operands()[1]
 
-    def project(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """:func:`~repro.kernels.gram.qfd_project` on ``W``."""
-        return gram.qfd_project(self.weights, rows)
+    def fit(self, rows: np.ndarray) -> tuple:
+        """:func:`~repro.kernels.gram.qfd_weights` over *rows*: ``(V, W,
+        (F_W, delta))``, the operand :meth:`stages` projects on."""
+        _, factor, terms = self._operands()
+        return gram.qfd_weights(factor, terms[0], rows)
 
     def map(self, rows: np.ndarray) -> tuple[np.ndarray, float]:
         """:func:`~repro.kernels.gram.qfd_map` by :attr:`factor`."""
-        _, _, factor, _, terms = self._operands()
-        return gram.qfd_map(factor, terms[1], rows)
+        _, factor, terms = self._operands()
+        return gram.qfd_map(factor, terms[0], rows)
 
-    def stages(self, q: np.ndarray, v_norm: float) -> tuple[Callable, Callable] | None:
+    def stages(
+        self, q: np.ndarray, fitted: tuple, v_norm: float
+    ) -> tuple[Callable, Callable] | None:
         """:func:`~repro.kernels.gram.qfd_stages` of *q* over rows of norm at
-        most *v_norm* (the kernel must have a :attr:`factor`)."""
-        weights, radius, _, stacked, terms = self._operands()
-        return gram.qfd_stages(stacked, weights.shape[1], radius, terms, v_norm, q)
+        most *v_norm* projected on the *fitted* :meth:`fit` (the kernel must
+        have a :attr:`factor`)."""
+        radius, factor, terms = self._operands()
+        _, weights, w_terms = fitted
+        return gram.qfd_stages(factor, weights, radius, (*w_terms, *terms), v_norm, q)
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         return gram.qfd_row_norms(self.matrix, rows)

@@ -10,10 +10,11 @@ Two variants are provided:
 
 * :class:`SequentialFile` — in-memory rows (the default everywhere).
   Under the QFD it scans through a certified filter (paper Section
-  2.3.1's filter-and-refine): an O(k) lower bound ``||(v - q) W||^2``
-  rules most rows out, an O(n) interval from the rows mapped by the
-  QFD's Cholesky factor (the QMap image, float32) brackets the rest, and
-  float64 runs only on the rows that can answer.  Under L2 (the QMap model) the filter is the
+  2.3.1's filter-and-refine): the L2 projection bound of the rows mapped
+  by the QFD's Cholesky factor ``G``, O(k) per row from ``W = G V``,
+  rules most rows out, an O(n) interval from the mapped rows themselves
+  (the QMap image, float32) brackets the rest, and float64 runs only on
+  the rows that can answer.  Under L2 (the QMap model) the filter is the
   pivot table's projection bound ``||(v - q) W||``, O(k) per row
   (:class:`~repro.mam.projection.ProjectionFilter`).  Answers, distances
   and charged counts are the full float64 scan's.
@@ -225,10 +226,12 @@ def _refine(
 class _QFDRows:
     """What the QFD scan keeps of its rows, outside snapshots and pickles.
 
-    Every row's :meth:`~repro.kernels.kernels.QFDKernel.project` (``P`` and
-    ``S``), the rank-k stage's operands, made by the first bounded query and
-    extended by inserts, with ``V``, one bound on every row's norm; and the
-    rows mapped by the QFD's Cholesky factor, float32
+    The rank-k operand ``W`` (:meth:`~repro.kernels.kernels.QFDKernel.fit`,
+    ``fitted``), fitted to the rows by the first bounded query and kept
+    for good; every row projected on it (``P`` and ``S``,
+    :func:`~repro.kernels.gram.qfd_project`), made then and extended by
+    inserts, with ``V``, one bound on every row's norm; and the rows mapped
+    by the QFD's Cholesky factor, float32
     (:meth:`~repro.kernels.kernels.QFDKernel.map`), each mapped the first
     time a query needs its sum into an append-only buffer with a slot per
     row (``4 n`` bytes per row reached), with ``e``, one bound on every
@@ -236,21 +239,25 @@ class _QFDRows:
     ``_ROWS_LOCK`` before a row they cover is counted or marked mapped.
     """
 
-    __slots__ = ("size", "v_norm", "m_error", "_projected", "_squares", "_mapped", "_done")
+    __slots__ = (
+        "size", "v_norm", "m_error", "fitted", "_projected", "_squares", "_mapped", "_done"
+    )
 
     def __init__(self, kernel: QFDKernel, data: np.ndarray) -> None:
         m, n = data.shape
-        self._projected, self._squares, self.v_norm = kernel.project(data)
+        self.fitted = kernel.fit(data)
+        self._projected, self._squares, self.v_norm = gram.qfd_project(self.fitted[1], data)
         self._mapped = np.empty((m, n), dtype=np.float32)
         self._done = np.zeros(m, dtype=bool)
         self.m_error = 0.0
         self.size = m
 
-    def append(self, kernel: QFDKernel, index: int, row: np.ndarray) -> None:
-        """Cover the row stored at *index*: projected now, mapped on demand."""
-        projected, squares, v_norm = kernel.project(row[None, :])
+    def append(self, index: int, row: np.ndarray) -> None:
+        """Cover the row stored at *index*: projected now on the kept
+        ``W``, mapped on demand."""
+        projected, squares, v_norm = gram.qfd_project(self.fitted[1], row[None, :])
         with _ROWS_LOCK:
-            for key in self.__slots__[3:]:
+            for key in self.__slots__[4:]:
                 setattr(self, key, grown(getattr(self, key), index, 1))
             self._projected[index], self._squares[index] = projected[0], squares[0]
             self._done[index] = False
@@ -264,12 +271,12 @@ class _QFDRows:
         *data* (``bound`` is ``None`` at rank 0), or ``None`` when no stage
         is certain; ``squares`` maps the rows no query reached first."""
         size = self.size  # before V: a row counted is covered
-        stages = kernel.stages(query, self.v_norm)
+        stages = kernel.stages(query, self.fitted, self.v_norm)
         if stages is None:
             return None
         rank, mapped = stages
         bound = None
-        if kernel.weights.shape[1]:
+        if self.fitted[1].shape[1]:
             bound = rank(self._projected[:size], self._squares[:size])
 
         def squares(rows: np.ndarray) -> tuple | None:
@@ -294,16 +301,17 @@ class SequentialFile(AccessMethod):
 
     Under a QFD (the port's kernel is a
     :class:`~repro.kernels.kernels.QFDKernel`), a query bounds every row's
-    squared distance from below in O(k) from the rows projected on ``W``,
-    brackets the rows that bound keeps in O(n) from the rows mapped by the
-    QFD's Cholesky factor, and evaluates in float64, uncharged, only the
+    squared distance from below in O(k) from the rows projected on ``W =
+    G V`` (``G`` the QFD's Cholesky factor, ``V`` the L2 filter's basis of
+    the mapped rows), brackets the rows that bound keeps in O(n) from the
+    rows mapped by ``G``, and evaluates in float64, uncharged, only the
     rows whose interval can reach the answer (:func:`_mapped_survivors`).  It
     charges the ``m`` rows a full scan charges, makes the same trace calls,
-    and returns the full scan's answers and distances bit for bit.  The
-    projected rows are made by the first bounded query (not at build
-    time), a row is mapped by the first query that needs its interval,
-    inserts extend both, and neither is in a snapshot or a pickle
-    (:class:`_QFDRows`).
+    and returns the full scan's answers and distances bit for bit.  ``W``
+    and the projected rows are made by the first bounded query (not at
+    build time), a row is mapped by the first query that needs its
+    interval, inserts extend both on the same ``W``, and none of it is in a
+    snapshot or a pickle (:class:`_QFDRows`).
     """
 
     #: A scan is one ``port.many`` over the database rows: the distance's
@@ -449,7 +457,7 @@ class SequentialFile(AccessMethod):
             else:
                 self._projection = None
         if self._qfd_rows is not None:
-            self._qfd_rows.append(self._port.kernel, index, vector)
+            self._qfd_rows.append(index, vector)
 
 
 class DiskSequentialFile(AccessMethod):

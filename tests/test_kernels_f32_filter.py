@@ -4,10 +4,11 @@ and the certificates behind both of its stages.
 Per row the rank-k stage computes ``c = S - 2 P g + G``, the Gram form of
 ``||P - q W||^2``, from the rows projected once (``gram.qfd_project``),
 and per query a cut: a row with ``c > cut(R)`` must have ``d64 > R``,
-``d64`` the squared distance the float64 path computes;
-``gram.spectral_floor`` certifies ``(A + A^T) / 2 - W W^T - mu I``
-positive semi-definite.  Every error term reads one norm bound for all
-rows, so a non-finite row leaves no stage at all.  The mapped stage
+``d64`` the squared distance the float64 path computes.  ``W = fl(G V)``
+(``gram.qfd_weights``): ``G`` the QFD's Cholesky factor and ``V`` the L2
+filter's basis of the rows mapped by it, certified ``||V||_2 <= 1`` by
+``gram.l2_basis_certified``.  Every error term reads one norm bound for
+all rows, so a non-finite row leaves no stage at all.  The mapped stage
 tests ``s = ||M - q G||^2`` over the rows mapped by the Cholesky factor
 and stored as float32 (held in ``test_kernels_qfd_mapped.py``).  Pinned
 here:
@@ -19,9 +20,9 @@ here:
   symmetric), rows with float32 and float64 subnormal entries, zero and
   duplicate rows, a float32 store's unflushed rows and rows beyond float32
   range;
-* ``mu`` never exceeds ``eigvalsh(A_sym - W W^T)``'s smallest eigenvalue,
-  ``_certified``'s margin never exceeds the shifted matrix's, and a failed
-  certificate leaves no rank-k term: ``c`` is 0 and rules nothing out;
+* ``W`` is ``G V`` for a certified ``V``, and a refused ``V`` (a basis the
+  certificate fails, or one forced to fail) leaves no rank-k term: ``c`` is
+  0 and rules nothing out;
 * on the benchmark corpus the rank-k cut rules out >= 95 % of the rows at
   kNN's cut, and the mapped stage leaves about k of the rows it keeps;
 * the mapped stage's cuts hold on the same inputs in 2- to 64-d, and a row
@@ -42,6 +43,7 @@ from repro.core import QMap, QuadraticFormDistance, is_symmetric
 from repro.core.matrices import prototype_similarity_matrix
 from repro.datasets import histogram_workload
 from repro.kernels import QFDKernel, gram, resolve_kernel
+from repro.mam import SequentialFile
 
 F32_TINY = float(np.finfo(np.float32).tiny)
 F32_MAX = float(np.finfo(np.float32).max)
@@ -63,23 +65,34 @@ def _conservative(cut, sums: np.ndarray, want: np.ndarray) -> None:
     assert not over, over[:3]
 
 
+def _stages(kernel: QFDKernel, q: np.ndarray, rows: np.ndarray) -> tuple:
+    """``(fitted, projected, squares, stages)``: *kernel*'s rank-k operand
+    fitted to *rows*, the rows projected on it and the stages of *q* over
+    them (``None`` when nothing is certain), as a scan's first query makes
+    them."""
+    fitted = kernel.fit(rows)
+    projected, squares, v_norm = gram.qfd_project(fitted[1], rows)
+    return fitted, projected, squares, kernel.stages(q, fitted, v_norm)
+
+
 def _spectral(
     matrix: np.ndarray, q: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, object, QFDKernel]:
-    """``(c, cut, kernel)`` of the rank-k stage, asserting the cut
-    conservative on every row and ``A_sym - W W^T`` positive semi-definite
-    (with no rank-k term, ``c`` is 0).  The kernel is handed the factor of
-    ``A_sym``, so a matrix far from symmetric has stages too."""
+) -> tuple[np.ndarray, object, tuple]:
+    """``(c, cut, fitted)`` of the rank-k stage, asserting the cut
+    conservative on every row and ``W`` the product ``G V`` of a certified
+    ``V`` (with no rank-k term, ``c`` is 0).  The kernel is handed the
+    factor of ``A_sym``, so a matrix far from symmetric has stages too."""
     kernel = QFDKernel(matrix, np.linalg.cholesky((matrix + matrix.T) / 2))
-    projected, squares, v_norm = kernel.project(rows)
-    rank, _ = kernel.stages(q, v_norm)
+    fitted, projected, squares, (rank, _) = _stages(kernel, q, rows)
     c, cut = rank(projected, squares)
-    if kernel.weights.shape[1]:
-        assert _deflated_min(matrix, kernel.weights) > 0.0
+    basis, weights, _ = fitted
+    if weights.shape[1]:
+        assert gram.l2_basis_certified(basis)
+        assert np.array_equal(weights, kernel.factor @ basis)
     else:
         assert (c == 0.0).all()
     _conservative(cut, c, _d64(matrix, q, rows))
-    return c, cut, kernel
+    return c, cut, fitted
 
 
 def _intervals(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> tuple | None:
@@ -87,10 +100,9 @@ def _intervals(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> tuple | N
     QFD's scan holds, asserting ``lo_cut`` conservative and ``hi(s) >=
     d64`` on every row; ``None`` where no mapped stage is certain."""
     kernel = resolve_kernel(QuadraticFormDistance(matrix))
-    _, _, v_norm = kernel.project(rows)
     mapped, m_error = kernel.map(rows)
     assert mapped.dtype == np.float32 and isinstance(m_error, float)
-    stages = kernel.stages(q, v_norm)
+    stages = _stages(kernel, q, rows)[3]
     found = None if stages is None else stages[1](mapped, m_error)
     if found is None:
         return None
@@ -100,10 +112,6 @@ def _intervals(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> tuple | N
     under = [(hi(x), d) for x, d in zip(s, want) if not hi(x) >= d]
     assert not under, under[:3]
     return s, lo_cut, hi, want
-
-
-def _deflated_min(matrix: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((matrix + matrix.T) / 2 - weights @ weights.T)[0])
 
 
 def _matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,11 +182,11 @@ class TestTheBoundHolds:
         huge = rng.choice(8, size=3, replace=False)
         rows[huge[0], 0] = 1e39
         rows[huge[1], n - 1] = -3.5e38
-        c, _, kernel = _spectral(matrix, q, rows)
+        c, _, _ = _spectral(matrix, q, rows)
         assert np.isfinite(c).all()
         assert _intervals(matrix, q, rows) is None
         rows[huge[2]] = 1e300
-        assert kernel.stages(q, kernel.project(rows)[2]) is None
+        assert _stages(QFDKernel(matrix), q, rows)[3] is None
 
     @given(
         seed=st.integers(0, 100_000),
@@ -194,8 +202,9 @@ class TestTheBoundHolds:
         rows[:, :3] = [3e-40, 1e-45, 2e-39]  # float32 subnormals, kept by the store
         rows32 = rows.astype(np.float32)
         assert np.count_nonzero(np.abs(rows32) < F32_TINY) > 31 * 3 - 31  # unflushed
-        _, _, kernel = _spectral(matrix, rows[0], rows32)
-        for got, want in zip(kernel.project(rows32), kernel.project(rows32.astype(np.float64))):
+        _, _, (_, weights, _) = _spectral(matrix, rows[0], rows32)
+        got = gram.qfd_project(weights, rows32)
+        for got, want in zip(got, gram.qfd_project(weights, rows32.astype(np.float64))):
             assert np.array_equal(got, want)
 
     def test_the_skewed_kind_passes_is_symmetric(self) -> None:
@@ -215,49 +224,37 @@ class TestTheBoundHolds:
         matrix[:, 4] += 30.0  # one heavy column, and its mirror row
         matrix[4, :] -= 30.0
         rows = rng.dirichlet(np.full(27, 0.1), size=25)
-        c, _, kernel = _spectral(matrix, rows[0], rows[1:])
-        assert np.isfinite(c).all() and kernel.weights.shape[1] > 0
-
-    @given(
-        seed=st.integers(0, 100_000),
-        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
-        n=st.sampled_from([2, 3, 8, 27, 64, 100]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_mu_is_certified_on_the_deflated_matrix(self, seed, kind, n) -> None:
-        matrix = _matrix(kind, n, np.random.default_rng(seed))
-        weights, mu = gram.spectral_floor(matrix)
-        assert weights.shape[0] == n and weights.shape[1] <= gram._SPECTRAL_RANK
-        assert (mu == 0.0) == (weights.shape[1] == 0)
-        assert mu == 0.0 or 0.0 < mu <= _deflated_min(matrix, weights)
-        if kind == "hafner":  # well-conditioned: the rank-k certificate holds
-            assert weights.shape[1] > 0 and mu > 0.0
+        c, _, (_, weights, _) = _spectral(matrix, rows[0], rows[1:])
+        assert np.isfinite(c).all() and weights.shape[1] > 0
 
     def test_a_failed_rank_k_certificate_gives_the_rank_0_bound(self, monkeypatch) -> None:
-        # No rank-k term: every c is 0, under every cut, which rules nothing
-        # out (the scan then tests every row in the mapped stage).
+        # A refused V leaves no rank-k term: every c is 0, under every cut,
+        # which rules nothing out (the scan then tests every row in the
+        # mapped stage).
         matrix = _matrix("hafner", 64, np.random.default_rng(6))
-        deflation = gram._deflation
-        monkeypatch.setattr(gram, "_deflation", lambda sym, shift: 2.0 * deflation(sym, shift))
+        monkeypatch.setattr(gram, "l2_basis_certified", lambda basis: False)
         kernel = QFDKernel(matrix)
-        assert kernel.weights.shape == (64, 0) and kernel.factor is not None
         rows = np.random.default_rng(6).dirichlet(np.full(64, 0.1), size=30)
-        projected, squares, v_norm = kernel.project(rows)
-        assert projected.shape == (30, 0)
-        c, cut = kernel.stages(rows[0], v_norm)[0](projected, squares)
+        (basis, weights, (w_norm, delta)), projected, squares, stages = _stages(
+            kernel, rows[0], rows
+        )
+        assert basis.shape == weights.shape == (64, 0) and kernel.factor is not None
+        assert w_norm == delta == 0.0 and projected.shape == (30, 0)
+        c, cut = stages[0](projected, squares)
         assert np.array_equal(c, np.zeros(30)) and cut(0.0) > 0.0
 
     def test_an_indefinite_matrix_certifies_nothing(self) -> None:
+        # No Cholesky factor: no map, so neither W = G V nor mapped rows.
         matrix = _matrix("hafner", 27, np.random.default_rng(8))
         matrix[0, 0] = -1.0
-        weights, mu = gram.spectral_floor(matrix)
-        assert weights.shape == (27, 0) and mu == 0.0
+        kernel = QFDKernel(matrix)
+        assert kernel.factor is None and kernel.radius >= 1.0
 
     def test_the_benchmark_corpus_at_512d(self) -> None:
         w = histogram_workload(1500, 4, bins_per_channel=8, seed=2011)
         for q in w.queries:
-            c, cut, kernel = _spectral(w.matrix, q, w.database)
-            assert kernel.weights.shape == (512, gram._SPECTRAL_RANK)
+            c, cut, (_, weights, _) = _spectral(w.matrix, q, w.database)
+            assert weights.shape == (512, gram._PROJECTION_RANK)
             # O(k) per row, and it rules out almost every row at kNN's cut.
             kth = np.partition(_d64(w.matrix, q, w.database), 9)[9]
             assert np.count_nonzero(c > cut(kth)) >= 0.95 * c.shape[0]
@@ -285,10 +282,11 @@ class TestTheKernel:
         rows = np.array([[1e-310, -5e-324, F32_TINY, 0.5]])
         flushed = np.array([[0.0, 0.0, F32_TINY, 0.5]])
         kernel = QFDKernel(_matrix("hafner", 4, np.random.default_rng(2)))
-        assert kernel.weights.shape[1] > 0 and kernel.weights.dtype == np.float64
-        projected, _, _ = kernel.project(rows)
+        _, weights, _ = kernel.fit(rows)
+        assert weights.shape[1] > 0 and weights.dtype == np.float64
+        projected, _, _ = gram.qfd_project(weights, rows)
         assert projected.dtype == np.float64
-        assert np.array_equal(projected, flushed @ kernel.weights)
+        assert np.array_equal(projected, flushed @ weights)
         mapped, _ = kernel.map(rows)
         assert mapped.dtype == np.float32
         assert np.array_equal(mapped, (flushed @ kernel.factor).astype(np.float32))
@@ -303,16 +301,16 @@ class TestTheKernel:
         w = histogram_workload(300, 2, bins_per_channel=4, seed=7)
         rows, q = w.database.copy(), w.queries[0].copy()
         kernel = QFDKernel(w.matrix)
-        projected, squares, v_norm = kernel.project(rows)
+        fitted, projected, squares, (rank, mapped_stage) = _stages(kernel, q, rows)
         mapped, m_error = kernel.map(rows)
-        stacked = kernel._operands()[3]
-        operands = rows, q, projected, squares, mapped, kernel.weights, kernel.factor, stacked
+        basis, weights, _ = fitted
+        operands = rows, q, projected, squares, mapped, basis, weights, kernel.factor
         before = [x.tobytes() for x in operands]
-        rank, mapped_stage = kernel.stages(q, v_norm)
         rank(projected, squares)
         mapped_stage(mapped, m_error)
         kernel.map(rows)
-        kernel.project(rows)
+        kernel.fit(rows)
+        gram.qfd_project(weights, rows)
         assert [x.tobytes() for x in operands] == before
 
     def test_tiles_give_the_untiled_bits(self, monkeypatch) -> None:
@@ -320,21 +318,16 @@ class TestTheKernel:
         kernel = QFDKernel(w.matrix)
 
         def bound_of(rows):
-            projected, squares, v_norm = kernel.project(rows)
-            rank, mapped_stage = kernel.stages(w.queries[1], v_norm)
+            fitted, projected, squares, (rank, mapped_stage) = _stages(kernel, w.queries[1], rows)
             mapped, m_error = kernel.map(rows)
             c, _ = rank(projected, squares)
             s, _, _ = mapped_stage(mapped, m_error)
-            return projected, squares, v_norm, c, mapped, m_error, s
+            return fitted[1], projected, squares, c, mapped, m_error, s
 
         want = bound_of(w.database)
         monkeypatch.setattr(gram, "_TILE_ROWS", 256)
         for got, ref in zip(bound_of(w.database), want):
             assert np.array_equal(got, ref)
-
-
-def _lambda_min(matrix: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((matrix + matrix.T) / 2)[0])
 
 
 class TestTheLowerBound:
@@ -367,25 +360,6 @@ class TestTheLowerBound:
         _spectral(matrix, q, rows)
         assert _intervals(matrix, q, rows) is not None
 
-    @given(
-        seed=st.integers(0, 100_000),
-        kind=st.sampled_from(["hafner", "near-singular", "scaled", "skewed"]),
-        n=st.sampled_from([2, 3, 8, 27, 64, 100]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_mu_is_certified(self, seed, kind, n) -> None:
-        # The certificate both W and a failed one rest on: a completed
-        # Cholesky of A_sym - shift I proves lambda_min(A_sym) >= mu.
-        matrix = _matrix(kind, n, np.random.default_rng(seed))
-        lam = _lambda_min(matrix)
-        estimate, sym = gram._estimate(matrix, None)
-        shift = 0.5 * estimate
-        np.fill_diagonal(sym, np.diagonal(sym) - shift)
-        mu = gram._certified(sym, shift, gram.abs_sum_radius(matrix), 0.0)
-        assert 0.0 <= mu <= lam
-        if kind == "hafner":  # well-conditioned: the estimate is halved, not lost
-            assert mu >= lam / 4
-
     def test_the_qfd_factor_spares_a_factorization(self, monkeypatch) -> None:
         matrix = _matrix("hafner", 27, np.random.default_rng(4))
         kernel = resolve_kernel(QuadraticFormDistance(matrix))
@@ -398,13 +372,16 @@ class TestTheLowerBound:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        assert kernel.weights.shape[1] > 0
-        assert len(calls) == 1  # the certificate alone: the map's G is the QFD's
+        rows = np.random.default_rng(4).dirichlet(np.ones(27), size=40)
+        fitted = kernel.fit(rows)
+        assert fitted[1].shape[1] > 0 and kernel.radius > 0.0
+        assert not calls  # the map's G and W = G V are the QFD's own factor
         assert kernel.factor is kernel._factor
         copy = pickle.loads(pickle.dumps(kernel))
         assert copy._filter_operands is None and copy._factor is None  # rebuilt, not shipped
-        assert np.array_equal(copy.weights, kernel.weights) and len(calls) == 3
-        assert np.array_equal(copy.factor, kernel.factor)
+        assert np.array_equal(copy.factor, kernel.factor) and len(calls) == 1
+        for got, want in zip(copy.fit(rows)[:2], fitted[:2]):
+            assert np.array_equal(got, want)
 
     def test_the_factor_is_neither_pickled_nor_held_twice(self) -> None:
         matrix = _matrix("hafner", 64, np.random.default_rng(5))
@@ -418,22 +395,22 @@ class TestTheLowerBound:
         assert resolve_kernel(qfd).factor is qfd.cholesky_factor  # and the scan's G
 
     def test_a_failed_certificate_gives_zero(self, monkeypatch) -> None:
+        # A basis 2^-20 above orthonormal has ||V||_2 > 1, which Gershgorin
+        # cannot prove <= 1: V is refused, and c prunes nothing.
         matrix = _matrix("hafner", 27, np.random.default_rng(6))
-        lam = _lambda_min(matrix)
-        # An estimate of 8 lambda_min: the certificate asks for
-        # A_sym - W W^T - 2 lambda_min I >= 0, which no W can give.
-        monkeypatch.setattr(gram, "_lambda_min_estimate", lambda factor, sym: 8 * lam)
-        weights, mu = gram.spectral_floor(matrix)
-        assert weights.shape == (27, 0) and mu == 0.0
+        monkeypatch.setattr(gram, "_SHRINK", 1.0 + 2.0**-20)
         rows = np.random.default_rng(6).dirichlet(np.ones(27), size=20)
-        c, cut, _ = _spectral(matrix, rows[0], rows[1:])
+        c, cut, (basis, weights, _) = _spectral(matrix, rows[0], rows[1:])
+        assert basis.shape == weights.shape == (27, 0)
         assert (c <= cut(0.0)).all()  # prunes nothing
 
     def test_an_indefinite_matrix_gives_zero(self) -> None:
+        # A scan over a kernel without a factor keeps no rows: no stage.
         matrix = _matrix("hafner", 27, np.random.default_rng(8))
         matrix[0, 0] = -1.0
-        kernel = QFDKernel(matrix)
-        assert kernel.factor is None and kernel.weights.shape == (27, 0)  # no stage
+        rows = np.random.default_rng(8).dirichlet(np.ones(27), size=20)
+        scan = SequentialFile(rows, QuadraticFormDistance(np.eye(27)))
+        assert scan._mapped_rows(QFDKernel(matrix)) is None and scan._qfd_rows is None
 
     @given(seed=st.integers(0, 100_000), n=st.sampled_from([3, 8, 64]))
     @settings(max_examples=40, deadline=None)
@@ -448,8 +425,7 @@ class TestTheLowerBound:
         rows[huge[0], 0] = 1.0
         assert _intervals(matrix, q, rows) is not None
         rows[huge[1]] = 1e300  # no stage at all
-        kernel = QFDKernel(matrix)
-        assert kernel.stages(q, kernel.project(rows)[2]) is None
+        assert _stages(QFDKernel(matrix), q, rows)[3] is None
 
     @given(
         seed=st.integers(0, 100_000),

@@ -163,23 +163,26 @@ def _terms(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> dict | None:
     """Every float both stages read for *q* over *rows*, and every error
     term their cuts are made of, as ``gram.qfd_stages`` makes them."""
     kernel = resolve_kernel(QuadraticFormDistance(matrix))
-    weights, radius, factor, stacked, (w_norm, f_norm, form) = kernel._operands()
-    projected, p_squares, v_norm = kernel.project(rows)
+    radius, factor, (f_norm, form) = kernel._operands()
+    fitted = kernel.fit(rows)
+    basis, weights, (w_norm, delta) = fitted
+    projected, p_squares, v_norm = gram.qfd_project(weights, rows)
     mapped, m_error = kernel.map(rows)
     n, k = weights.shape
     q_norm = float(gram._norm_up(float(q @ q), n))
     if not np.isfinite(v_norm + q_norm + m_error):
         return None
-    query_map = gram._flush_subnormals(q) @ stacked
-    g, g_map = query_map[:k], query_map[k:]
+    flushed = gram._flush_subnormals(q)
+    g, g_map = flushed @ weights, flushed @ factor
     g_squares = float(g @ g)
     big_x = (v_norm + q_norm) * gram._HIGH
     spread = gram._float64_error(big_x, radius, n) * gram._HIGH
     return {
-        "kernel": kernel, "n": n, "k": k, "factor": factor, "weights": weights,
+        "kernel": kernel, "n": n, "k": k, "factor": factor, "fitted": fitted,
+        "basis": basis, "weights": weights, "w_norm": w_norm, "delta": delta,
         "projected": projected, "p_squares": p_squares, "v_norm": v_norm,
         "mapped": mapped, "m_error": m_error, "q_norm": q_norm, "g": g, "g_map": g_map,
-        "g_squares": g_squares, "spread": spread, "form": form,
+        "g_squares": g_squares, "big_x": big_x, "spread": spread, "form": form,
         "gram": gram._gram_error(k, g_squares),
         "rank_error": gram._rank_error(v_norm, q_norm, np.sqrt(n) * gram._TINY64, w_norm, n, k),
         "q_error": gram._product_error(q_norm, f_norm, n),
@@ -237,10 +240,24 @@ class TestTheCutsAreDerived:
         under = 2 * n * tiny
         assert (np.sqrt(np.maximum(s - under, 0) / (1 + gamma)) * (1 - w) <= true).all()
         assert (true <= np.sqrt((s + under) / (1 - gamma)) / (1 - w)).all()
+        # K X^2: ||x G||^2 exceeds x A x^T by at most K ||x||^2 <= K X^2.
+        x_norms = _norms(x)
+        assert (x_norms <= t["big_x"]).all()
+        lifted = _norms(x @ t["factor"].astype(wide)) ** 2
+        assert (lifted - form <= t["form"] * x_norms * x_norms).all()
         if not t["k"]:
             return
-        # E: ||P - g|| against ||x W||; a and b: the Gram form against ||P - g||^2.
+        # delta: fl(G V) against G V; F_W: ||W||_F; V: ||V||_2 <= 1.
+        basis = t["basis"].astype(wide)
+        exact_weights = t["factor"].astype(wide) @ basis
+        assert np.sqrt(np.sum((t["weights"] - exact_weights) ** 2)) <= t["delta"]
+        assert np.sqrt(np.sum(t["weights"].astype(wide) ** 2)) <= t["w_norm"]
+        assert np.linalg.norm(t["basis"], 2) <= 1.0
+        # The chain: ||x W|| <= ||x G|| ||V||_2 + delta ||x||.
         weights = t["weights"].astype(wide)
+        chain = np.sqrt(lifted) + t["delta"] * x_norms
+        assert (_norms(x @ weights) <= chain).all()
+        # E: ||P - g|| against ||x W||; a and b: the Gram form against ||P - g||^2.
         gap = _norms(t["projected"].astype(wide) - t["g"].astype(wide))
         assert (np.abs(gap - _norms(x @ weights)) <= t["rank_error"]).all()
         c = t["projected"] @ (-2.0 * t["g"]) + t["p_squares"] + t["g_squares"]
@@ -252,15 +269,19 @@ class TestTheCutsAreDerived:
         high, low = gram._HIGH, gram._LOW
         for q in (w.queries[0], np.zeros(w.dim), w.database[7]):
             t = _terms(w.matrix, q, w.database)
-            rank, mapped = t["kernel"].stages(q, t["v_norm"])
+            rank, mapped = t["kernel"].stages(q, t["fitted"], t["v_norm"])
             c, cut = rank(t["projected"], t["p_squares"])
             s, lo_cut, hi = mapped(t["mapped"], t["m_error"])
             n, (a, b) = t["n"], t["gram"]
             e = (t["m_error"] + t["q_error"]) * high
             shrink = (1 - gram._U64) / np.sqrt(1 + gram._gamma(n, gram._U64)) * low
             grow = high / ((1 - gram._U64) * np.sqrt(1 - gram._gamma(n, gram._U64)))
+            # The rank cut's E + delta X and D = K X^2 + T64 (the mapped
+            # stage's form_spread).
+            rank_error = (t["rank_error"] + t["delta"] * t["big_x"]) * high
+            assert t["delta"] > 0.0 and t["form"] > 0.0
             for r in (0.0, 1e-6, 0.01, 0.3, 4.0):
-                y = (t["rank_error"] + np.sqrt((r + t["spread"]) * high) * high) * high
+                y = (rank_error + np.sqrt((r + t["form_spread"]) * high) * high) * high
                 assert cut(r) == (y * y * (1 + 2 * a) * high + b) * high
                 z = (np.sqrt((r + t["form_spread"]) * high) * high + e) / shrink * high
                 assert lo_cut(r) == (z * z * high + 2 * n * gram._TINY64) * high

@@ -1,7 +1,9 @@
 """The QFD sequential scan's certified filter against the plain scan.
 
 ``SequentialFile`` under a QFD tests every row's O(k) sum ``c``, the Gram
-form of ``||(v - q) W||^2``, against the rank-k stage's cut; reads the
+form of ``||(v - q) W||^2`` (``W = G V``, ``V`` the L2 filter's basis of
+the rows mapped by the Cholesky factor ``G``, fitted by the first
+bounded query), against the rank-k stage's cut; reads the
 mapped stage's O(n) sum ``s = ||M - q G||^2`` of a seed of the rows of
 smallest ``c`` (from the rows mapped by the QFD's Cholesky factor,
 float32, each mapped the first time a query reaches it); cuts at ``hi`` of
@@ -12,16 +14,18 @@ scan (``port.compute_many`` over every row, the filter switched off by
 raising its size floor): identical ``(index, distance)`` lists bit for
 bit, identical charged counts and an identical EXPLAIN event stream — for
 k = 1, k >= m, a tie at the k-th distance, range with r = 0 and r = inf,
-insert-then-query (an inserted row above the norm bound raises it), the
-float32 memory-mapped twin, a snapshot round-trip, a thread-executor
-batch, racing first queries (which map each row once), queries by example
-at the scan's own ``d1`` and ``d10``, a near-singular matrix, a failed
-rank-k certificate (the mapped stage over every row), non-finite and
+insert-then-query (an inserted row above the norm bound raises it, and
+every inserted row is projected on the kept ``W``), the float32
+memory-mapped twin, a snapshot round-trip, a thread-executor batch, racing
+first queries (which fit ``W`` once and map each row once), queries by
+example at the scan's own ``d1`` and ``d10``, a near-singular matrix, a
+refused ``V`` (the mapped stage over every row), non-finite and
 out-of-range rows (no stage) and the 512-d benchmark corpus, where the
-median query evaluates at most 2k rows in float64.  The projected and
-mapped rows are in neither a pickle nor a snapshot, and the cached
-first-stage operands give the sums the uncached formula gives, bit for
-bit.
+median query evaluates at most 2k rows in float64.  ``W``, the projected
+and the mapped rows are in neither a pickle nor a snapshot; a restored
+or unpickled copy fits the same ``W`` bit for bit and maps the same
+rows; and the cached first-stage operands give the sums the uncached
+formula gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -168,9 +172,13 @@ class TestTheFilterIsTheScan:
         rows = built.access_method._qfd_rows
         assert rows.size == M and not rows._done[300:M].any()
         kernel = built.access_method.distance.kernel
-        # Products of other heights (one inserted row is a gemv) may move
-        # the last ulp; the stages hold for any order of the sums.
-        projected, squares, v_norm = kernel.project(data)
+        # W is the one the first query fitted to the first 300 rows; the
+        # inserted rows are projected on it.  Products of other heights (one
+        # inserted row is a gemv) may move the last ulp; the stages hold
+        # for any order of the sums.
+        weights = rows.fitted[1]
+        assert np.array_equal(weights, kernel.fit(data[:300])[1])
+        projected, squares, v_norm = gram.qfd_project(weights, data)
         assert np.allclose(rows._projected[:M], projected, rtol=1e-12, atol=1e-15)
         assert np.allclose(rows._squares[:M], squares, rtol=1e-12, atol=0)
         assert rows.v_norm == v_norm  # the largest row's own sum
@@ -188,9 +196,8 @@ class TestTheFilterIsTheScan:
         before, mapped_before = rows.v_norm, rows.m_error
         far = 3.0 * data[int(np.argmax(np.einsum("ij,ij->i", data, data)))]
         built.insert(far)
-        kernel = built.access_method.distance.kernel
         assert rows.size == M + 1 and rows.v_norm > before
-        assert rows.v_norm == kernel.project(far[None, :])[2]
+        assert rows.v_norm == gram.qfd_project(rows.fitted[1], far[None, :])[2]
         _assert_same_scan(built, np.vstack([queries, far]), unfiltered, k=10)
         _assert_same_scan(built, [far, 0.5 * far], unfiltered, radius=0.05)
         assert rows._done[M] and rows.m_error > mapped_before  # far answers itself
@@ -210,7 +217,9 @@ class TestTheFilterIsTheScan:
         rows32 = mmap.access_method.database
         kernel = mmap.access_method.distance.kernel
         rows = mmap.access_method._qfd_rows
-        projected, squares, v_norm = kernel.project(rows32)
+        for got, want in zip(rows.fitted[:2], heap.access_method._qfd_rows.fitted[:2]):
+            assert np.array_equal(got, want)
+        projected, squares, v_norm = gram.qfd_project(rows.fitted[1], rows32)
         assert np.array_equal(rows._projected, projected)
         assert np.array_equal(rows._squares, squares) and rows.v_norm == v_norm
         done = np.flatnonzero(rows._done)
@@ -231,6 +240,14 @@ class TestTheFilterIsTheScan:
         assert built.access_method.structural_state() == {}
         restored = load_built_index(after)
         assert restored.access_method._qfd_rows is None
+        restored.knn_search(queries[0], 10)
+        # The restored scan fits W anew, bit for bit the original's, and
+        # the same query maps the same candidate rows.
+        original, copy = built.access_method._qfd_rows, restored.access_method._qfd_rows
+        for got, want in zip(copy.fitted[:2], original.fitted[:2]):
+            assert np.array_equal(got, want)
+        assert copy.fitted[2] == original.fitted[2]
+        assert np.array_equal(copy._done, original._done)
         _assert_same_scan(restored, queries, unfiltered, k=10)
 
     def test_the_mapped_rows_are_not_pickled(self, workload) -> None:
@@ -245,7 +262,12 @@ class TestTheFilterIsTheScan:
         assert len(payload) < cold + 64  # the counter's totals, not the rows
         copy = pickle.loads(payload)
         assert "_qfd_rows" not in vars(copy) and copy._qfd_rows is None
-        assert copy.knn_search(queries[1], 3) == am.knn_search(queries[1], 3)
+        assert copy.knn_search(queries[0], 3) == am.knn_search(queries[0], 3)
+        # The copy's W and the rows its first query maps are the
+        # original's, bit for bit.
+        for got, want in zip(copy._qfd_rows.fitted[:2], am._qfd_rows.fitted[:2]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(copy._qfd_rows._done, am._qfd_rows._done)
         assert np.array_equal(copy._qfd_rows._projected, am._qfd_rows._projected)
         assert copy._qfd_rows.v_norm == am._qfd_rows.v_norm
 
@@ -260,10 +282,11 @@ class TestTheFilterIsTheScan:
         flushed = gram._flush_subnormals(data)
         squares = np.einsum("ij,ij->i", flushed, flushed)
         assert rows.v_norm == gram._norm_up(squares.max(), 2 * data.shape[1])
+        fitted = kernel.fit(data)
         for q in queries:
             (cached, cached_cut), _ = rows.stages(kernel, q, data)
-            projected, p_squares, v_norm = kernel.project(data)
-            fresh, fresh_cut = kernel.stages(q, v_norm)[0](projected, p_squares)
+            projected, p_squares, v_norm = gram.qfd_project(fitted[1], data)
+            fresh, fresh_cut = kernel.stages(q, fitted, v_norm)[0](projected, p_squares)
             assert np.array_equal(cached, fresh)
             assert all(cached_cut(r) == fresh_cut(r) for r in (0.0, 0.01, 1.0))
 
@@ -289,46 +312,39 @@ class TestTheFilterIsTheScan:
             ]
 
     def test_a_matrix_whose_mu_prunes_nothing(self, workload, unfiltered, monkeypatch) -> None:
-        # lambda_min 1e-8 of the largest, so mu ||v - q||^2 would be under
-        # every cut.  At rank 0 (no rank-k term) every row is a candidate
-        # and mapped, and the intervals still leave a few; with the rank-k
-        # term the top eigenvalues rule rows out first.
+        # lambda_min 1e-8 of the largest, so lambda_min ||v - q||^2 would be
+        # under every cut.  The basis of the mapped rows still rules rows out
+        # before any is mapped, and the intervals leave a few.
         _, data, queries = workload
         n = data.shape[1]
         basis, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((n, n)))
         matrix = (basis * np.logspace(-8, 0, n)) @ basis.T
         matrix = (matrix + matrix.T) / 2
-        for rank in (0, gram._SPECTRAL_RANK):
-            with pytest.MonkeyPatch.context() as patch:  # outlives `unfiltered`
-                patch.setattr(gram, "_SPECTRAL_RANK", rank)
-                seen = _spy_survivors(patch)
-                built = QFDModel(matrix).build_index("sequential", data)
-                _assert_same_scan(built, queries[:4], unfiltered, k=10)
-                _assert_same_scan(built, queries[:4], unfiltered, radius=0.05)
-            kernel = built.access_method.distance.kernel
-            assert kernel.weights.shape == (n, rank)
-            assert len(seen) == 8 and all(rows == M for _, rows in seen)
-            mapped = np.count_nonzero(built.access_method._qfd_rows._done)
-            assert mapped == M if rank == 0 else mapped < M
-            assert all(kept < M // 4 for kept, _ in seen[:4])
+        with pytest.MonkeyPatch.context() as patch:  # outlives `unfiltered`
+            seen = _spy_survivors(patch)
+            built = QFDModel(matrix).build_index("sequential", data)
+            _assert_same_scan(built, queries[:4], unfiltered, k=10)
+            _assert_same_scan(built, queries[:4], unfiltered, radius=0.05)
+        rows = built.access_method._qfd_rows
+        assert rows.fitted[1].shape == (n, gram._PROJECTION_RANK)
+        assert len(seen) == 8 and all(total == M for _, total in seen)
+        assert np.count_nonzero(rows._done) < M
+        assert all(kept < M // 4 for kept, _ in seen[:4])
 
     def test_a_failed_rank_k_certificate_runs_the_mapped_stage(
         self, workload, unfiltered, monkeypatch
     ) -> None:
-        # W doubled: the deflated matrix is indefinite and its certificate
-        # fails, so there is no rank-k term: every row is a candidate, the
-        # first query maps them all, and the intervals pick the rows.
+        # V refused: there is no rank-k term, so every row is a candidate,
+        # the first query maps them all, and the intervals pick the rows.
         matrix, data, queries = workload
-        deflation = gram._deflation
         with pytest.MonkeyPatch.context() as patch:  # outlives `unfiltered`
-            patch.setattr(gram, "_deflation", lambda sym, shift: 2.0 * deflation(sym, shift))
+            patch.setattr(gram, "l2_basis_certified", lambda basis: False)
             seen = _spy_survivors(patch)
             built = QFDModel(matrix).build_index("sequential", data)
             _assert_same_scan(built, queries, unfiltered, k=10)
             _assert_same_scan(built, queries[:4], unfiltered, radius=0.1)
-        kernel = built.access_method.distance.kernel
         rows = built.access_method._qfd_rows
-        assert kernel.weights.shape == (data.shape[1], 0)
+        assert rows.fitted[1].shape == (data.shape[1], 0)
         assert rows._projected.shape == (M, 0) and rows._done.all()
         assert all(kept <= 20 for kept, _ in seen[: len(queries)])
 
@@ -424,31 +440,31 @@ class TestTheFilterIsTheScan:
     def test_racing_first_queries_map_each_row_once(
         self, workload, unfiltered, monkeypatch
     ) -> None:
-        # More threads than cores, switching every microsecond: the
-        # projected rows and the kernel's W are built once, every row a
-        # query reaches is mapped once, and every racing query gets the
-        # unfiltered scan's answer.
+        # More threads than cores, switching every microsecond: W and the
+        # projected rows are built once, every row a query reaches is
+        # mapped once, and every racing query gets the unfiltered scan's
+        # answer.
         matrix, data, queries = workload
         built = QFDModel(matrix).build_index("sequential", data)
         am = built.access_method
-        projections, mapped, floors = [], [], []
-        project, map_rows, floor = QFDKernel.project, QFDKernel.map, gram.spectral_floor
+        projections, mapped, fits = [], [], []
+        project, map_rows, fit = gram.qfd_project, QFDKernel.map, QFDKernel.fit
 
-        def counted_project(kernel, rows):
+        def counted_project(weights, rows):
             projections.append(rows.shape[0])
-            return project(kernel, rows)
+            return project(weights, rows)
 
         def counted_map(kernel, rows):
             mapped.append(rows.shape[0])
             return map_rows(kernel, rows)
 
-        def counted_floor(*args):
-            floors.append(1)
-            return floor(*args)
+        def counted_fit(kernel, rows):
+            fits.append(rows.shape[0])
+            return fit(kernel, rows)
 
-        monkeypatch.setattr(QFDKernel, "project", counted_project)
+        monkeypatch.setattr(gram, "qfd_project", counted_project)
         monkeypatch.setattr(QFDKernel, "map", counted_map)
-        monkeypatch.setattr(gram, "spectral_floor", counted_floor)
+        monkeypatch.setattr(QFDKernel, "fit", counted_fit)
         barrier = threading.Barrier(6, timeout=60)
         answers: dict[int, list] = {}
 
@@ -468,11 +484,15 @@ class TestTheFilterIsTheScan:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         rows = am._qfd_rows
-        assert projections == [M] and floors == [1]
+        assert projections == [M] and fits == [M]
         assert sum(mapped) == np.count_nonzero(rows._done) > 0  # each row once
         monkeypatch.undo()
         kernel = am.distance.kernel
-        assert np.array_equal(rows._projected, kernel.project(data)[0])
+        # The raced W is the one a single first query fits, bit for bit.
+        fitted = kernel.fit(data)
+        for got, want in zip(rows.fitted[:2], fitted[:2]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rows._projected, gram.qfd_project(fitted[1], data)[0])
         done = np.flatnonzero(rows._done)
         want_mapped, want_error = kernel.map(data[done])
         assert np.allclose(rows._mapped[done], want_mapped, rtol=1e-6, atol=0)
